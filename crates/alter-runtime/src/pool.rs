@@ -18,14 +18,47 @@
 //! engine ships `(Snapshot, task, buffers)` jobs, while the inference
 //! engine reuses the same pool to run independent probes concurrently.
 //!
+//! Every wait — a lane for its next job, the coordinator for a lane's
+//! result — **polls first and parks last** (`recv_polling`): between
+//! back-to-back rounds the other side answers within a few scheduler
+//! yields, so neither side sleeps and no send has to wake anyone (a futex
+//! wake across the CPUs of a virtual machine costs ~20 µs, and a round paid
+//! two). Only *how long* a receive blocks changed, never which value it
+//! returns, so the ordering argument above is untouched.
+//!
 //! Shutdown is by drop: dropping the pool closes the job channels, each
-//! worker's `for job in rx` loop ends, and the owning `thread::scope` joins
-//! them. Keep the pool inside the scope closure so the drop happens before
-//! the scope's implicit join (otherwise the join would wait on workers
-//! still blocked in `recv`).
+//! worker's receive loop ends, and the owning `thread::scope` joins them.
+//! Keep the pool inside the scope closure so the drop happens before the
+//! scope's implicit join (otherwise the join would wait on workers still
+//! blocked in `recv`).
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::thread::Scope;
+
+/// Polls a waiter makes before it parks in a blocking `recv`: about half a
+/// millisecond of yields on an otherwise idle CPU. Measured, not guessed
+/// (EXPERIMENTS "Wall clock: poll-then-park"): rounds of tiny jobs need only
+/// a handful, but a waiter that gives up before a fat round's lane skew or
+/// serial section is over pays the polls *and* the wake (200 polls made
+/// Floyd 5 % slower than blocking; its gain levels off at 2 000), while
+/// budgets of 5 000 and up start to cost K-means, because lanes of an idle
+/// pool stay runnable that much longer.
+const POLL_BUDGET: u32 = 2000;
+
+/// `rx.recv()`, but polling for [`POLL_BUDGET`] scheduler yields before
+/// parking. The waiter must *yield*, not spin: a lane may share its CPU
+/// with the very thread it waits for, and a spinning waiter would hold
+/// that CPU for its whole time slice.
+fn recv_polling<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    for _ in 0..POLL_BUDGET {
+        match rx.try_recv() {
+            Ok(value) => return Ok(value),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+    rx.recv()
+}
 
 struct Worker<J, R> {
     job_tx: Sender<J>,
@@ -40,7 +73,8 @@ struct Worker<J, R> {
 ///     let mut pool = alter_runtime::WorkerPool::new(scope, 4, &square);
 ///     assert_eq!(pool.run_round(vec![1, 2, 3]), vec![1, 4, 9]);
 ///     assert_eq!(pool.run_round(vec![5]), vec![25]);
-///     assert_eq!(pool.round_handoffs(), 2);
+///     assert!(pool.run_round(Vec::new()).is_empty());
+///     assert_eq!(pool.round_handoffs(), 2); // one per non-empty round
 /// });
 /// ```
 pub struct WorkerPool<J, R> {
@@ -68,13 +102,16 @@ impl<J, R> WorkerPool<J, R> {
             .map(|w| {
                 let (job_tx, job_rx) = channel::<J>();
                 let (result_tx, result_rx) = channel::<R>();
-                scope.spawn(move || {
-                    for job in job_rx {
-                        if result_tx.send(f(w, job)).is_err() {
-                            break;
+                std::thread::Builder::new()
+                    .name(format!("alter-worker-{w}"))
+                    .spawn_scoped(scope, move || {
+                        while let Ok(job) = recv_polling(&job_rx) {
+                            if result_tx.send(f(w, job)).is_err() {
+                                break;
+                            }
                         }
-                    }
-                });
+                    })
+                    .expect("spawn pool worker thread");
                 Worker { job_tx, result_rx }
             })
             .collect();
@@ -165,9 +202,7 @@ impl<J, R> TicketStream<'_, J, R> {
         if self.next >= self.n {
             return None;
         }
-        let r = self.pool.workers[self.next]
-            .result_rx
-            .recv()
+        let r = recv_polling(&self.pool.workers[self.next].result_rx)
             .expect("pool worker exited early");
         self.next += 1;
         Some(r)
@@ -186,7 +221,7 @@ impl<J, R> Drop for TicketStream<'_, J, R> {
         // shows up as a closed channel here; ignore it — its panic
         // propagates when the owning scope joins.
         while self.next < self.n {
-            let _ = self.pool.workers[self.next].result_rx.recv();
+            let _ = recv_polling(&self.pool.workers[self.next].result_rx);
             self.next += 1;
         }
     }
@@ -204,6 +239,48 @@ impl<J, R> std::fmt::Debug for WorkerPool<J, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    /// Far longer than [`POLL_BUDGET`] yields take: after sleeping this
+    /// long every waiting lane has parked in its blocking `recv`.
+    const IDLE: Duration = Duration::from_millis(30);
+
+    /// Runs `f` on its own thread and fails — instead of hanging the suite
+    /// — if it has not returned in time. Re-raises `f`'s panic.
+    fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(value) => value,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("the pool hung"),
+            Err(_) => resume_unwind(runner.join().expect_err("f panicked before sending")),
+        }
+    }
+
+    /// Message of the panic that leaves the `thread::scope` when `drive`
+    /// runs over a 3-lane pool whose worker dies on job 13.
+    fn panic_leaving_scope(
+        drive: impl FnOnce(&mut WorkerPool<u64, u64>) + Send + 'static,
+    ) -> String {
+        let f = |_w: usize, x: u64| {
+            assert_ne!(x, 13, "body blew up");
+            x
+        };
+        let payload = within_deadline(move || {
+            catch_unwind(AssertUnwindSafe(|| {
+                std::thread::scope(|scope| drive(&mut WorkerPool::new(scope, 3, &f)));
+            }))
+        })
+        .expect_err("a worker died");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_default()
+    }
 
     #[test]
     fn results_come_back_in_job_order() {
@@ -277,6 +354,78 @@ mod tests {
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::new(scope, 1, &f);
             pool.run_round(vec![1, 2]);
+        });
+    }
+
+    #[test]
+    fn parked_lanes_wake_for_a_round_after_a_long_idle() {
+        let f = |w: usize, x: u64| {
+            let lane = format!("alter-worker-{w}");
+            assert_eq!(std::thread::current().name(), Some(lane.as_str()));
+            (w, x + 1)
+        };
+        within_deadline(move || {
+            std::thread::scope(|scope| {
+                let mut pool = WorkerPool::new(scope, 3, &f);
+                for round in 0..3u64 {
+                    std::thread::sleep(IDLE);
+                    let out = pool.run_round(vec![round, round + 10, round + 20]);
+                    assert_eq!(out, vec![(0, round + 1), (1, round + 11), (2, round + 21)]);
+                }
+                assert_eq!(pool.round_handoffs(), 3);
+            });
+        });
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_polling_and_parked_lanes() {
+        let f = |_w: usize, x: u64| x;
+        within_deadline(move || {
+            std::thread::scope(|scope| {
+                let mut pool = WorkerPool::new(scope, 4, &f);
+                std::thread::sleep(IDLE);
+                // Lanes 0 and 1 have just answered and are polling for their
+                // next job; lanes 2 and 3 are still parked.
+                assert_eq!(pool.run_round(vec![1, 2]), vec![1, 2]);
+                drop(pool);
+            });
+        });
+    }
+
+    #[test]
+    fn a_dead_worker_panics_next_ticket_instead_of_polling_forever() {
+        let message = panic_leaving_scope(|pool| {
+            let mut stream = pool.stream_round(vec![1, 13, 3]);
+            assert_eq!(stream.next_ticket(), Some(1));
+            // Lane 1 died mid-round. The unwind then drops the stream
+            // (draining lane 2) and the pool.
+            stream.next_ticket();
+        });
+        assert!(message.contains("pool worker exited early"), "{message}");
+    }
+
+    #[test]
+    fn dropping_a_stream_over_a_dead_worker_returns() {
+        let message = panic_leaving_scope(|pool| drop(pool.stream_round(vec![1, 13, 3])));
+        // The worker's own panic surfaces when the scope joins.
+        assert!(message.contains("a scoped thread panicked"), "{message}");
+    }
+
+    #[test]
+    fn oversubscribed_pool_completes_many_rounds_in_lane_order() {
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        let lanes = 4 * cpus;
+        let f = |w: usize, x: u64| (w, x);
+        within_deadline(move || {
+            std::thread::scope(|scope| {
+                let mut pool = WorkerPool::new(scope, lanes, &f);
+                for round in 0..1000u64 {
+                    let out = pool.run_round(vec![round; lanes]);
+                    let expected: Vec<_> = (0..lanes).map(|w| (w, round)).collect();
+                    assert_eq!(out, expected);
+                }
+                assert_eq!(pool.round_handoffs(), 1000);
+            });
         });
     }
 }

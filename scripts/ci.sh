@@ -18,6 +18,18 @@ RUSTFLAGS="-D warnings" cargo build --release
 echo "== test (workspace) =="
 cargo test --workspace --quiet
 
+if command -v taskset > /dev/null && command -v timeout > /dev/null; then
+  echo "== one-CPU starvation gate (pool waiters must yield, not spin) =="
+  # Coordinator and every lane contend for one CPU — the case the wall
+  # benchmark's placement creates for lane 0. A waiter that yields hands the
+  # CPU to whoever it waits for; one that spins burns its whole time slice
+  # per handoff and times out here (measured on one CPU: pool tests 0.2 s
+  # yielding vs 22 s spinning, round_modes 36 s vs 351 s).
+  cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//') # first allowed CPU
+  taskset -c "$cpu" timeout 15 cargo test --quiet -p alter-runtime pool::
+  taskset -c "$cpu" timeout 180 cargo test --quiet --test round_modes
+fi
+
 echo "== alter-lint (isolation sanitizer over all 12 canonical traces) =="
 # Records each workload's best-configuration trace with full task_sets
 # payloads, replays it through the sanitizer (any isolation-invariant
