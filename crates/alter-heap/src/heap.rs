@@ -4,8 +4,25 @@
 //! private copy-on-write mappings (§4.1, Figure 4). Here the committed state
 //! is a vector of `Arc`'d objects; a [`Snapshot`] is a page-chunked
 //! structural copy of that vector (every object shared), and transaction
-//! privacy comes from copying an object into a private overlay on first
-//! write ([`crate::Tx`]) — software copy-on-write at allocation granularity.
+//! privacy comes from a private copy in the transaction's overlay, made on
+//! first write and filled block by block as it is touched ([`crate::Tx`]).
+//!
+//! # Writing in place
+//!
+//! A commit (or sequential [`Heap::get_mut`]) must not change a payload some
+//! snapshot can still read, and must not copy one nobody can. `Arc` counts
+//! decide, and nothing else: the payload is written in place exactly when
+//! the committed slot holds the only reference to it. One reference needs an
+//! argument — the heap's own snapshot page cache shares every payload it has
+//! ever handed out. But the slot being written is journalled first, so the
+//! cache's entry for it is already stale: the next incremental snapshot
+//! overwrites it before anyone reads it. If no live [`Snapshot`] shares that
+//! cached page either (`Arc::get_mut` on it succeeds), the entry is released
+//! and the slot's count drops to one. Any round snapshot, one-shot
+//! [`Heap::snapshot`] or [`Snapshot::get_arc`] handle that still shares the
+//! payload keeps the count above one and gets the copy. The engine's barrier
+//! drivers drop the round's snapshot once its last task has returned, so in
+//! steady state their commits write in place.
 //!
 //! Snapshots come in two flavours. [`Heap::snapshot`] builds the page table
 //! from scratch (O(slots), one `Arc` clone per slot — the cost this module
@@ -20,9 +37,8 @@
 //! # Sharding
 //!
 //! Internally the heap is a fixed power-of-two array of [`HeapShard`]s, each
-//! owning its slot storage, dirty-slot journal, page-chunked snapshot cache,
-//! and a 128-bit fingerprint accumulating the write blocks committed into
-//! it. Object ids route to shards by *snapshot page*: global page
+//! owning its slot storage, dirty-slot journal and page-chunked snapshot
+//! cache. Object ids route to shards by *snapshot page*: global page
 //! `id / SNAPSHOT_PAGE_SLOTS` belongs to shard `page % shards`, so every
 //! snapshot page lives wholly inside one shard and the page partition — and
 //! therefore every snapshot-economics counter — is independent of the shard
@@ -33,7 +49,7 @@
 //! is a single shard, which is bit-for-bit the pre-sharding layout.
 
 use crate::object::{ObjData, ObjId};
-use crate::sets::{Fingerprint, SHARD_LANES};
+use crate::sets::SHARD_LANES;
 use std::sync::Arc;
 
 /// Slots per snapshot page. Pages are the unit of structural sharing
@@ -89,10 +105,9 @@ pub struct SnapshotStats {
 }
 
 /// One shard of the committed state: a slice of the slot table (every
-/// `shards`-th snapshot page), its versions, its dirty-slot journal, its
-/// snapshot-page cache, and a fingerprint folding in every write block
-/// committed into the shard. All indices are shard-local; only [`Heap`]
-/// knows the global routing.
+/// `shards`-th snapshot page), its versions, its dirty-slot journal and its
+/// snapshot-page cache. All indices are shard-local; only [`Heap`] knows the
+/// global routing.
 #[derive(Debug, Default)]
 struct HeapShard {
     slots: Vec<Option<Arc<ObjData>>>,
@@ -107,10 +122,6 @@ struct HeapShard {
     /// deduplicated via `journaled`.
     journal: Vec<u32>,
     journaled: Vec<bool>,
-    /// Bloom-style accumulator over the `(object, word-block)` pairs of
-    /// every write committed into this shard (diagnostics and the sharding
-    /// invariant tests; never consulted on the validation path).
-    write_fp: Fingerprint,
 }
 
 impl HeapShard {
@@ -125,6 +136,22 @@ impl HeapShard {
             self.journaled[idx] = true;
             self.journal.push(idx as u32);
         }
+    }
+
+    /// Mutably borrows the payload in local slot `idx`, which the caller has
+    /// just journalled — in place if nothing else can read it, a fresh copy
+    /// otherwise (the module docs' "Writing in place"). `None` if the slot
+    /// is dead or unknown.
+    fn payload_mut(&mut self, idx: usize) -> Option<&mut ObjData> {
+        debug_assert!(self.journaled[idx], "the cache entry must be stale");
+        if let Some(page) = self
+            .snap_pages
+            .get_mut(idx / SNAPSHOT_PAGE_SLOTS)
+            .and_then(Arc::get_mut)
+        {
+            page.slots[idx % SNAPSHOT_PAGE_SLOTS] = None;
+        }
+        self.slots.get_mut(idx)?.as_mut().map(Arc::make_mut)
     }
 
     /// Grows the local slot table to cover local index `idx`.
@@ -222,8 +249,8 @@ impl Heap {
     /// Re-partitions the slot table into `shards` shards (rounded to a
     /// power of two, clamped to `1..=`[`SHARD_LANES`]). A no-op when the
     /// count is unchanged; otherwise slots are redistributed
-    /// deterministically in ascending id order, the per-shard write
-    /// fingerprints reset, and the snapshot cache is dropped so the next
+    /// deterministically in ascending id order and the snapshot cache is
+    /// dropped, so the next
     /// incremental snapshot does a full build — exactly the cost a fresh
     /// heap's first snapshot pays, so snapshot accounting stays comparable
     /// across shard counts. The committed state, versions, free list and
@@ -267,14 +294,6 @@ impl Heap {
         self.shards = shards_new;
         self.shard_bits = new_bits;
         self.snap_valid = false;
-    }
-
-    /// The Bloom-style accumulator over every `(object, word-block)` pair
-    /// committed into shard `shard` via [`Heap::apply_commit`]. Reset by
-    /// [`Heap::set_shards`]. Purely diagnostic: validation probes the
-    /// round's access-set fingerprints, never this one.
-    pub fn shard_write_fingerprint(&self, shard: usize) -> Fingerprint {
-        self.shards[shard].write_fp
     }
 
     /// Allocates an object from sequential code and returns its id.
@@ -350,7 +369,7 @@ impl Heap {
     }
 
     /// Mutably borrows the committed payload of `id` from sequential code,
-    /// cloning it first if a snapshot still shares it.
+    /// cloning it first if a live snapshot still shares it.
     ///
     /// # Panics
     ///
@@ -363,12 +382,9 @@ impl Heap {
             shard.versions[l] = version;
         }
         shard.mark_dirty(l);
-        let slot = shard
-            .slots
-            .get_mut(l)
-            .and_then(|slot| slot.as_mut())
-            .unwrap_or_else(|| panic!("access to dead or unknown {id}"));
-        Arc::make_mut(slot)
+        shard
+            .payload_mut(l)
+            .unwrap_or_else(|| panic!("access to dead or unknown {id}"))
     }
 
     /// Number of global snapshot pages covering the slot table.
@@ -554,7 +570,9 @@ impl Heap {
     /// Only the word ranges in the transaction's write set are merged back
     /// ([`ObjData::copy_range_from`]): snapshot isolation lets two
     /// transactions commit writes to disjoint ranges of one allocation, so a
-    /// whole-object overwrite would lose the earlier commit.
+    /// whole-object overwrite would lose the earlier commit. The merge
+    /// writes the committed payload in place unless a snapshot can still
+    /// read it (the module docs' "Writing in place").
     ///
     /// # Panics
     ///
@@ -565,21 +583,28 @@ impl Heap {
         self.version += 1;
         let version = self.version;
         let mut touched: u32 = 0;
-        for (id, lo, hi, src) in ops.writes {
+        let mut writes = ops.writes.into_iter().peekable();
+        while let Some((id, lo, hi, src)) = writes.next() {
             let (s, l) = self.locate(id.0 as usize);
             touched |= 1 << s;
             let shard = &mut self.shards[s];
             shard.versions[l] = version;
             shard.mark_dirty(l);
-            shard.write_fp.insert_range(id, lo, hi);
-            let slot = shard.slots[l]
-                .as_mut()
-                .unwrap_or_else(|| panic!("commit write to dead {id}"));
-            if lo == 0 && hi as usize == src.len() && src.len() == slot.len() {
+            let len = shard.slots[l]
+                .as_ref()
+                .unwrap_or_else(|| panic!("commit write to dead {id}"))
+                .len();
+            if lo == 0 && hi as usize == src.len() && src.len() == len {
                 // Whole-object write: swap the Arc, no copy.
-                *slot = src;
-            } else {
-                Arc::make_mut(slot).copy_range_from(&src, lo as usize, hi as usize);
+                shard.slots[l] = Some(src);
+                continue;
+            }
+            // The ranges of one object follow each other: find its payload
+            // once and merge them all.
+            let payload = shard.payload_mut(l).expect("slot checked live");
+            payload.copy_range_from(&src, lo as usize, hi as usize);
+            while let Some((_, lo, hi, src)) = writes.next_if(|w| w.0 == id) {
+                payload.copy_range_from(&src, lo as usize, hi as usize);
             }
         }
         for (id, data) in ops.allocs {
@@ -596,7 +621,6 @@ impl Heap {
                 "allocator invariant violated: {id} already live at commit"
             );
             shard.live_words += data.len() as u64;
-            shard.write_fp.insert_range(id, 0, data.len().max(1) as u32);
             shard.slots[l] = Some(data);
             shard.versions[l] = version;
             shard.live += 1;
@@ -1105,30 +1129,76 @@ mod tests {
         assert_eq!(h.apply_commit(CommitOps::default()), 0);
     }
 
-    #[test]
-    fn shard_write_fingerprints_accumulate_committed_blocks() {
-        let mut h = Heap::with_shards(4);
-        let mut ids = Vec::new();
-        for _ in 0..SNAPSHOT_PAGE_SLOTS * 2 {
-            ids.push(h.alloc(ObjData::zeros_i64(4)));
-        }
-        assert!(h.shard_write_fingerprint(0).is_empty());
-        let target = ids[0]; // page 0 → shard 0
+    /// A commit of words `1..3` of `id` (a partial range, so the payload is
+    /// merged into, not swapped).
+    fn partial_commit(h: &mut Heap, id: ObjId, v: i64) {
         h.apply_commit(CommitOps {
-            writes: vec![(target, 0, 2, Arc::new(ObjData::zeros_i64(4)))],
+            writes: vec![(id, 1, 3, Arc::new(ObjData::I64(vec![v; 4])))],
             ..Default::default()
         });
-        assert!(!h.shard_write_fingerprint(0).is_empty());
-        assert_eq!(h.shard_of(target), 0);
-        let other = ids[SNAPSHOT_PAGE_SLOTS]; // page 1 → shard 1
-        assert_eq!(h.shard_of(other), 1);
-        assert!(
-            h.shard_write_fingerprint(1).is_empty(),
-            "only the written shard accumulates"
+    }
+
+    #[test]
+    fn commit_copies_while_anything_shares_the_payload() {
+        // A one-object heap whose page cache is warm, as in a run's later rounds.
+        let warm = || {
+            let mut h = Heap::new();
+            let a = h.alloc(ObjData::I64(vec![0; 4]));
+            drop(h.snapshot_incremental());
+            (h, a)
+        };
+        // Commits into `a` while whatever `old` reads through is alive.
+        let check = |h: &mut Heap, a: ObjId, old: &dyn Fn() -> Vec<i64>, holder: &str| {
+            let before = h.get(a).i64s().as_ptr();
+            partial_commit(h, a, 7);
+            assert_eq!(h.get(a).i64s(), &[0, 7, 7, 0]);
+            assert_ne!(h.get(a).i64s().as_ptr(), before, "{holder}: must copy");
+            assert_eq!(old(), [0; 4], "{holder} still reads the old words");
+        };
+        let (mut h, a) = warm();
+        let round = h.snapshot_incremental().0;
+        check(
+            &mut h,
+            a,
+            &|| round.get(a).unwrap().i64s().to_vec(),
+            "round snapshot",
         );
-        // The accumulated fingerprint must cover the committed block.
-        let mut probe = Fingerprint::new();
-        probe.insert_range(target, 0, 2);
-        assert!(h.shard_write_fingerprint(0).may_intersect(probe));
+        let (mut h, a) = warm();
+        let one_shot = h.snapshot();
+        check(
+            &mut h,
+            a,
+            &|| one_shot.get(a).unwrap().i64s().to_vec(),
+            "one-shot snapshot",
+        );
+        let (mut h, a) = warm();
+        let arc = h.snapshot_incremental().0.get_arc(a).unwrap();
+        check(&mut h, a, &|| arc.i64s().to_vec(), "get_arc handle");
+    }
+
+    #[test]
+    fn commit_writes_in_place_once_the_snapshot_is_dead() {
+        let mut h = Heap::new();
+        let ids: Vec<ObjId> = (0..SNAPSHOT_PAGE_SLOTS * 3)
+            .map(|_| h.alloc(ObjData::I64(vec![0; 4])))
+            .collect();
+        let a = ids[70];
+        let (round, _) = h.snapshot_incremental();
+        let before = h.get(a).i64s().as_ptr();
+        drop(round);
+        partial_commit(&mut h, a, 7);
+        partial_commit(&mut h, a, 8);
+        h.get_mut(a).i64s_mut()[0] = 9;
+        assert_eq!(h.get(a).i64s().as_ptr(), before, "nobody could see it");
+        // Snapshot economics are what they were when the commit copied: one
+        // journalled slot, every other page reused — and the view is right.
+        let (snap, stats) = h.snapshot_incremental();
+        assert_eq!((stats.slots_copied, stats.pages_reused), (1, 2));
+        assert_snap_matches(&snap, &h);
+        assert_eq!(snap.get(a).unwrap().i64s(), &[9, 8, 8, 0]);
+        // With that snapshot alive the next commit copies again.
+        partial_commit(&mut h, a, 1);
+        assert_eq!(snap.get(a).unwrap().i64s(), &[9, 8, 8, 0]);
+        assert_ne!(h.get(a).i64s().as_ptr(), before);
     }
 }

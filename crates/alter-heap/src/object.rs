@@ -1,10 +1,11 @@
 //! Heap objects: typed, fixed-length allocations.
 //!
-//! ALTER instruments memory at *allocation granularity* (paper §4.1): the unit
-//! of copy-on-write isolation is one allocation. Conflict detection, however,
-//! works on *word ranges within* an allocation, mirroring the paper's
-//! optimization that an array indexed by an induction variable is instrumented
-//! once per range rather than once per element.
+//! ALTER instruments memory at *allocation granularity* (paper §4.1): access
+//! sets are keyed by allocation. Conflict detection works on *word ranges
+//! within* an allocation, mirroring the paper's optimization that an array
+//! indexed by an induction variable is instrumented once per range rather
+//! than once per element, and copy-on-write isolation on fixed-size blocks
+//! of one ([`crate::Tx`]), mirroring its pages.
 
 use std::fmt;
 

@@ -1,31 +1,36 @@
 //! Cross-round transaction buffer recycling.
 //!
 //! Every lock-step round builds one [`Tx`](crate::Tx) per task, and each
-//! `Tx` owns three allocation-heavy structures: the copy-on-write overlay
-//! map, the read set, and the write set. Rebuilding them from scratch every
-//! round puts the allocator on the engine's critical path; the paper's
-//! runtime avoids the equivalent cost by re-establishing copy-on-write
-//! mappings instead of copying (§4.1). [`TxBufferPool`] is the analogue
-//! here: finished transactions return their emptied containers to the pool
-//! (capacity retained — see [`AccessSet::clear`]), and the next round's
-//! transactions start from recycled ones.
+//! `Tx` owns allocation-heavy structures: the copy-on-write overlay map with
+//! the private copies in it, the read set, and the write set. Rebuilding
+//! them from scratch every round puts the allocator on the engine's critical
+//! path; the paper's runtime avoids the equivalent cost by re-establishing
+//! copy-on-write mappings instead of copying (§4.1). [`TxBufferPool`] is the
+//! analogue here: finished transactions return their emptied containers to
+//! the pool (capacity retained — see [`AccessSet::clear`]), and the next
+//! round's transactions start from recycled ones.
 //!
 //! The pool lives on the coordinating thread and is only touched between
 //! rounds, so it needs no synchronization and cannot perturb determinism:
-//! buffer *capacity* is the only thing recycled, never contents.
+//! what is recycled is *capacity* — of the containers, and of spent private
+//! copies, whose words a later transaction overwrites before it reads them
+//! (see the [`Tx`](crate::Tx) module docs) — never contents.
 
 use crate::fx::FxHashMap;
 use crate::object::{ObjData, ObjId};
 use crate::sets::AccessSet;
+use crate::tx::CowScratch;
 
-/// The recyclable allocations backing one transaction: overlay map, read
-/// set, and write set. Acquired from a [`TxBufferPool`] before a task runs
-/// and released (emptied, capacity retained) after its effects are
-/// consumed.
+/// The recyclable allocations backing one transaction: overlay map,
+/// private-copy storage, read set, and write set. Acquired from a
+/// [`TxBufferPool`] before a task runs and released (emptied, capacity
+/// retained) after its effects are consumed.
 #[derive(Debug, Default)]
 pub struct TxBuffers {
     /// Copy-on-write overlay storage.
     pub overlay: FxHashMap<ObjId, ObjData>,
+    /// Block masks and spare buffers of the overlay's private copies.
+    pub cow: CowScratch,
     /// Read-set storage.
     pub reads: AccessSet,
     /// Write-set storage.
@@ -38,9 +43,13 @@ impl TxBuffers {
         Self::default()
     }
 
-    /// Empties all three containers, retaining their capacity.
+    /// Empties the containers, retaining their capacity and the buffers of
+    /// the private copies worth reusing.
     fn reset(&mut self) {
-        self.overlay.clear();
+        for (_, copy) in self.overlay.drain() {
+            self.cow.recycle(copy);
+        }
+        self.cow.reset();
         self.reads.clear();
         self.writes.clear();
     }

@@ -16,7 +16,6 @@
 
 use crate::annotation::RedOp;
 use crate::body::TxCtx;
-use crate::engine::build_commit_ops;
 use crate::reduction::RedLocals;
 use crate::space::IterSpace;
 use alter_heap::{Heap, IdReservation, ObjId, TrackMode, Tx};
@@ -488,7 +487,7 @@ where
 
         iters_out.push(access);
         ordinal += 1;
-        heap.apply_commit(build_commit_ops(&mut effects, TrackMode::ReadsAndWrites));
+        heap.apply_commit(effects.commit_ops(TrackMode::ReadsAndWrites));
     }
 
     let locations = locs

@@ -28,8 +28,8 @@ use crate::pool::WorkerPool;
 use crate::reduction::{RedDelta, RedLocals, RedVars};
 use crate::space::IterSpace;
 use alter_heap::{
-    AccessSet, CommitOps, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, SnapshotStats,
-    TrackMode, Tx, TxBufferPool, TxBuffers, TxEffects, TxStats,
+    AccessSet, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, SnapshotStats, TrackMode, Tx,
+    TxBufferPool, TxBuffers, TxEffects, TxStats,
 };
 use alter_trace::{ConflictKind, Event, Phase, Recorder};
 use std::collections::VecDeque;
@@ -357,8 +357,9 @@ pub struct TaskReport {
     pub instr_read_ops: u64,
     /// Write operations that executed instrumentation.
     pub instr_write_ops: u64,
-    /// Words materialized in the private copy-on-write overlay (whole
-    /// objects, even for one-word writes — the page-copy analogue).
+    /// Words of the objects given a private copy in the overlay: their full
+    /// lengths, even for one-word writes and however few blocks of a copy
+    /// were filled — what the virtual-time cost model charges.
     pub overlay_words: u64,
     /// Words in objects allocated by the task.
     pub alloc_words: u64,
@@ -683,43 +684,6 @@ fn locate_conflict(
     }
 }
 
-/// Drains `effects` into commit operations, leaving its containers empty
-/// (but with capacity intact) so they can be recycled through the buffer
-/// pool.
-pub(crate) fn build_commit_ops(effects: &mut TxEffects, mode: TrackMode) -> CommitOps {
-    let mut ops = CommitOps::default();
-    if mode == TrackMode::None {
-        // No per-range tracking: commit whole private objects, in id order.
-        let mut ids: Vec<_> = effects.overlay.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let data = effects.overlay.remove(&id).expect("key just listed");
-            let hi = data.len() as u32;
-            ops.writes.push((id, 0, hi, Arc::new(data)));
-        }
-    } else {
-        for (id, ranges) in effects.writes.iter_sorted() {
-            // Freed objects appear in the write set (a free conflicts like a
-            // whole-object write) but have no overlay payload to merge.
-            let Some(data) = effects.overlay.remove(&id) else {
-                continue;
-            };
-            let arc = Arc::new(data);
-            for (lo, hi) in ranges.iter() {
-                ops.writes.push((id, lo, hi, Arc::clone(&arc)));
-            }
-        }
-    }
-    ops.allocs = effects
-        .allocs
-        .drain(..)
-        .map(|(id, data)| (id, Arc::new(data)))
-        .collect();
-    ops.frees = std::mem::take(&mut effects.frees);
-    ops.frees.sort_unstable();
-    ops
-}
-
 /// Runs an annotated loop to completion. This is the engine entry point;
 /// prefer the [`crate::run_loop`] / [`crate::LoopBuilder`] wrappers.
 ///
@@ -774,7 +738,7 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
             // Inner block: `exec` mutably borrows the pool and must die
             // before the handoff counter can be read back.
             let mut result = {
-                let mut exec = |snap: &Snapshot,
+                let mut exec = |snap: Snapshot,
                                 tickets: Vec<Ticket>,
                                 bufs: Vec<TxBuffers>,
                                 base: u32,
@@ -792,6 +756,12 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
                             reds: Arc::clone(&reds),
                         })
                         .collect();
+                    // Only the jobs keep the round's view alive now: it dies
+                    // with the last lane to return, and commits from then on
+                    // write in place (`Heap::apply_commit`). That is every
+                    // commit behind the barrier; the pipelined committer's
+                    // run while later lanes still read the view, and copy.
+                    drop(snap);
                     if streaming {
                         // Pipelined committer: strictly in-order consumption
                         // of an out-of-order execution. An early `Err` drops
@@ -822,7 +792,7 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
             // implicit join finds every worker already draining out.
         })
     } else {
-        let mut exec = |snap: &Snapshot,
+        let mut exec = |snap: Snapshot,
                         tickets: Vec<Ticket>,
                         bufs: Vec<TxBuffers>,
                         base: u32,
@@ -830,8 +800,11 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
                         sink: &mut TaskSink<'_>|
          -> Result<(), RunError> {
             let results = execute_round_scoped(
-                threaded, snap, tickets, bufs, base, params, &reds, mode, body,
+                threaded, &snap, tickets, bufs, base, params, &reds, mode, body,
             );
+            // Every task has returned, so nothing reads the round's view any
+            // more: drop it and the commits write in place.
+            drop(snap);
             for (worker, (ticket, outcome)) in results.into_iter().enumerate() {
                 sink(worker, ticket, outcome)?;
             }
@@ -853,9 +826,11 @@ type TaskSink<'a> = dyn FnMut(usize, Ticket, TaskOutcome) -> Result<(), RunError
 /// on the reduction registry, runs every ticket and feeds each `(worker,
 /// ticket, outcome)` to the sink in ticket order. Barrier drivers run the
 /// whole round first and then feed; the pipelined driver feeds each ticket
-/// as its lane delivers.
+/// as its lane delivers. The snapshot is the driver's to drop: a commit
+/// copies the payload it writes for as long as some snapshot shares it, so
+/// a driver lets go of the round's view as soon as no task needs it.
 type RoundExec<'a> = dyn FnMut(
-        &Snapshot,
+        Snapshot,
         Vec<Ticket>,
         Vec<TxBuffers>,
         u32,
@@ -1224,11 +1199,7 @@ fn run_rounds(
                     }
                     stats.tickets_requeued += 1;
                     sequencer.requeue(task);
-                    pool.release(TxBuffers {
-                        overlay: std::mem::take(&mut effects.overlay),
-                        reads: std::mem::take(&mut effects.reads),
-                        writes: std::mem::take(&mut effects.writes),
-                    });
+                    pool.release(effects.take_buffers());
                 } else {
                     report.committed = true;
                     stats.committed += 1;
@@ -1285,19 +1256,15 @@ fn run_rounds(
                         }
                     }
                     stats.shard_commit_batches +=
-                        u64::from(heap.apply_commit(build_commit_ops(&mut effects, mode)));
+                        u64::from(heap.apply_commit(effects.commit_ops(mode)));
                     // The committed write set moves into the round log (no
-                    // clone — `build_commit_ops` only borrowed it); the rest of
-                    // the transaction's buffers go back to the pool, along with
-                    // a recycled set to keep the returned buffers complete.
+                    // clone — `commit_ops` only borrowed it); the rest of the
+                    // transaction's buffers go back to the pool, along with a
+                    // recycled set to keep the returned buffers complete.
                     let writes = std::mem::replace(&mut effects.writes, pool.acquire_set());
                     merged_writes.union_with(&writes);
                     round_writes.push((task.seq, writes));
-                    pool.release(TxBuffers {
-                        overlay: std::mem::take(&mut effects.overlay),
-                        reads: std::mem::take(&mut effects.reads),
-                        writes: std::mem::take(&mut effects.writes),
-                    });
+                    pool.release(effects.take_buffers());
                     if let (Some(w), Some(t)) = (wall, wall_t) {
                         let dt = t.elapsed().as_secs_f64();
                         sink_secs += dt;
@@ -1307,7 +1274,7 @@ fn run_rounds(
                 reports.push(report);
                 Ok(())
             };
-        exec(&snap, tickets, bufs, base, exec_reds, &mut sink)?;
+        exec(snap, tickets, bufs, base, exec_reds, &mut sink)?;
         if let (Some(w), Some(t)) = (wall, round_wall_t) {
             w.add(
                 Phase::Execute,
@@ -1401,7 +1368,7 @@ fn run_rounds(
         observer.on_round(&RoundReport {
             round: stats.rounds - 1,
             tasks: &reports,
-            snapshot_slots: snap.slot_count(),
+            snapshot_slots: round_snapshot as usize,
         });
 
         if let Some(budget) = params.work_budget {

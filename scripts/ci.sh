@@ -18,6 +18,13 @@ RUSTFLAGS="-D warnings" cargo build --release
 echo "== test (workspace) =="
 cargo test --workspace --quiet
 
+echo "== bench/check.sh (the wall benchmark's own gate) =="
+# The benchmark crate is outside the workspace and binds to the crates'
+# public surface (bench/README.md lists it), so only its own build notices
+# when that surface narrows. Its gate is fmt, clippy, 25 unit tests and a
+# validated 1 s smoke of all six workloads, untraced and traced.
+bash bench/check.sh
+
 if command -v taskset > /dev/null && command -v timeout > /dev/null; then
   echo "== one-CPU starvation gate (pool waiters must yield, not spin) =="
   # Coordinator and every lane contend for one CPU — the case the wall

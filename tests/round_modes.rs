@@ -24,8 +24,9 @@
 //! `threaded_and_sequential_drivers_are_identical`); here each workload's
 //! output is the heap projection being compared.
 
+use alter::heap::{Heap, ObjData};
 use alter::infer::ProgramOutput;
-use alter::runtime::RunStats;
+use alter::runtime::{run_loop, Driver, ExecParams, RangeSpace, RedVars, RunStats, TxCtx};
 use alter::trace::{to_jsonl, trace_hash, Recorder, RingRecorder};
 use alter::workloads::{all_benchmarks, Benchmark, Scale};
 use std::sync::Arc;
@@ -219,6 +220,51 @@ fn round_modes_are_invisible_across_the_suite() {
                          lock-step run field for field"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Where a commit's words land is a drive-mode matter too, and just as
+/// invisible. The barrier drivers drop the round's snapshot before they
+/// commit, so a payload nobody else holds is merged into where it lies for
+/// the whole run; a snapshot the caller keeps across the run forces the
+/// first commit onto a copy and goes on reading the old words. The pipelined
+/// driver commits while later lanes still hold the round's view and copies
+/// whenever they do — which the sweep above covers: its transcripts and
+/// outputs are byte-identical to the barrier drivers'.
+#[test]
+fn barrier_drivers_commit_in_place_unless_a_snapshot_is_held() {
+    const WORDS: usize = 1024;
+    for (driver, workers) in [
+        (Driver::sequential(), 1),
+        (Driver::sequential(), 2),
+        (Driver::threaded(), 2),
+    ] {
+        for hold in [false, true] {
+            let tag = format!("{driver:?}/{workers}w hold={hold}");
+            let mut heap = Heap::new();
+            let xs = heap.alloc(ObjData::zeros_i64(WORDS));
+            let held = hold.then(|| heap.snapshot());
+            let before = heap.get(xs).i64s().as_ptr();
+            run_loop(
+                &mut heap,
+                &mut RedVars::new(),
+                &mut RangeSpace::new(0, WORDS as u64),
+                &ExecParams::new(workers, 4),
+                driver,
+                |ctx: &mut TxCtx<'_>, i| ctx.tx.write_i64(xs, i as usize, i as i64 + 1),
+            )
+            .expect("loop must complete");
+            let want: Vec<i64> = (1..=WORDS as i64).collect();
+            assert_eq!(heap.get(xs).i64s(), &want[..], "{tag}");
+            assert_eq!(
+                heap.get(xs).i64s().as_ptr() == before,
+                !hold,
+                "{tag}: in place exactly when nothing shares the payload"
+            );
+            if let Some(snap) = held {
+                assert_eq!(snap.get(xs).unwrap().i64s(), &[0; WORDS], "{tag}");
             }
         }
     }
