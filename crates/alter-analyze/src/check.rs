@@ -46,7 +46,7 @@
 //! recorded claims — the same counterexample format `alter-replay diff`
 //! bisects and renders, so every verdict here is replayable evidence.
 
-use crate::sanitize::{recompute_conflict, sanitize, SanitizeConfig, Violation};
+use crate::sanitize::{recompute_conflict, sanitize, validate_charge, SanitizeConfig, Violation};
 use alter_heap::{AccessSet, ObjId};
 use alter_runtime::replay::{diverge_bisect, Divergence, ReplayOutcome};
 use alter_runtime::{CommitOrder, ConflictPolicy};
@@ -193,7 +193,10 @@ struct RoundTasks {
 /// vector), mapped to schedule positions at synthesis time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum DerivedVerdict {
-    Ok,
+    Ok {
+        /// The per-earlier-writer validation charge under the schedule.
+        validate_words: u64,
+    },
     Conflict {
         kind: ConflictKind,
         obj: u32,
@@ -565,7 +568,13 @@ fn derive(
         );
         match hit {
             None => {
-                out.push(DerivedVerdict::Ok);
+                out.push(DerivedVerdict::Ok {
+                    validate_words: validate_charge(
+                        &tasks[t].reads,
+                        &tasks[t].writes,
+                        committed.iter().map(|&c| &tasks[c].writes),
+                    ),
+                });
                 committed.push(t);
             }
             Some((kind, obj, word, winner)) => {
@@ -652,13 +661,14 @@ fn synth_events(
 }
 
 /// Resolves the *recorded* claims under a candidate schedule. Conflict
-/// attribution is schedule-relative reporting, not semantics: when both
-/// the record and the re-derivation agree a reordered task conflicts,
-/// the synthesized stream carries the schedule's own attribution (the
-/// recorded winner may legitimately differ once commit order moves).
-/// On the identity schedule the recorded attribution is kept verbatim
-/// (positions permitting), so the oracle there is exactly as strict as
-/// the sanitizer.
+/// attribution and the validation charge are schedule-relative
+/// reporting, not semantics: when both the record and the re-derivation
+/// agree on a reordered task's verdict, the synthesized stream carries
+/// the schedule's own attribution or charge (the recorded winner, or the
+/// writers committed ahead of the task, may legitimately differ once
+/// commit order moves). On the identity schedule the recorded figures
+/// are kept verbatim (positions permitting), so the oracle there is
+/// exactly as strict as the sanitizer.
 fn recorded_verdicts(
     tasks: &[Task],
     sched: &[usize],
@@ -683,7 +693,12 @@ fn recorded_verdicts(
                 validate_words,
                 commit,
             } => SynthVerdict::Ok {
-                validate_words: *validate_words,
+                validate_words: match d {
+                    DerivedVerdict::Ok {
+                        validate_words: charge,
+                    } if !identity => *charge,
+                    _ => *validate_words,
+                },
                 commit: commit.unwrap_or((tasks[t].reads.words(), tasks[t].writes.words(), 0, 0)),
             },
             RecordedVerdict::Conflict {
@@ -741,19 +756,16 @@ fn derived_verdicts(
         .iter()
         .zip(derived)
         .map(|(&t, d)| match d {
-            DerivedVerdict::Ok => {
-                let (validate_words, allocs, frees) = match &tasks[t].verdict {
-                    RecordedVerdict::Ok {
-                        validate_words,
-                        commit,
-                    } => {
+            DerivedVerdict::Ok { validate_words } => {
+                let (allocs, frees) = match &tasks[t].verdict {
+                    RecordedVerdict::Ok { commit, .. } => {
                         let (_, _, a, f) = commit.unwrap_or((0, 0, 0, 0));
-                        (*validate_words, a, f)
+                        (a, f)
                     }
-                    _ => (0, 0, 0),
+                    _ => (0, 0),
                 };
                 SynthVerdict::Ok {
-                    validate_words,
+                    validate_words: *validate_words,
                     commit: (
                         tasks[t].reads.words(),
                         tasks[t].writes.words(),
@@ -792,7 +804,7 @@ fn first_ww_committed(
     let committed: Vec<usize> = sched
         .iter()
         .zip(derived)
-        .filter(|(_, d)| matches!(d, DerivedVerdict::Ok))
+        .filter(|(_, d)| matches!(d, DerivedVerdict::Ok { .. }))
         .map(|(&t, _)| t)
         .collect();
     for j in 1..committed.len() {
@@ -991,11 +1003,11 @@ mod tests {
         }
     }
 
-    fn ok_pair(seq: u64, write_words: u64) -> [Event; 2] {
+    fn ok_pair(seq: u64, validate_words: u64, write_words: u64) -> [Event; 2] {
         [
             Event::ValidateOk {
                 seq,
-                validate_words: 0,
+                validate_words,
             },
             Event::Commit {
                 seq,
@@ -1016,7 +1028,7 @@ mod tests {
         }];
         for s in 0..3u64 {
             evs.push(sets_event(s, "", &format!("1:{}-{}", s * 8, s * 8 + 4)));
-            evs.extend(ok_pair(s, 4));
+            evs.extend(ok_pair(s, 4 * s, 4));
         }
         evs.push(Event::RunEnd {
             rounds: 1,
@@ -1045,7 +1057,7 @@ mod tests {
             snapshot_slots: 4,
         }];
         evs.push(sets_event(0, "", "1:0-4"));
-        evs.extend(ok_pair(0, 4));
+        evs.extend(ok_pair(0, 0, 4));
         evs.push(sets_event(1, "", "1:2-6"));
         evs.push(Event::ValidateConflict {
             seq: 1,
@@ -1117,7 +1129,7 @@ mod tests {
             snapshot_slots: 4,
         }];
         evs.push(sets_event(0, "1:0-2", "1:0-4"));
-        evs.extend(ok_pair(0, 4));
+        evs.extend(ok_pair(0, 0, 4));
         evs.push(sets_event(1, "1:2-6", ""));
         evs.push(Event::ValidateConflict {
             seq: 1,

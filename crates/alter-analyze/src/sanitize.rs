@@ -15,6 +15,10 @@
 //!   engine reported (reads checked before writes under FULL, first
 //!   overlapping word in ascending object/word order, first committed
 //!   writer wins).
+//! * **Validation charge consistent with the recorded sets** — every
+//!   `validate_ok.validate_words` equals the per-earlier-writer formula
+//!   (Σ over the round's committed writers of min(the writer's write
+//!   words, the task's tracked words)), whatever scans the engine ran.
 //! * **Committed write sets disjoint** — under write-checking policies
 //!   (StaleReads/FULL) the round's committed write sets must be pairwise
 //!   disjoint; `commit` word counts must match the recorded sets.
@@ -93,6 +97,22 @@ pub(crate) fn recompute_conflict<'a>(
         }
     }
     None
+}
+
+/// The validation charge the engine reports for a task that validated ok:
+/// each writer committed ahead of it in the round costs the smaller of
+/// that writer's write words and the task's own tracked words — what a
+/// scan of every earlier writer would compare, whatever scans ran.
+pub(crate) fn validate_charge<'a>(
+    reads: &AccessSet,
+    writes: &AccessSet,
+    committed: impl IntoIterator<Item = &'a AccessSet>,
+) -> u64 {
+    let tracked = reads.words() + writes.words();
+    committed
+        .into_iter()
+        .map(|cw| cw.words().min(tracked))
+        .sum()
 }
 
 /// Audits a trace against the isolation invariants. Returns every
@@ -213,8 +233,17 @@ pub fn sanitize(events: &[Event], cfg: &SanitizeConfig) -> Vec<Violation> {
                 };
 
                 match ev {
-                    Event::ValidateOk { .. } => {
+                    Event::ValidateOk { validate_words, .. } => {
                         if let Some((r, w)) = &sets {
+                            let charge = validate_charge(r, w, committed.iter().map(|c| &c.writes));
+                            if *validate_words != charge {
+                                fail(
+                                    idx,
+                                    format!(
+                                        "task {seq} validate_ok claims {validate_words} validate words but its recorded sets charge {charge}"
+                                    ),
+                                );
+                            }
                             if let Some((kind, obj, word, winner)) = recompute_conflict(
                                 cfg.conflict,
                                 r,
@@ -571,6 +600,20 @@ mod tests {
                 .any(|v| v.message.contains("claims 7 write words")),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn wrong_validate_words_are_rejected() {
+        let mut evs = ok_trace();
+        evs[5] = Event::ValidateOk {
+            seq: 1,
+            validate_words: 3,
+        };
+        let violations = sanitize(&evs, &cfg_stale());
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0]
+            .message
+            .contains("claims 3 validate words but its recorded sets charge 4"));
     }
 
     #[test]

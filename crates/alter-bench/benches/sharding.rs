@@ -1,7 +1,7 @@
 //! Microbenchmark of the sharded versioned heap: for each measured
 //! workload, runs the paper's best configuration with the heap split into
 //! 1 and 16 object-id shards and reports the deterministic work counters
-//! side by side — trace hash, legacy `validate_words`, and the words the
+//! side by side — trace hash, per-writer `validate_words`, and the words the
 //! exact conflict scans actually compared under each layout.
 //!
 //! Sharding is a pure perf knob: per-shard fingerprints prune whole shards
@@ -17,22 +17,13 @@
 //! The run doubles as an acceptance check: it fails if any shard count
 //! changes a trace hash, or if sharding does not at least halve exact-scan
 //! words on Genome at 16 shards.
-//!
-//! Set `ALTER_BENCH_WALL_SCALING=1` to instead print a Table-3-shaped
-//! wall-clock speedup table (genome / k-means / labyrinth, threaded runs
-//! at 1/2/4/8 workers). Wall-clock numbers are informational only: they
-//! are machine-dependent and never enter the JSON or any drift check.
 
 use alter_infer::Probe;
 use alter_runtime::RunStats;
 use alter_trace::{format_hash, trace_hash, Recorder, RingRecorder};
-use alter_workloads::{
-    find_benchmark, genome::Genome, kmeans::KMeans, labyrinth::Labyrinth, Benchmark, Scale,
-};
+use alter_workloads::{find_benchmark, Benchmark};
 use std::fmt::Write as _;
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Worker count for the measured runs: wide rounds mean each validation
 /// scans up to N−1 earlier write sets, which is the work per-shard
@@ -65,8 +56,8 @@ fn recorded_run(bench: &dyn Benchmark, probe: &Probe, shards: usize) -> (RunStat
 }
 
 /// Measures one workload under its best annotation at `chunk` iterations
-/// per transaction (pinned at 4, matching the validation bench: genome's
-/// tuned cf of 16 drowns no-conflict validations in retry attribution).
+/// per transaction (pinned at 4: genome's tuned cf of 16 drowns
+/// no-conflict validations in retry attribution).
 fn measure(name: &'static str, chunk: usize) -> Measured {
     let bench = find_benchmark(name).expect("workload is registered");
     let mut probe = bench.best_probe(WORKERS);
@@ -78,8 +69,8 @@ fn measure(name: &'static str, chunk: usize) -> Measured {
         hash_1, hash_16,
         "{name}: sharding changed the trace — the optimization is not allowed to be visible"
     );
-    // Every drive-invariant verdict must match field for field; only the
-    // fast-path accounting (which scans ran) may move across shard counts.
+    // Every verdict must match field for field; only the scan accounting
+    // (which scans ran) may move across shard counts.
     assert_eq!(unsharded.validate_words, sharded.validate_words);
     assert_eq!(unsharded.committed, sharded.committed);
     assert_eq!(unsharded.retries(), sharded.retries());
@@ -169,69 +160,9 @@ fn to_json(rows: &[Measured]) -> String {
     out
 }
 
-/// Best-of-3 wall time of one recorder-free threaded probe run, in
-/// milliseconds, at `workers` workers and `SHARDS_HI` heap shards.
-fn time_threaded(bench: &dyn Benchmark, workers: usize) -> f64 {
-    let mut probe = bench.best_probe(workers);
-    probe.threaded = true;
-    probe.shards = SHARDS_HI;
-    black_box(bench.run_probe(&probe).expect("warm-up must complete"));
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        black_box(bench.run_probe(&probe).expect("probe must complete"));
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// The opt-in wall-clock mode: a Table-3-shaped speedup table over real
-/// threads at the paper-scale inputs (the bold column of Table 2; the
-/// inference-scale inputs used everywhere else finish in single-digit
-/// milliseconds, where thread coordination dwarfs the loop body). Purely
-/// informational — nothing here is asserted or written to JSON, because
-/// wall-clock is machine noise by definition.
-fn wall_scaling_table() {
-    const COUNTS: [usize; 4] = [1, 2, 4, 8];
-    let benches: [Box<dyn Benchmark>; 3] = [
-        Box::new(Genome::new(Scale::Paper)),
-        Box::new(KMeans::new(Scale::Paper)),
-        Box::new(Labyrinth::new(Scale::Paper)),
-    ];
-    println!(
-        "wall-clock scaling, paper-scale threaded runs at {SHARDS_HI} heap shards \
-         (best of 3, informational):"
-    );
-    println!(
-        "  {:<12} {:>9} {:>17} {:>17} {:>17}",
-        "Benchmark", "1w (ms)", "2w", "4w", "8w"
-    );
-    for bench in &benches {
-        let ms: Vec<f64> = COUNTS
-            .iter()
-            .map(|&w| time_threaded(bench.as_ref(), w))
-            .collect();
-        println!(
-            "  {:<12} {:>9.1} {:>10.1} ({:>4.2}x) {:>10.1} ({:>4.2}x) {:>10.1} ({:>4.2}x)",
-            bench.name(),
-            ms[0],
-            ms[1],
-            ms[0] / ms[1].max(1e-9),
-            ms[2],
-            ms[0] / ms[2].max(1e-9),
-            ms[3],
-            ms[0] / ms[3].max(1e-9),
-        );
-    }
-}
-
 fn main() {
     // `cargo test` runs bench targets with `--test`; nothing to test here.
     if std::env::args().any(|a| a == "--test") {
-        return;
-    }
-    if std::env::var("ALTER_BENCH_WALL_SCALING").is_ok_and(|v| v == "1") {
-        wall_scaling_table();
         return;
     }
     let mut json_path = None;

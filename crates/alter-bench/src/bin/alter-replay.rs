@@ -44,8 +44,6 @@ commands:
         --workers N  worker count (default 4)
         --sets       record per-task access sets (task_sets events)
         --profile    record per-round phase_profile cost-unit events
-        --pipeline   drive the run with the ticketed pipeline committer
-        --pipeline-depth N  committer lookahead (default 4; 1 = barrier)
         --shards N   heap shard count (default 1; rounded up to a power
                      of two, capped at 16 — traces are identical at every
                      count, so this is a perf knob the journal preserves)
@@ -111,10 +109,6 @@ struct RecordArgs {
     workers: usize,
     sets: bool,
     profile: bool,
-    /// 0 = lock-step; n ≥ 1 = pipelined driver with committer lookahead n
-    /// (the journal-header encoding, so a recorded run replays under the
-    /// exact driver it was captured with).
-    pipeline_depth: u32,
     /// Heap shard count (journal-header encoding; 1 = the unsharded heap).
     shards: u32,
 }
@@ -129,8 +123,6 @@ fn parse_run_args(args: &[String]) -> Result<(RecordArgs, bool, Option<String>),
     let mut profile = false;
     let mut folded = false;
     let mut json = None;
-    let mut pipeline = false;
-    let mut pipeline_depth = 4u32;
     let mut shards = 1u32;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -141,15 +133,6 @@ fn parse_run_args(args: &[String]) -> Result<(RecordArgs, bool, Option<String>),
                     .and_then(|v| v.parse::<usize>().ok())
                     .ok_or("--workers needs a positive integer")?
                     .max(1);
-            }
-            "--pipeline" => pipeline = true,
-            "--pipeline-depth" => {
-                pipeline_depth = it
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .ok_or("--pipeline-depth needs a positive integer")?
-                    .max(1);
-                pipeline = true;
             }
             "--shards" => {
                 shards = it
@@ -186,7 +169,6 @@ fn parse_run_args(args: &[String]) -> Result<(RecordArgs, bool, Option<String>),
             workers,
             sets,
             profile,
-            pipeline_depth: if pipeline { pipeline_depth } else { 0 },
             shards,
         },
         folded,
@@ -201,8 +183,6 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
         .ok_or(format!("unknown annotation `{}`", a.annotation))?;
     probe.record_sets = a.sets;
     probe.profile_phases = a.profile;
-    probe.pipelined = a.pipeline_depth > 0;
-    probe.pipeline_depth = a.pipeline_depth.max(1) as usize;
     probe.shards = a.shards.max(1) as usize;
 
     let (events, verdict) = record_events(bench.as_ref(), &probe);
@@ -216,7 +196,6 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
         workers: a.workers as u32,
         record_sets: a.sets,
         profile_phases: a.profile,
-        pipeline_depth: a.pipeline_depth,
         shards: a.shards,
         trace_hash: 0, // recomputed by Journal::new
     };
@@ -252,8 +231,6 @@ fn replay_journal(journal: &Journal) -> Result<Option<String>, String> {
     ))?;
     probe.record_sets = h.record_sets;
     probe.profile_phases = h.profile_phases;
-    probe.pipelined = h.pipeline_depth > 0;
-    probe.pipeline_depth = h.pipeline_depth.max(1) as usize;
     probe.shards = h.shards.max(1) as usize;
     let (events, _) = record_events(bench.as_ref(), &probe);
     match diverge_bisect(journal.events(), &events) {

@@ -39,23 +39,9 @@ flags:
                phase_profile events) and print the sorted hotspot table;
                set ALTER_PROFILE_WALL=1 for an informational wall-clock
                column (never part of the trace or its hash)
-  --no-fast-validation
-               disable the fingerprint validation fast path (A/B runs;
-               the trace hash is identical either way)
-  --no-incremental-snapshots
-               re-clone the whole heap every round instead of patching
-               dirty snapshot pages (A/B runs; identical traces)
-  --no-worker-pool
-               spawn fresh threads each round instead of reusing the
-               persistent worker pool (only affects --threaded runs)
-  --threaded   drive rounds with real threads instead of the sequential
-               simulation (identical traces, different wall-clock)
-  --pipeline   drive rounds with the ticketed pipeline committer (implies
-               a threaded pool run; identical traces — only the masked
-               stall/idle telemetry moves, which is the A/B point)
-  --pipeline-depth N
-               committer lookahead for --pipeline (default 4; 1 degenerates
-               to the lock-step barrier)
+  --threaded   drive rounds on the worker pool's threads instead of the
+               sequential simulation (identical traces, different
+               wall-clock)
   --shards N   heap shard count (default 1; rounded up to a power of two,
                capped at 16 — identical traces at every count, only the
                out-of-band shard counters move)
@@ -188,20 +174,19 @@ fn list_workloads() {
 
 /// Runs `probe` against `bench` with a fresh ring recorder and returns the
 /// captured events, the run verdict line, and the runtime's out-of-band
-/// perf counters: the validation fast-path quartet `[fingerprint_hits,
+/// perf counters: the validation quartet `[fingerprint_hits,
 /// fingerprint_rejects, pool_reuses, exact_scan_words]`, the
 /// round-overhead trio `[snapshot_slots_copied, snapshot_pages_reused,
-/// pool_round_handoffs]`, the pipeline quartet `[tickets_issued,
-/// tickets_requeued, committer_stall_units, worker_idle_units]`, then the
-/// sharding trio `[shard_validate_words, shard_commit_batches,
-/// shard_imbalance_max]` (zeros when the run aborted). The counters travel
-/// outside the event stream — traces are byte-identical whichever fast
-/// paths and drivers are enabled.
-fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, [u64; 14]) {
+/// pool_round_handoffs]`, the ticket pair `[tickets_issued,
+/// tickets_requeued]`, then the sharding trio `[shard_validate_words,
+/// shard_commit_batches, shard_imbalance_max]` (zeros when the run
+/// aborted). The counters travel outside the event stream — traces are
+/// byte-identical under either driver and at every shard count.
+fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, [u64; 12]) {
     let rec = Arc::new(RingRecorder::default());
     let mut probe = probe.clone();
     probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
-    let mut counters = [0u64; 14];
+    let mut counters = [0u64; 12];
     let verdict = match bench.run_probe(&probe) {
         Ok(run) => {
             counters = [
@@ -214,8 +199,6 @@ fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, [u64
                 run.stats.pool_round_handoffs,
                 run.stats.tickets_issued,
                 run.stats.tickets_requeued,
-                run.stats.committer_stall_units,
-                run.stats.worker_idle_units,
                 run.stats.shard_validate_words,
                 run.stats.shard_commit_batches,
                 run.stats.shard_imbalance_max,
@@ -256,19 +239,14 @@ fn main() -> ExitCode {
     let mut jsonl = false;
     let mut twice = false;
     let mut profile = false;
-    let mut fast_validation = true;
-    let mut incremental_snapshots = true;
-    let mut worker_pool = true;
     let mut threaded = false;
-    let mut pipeline = false;
-    let mut pipeline_depth = 4usize;
     let mut shards = 1usize;
     let mut tickets = false;
     let mut deps = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workers" | "--chunk" | "--pipeline-depth" | "--shards" => {
+            "--workers" | "--chunk" | "--shards" => {
                 let Some(v) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
                     eprintln!("error: {a} needs a positive integer");
                     return ExitCode::FAILURE;
@@ -277,21 +255,14 @@ fn main() -> ExitCode {
                     workers = v.max(1);
                 } else if a == "--chunk" {
                     chunk = Some(v.max(1));
-                } else if a == "--shards" {
-                    shards = v.max(1);
                 } else {
-                    pipeline_depth = v.max(1);
-                    pipeline = true;
+                    shards = v.max(1);
                 }
             }
             "--jsonl" => jsonl = true,
             "--twice" => twice = true,
             "--profile" => profile = true,
-            "--no-fast-validation" => fast_validation = false,
-            "--no-incremental-snapshots" => incremental_snapshots = false,
-            "--no-worker-pool" => worker_pool = false,
             "--threaded" => threaded = true,
-            "--pipeline" => pipeline = true,
             "--tickets" => tickets = true,
             "--deps" => deps = true,
             _ if a.starts_with("--") => {
@@ -337,12 +308,7 @@ fn main() -> ExitCode {
     if let Some(chunk) = chunk {
         probe.chunk = chunk;
     }
-    probe.fast_validation = fast_validation;
-    probe.incremental_snapshots = incremental_snapshots;
-    probe.worker_pool = worker_pool;
     probe.threaded = threaded;
-    probe.pipelined = pipeline;
-    probe.pipeline_depth = pipeline_depth;
     probe.shards = shards;
     probe.trace_tickets = tickets;
     probe.profile_phases = profile;
@@ -351,23 +317,8 @@ fn main() -> ExitCode {
     probe.wall_profile = wall.clone();
 
     let mut notes = Vec::new();
-    if !fast_validation {
-        notes.push("exact validation");
-    }
-    if !incremental_snapshots {
-        notes.push("full snapshots");
-    }
     if threaded {
-        notes.push(if worker_pool {
-            "threaded, worker pool"
-        } else {
-            "threaded, scoped spawns"
-        });
-    }
-    let pipeline_note;
-    if pipeline {
-        pipeline_note = format!("pipelined committer, depth {pipeline_depth}");
-        notes.push(&pipeline_note);
+        notes.push("threaded");
     }
     let shard_note;
     if shards > 1 {
@@ -402,8 +353,8 @@ fn main() -> ExitCode {
     let mut metrics = Metrics::from_events(&events);
     metrics.record_validation_counters(counters[0], counters[1], counters[2], counters[3]);
     metrics.record_round_counters(counters[4], counters[5], counters[6]);
-    metrics.record_pipeline_counters(counters[7], counters[8], counters[9], counters[10]);
-    metrics.record_shard_counters(counters[11], counters[12], counters[13]);
+    metrics.record_pipeline_counters(counters[7], counters[8]);
+    metrics.record_shard_counters(counters[9], counters[10], counters[11]);
     print!("{}", metrics.render());
     println!();
     if profile {

@@ -20,7 +20,7 @@
 //! cached page either (`Arc::get_mut` on it succeeds), the entry is released
 //! and the slot's count drops to one. Any round snapshot, one-shot
 //! [`Heap::snapshot`] or [`Snapshot::get_arc`] handle that still shares the
-//! payload keeps the count above one and gets the copy. The engine's barrier
+//! payload keeps the count above one and gets the copy. The engine's
 //! drivers drop the round's snapshot once its last task has returned, so in
 //! steady state their commits write in place.
 //!
@@ -189,9 +189,9 @@ pub struct Heap {
     /// Whether the shards' `snap_pages` reflect some past snapshot (false
     /// until the first incremental snapshot, which does a full build).
     snap_valid: bool,
-    /// Monotonic snapshot epoch: bumped once per round snapshot (either
-    /// flavour). The pipelined engine stamps every ticket with the epoch it
-    /// executes against; a re-queued ticket gets the next (fresh) epoch.
+    /// Monotonic snapshot epoch: bumped once per round snapshot. The
+    /// engine stamps every ticket with the epoch it executes against; a
+    /// re-queued ticket gets the next (fresh) epoch.
     epoch: u64,
 }
 
@@ -405,7 +405,7 @@ impl Heap {
     /// all N copy-on-write mappings at the start of a lock-step round. The
     /// engine's hot path uses [`Heap::snapshot_incremental`] instead; this
     /// entry point stays for one-shot snapshots (dependence detection,
-    /// tests) and as the A/B baseline.
+    /// tests); it leaves the snapshot epoch alone.
     pub fn snapshot(&self) -> Snapshot {
         let npages = self.page_count();
         Snapshot {
@@ -419,15 +419,6 @@ impl Heap {
             len: self.len,
             version: self.version,
         }
-    }
-
-    /// Takes a full-build round snapshot *and* advances the snapshot
-    /// epoch — the engine's non-incremental round path. One-shot snapshots
-    /// that are not round boundaries (dependence detection, tests) keep
-    /// using [`Heap::snapshot`], which leaves the epoch alone.
-    pub fn snapshot_round(&mut self) -> Snapshot {
-        self.epoch += 1;
-        self.snapshot()
     }
 
     /// The current snapshot epoch: how many round snapshots this heap has
@@ -447,8 +438,8 @@ impl Heap {
     /// shared structurally with the previous snapshot — one `Arc` bump per
     /// page; dirty pages are patched slot-by-slot, copy-on-write if the
     /// previous snapshot is still alive, in place once it has been dropped
-    /// (the engine's steady state, since a round's snapshot dies at the
-    /// round barrier). Because shard routing is page-aligned, the dirty-page
+    /// (the engine's steady state, since a round's snapshot dies with the
+    /// round's last task). Because shard routing is page-aligned, the dirty-page
     /// partition — and both [`SnapshotStats`] counters — is identical
     /// whatever the shard count.
     pub fn snapshot_incremental(&mut self) -> (Snapshot, SnapshotStats) {
@@ -995,10 +986,10 @@ mod tests {
         let mut h = Heap::new();
         let _ = h.alloc(ObjData::scalar_i64(1));
         assert_eq!(h.snapshot_epoch(), 0);
-        // Both round-snapshot flavours advance the epoch…
+        // Every round snapshot advances the epoch…
         let _ = h.snapshot_incremental();
         assert_eq!(h.snapshot_epoch(), 1);
-        let _ = h.snapshot_round();
+        let _ = h.snapshot_incremental();
         assert_eq!(h.snapshot_epoch(), 2);
         // …a plain one-shot snapshot does not, and neither does dropping
         // the incremental cache (epochs stay monotonic forever).

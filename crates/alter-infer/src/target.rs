@@ -91,37 +91,16 @@ pub struct Probe {
     pub work_budget: Option<u64>,
     /// Structured-event sink forwarded to the engine run.
     pub recorder: Option<Arc<dyn Recorder>>,
-    /// Whether the engine may use the validation fast path (on by default;
-    /// off only for A/B measurement — verdicts and traces are identical).
-    pub fast_validation: bool,
     /// Whether the target should drive the loop with real threads
     /// ([`alter_runtime::Driver::threaded`]) instead of the sequential
     /// simulation of the workers. Either driver yields byte-identical
     /// traces; threading only changes wall-clock time.
     pub threaded: bool,
-    /// Whether a threaded run reuses the persistent
-    /// [`alter_runtime::WorkerPool`] (on by default; off falls back to a
-    /// spawn-per-round scope, for A/B measurement only).
-    pub worker_pool: bool,
-    /// Whether the run uses the ticketed pipeline driver: the committer
-    /// retires ticket *s* as soon as lane *s* delivers instead of waiting
-    /// for the round barrier. Traces and outputs are byte-identical either
-    /// way; only the (masked) stall/idle telemetry moves. Setting this
-    /// implies a threaded pool run (see [`Probe::driver`]).
-    pub pipelined: bool,
-    /// Committer lookahead for the pipelined driver: 1 degenerates to the
-    /// lock-step barrier, ≥ 2 streams the round. Ignored unless
-    /// [`Probe::pipelined`] is set.
-    pub pipeline_depth: usize,
     /// Whether the engine emits ticket-lifecycle events
     /// (`ticket_issued`/`ticket_validated`/`ticket_requeued`). Off by
     /// default so recorded traces stay byte-identical to previous releases;
-    /// when on, every driver emits the identical event stream.
+    /// when on, both drivers emit the identical event stream.
     pub trace_tickets: bool,
-    /// Whether the engine may reuse unchanged snapshot pages between rounds
-    /// (on by default; off re-clones the whole heap each round, for A/B
-    /// measurement only — traces are identical either way).
-    pub incremental_snapshots: bool,
     /// Whether the engine records each task's full tracked read/write sets
     /// into the trace (`task_sets` events) for the isolation sanitizer.
     /// Off by default: the payloads are large and recorded traces stay
@@ -151,13 +130,8 @@ impl std::fmt::Debug for Probe {
             .field("budget_words", &self.budget_words)
             .field("work_budget", &self.work_budget)
             .field("recorder", &self.recorder.as_ref().map(|r| r.is_enabled()))
-            .field("fast_validation", &self.fast_validation)
             .field("threaded", &self.threaded)
-            .field("worker_pool", &self.worker_pool)
-            .field("pipelined", &self.pipelined)
-            .field("pipeline_depth", &self.pipeline_depth)
             .field("trace_tickets", &self.trace_tickets)
-            .field("incremental_snapshots", &self.incremental_snapshots)
             .field("record_sets", &self.record_sets)
             .field("profile_phases", &self.profile_phases)
             .field("wall_profile", &self.wall_profile.is_some())
@@ -178,13 +152,8 @@ impl Probe {
             budget_words: u64::MAX,
             work_budget: None,
             recorder: None,
-            fast_validation: true,
             threaded: false,
-            worker_pool: true,
-            pipelined: false,
-            pipeline_depth: 4,
             trace_tickets: false,
-            incremental_snapshots: true,
             record_sets: false,
             profile_phases: false,
             wall_profile: None,
@@ -193,12 +162,11 @@ impl Probe {
     }
 
     /// The loop driver this probe asks for: threaded when
-    /// [`Probe::threaded`] or [`Probe::pipelined`] is set (the pipeline
-    /// needs real worker lanes to overlap with the committer), the
-    /// sequential round simulation otherwise. Targets should pass this to
+    /// [`Probe::threaded`] is set, the sequential round simulation
+    /// otherwise. Targets should pass this to
     /// [`alter_runtime::LoopBuilder::run`] instead of hard-coding a driver.
     pub fn driver(&self) -> alter_runtime::Driver {
-        if self.threaded || self.pipelined {
+        if self.threaded {
             alter_runtime::Driver::threaded()
         } else {
             alter_runtime::Driver::sequential()
@@ -218,12 +186,7 @@ impl Probe {
         p.budget_words = self.budget_words;
         p.work_budget = self.work_budget;
         p.recorder = self.recorder.clone();
-        p.fast_validation = self.fast_validation;
-        p.worker_pool = self.worker_pool;
-        p.pipelined = self.pipelined;
-        p.pipeline_depth = self.pipeline_depth.max(1);
         p.trace_tickets = self.trace_tickets;
-        p.incremental_snapshots = self.incremental_snapshots;
         p.record_sets = self.record_sets;
         p.profile_phases = self.profile_phases;
         p.wall_profile = self.wall_profile.clone();

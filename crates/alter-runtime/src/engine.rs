@@ -1,7 +1,11 @@
 //! The deterministic fork-join engine (paper §4.1, Figure 4; determinism
 //! argument §4.3).
 //!
-//! Execution proceeds in lock-step rounds. Each round:
+//! Execution proceeds in lock-step rounds, under one of two drivers: the
+//! sequential driver runs a round's tasks inline on the caller's thread
+//! (reference semantics, simulator, replay); the threaded driver runs them
+//! on the lanes of a [`WorkerPool`] forked once per run. Either way the
+//! round's tasks all finish before the first of them retires. Each round:
 //!
 //! 1. takes one snapshot of the committed memory state (the analogue of
 //!    re-establishing N copy-on-write mappings);
@@ -18,9 +22,12 @@
 //!    the round, which is what makes `RAW + InOrder` equivalent to
 //!    sequential execution (Theorem 4.3).
 //!
-//! Determinism follows exactly as in the paper: isolated executions, a
-//! barrier between execution and commit, deterministic commit order, and
-//! conflict detection that is a pure function of the (deterministic) sets.
+//! Determinism follows exactly as in the paper: isolated executions, an
+//! in-order handoff from execution to commit (the committer retires ticket
+//! *s* only after ticket *s*−1, however the lanes finish — that order, not
+//! the barrier both drivers happen to keep, is what the argument needs),
+//! deterministic commit order, and conflict detection that is a pure
+//! function of the (deterministic) sets.
 
 use crate::body::{LoopBody, TxCtx};
 use crate::params::{CommitOrder, ConflictPolicy, ExecParams};
@@ -28,8 +35,8 @@ use crate::pool::WorkerPool;
 use crate::reduction::{RedDelta, RedLocals, RedVars};
 use crate::space::IterSpace;
 use alter_heap::{
-    AccessSet, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, SnapshotStats, TrackMode, Tx,
-    TxBufferPool, TxBuffers, TxEffects, TxStats,
+    AccessSet, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, TrackMode, Tx, TxBufferPool,
+    TxBuffers, TxEffects, TxStats,
 };
 use alter_trace::{ConflictKind, Event, Phase, Recorder};
 use std::collections::VecDeque;
@@ -79,22 +86,22 @@ impl std::error::Error for RunError {}
 
 /// Deterministic cost units charged to each engine phase of a run — the
 /// phase profiler's ledger. Every quantity is trace-stable (snapshot slot
-/// counts, transaction cost units, the legacy validate-words accounting,
-/// committed write/alloc words), so phase costs are identical across drive
-/// modes and across the fast-path/incremental A/B knobs, and a run's
-/// `PhaseProfile` events are a pure function of program + annotation.
+/// counts, transaction cost units, the per-writer validate-words
+/// accounting, committed write/alloc words), so phase costs are identical
+/// under both drivers and at every shard count, and a run's `PhaseProfile`
+/// events are a pure function of program + annotation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseCosts {
     /// Snapshot establishment: one slot-table entry per round per slot
-    /// (the trace's `RoundStart.snapshot_slots` figure, independent of the
-    /// incremental-snapshot knob).
+    /// (the trace's `RoundStart.snapshot_slots` figure — the size of the
+    /// view, not the slots the incremental build copied).
     pub snapshot: u64,
     /// Transaction execution: declared work plus instrumented words moved,
     /// summed over all attempts.
     pub execute: u64,
-    /// Conflict validation under the legacy per-earlier-writer accounting
-    /// (the trace's `ValidateOk.validate_words` figure, independent of the
-    /// fast-validation knob).
+    /// Conflict validation under the per-earlier-writer accounting (the
+    /// trace's `ValidateOk.validate_words` figure — a function of the sets
+    /// alone, not of the words the fingerprint-gated scans compared).
     pub validate: u64,
     /// Commit: words merged back into the heap plus words of fresh
     /// allocations published.
@@ -145,74 +152,55 @@ pub struct RunStats {
     pub tracked_words: u64,
     /// Largest tracked read+write set of any single attempt.
     pub max_tracked_words: u64,
-    /// Words charged to conflict validation under the legacy per-earlier-
-    /// writer accounting (`min(earlier writer's words, tracked words)` per
-    /// earlier committer probed). This is the quantity the trace's
-    /// `ValidateOk` events and the virtual-time cost model consume; it is
-    /// computed the same way whether the validation fast path is on or
-    /// off, so traces stay byte-identical. The words an exact scan
-    /// *actually* compared live in
+    /// Words charged to conflict validation under the per-earlier-writer
+    /// accounting (`min(earlier writer's words, tracked words)` per earlier
+    /// committer probed). This is the quantity the trace's `ValidateOk`
+    /// events and the virtual-time cost model consume: a function of the
+    /// round's sets alone, which the sanitizer re-derives from recorded
+    /// `task_sets`. The words an exact scan *actually* compared live in
     /// [`RunStats::exact_scan_words`].
     pub validate_words: u64,
     /// Validations whose fingerprint pre-check could not prove
-    /// disjointness and fell through to an exact merge-scan (fast path
-    /// only).
+    /// disjointness and fell through to an exact merge-scan.
     pub fingerprint_hits: u64,
     /// Validations rejected in O(1) by the fingerprint pre-check — no
-    /// exact scan ran (fast path only).
+    /// exact scan ran.
     pub fingerprint_rejects: u64,
     /// Transaction buffers and round write-set containers served from the
     /// cross-round recycling pool instead of the allocator.
     pub pool_reuses: u64,
-    /// Words actually compared by exact validation merge-scans. With the
-    /// fast path on, fingerprint rejects and the cumulative round
-    /// write-set shrink this far below [`RunStats::validate_words`].
+    /// Words actually compared by exact validation merge-scans.
+    /// Fingerprint rejects and the cumulative round write-set keep this
+    /// far below [`RunStats::validate_words`].
     pub exact_scan_words: u64,
-    /// Slot entries `Arc`-cloned while establishing round snapshots. With
-    /// [`ExecParams::incremental_snapshots`] on, only slots dirtied since
-    /// the previous round are copied (plus the first round's full build);
-    /// with it off every round pays the whole slot table. Trace-visible
-    /// snapshot accounting (`RoundStart.snapshot_slots`, the simulator's
-    /// per-slot charge) stays on the full-table figure either way.
+    /// Slot entries `Arc`-cloned while establishing round snapshots: only
+    /// slots dirtied since the previous round (plus the first round's full
+    /// build). Trace-visible snapshot accounting
+    /// (`RoundStart.snapshot_slots`, the simulator's per-slot charge) is
+    /// the full-table figure instead.
     pub snapshot_slots_copied: u64,
     /// Snapshot pages carried over untouched from the previous round's
-    /// snapshot (incremental snapshots only — the structural-sharing win).
+    /// snapshot (the structural-sharing win).
     pub snapshot_pages_reused: u64,
     /// Rounds whose tasks were handed to the persistent [`crate::WorkerPool`]
-    /// (zero under the sequential and per-round-scope drivers). Scheduling
-    /// telemetry, masked by [`RunStats::modulo_drive_mode`].
+    /// (zero under the sequential driver). Scheduling telemetry, masked by
+    /// [`RunStats::modulo_drive_mode`].
     pub pool_round_handoffs: u64,
     /// Tickets handed out by the sequencer — fresh chunk-transactions only;
     /// a re-queued ticket keeps its sequence number and is counted in
     /// [`RunStats::tickets_requeued`] instead. On a clean run
     /// `tickets_issued + tickets_requeued == attempts`. The sequencer is
-    /// shared by every drive mode, but the counter is masked by
-    /// [`RunStats::modulo_drive_mode`] with the rest of the pipeline
-    /// accounting: the determinism contract covers outputs and traces, not
-    /// scheduling telemetry.
+    /// shared by both drivers, but the counter is masked by
+    /// [`RunStats::modulo_drive_mode`] with the rest of the scheduling
+    /// telemetry: the determinism contract covers outputs and traces.
     pub tickets_issued: u64,
     /// Re-queue occurrences: tickets sent back to the sequencer with a
     /// fresh snapshot epoch after failing validation or being squashed by
     /// an earlier in-order failure. Scheduling telemetry, masked by
     /// [`RunStats::modulo_drive_mode`].
     pub tickets_requeued: u64,
-    /// Virtual-time cost units the in-order committer spent waiting for a
-    /// ticket's lane to deliver — **never** wall-clock. Under the barrier
-    /// model each round charges the slowest lane's execute cost (the
-    /// committer cannot start until the barrier opens); under the pipelined
-    /// model only the gaps that in-order consumption cannot hide. The model
-    /// is selected by `pipelined && pipeline_depth >= 2` — **not** by the
-    /// drive mode — so the sequential driver simulates figures identical to
-    /// the threaded pipelined driver's. Masked by
-    /// [`RunStats::modulo_drive_mode`].
-    pub committer_stall_units: u64,
-    /// Virtual-time cost units workers spent idle between finishing their
-    /// own lane and the round's last commit retiring (same model selection
-    /// as [`RunStats::committer_stall_units`]). Masked by
-    /// [`RunStats::modulo_drive_mode`].
-    pub worker_idle_units: u64,
     /// Words compared by the shard-partitioned word-block validation scans
-    /// (`ExecParams::shards > 1` with the fast path on; zero otherwise).
+    /// (`ExecParams::shards > 1`; zero otherwise).
     /// Deterministic for a given shard count and drive-invariant, but — like
     /// the fingerprint counters — it legitimately varies *across* shard
     /// counts, so cross-shard comparisons mask it.
@@ -226,7 +214,7 @@ pub struct RunStats {
     /// Combined with [`RunStats::absorb`] by `max`, not addition.
     pub shard_imbalance_max: u64,
     /// Deterministic cost units charged to each engine phase (the phase
-    /// profiler's ledger; identical across drive modes and A/B knobs).
+    /// profiler's ledger; identical under both drivers).
     pub phase_costs: PhaseCosts,
 }
 
@@ -282,8 +270,6 @@ impl RunStats {
         self.pool_round_handoffs += other.pool_round_handoffs;
         self.tickets_issued += other.tickets_issued;
         self.tickets_requeued += other.tickets_requeued;
-        self.committer_stall_units += other.committer_stall_units;
-        self.worker_idle_units += other.worker_idle_units;
         self.shard_validate_words += other.shard_validate_words;
         self.shard_commit_batches += other.shard_commit_batches;
         self.shard_imbalance_max = self.shard_imbalance_max.max(other.shard_imbalance_max);
@@ -292,22 +278,17 @@ impl RunStats {
 
     /// These statistics with every scheduling-telemetry counter masked to
     /// zero: [`RunStats::pool_round_handoffs`],
-    /// [`RunStats::tickets_issued`], [`RunStats::tickets_requeued`],
-    /// [`RunStats::committer_stall_units`] and
-    /// [`RunStats::worker_idle_units`]. What remains is the quantity the
-    /// determinism guarantee promises identical across the sequential,
-    /// per-round-scope, persistent-pool and pipelined drivers — and across
-    /// `pipeline_depth` settings: semantic work, not how it was driven.
-    /// Every counter that a drive-mode or pipeline A/B knob may legally
-    /// change belongs in this mask; everything else must be byte-identical
-    /// across drivers (the masking contract, unit-tested below).
+    /// [`RunStats::tickets_issued`] and [`RunStats::tickets_requeued`].
+    /// What remains is the quantity the determinism guarantee promises
+    /// identical under the sequential and the threaded driver: semantic
+    /// work, not how it was driven. Every counter the choice of driver may
+    /// legally change belongs in this mask; everything else must be
+    /// byte-identical (the masking contract, unit-tested below).
     pub fn modulo_drive_mode(&self) -> RunStats {
         RunStats {
             pool_round_handoffs: 0,
             tickets_issued: 0,
             tickets_requeued: 0,
-            committer_stall_units: 0,
-            worker_idle_units: 0,
             ..*self
         }
     }
@@ -412,10 +393,9 @@ struct Ticket {
     iters: Vec<u64>,
 }
 
-/// The pipeline's ticket source: monotonic sequence numbers for fresh
-/// chunks plus the retry queue for tickets whose validation failed. One
-/// sequencer drives every mode — sequential, per-round scope, persistent
-/// pool and pipelined — so ticket accounting cannot depend on the driver.
+/// The ticket source: monotonic sequence numbers for fresh chunks plus the
+/// retry queue for tickets whose validation failed. One sequencer serves
+/// both drivers, so ticket accounting cannot depend on the driver.
 #[derive(Debug, Default)]
 struct Sequencer {
     next_seq: u64,
@@ -511,52 +491,6 @@ struct PoolJob {
     bufs: TxBuffers,
     base: u32,
     reds: Arc<RedVars>,
-}
-
-/// Executes one round on the calling thread or on a fresh per-round
-/// `thread::scope` — the pre-pool drive modes, kept as the A/B baseline
-/// (`ExecParams::worker_pool = false`) and for the sequential driver.
-#[allow(clippy::too_many_arguments)]
-fn execute_round_scoped<B: LoopBody>(
-    threaded: bool,
-    snap: &Snapshot,
-    tasks: Vec<Ticket>,
-    bufs: Vec<TxBuffers>,
-    base: u32,
-    params: &ExecParams,
-    reds: &RedVars,
-    mode: TrackMode,
-    body: &B,
-) -> Vec<(Ticket, TaskOutcome)> {
-    debug_assert_eq!(tasks.len(), bufs.len());
-    let outcomes: Vec<TaskOutcome> = if threaded && tasks.len() > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = tasks
-                .iter()
-                .zip(bufs)
-                .enumerate()
-                .map(|(worker, (task, buf))| {
-                    scope.spawn(move || {
-                        run_one_task(snap, task, buf, worker, base, params, reds, mode, body)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread itself must not panic"))
-                .collect()
-        })
-    } else {
-        tasks
-            .iter()
-            .zip(bufs)
-            .enumerate()
-            .map(|(worker, (task, buf))| {
-                run_one_task(snap, task, buf, worker, base, params, reds, mode, body)
-            })
-            .collect()
-    };
-    tasks.into_iter().zip(outcomes).collect()
 }
 
 fn conflicts_with(policy: ConflictPolicy, effects: &TxEffects, earlier_writes: &AccessSet) -> bool {
@@ -687,11 +621,10 @@ fn locate_conflict(
 /// Runs an annotated loop to completion. This is the engine entry point;
 /// prefer the [`crate::run_loop`] / [`crate::LoopBuilder`] wrappers.
 ///
-/// This function only picks the drive mode; the round loop itself lives in
+/// This function only picks the driver; the round loop itself lives in
 /// [`run_rounds`], parameterized by a round-execution callback so the same
 /// (deterministic) scheduling, validation and commit code runs whether a
-/// round's tasks execute inline, on a per-round `thread::scope`, or on the
-/// persistent [`WorkerPool`] spanning the whole run.
+/// round's tasks execute inline or on the [`WorkerPool`] spanning the run.
 pub(crate) fn run_loop_engine<B: LoopBody>(
     heap: &mut Heap,
     reds: &mut RedVars,
@@ -703,22 +636,12 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
 ) -> Result<RunStats, RunError> {
     assert!(params.workers >= 1, "need at least one worker");
     let mode = params.conflict.track_mode();
-    if threaded && params.worker_pool && params.workers > 1 {
-        // Persistent pool: one thread::scope for the whole run; workers
+    if threaded && params.workers > 1 {
+        // Threaded driver: one thread::scope for the whole run; workers
         // outlive every round and receive per-round jobs over channels.
         // The per-round reduction registry is cloned into the job batch
         // (workers only read it; merges happen on this thread, between
-        // rounds) — one small clone per round, same values every driver.
-        //
-        // `streaming` selects the pipelined handoff: instead of joining the
-        // round barrier and then committing, the committer consumes ticket
-        // s the moment lane s delivers while later lanes keep executing.
-        // Depth 1 deliberately degenerates to the barrier (lock-step
-        // baseline); depths above 2 are accepted as headroom — within a
-        // round all tickets are dispatched immediately, and cross-round
-        // lookahead is impossible because round r+1's snapshot needs every
-        // round-r commit.
-        let streaming = params.pipelined && params.pipeline_depth >= 2;
+        // rounds) — one small clone per round, same values as inline.
         let worker_fn = |worker: usize, job: PoolJob| {
             let outcome = run_one_task(
                 &job.snap,
@@ -757,28 +680,13 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
                         })
                         .collect();
                     // Only the jobs keep the round's view alive now: it dies
-                    // with the last lane to return, and commits from then on
-                    // write in place (`Heap::apply_commit`). That is every
-                    // commit behind the barrier; the pipelined committer's
-                    // run while later lanes still read the view, and copy.
+                    // with the last lane to return, which `run_round` waits
+                    // for, and the commits write in place
+                    // (`Heap::apply_commit`).
                     drop(snap);
-                    if streaming {
-                        // Pipelined committer: strictly in-order consumption
-                        // of an out-of-order execution. An early `Err` drops
-                        // the stream, which drains the abandoned lanes so
-                        // they stay aligned.
-                        let mut stream = pool.stream_round(jobs);
-                        let mut worker = 0;
-                        while let Some((ticket, outcome)) = stream.next_ticket() {
-                            sink(worker, ticket, outcome)?;
-                            worker += 1;
-                        }
-                    } else {
-                        for (worker, (ticket, outcome)) in
-                            pool.run_round(jobs).into_iter().enumerate()
-                        {
-                            sink(worker, ticket, outcome)?;
-                        }
+                    for (worker, (ticket, outcome)) in pool.run_round(jobs).into_iter().enumerate()
+                    {
+                        sink(worker, ticket, outcome)?;
                     }
                     Ok(())
                 };
@@ -792,6 +700,8 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
             // implicit join finds every worker already draining out.
         })
     } else {
+        // Sequential driver: every task runs inline, in ticket order, before
+        // the first one retires.
         let mut exec = |snap: Snapshot,
                         tickets: Vec<Ticket>,
                         bufs: Vec<TxBuffers>,
@@ -799,13 +709,19 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
                         reds: Arc<RedVars>,
                         sink: &mut TaskSink<'_>|
          -> Result<(), RunError> {
-            let results = execute_round_scoped(
-                threaded, &snap, tickets, bufs, base, params, &reds, mode, body,
-            );
+            debug_assert_eq!(tickets.len(), bufs.len());
+            let outcomes: Vec<TaskOutcome> = tickets
+                .iter()
+                .zip(bufs)
+                .enumerate()
+                .map(|(worker, (task, buf))| {
+                    run_one_task(&snap, task, buf, worker, base, params, &reds, mode, body)
+                })
+                .collect();
             // Every task has returned, so nothing reads the round's view any
             // more: drop it and the commits write in place.
             drop(snap);
-            for (worker, (ticket, outcome)) in results.into_iter().enumerate() {
+            for (worker, (ticket, outcome)) in tickets.into_iter().zip(outcomes).enumerate() {
                 sink(worker, ticket, outcome)?;
             }
             Ok(())
@@ -824,11 +740,11 @@ type TaskSink<'a> = dyn FnMut(usize, Ticket, TaskOutcome) -> Result<(), RunError
 /// Per-round execution callback of [`run_rounds`]: given the round's
 /// snapshot, tickets, lent buffers, base worker index, and a shared handle
 /// on the reduction registry, runs every ticket and feeds each `(worker,
-/// ticket, outcome)` to the sink in ticket order. Barrier drivers run the
-/// whole round first and then feed; the pipelined driver feeds each ticket
-/// as its lane delivers. The snapshot is the driver's to drop: a commit
-/// copies the payload it writes for as long as some snapshot shares it, so
-/// a driver lets go of the round's view as soon as no task needs it.
+/// ticket, outcome)` to the sink in ticket order. Both drivers run the
+/// whole round first and then feed. The snapshot is the driver's to drop:
+/// a commit copies the payload it writes for as long as some snapshot
+/// shares it, so a driver lets go of the round's view as soon as no task
+/// needs it.
 type RoundExec<'a> = dyn FnMut(
         Snapshot,
         Vec<Ticket>,
@@ -869,12 +785,11 @@ fn run_rounds(
     let mut stats = RunStats::default();
     let mut sequencer = Sequencer::default();
     let mut reports: Vec<TaskReport> = Vec::new();
-    // Cross-round recycling (tentpole of the validation fast path): the pool
-    // lends each task its transaction buffers and takes them back — emptied,
-    // capacity intact — once the task's effects are consumed. It lives on
-    // this coordinating thread and is only touched between rounds, so
-    // recycling cannot perturb determinism: only capacity is reused, never
-    // contents.
+    // Cross-round recycling: the pool lends each task its transaction
+    // buffers and takes them back — emptied, capacity intact — once the
+    // task's effects are consumed. It lives on this coordinating thread and
+    // is only touched between rounds, so recycling cannot perturb
+    // determinism: only capacity is reused, never contents.
     let mut pool = TxBufferPool::new();
     // Committed write sets of the current round, one entry per committer
     // (for conflict attribution), plus their running union. The union's
@@ -894,28 +809,18 @@ fn run_rounds(
         }
         stats.tickets_issued += fresh;
 
-        // Establish the round snapshot. Incrementally patching the heap's
-        // persistent page table yields a bit-identical view; only the
-        // construction-cost counters can tell the two paths apart.
+        // Establish the round snapshot by patching the heap's persistent
+        // page table: O(slots dirtied since the previous round).
         let wall_t = wall.map(|_| Instant::now());
-        let (snap, snap_stats) = if params.incremental_snapshots {
-            heap.snapshot_incremental()
-        } else {
-            let snap = heap.snapshot_round();
-            let full = SnapshotStats {
-                slots_copied: snap.slot_count() as u64,
-                pages_reused: 0,
-            };
-            (snap, full)
-        };
+        let (snap, snap_stats) = heap.snapshot_incremental();
         if let (Some(w), Some(t)) = (wall, wall_t) {
             w.add(Phase::Snapshot, t.elapsed().as_secs_f64());
         }
         stats.snapshot_slots_copied += snap_stats.slots_copied;
         stats.snapshot_pages_reused += snap_stats.pages_reused;
-        // Both snapshot flavours bumped the heap's monotonic snapshot
-        // epoch; stamp it onto the round's tickets. A re-queued ticket is
-        // re-stamped here — it re-executes against the fresh epoch its
+        // The snapshot bumped the heap's monotonic snapshot epoch; stamp
+        // it onto the round's tickets. A re-queued ticket is re-stamped
+        // here — it re-executes against the fresh epoch its
         // `TicketRequeued` event promised.
         let epoch = heap.snapshot_epoch();
         for t in &mut tickets {
@@ -923,8 +828,8 @@ fn run_rounds(
         }
         // Phase ledger for this round. Snapshot cost is the trace's
         // `snapshot_slots` figure (one charge per slot in the round's view),
-        // deliberately not `slots_copied`, which varies with the
-        // incremental-snapshot knob.
+        // deliberately not `slots_copied`, which depends on what earlier
+        // runs on the same heap left in the snapshot cache.
         let round_snapshot = snap.slot_count() as u64;
         let mut round_execute: u64 = 0;
         let mut round_validate: u64 = 0;
@@ -954,20 +859,19 @@ fn run_rounds(
         let bufs: Vec<TxBuffers> = tickets.iter().map(|_| pool.acquire()).collect();
         // Workers read the reduction registry through a shared handle;
         // merges happen in the sink below, on this thread, against `reds`
-        // itself. The handle's values are identical under every driver.
+        // itself. The handle's values are identical under both drivers.
         let exec_reds = Arc::new(reds.clone());
 
         // Validate and commit strictly in ticket order. The sink below is
-        // the single committer every driver feeds — barrier drivers once
-        // the whole round has joined, the pipelined driver ticket by ticket
-        // as lanes deliver. Each committed write set is remembered with its
-        // owner's sequence number so a later conflict can name the
-        // transaction it lost to.
+        // the single committer both drivers feed once the whole round has
+        // run. Each committed write set is remembered with its owner's
+        // sequence number so a later conflict can name the transaction it
+        // lost to.
         let mut squash = false;
         let mut squashed_by: u64 = 0;
-        // Out-of-band wall bookkeeping: under the pipelined driver the
-        // committer's validate/commit spans land *inside* the exec span, so
-        // the sink measures them and the remainder approximates execution.
+        // Out-of-band wall bookkeeping: the committer's validate/commit
+        // spans land *inside* the exec span, so the sink measures them and
+        // the remainder approximates execution.
         let mut sink_secs = 0.0f64;
         reports.clear();
         let round_wall_t = wall.map(|_| Instant::now());
@@ -1008,8 +912,8 @@ fn run_rounds(
                 let mut validate_words = 0;
                 let mut conflict: Option<ConflictDetail> = None;
                 let wall_t = wall.map(|_| Instant::now());
-                if !squash && params.fast_validation {
-                    // Fast path: one fingerprint test against the union of the
+                if !squash {
+                    // One fingerprint test against the union of the
                     // round's committed write sets. A reject proves disjointness
                     // from every earlier writer with no scan at all; a hit runs
                     // one exact scan against the merged set instead of one per
@@ -1094,32 +998,13 @@ fn run_rounds(
                             "a conflict with the union names some individual writer"
                         );
                     }
-                    // Trace-visible accounting stays on the legacy per-writer
-                    // formula — the words the exact scan *would* have compared,
-                    // up to and including the conflicting writer — so event
-                    // payloads (and trace hashes) are identical with the fast
-                    // path on or off. `words()` is O(1), so this costs nothing.
+                    // Trace-visible accounting is the per-writer formula — the
+                    // words a scan of each earlier writer would compare, up to
+                    // and including the conflicting one — so event payloads are
+                    // a function of the sets alone (the sanitizer re-derives
+                    // them). `words()` is O(1), so this costs nothing.
                     for (_, earlier) in round_writes.iter().take(winner_index + 1) {
                         validate_words += earlier.words().min(tracked);
-                    }
-                } else if !squash {
-                    for (winner_seq, earlier) in &round_writes {
-                        validate_words += earlier.words().min(tracked);
-                        if params.conflict != ConflictPolicy::None {
-                            stats.exact_scan_words += earlier.words().min(tracked);
-                        }
-                        if conflicts_with(params.conflict, &effects, earlier) {
-                            let (kind, obj, word) =
-                                locate_conflict(params.conflict, &effects, earlier)
-                                    .expect("overlap test and locate must agree");
-                            conflict = Some(ConflictDetail {
-                                kind,
-                                obj,
-                                word,
-                                winner_seq: *winner_seq,
-                            });
-                            break;
-                        }
                     }
                 }
                 if let (Some(w), Some(t)) = (wall, wall_t) {
@@ -1282,57 +1167,8 @@ fn run_rounds(
             );
         }
 
-        // Deterministic virtual-time pipeline accounting — never wall
-        // clock, computed from the same per-task counters every driver
-        // reports identically, so the sequential driver *simulates* exactly
-        // the figures the threaded drivers would measure. Executing ticket
-        // s costs its declared work plus instrumented words; retiring it
-        // costs its validation words plus, if it committed, the words it
-        // published. The model — not the drive mode — follows the pipeline
-        // knobs, and the phase-cost ledger above is untouched by it.
-        let streaming = params.pipelined && params.pipeline_depth >= 2;
-        let exec_cost = |r: &TaskReport| r.stats.work + r.stats.read_words + r.stats.write_words;
-        let retire_cost = |r: &TaskReport| {
-            r.validate_words
-                + if r.committed {
-                    r.write_words + r.alloc_words
-                } else {
-                    0
-                }
-        };
-        if !reports.is_empty() {
-            let mut stall: u64 = 0;
-            let end = if streaming {
-                // Pipelined: every lane starts at t=0 and delivers at its
-                // execute cost; the committer retires tickets in order,
-                // stalling only where in-order consumption cannot hide a
-                // late lane behind earlier retire work.
-                let mut fin: u64 = 0;
-                for (s, r) in reports.iter().enumerate() {
-                    let done = exec_cost(r);
-                    stall += if s == 0 {
-                        done
-                    } else {
-                        done.saturating_sub(fin)
-                    };
-                    fin = fin.max(done) + retire_cost(r);
-                }
-                fin
-            } else {
-                // Barrier: the committer cannot start until the slowest
-                // lane joins, then retires everything back to back.
-                let slowest = reports.iter().map(&exec_cost).max().unwrap_or(0);
-                stall = slowest;
-                slowest + reports.iter().map(retire_cost).sum::<u64>()
-            };
-            stats.committer_stall_units += stall;
-            for r in &reports {
-                stats.worker_idle_units += end.saturating_sub(exec_cost(r));
-            }
-        }
-
         // Close the round's phase ledger: fold it into the run statistics
-        // (always — the adds are free and drive-invariant) and, for opted-in
+        // (always — the adds are free and driver-invariant) and, for opted-in
         // profiling consumers, emit one `PhaseProfile` event per phase after
         // the round's task events.
         stats.phase_costs.snapshot += round_snapshot;
@@ -1414,10 +1250,9 @@ mod tests {
 
     /// The masking contract of [`RunStats::modulo_drive_mode`], pinned as a
     /// test so a future counter cannot silently dodge it: with every field
-    /// non-zero, masking zeroes exactly the five scheduling-telemetry
+    /// non-zero, masking zeroes exactly the three scheduling-telemetry
     /// counters — `pool_round_handoffs`, `tickets_issued`,
-    /// `tickets_requeued`, `committer_stall_units`, `worker_idle_units` —
-    /// and passes every other field through untouched.
+    /// `tickets_requeued` — and passes every other field through untouched.
     #[test]
     fn modulo_drive_mode_masks_exactly_the_schedule_counters() {
         let full = RunStats {
@@ -1447,8 +1282,6 @@ mod tests {
             pool_round_handoffs: 22,
             tickets_issued: 23,
             tickets_requeued: 24,
-            committer_stall_units: 25,
-            worker_idle_units: 26,
             shard_validate_words: 31,
             shard_commit_batches: 32,
             shard_imbalance_max: 33,
@@ -1464,16 +1297,12 @@ mod tests {
         assert_eq!(masked.pool_round_handoffs, 0);
         assert_eq!(masked.tickets_issued, 0);
         assert_eq!(masked.tickets_requeued, 0);
-        assert_eq!(masked.committer_stall_units, 0);
-        assert_eq!(masked.worker_idle_units, 0);
-        // ...and nothing else moved: re-zeroing the same five fields on the
+        // ...and nothing else moved: re-zeroing the same three fields on the
         // original must reproduce the masked value exactly.
         let expect = RunStats {
             pool_round_handoffs: 0,
             tickets_issued: 0,
             tickets_requeued: 0,
-            committer_stall_units: 0,
-            worker_idle_units: 0,
             ..full
         };
         assert_eq!(masked, expect);
@@ -1702,28 +1531,77 @@ mod tests {
         }
     }
 
-    /// The engine reports crashes as RunError::Crash with the message.
-    #[test]
-    fn body_panic_becomes_crash_error() {
-        crate::quiet::quiet_panics(|| {
+    /// Runs iterations 0..12 at 4 workers, chunk 1 (three rounds of four
+    /// tickets) under both drivers; every iteration writes `xs[i] = i + 1`
+    /// and iteration `at` then calls `fault`. Checks that both drivers
+    /// return the same error and leave the same heap, and that the same
+    /// heap then completes a fault-free run; returns the error and the `xs`
+    /// the fault left committed.
+    fn run_with_fault(
+        p: &ExecParams,
+        at: u64,
+        fault: impl Fn(&mut TxCtx<'_>, ObjId) + Sync,
+    ) -> (RunError, Vec<i64>) {
+        assert_eq!((p.workers, p.chunk), (4, 1));
+        let run = |threaded: bool| {
             let mut heap = Heap::new();
+            let xs = heap.alloc(ObjData::zeros_i64(12));
+            let big = heap.alloc(ObjData::zeros_f64(1000));
             let mut reds = RedVars::new();
-            let p = params(2, 1, ConflictPolicy::None, CommitOrder::OutOfOrder);
             let err = run_loop_engine(
                 &mut heap,
                 &mut reds,
-                &mut RangeSpace::new(0, 4),
-                &p,
-                false,
-                &|_ctx: &mut TxCtx<'_>, i| {
-                    if i == 2 {
-                        panic!("iteration exploded");
+                &mut RangeSpace::new(0, 12),
+                p,
+                threaded,
+                &|ctx: &mut TxCtx<'_>, i: u64| {
+                    ctx.tx.write_i64(xs, i as usize, i as i64 + 1);
+                    if i == at {
+                        fault(ctx, big);
                     }
                 },
                 &mut NullObserver,
             )
             .unwrap_err();
-            assert!(matches!(err, RunError::Crash(ref m) if m.contains("exploded")));
+            let left = (heap.digest(), heap.get(xs).i64s().to_vec());
+            let again = run_loop_engine(
+                &mut heap,
+                &mut reds,
+                &mut RangeSpace::new(0, 12),
+                p,
+                threaded,
+                &|ctx: &mut TxCtx<'_>, i: u64| ctx.tx.write_i64(xs, i as usize, i as i64 + 1),
+                &mut NullObserver,
+            )
+            .expect("the heap and a fresh pool serve the next run");
+            assert_eq!(again.committed, 12, "threaded={threaded}");
+            assert_eq!(heap.get(xs).i64s(), (1..=12).collect::<Vec<i64>>());
+            (err, left)
+        };
+        let (err_seq, left_seq) = run(false);
+        let (err_thr, left_thr) = run(true);
+        assert_eq!(err_thr, err_seq, "at={at}: same structured error");
+        assert_eq!(left_thr, left_seq, "at={at}: same committed prefix");
+        (err_seq, left_seq.1)
+    }
+
+    /// `xs` after exactly iterations `0..n` committed.
+    fn prefix(n: i64) -> Vec<i64> {
+        (1..=12).map(|v| if v <= n { v } else { 0 }).collect()
+    }
+
+    /// The engine reports crashes as RunError::Crash with the message,
+    /// whichever ticket of the round crashed, leaving the tickets before it
+    /// committed.
+    #[test]
+    fn body_panic_becomes_crash_error() {
+        crate::quiet::quiet_panics(|| {
+            let p = params(4, 1, ConflictPolicy::None, CommitOrder::OutOfOrder);
+            for at in [4, 5, 7] {
+                let (err, xs) = run_with_fault(&p, at, |_, _| panic!("iteration exploded"));
+                assert!(matches!(err, RunError::Crash(ref m) if m.contains("exploded")));
+                assert_eq!(xs, prefix(at as i64));
+            }
         });
     }
 
@@ -1731,48 +1609,33 @@ mod tests {
     #[test]
     fn memory_budget_becomes_oom_error() {
         crate::quiet::quiet_panics(|| {
-            let mut heap = Heap::new();
-            let big = heap.alloc(ObjData::zeros_f64(1000));
-            let mut reds = RedVars::new();
-            let mut p = params(2, 1, ConflictPolicy::Raw, CommitOrder::OutOfOrder);
+            let mut p = params(4, 1, ConflictPolicy::Raw, CommitOrder::OutOfOrder);
             p.budget_words = 100;
-            let err = run_loop_engine(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, 4),
-                &p,
-                false,
-                &|ctx: &mut TxCtx<'_>, _i| {
+            for at in [4, 5, 7] {
+                let (err, xs) = run_with_fault(&p, at, |ctx, big| {
                     ctx.tx.with_f64s(big, 0, 1000, |_| {});
-                },
-                &mut NullObserver,
-            )
-            .unwrap_err();
-            assert!(matches!(err, RunError::OutOfMemory { budget: 100, .. }));
+                });
+                assert!(matches!(err, RunError::OutOfMemory { budget: 100, .. }));
+                assert_eq!(xs, prefix(at as i64));
+            }
         });
     }
 
     /// Work-budget violations become WorkBudgetExceeded (timeout analogue).
+    /// The budget is checked between rounds, so the round that overspent
+    /// commits whole.
     #[test]
     fn work_budget_becomes_timeout_error() {
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let mut p = params(2, 1, ConflictPolicy::None, CommitOrder::OutOfOrder);
-        p.work_budget = Some(10);
-        let err = run_loop_engine(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, 100),
-            &p,
-            false,
-            &|ctx: &mut TxCtx<'_>, _i| ctx.tx.work(100),
-            &mut NullObserver,
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            RunError::WorkBudgetExceeded { budget: 10, .. }
-        ));
+        let mut p = params(4, 1, ConflictPolicy::None, CommitOrder::OutOfOrder);
+        p.work_budget = Some(500);
+        for at in [4, 5, 7] {
+            let (err, xs) = run_with_fault(&p, at, |ctx, _| ctx.tx.work(1000));
+            assert!(matches!(
+                err,
+                RunError::WorkBudgetExceeded { budget: 500, .. }
+            ));
+            assert_eq!(xs, prefix(8));
+        }
     }
 
     /// Transactional allocation installs objects at commit with stable ids.
@@ -1879,108 +1742,77 @@ mod tests {
         assert_eq!(obs.committed, stats.committed);
     }
 
-    /// The fast path and the exact per-writer scan reach identical verdicts
-    /// and identical legacy accounting on a conflict-heavy loop, while the
-    /// fast path does strictly less exact-scan work and exercises the
-    /// fingerprint and pool counters.
+    /// A conflict-heavy loop pre-checks its validations by fingerprint and
+    /// recycles transaction buffers across rounds.
     #[test]
-    fn fast_and_exact_validation_agree() {
-        let run = |fast: bool| {
-            let mut heap = Heap::new();
-            let xs = heap.alloc(ObjData::zeros_i64(64));
-            let shared = heap.alloc(ObjData::scalar_i64(0));
-            let mut reds = RedVars::new();
-            let mut p = params(8, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-            p.fast_validation = fast;
-            let stats = run_loop_engine(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, 64),
-                &p,
-                false,
-                &|ctx: &mut TxCtx<'_>, i| {
-                    let s = ctx.tx.read_i64(shared, 0);
-                    ctx.tx.write_i64(xs, i as usize, s + i as i64);
-                    if i % 7 == 0 {
-                        ctx.tx.write_i64(shared, 0, s + 1);
-                    }
-                },
-                &mut NullObserver,
-            )
-            .unwrap();
-            (heap.digest(), stats)
-        };
-        let (d_fast, s_fast) = run(true);
-        let (d_exact, s_exact) = run(false);
-        assert_eq!(d_fast, d_exact, "committed state must be identical");
-        assert_eq!(s_fast.committed, s_exact.committed);
-        assert_eq!(s_fast.attempts, s_exact.attempts);
-        assert_eq!(s_fast.rounds, s_exact.rounds);
-        assert_eq!(
-            s_fast.validate_words, s_exact.validate_words,
-            "legacy accounting must not depend on the fast path"
-        );
-        assert!(s_fast.retries() > 0, "the loop must actually conflict");
+    fn conflicting_loop_prechecks_by_fingerprint_and_recycles_buffers() {
+        let mut heap = Heap::new();
+        let xs = heap.alloc(ObjData::zeros_i64(64));
+        let shared = heap.alloc(ObjData::scalar_i64(0));
+        let mut reds = RedVars::new();
+        let p = params(8, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
+        let stats = run_loop_engine(
+            &mut heap,
+            &mut reds,
+            &mut RangeSpace::new(0, 64),
+            &p,
+            false,
+            &|ctx: &mut TxCtx<'_>, i| {
+                let s = ctx.tx.read_i64(shared, 0);
+                ctx.tx.write_i64(xs, i as usize, s + i as i64);
+                if i % 7 == 0 {
+                    ctx.tx.write_i64(shared, 0, s + 1);
+                }
+            },
+            &mut NullObserver,
+        )
+        .unwrap();
+        assert!(stats.retries() > 0, "the loop must actually conflict");
         assert!(
-            s_fast.fingerprint_hits + s_fast.fingerprint_rejects > 0,
-            "fast path must have pre-checked some validations"
-        );
-        assert_eq!(
-            s_exact.fingerprint_hits + s_exact.fingerprint_rejects,
-            0,
-            "exact mode never consults fingerprints"
+            stats.fingerprint_hits + stats.fingerprint_rejects > 0,
+            "validations are pre-checked by fingerprint"
         );
         assert!(
-            s_fast.pool_reuses > 0,
+            stats.pool_reuses > 0,
             "a multi-round run must recycle buffers"
         );
     }
 
     /// On a conflict-free loop whose tasks touch distinct fingerprint
-    /// blocks, validations are dominated by O(1) rejects: the fast path
-    /// does far less than half the exact-scan work of the per-writer scan
-    /// (the optimization's target regime — low-conflict workloads).
+    /// blocks, validations are dominated by O(1) rejects: the exact scans
+    /// compare far less than half the words a scan of every earlier writer
+    /// would (`validate_words` — the target regime, low-conflict
+    /// workloads).
     #[test]
     fn disjoint_writes_validate_mostly_by_fingerprint_reject() {
         // Stride iterations 64 words apart so each task owns its own
         // 64-word fingerprint blocks.
-        let run = |fast: bool| {
-            let mut heap = Heap::new();
-            let xs = heap.alloc(ObjData::zeros_i64(64 * 64));
-            let mut reds = RedVars::new();
-            let mut p = params(4, 4, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-            p.fast_validation = fast;
-            let stats = run_loop_engine(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, 64),
-                &p,
-                false,
-                &|ctx: &mut TxCtx<'_>, i| {
-                    let w = i as usize * 64;
-                    let v = ctx.tx.read_i64(xs, w);
-                    ctx.tx.write_i64(xs, w, v + 1);
-                },
-                &mut NullObserver,
-            )
-            .unwrap();
-            (heap.digest(), stats)
-        };
-        let (d_fast, s_fast) = run(true);
-        let (d_exact, s_exact) = run(false);
-        assert_eq!(d_fast, d_exact);
-        assert_eq!(s_fast.retries(), 0);
-        assert_eq!(s_exact.retries(), 0);
-        assert!(s_fast.fingerprint_rejects > 0);
+        let mut heap = Heap::new();
+        let xs = heap.alloc(ObjData::zeros_i64(64 * 64));
+        let mut reds = RedVars::new();
+        let p = params(4, 4, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
+        let stats = run_loop_engine(
+            &mut heap,
+            &mut reds,
+            &mut RangeSpace::new(0, 64),
+            &p,
+            false,
+            &|ctx: &mut TxCtx<'_>, i| {
+                let w = i as usize * 64;
+                let v = ctx.tx.read_i64(xs, w);
+                ctx.tx.write_i64(xs, w, v + 1);
+            },
+            &mut NullObserver,
+        )
+        .unwrap();
+        assert_eq!(stats.retries(), 0);
+        assert!(stats.fingerprint_rejects > 0);
+        assert!(stats.validate_words > 0, "every validation is charged");
         assert!(
-            s_exact.exact_scan_words > 0,
-            "the per-writer scan pays for every validation"
-        );
-        assert!(
-            s_fast.exact_scan_words * 2 <= s_exact.exact_scan_words,
-            "fast path must at least halve exact-scan work here ({} vs {})",
-            s_fast.exact_scan_words,
-            s_exact.exact_scan_words
+            stats.exact_scan_words * 2 <= stats.validate_words,
+            "fingerprints must at least halve exact-scan work here ({} vs {})",
+            stats.exact_scan_words,
+            stats.validate_words
         );
     }
 
@@ -1998,20 +1830,17 @@ mod tests {
         assert_eq!(some.avg_rw_words(), 2.5);
     }
 
-    /// All three drive modes — sequential, per-round scope, persistent
-    /// pool — produce byte-identical heaps, retry schedules and statistics
-    /// (modulo the pool-handoff counter, which *names* the drive mode), in
-    /// both snapshot modes: the determinism guarantee.
+    /// Both drivers produce byte-identical heaps, retry schedules and
+    /// statistics (modulo the pool-handoff counter, which *names* the
+    /// driver): the determinism guarantee.
     #[test]
     fn threaded_and_sequential_drivers_are_identical() {
-        let run = |threaded: bool, worker_pool: bool, incremental: bool| {
+        let run = |threaded: bool| {
             let mut heap = Heap::new();
             let xs = heap.alloc(ObjData::zeros_i64(32));
             let shared = heap.alloc(ObjData::scalar_i64(0));
             let mut reds = RedVars::new();
-            let mut p = params(4, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-            p.worker_pool = worker_pool;
-            p.incremental_snapshots = incremental;
+            let p = params(4, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
             let stats = run_loop_engine(
                 &mut heap,
                 &mut reds,
@@ -2030,76 +1859,52 @@ mod tests {
             .unwrap();
             (heap.digest(), stats)
         };
-        for incremental in [false, true] {
-            let (d_seq, s_seq) = run(false, false, incremental);
-            let (d_thr, s_thr) = run(true, false, incremental);
-            let (d_pool, s_pool) = run(true, true, incremental);
-            assert_eq!(d_seq, d_thr, "scoped: committed state must be identical");
-            assert_eq!(d_seq, d_pool, "pooled: committed state must be identical");
-            assert_eq!(s_seq, s_thr, "scoped: statistics must be identical");
-            assert_eq!(
-                s_seq.modulo_drive_mode(),
-                s_pool.modulo_drive_mode(),
-                "pooled: statistics must be identical modulo handoffs"
-            );
-            assert_eq!(s_seq.pool_round_handoffs, 0);
-            assert_eq!(
-                s_pool.pool_round_handoffs, s_pool.rounds,
-                "the pool drives every round of a threaded run"
-            );
-        }
+        let (d_seq, s_seq) = run(false);
+        let (d_thr, s_thr) = run(true);
+        assert_eq!(d_seq, d_thr, "committed state must be identical");
+        assert_eq!(
+            s_seq.modulo_drive_mode(),
+            s_thr.modulo_drive_mode(),
+            "statistics must be identical modulo handoffs"
+        );
+        assert_eq!(s_seq.pool_round_handoffs, 0);
+        assert_eq!(
+            s_thr.pool_round_handoffs, s_thr.rounds,
+            "the pool drives every round of a threaded run"
+        );
     }
 
-    /// Incremental snapshots change only their own construction counters:
-    /// committed state, schedules, and every other statistic are identical,
-    /// while a multi-round run re-copies strictly fewer slots.
+    /// Round snapshots copy only the slots the previous round dirtied: a
+    /// multi-round run copies far fewer than the whole table per round and
+    /// carries the cold pages over.
     #[test]
-    fn incremental_snapshots_only_change_snapshot_counters() {
-        let run = |incremental: bool| {
-            let mut heap = Heap::new();
-            // Two pages of mostly-cold slots plus one hot object.
-            for i in 0..96 {
-                heap.alloc(ObjData::scalar_i64(i));
-            }
-            let xs = heap.alloc(ObjData::zeros_i64(64));
-            let mut reds = RedVars::new();
-            let mut p = params(4, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-            p.incremental_snapshots = incremental;
-            let stats = run_loop_engine(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, 64),
-                &p,
-                false,
-                &|ctx: &mut TxCtx<'_>, i| {
-                    ctx.tx.write_i64(xs, i as usize, i as i64);
-                },
-                &mut NullObserver,
-            )
-            .unwrap();
-            (heap.digest(), stats)
-        };
-        let (d_full, s_full) = run(false);
-        let (d_inc, s_inc) = run(true);
-        assert_eq!(d_full, d_inc, "committed state must be identical");
-        let mask = |s: &RunStats| RunStats {
-            snapshot_slots_copied: 0,
-            snapshot_pages_reused: 0,
-            ..*s
-        };
-        assert_eq!(mask(&s_full), mask(&s_inc));
-        assert_eq!(s_full.snapshot_pages_reused, 0);
-        assert_eq!(
-            s_full.snapshot_slots_copied,
-            s_full.rounds * 97,
-            "full mode pays the whole table every round"
-        );
+    fn round_snapshots_copy_only_dirty_slots() {
+        let mut heap = Heap::new();
+        // Two pages of mostly-cold slots plus one hot object.
+        for i in 0..96 {
+            heap.alloc(ObjData::scalar_i64(i));
+        }
+        let xs = heap.alloc(ObjData::zeros_i64(64));
+        let mut reds = RedVars::new();
+        let p = params(4, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
+        let stats = run_loop_engine(
+            &mut heap,
+            &mut reds,
+            &mut RangeSpace::new(0, 64),
+            &p,
+            false,
+            &|ctx: &mut TxCtx<'_>, i| {
+                ctx.tx.write_i64(xs, i as usize, i as i64);
+            },
+            &mut NullObserver,
+        )
+        .unwrap();
         assert!(
-            s_inc.snapshot_slots_copied < s_full.snapshot_slots_copied / 2,
-            "incremental mode must copy far fewer slots ({} vs {})",
-            s_inc.snapshot_slots_copied,
-            s_full.snapshot_slots_copied
+            stats.snapshot_slots_copied < stats.rounds * 97 / 2,
+            "must copy far fewer slots than the table per round ({} in {} rounds)",
+            stats.snapshot_slots_copied,
+            stats.rounds
         );
-        assert!(s_inc.snapshot_pages_reused > 0, "cold pages must be reused");
+        assert!(stats.snapshot_pages_reused > 0, "cold pages must be reused");
     }
 }

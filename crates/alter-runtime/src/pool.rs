@@ -1,10 +1,9 @@
 //! A persistent worker pool for lock-step rounds.
 //!
 //! The paper's runtime forks its N worker processes **once** and then feeds
-//! them one chunk-transaction per lock-step round (§4.1, Figure 4); our
-//! engine instead used to pay a `thread::scope` spawn-and-join per round.
-//! [`WorkerPool`] restores the paper's shape: N long-lived threads, a
-//! per-round task handoff over channels, and a deterministic join barrier.
+//! them one chunk-transaction per lock-step round (§4.1, Figure 4).
+//! [`WorkerPool`] is that shape: N long-lived threads, a per-round task
+//! handoff over channels, and a deterministic join barrier.
 //!
 //! Determinism needs no locks and no care from the workers themselves: job
 //! *i* of a round always goes to worker *i*, each worker has a private
@@ -150,8 +149,8 @@ impl<J, R> WorkerPool<J, R> {
 
     /// Dispatches one round's jobs (job *i* to lane *i*) and returns a
     /// stream that yields each lane's result **in ticket order** as soon as
-    /// it is available — the barrier-free handoff behind the pipelined
-    /// committer. Lane *i+1* keeps executing while the caller consumes
+    /// it is available — a barrier-free handoff for callers that can use
+    /// results early. Lane *i+1* keeps executing while the caller consumes
     /// ticket *i*; [`WorkerPool::run_round`] is exactly this stream drained
     /// to a `Vec`.
     ///

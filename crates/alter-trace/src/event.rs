@@ -60,8 +60,8 @@ pub enum Phase {
     /// work plus instrumented words moved).
     Execute,
     /// Conflict validation against earlier committers of the round
-    /// (charged in legacy `validate_words` — identical with the validation
-    /// fast path on or off).
+    /// (charged in per-writer `validate_words` — a function of the sets,
+    /// not of the scans the validator ran).
     Validate,
     /// Applying committed effects to the heap (charged per committed write
     /// and allocation word).
@@ -269,9 +269,9 @@ pub enum Event {
     /// The sequencer handed a ticket to a worker lane: one iteration chunk
     /// stamped with the snapshot epoch it will execute against. Emitted
     /// only when `ExecParams::trace_tickets` is on, immediately after the
-    /// ticket's [`Event::TaskStart`]; every driver (sequential, scoped,
-    /// pooled, pipelined) emits the same ticket lifecycle at the same
-    /// points, so the events never perturb cross-driver trace identity.
+    /// ticket's [`Event::TaskStart`]; both drivers emit the same ticket
+    /// lifecycle at the same points, so the events never perturb
+    /// cross-driver trace identity.
     TicketIssued {
         /// Program-order ticket (= chunk sequence) number.
         seq: u64,

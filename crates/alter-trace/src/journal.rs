@@ -41,11 +41,6 @@ pub struct JournalHeader {
     pub record_sets: bool,
     /// Whether `PhaseProfile` events were recorded.
     pub profile_phases: bool,
-    /// Pipelined-committer lookahead the run was recorded under: 0 means
-    /// the lock-step (barrier) driver, `n ≥ 1` means the ticketed pipeline
-    /// driver with `pipeline_depth = n`. Absent in pre-pipeline journals,
-    /// which read back as 0.
-    pub pipeline_depth: u32,
     /// Heap shard count the run was recorded under, so replay reconstructs
     /// the identical sharded heap. Absent in pre-sharding journals, which
     /// read back as 1 (the unsharded layout — shard counts never change
@@ -70,11 +65,10 @@ impl JournalHeader {
         escape_into(&mut s, &self.annotation);
         let _ = write!(
             s,
-            "\",\"workers\":{},\"record_sets\":{},\"profile\":{},\"pipeline\":{},\"shards\":{},\"hash\":{}}}",
+            "\",\"workers\":{},\"record_sets\":{},\"profile\":{},\"shards\":{},\"hash\":{}}}",
             self.workers,
             self.record_sets as u8,
             self.profile_phases as u8,
-            self.pipeline_depth,
             self.shards,
             self.trace_hash
         );
@@ -110,13 +104,9 @@ impl JournalHeader {
             workers: f.int32("workers")?,
             record_sets: flag("record_sets")?,
             profile_phases: flag("profile")?,
-            // Pre-pipeline journals have no `pipeline` field; default to
-            // the lock-step driver so old recordings stay readable.
-            pipeline_depth: match f.int32("pipeline") {
-                Ok(n) => n,
-                Err(msg) if msg.starts_with("missing field") => 0,
-                Err(msg) => return Err(msg),
-            },
+            // Journals recorded while there was a driver to choose carry a
+            // `pipeline` depth; it is accepted and ignored — the event
+            // stream never depended on it.
             // Pre-sharding journals have no `shards` field; default to the
             // single-shard heap so old recordings stay readable.
             shards: match f.int32("shards") {
@@ -343,7 +333,6 @@ mod tests {
             workers: 4,
             record_sets: true,
             profile_phases: true,
-            pipeline_depth: 0,
             shards: 1,
             trace_hash: 0,
         }
@@ -483,29 +472,26 @@ mod tests {
         let mut h = header();
         h.record_sets = false;
         h.profile_phases = false;
-        h.pipeline_depth = 4;
         h.shards = 16;
         let j = Journal::new(h, run_events()).unwrap();
         let back = Journal::from_jsonl(&j.to_jsonl()).unwrap();
         assert!(!back.header().record_sets);
         assert!(!back.header().profile_phases);
-        assert_eq!(back.header().pipeline_depth, 4);
         assert_eq!(back.header().shards, 16);
         assert_eq!(back.header().workload, "genome");
         assert_eq!(back.header().workers, 4);
     }
 
     #[test]
-    fn pre_pipeline_headers_default_to_lock_step() {
-        // Journals written before the pipeline field existed must still
-        // load; a missing `pipeline` reads back as 0 (lock-step).
+    fn retired_pipeline_field_is_accepted_and_ignored() {
+        // Journals written while the header carried a pipeline depth must
+        // still load, to the same journal as one written today.
         let j = Journal::new(header(), run_events()).unwrap();
-        let text = j.to_jsonl().replace(",\"pipeline\":0", "");
-        let back = Journal::from_jsonl(&text).expect("old header parses");
-        assert_eq!(back.header().pipeline_depth, 0);
-        // A malformed (non-integer) pipeline field is still an error.
-        let bad = j.to_jsonl().replace("\"pipeline\":0", "\"pipeline\":\"x\"");
-        assert!(Journal::from_jsonl(&bad).is_err());
+        assert!(!j.to_jsonl().contains("pipeline"));
+        let old = j
+            .to_jsonl()
+            .replace(",\"shards\":", ",\"pipeline\":4,\"shards\":");
+        assert_eq!(Journal::from_jsonl(&old).expect("old header parses"), j);
     }
 
     #[test]

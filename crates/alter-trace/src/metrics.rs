@@ -154,7 +154,7 @@ pub struct Metrics {
     pub validate_words: Histogram,
     /// Validations whose fingerprint pre-check fell through to an exact
     /// scan. Reported by the runtime (not derived from events — the event
-    /// stream is identical with the fast path on or off).
+    /// stream carries the per-writer charge, not the scans that ran).
     pub fingerprint_hits: u64,
     /// Validations rejected in O(1) by the fingerprint pre-check.
     pub fingerprint_rejects: u64,
@@ -166,25 +166,19 @@ pub struct Metrics {
     /// the runtime, like the validation counters: the event stream carries
     /// the trace-stable full-table figure (`RoundStart.snapshot_slots`),
     /// while this counter reflects what snapshot construction actually
-    /// copied (far less with incremental snapshots on).
+    /// copied (the slots dirtied since the previous round).
     pub snapshot_slots_copied: u64,
     /// Snapshot pages structurally shared with the previous round's
-    /// snapshot instead of being copied (incremental snapshots only).
+    /// snapshot instead of being copied.
     pub snapshot_pages_reused: u64,
     /// Rounds handed to the persistent worker pool (0 under the sequential
-    /// and per-round-scope drivers).
+    /// driver).
     pub pool_round_handoffs: u64,
     /// Fresh tickets handed out by the sequencer. Reported by the runtime
     /// (pipeline-ledger bookkeeping, not derived from events).
     pub tickets_issued: u64,
     /// Tickets re-queued after a conflict or in-order squash.
     pub tickets_requeued: u64,
-    /// Deterministic cost units the committer spent stalled waiting for the
-    /// next ticket in order (virtual time, never wall-clock).
-    pub committer_stall_units: u64,
-    /// Deterministic cost units worker lanes spent idle after finishing
-    /// their ticket while the round drained (virtual time).
-    pub worker_idle_units: u64,
     /// Words compared by shard-partitioned word-block validation scans
     /// (zero on unsharded runs).
     pub shard_validate_words: u64,
@@ -249,11 +243,12 @@ impl Metrics {
         }
     }
 
-    /// Merges the runtime's validation fast-path counters into the
-    /// registry. These live outside the event stream on purpose: traces are
-    /// byte-identical with the fast path on or off, so the counters arrive
-    /// through run statistics instead. Plain integers keep this crate free
-    /// of a runtime dependency.
+    /// Merges the runtime's validation scan counters into the registry.
+    /// These live outside the event stream on purpose: traces carry the
+    /// per-writer charge, which is a function of the sets alone, so what
+    /// the fingerprint-gated scans really compared arrives through run
+    /// statistics instead. Plain integers keep this crate free of a
+    /// runtime dependency.
     pub fn record_validation_counters(
         &mut self,
         fingerprint_hits: u64,
@@ -270,8 +265,8 @@ impl Metrics {
     /// Merges the runtime's round-overhead counters — snapshot
     /// construction and worker-pool handoffs — into the registry. Like the
     /// validation counters, these live outside the event stream: traces
-    /// are byte-identical whichever snapshot mode and driver produced
-    /// them, so the counters arrive through run statistics.
+    /// are byte-identical whichever driver produced them, so the counters
+    /// arrive through run statistics.
     pub fn record_round_counters(
         &mut self,
         snapshot_slots_copied: u64,
@@ -285,20 +280,10 @@ impl Metrics {
 
     /// Merges the runtime's ticketed-pipeline counters into the registry.
     /// Like the other out-of-band counters, these never ride in the event
-    /// stream: the stall/idle units are a pure function of the per-task
-    /// cost model and the configured driver, and traces stay byte-identical
-    /// whichever driver produced them.
-    pub fn record_pipeline_counters(
-        &mut self,
-        tickets_issued: u64,
-        tickets_requeued: u64,
-        committer_stall_units: u64,
-        worker_idle_units: u64,
-    ) {
+    /// stream (ticket lifecycle events are opt-in).
+    pub fn record_pipeline_counters(&mut self, tickets_issued: u64, tickets_requeued: u64) {
         self.tickets_issued += tickets_issued;
         self.tickets_requeued += tickets_requeued;
-        self.committer_stall_units += committer_stall_units;
-        self.worker_idle_units += worker_idle_units;
     }
 
     /// Merges the runtime's sharded-heap counters into the registry. Like
@@ -362,11 +347,8 @@ impl Metrics {
         );
         let _ = writeln!(
             out,
-            "  tickets_issued={} tickets_requeued={} committer_stall_units={} worker_idle_units={}",
-            self.tickets_issued,
-            self.tickets_requeued,
-            self.committer_stall_units,
-            self.worker_idle_units
+            "  tickets_issued={} tickets_requeued={}",
+            self.tickets_issued, self.tickets_requeued
         );
         let _ = writeln!(
             out,
@@ -499,14 +481,11 @@ mod tests {
     #[test]
     fn pipeline_counters_accumulate_and_render() {
         let mut m = Metrics::default();
-        m.record_pipeline_counters(8, 2, 4000, 900);
-        m.record_pipeline_counters(2, 1, 500, 100);
+        m.record_pipeline_counters(8, 2);
+        m.record_pipeline_counters(2, 1);
         assert_eq!(m.tickets_issued, 10);
         assert_eq!(m.tickets_requeued, 3);
-        assert_eq!(m.committer_stall_units, 4500);
-        assert_eq!(m.worker_idle_units, 1000);
-        assert!(m.render().contains("tickets_requeued=3"));
-        assert!(m.render().contains("committer_stall_units=4500"));
+        assert!(m.render().contains("tickets_issued=10 tickets_requeued=3"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! folded-stack lines (`workload;phase cost`) that any flamegraph tool can
 //! consume directly. Because phase costs are deterministic cost units, a
 //! `Profile` is a pure function of the trace — byte-stable across reruns,
-//! machines and drive modes — which is what lets `PROFILE.json` sit under
+//! machines and drivers — which is what lets `PROFILE.json` sit under
 //! a CI drift check.
 //!
 //! Wall-clock mirroring is deliberately out-of-band: [`WallProfile`] is a

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Runtime micro-benchmarks: the primitive-cost benchmarks plus the three
-# deterministic benches (validation fast path, round-overhead machinery,
-# phase profiler), which together regenerate BENCH_runtime.json at the repo
-# root. Everything in the JSON is a deterministic counter (cost units,
-# validate words, exact-scan words, snapshot slots copied, trace hashes) —
+# Runtime micro-benchmarks: the primitive-cost benchmarks plus the four
+# deterministic benches (phase profiler, sharded heap, DPOR model checker,
+# static analyzer), which together regenerate BENCH_runtime.json at the
+# repo root. Everything in the JSON is a deterministic counter (cost units,
+# validate words, exact-scan words, schedules explored, trace hashes) —
 # no wall-clock — so the file is stable across machines and is checked in;
 # a diff after running this script means the runtime's work profile
-# actually changed.
+# actually changed. Wall time is bench/'s job.
 #
 # Usage: scripts/bench.sh [--smoke]
-#   --smoke   deterministic A/B benches only (the part CI runs)
+#   --smoke   deterministic benches only (the part CI runs)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,24 +29,10 @@ fi
 # cargo runs bench binaries from the package directory, so hand the benches
 # absolute paths.
 mkdir -p target
-echo "== validation fast-path A/B =="
-cargo bench -p alter-bench --bench validation -- --json "$PWD/target/bench-validation.json"
-echo
-echo "== round-overhead A/B (snapshots + worker pool) =="
-cargo bench -p alter-bench --bench round_overhead -- --json "$PWD/target/bench-round-overhead.json"
-echo
 echo "== phase profiler (per-phase cost units, worker sweep) =="
 cargo bench -p alter-bench --bench phases -- --json "$PWD/target/bench-phases.json"
 echo
-echo "== pipelined committer A/B (stall units vs barrier) =="
-# ALTER_BENCH_WALL=1 adds an informational wall-clock column to the console
-# output; the JSON artifact stays pure cost units either way.
-cargo bench -p alter-bench --bench pipeline -- --json "$PWD/target/bench-pipeline.json"
-echo
 echo "== sharded heap A/B (16 shards vs unsharded) =="
-# ALTER_BENCH_WALL_SCALING=1 switches this bench to a Table-3-shaped
-# wall-clock speedup table (threaded runs at 1/2/4/8 workers) instead;
-# that mode is informational only and writes no JSON.
 cargo bench -p alter-bench --bench sharding -- --json "$PWD/target/bench-sharding.json"
 echo
 echo "== DPOR model checker (schedules explored vs naive, pruning gate) =="
@@ -57,14 +43,8 @@ cargo bench -p alter-bench --bench absint -- --json "$PWD/target/bench-absint.js
 
 # Merge the deterministic summaries into the checked-in profile.
 {
-  printf '{\n"validation":\n'
-  cat target/bench-validation.json
-  printf ',\n"round_overhead":\n'
-  cat target/bench-round-overhead.json
-  printf ',\n"phases":\n'
+  printf '{\n"phases":\n'
   cat target/bench-phases.json
-  printf ',\n"pipeline":\n'
-  cat target/bench-pipeline.json
   printf ',\n"sharding":\n'
   cat target/bench-sharding.json
   printf ',\n"check":\n'

@@ -81,12 +81,8 @@ record_and_replay() {
     record "$w" --sets --profile "$@" --out "$out" > /dev/null
   cargo run --release -q -p alter-bench --bin alter-replay -- replay "$out"
 }
-# Each workload is gated twice: under the lock-step driver and under the
-# ticketed pipeline committer (the journal header carries the pipeline
-# depth, so the replay reconstructs the same driver).
 for w in genome k-means; do
   record_and_replay "$w" "target/$w.journal"
-  record_and_replay "$w" "target/$w-pipeline.journal" --pipeline-depth 4
 done
 # Sharded-heap gate: the journal header carries the shard count, so the
 # replay reconstructs the identical sharded layout — and the trace must
@@ -144,7 +140,7 @@ if [[ -n "$(git status --porcelain -- PROFILE.json)" ]]; then
   exit 1
 fi
 
-echo "== bench smoke (deterministic A/B counters) =="
+echo "== bench smoke (deterministic counters) =="
 scripts/bench.sh --smoke
 # `git status --porcelain` (not `git diff --quiet`) so a deleted or
 # never-committed BENCH_runtime.json counts as drift too.

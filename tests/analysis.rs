@@ -313,3 +313,31 @@ fn overlapping_committed_write_sets_are_rejected() {
         "overlapping write sets not caught: {violations:?}"
     );
 }
+
+/// A corrupted trace where one `validate_ok` claims one validate word more
+/// than the per-earlier-writer formula charges its recorded sets must be
+/// rejected, and for that reason alone.
+#[test]
+fn wrong_validate_words_are_rejected() {
+    let b = &all_benchmarks(Scale::Inference)[0];
+    let (mut events, cfg) = canonical_trace(b.as_ref());
+    // The second committer of a round is charged for the first.
+    let round = rounds_of_validate_oks(&events)
+        .into_iter()
+        .find(|r| r.len() >= 2)
+        .expect("a round with two commits");
+    match &mut events[round[1]] {
+        Event::ValidateOk { validate_words, .. } => {
+            assert!(*validate_words > 0, "charged for the first committer");
+            *validate_words += 1;
+        }
+        _ => unreachable!(),
+    }
+    let violations = sanitize(&events, &cfg);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(violations[0].event, round[1]);
+    assert!(
+        violations[0].message.contains("validate words"),
+        "{violations:?}"
+    );
+}

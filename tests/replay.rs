@@ -149,7 +149,6 @@ fn journal_for(bench: &dyn Benchmark, events: Vec<Event>) -> Journal {
         workers: 2,
         record_sets: false,
         profile_phases: false,
-        pipeline_depth: 0,
         shards: 1,
         trace_hash: 0, // recomputed by Journal::new
     };
@@ -157,13 +156,15 @@ fn journal_for(bench: &dyn Benchmark, events: Vec<Event>) -> Journal {
 }
 
 // ---------------------------------------------------------------------------
-// Journal header back-compat: absent pipeline/shards fields
+// Journal header back-compat: absent shards field, retired pipeline field
 // ---------------------------------------------------------------------------
 
-/// Pre-PR-7 journals have no `pipeline` header field and pre-PR-8 journals
-/// no `shards`; both must keep parsing (as lock-step / one shard) and must
-/// re-serialize *canonically* — explicit fields, so one normalization pass
-/// brings any legacy journal onto the current fixed-point form.
+/// Pre-PR-8 journals have no `shards` header field, and journals written
+/// between PR 7 and PR 14 carry a `pipeline` depth that no longer selects
+/// anything; both must keep parsing (as one shard / with the depth ignored)
+/// and must re-serialize *canonically* — `shards` explicit, `pipeline`
+/// gone — so one normalization pass brings any legacy journal onto the
+/// current fixed-point form.
 #[test]
 fn legacy_headers_parse_with_defaults_and_reserialize_canonically() {
     for seed in 0..64u64 {
@@ -176,7 +177,6 @@ fn legacy_headers_parse_with_defaults_and_reserialize_canonically() {
             workers: 1 + (rng.next_u64() % 8) as u32,
             record_sets: rng.next_u64().is_multiple_of(2),
             profile_phases: rng.next_u64().is_multiple_of(2),
-            pipeline_depth: pipeline,
             shards,
             trace_hash: 0, // recomputed by Journal::new
         };
@@ -206,31 +206,38 @@ fn legacy_headers_parse_with_defaults_and_reserialize_canonically() {
         let journal = Journal::new(header, events).expect("valid journal");
         let text = journal.to_jsonl();
         let head = text.lines().next().expect("header line");
-        // The canonical header always spells both fields out...
-        assert!(
-            head.contains(&format!(",\"pipeline\":{pipeline}")),
-            "{head}"
-        );
+        // The canonical header always spells the shard count out and
+        // never a pipeline depth...
+        assert!(!head.contains("pipeline"), "{head}");
         assert!(head.contains(&format!(",\"shards\":{shards}")), "{head}");
         // ...and non-default values survive a round trip.
         let back = Journal::from_jsonl(&text).expect("canonical journal reloads");
         assert_eq!(back.header(), journal.header(), "seed {seed}");
 
-        // A legacy header with both fields absent parses as lock-step on
-        // the unsharded heap.
-        let legacy = text
-            .replacen(&format!(",\"pipeline\":{pipeline}"), "", 1)
-            .replacen(&format!(",\"shards\":{shards}"), "", 1);
-        assert_ne!(legacy, text, "seed {seed}: fields must have been stripped");
+        // A header still carrying the retired pipeline depth loads to the
+        // very same journal.
+        let piped = text.replacen(
+            ",\"shards\":",
+            &format!(",\"pipeline\":{pipeline},\"shards\":"),
+            1,
+        );
+        assert_ne!(piped, text, "seed {seed}: field must have been added");
+        let parsed = Journal::from_jsonl(&piped).expect("pipelined-era journal must parse");
+        assert_eq!(parsed, journal, "seed {seed}");
+
+        // A legacy header with the shard count absent (and the depth
+        // present) parses as the unsharded heap.
+        let legacy = piped.replacen(&format!(",\"shards\":{shards}"), "", 1);
+        assert_ne!(legacy, piped, "seed {seed}: field must have been stripped");
         let parsed = Journal::from_jsonl(&legacy).expect("legacy journal must parse");
-        assert_eq!(parsed.header().pipeline_depth, 0, "seed {seed}");
         assert_eq!(parsed.header().shards, 1, "seed {seed}");
 
-        // Re-serializing normalizes: the defaults become explicit and the
-        // result is a fixed point of parse → serialize.
+        // Re-serializing normalizes: the default becomes explicit, the
+        // retired field goes, and the result is a fixed point of
+        // parse → serialize.
         let canon = parsed.to_jsonl();
         let chead = canon.lines().next().expect("header line");
-        assert!(chead.contains(",\"pipeline\":0"), "{chead}");
+        assert!(!chead.contains("pipeline"), "{chead}");
         assert!(chead.contains(",\"shards\":1"), "{chead}");
         let again = Journal::from_jsonl(&canon).expect("normalized journal reloads");
         assert_eq!(again.to_jsonl(), canon, "seed {seed}: not a fixed point");
@@ -292,8 +299,14 @@ fn journal_rejects_truncated_reordered_and_corrupted_files() {
 fn record_replay_identity_all_workloads() {
     for bench in all_benchmarks(Scale::Inference) {
         let journal = journal_for(bench.as_ref(), record(bench.as_ref(), 2, false, false));
-        // Serialize and reload — replay consumes journals from disk.
-        let reloaded = Journal::from_jsonl(&journal.to_jsonl()).expect("journal reloads");
+        // Serialize and reload — replay consumes journals from disk. The
+        // file is given the header of a PR 7–13 recording made under the
+        // pipelined driver: the one driver replays it all the same.
+        let on_disk = journal
+            .to_jsonl()
+            .replacen(",\"shards\":", ",\"pipeline\":4,\"shards\":", 1);
+        let reloaded = Journal::from_jsonl(&on_disk).expect("journal reloads");
+        assert_eq!(reloaded, journal, "{}", bench.name());
         let fresh = record(bench.as_ref(), 2, false, false);
         match diverge_bisect(reloaded.events(), &fresh) {
             ReplayOutcome::Identical { events, hash } => {

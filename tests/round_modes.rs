@@ -1,26 +1,20 @@
-//! Round-mode invisibility sweep: the persistent worker pool, the
-//! incremental snapshot cache, the ticketed pipeline committer, and the
-//! sharded versioned heap are pure throughput optimizations, so every
-//! workload must produce a byte-identical event transcript — and therefore
-//! the same trace hash, the same program output (the heap digest each
-//! workload extracts), and the same semantic `RunStats` — across all
-//! combinations of {sequential, threaded+pool} × {incremental, full}
-//! snapshots × {lock-step, pipelined at depth 1 and 4} × heap shard counts
-//! {1, 4, 16}, at 1, 2, and 8 workers.
+//! Driver invisibility sweep: the threaded driver and the sharded
+//! versioned heap are pure throughput optimizations, so every workload must
+//! produce a byte-identical event transcript — and therefore the same trace
+//! hash, the same program output (the heap digest each workload extracts),
+//! and the same semantic `RunStats` — across {sequential, threaded} × heap
+//! shard counts {1, 4, 16}, at 1, 2, and 8 workers.
 //!
-//! Drive-mode bookkeeping (`pool_round_handoffs`, the ticket counters, the
-//! stall/idle telemetry — everything `RunStats::modulo_drive_mode` masks)
-//! and snapshot-economics counters (`snapshot_slots_copied`,
-//! `snapshot_pages_reused`) are the *only* fields allowed to differ;
-//! everything else in `RunStats` is part of the observable semantics and is
-//! compared exactly. Shard counts above 1 additionally move the fast-path
-//! accounting — which fingerprint probes ran and how many words the exact
-//! scans compared (`fingerprint_hits`/`rejects`, `exact_scan_words`, and
-//! the `shard_*` trio) — but never any verdict, so sharded runs compare
-//! with those counters masked on top. Pipeline depth 1 must degenerate all
-//! the way: its *full* `RunStats` — stall model included — equals the
-//! pooled lock-step run's. Direct final-heap equality across drive modes
-//! is asserted at the engine level (`alter-runtime`'s
+//! Driver bookkeeping (`pool_round_handoffs` and the ticket counters —
+//! everything `RunStats::modulo_drive_mode` masks) is the *only* thing
+//! allowed to differ between the drivers; everything else in `RunStats` is
+//! part of the observable semantics and is compared exactly. Shard counts
+//! above 1 additionally move the scan accounting — which fingerprint probes
+//! ran and how many words the exact scans compared
+//! (`fingerprint_hits`/`rejects`, `exact_scan_words`, and the `shard_*`
+//! trio) — but never any verdict, so sharded runs compare with those
+//! counters masked on top. Direct final-heap equality across drivers is
+//! asserted at the engine level (`alter-runtime`'s
 //! `threaded_and_sequential_drivers_are_identical`); here each workload's
 //! output is the heap projection being compared.
 
@@ -31,52 +25,11 @@ use alter::trace::{to_jsonl, trace_hash, Recorder, RingRecorder};
 use alter::workloads::{all_benchmarks, Benchmark, Scale};
 use std::sync::Arc;
 
-/// One drive-mode configuration of the sweep.
+/// One configuration of the sweep.
 #[derive(Clone, Copy, Debug)]
 struct Mode {
     threaded: bool,
-    worker_pool: bool,
-    incremental: bool,
-    pipelined: bool,
-    depth: usize,
     shards: usize,
-}
-
-impl Mode {
-    const fn lock_step(threaded: bool, worker_pool: bool, incremental: bool) -> Mode {
-        Mode {
-            threaded,
-            worker_pool,
-            incremental,
-            pipelined: false,
-            depth: 1,
-            shards: 1,
-        }
-    }
-
-    const fn pipelined(depth: usize) -> Mode {
-        Mode {
-            threaded: true,
-            worker_pool: true,
-            incremental: true,
-            pipelined: true,
-            depth,
-            shards: 1,
-        }
-    }
-
-    /// The pooled lock-step driver over a sharded heap: the shard count is
-    /// the only knob turned, so any visible difference is the heap's fault.
-    const fn sharded(shards: usize) -> Mode {
-        Mode {
-            threaded: true,
-            worker_pool: true,
-            incremental: true,
-            pipelined: false,
-            depth: 1,
-            shards,
-        }
-    }
 }
 
 /// One traced run of `bench` under its best annotation.
@@ -88,10 +41,6 @@ fn traced(
     let rec = Arc::new(RingRecorder::default());
     let mut probe = bench.best_probe(workers);
     probe.threaded = mode.threaded;
-    probe.worker_pool = mode.worker_pool;
-    probe.incremental_snapshots = mode.incremental;
-    probe.pipelined = mode.pipelined;
-    probe.pipeline_depth = mode.depth;
     probe.shards = mode.shards;
     probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
     let run = bench.run_probe(&probe).expect("probe must complete");
@@ -105,16 +54,7 @@ fn traced(
     )
 }
 
-/// Masks the fields a drive mode or snapshot mode is *allowed* to change.
-fn semantic(stats: &RunStats) -> RunStats {
-    RunStats {
-        snapshot_slots_copied: 0,
-        snapshot_pages_reused: 0,
-        ..stats.modulo_drive_mode()
-    }
-}
-
-/// Additionally masks the fast-path accounting a shard count is allowed to
+/// Additionally masks the scan accounting a shard count is allowed to
 /// move: which fingerprint probes ran, how many words the exact scans
 /// compared, and the shard counters themselves. Everything that remains —
 /// verdicts, retries, commits, cost units, `validate_words` — must be
@@ -127,7 +67,7 @@ fn shard_semantic(stats: &RunStats) -> RunStats {
         shard_validate_words: 0,
         shard_commit_batches: 0,
         shard_imbalance_max: 0,
-        ..semantic(stats)
+        ..stats.modulo_drive_mode()
     }
 }
 
@@ -135,20 +75,10 @@ fn shard_semantic(stats: &RunStats) -> RunStats {
 fn round_modes_are_invisible_across_the_suite() {
     for bench in all_benchmarks(Scale::Inference) {
         for workers in [1usize, 2, 8] {
-            // The first entry is the baseline every other mode must match;
-            // POOLED indexes the pooled lock-step run that pipeline depth 1
-            // must reproduce field for field.
-            const POOLED: usize = 2;
-            let modes = [
-                Mode::lock_step(false, false, true),
-                Mode::lock_step(false, false, false),
-                Mode::lock_step(true, true, true),
-                Mode::lock_step(true, true, false),
-                Mode::pipelined(1),
-                Mode::pipelined(4),
-                Mode::sharded(4),
-                Mode::sharded(16),
-            ];
+            // The first entry is the baseline every other mode must match.
+            let modes = [false, true]
+                .map(|threaded| [1usize, 4, 16].map(|shards| Mode { threaded, shards }));
+            let modes = modes.as_flattened();
             let (jsonl0, hash0, out0, stats0) = traced(bench.as_ref(), workers, modes[0]);
             assert_eq!(
                 stats0.pool_round_handoffs,
@@ -156,8 +86,7 @@ fn round_modes_are_invisible_across_the_suite() {
                 "{}/{workers}w: sequential driver must not touch the pool",
                 bench.name()
             );
-            let mut pooled_stats = None;
-            for (i, mode) in modes.iter().enumerate().skip(1) {
+            for mode in &modes[1..] {
                 let tag = format!("{}/{workers}w {mode:?}", bench.name());
                 let (jsonl, hash, out, stats) = traced(bench.as_ref(), workers, *mode);
                 assert_eq!(jsonl0, jsonl, "{tag}: transcripts must be byte-identical");
@@ -165,12 +94,12 @@ fn round_modes_are_invisible_across_the_suite() {
                 assert_eq!(out0, out, "{tag}: program outputs must agree");
                 if mode.shards == 1 {
                     assert_eq!(
-                        semantic(&stats0),
-                        semantic(&stats),
+                        stats0.modulo_drive_mode(),
+                        stats.modulo_drive_mode(),
                         "{tag}: semantic RunStats must agree"
                     );
                 } else {
-                    // A sharded heap may re-shape the fast-path accounting
+                    // A sharded heap may re-shape the scan accounting
                     // (per-shard probes replace the global one) but nothing
                     // else.
                     assert_eq!(
@@ -189,35 +118,10 @@ fn round_modes_are_invisible_across_the_suite() {
                     stats.attempts,
                     "{tag}: every attempt is an issued or re-queued ticket"
                 );
-                if mode.threaded && mode.worker_pool && workers > 1 {
+                if mode.threaded && workers > 1 {
                     assert!(
                         stats.pool_round_handoffs > 0,
                         "{tag}: the pool must actually run rounds"
-                    );
-                }
-                if mode.incremental {
-                    assert_eq!(
-                        stats.snapshot_slots_copied, stats0.snapshot_slots_copied,
-                        "{tag}: snapshot economics are deterministic"
-                    );
-                } else {
-                    assert!(
-                        stats.snapshot_slots_copied >= stats0.snapshot_slots_copied,
-                        "{tag}: full snapshots can never copy less than \
-                         incremental ones"
-                    );
-                }
-                if i == POOLED {
-                    pooled_stats = Some(stats);
-                }
-                if mode.pipelined && mode.depth == 1 {
-                    // Depth 1 is the barrier: same driver, same stall model,
-                    // so even the masked telemetry must agree exactly.
-                    assert_eq!(
-                        pooled_stats.expect("pooled mode runs before pipelined ones"),
-                        stats,
-                        "{tag}: pipeline depth 1 must equal the pooled \
-                         lock-step run field for field"
                     );
                 }
             }
@@ -225,14 +129,11 @@ fn round_modes_are_invisible_across_the_suite() {
     }
 }
 
-/// Where a commit's words land is a drive-mode matter too, and just as
-/// invisible. The barrier drivers drop the round's snapshot before they
-/// commit, so a payload nobody else holds is merged into where it lies for
-/// the whole run; a snapshot the caller keeps across the run forces the
-/// first commit onto a copy and goes on reading the old words. The pipelined
-/// driver commits while later lanes still hold the round's view and copies
-/// whenever they do — which the sweep above covers: its transcripts and
-/// outputs are byte-identical to the barrier drivers'.
+/// Where a commit's words land is a driver matter too, and just as
+/// invisible. Both drivers drop the round's snapshot before they commit, so
+/// a payload nobody else holds is merged into where it lies for the whole
+/// run; a snapshot the caller keeps across the run forces the first commit
+/// onto a copy and goes on reading the old words.
 #[test]
 fn barrier_drivers_commit_in_place_unless_a_snapshot_is_held() {
     const WORDS: usize = 1024;
