@@ -18,10 +18,10 @@
 //! overlapping write sets never commute (the final heap words depend on
 //! commit order), and under read-checking policies (FULL/OutOfOrder) a
 //! read overlapping the other task's writes breaks commutativity too.
-//! Overlap tests reuse the word-block machinery of the sharded
-//! validator ([`alter_heap::RangeSet::block_scan`]) behind a fingerprint
-//! pre-filter, so building the relation costs the same deterministic
-//! `scan_words` currency the runtime reports.
+//! Overlap tests run the word-block scanner
+//! ([`alter_heap::RangeSet::block_scan`]) behind a fingerprint
+//! pre-filter, so building the relation costs a deterministic
+//! `scan_words` currency.
 //!
 //! **DPOR.** Schedules are equivalent (one Mazurkiewicz trace) iff they
 //! agree on the relative order of every non-commuting pair, so a
@@ -374,7 +374,7 @@ fn extract_rounds(events: &[Event]) -> Result<Vec<RoundTasks>, String> {
 }
 
 /// Exact overlap test via the word-block scanner, behind the same
-/// fingerprint pre-filter the sharded validator uses. Returns the
+/// fingerprint pre-filter the runtime's validator uses. Returns the
 /// verdict and the words the block scans compared.
 fn overlap_block_scan(a: &AccessSet, b: &AccessSet) -> (bool, u64) {
     if a.is_empty() || b.is_empty() || !a.fingerprint().may_intersect(b.fingerprint()) {

@@ -142,7 +142,6 @@ fn write_counterexample(r: &CheckedRun, prefix: &str) -> Result<(), String> {
             workers: r.workers as u32,
             record_sets: true,
             profile_phases: false,
-            shards: 1,
             trace_hash: 0, // recomputed by Journal::new
         };
         let journal = Journal::new(header, events.clone())?;

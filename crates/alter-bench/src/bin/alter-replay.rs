@@ -16,17 +16,11 @@
 //! trace-hash prefix and prints a structured diff of the single first
 //! divergent event (expected vs. actual payload, access-set delta when the
 //! run recorded task sets, and the trace-hash prefix at the fork).
-//!
-//! Wall-clock profiling is opt-in via the `ALTER_PROFILE_WALL=1`
-//! environment variable and is purely informational: seconds appear as an
-//! extra report column but never enter journals, trace hashes, or
-//! `PROFILE.json`.
 
 use alter_infer::{Model, Probe};
 use alter_runtime::replay::{diverge_bisect, ReplayOutcome};
 use alter_trace::{
     format_hash, trace_hash, Event, Journal, JournalHeader, Phase, Profile, Recorder, RingRecorder,
-    WallProfile, PHASE_COUNT,
 };
 use alter_workloads::{all_benchmarks, find_benchmark, Benchmark, Scale};
 use std::fmt::Write as _;
@@ -44,9 +38,6 @@ commands:
         --workers N  worker count (default 4)
         --sets       record per-task access sets (task_sets events)
         --profile    record per-round phase_profile cost-unit events
-        --shards N   heap shard count (default 1; rounded up to a power
-                     of two, capped at 16 — traces are identical at every
-                     count, so this is a perf knob the journal preserves)
   replay <journal>
       re-execute the journal's workload under its recorded configuration
       and verify the fresh event stream is byte-identical; on mismatch,
@@ -63,9 +54,7 @@ commands:
                      (`all` at the default 4 workers is the committed
                      PROFILE.json baseline)
 
-  annotation: tls | outoforder | stalereads | doall | best  (default best)
-  set ALTER_PROFILE_WALL=1 to add an informational wall-clock column to
-  profile tables (never written to journals or JSON)";
+  annotation: tls | outoforder | stalereads | doall | best  (default best)";
 
 /// Builds the probe a (workload, annotation token, workers) triple names.
 /// The token is stored verbatim in journal headers, so this is the one
@@ -98,10 +87,6 @@ fn record_events(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, Result<()
     (rec.events(), verdict)
 }
 
-fn wall_requested() -> bool {
-    std::env::var("ALTER_PROFILE_WALL").is_ok_and(|v| v == "1")
-}
-
 struct RecordArgs {
     workload: String,
     annotation: String,
@@ -109,8 +94,6 @@ struct RecordArgs {
     workers: usize,
     sets: bool,
     profile: bool,
-    /// Heap shard count (journal-header encoding; 1 = the unsharded heap).
-    shards: u32,
 }
 
 /// Shared positional/flag parser for `record` and `profile`.
@@ -123,7 +106,6 @@ fn parse_run_args(args: &[String]) -> Result<(RecordArgs, bool, Option<String>),
     let mut profile = false;
     let mut folded = false;
     let mut json = None;
-    let mut shards = 1u32;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -132,13 +114,6 @@ fn parse_run_args(args: &[String]) -> Result<(RecordArgs, bool, Option<String>),
                     .next()
                     .and_then(|v| v.parse::<usize>().ok())
                     .ok_or("--workers needs a positive integer")?
-                    .max(1);
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .ok_or("--shards needs a positive integer")?
                     .max(1);
             }
             "--out" | "--json" => {
@@ -169,7 +144,6 @@ fn parse_run_args(args: &[String]) -> Result<(RecordArgs, bool, Option<String>),
             workers,
             sets,
             profile,
-            shards,
         },
         folded,
         json,
@@ -183,7 +157,6 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
         .ok_or(format!("unknown annotation `{}`", a.annotation))?;
     probe.record_sets = a.sets;
     probe.profile_phases = a.profile;
-    probe.shards = a.shards.max(1) as usize;
 
     let (events, verdict) = record_events(bench.as_ref(), &probe);
     if let Err(e) = &verdict {
@@ -196,7 +169,6 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
         workers: a.workers as u32,
         record_sets: a.sets,
         profile_phases: a.profile,
-        shards: a.shards,
         trace_hash: 0, // recomputed by Journal::new
     };
     let journal = Journal::new(header, events)?;
@@ -231,7 +203,6 @@ fn replay_journal(journal: &Journal) -> Result<Option<String>, String> {
     ))?;
     probe.record_sets = h.record_sets;
     probe.profile_phases = h.profile_phases;
-    probe.shards = h.shards.max(1) as usize;
     let (events, _) = record_events(bench.as_ref(), &probe);
     match diverge_bisect(journal.events(), &events) {
         ReplayOutcome::Identical { events, hash } => {
@@ -295,7 +266,6 @@ struct ProfiledRun {
     annotation: String,
     profile: Profile,
     hash: u64,
-    wall: Option<[f64; PHASE_COUNT]>,
 }
 
 fn profile_run(
@@ -306,8 +276,6 @@ fn profile_run(
     let mut probe = probe_for(bench, annotation, workers)
         .ok_or(format!("unknown annotation `{annotation}`"))?;
     probe.profile_phases = true;
-    let wall = wall_requested().then(|| Arc::new(WallProfile::new()));
-    probe.wall_profile = wall.clone();
     let (events, verdict) = record_events(bench, &probe);
     if let Err(e) = verdict {
         eprintln!(
@@ -320,7 +288,6 @@ fn profile_run(
         annotation: annotation.to_owned(),
         profile: Profile::from_events(&events),
         hash: trace_hash(&events),
-        wall: wall.map(|w| w.seconds()),
     })
 }
 
@@ -371,7 +338,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             print!("{}", r.profile.folded(&r.name));
         } else {
             let label = format!("{} [{}] {} worker(s)", r.name, r.annotation, workers);
-            print!("{}", r.profile.render(&label, r.wall.as_ref()));
+            print!("{}", r.profile.render(&label));
             println!("  trace hash: {}", format_hash(r.hash));
         }
     }

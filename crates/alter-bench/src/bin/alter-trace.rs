@@ -17,7 +17,7 @@
 use alter_analyze::absint::{interpret, ALLOC_REGION};
 use alter_infer::{Model, Probe};
 use alter_trace::{
-    format_hash, to_jsonl, trace_hash, Event, Metrics, Profile, Recorder, RingRecorder, WallProfile,
+    format_hash, to_jsonl, trace_hash, Event, Metrics, Profile, Recorder, RingRecorder,
 };
 use alter_workloads::{all_benchmarks, find_benchmark, Benchmark, Scale};
 use std::process::ExitCode;
@@ -36,15 +36,10 @@ flags:
   --jsonl      dump the raw JSONL event stream instead of the timeline
   --twice      run the probe twice and verify byte-identical traces
   --profile    enable the deterministic phase profiler (per-round
-               phase_profile events) and print the sorted hotspot table;
-               set ALTER_PROFILE_WALL=1 for an informational wall-clock
-               column (never part of the trace or its hash)
+               phase_profile events) and print the sorted hotspot table
   --threaded   drive rounds on the worker pool's threads instead of the
                sequential simulation (identical traces, different
                wall-clock)
-  --shards N   heap shard count (default 1; rounded up to a power of two,
-               capped at 16 — identical traces at every count, only the
-               out-of-band shard counters move)
   --tickets    emit ticket-lifecycle events (ticket_issued /
                ticket_validated / ticket_requeued) into the trace; off by
                default so hashes match previous releases
@@ -177,16 +172,15 @@ fn list_workloads() {
 /// perf counters: the validation quartet `[fingerprint_hits,
 /// fingerprint_rejects, pool_reuses, exact_scan_words]`, the
 /// round-overhead trio `[snapshot_slots_copied, snapshot_pages_reused,
-/// pool_round_handoffs]`, the ticket pair `[tickets_issued,
-/// tickets_requeued]`, then the sharding trio `[shard_validate_words,
-/// shard_commit_batches, shard_imbalance_max]` (zeros when the run
-/// aborted). The counters travel outside the event stream — traces are
-/// byte-identical under either driver and at every shard count.
-fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, [u64; 12]) {
+/// pool_round_handoffs]`, then the ticket pair `[tickets_issued,
+/// tickets_requeued]` (zeros when the run aborted). The counters travel
+/// outside the event stream — traces are byte-identical under either
+/// driver.
+fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, [u64; 9]) {
     let rec = Arc::new(RingRecorder::default());
     let mut probe = probe.clone();
     probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
-    let mut counters = [0u64; 12];
+    let mut counters = [0u64; 9];
     let verdict = match bench.run_probe(&probe) {
         Ok(run) => {
             counters = [
@@ -199,9 +193,6 @@ fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, [u64
                 run.stats.pool_round_handoffs,
                 run.stats.tickets_issued,
                 run.stats.tickets_requeued,
-                run.stats.shard_validate_words,
-                run.stats.shard_commit_batches,
-                run.stats.shard_imbalance_max,
             ];
             format!(
                 "run: ok  (retry rate {:.3}, {:.1} sequential-work units)",
@@ -240,23 +231,20 @@ fn main() -> ExitCode {
     let mut twice = false;
     let mut profile = false;
     let mut threaded = false;
-    let mut shards = 1usize;
     let mut tickets = false;
     let mut deps = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workers" | "--chunk" | "--shards" => {
+            "--workers" | "--chunk" => {
                 let Some(v) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
                     eprintln!("error: {a} needs a positive integer");
                     return ExitCode::FAILURE;
                 };
                 if a == "--workers" {
                     workers = v.max(1);
-                } else if a == "--chunk" {
-                    chunk = Some(v.max(1));
                 } else {
-                    shards = v.max(1);
+                    chunk = Some(v.max(1));
                 }
             }
             "--jsonl" => jsonl = true,
@@ -309,21 +297,12 @@ fn main() -> ExitCode {
         probe.chunk = chunk;
     }
     probe.threaded = threaded;
-    probe.shards = shards;
     probe.trace_tickets = tickets;
     probe.profile_phases = profile;
-    let wall = (profile && std::env::var("ALTER_PROFILE_WALL").is_ok_and(|v| v == "1"))
-        .then(|| Arc::new(WallProfile::new()));
-    probe.wall_profile = wall.clone();
 
     let mut notes = Vec::new();
     if threaded {
         notes.push("threaded");
-    }
-    let shard_note;
-    if shards > 1 {
-        shard_note = format!("sharded heap, {shards} shard(s)");
-        notes.push(&shard_note);
     }
     if tickets {
         notes.push("ticket events");
@@ -354,16 +333,11 @@ fn main() -> ExitCode {
     metrics.record_validation_counters(counters[0], counters[1], counters[2], counters[3]);
     metrics.record_round_counters(counters[4], counters[5], counters[6]);
     metrics.record_pipeline_counters(counters[7], counters[8]);
-    metrics.record_shard_counters(counters[9], counters[10], counters[11]);
     print!("{}", metrics.render());
     println!();
     if profile {
         // Same aggregation the `alter-replay profile` subcommand uses.
-        let secs = wall.as_ref().map(|w| w.seconds());
-        print!(
-            "{}",
-            Profile::from_events(&events).render(bench.name(), secs.as_ref())
-        );
+        print!("{}", Profile::from_events(&events).render(bench.name()));
         println!();
     }
     let hash = trace_hash(&events);

@@ -33,30 +33,14 @@
 //! runtime re-establishing only the *invalidated* copy-on-write mappings at
 //! a round boundary instead of remapping the whole address space. Both
 //! produce bit-identical snapshot views.
-//!
-//! # Sharding
-//!
-//! Internally the heap is a fixed power-of-two array of [`HeapShard`]s, each
-//! owning its slot storage, dirty-slot journal and page-chunked snapshot
-//! cache. Object ids route to shards by *snapshot page*: global page
-//! `id / SNAPSHOT_PAGE_SLOTS` belongs to shard `page % shards`, so every
-//! snapshot page lives wholly inside one shard and the page partition — and
-//! therefore every snapshot-economics counter — is independent of the shard
-//! count. Validation and commit batches over distinct shards touch disjoint
-//! state by construction; [`Heap::apply_commit`] applies them in ascending
-//! shard order on the committer, which keeps commit order per shard equal to
-//! ticket order and traces byte-identical across shard counts. The default
-//! is a single shard, which is bit-for-bit the pre-sharding layout.
 
 use crate::object::{ObjData, ObjId};
-use crate::sets::SHARD_LANES;
 use std::sync::Arc;
 
 /// Slots per snapshot page. Pages are the unit of structural sharing
 /// between consecutive incremental snapshots: a page none of whose slots
 /// were dirtied since the last snapshot is reused as-is (one `Arc` bump for
-/// the whole page instead of one per slot). Pages are also the unit of
-/// shard routing, so a page never straddles two shards.
+/// the whole page instead of one per slot).
 pub const SNAPSHOT_PAGE_SLOTS: usize = 64;
 
 /// One fixed-size page of a snapshot's slot table. The array is padded
@@ -104,29 +88,48 @@ pub struct SnapshotStats {
     pub pages_reused: u64,
 }
 
-/// One shard of the committed state: a slice of the slot table (every
-/// `shards`-th snapshot page), its versions, its dirty-slot journal and its
-/// snapshot-page cache. All indices are shard-local; only [`Heap`] knows the
-/// global routing.
+/// The committed memory state.
+///
+/// Sequential (non-transactional) code — program setup, the sequential parts
+/// between parallel loops, validation — accesses the heap directly through
+/// [`Heap::get`] / [`Heap::get_mut`]. Parallel loops access it only through
+/// snapshots and transactions, and mutate it only through
+/// [`Heap::apply_commit`] in deterministic commit order.
 #[derive(Debug, Default)]
-struct HeapShard {
+pub struct Heap {
+    /// The slot table, indexed by object id. Its length is the high water:
+    /// the number of slot ids ever issued (live or dead).
     slots: Vec<Option<Arc<ObjData>>>,
-    /// Commit version at which each local slot was last written.
+    /// Commit version at which each slot was last written.
     versions: Vec<u64>,
     live: usize,
     live_words: u64,
-    /// Persistent page table shared with the last incremental snapshot,
-    /// indexed by shard-local page.
+    /// Commit counter; bumped once per committed transaction.
+    version: u64,
+    /// Slots freed by sequential code, reusable by sequential allocation.
+    free: Vec<u32>,
+    /// Persistent page table shared with the last incremental snapshot.
     snap_pages: Vec<Page>,
-    /// Local slots mutated since the last incremental snapshot,
-    /// deduplicated via `journaled`.
+    /// Slots mutated since the last incremental snapshot, deduplicated via
+    /// `journaled`.
     journal: Vec<u32>,
     journaled: Vec<bool>,
+    /// Whether `snap_pages` reflects some past snapshot (false until the
+    /// first incremental snapshot, which does a full build).
+    snap_valid: bool,
+    /// Monotonic snapshot epoch: bumped once per round snapshot. The
+    /// engine stamps every ticket with the epoch it executes against; a
+    /// re-queued ticket gets the next (fresh) epoch.
+    epoch: u64,
 }
 
-impl HeapShard {
-    /// Records that local slot `idx` diverged from the last incremental
-    /// snapshot.
+impl Heap {
+    /// Creates an empty heap.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records that slot `idx` diverged from the last incremental snapshot.
     #[inline]
     fn mark_dirty(&mut self, idx: usize) {
         if idx >= self.journaled.len() {
@@ -138,8 +141,8 @@ impl HeapShard {
         }
     }
 
-    /// Mutably borrows the payload in local slot `idx`, which the caller has
-    /// just journalled — in place if nothing else can read it, a fresh copy
+    /// Mutably borrows the payload in slot `idx`, which the caller has just
+    /// journalled — in place if nothing else can read it, a fresh copy
     /// otherwise (the module docs' "Writing in place"). `None` if the slot
     /// is dead or unknown.
     fn payload_mut(&mut self, idx: usize) -> Option<&mut ObjData> {
@@ -154,146 +157,12 @@ impl HeapShard {
         self.slots.get_mut(idx)?.as_mut().map(Arc::make_mut)
     }
 
-    /// Grows the local slot table to cover local index `idx`.
+    /// Grows the slot table to cover index `idx`.
     fn ensure(&mut self, idx: usize) {
         if idx >= self.slots.len() {
             self.slots.resize(idx + 1, None);
             self.versions.resize(idx + 1, 0);
         }
-    }
-}
-
-/// The committed memory state.
-///
-/// Sequential (non-transactional) code — program setup, the sequential parts
-/// between parallel loops, validation — accesses the heap directly through
-/// [`Heap::get`] / [`Heap::get_mut`]. Parallel loops access it only through
-/// snapshots and transactions, and mutate it only through
-/// [`Heap::apply_commit`] in deterministic commit order.
-///
-/// Storage is partitioned into a power-of-two number of [`HeapShard`]s (one
-/// by default — see the module docs); the partition is an internal layout
-/// choice and never observable through snapshots, digests, or commits.
-#[derive(Debug)]
-pub struct Heap {
-    shards: Vec<HeapShard>,
-    /// `log2(shards.len())`, cached for routing.
-    shard_bits: u32,
-    /// Global high water: number of slot ids ever issued (live or dead).
-    len: usize,
-    /// Global commit counter; bumped once per committed transaction.
-    version: u64,
-    /// Slots freed by sequential code, reusable by sequential allocation
-    /// (global ids — the free list is not sharded).
-    free: Vec<u32>,
-    /// Whether the shards' `snap_pages` reflect some past snapshot (false
-    /// until the first incremental snapshot, which does a full build).
-    snap_valid: bool,
-    /// Monotonic snapshot epoch: bumped once per round snapshot. The
-    /// engine stamps every ticket with the epoch it executes against; a
-    /// re-queued ticket gets the next (fresh) epoch.
-    epoch: u64,
-}
-
-impl Default for Heap {
-    fn default() -> Self {
-        Heap {
-            shards: vec![HeapShard::default()],
-            shard_bits: 0,
-            len: 0,
-            version: 0,
-            free: Vec::new(),
-            snap_valid: false,
-            epoch: 0,
-        }
-    }
-}
-
-impl Heap {
-    /// Creates an empty heap (single shard).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty heap partitioned into `shards` shards (rounded to a
-    /// power of two, clamped to `1..=`[`SHARD_LANES`]).
-    pub fn with_shards(shards: usize) -> Self {
-        let mut h = Self::default();
-        h.set_shards(shards);
-        h
-    }
-
-    /// Number of shards the slot table is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard `id` routes to: global snapshot page, interleaved. Every
-    /// id of one snapshot page lands in the same shard, so the page
-    /// partition (and with it every snapshot-economics counter) is
-    /// independent of the shard count.
-    #[inline]
-    pub fn shard_of(&self, id: ObjId) -> usize {
-        (id.0 as usize / SNAPSHOT_PAGE_SLOTS) & (self.shards.len() - 1)
-    }
-
-    /// Routes a global slot index to `(shard, local slot index)`.
-    #[inline]
-    fn locate(&self, idx: usize) -> (usize, usize) {
-        let page = idx / SNAPSHOT_PAGE_SLOTS;
-        let shard = page & (self.shards.len() - 1);
-        let local = ((page >> self.shard_bits) * SNAPSHOT_PAGE_SLOTS) + (idx % SNAPSHOT_PAGE_SLOTS);
-        (shard, local)
-    }
-
-    /// Re-partitions the slot table into `shards` shards (rounded to a
-    /// power of two, clamped to `1..=`[`SHARD_LANES`]). A no-op when the
-    /// count is unchanged; otherwise slots are redistributed
-    /// deterministically in ascending id order and the snapshot cache is
-    /// dropped, so the next
-    /// incremental snapshot does a full build — exactly the cost a fresh
-    /// heap's first snapshot pays, so snapshot accounting stays comparable
-    /// across shard counts. The committed state, versions, free list and
-    /// epoch are untouched; digests and snapshots are identical before and
-    /// after.
-    pub fn set_shards(&mut self, shards: usize) {
-        let n = shards.clamp(1, SHARD_LANES).next_power_of_two();
-        if n == self.shards.len() {
-            return;
-        }
-        let old_bits = self.shard_bits;
-        let old_mask = self.shards.len() - 1;
-        let old = std::mem::take(&mut self.shards);
-        let new_bits = n.trailing_zeros();
-        let mut shards_new: Vec<HeapShard> = (0..n).map(|_| HeapShard::default()).collect();
-        for idx in 0..self.len {
-            let page = idx / SNAPSHOT_PAGE_SLOTS;
-            let off = idx % SNAPSHOT_PAGE_SLOTS;
-            let (os, ol) = (
-                page & old_mask,
-                ((page >> old_bits) * SNAPSHOT_PAGE_SLOTS) + off,
-            );
-            let slot = old[os].slots.get(ol).cloned().flatten();
-            let ver = old[os].versions.get(ol).copied().unwrap_or(0);
-            if slot.is_none() && ver == 0 {
-                continue;
-            }
-            let (ns, nl) = (
-                page & (n - 1),
-                ((page >> new_bits) * SNAPSHOT_PAGE_SLOTS) + off,
-            );
-            let dst = &mut shards_new[ns];
-            dst.ensure(nl);
-            if let Some(obj) = slot {
-                dst.live += 1;
-                dst.live_words += obj.len() as u64;
-                dst.slots[nl] = Some(obj);
-            }
-            dst.versions[nl] = ver;
-        }
-        self.shards = shards_new;
-        self.shard_bits = new_bits;
-        self.snap_valid = false;
     }
 
     /// Allocates an object from sequential code and returns its id.
@@ -307,21 +176,17 @@ impl Heap {
         let idx = match self.free.pop() {
             Some(idx) => idx as usize,
             None => {
-                let idx = self.len;
+                let idx = self.slots.len();
                 u32::try_from(idx).expect("heap exhausted");
-                self.len += 1;
                 idx
             }
         };
-        let version = self.version;
-        let (s, l) = self.locate(idx);
-        let shard = &mut self.shards[s];
-        shard.ensure(l);
-        shard.live_words += data.len() as u64;
-        shard.slots[l] = Some(Arc::new(data));
-        shard.versions[l] = version;
-        shard.live += 1;
-        shard.mark_dirty(l);
+        self.ensure(idx);
+        self.live_words += data.len() as u64;
+        self.slots[idx] = Some(Arc::new(data));
+        self.versions[idx] = self.version;
+        self.live += 1;
+        self.mark_dirty(idx);
         ObjId(idx as u32)
     }
 
@@ -331,16 +196,15 @@ impl Heap {
     ///
     /// Panics if `id` is not live (double free or never allocated).
     pub fn free(&mut self, id: ObjId) {
-        let (s, l) = self.locate(id.0 as usize);
-        let shard = &mut self.shards[s];
-        let slot = shard
+        let idx = id.0 as usize;
+        let slot = self
             .slots
-            .get_mut(l)
+            .get_mut(idx)
             .unwrap_or_else(|| panic!("free of unknown {id}"));
         let freed = slot.take().unwrap_or_else(|| panic!("double free of {id}"));
-        shard.live_words -= freed.len() as u64;
-        shard.live -= 1;
-        shard.mark_dirty(l);
+        self.live_words -= freed.len() as u64;
+        self.live -= 1;
+        self.mark_dirty(idx);
         self.free.push(id.0);
     }
 
@@ -351,20 +215,16 @@ impl Heap {
     /// Panics if `id` is not live.
     #[inline]
     pub fn get(&self, id: ObjId) -> &ObjData {
-        let (s, l) = self.locate(id.0 as usize);
-        self.shards[s]
-            .slots
-            .get(l)
+        self.slots
+            .get(id.0 as usize)
             .and_then(|slot| slot.as_deref())
             .unwrap_or_else(|| panic!("access to dead or unknown {id}"))
     }
 
     /// Whether `id` names a live allocation.
     pub fn is_live(&self, id: ObjId) -> bool {
-        let (s, l) = self.locate(id.0 as usize);
-        self.shards[s]
-            .slots
-            .get(l)
+        self.slots
+            .get(id.0 as usize)
             .is_some_and(|slot| slot.is_some())
     }
 
@@ -375,27 +235,18 @@ impl Heap {
     ///
     /// Panics if `id` is not live.
     pub fn get_mut(&mut self, id: ObjId) -> &mut ObjData {
-        let version = self.version;
-        let (s, l) = self.locate(id.0 as usize);
-        let shard = &mut self.shards[s];
-        if l < shard.versions.len() {
-            shard.versions[l] = version;
+        let idx = id.0 as usize;
+        if idx < self.versions.len() {
+            self.versions[idx] = self.version;
         }
-        shard.mark_dirty(l);
-        shard
-            .payload_mut(l)
+        self.mark_dirty(idx);
+        self.payload_mut(idx)
             .unwrap_or_else(|| panic!("access to dead or unknown {id}"))
     }
 
-    /// Number of global snapshot pages covering the slot table.
+    /// Number of snapshot pages covering the slot table.
     fn page_count(&self) -> usize {
-        self.len.div_ceil(SNAPSHOT_PAGE_SLOTS)
-    }
-
-    /// Number of shard-local pages shard `s` owns out of `npages` global
-    /// pages (the pages `s, s + shards, s + 2·shards, …`).
-    fn local_pages(&self, s: usize, npages: usize) -> usize {
-        npages.saturating_sub(s).div_ceil(self.shards.len())
+        self.slots.len().div_ceil(SNAPSHOT_PAGE_SLOTS)
     }
 
     /// Takes a consistent snapshot of the committed state, building the
@@ -407,16 +258,16 @@ impl Heap {
     /// entry point stays for one-shot snapshots (dependence detection,
     /// tests); it leaves the snapshot epoch alone.
     pub fn snapshot(&self) -> Snapshot {
-        let npages = self.page_count();
         Snapshot {
-            pages: (0..npages)
-                .map(|page| {
-                    let shard = &self.shards[page & (self.shards.len() - 1)];
-                    let lo = (page >> self.shard_bits) * SNAPSHOT_PAGE_SLOTS;
-                    Arc::new(PageData::from_slots_at(&shard.slots, lo))
+            pages: (0..self.page_count())
+                .map(|p| {
+                    Arc::new(PageData::from_slots_at(
+                        &self.slots,
+                        p * SNAPSHOT_PAGE_SLOTS,
+                    ))
                 })
                 .collect(),
-            len: self.len,
+            len: self.slots.len(),
             version: self.version,
         }
     }
@@ -430,84 +281,64 @@ impl Heap {
     }
 
     /// Takes a snapshot bit-identical to [`Heap::snapshot`]'s by patching
-    /// each shard's persistent page table, in O(slots dirtied since the
-    /// previous incremental snapshot).
+    /// the persistent page table, in O(slots dirtied since the previous
+    /// incremental snapshot).
     ///
-    /// The first call (and any call after [`Heap::reset_snapshot_cache`] or
-    /// [`Heap::set_shards`]) falls back to a full build. Clean pages are
-    /// shared structurally with the previous snapshot — one `Arc` bump per
-    /// page; dirty pages are patched slot-by-slot, copy-on-write if the
-    /// previous snapshot is still alive, in place once it has been dropped
-    /// (the engine's steady state, since a round's snapshot dies with the
-    /// round's last task). Because shard routing is page-aligned, the dirty-page
-    /// partition — and both [`SnapshotStats`] counters — is identical
-    /// whatever the shard count.
+    /// The first call (and any call after [`Heap::reset_snapshot_cache`])
+    /// falls back to a full build. Clean pages are shared structurally with
+    /// the previous snapshot — one `Arc` bump per page; dirty pages are
+    /// patched slot-by-slot, copy-on-write if the previous snapshot is still
+    /// alive, in place once it has been dropped (the engine's steady state,
+    /// since a round's snapshot dies with the round's last task).
     pub fn snapshot_incremental(&mut self) -> (Snapshot, SnapshotStats) {
         self.epoch += 1;
         let mut stats = SnapshotStats::default();
         let npages = self.page_count();
-        let nshards = self.shards.len();
         if self.snap_valid {
-            for s in 0..nshards {
-                let local_npages = self.local_pages(s, npages);
-                let shard = &mut self.shards[s];
-                debug_assert!(shard.snap_pages.len() <= local_npages, "slots never shrink");
-                while shard.snap_pages.len() < local_npages {
-                    shard.snap_pages.push(Arc::new(PageData::empty()));
-                }
-                let mut page_dirty = vec![false; local_npages];
-                for i in 0..shard.journal.len() {
-                    let idx = shard.journal[i] as usize;
-                    let page_idx = idx / SNAPSHOT_PAGE_SLOTS;
-                    page_dirty[page_idx] = true;
-                    let page = Arc::make_mut(&mut shard.snap_pages[page_idx]);
-                    page.slots[idx % SNAPSHOT_PAGE_SLOTS] = shard.slots.get(idx).cloned().flatten();
-                    shard.journaled[idx] = false;
-                }
-                stats.slots_copied += shard.journal.len() as u64;
-                stats.pages_reused += page_dirty.iter().filter(|d| !**d).count() as u64;
-                shard.journal.clear();
+            debug_assert!(self.snap_pages.len() <= npages, "slots never shrink");
+            while self.snap_pages.len() < npages {
+                self.snap_pages.push(Arc::new(PageData::empty()));
             }
+            let mut page_dirty = vec![false; npages];
+            for &idx in &self.journal {
+                let idx = idx as usize;
+                let page_idx = idx / SNAPSHOT_PAGE_SLOTS;
+                page_dirty[page_idx] = true;
+                let page = Arc::make_mut(&mut self.snap_pages[page_idx]);
+                page.slots[idx % SNAPSHOT_PAGE_SLOTS] = self.slots.get(idx).cloned().flatten();
+                self.journaled[idx] = false;
+            }
+            stats.slots_copied = self.journal.len() as u64;
+            stats.pages_reused = page_dirty.iter().filter(|d| !**d).count() as u64;
         } else {
-            for s in 0..nshards {
-                let local_npages = self.local_pages(s, npages);
-                let shard = &mut self.shards[s];
-                shard.snap_pages.clear();
-                shard.snap_pages.extend((0..local_npages).map(|p| {
-                    Arc::new(PageData::from_slots_at(
-                        &shard.slots,
-                        p * SNAPSHOT_PAGE_SLOTS,
-                    ))
-                }));
-                for i in 0..shard.journal.len() {
-                    let idx = shard.journal[i] as usize;
-                    shard.journaled[idx] = false;
-                }
-                shard.journal.clear();
+            self.snap_pages.clear();
+            self.snap_pages.extend((0..npages).map(|p| {
+                Arc::new(PageData::from_slots_at(
+                    &self.slots,
+                    p * SNAPSHOT_PAGE_SLOTS,
+                ))
+            }));
+            for &idx in &self.journal {
+                self.journaled[idx as usize] = false;
             }
-            stats.slots_copied = self.len as u64;
+            stats.slots_copied = self.slots.len() as u64;
             self.snap_valid = true;
         }
+        self.journal.clear();
         let snap = Snapshot {
-            pages: (0..npages)
-                .map(|page| {
-                    self.shards[page & (nshards - 1)].snap_pages[page >> self.shard_bits].clone()
-                })
-                .collect(),
-            len: self.len,
+            pages: self.snap_pages.as_slice().into(),
+            len: self.slots.len(),
             version: self.version,
         };
         (snap, stats)
     }
 
-    /// Drops the persistent page tables; the next
+    /// Drops the persistent page table; the next
     /// [`Heap::snapshot_incremental`] does a full build. Only useful to
     /// release memory between unrelated parallel phases.
     pub fn reset_snapshot_cache(&mut self) {
-        for shard in &mut self.shards {
-            shard.snap_pages.clear();
-            shard.snap_pages.shrink_to_fit();
-        }
+        self.snap_pages.clear();
+        self.snap_pages.shrink_to_fit();
         self.snap_valid = false;
     }
 
@@ -518,45 +349,38 @@ impl Heap {
 
     /// Commit version at which `id` was last written.
     pub fn slot_version(&self, id: ObjId) -> u64 {
-        let (s, l) = self.locate(id.0 as usize);
-        self.shards[s].versions.get(l).copied().unwrap_or(0)
+        self.versions.get(id.0 as usize).copied().unwrap_or(0)
     }
 
     /// Number of live allocations.
     pub fn live_objects(&self) -> usize {
-        self.shards.iter().map(|s| s.live).sum()
+        self.live
     }
 
     /// Total words across live allocations (used by the simulator's
-    /// bandwidth model and by memory-budget accounting). O(shards):
-    /// payloads are fixed-length, so the per-shard counters move only on
-    /// alloc and free.
+    /// bandwidth model and by memory-budget accounting). O(1): payloads
+    /// are fixed-length, so the counter moves only on alloc and free.
     pub fn live_words(&self) -> u64 {
-        let total: u64 = self.shards.iter().map(|s| s.live_words).sum();
         debug_assert_eq!(
-            total,
-            self.shards
+            self.live_words,
+            self.slots
                 .iter()
-                .flat_map(|s| s.slots.iter().flatten())
+                .flatten()
                 .map(|o| o.len() as u64)
                 .sum::<u64>(),
-            "live-words counters diverged from the sweep"
+            "live-words counter diverged from the sweep"
         );
-        total
+        self.live_words
     }
 
     /// First id that has never been allocated; parallel id reservations
     /// start here (see [`crate::IdReservation`]).
     pub fn high_water(&self) -> u32 {
-        u32::try_from(self.len).expect("heap exhausted")
+        u32::try_from(self.slots.len()).expect("heap exhausted")
     }
 
     /// Applies a validated transaction's effects, in deterministic commit
-    /// order, and bumps the commit version. Returns the number of distinct
-    /// shards the commit touched — the per-shard batches a partitioned
-    /// committer retires (batches over distinct shards are disjoint by
-    /// construction; they are applied here in ascending op order, which
-    /// visits shards deterministically).
+    /// order, and bumps the commit version.
     ///
     /// Only the word ranges in the transaction's write set are merged back
     /// ([`ObjData::copy_range_from`]): snapshot isolation lets two
@@ -570,29 +394,26 @@ impl Heap {
     /// Panics if an op refers to a dead object (the engine validates before
     /// committing, so this indicates a runtime bug) or an alloc id collides
     /// with a live slot (an allocator invariant violation).
-    pub fn apply_commit(&mut self, ops: CommitOps) -> u32 {
+    pub fn apply_commit(&mut self, ops: CommitOps) {
         self.version += 1;
         let version = self.version;
-        let mut touched: u32 = 0;
         let mut writes = ops.writes.into_iter().peekable();
         while let Some((id, lo, hi, src)) = writes.next() {
-            let (s, l) = self.locate(id.0 as usize);
-            touched |= 1 << s;
-            let shard = &mut self.shards[s];
-            shard.versions[l] = version;
-            shard.mark_dirty(l);
-            let len = shard.slots[l]
+            let idx = id.0 as usize;
+            self.versions[idx] = version;
+            self.mark_dirty(idx);
+            let len = self.slots[idx]
                 .as_ref()
                 .unwrap_or_else(|| panic!("commit write to dead {id}"))
                 .len();
             if lo == 0 && hi as usize == src.len() && src.len() == len {
                 // Whole-object write: swap the Arc, no copy.
-                shard.slots[l] = Some(src);
+                self.slots[idx] = Some(src);
                 continue;
             }
             // The ranges of one object follow each other: find its payload
             // once and merge them all.
-            let payload = shard.payload_mut(l).expect("slot checked live");
+            let payload = self.payload_mut(idx).expect("slot checked live");
             payload.copy_range_from(&src, lo as usize, hi as usize);
             while let Some((_, lo, hi, src)) = writes.next_if(|w| w.0 == id) {
                 payload.copy_range_from(&src, lo as usize, hi as usize);
@@ -600,44 +421,33 @@ impl Heap {
         }
         for (id, data) in ops.allocs {
             let idx = id.0 as usize;
-            if idx >= self.len {
-                self.len = idx + 1;
-            }
-            let (s, l) = self.locate(idx);
-            touched |= 1 << s;
-            let shard = &mut self.shards[s];
-            shard.ensure(l);
+            self.ensure(idx);
             assert!(
-                shard.slots[l].is_none(),
+                self.slots[idx].is_none(),
                 "allocator invariant violated: {id} already live at commit"
             );
-            shard.live_words += data.len() as u64;
-            shard.slots[l] = Some(data);
-            shard.versions[l] = version;
-            shard.live += 1;
-            shard.mark_dirty(l);
+            self.live_words += data.len() as u64;
+            self.slots[idx] = Some(data);
+            self.versions[idx] = version;
+            self.live += 1;
+            self.mark_dirty(idx);
         }
         for id in ops.frees {
-            let (s, l) = self.locate(id.0 as usize);
-            touched |= 1 << s;
-            let shard = &mut self.shards[s];
-            let slot = shard.slots[l]
+            let idx = id.0 as usize;
+            let slot = self.slots[idx]
                 .take()
                 .unwrap_or_else(|| panic!("commit free of dead {id}"));
-            shard.live_words -= slot.len() as u64;
+            self.live_words -= slot.len() as u64;
             drop(slot);
-            shard.live -= 1;
-            shard.mark_dirty(l);
+            self.live -= 1;
+            self.mark_dirty(idx);
             // Freed parallel slots are not recycled: the paper's allocator
             // also leaves holes rather than risk cross-process reuse races.
         }
-        touched.count_ones()
     }
 
     /// Returns a deterministic digest of the committed state, for
-    /// output-comparison in tests and the inference engine. Iterates in
-    /// ascending global id order, so the digest is independent of the
-    /// shard layout.
+    /// output-comparison in tests and the inference engine.
     pub fn digest(&self) -> u64 {
         // FNV-1a over (slot index, kind tag, raw words) of live slots.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -645,9 +455,8 @@ impl Heap {
             h ^= v;
             h = h.wrapping_mul(0x1000_0000_01b3);
         };
-        for i in 0..self.len {
-            let (s, l) = self.locate(i);
-            let Some(obj) = self.shards[s].slots.get(l).and_then(|slot| slot.as_ref()) else {
+        for (i, slot) in self.slots.iter().enumerate() {
+            let Some(obj) = slot else {
                 continue;
             };
             mix(i as u64);
@@ -676,9 +485,7 @@ impl Heap {
 /// one snapshot. The slot table is chunked into fixed-size pages
 /// ([`SNAPSHOT_PAGE_SLOTS`]) so consecutive incremental snapshots can share
 /// clean pages structurally; page padding past [`Snapshot::slot_count`] is
-/// always `None`, so lookups need no length check. The page table is always
-/// assembled in global page order, so a snapshot's view is identical
-/// whatever the heap's shard count.
+/// always `None`, so lookups need no length check.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pages: Arc<[Page]>,
@@ -895,50 +702,45 @@ mod tests {
 
     #[test]
     fn incremental_snapshot_matches_full_snapshot() {
-        for shards in [1usize, 4, 16] {
-            let mut h = Heap::with_shards(shards);
-            let mut ids = Vec::new();
-            // Span several pages (the mutations below leave page 3 untouched).
-            for i in 0..SNAPSHOT_PAGE_SLOTS * 4 {
-                ids.push(h.alloc(ObjData::scalar_i64(i as i64)));
-            }
-            let (s0, st0) = h.snapshot_incremental();
-            assert_eq!(
-                st0.slots_copied,
-                h.high_water() as u64,
-                "first use: full build"
-            );
-            assert_snap_matches(&s0, &h);
-            drop(s0);
-
-            // Dirty a handful of slots through every mutation path.
-            h.get_mut(ids[3]).i64s_mut()[0] = -3;
-            h.free(ids[70]);
-            let reused = h.alloc(ObjData::scalar_f64(0.5)); // reuses slot 70
-            assert_eq!(reused.index(), 70);
-            h.apply_commit(CommitOps {
-                writes: vec![(ids[130], 0, 1, Arc::new(ObjData::scalar_i64(-130)))],
-                allocs: vec![(
-                    ObjId::from_index(h.high_water()),
-                    Arc::new(ObjData::zeros_f64(2)),
-                )],
-                frees: vec![ids[131]],
-            });
-
-            let (s1, st1) = h.snapshot_incremental();
-            assert_snap_matches(&s1, &h);
-            assert_eq!(
-                st1.slots_copied, 5,
-                "3, 70, 130, 131 and the new slot ({shards} shard(s))"
-            );
-            assert!(st1.pages_reused >= 1, "untouched pages must be reused");
-
-            // A clean snapshot copies nothing and reuses every page.
-            let (s2, st2) = h.snapshot_incremental();
-            assert_snap_matches(&s2, &h);
-            assert_eq!(st2.slots_copied, 0);
-            assert_eq!(st2.pages_reused, s2.pages.len() as u64);
+        let mut h = Heap::new();
+        let mut ids = Vec::new();
+        // Span several pages (the mutations below leave page 3 untouched).
+        for i in 0..SNAPSHOT_PAGE_SLOTS * 4 {
+            ids.push(h.alloc(ObjData::scalar_i64(i as i64)));
         }
+        let (s0, st0) = h.snapshot_incremental();
+        assert_eq!(
+            st0.slots_copied,
+            h.high_water() as u64,
+            "first use: full build"
+        );
+        assert_snap_matches(&s0, &h);
+        drop(s0);
+
+        // Dirty a handful of slots through every mutation path.
+        h.get_mut(ids[3]).i64s_mut()[0] = -3;
+        h.free(ids[70]);
+        let reused = h.alloc(ObjData::scalar_f64(0.5)); // reuses slot 70
+        assert_eq!(reused.index(), 70);
+        h.apply_commit(CommitOps {
+            writes: vec![(ids[130], 0, 1, Arc::new(ObjData::scalar_i64(-130)))],
+            allocs: vec![(
+                ObjId::from_index(h.high_water()),
+                Arc::new(ObjData::zeros_f64(2)),
+            )],
+            frees: vec![ids[131]],
+        });
+
+        let (s1, st1) = h.snapshot_incremental();
+        assert_snap_matches(&s1, &h);
+        assert_eq!(st1.slots_copied, 5, "3, 70, 130, 131 and the new slot");
+        assert!(st1.pages_reused >= 1, "untouched pages must be reused");
+
+        // A clean snapshot copies nothing and reuses every page.
+        let (s2, st2) = h.snapshot_incremental();
+        assert_snap_matches(&s2, &h);
+        assert_eq!(st2.slots_copied, 0);
+        assert_eq!(st2.pages_reused, s2.pages.len() as u64);
     }
 
     #[test]
@@ -998,126 +800,6 @@ mod tests {
         assert_eq!(h.snapshot_epoch(), 2);
         let _ = h.snapshot_incremental();
         assert_eq!(h.snapshot_epoch(), 3);
-    }
-
-    /// Builds a heap with objects spread over several pages, through every
-    /// mutation path, for the sharding invariance tests below.
-    fn populated(shards: usize) -> Heap {
-        let mut h = Heap::with_shards(shards);
-        let mut ids = Vec::new();
-        for i in 0..SNAPSHOT_PAGE_SLOTS * 3 + 17 {
-            ids.push(h.alloc(ObjData::scalar_i64(i as i64)));
-        }
-        h.free(ids[5]);
-        h.free(ids[SNAPSHOT_PAGE_SLOTS + 1]);
-        h.get_mut(ids[64]).i64s_mut()[0] = -64;
-        h.apply_commit(CommitOps {
-            writes: vec![(ids[130], 0, 1, Arc::new(ObjData::scalar_i64(-130)))],
-            allocs: vec![(
-                ObjId::from_index(h.high_water() + 9),
-                Arc::new(ObjData::zeros_f64(4)),
-            )],
-            frees: vec![ids[131]],
-        });
-        h
-    }
-
-    #[test]
-    fn shard_count_is_invisible_to_digest_and_snapshots() {
-        let base = populated(1);
-        for shards in [2usize, 4, 16] {
-            let h = populated(shards);
-            assert_eq!(h.shard_count(), shards);
-            assert_eq!(h.digest(), base.digest(), "{shards} shards");
-            assert_eq!(h.live_objects(), base.live_objects());
-            assert_eq!(h.live_words(), base.live_words());
-            assert_eq!(h.high_water(), base.high_water());
-            assert_snap_matches(&h.snapshot(), &base);
-        }
-    }
-
-    #[test]
-    fn set_shards_redistributes_in_place() {
-        let mut h = populated(1);
-        let digest = h.digest();
-        let live = (h.live_objects(), h.live_words());
-        let _ = h.snapshot_incremental();
-        h.set_shards(8);
-        assert_eq!(h.shard_count(), 8);
-        assert_eq!(h.digest(), digest);
-        assert_eq!((h.live_objects(), h.live_words()), live);
-        // Re-sharding drops the snapshot cache: the next incremental
-        // snapshot is a full build, exactly like a fresh heap's first.
-        let (snap, stats) = h.snapshot_incremental();
-        assert_eq!(stats.slots_copied, h.high_water() as u64);
-        assert_snap_matches(&snap, &h);
-        // Versions survived the redistribution.
-        h.set_shards(1);
-        assert_eq!(h.shard_count(), 1);
-        assert_eq!(h.digest(), digest);
-        // Same count is a no-op (the cache survives).
-        let (_, warm) = h.snapshot_incremental();
-        h.set_shards(1);
-        let (_, again) = h.snapshot_incremental();
-        assert_eq!(
-            warm.slots_copied,
-            h.high_water() as u64,
-            "rebuild after reshard"
-        );
-        assert_eq!(again.slots_copied, 0, "no-op set_shards keeps the cache");
-    }
-
-    #[test]
-    fn snapshot_stats_are_shard_count_invariant() {
-        let mut runs = Vec::new();
-        for shards in [1usize, 4, 16] {
-            let mut h = Heap::with_shards(shards);
-            let mut ids = Vec::new();
-            for i in 0..SNAPSHOT_PAGE_SLOTS * 4 {
-                ids.push(h.alloc(ObjData::scalar_i64(i as i64)));
-            }
-            let (_, st0) = h.snapshot_incremental();
-            h.get_mut(ids[3]).i64s_mut()[0] = -3;
-            h.get_mut(ids[100]).i64s_mut()[0] = -100;
-            h.get_mut(ids[101]).i64s_mut()[0] = -101;
-            let (_, st1) = h.snapshot_incremental();
-            runs.push((st0, st1));
-        }
-        assert!(
-            runs.windows(2).all(|w| w[0] == w[1]),
-            "page-aligned routing keeps snapshot economics identical: {runs:?}"
-        );
-    }
-
-    #[test]
-    fn apply_commit_counts_touched_shards() {
-        let mut h = Heap::with_shards(4);
-        let mut ids = Vec::new();
-        for i in 0..SNAPSHOT_PAGE_SLOTS * 4 {
-            ids.push(h.alloc(ObjData::scalar_i64(i as i64)));
-        }
-        // Pages 0..4 route to shards 0..4: one write each is 4 batches.
-        let w = |i: usize| {
-            (
-                ids[i * SNAPSHOT_PAGE_SLOTS],
-                0u32,
-                1u32,
-                Arc::new(ObjData::scalar_i64(-1)),
-            )
-        };
-        let batches = h.apply_commit(CommitOps {
-            writes: vec![w(0), w(1), w(2), w(3)],
-            ..Default::default()
-        });
-        assert_eq!(batches, 4);
-        // Two writes into one page are one batch.
-        let batches = h.apply_commit(CommitOps {
-            writes: vec![w(0), w(0)],
-            ..Default::default()
-        });
-        assert_eq!(batches, 1);
-        // An empty commit touches nothing (but still bumps the version).
-        assert_eq!(h.apply_commit(CommitOps::default()), 0);
     }
 
     /// A commit of words `1..3` of `id` (a partial range, so the payload is

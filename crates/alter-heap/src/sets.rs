@@ -17,29 +17,6 @@ use std::hash::Hasher as _;
 /// the exact merge-scan behind the fingerprint restores word precision.
 const FINGERPRINT_BLOCK_SHIFT: u32 = 6;
 
-/// Number of fingerprint lanes an [`AccessSet`] maintains, and therefore the
-/// maximum number of heap shards: a lane is the finest shard an access can
-/// route to, and a shard at any coarser power-of-two count is a union of
-/// lanes. See [`shard_of_id`].
-pub const SHARD_LANES: usize = 16;
-
-/// The heap shard `id` routes to, out of `shards` (a power of two, at most
-/// [`SHARD_LANES`]). Routing is by *snapshot page* — all ids of one
-/// 64-slot page share a shard — interleaved round-robin so consecutive
-/// pages land on different shards. This is the one routing function shared
-/// by the heap's storage partition and the access sets' lane partition.
-#[inline]
-pub fn shard_of_id(id: ObjId, shards: usize) -> usize {
-    debug_assert!(shards.is_power_of_two() && shards <= SHARD_LANES);
-    lane_of(id) & (shards - 1)
-}
-
-/// The fingerprint lane `id` routes to (its shard at [`SHARD_LANES`] shards).
-#[inline]
-fn lane_of(id: ObjId) -> usize {
-    (id.index() as usize / crate::heap::SNAPSHOT_PAGE_SLOTS) & (SHARD_LANES - 1)
-}
-
 /// A 128-bit Bloom-style fingerprint of an access set, maintained
 /// incrementally on insert (paper §4.1 keeps a hash set *plus* a global
 /// array so conflict checks are cheap; this is the analogous cheap
@@ -111,15 +88,6 @@ impl Fingerprint {
     /// Resets to the empty fingerprint.
     pub fn clear(&mut self) {
         self.bits = [0, 0];
-    }
-
-    /// Folds every element of `other` in (bitwise OR). The fingerprint of a
-    /// union is exactly the OR of the parts' fingerprints, which is what
-    /// makes the per-lane decomposition below lossless.
-    #[inline]
-    pub fn union_with(&mut self, other: Fingerprint) {
-        self.bits[0] |= other.bits[0];
-        self.bits[1] |= other.bits[1];
     }
 }
 
@@ -365,14 +333,6 @@ pub struct AccessSet {
     /// Bloom-style summary maintained incrementally by [`AccessSet::insert`]
     /// — the O(1) pre-filter in front of the exact merge-scan.
     fp: Fingerprint,
-    /// `fp` decomposed by fingerprint lane (= heap shard at the maximum
-    /// shard count): every insert sets the same bits in `fp` and in its
-    /// lane, so the OR of any lane subset is exactly the fingerprint of the
-    /// accesses routing there — [`AccessSet::shard_fingerprint`] reads a
-    /// shard's slice without any per-shard map.
-    lane_fp: [Fingerprint; SHARD_LANES],
-    /// Words recorded per lane (sums to `words`).
-    lane_words: [u64; SHARD_LANES],
     /// Cleared [`RangeSet`]s recycled by [`AccessSet::clear`]; their backing
     /// vectors keep their capacity and are reused by later inserts.
     spare: Vec<RangeSet>,
@@ -384,8 +344,6 @@ impl Clone for AccessSet {
             map: self.map.clone(),
             words: self.words,
             fp: self.fp,
-            lane_fp: self.lane_fp,
-            lane_words: self.lane_words,
             // Spare capacity is a recycling detail of the original, not part
             // of the set's value.
             spare: Vec::new(),
@@ -405,8 +363,6 @@ impl AccessSet {
             return;
         }
         self.fp.insert_range(id, lo, hi);
-        let lane = lane_of(id);
-        self.lane_fp[lane].insert_range(id, lo, hi);
         let spare = &mut self.spare;
         let set = self
             .map
@@ -414,9 +370,7 @@ impl AccessSet {
             .or_insert_with(|| spare.pop().unwrap_or_default());
         let before = set.words();
         set.insert(lo, hi);
-        let added = set.words() - before;
-        self.words += added;
-        self.lane_words[lane] += added;
+        self.words += set.words() - before;
     }
 
     /// Records an access to a single word.
@@ -519,8 +473,6 @@ impl AccessSet {
         }
         self.words = 0;
         self.fp.clear();
-        self.lane_fp = [Fingerprint::default(); SHARD_LANES];
-        self.lane_words = [0; SHARD_LANES];
     }
 
     /// The Bloom-style fingerprint summarizing this set (empty set ⇒ empty
@@ -540,81 +492,6 @@ impl AccessSet {
         let mut v: Vec<_> = self.map.iter().map(|(id, r)| (*id, r)).collect();
         v.sort_by_key(|(id, _)| *id);
         v
-    }
-
-    /// The fingerprint of the accesses routing to heap shard `shard` out of
-    /// `shards` — the OR of that shard's lanes, read in O([`SHARD_LANES`]).
-    /// ORing this over all shards reproduces [`AccessSet::fingerprint`]
-    /// exactly, so a per-shard rejection is as sound as the global one.
-    pub fn shard_fingerprint(&self, shard: usize, shards: usize) -> Fingerprint {
-        debug_assert!(shards.is_power_of_two() && shards <= SHARD_LANES);
-        let mut fp = Fingerprint::default();
-        let mut lane = shard & (shards - 1);
-        while lane < SHARD_LANES {
-            fp.union_with(self.lane_fp[lane]);
-            lane += shards;
-        }
-        fp
-    }
-
-    /// Words recorded against heap shard `shard` out of `shards` (the
-    /// shard's slice of [`AccessSet::words`]).
-    pub fn shard_words(&self, shard: usize, shards: usize) -> u64 {
-        debug_assert!(shards.is_power_of_two() && shards <= SHARD_LANES);
-        let mut words = 0;
-        let mut lane = shard & (shards - 1);
-        while lane < SHARD_LANES {
-            words += self.lane_words[lane];
-            lane += shards;
-        }
-        words
-    }
-
-    /// Exact overlap test against `other`, restricted to the accesses
-    /// routing to heap shard `shard` out of `shards`, using word-block
-    /// scans. Returns `(overlap, words_compared)`; ORing the verdict over
-    /// all shards equals [`AccessSet::overlaps`], because two sets share an
-    /// `(allocation, word)` exactly when they share one in some shard.
-    pub fn shard_block_overlaps(
-        &self,
-        other: &AccessSet,
-        shard: usize,
-        shards: usize,
-    ) -> (bool, u64) {
-        let (small, big) = if self.map.len() <= other.map.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let mut words = 0;
-        for (id, ranges) in &small.map {
-            if shard_of_id(*id, shards) != shard {
-                continue;
-            }
-            if let Some(other_ranges) = big.map.get(id) {
-                let (hit, compared) = ranges.block_scan(other_ranges);
-                words += compared;
-                if hit {
-                    return (true, words);
-                }
-            }
-        }
-        (false, words)
-    }
-
-    /// Clones the subset of this set owned by heap shard `shard` out of
-    /// `shards`. The shard views of one set partition it: their union (and
-    /// the OR of their fingerprints) reproduces the original exactly.
-    pub fn shard_view(&self, shard: usize, shards: usize) -> AccessSet {
-        let mut out = AccessSet::new();
-        for (id, ranges) in self.iter_sorted() {
-            if shard_of_id(id, shards) == shard {
-                for (lo, hi) in ranges.iter() {
-                    out.insert(id, lo, hi);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -835,60 +712,6 @@ mod tests {
         assert_eq!(order, vec![1, 3, 5, 9]);
     }
 
-    /// An access set spread over many pages, so every shard count splits it.
-    fn spread() -> AccessSet {
-        let mut s = AccessSet::new();
-        for n in [0u32, 63, 64, 130, 1000, 1025, 2047, 4096] {
-            s.insert(id(n), n % 7, n % 7 + 5 + n % 11);
-        }
-        s.insert(id(130), 200, 270); // multi-block range on an existing id
-        s
-    }
-
-    #[test]
-    fn lane_fingerprints_decompose_the_global_fingerprint() {
-        let s = spread();
-        for shards in [1usize, 2, 4, 8, 16] {
-            let mut fp = Fingerprint::default();
-            let mut words = 0;
-            for shard in 0..shards {
-                fp.union_with(s.shard_fingerprint(shard, shards));
-                words += s.shard_words(shard, shards);
-            }
-            assert_eq!(fp, s.fingerprint(), "{shards} shards: OR of lanes");
-            assert_eq!(words, s.words(), "{shards} shards: word slices sum");
-        }
-        let mut c = s.clone();
-        c.clear();
-        assert!(c.shard_fingerprint(0, 1).is_empty(), "clear resets lanes");
-        assert_eq!(c.shard_words(0, 1), 0);
-    }
-
-    #[test]
-    fn shard_views_partition_the_set() {
-        let s = spread();
-        for shards in [1usize, 2, 4, 16] {
-            let mut union = AccessSet::new();
-            let mut words = 0;
-            for shard in 0..shards {
-                let view = s.shard_view(shard, shards);
-                assert_eq!(view.words(), s.shard_words(shard, shards));
-                for (vid, _) in view.iter_sorted() {
-                    assert_eq!(shard_of_id(vid, shards), shard);
-                }
-                words += view.words();
-                union.union_with(&view);
-            }
-            assert_eq!(words, s.words(), "{shards} shards: views are disjoint");
-            assert_eq!(
-                union.iter_sorted(),
-                s.iter_sorted(),
-                "{shards} shards: views reassemble the set"
-            );
-            assert_eq!(union.fingerprint(), s.fingerprint());
-        }
-    }
-
     #[test]
     fn block_scan_verdicts_match_exact_overlap() {
         type Ranges = &'static [(u32, u32)];
@@ -919,28 +742,6 @@ mod tests {
                 words <= a.words().min(b.words()),
                 "case {i}: block accounting never exceeds the smaller side"
             );
-        }
-    }
-
-    #[test]
-    fn shard_block_overlaps_reassembles_the_global_verdict() {
-        let a = spread();
-        let mut b = AccessSet::new();
-        b.insert(id(1000), 900, 910); // no shared words with `a`
-        b.insert(id(64), 0, 3);
-        for shards in [1usize, 4, 16] {
-            let mut any = false;
-            for shard in 0..shards {
-                any |= a.shard_block_overlaps(&b, shard, shards).0;
-            }
-            assert_eq!(any, a.overlaps(&b), "{shards} shards");
-        }
-        // Remove the overlap: every shard must report disjoint.
-        let mut c = AccessSet::new();
-        c.insert(id(1000), 900, 910);
-        for shard in 0..16 {
-            let (hit, _) = a.shard_block_overlaps(&c, shard, 16);
-            assert!(!hit);
         }
     }
 }

@@ -114,10 +114,6 @@ pub struct Probe {
     /// Wall-clock phase accumulator forwarded to the engine (informational
     /// mirror of the cost-unit profiler; never recorded in traces).
     pub wall_profile: Option<Arc<alter_trace::WallProfile>>,
-    /// Heap shard count forwarded to the engine (default 1 — the unsharded
-    /// layout). Traces and outputs are identical at every count; only the
-    /// shard scan-economics counters move.
-    pub shards: usize,
 }
 
 impl std::fmt::Debug for Probe {
@@ -135,7 +131,6 @@ impl std::fmt::Debug for Probe {
             .field("record_sets", &self.record_sets)
             .field("profile_phases", &self.profile_phases)
             .field("wall_profile", &self.wall_profile.is_some())
-            .field("shards", &self.shards)
             .finish()
     }
 }
@@ -157,7 +152,6 @@ impl Probe {
             record_sets: false,
             profile_phases: false,
             wall_profile: None,
-            shards: 1,
         }
     }
 
@@ -190,7 +184,6 @@ impl Probe {
         p.record_sets = self.record_sets;
         p.profile_phases = self.profile_phases;
         p.wall_profile = self.wall_profile.clone();
-        p.shards = self.shards.max(1);
         if let Some((name, op)) = &self.reduction {
             let var = reds
                 .lookup(name)

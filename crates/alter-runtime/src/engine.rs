@@ -88,8 +88,8 @@ impl std::error::Error for RunError {}
 /// phase profiler's ledger. Every quantity is trace-stable (snapshot slot
 /// counts, transaction cost units, the per-writer validate-words
 /// accounting, committed write/alloc words), so phase costs are identical
-/// under both drivers and at every shard count, and a run's `PhaseProfile`
-/// events are a pure function of program + annotation.
+/// under both drivers, and a run's `PhaseProfile` events are a pure
+/// function of program + annotation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseCosts {
     /// Snapshot establishment: one slot-table entry per round per slot
@@ -189,30 +189,14 @@ pub struct RunStats {
     /// Tickets handed out by the sequencer — fresh chunk-transactions only;
     /// a re-queued ticket keeps its sequence number and is counted in
     /// [`RunStats::tickets_requeued`] instead. On a clean run
-    /// `tickets_issued + tickets_requeued == attempts`. The sequencer is
-    /// shared by both drivers, but the counter is masked by
-    /// [`RunStats::modulo_drive_mode`] with the rest of the scheduling
-    /// telemetry: the determinism contract covers outputs and traces.
+    /// `tickets_issued + tickets_requeued == attempts`. Both drivers share
+    /// the one sequencer, so the counter is identical under either.
     pub tickets_issued: u64,
     /// Re-queue occurrences: tickets sent back to the sequencer with a
     /// fresh snapshot epoch after failing validation or being squashed by
-    /// an earlier in-order failure. Scheduling telemetry, masked by
-    /// [`RunStats::modulo_drive_mode`].
+    /// an earlier in-order failure. Decided by the one committer both
+    /// drivers feed, so identical under either.
     pub tickets_requeued: u64,
-    /// Words compared by the shard-partitioned word-block validation scans
-    /// (`ExecParams::shards > 1`; zero otherwise).
-    /// Deterministic for a given shard count and drive-invariant, but — like
-    /// the fingerprint counters — it legitimately varies *across* shard
-    /// counts, so cross-shard comparisons mask it.
-    pub shard_validate_words: u64,
-    /// Per-shard commit batches retired: each commit contributes the number
-    /// of distinct heap shards its write/alloc/free ops touched (at one
-    /// shard this is simply the number of non-empty commits).
-    pub shard_commit_batches: u64,
-    /// Largest word-block scan any single shard absorbed in one validation —
-    /// the load-imbalance ceiling a parallel per-shard validator would see.
-    /// Combined with [`RunStats::absorb`] by `max`, not addition.
-    pub shard_imbalance_max: u64,
     /// Deterministic cost units charged to each engine phase (the phase
     /// profiler's ledger; identical under both drivers).
     pub phase_costs: PhaseCosts,
@@ -270,25 +254,19 @@ impl RunStats {
         self.pool_round_handoffs += other.pool_round_handoffs;
         self.tickets_issued += other.tickets_issued;
         self.tickets_requeued += other.tickets_requeued;
-        self.shard_validate_words += other.shard_validate_words;
-        self.shard_commit_batches += other.shard_commit_batches;
-        self.shard_imbalance_max = self.shard_imbalance_max.max(other.shard_imbalance_max);
         self.phase_costs.add(&other.phase_costs);
     }
 
-    /// These statistics with every scheduling-telemetry counter masked to
-    /// zero: [`RunStats::pool_round_handoffs`],
-    /// [`RunStats::tickets_issued`] and [`RunStats::tickets_requeued`].
-    /// What remains is the quantity the determinism guarantee promises
-    /// identical under the sequential and the threaded driver: semantic
-    /// work, not how it was driven. Every counter the choice of driver may
-    /// legally change belongs in this mask; everything else must be
-    /// byte-identical (the masking contract, unit-tested below).
+    /// These statistics with the one scheduling-telemetry counter masked
+    /// to zero: [`RunStats::pool_round_handoffs`]. What remains is the
+    /// quantity the determinism guarantee promises identical under the
+    /// sequential and the threaded driver: semantic work, not how it was
+    /// driven. Every counter the choice of driver may legally change
+    /// belongs in this mask; everything else must be byte-identical (the
+    /// masking contract, unit-tested below).
     pub fn modulo_drive_mode(&self) -> RunStats {
         RunStats {
             pool_round_handoffs: 0,
-            tickets_issued: 0,
-            tickets_requeued: 0,
             ..*self
         }
     }
@@ -517,77 +495,6 @@ fn may_conflict(policy: ConflictPolicy, effects: &TxEffects, earlier_writes: &Ac
     }
 }
 
-/// Per-shard slice of [`may_conflict`]: probes only the fingerprint lanes
-/// routing to `shard` of `shards`. ORing the result over all shards equals
-/// the global pre-check, since a shard's fingerprint is exactly the OR of
-/// its lanes.
-fn may_conflict_shard(
-    policy: ConflictPolicy,
-    effects: &TxEffects,
-    earlier_writes: &AccessSet,
-    shard: usize,
-    shards: usize,
-) -> bool {
-    let merged = earlier_writes.shard_fingerprint(shard, shards);
-    match policy {
-        ConflictPolicy::Full => {
-            effects
-                .reads
-                .shard_fingerprint(shard, shards)
-                .may_intersect(merged)
-                || effects
-                    .writes
-                    .shard_fingerprint(shard, shards)
-                    .may_intersect(merged)
-        }
-        ConflictPolicy::Waw => effects
-            .writes
-            .shard_fingerprint(shard, shards)
-            .may_intersect(merged),
-        ConflictPolicy::Raw => effects
-            .reads
-            .shard_fingerprint(shard, shards)
-            .may_intersect(merged),
-        ConflictPolicy::None => false,
-    }
-}
-
-/// Per-shard slice of [`conflicts_with`], run as a word-block scan: exact
-/// verdict for the accesses routing to `shard` of `shards`, plus the words
-/// the block scan compared (the shard counters' currency). Reads before
-/// writes under `FULL`, mirroring validation order.
-fn shard_block_conflicts(
-    policy: ConflictPolicy,
-    effects: &TxEffects,
-    earlier_writes: &AccessSet,
-    shard: usize,
-    shards: usize,
-) -> (bool, u64) {
-    match policy {
-        ConflictPolicy::Full => {
-            let (raw, raw_words) =
-                effects
-                    .reads
-                    .shard_block_overlaps(earlier_writes, shard, shards);
-            if raw {
-                return (true, raw_words);
-            }
-            let (waw, waw_words) =
-                effects
-                    .writes
-                    .shard_block_overlaps(earlier_writes, shard, shards);
-            (waw, raw_words + waw_words)
-        }
-        ConflictPolicy::Waw => effects
-            .writes
-            .shard_block_overlaps(earlier_writes, shard, shards),
-        ConflictPolicy::Raw => effects
-            .reads
-            .shard_block_overlaps(earlier_writes, shard, shards),
-        ConflictPolicy::None => (false, 0),
-    }
-}
-
 /// Pinpoints the first conflicting word once [`conflicts_with`] has already
 /// said "yes". Reads are checked before writes, matching validation order
 /// under `FULL`; within a set the search is deterministic (ascending
@@ -767,14 +674,6 @@ fn run_rounds(
     observer: &mut dyn RoundObserver,
 ) -> Result<RunStats, RunError> {
     let mode = params.conflict.track_mode();
-    // Partition the heap to the requested shard count before the first
-    // round snapshot. A no-op when already there (convergence loops call
-    // run_rounds repeatedly), so the snapshot cache survives across runs
-    // exactly as before; an actual re-partition drops the cache and the
-    // next incremental snapshot pays one full build — the same cost a
-    // fresh heap's first snapshot pays at any shard count.
-    heap.set_shards(params.shards);
-    let nshards = heap.shard_count();
     // Resolve the recorder once: `None` here means every emission site below
     // is one predicted-not-taken branch and constructs nothing.
     let rec: Option<&dyn Recorder> = params.recorder.as_deref().filter(|r| r.is_enabled());
@@ -917,52 +816,10 @@ fn run_rounds(
                     // round's committed write sets. A reject proves disjointness
                     // from every earlier writer with no scan at all; a hit runs
                     // one exact scan against the merged set instead of one per
-                    // earlier writer. With a sharded heap the same test is
-                    // decomposed by shard: each shard's fingerprint slice is
-                    // probed independently, and only shards that cannot be
-                    // rejected run a word-block scan over their slice of the
-                    // merged set. Shards partition the id space, so the OR of
-                    // the per-shard verdicts equals the global verdict — and
-                    // the per-shard scans touch disjoint state, which is what
-                    // lets a partitioned committer run them concurrently.
+                    // earlier writer.
                     let conflicted =
                         if round_writes.is_empty() || params.conflict == ConflictPolicy::None {
                             false
-                        } else if nshards > 1 {
-                            let mut conflicted = false;
-                            let mut any_hit = false;
-                            for shard in 0..nshards {
-                                if !may_conflict_shard(
-                                    params.conflict,
-                                    &effects,
-                                    &merged_writes,
-                                    shard,
-                                    nshards,
-                                ) {
-                                    continue;
-                                }
-                                any_hit = true;
-                                let (hit, scanned) = shard_block_conflicts(
-                                    params.conflict,
-                                    &effects,
-                                    &merged_writes,
-                                    shard,
-                                    nshards,
-                                );
-                                stats.exact_scan_words += scanned;
-                                stats.shard_validate_words += scanned;
-                                stats.shard_imbalance_max = stats.shard_imbalance_max.max(scanned);
-                                if hit {
-                                    conflicted = true;
-                                    break;
-                                }
-                            }
-                            if any_hit {
-                                stats.fingerprint_hits += 1;
-                            } else {
-                                stats.fingerprint_rejects += 1;
-                            }
-                            conflicted
                         } else if may_conflict(params.conflict, &effects, &merged_writes) {
                             stats.fingerprint_hits += 1;
                             stats.exact_scan_words += merged_writes.words().min(tracked);
@@ -1140,8 +997,7 @@ fn run_rounds(
                             });
                         }
                     }
-                    stats.shard_commit_batches +=
-                        u64::from(heap.apply_commit(effects.commit_ops(mode)));
+                    heap.apply_commit(effects.commit_ops(mode));
                     // The committed write set moves into the round log (no
                     // clone — `commit_ops` only borrowed it); the rest of the
                     // transaction's buffers go back to the pool, along with a
@@ -1250,9 +1106,9 @@ mod tests {
 
     /// The masking contract of [`RunStats::modulo_drive_mode`], pinned as a
     /// test so a future counter cannot silently dodge it: with every field
-    /// non-zero, masking zeroes exactly the three scheduling-telemetry
-    /// counters — `pool_round_handoffs`, `tickets_issued`,
-    /// `tickets_requeued` — and passes every other field through untouched.
+    /// non-zero, masking zeroes exactly the one scheduling-telemetry
+    /// counter — `pool_round_handoffs` — and passes every other field,
+    /// the ticket counters included, through untouched.
     #[test]
     fn modulo_drive_mode_masks_exactly_the_schedule_counters() {
         let full = RunStats {
@@ -1282,9 +1138,6 @@ mod tests {
             pool_round_handoffs: 22,
             tickets_issued: 23,
             tickets_requeued: 24,
-            shard_validate_words: 31,
-            shard_commit_batches: 32,
-            shard_imbalance_max: 33,
             phase_costs: PhaseCosts {
                 snapshot: 27,
                 execute: 28,
@@ -1293,16 +1146,13 @@ mod tests {
             },
         };
         let masked = full.modulo_drive_mode();
-        // The masked counters are zeroed...
+        // The masked counter is zeroed...
         assert_eq!(masked.pool_round_handoffs, 0);
-        assert_eq!(masked.tickets_issued, 0);
-        assert_eq!(masked.tickets_requeued, 0);
-        // ...and nothing else moved: re-zeroing the same three fields on the
+        assert_eq!((masked.tickets_issued, masked.tickets_requeued), (23, 24));
+        // ...and nothing else moved: re-zeroing the same field on the
         // original must reproduce the masked value exactly.
         let expect = RunStats {
             pool_round_handoffs: 0,
-            tickets_issued: 0,
-            tickets_requeued: 0,
             ..full
         };
         assert_eq!(masked, expect);
@@ -1363,74 +1213,6 @@ mod tests {
         assert_eq!(heap.get(counter).i64s()[0], 8);
         assert!(stats.retries() > 0, "conflicts must have occurred");
         assert_eq!(stats.committed, 8);
-    }
-
-    /// The heap shard count is a pure layout knob: committed state,
-    /// verdicts and the trace-visible validation accounting are identical
-    /// at every shard count; only the scan-economics counters move.
-    #[test]
-    fn shard_count_is_invisible_to_verdicts_and_outputs() {
-        let run = |shards: usize, conflict: ConflictPolicy| {
-            let mut heap = Heap::new();
-            // Spread writes across several pages so shards > 1 actually
-            // split the access sets.
-            let xs: Vec<_> = (0..4)
-                .map(|_| {
-                    let id = heap.alloc(ObjData::zeros_i64(64));
-                    for _ in 0..63 {
-                        heap.alloc(ObjData::scalar_i64(0));
-                    }
-                    id
-                })
-                .collect();
-            let counter = heap.alloc(ObjData::scalar_i64(0));
-            let mut reds = RedVars::new();
-            let mut p = params(4, 1, conflict, CommitOrder::OutOfOrder);
-            p.shards = shards;
-            let stats = run_loop_engine(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, 16),
-                &p,
-                false,
-                &|ctx: &mut TxCtx<'_>, i| {
-                    let x = xs[(i % 4) as usize];
-                    let v = ctx.tx.read_i64(x, (i / 4) as usize);
-                    ctx.tx.write_i64(x, (i / 4) as usize, v + 1);
-                    // Every iteration also bumps one shared counter,
-                    // guaranteeing real conflicts to validate.
-                    let c = ctx.tx.read_i64(counter, 0);
-                    ctx.tx.write_i64(counter, 0, c + 1);
-                },
-                &mut NullObserver,
-            )
-            .unwrap();
-            (heap.digest(), stats)
-        };
-        for conflict in [ConflictPolicy::Waw, ConflictPolicy::Full] {
-            let (digest1, base) = run(1, conflict);
-            assert_eq!(base.shard_validate_words, 0, "unsharded: no block scans");
-            for shards in [4usize, 16] {
-                let (digest, stats) = run(shards, conflict);
-                assert_eq!(digest, digest1, "{conflict}/{shards}: same final heap");
-                assert_eq!(stats.committed, base.committed);
-                assert_eq!(stats.retries(), base.retries());
-                assert_eq!(stats.rounds, base.rounds);
-                assert_eq!(
-                    stats.validate_words, base.validate_words,
-                    "{conflict}/{shards}: trace-visible accounting is invariant"
-                );
-                assert_eq!(stats.tracked_words, base.tracked_words);
-                assert!(
-                    stats.shard_commit_batches >= base.shard_commit_batches,
-                    "{conflict}/{shards}: commits split into per-shard batches"
-                );
-                assert!(
-                    stats.shard_imbalance_max <= stats.shard_validate_words,
-                    "imbalance ceiling cannot exceed the total"
-                );
-            }
-        }
     }
 
     /// Under TLS (RAW + InOrder) the result must match sequential semantics

@@ -126,8 +126,7 @@ pub struct ExecParams {
     pub profile_phases: bool,
     /// Wall-clock mirror for the phase profiler: when attached, the engine
     /// adds elapsed seconds per phase. Lives outside the event stream (wall
-    /// time is nondeterministic), so it never affects traces or hashes; the
-    /// CLIs attach one under `ALTER_PROFILE_WALL=1`.
+    /// time is nondeterministic), so it never affects traces or hashes.
     pub wall_profile: Option<Arc<alter_trace::WallProfile>>,
     /// Emit `TicketIssued`/`TicketValidated`/`TicketRequeued` lifecycle
     /// events into the trace. Off by default so existing canonical traces
@@ -136,16 +135,6 @@ pub struct ExecParams {
     /// never break cross-driver trace identity. No effect without a
     /// recorder.
     pub trace_tickets: bool,
-    /// Number of heap shards (power of two, clamped to
-    /// `1..=`[`alter_heap::SHARD_LANES`]). `1` — the default — is bit-for-bit
-    /// the unsharded heap. At `> 1` the heap partitions its slot table by
-    /// snapshot page and validation probes the round write-set shard by
-    /// shard with word-block scans. Commit order per shard equals ticket
-    /// order, so committed state, traces and semantic statistics are
-    /// identical at every shard count; only the masked scan-economics
-    /// counters ([`crate::RunStats::shard_validate_words`] and friends)
-    /// tell the settings apart.
-    pub shards: usize,
 }
 
 impl std::fmt::Debug for ExecParams {
@@ -164,7 +153,6 @@ impl std::fmt::Debug for ExecParams {
             .field("profile_phases", &self.profile_phases)
             .field("wall_profile", &self.wall_profile.is_some())
             .field("trace_tickets", &self.trace_tickets)
-            .field("shards", &self.shards)
             .finish()
     }
 }
@@ -187,7 +175,6 @@ impl ExecParams {
             profile_phases: false,
             wall_profile: None,
             trace_tickets: false,
-            shards: 1,
         }
     }
 
@@ -306,14 +293,6 @@ impl ExecParams {
         self
     }
 
-    /// Builder-style: set the heap shard count (default 1; rounded to a
-    /// power of two and clamped to `1..=`[`alter_heap::SHARD_LANES`], the
-    /// same normalization [`alter_heap::Heap::set_shards`] applies).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.clamp(1, alter_heap::SHARD_LANES).next_power_of_two();
-        self
-    }
-
     /// Short human-readable form, e.g. `WAW/OutOfOrder cf=16 N=4`.
     pub fn describe(&self) -> String {
         format!(
@@ -392,10 +371,6 @@ mod tests {
         assert_eq!(p.chunk, 1);
         assert_eq!(p.budget_words, 100);
         assert_eq!(p.work_budget, Some(1000));
-        assert_eq!(ExecParams::new(4, 16).shards, 1, "sharding is opt-in");
-        assert_eq!(ExecParams::new(4, 16).with_shards(9).shards, 16);
-        assert_eq!(ExecParams::new(4, 16).with_shards(0).shards, 1);
-        assert_eq!(ExecParams::new(4, 16).with_shards(64).shards, 16);
         assert_eq!(
             ExecParams::new(4, 16).describe(),
             "WAW/OutOfOrder cf=16 N=4"

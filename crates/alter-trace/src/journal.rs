@@ -41,11 +41,6 @@ pub struct JournalHeader {
     pub record_sets: bool,
     /// Whether `PhaseProfile` events were recorded.
     pub profile_phases: bool,
-    /// Heap shard count the run was recorded under, so replay reconstructs
-    /// the identical sharded heap. Absent in pre-sharding journals, which
-    /// read back as 1 (the unsharded layout — shard counts never change
-    /// traces, but the header keeps replay configuration-faithful).
-    pub shards: u32,
     /// Trace hash of the recorded event stream (FNV-1a over the canonical
     /// JSONL bytes, header excluded).
     pub trace_hash: u64,
@@ -65,12 +60,8 @@ impl JournalHeader {
         escape_into(&mut s, &self.annotation);
         let _ = write!(
             s,
-            "\",\"workers\":{},\"record_sets\":{},\"profile\":{},\"shards\":{},\"hash\":{}}}",
-            self.workers,
-            self.record_sets as u8,
-            self.profile_phases as u8,
-            self.shards,
-            self.trace_hash
+            "\",\"workers\":{},\"record_sets\":{},\"profile\":{},\"hash\":{}}}",
+            self.workers, self.record_sets as u8, self.profile_phases as u8, self.trace_hash
         );
         s
     }
@@ -104,16 +95,10 @@ impl JournalHeader {
             workers: f.int32("workers")?,
             record_sets: flag("record_sets")?,
             profile_phases: flag("profile")?,
-            // Journals recorded while there was a driver to choose carry a
-            // `pipeline` depth; it is accepted and ignored — the event
-            // stream never depended on it.
-            // Pre-sharding journals have no `shards` field; default to the
-            // single-shard heap so old recordings stay readable.
-            shards: match f.int32("shards") {
-                Ok(n) => n,
-                Err(msg) if msg.starts_with("missing field") => 1,
-                Err(msg) => return Err(msg),
-            },
+            // Journals recorded while there was a driver or a heap layout
+            // to choose carry a `"pipeline":` depth and a `"shards":` count;
+            // both are accepted and ignored — the event stream never
+            // depended on either.
             trace_hash: f.int("hash")?,
         })
     }
@@ -333,7 +318,6 @@ mod tests {
             workers: 4,
             record_sets: true,
             profile_phases: true,
-            shards: 1,
             trace_hash: 0,
         }
     }
@@ -472,38 +456,32 @@ mod tests {
         let mut h = header();
         h.record_sets = false;
         h.profile_phases = false;
-        h.shards = 16;
         let j = Journal::new(h, run_events()).unwrap();
         let back = Journal::from_jsonl(&j.to_jsonl()).unwrap();
         assert!(!back.header().record_sets);
         assert!(!back.header().profile_phases);
-        assert_eq!(back.header().shards, 16);
         assert_eq!(back.header().workload, "genome");
         assert_eq!(back.header().workers, 4);
     }
 
     #[test]
-    fn retired_pipeline_field_is_accepted_and_ignored() {
-        // Journals written while the header carried a pipeline depth must
-        // still load, to the same journal as one written today.
+    fn retired_header_fields_are_accepted_and_ignored() {
+        // Journals written while the header carried a pipeline depth and a
+        // heap-layout count (in that order, before the hash) must still
+        // load — whatever the fields say — to the journal written today.
         let j = Journal::new(header(), run_events()).unwrap();
-        assert!(!j.to_jsonl().contains("pipeline"));
-        let old = j
-            .to_jsonl()
-            .replace(",\"shards\":", ",\"pipeline\":4,\"shards\":");
-        assert_eq!(Journal::from_jsonl(&old).expect("old header parses"), j);
-    }
-
-    #[test]
-    fn pre_sharding_headers_default_to_one_shard() {
-        // Journals written before the shards field existed must still
-        // load; a missing `shards` reads back as 1 (the unsharded heap).
-        let j = Journal::new(header(), run_events()).unwrap();
-        let text = j.to_jsonl().replace(",\"shards\":1", "");
-        let back = Journal::from_jsonl(&text).expect("old header parses");
-        assert_eq!(back.header().shards, 1);
-        // A malformed (non-integer) shards field is still an error.
-        let bad = j.to_jsonl().replace("\"shards\":1", "\"shards\":\"x\"");
-        assert!(Journal::from_jsonl(&bad).is_err());
+        let today = j.to_jsonl();
+        assert!(!today.contains("\"pipeline\":") && !today.contains("\"shards\":"));
+        for retired in [
+            "",
+            "\"shards\":1,",
+            "\"shards\":16,",
+            "\"pipeline\":4,\"shards\":16,",
+        ] {
+            let old = today.replace("\"hash\":", &format!("{retired}\"hash\":"));
+            let back = Journal::from_jsonl(&old).expect("old header parses");
+            assert_eq!(back, j, "`{retired}`");
+            assert_eq!(back.to_jsonl(), today, "`{retired}`");
+        }
     }
 }

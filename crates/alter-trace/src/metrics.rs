@@ -179,15 +179,6 @@ pub struct Metrics {
     pub tickets_issued: u64,
     /// Tickets re-queued after a conflict or in-order squash.
     pub tickets_requeued: u64,
-    /// Words compared by shard-partitioned word-block validation scans
-    /// (zero on unsharded runs).
-    pub shard_validate_words: u64,
-    /// Per-shard commit batches retired (each commit counts the distinct
-    /// heap shards it touched).
-    pub shard_commit_batches: u64,
-    /// Largest word-block scan any single shard absorbed in one validation
-    /// (a `max`, not a sum — see [`Metrics::record_shard_counters`]).
-    pub shard_imbalance_max: u64,
 }
 
 impl Metrics {
@@ -286,22 +277,6 @@ impl Metrics {
         self.tickets_requeued += tickets_requeued;
     }
 
-    /// Merges the runtime's sharded-heap counters into the registry. Like
-    /// the other out-of-band counters these never ride in the event stream:
-    /// traces are byte-identical at every shard count, so the scan and
-    /// batch economics arrive through run statistics. The first two
-    /// accumulate; the imbalance ceiling combines by `max`.
-    pub fn record_shard_counters(
-        &mut self,
-        shard_validate_words: u64,
-        shard_commit_batches: u64,
-        shard_imbalance_max: u64,
-    ) {
-        self.shard_validate_words += shard_validate_words;
-        self.shard_commit_batches += shard_commit_batches;
-        self.shard_imbalance_max = self.shard_imbalance_max.max(shard_imbalance_max);
-    }
-
     /// Fraction of started tasks that did not commit (conflicted, squashed,
     /// or otherwise wasted). 0.0 when no tasks ran.
     pub fn retry_rate(&self) -> f64 {
@@ -349,11 +324,6 @@ impl Metrics {
             out,
             "  tickets_issued={} tickets_requeued={}",
             self.tickets_issued, self.tickets_requeued
-        );
-        let _ = writeln!(
-            out,
-            "  shard_validate_words={} shard_commit_batches={} shard_imbalance_max={}",
-            self.shard_validate_words, self.shard_commit_batches, self.shard_imbalance_max
         );
         self.read_words.render_into(&mut out, "read_words");
         self.write_words.render_into(&mut out, "write_words");
@@ -486,18 +456,5 @@ mod tests {
         assert_eq!(m.tickets_issued, 10);
         assert_eq!(m.tickets_requeued, 3);
         assert!(m.render().contains("tickets_issued=10 tickets_requeued=3"));
-    }
-
-    #[test]
-    fn shard_counters_accumulate_and_render() {
-        let mut m = Metrics::default();
-        m.record_shard_counters(400, 12, 90);
-        m.record_shard_counters(100, 3, 250);
-        m.record_shard_counters(50, 1, 10);
-        assert_eq!(m.shard_validate_words, 550);
-        assert_eq!(m.shard_commit_batches, 16);
-        assert_eq!(m.shard_imbalance_max, 250, "imbalance combines by max");
-        assert!(m.render().contains("shard_validate_words=550"));
-        assert!(m.render().contains("shard_imbalance_max=250"));
     }
 }

@@ -125,10 +125,8 @@ impl Profile {
         rows
     }
 
-    /// The sorted hotspot table. `wall` (seconds per phase, from a
-    /// [`WallProfile`]) adds an informational wall-clock column; it never
-    /// affects ordering or the cost-unit columns.
-    pub fn render(&self, label: &str, wall: Option<&[f64; PHASE_COUNT]>) -> String {
+    /// The sorted hotspot table, empty phases skipped.
+    pub fn render(&self, label: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -137,29 +135,18 @@ impl Profile {
             self.rounds,
             self.probes
         );
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>14} {:>8}{}",
-            "phase",
-            "cost units",
-            "share",
-            if wall.is_some() { "      seconds" } else { "" }
-        );
+        let _ = writeln!(out, "  {:<12} {:>14} {:>8}", "phase", "cost units", "share");
         for (phase, cost, share) in self.hotspots() {
-            if cost == 0 && wall.is_none_or(|w| w[phase.index()] == 0.0) {
+            if cost == 0 {
                 continue;
             }
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "  {:<12} {:>14} {:>7.1}%",
                 phase.as_str(),
                 cost,
                 share * 100.0
             );
-            if let Some(w) = wall {
-                let _ = write!(out, "  {:>11.6}", w[phase.index()]);
-            }
-            out.push('\n');
         }
         out
     }
@@ -184,8 +171,7 @@ impl Profile {
 /// The engine adds elapsed seconds per phase only when one of these is
 /// attached (`ExecParams::wall_profile`), and the numbers stay outside the
 /// event stream: wall time is nondeterministic by nature, so it is
-/// excluded from trace hashes and every drift-checked artifact. The CLIs
-/// attach one when the `ALTER_PROFILE_WALL` environment variable is set.
+/// excluded from trace hashes and every drift-checked artifact.
 #[derive(Debug, Default)]
 pub struct WallProfile {
     secs: Mutex<[f64; PHASE_COUNT]>,
@@ -269,16 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn render_includes_wall_column_only_when_given() {
+    fn render_lists_only_charged_phases() {
         let mut p = Profile::new();
         p.record(0, Phase::Execute, 7);
-        let plain = p.render("w", None);
-        assert!(plain.contains("execute"));
-        assert!(!plain.contains("seconds"));
-        let wall = [0.0, 0.5, 0.0, 0.0, 0.0];
-        let with = p.render("w", Some(&wall));
-        assert!(with.contains("seconds"));
-        assert!(with.contains("0.500000"));
+        let table = p.render("w");
+        assert!(table.contains("execute"));
+        assert!(!table.contains("snapshot"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Runtime micro-benchmarks: the primitive-cost benchmarks plus the four
-# deterministic benches (phase profiler, sharded heap, DPOR model checker,
-# static analyzer), which together regenerate BENCH_runtime.json at the
+# Runtime micro-benchmarks: the primitive-cost benchmarks plus the three
+# deterministic benches (phase profiler, DPOR model checker, static
+# analyzer), which together regenerate BENCH_runtime.json at the
 # repo root. Everything in the JSON is a deterministic counter (cost units,
 # validate words, exact-scan words, schedules explored, trace hashes) —
 # no wall-clock — so the file is stable across machines and is checked in;
@@ -32,9 +32,6 @@ mkdir -p target
 echo "== phase profiler (per-phase cost units, worker sweep) =="
 cargo bench -p alter-bench --bench phases -- --json "$PWD/target/bench-phases.json"
 echo
-echo "== sharded heap A/B (16 shards vs unsharded) =="
-cargo bench -p alter-bench --bench sharding -- --json "$PWD/target/bench-sharding.json"
-echo
 echo "== DPOR model checker (schedules explored vs naive, pruning gate) =="
 cargo bench -p alter-bench --bench check -- --json "$PWD/target/bench-check.json"
 echo
@@ -45,8 +42,6 @@ cargo bench -p alter-bench --bench absint -- --json "$PWD/target/bench-absint.js
 {
   printf '{\n"phases":\n'
   cat target/bench-phases.json
-  printf ',\n"sharding":\n'
-  cat target/bench-sharding.json
   printf ',\n"check":\n'
   cat target/bench-check.json
   printf ',\n"absint":\n'

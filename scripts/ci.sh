@@ -69,25 +69,20 @@ if [[ -n "$(git status --porcelain -- STATIC.json)" ]]; then
 fi
 
 echo "== record/replay identity (determinism gate) =="
-# Records a journal with full task_sets + profile payloads under the given
-# extra flags and re-executes it under its recorded configuration: the
-# fresh event stream must be byte-identical. On mismatch alter-replay
+# Records a journal with full task_sets + profile payloads and re-executes
+# it under its recorded configuration: the fresh event stream must be
+# byte-identical. On mismatch alter-replay
 # bisects to the first divergent round/event and prints the structured
 # diff, which is exactly what we want in a CI log.
 record_and_replay() {
   local w=$1 out=$2
-  shift 2
   cargo run --release -q -p alter-bench --bin alter-replay -- \
-    record "$w" --sets --profile "$@" --out "$out" > /dev/null
+    record "$w" --sets --profile --out "$out" > /dev/null
   cargo run --release -q -p alter-bench --bin alter-replay -- replay "$out"
 }
 for w in genome k-means; do
   record_and_replay "$w" "target/$w.journal"
 done
-# Sharded-heap gate: the journal header carries the shard count, so the
-# replay reconstructs the identical sharded layout — and the trace must
-# still be byte-identical.
-record_and_replay genome target/genome-sharded.journal --shards 16
 
 echo "== alter-check (DPOR schedule-space model checker) =="
 # Full check of the two flagship workloads at a raised schedule budget,

@@ -228,7 +228,6 @@ fn fixture_journal(name: &str, annotation: &str, events: Vec<Event>) -> String {
         workers: 4,
         record_sets: true,
         profile_phases: false,
-        shards: 1,
         trace_hash: 0, // recomputed by Journal::new
     };
     Journal::new(header, events)
@@ -263,7 +262,7 @@ fn ok_commit(seq: u64, write_words: u64) -> [Event; 2] {
 /// Runs one corrupted-journal fixture end to end: the journal and the
 /// rendered counterexample are both golden-checked, and the divergence
 /// must land on the expected event pair. The committed journals were
-/// written when headers still carried a `pipeline` depth and stay as they
+/// written when headers still carried the retired fields and stay as they
 /// are — loading them is the reader's back-compat test — so the journal is
 /// compared in today's canonical form rather than byte for byte.
 fn run_fixture(
@@ -448,7 +447,6 @@ fn doall_counterexample_replays_through_the_diff_bisector() {
             workers: 4,
             record_sets: true,
             profile_phases: false,
-            shards: 1,
             trace_hash: 0,
         };
         let j = Journal::new(header, events.to_vec()).expect("counterexample stream journals");

@@ -149,35 +149,33 @@ fn journal_for(bench: &dyn Benchmark, events: Vec<Event>) -> Journal {
         workers: 2,
         record_sets: false,
         profile_phases: false,
-        shards: 1,
         trace_hash: 0, // recomputed by Journal::new
     };
     Journal::new(header, events).expect("recorded stream is a valid journal")
 }
 
 // ---------------------------------------------------------------------------
-// Journal header back-compat: absent shards field, retired pipeline field
+// Journal header back-compat: the retired pipeline and heap-layout fields
 // ---------------------------------------------------------------------------
 
-/// Pre-PR-8 journals have no `shards` header field, and journals written
-/// between PR 7 and PR 14 carry a `pipeline` depth that no longer selects
-/// anything; both must keep parsing (as one shard / with the depth ignored)
-/// and must re-serialize *canonically* — `shards` explicit, `pipeline`
-/// gone — so one normalization pass brings any legacy journal onto the
+/// Journals written between PR 7 and PR 14 carry a `pipeline` depth, and
+/// those written between PR 8 and PR 15 a `"shards":` count; neither
+/// selects anything any more. Both must keep parsing — whatever they say —
+/// to the journal written today, and must re-serialize *canonically*, with
+/// both gone, so one normalization pass brings any legacy journal onto the
 /// current fixed-point form.
 #[test]
 fn legacy_headers_parse_with_defaults_and_reserialize_canonically() {
     for seed in 0..64u64 {
         let mut rng = SplitMix64::seed_from_u64(0x0A17_E900 + seed);
         let pipeline = (rng.next_u64() % 8) as u32;
-        let shards = 1u32 << (rng.next_u64() % 5);
+        let layout = 1u32 << (rng.next_u64() % 5);
         let header = JournalHeader {
             workload: "genome".to_owned(),
             annotation: "best".to_owned(),
             workers: 1 + (rng.next_u64() % 8) as u32,
             record_sets: rng.next_u64().is_multiple_of(2),
             profile_phases: rng.next_u64().is_multiple_of(2),
-            shards,
             trace_hash: 0, // recomputed by Journal::new
         };
         let events = vec![
@@ -206,41 +204,28 @@ fn legacy_headers_parse_with_defaults_and_reserialize_canonically() {
         let journal = Journal::new(header, events).expect("valid journal");
         let text = journal.to_jsonl();
         let head = text.lines().next().expect("header line");
-        // The canonical header always spells the shard count out and
-        // never a pipeline depth...
+        // The canonical header names neither retired field...
         assert!(!head.contains("pipeline"), "{head}");
-        assert!(head.contains(&format!(",\"shards\":{shards}")), "{head}");
+        assert!(!head.contains("\"shards\":"), "{head}");
         // ...and non-default values survive a round trip.
         let back = Journal::from_jsonl(&text).expect("canonical journal reloads");
         assert_eq!(back.header(), journal.header(), "seed {seed}");
 
-        // A header still carrying the retired pipeline depth loads to the
-        // very same journal.
-        let piped = text.replacen(
-            ",\"shards\":",
-            &format!(",\"pipeline\":{pipeline},\"shards\":"),
-            1,
-        );
-        assert_ne!(piped, text, "seed {seed}: field must have been added");
-        let parsed = Journal::from_jsonl(&piped).expect("pipelined-era journal must parse");
-        assert_eq!(parsed, journal, "seed {seed}");
-
-        // A legacy header with the shard count absent (and the depth
-        // present) parses as the unsharded heap.
-        let legacy = piped.replacen(&format!(",\"shards\":{shards}"), "", 1);
-        assert_ne!(legacy, piped, "seed {seed}: field must have been stripped");
-        let parsed = Journal::from_jsonl(&legacy).expect("legacy journal must parse");
-        assert_eq!(parsed.header().shards, 1, "seed {seed}");
-
-        // Re-serializing normalizes: the default becomes explicit, the
-        // retired field goes, and the result is a fixed point of
-        // parse → serialize.
-        let canon = parsed.to_jsonl();
-        let chead = canon.lines().next().expect("header line");
-        assert!(!chead.contains("pipeline"), "{chead}");
-        assert!(chead.contains(",\"shards\":1"), "{chead}");
-        let again = Journal::from_jsonl(&canon).expect("normalized journal reloads");
-        assert_eq!(again.to_jsonl(), canon, "seed {seed}: not a fixed point");
+        // A header still carrying either retired field, or both, loads to
+        // the very same journal...
+        for retired in [
+            format!(",\"shards\":{layout}"),
+            format!(",\"pipeline\":{pipeline}"),
+            format!(",\"pipeline\":{pipeline},\"shards\":{layout}"),
+        ] {
+            let legacy = text.replacen(",\"hash\":", &format!("{retired},\"hash\":"), 1);
+            assert_ne!(legacy, text, "seed {seed}: field must have been added");
+            let parsed = Journal::from_jsonl(&legacy).expect("legacy journal must parse");
+            assert_eq!(parsed, journal, "seed {seed}: {retired}");
+            // ...and re-serializing normalizes: the retired fields go, and
+            // the result is a fixed point of parse → serialize.
+            assert_eq!(parsed.to_jsonl(), text, "seed {seed}: {retired}");
+        }
     }
 }
 
@@ -300,11 +285,13 @@ fn record_replay_identity_all_workloads() {
     for bench in all_benchmarks(Scale::Inference) {
         let journal = journal_for(bench.as_ref(), record(bench.as_ref(), 2, false, false));
         // Serialize and reload — replay consumes journals from disk. The
-        // file is given the header of a PR 7–13 recording made under the
-        // pipelined driver: the one driver replays it all the same.
-        let on_disk = journal
-            .to_jsonl()
-            .replacen(",\"shards\":", ",\"pipeline\":4,\"shards\":", 1);
+        // file is given the header of a PR 8–13 recording made under the
+        // pipelined driver with `"shards":16`: the one driver over the one
+        // slot table replays it to the byte-identical stream all the same.
+        let on_disk =
+            journal
+                .to_jsonl()
+                .replacen(",\"hash\":", ",\"pipeline\":4,\"shards\":16,\"hash\":", 1);
         let reloaded = Journal::from_jsonl(&on_disk).expect("journal reloads");
         assert_eq!(reloaded, journal, "{}", bench.name());
         let fresh = record(bench.as_ref(), 2, false, false);

@@ -1,20 +1,15 @@
-//! Driver invisibility sweep: the threaded driver and the sharded
-//! versioned heap are pure throughput optimizations, so every workload must
-//! produce a byte-identical event transcript — and therefore the same trace
-//! hash, the same program output (the heap digest each workload extracts),
-//! and the same semantic `RunStats` — across {sequential, threaded} × heap
-//! shard counts {1, 4, 16}, at 1, 2, and 8 workers.
+//! Driver invisibility sweep: the threaded driver is a pure throughput
+//! optimization, so every workload must produce a byte-identical event
+//! transcript — and therefore the same trace hash, the same program output
+//! (the heap digest each workload extracts), and the same semantic
+//! `RunStats` — under {sequential, threaded} at 1, 2, and 8 workers.
 //!
-//! Driver bookkeeping (`pool_round_handoffs` and the ticket counters —
-//! everything `RunStats::modulo_drive_mode` masks) is the *only* thing
-//! allowed to differ between the drivers; everything else in `RunStats` is
-//! part of the observable semantics and is compared exactly. Shard counts
-//! above 1 additionally move the scan accounting — which fingerprint probes
-//! ran and how many words the exact scans compared
-//! (`fingerprint_hits`/`rejects`, `exact_scan_words`, and the `shard_*`
-//! trio) — but never any verdict, so sharded runs compare with those
-//! counters masked on top. Direct final-heap equality across drivers is
-//! asserted at the engine level (`alter-runtime`'s
+//! Driver bookkeeping (`pool_round_handoffs` — everything
+//! `RunStats::modulo_drive_mode` masks) is the *only* thing allowed to
+//! differ between the drivers; everything else in `RunStats`, the ticket
+//! counters included, is part of the observable semantics and is compared
+//! exactly. Direct final-heap equality across drivers is asserted at the
+//! engine level (`alter-runtime`'s
 //! `threaded_and_sequential_drivers_are_identical`); here each workload's
 //! output is the heap projection being compared.
 
@@ -25,23 +20,15 @@ use alter::trace::{to_jsonl, trace_hash, Recorder, RingRecorder};
 use alter::workloads::{all_benchmarks, Benchmark, Scale};
 use std::sync::Arc;
 
-/// One configuration of the sweep.
-#[derive(Clone, Copy, Debug)]
-struct Mode {
-    threaded: bool,
-    shards: usize,
-}
-
 /// One traced run of `bench` under its best annotation.
 fn traced(
     bench: &dyn Benchmark,
     workers: usize,
-    mode: Mode,
+    threaded: bool,
 ) -> (String, u64, ProgramOutput, RunStats) {
     let rec = Arc::new(RingRecorder::default());
     let mut probe = bench.best_probe(workers);
-    probe.threaded = mode.threaded;
-    probe.shards = mode.shards;
+    probe.threaded = threaded;
     probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
     let run = bench.run_probe(&probe).expect("probe must complete");
     let events = rec.events();
@@ -54,76 +41,38 @@ fn traced(
     )
 }
 
-/// Additionally masks the scan accounting a shard count is allowed to
-/// move: which fingerprint probes ran, how many words the exact scans
-/// compared, and the shard counters themselves. Everything that remains —
-/// verdicts, retries, commits, cost units, `validate_words` — must be
-/// bit-for-bit equal across shard counts.
-fn shard_semantic(stats: &RunStats) -> RunStats {
-    RunStats {
-        fingerprint_hits: 0,
-        fingerprint_rejects: 0,
-        exact_scan_words: 0,
-        shard_validate_words: 0,
-        shard_commit_batches: 0,
-        shard_imbalance_max: 0,
-        ..stats.modulo_drive_mode()
-    }
-}
-
 #[test]
 fn round_modes_are_invisible_across_the_suite() {
     for bench in all_benchmarks(Scale::Inference) {
         for workers in [1usize, 2, 8] {
-            // The first entry is the baseline every other mode must match.
-            let modes = [false, true]
-                .map(|threaded| [1usize, 4, 16].map(|shards| Mode { threaded, shards }));
-            let modes = modes.as_flattened();
-            let (jsonl0, hash0, out0, stats0) = traced(bench.as_ref(), workers, modes[0]);
+            // The sequential run is the baseline the threaded one must match.
+            let (jsonl0, hash0, out0, stats0) = traced(bench.as_ref(), workers, false);
             assert_eq!(
                 stats0.pool_round_handoffs,
                 0,
                 "{}/{workers}w: sequential driver must not touch the pool",
                 bench.name()
             );
-            for mode in &modes[1..] {
-                let tag = format!("{}/{workers}w {mode:?}", bench.name());
-                let (jsonl, hash, out, stats) = traced(bench.as_ref(), workers, *mode);
-                assert_eq!(jsonl0, jsonl, "{tag}: transcripts must be byte-identical");
-                assert_eq!(hash0, hash, "{tag}: trace hashes must agree");
-                assert_eq!(out0, out, "{tag}: program outputs must agree");
-                if mode.shards == 1 {
-                    assert_eq!(
-                        stats0.modulo_drive_mode(),
-                        stats.modulo_drive_mode(),
-                        "{tag}: semantic RunStats must agree"
-                    );
-                } else {
-                    // A sharded heap may re-shape the scan accounting
-                    // (per-shard probes replace the global one) but nothing
-                    // else.
-                    assert_eq!(
-                        shard_semantic(&stats0),
-                        shard_semantic(&stats),
-                        "{tag}: shard-masked RunStats must agree"
-                    );
-                    assert!(
-                        stats.shard_commit_batches >= stats0.shard_commit_batches,
-                        "{tag}: splitting the heap can only grow the number \
-                         of per-shard commit batches"
-                    );
-                }
-                assert_eq!(
-                    stats.tickets_issued + stats.tickets_requeued,
-                    stats.attempts,
-                    "{tag}: every attempt is an issued or re-queued ticket"
+            let tag = format!("{}/{workers}w threaded", bench.name());
+            let (jsonl, hash, out, stats) = traced(bench.as_ref(), workers, true);
+            assert_eq!(jsonl0, jsonl, "{tag}: transcripts must be byte-identical");
+            assert_eq!(hash0, hash, "{tag}: trace hashes must agree");
+            assert_eq!(out0, out, "{tag}: program outputs must agree");
+            assert_eq!(
+                stats0.modulo_drive_mode(),
+                stats.modulo_drive_mode(),
+                "{tag}: semantic RunStats must agree"
+            );
+            assert_eq!(
+                stats.tickets_issued + stats.tickets_requeued,
+                stats.attempts,
+                "{tag}: every attempt is an issued or re-queued ticket"
+            );
+            if workers > 1 {
+                assert!(
+                    stats.pool_round_handoffs > 0,
+                    "{tag}: the pool must actually run rounds"
                 );
-                if mode.threaded && workers > 1 {
-                    assert!(
-                        stats.pool_round_handoffs > 0,
-                        "{tag}: the pool must actually run rounds"
-                    );
-                }
             }
         }
     }
