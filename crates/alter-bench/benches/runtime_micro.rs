@@ -84,6 +84,25 @@ fn bench_conflict_validation() {
     bench("disjoint_setcmp_1k_objects", 2000, || a.overlaps(&b_set));
 }
 
+/// `AccessSet::insert` into a set that already holds `resident` ranges of
+/// one allocation. The insert itself is the cheapest there is — the tail
+/// range again — so the row reads what an insert pays for the ranges it
+/// does not touch; the two rows must read the same.
+fn bench_sets_insert_resident() {
+    let obj = alter_heap::ObjId::from_index(1);
+    for resident in [1u32, 4096] {
+        let mut set = AccessSet::new();
+        for i in 0..resident {
+            set.insert(obj, 2 * i, 2 * i + 1);
+        }
+        let tail = 2 * (resident - 1);
+        bench(&format!("sets_insert_resident_{resident}"), 100_000, || {
+            set.insert(black_box(obj), tail, tail + 1);
+            set.words()
+        });
+    }
+}
+
 /// One DOALL run over 4k iterations; returns `(heap digest, cost units)`.
 fn doall_run(params: &ExecParams) -> (u64, u64) {
     let mut heap = Heap::new();
@@ -131,5 +150,6 @@ fn main() {
     bench_snapshot();
     bench_instrumented_access();
     bench_conflict_validation();
+    bench_sets_insert_resident();
     bench_doall_loop();
 }

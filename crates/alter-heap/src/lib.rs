@@ -50,4 +50,4 @@ pub use heap::{CommitOps, Heap, Snapshot, SnapshotStats, SNAPSHOT_PAGE_SLOTS};
 pub use object::{ObjData, ObjId, ObjKind};
 pub use pool::{TxBufferPool, TxBuffers};
 pub use sets::{AccessSet, Fingerprint, RangeSet};
-pub use tx::{CowScratch, MemoryExceeded, TrackMode, Tx, TxEffects, TxStats};
+pub use tx::{CowScratch, MemoryExceeded, RowF64s, TrackMode, Tx, TxEffects, TxStats};

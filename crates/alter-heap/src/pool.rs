@@ -2,7 +2,8 @@
 //!
 //! Every lock-step round builds one [`Tx`](crate::Tx) per task, and each
 //! `Tx` owns allocation-heavy structures: the copy-on-write overlay map with
-//! the private copies in it, the read set, and the write set. Rebuilding
+//! the private copies in it, the read set and the write set, and the access
+//! logs those two are built from. Rebuilding
 //! them from scratch every round puts the allocator on the engine's critical
 //! path; the paper's runtime avoids the equivalent cost by re-establishing
 //! copy-on-write mappings instead of copying (§4.1). [`TxBufferPool`] is the
@@ -18,7 +19,7 @@
 
 use crate::fx::FxHashMap;
 use crate::object::{ObjData, ObjId};
-use crate::sets::AccessSet;
+use crate::sets::{AccessLog, AccessSet};
 use crate::tx::CowScratch;
 
 /// The recyclable allocations backing one transaction: overlay map,
@@ -35,6 +36,10 @@ pub struct TxBuffers {
     pub reads: AccessSet,
     /// Write-set storage.
     pub writes: AccessSet,
+    /// Storage of the logs the two sets are built from; always handed over
+    /// empty, only their capacity travels.
+    pub(crate) read_log: AccessLog,
+    pub(crate) write_log: AccessLog,
 }
 
 impl TxBuffers {

@@ -80,6 +80,14 @@ impl Fingerprint {
         (self.bits[0] & other.bits[0]) | (self.bits[1] & other.bits[1]) != 0
     }
 
+    /// Folds every element of `other` in: the fingerprint of a union is the
+    /// union of the fingerprints.
+    #[inline]
+    fn union_with(&mut self, other: Fingerprint) {
+        self.bits[0] |= other.bits[0];
+        self.bits[1] |= other.bits[1];
+    }
+
     /// Whether no element was ever folded in.
     pub fn is_empty(self) -> bool {
         self.bits == [0, 0]
@@ -106,6 +114,9 @@ impl Fingerprint {
 pub struct RangeSet {
     /// Sorted by `lo`, pairwise disjoint and non-adjacent.
     ranges: Vec<(u32, u32)>,
+    /// Σ `hi - lo` over `ranges`, kept by every mutation so that
+    /// [`RangeSet::words`] never walks the list.
+    words: u64,
 }
 
 impl RangeSet {
@@ -114,38 +125,94 @@ impl RangeSet {
         Self::default()
     }
 
-    /// Inserts `lo..hi`, merging with overlapping or adjacent ranges.
-    /// Inserting an empty range is a no-op.
-    pub fn insert(&mut self, lo: u32, hi: u32) {
+    /// Inserts `lo..hi`, merging with overlapping or adjacent ranges, and
+    /// returns how many words that newly covered. Inserting an empty range
+    /// is a no-op.
+    pub fn insert(&mut self, lo: u32, hi: u32) -> u64 {
         if lo >= hi {
-            return;
+            return 0;
         }
+        let added = self.insert_nonempty(lo, hi);
+        self.words += added;
+        added
+    }
+
+    /// [`RangeSet::insert`] below the bookkeeping: places the range and
+    /// returns the words it added. Each branch knows its own delta, so
+    /// nothing here is proportional to the number of ranges held except the
+    /// `splice` of an out-of-order insert.
+    fn insert_nonempty(&mut self, lo: u32, hi: u32) -> u64 {
         // Fast path: append or extend at the tail (the common access pattern
         // is monotonically increasing indices within a chunk).
-        if let Some(last) = self.ranges.last_mut() {
-            if lo >= last.0 {
+        match self.ranges.last_mut() {
+            Some(last) if lo >= last.0 => {
                 if lo <= last.1 {
-                    last.1 = last.1.max(hi);
-                    return;
+                    let added = hi.saturating_sub(last.1);
+                    last.1 += added;
+                    return u64::from(added);
                 }
                 self.ranges.push((lo, hi));
-                return;
+                return u64::from(hi - lo);
             }
-        } else {
-            self.ranges.push((lo, hi));
-            return;
+            None => {
+                self.ranges.push((lo, hi));
+                return u64::from(hi - lo);
+            }
+            Some(_) => {}
         }
-        // Slow path: general insert with coalescing.
+        // Slow path: general insert with coalescing. The merged range
+        // replaces the ranges it absorbs; what it adds is its length minus
+        // theirs.
         let start = self.ranges.partition_point(|&(_, h)| h < lo);
         let mut end = start;
         let mut new_lo = lo;
         let mut new_hi = hi;
+        let mut absorbed = 0u64;
         while end < self.ranges.len() && self.ranges[end].0 <= new_hi {
-            new_lo = new_lo.min(self.ranges[end].0);
-            new_hi = new_hi.max(self.ranges[end].1);
+            let (l, h) = self.ranges[end];
+            absorbed += u64::from(h - l);
+            new_lo = new_lo.min(l);
+            new_hi = new_hi.max(h);
             end += 1;
         }
         self.ranges.splice(start..end, [(new_lo, new_hi)]);
+        u64::from(new_hi - new_lo) - absorbed
+    }
+
+    /// Inserts `sorted` — ranges in ascending `lo` order, overlapping or
+    /// not — in one pass over both lists, and returns how many words that
+    /// newly covered.
+    fn extend_sorted(&mut self, sorted: impl IntoIterator<Item = (u32, u32)>) -> u64 {
+        let before = self.words;
+        let mut new = sorted.into_iter().peekable();
+        let Some(&(first_lo, _)) = new.peek() else {
+            return 0;
+        };
+        if self.ranges.last().is_none_or(|last| last.0 <= first_lo) {
+            // Everything lands at or after the tail: the common case (a
+            // fresh set at `finish`, ascending commits), kept free of the
+            // merge's set-up.
+            for (lo, hi) in new {
+                self.insert(lo, hi);
+            }
+            return self.words - before;
+        }
+        // Ranges that start at or before the first new one stay where they
+        // are. The rest come off and go back on merged with the new ones in
+        // ascending order, which makes every insert a tail insert.
+        let keep = self.ranges.partition_point(|&(lo, _)| lo <= first_lo);
+        let old = self.ranges.split_off(keep);
+        self.words -= old.iter().map(|&(l, h)| u64::from(h - l)).sum::<u64>();
+        let mut old = old.into_iter().peekable();
+        while let Some((lo, hi)) = match (old.peek(), new.peek()) {
+            (Some(a), Some(b)) if a.0 <= b.0 => old.next(),
+            (Some(_), None) => old.next(),
+            (_, Some(_)) => new.next(),
+            (None, None) => None,
+        } {
+            self.insert(lo, hi);
+        }
+        self.words - before
     }
 
     /// Whether any word of `lo..hi` is present.
@@ -194,9 +261,9 @@ impl RangeSet {
         self.overlaps_range(word, word + 1)
     }
 
-    /// Total number of words covered.
+    /// Total number of words covered. O(1): a maintained count.
     pub fn words(&self) -> u64 {
-        self.ranges.iter().map(|&(l, h)| u64::from(h - l)).sum()
+        self.words
     }
 
     /// Number of maximal ranges.
@@ -214,6 +281,7 @@ impl RangeSet {
     /// pool) inserts without reallocating.
     pub fn clear(&mut self) {
         self.ranges.clear();
+        self.words = 0;
     }
 
     /// Iterates over the maximal ranges in ascending order.
@@ -307,6 +375,42 @@ impl Iterator for BlockMasks<'_> {
     }
 }
 
+/// Tracked accesses in program order, not yet folded into an [`AccessSet`].
+///
+/// Recording an access is a push — or nothing at all when it continues the
+/// previous one — and [`AccessSet::absorb`] pays the sort and the coalescing
+/// once for the whole log, so the cost of an instrumented access does not
+/// depend on how many ranges the transaction already holds.
+#[derive(Debug, Default)]
+pub(crate) struct AccessLog {
+    entries: Vec<(ObjId, u32, u32)>,
+}
+
+impl AccessLog {
+    /// Records an access to words `lo..hi` of `id` and returns an upper
+    /// bound on the words it newly covers: its length, or what it adds to
+    /// the previous entry when it starts inside or right after it.
+    #[inline]
+    pub(crate) fn push(&mut self, id: ObjId, lo: u32, hi: u32) -> u64 {
+        if lo >= hi {
+            return 0;
+        }
+        if let Some(last) = self.entries.last_mut() {
+            if last.0 == id && last.1 <= lo && lo <= last.2 {
+                let added = hi.saturating_sub(last.2);
+                last.2 += added;
+                return u64::from(added);
+            }
+        }
+        self.entries.push((id, lo, hi));
+        u64::from(hi - lo)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
 /// A read or write set: for each touched allocation, the set of touched
 /// word ranges.
 ///
@@ -351,6 +455,18 @@ impl Clone for AccessSet {
     }
 }
 
+/// The range set of `id` in `map`, started from a recycled one if `id` is
+/// new to it. (A function of the two fields, so that callers can update the
+/// set's word count and fingerprint beside it.)
+fn ranges_mut<'m>(
+    map: &'m mut FxHashMap<ObjId, RangeSet>,
+    spare: &mut Vec<RangeSet>,
+    id: ObjId,
+) -> &'m mut RangeSet {
+    map.entry(id)
+        .or_insert_with(|| spare.pop().unwrap_or_default())
+}
+
 impl AccessSet {
     /// Creates an empty access set.
     pub fn new() -> Self {
@@ -363,14 +479,7 @@ impl AccessSet {
             return;
         }
         self.fp.insert_range(id, lo, hi);
-        let spare = &mut self.spare;
-        let set = self
-            .map
-            .entry(id)
-            .or_insert_with(|| spare.pop().unwrap_or_default());
-        let before = set.words();
-        set.insert(lo, hi);
-        self.words += set.words() - before;
+        self.words += ranges_mut(&mut self.map, &mut self.spare, id).insert(lo, hi);
     }
 
     /// Records an access to a single word.
@@ -432,13 +541,40 @@ impl AccessSet {
         self.map.get(&id)
     }
 
-    /// Merges `other` into `self`.
+    /// Merges `other` into `self`: one lookup and one linear merge per
+    /// allocation of `other`.
     pub fn union_with(&mut self, other: &AccessSet) {
+        self.fp.union_with(other.fp);
         for (id, ranges) in &other.map {
-            for (lo, hi) in ranges.iter() {
-                self.insert(*id, lo, hi);
-            }
+            let set = ranges_mut(&mut self.map, &mut self.spare, *id);
+            self.words += set.extend_sorted(ranges.iter());
         }
+    }
+
+    /// Folds `log` into the set and empties it, keeping its capacity: one
+    /// sort of the log, then per allocation one lookup and one linear merge.
+    /// The result is the set, word count and fingerprint that inserting the
+    /// log's entries one by one would have built.
+    pub(crate) fn absorb(&mut self, log: &mut AccessLog) {
+        // Stable sort: a log is mostly a few ascending sweeps, which it
+        // merges as runs.
+        log.entries.sort();
+        for group in log.entries.chunk_by(|a, b| a.0 == b.0) {
+            let id = group[0].0;
+            // `lo` ascends within the group, so a block at or below the
+            // highest one folded in so far has been folded in already.
+            let mut next_block = 0;
+            for &(_, lo, hi) in group {
+                let last = (hi - 1) >> FINGERPRINT_BLOCK_SHIFT;
+                for block in (lo >> FINGERPRINT_BLOCK_SHIFT).max(next_block)..=last {
+                    self.fp.insert_block(id, block);
+                }
+                next_block = next_block.max(last + 1);
+            }
+            let set = ranges_mut(&mut self.map, &mut self.spare, id);
+            self.words += set.extend_sorted(group.iter().map(|&(_, lo, hi)| (lo, hi)));
+        }
+        log.entries.clear();
     }
 
     /// Total words covered across all allocations.
@@ -589,6 +725,177 @@ mod tests {
         a.clear();
         assert!(a.is_empty());
         assert_eq!(a.words(), 0);
+    }
+
+    /// Minimal SplitMix64 for deterministic case generation.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: u32) -> u32 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % u64::from(bound)) as u32
+        }
+    }
+
+    /// What a set must equal: its words as a plain ordered set.
+    type Naive = std::collections::BTreeSet<(ObjId, u32)>;
+
+    /// Number of maximal runs of consecutive words per allocation.
+    fn naive_range_count(naive: &Naive) -> usize {
+        let mut prev = None;
+        naive
+            .iter()
+            .filter(|&&(obj, w)| prev.replace((obj, w)) != Some((obj, w.wrapping_sub(1))))
+            .count()
+    }
+
+    fn assert_matches_naive(set: &AccessSet, naive: &Naive, ctx: &str) {
+        let listed: Naive = set
+            .iter_sorted()
+            .into_iter()
+            .flat_map(|(obj, r)| {
+                r.iter()
+                    .flat_map(move |(lo, hi)| (lo..hi).map(move |w| (obj, w)))
+            })
+            .collect();
+        assert_eq!(&listed, naive, "{ctx}: words");
+        let summed: u64 = set
+            .iter_sorted()
+            .iter()
+            .map(|(_, r)| r.iter().map(|(lo, hi)| u64::from(hi - lo)).sum::<u64>())
+            .sum();
+        assert_eq!(
+            set.words(),
+            summed,
+            "{ctx}: words() against Σ range lengths"
+        );
+        assert_eq!(
+            set.words(),
+            naive.len() as u64,
+            "{ctx}: words() against the model"
+        );
+        for (_, r) in set.iter_sorted() {
+            let own: u64 = r.iter().map(|(lo, hi)| u64::from(hi - lo)).sum();
+            assert_eq!(r.words(), own, "{ctx}: RangeSet::words()");
+        }
+        assert_eq!(
+            set.range_count(),
+            naive_range_count(naive),
+            "{ctx}: range_count"
+        );
+        // The same set built in sorted order, every insert a tail insert.
+        let mut sorted = AccessSet::new();
+        for &(obj, w) in naive {
+            sorted.insert_word(obj, w);
+        }
+        assert_eq!(
+            set.fingerprint(),
+            sorted.fingerprint(),
+            "{ctx}: fingerprint"
+        );
+    }
+
+    #[test]
+    fn word_counts_ranges_and_fingerprints_match_a_naive_model() {
+        let mut rng = Rng(0x5e75);
+        for case in 0..300 {
+            let objects = 1 + rng.below(3);
+            // Small universes make duplicates, adjacency and bridges common;
+            // the large one spreads ranges over several fingerprint blocks.
+            let universe = [24, 200, 3000][case % 3];
+            let mut ops: Vec<(ObjId, u32, u32)> = Vec::new();
+            match case % 5 {
+                // Ascending and descending single-stride sweeps with gaps.
+                0 | 1 => {
+                    let stride = 1 + rng.below(3);
+                    let mut at: Vec<u32> = (0..universe / stride).map(|i| i * stride).collect();
+                    if case % 5 == 1 {
+                        at.reverse();
+                    }
+                    for lo in at {
+                        ops.push((id(rng.below(objects)), lo, lo + 1 + rng.below(2)));
+                    }
+                }
+                // Islands first, then one range bridging at least three of them.
+                2 => {
+                    let obj = id(rng.below(objects));
+                    for i in 0..6 {
+                        ops.push((obj, i * 4, i * 4 + 1 + rng.below(2)));
+                    }
+                    let from = rng.below(3);
+                    ops.push((obj, from * 4 + rng.below(2), (from + 3) * 4 - rng.below(2)));
+                }
+                // Anything, including duplicates and empty ranges.
+                _ => {}
+            }
+            for _ in 0..rng.below(40) {
+                let lo = rng.below(universe);
+                let len = if rng.below(4) == 0 {
+                    rng.below(70)
+                } else {
+                    rng.below(4)
+                };
+                ops.push((id(rng.below(objects)), lo, lo + len));
+            }
+
+            let mut naive = Naive::new();
+            let (mut eager, mut logged, mut log) =
+                (AccessSet::new(), AccessSet::new(), AccessLog::default());
+            let (mut halves, mut union) = ([AccessSet::new(), AccessSet::new()], AccessSet::new());
+            let mut bound = 0;
+            for (i, &(obj, lo, hi)) in ops.iter().enumerate() {
+                naive.extend((lo..hi).map(|w| (obj, w)));
+                eager.insert(obj, lo, hi);
+                assert_eq!(
+                    eager.words(),
+                    naive.len() as u64,
+                    "case {case} op {i}: running count"
+                );
+                bound += log.push(obj, lo, hi);
+                // Fold part-way through some cases: absorbing into a set that
+                // already holds ranges is the merge, not the append.
+                if case % 2 == 0 && i == ops.len() / 2 {
+                    logged.absorb(&mut log);
+                }
+                halves[i % 2].insert(obj, lo, hi);
+            }
+            logged.absorb(&mut log);
+            assert!(log.is_empty(), "case {case}: absorb drains the log");
+            assert!(
+                bound >= logged.words(),
+                "case {case}: the log's count is an upper bound"
+            );
+            union.union_with(&halves[0]);
+            union.union_with(&halves[1]);
+            union.union_with(&halves[0]);
+            assert_matches_naive(&eager, &naive, &format!("case {case} eager"));
+            assert_matches_naive(&logged, &naive, &format!("case {case} logged"));
+            assert_matches_naive(&union, &naive, &format!("case {case} union"));
+        }
+    }
+
+    #[test]
+    fn insert_reports_the_words_each_branch_adds() {
+        let mut r = RangeSet::new();
+        assert_eq!(r.insert(10, 20), 10, "first range");
+        assert_eq!(
+            r.insert(15, 25),
+            5,
+            "tail extension counts only the new part"
+        );
+        assert_eq!(r.insert(12, 18), 0, "inside the tail: nothing new");
+        assert_eq!(r.insert(25, 26), 1, "adjacent to the tail");
+        assert_eq!(r.insert(40, 50), 10, "push");
+        assert_eq!(r.insert(60, 70), 10);
+        assert_eq!(r.insert(0, 5), 5, "splice in front, absorbing nothing");
+        assert_eq!(r.insert(5, 10), 5, "splice bridging two ranges exactly");
+        assert_eq!(r.insert(20, 65), 24, "splice absorbing three ranges");
+        assert_eq!(r.insert(3, 3), 0, "empty");
+        assert_eq!(r.iter().collect::<Vec<_>>(), vec![(0, 70)]);
+        assert_eq!(r.words(), 70);
     }
 
     #[test]

@@ -32,6 +32,44 @@
 //! cannot be observed: blocks that were never made valid are never read, by
 //! the transaction or — see [`TxEffects::commit_ops`] — by the commit.
 //!
+//! # Access sets are built from a log
+//!
+//! The paper's instrumentation call appends the address to an array and
+//! drops duplicates through a hash set (§4.1), and its compiler instruments
+//! an induction-variable range once (§4.4): what an instrumented access
+//! costs there does not grow with what the transaction has touched. Here a
+//! tracked access appends `(allocation, lo, hi)` to the read or the write
+//! log — or widens the last entry, when it starts inside or right after
+//! it — and [`Tx::finish`] sorts each log once and coalesces it into the
+//! [`AccessSet`] and its fingerprint. The sets that come out are the ones an
+//! ordered insert per access would have built; a write between two ranges
+//! already held no longer moves the ranges behind it. The log grows with the
+//! accesses that did not continue their predecessor, not with the distinct
+//! words, until it is folded; the largest any of the twelve workloads builds
+//! under any model is Floyd's 5 748 write entries (67 KiB), and the logs'
+//! storage travels with the [`TxBuffers`] like the sets'.
+//!
+//! The tracked-memory budget stays exact. Each logged access adds an upper
+//! bound on the words it newly covers to a running bound that starts from
+//! the sets' own count; while the bound is inside the budget, so is the
+//! truth. When it is not, the logs are folded into the sets and the exact
+//! count decides, so [`MemoryExceeded`] is raised by the access, and with
+//! the `words`, it always was.
+//!
+//! # Guarded rows
+//!
+//! A body that scans a row and writes the few words it improves — Floyd's
+//! relaxation — used to copy the row out (`with_f64s(.., |r| r.to_vec())`),
+//! because the slice could not outlive the next `write_f64`, and to pay an
+//! overlay lookup and a block-mask check per written word.
+//! [`Tx::row_f64s`] hands the body a [`RowF64s`] instead: one range read is
+//! recorded, the overlay entry is resolved and the row's blocks are filled
+//! once, `get(j)` indexes a slice, and `set(j, v)` logs exactly word
+//! `lo + j`. Write *sets* are what one `write_f64` per `set` would have
+//! produced — a conservative whole-row write would be a different program,
+//! with different conflicts — and no private copy exists before the first
+//! `set`.
+//!
 //! Read tracking is elided when the conflict policy does not need read sets
 //! (`WAW`, `NONE`): this is precisely why the paper finds `StaleReads`
 //! outperforming `OutOfOrder` — "enforcing StaleReads does not need read
@@ -42,8 +80,8 @@ use crate::fx::FxHashMap;
 use crate::heap::{CommitOps, Snapshot};
 use crate::object::{ObjData, ObjId, ObjKind};
 use crate::pool::TxBuffers;
-use crate::sets::AccessSet;
-use std::collections::hash_map::Entry;
+use crate::sets::{AccessLog, AccessSet};
+use std::collections::hash_map::{Entry, VacantEntry};
 use std::sync::Arc;
 
 /// Words per block of a lazily filled private copy.
@@ -131,6 +169,27 @@ impl CowScratch {
                 ObjKind::I64 => ObjData::zeros_i64(len),
             },
         }
+    }
+
+    /// A private copy of `src`, the snapshot's version of `id`, with the
+    /// blocks intersecting words `lo..hi` valid: a whole clone if `src` is
+    /// short, a partly filled buffer otherwise.
+    fn private_copy(&mut self, id: ObjId, src: &ObjData, lo: usize, hi: usize) -> ObjData {
+        if src.len() <= EAGER_MAX_WORDS {
+            return src.clone();
+        }
+        let mut obj = self.buffer_like(src);
+        let blocks = src.len().div_ceil(BLOCK_WORDS);
+        let mut lazy = LazyCopy {
+            bits_at: self.bits.len(),
+            missing: u32::try_from(blocks).expect("object length fits u32"),
+        };
+        self.bits.resize(lazy.bits_at + blocks.div_ceil(64), 0);
+        lazy.fill(&mut self.bits, &mut obj, || src, lo, hi);
+        if lazy.missing > 0 {
+            self.lazy.insert(id, lazy);
+        }
+        obj
     }
 
     /// Forgets the finished transaction and turns the commit sources nobody
@@ -240,6 +299,81 @@ impl TxStats {
     }
 }
 
+/// The instrumentation half of a transaction: counters, access logs, the
+/// sets they fold into, and the budget. Apart from the [`Tx`]'s storage so
+/// that a [`RowF64s`] can borrow the two separately.
+struct Tracker {
+    mode: TrackMode,
+    stats: TxStats,
+    reads: AccessSet,
+    writes: AccessSet,
+    /// Tracked accesses not yet folded into `reads` / `writes` (see the
+    /// module docs).
+    read_log: AccessLog,
+    write_log: AccessLog,
+    /// Upper bound on the tracked words: those of `reads` and `writes` plus
+    /// what [`AccessLog::push`] returned for every access logged since.
+    tracked_bound: u64,
+    /// Abort when tracked read+write words exceed this.
+    budget_words: u64,
+}
+
+impl Tracker {
+    /// Folds the logs into the access sets.
+    fn fold_logs(&mut self) {
+        self.reads.absorb(&mut self.read_log);
+        self.writes.absorb(&mut self.write_log);
+        self.tracked_bound = self.reads.words() + self.writes.words();
+    }
+
+    /// Accounts for `logged` more words of upper bound (see the module docs
+    /// for why this trips where a check of the sets after every insert
+    /// would).
+    #[inline]
+    fn charge_budget(&mut self, logged: u64) {
+        self.tracked_bound += logged;
+        if self.tracked_bound > self.budget_words {
+            self.settle_budget();
+        }
+    }
+
+    /// The bound has left the budget: folds the logs, which makes it exact,
+    /// and raises [`MemoryExceeded`] if it is still outside.
+    #[cold]
+    fn settle_budget(&mut self) {
+        self.fold_logs();
+        if self.tracked_bound > self.budget_words {
+            std::panic::panic_any(MemoryExceeded {
+                words: self.tracked_bound,
+                budget: self.budget_words,
+            });
+        }
+    }
+
+    /// Counts a read of words `lo..hi` of `id` and, if it is `instrumented`
+    /// (the mode tracks reads and `id` is not fresh), logs it.
+    #[inline]
+    fn read(&mut self, instrumented: bool, id: ObjId, lo: u32, hi: u32) {
+        self.stats.read_ops += 1;
+        self.stats.read_words += u64::from(hi - lo);
+        if instrumented {
+            let logged = self.read_log.push(id, lo, hi);
+            self.charge_budget(logged);
+        }
+    }
+
+    /// Like [`Tracker::read`], for a write.
+    #[inline]
+    fn write(&mut self, instrumented: bool, id: ObjId, lo: u32, hi: u32) {
+        self.stats.write_ops += 1;
+        self.stats.write_words += u64::from(hi - lo);
+        if instrumented {
+            let logged = self.write_log.push(id, lo, hi);
+            self.charge_budget(logged);
+        }
+    }
+}
+
 /// An isolated, instrumented view of the heap for one transaction.
 pub struct Tx<'s> {
     snap: &'s Snapshot,
@@ -247,26 +381,21 @@ pub struct Tx<'s> {
     overlay: FxHashMap<ObjId, ObjData>,
     /// Which of those copies are only partly filled (see the module docs).
     cow: CowScratch,
-    reads: AccessSet,
-    writes: AccessSet,
-    mode: TrackMode,
+    track: Tracker,
     /// Ids allocated by this transaction; accesses to them are not
     /// instrumented (they cannot conflict — the paper elides instrumentation
     /// for variables "defined afresh in each iteration").
     fresh: Vec<ObjId>,
     freed: Vec<ObjId>,
     ids: IdReservation,
-    stats: TxStats,
-    /// Abort when tracked read+write words exceed this.
-    budget_words: u64,
 }
 
 impl<'s> std::fmt::Debug for Tx<'s> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tx")
-            .field("mode", &self.mode)
+            .field("mode", &self.track.mode)
             .field("overlay_objects", &self.overlay.len())
-            .field("stats", &self.stats)
+            .field("stats", &self.track.stats)
             .finish()
     }
 }
@@ -294,31 +423,28 @@ impl<'s> Tx<'s> {
             bufs.overlay.is_empty()
                 && bufs.cow.is_reset()
                 && bufs.reads.is_empty()
-                && bufs.writes.is_empty(),
+                && bufs.writes.is_empty()
+                && bufs.read_log.is_empty()
+                && bufs.write_log.is_empty(),
             "pooled buffers must be released empty"
         );
         Tx {
             snap,
             overlay: bufs.overlay,
             cow: bufs.cow,
-            reads: bufs.reads,
-            writes: bufs.writes,
-            mode,
+            track: Tracker {
+                mode,
+                stats: TxStats::default(),
+                reads: bufs.reads,
+                writes: bufs.writes,
+                read_log: bufs.read_log,
+                write_log: bufs.write_log,
+                tracked_bound: 0,
+                budget_words,
+            },
             fresh: Vec::new(),
             freed: Vec::new(),
             ids,
-            stats: TxStats::default(),
-            budget_words,
-        }
-    }
-
-    fn check_budget(&self) {
-        let words = self.reads.words() + self.writes.words();
-        if words > self.budget_words {
-            std::panic::panic_any(MemoryExceeded {
-                words,
-                budget: self.budget_words,
-            });
         }
     }
 
@@ -329,22 +455,20 @@ impl<'s> Tx<'s> {
 
     #[inline]
     fn track_read(&mut self, id: ObjId, lo: u32, hi: u32) {
-        self.stats.read_ops += 1;
-        self.stats.read_words += u64::from(hi - lo);
-        if self.mode.tracks_reads() && !self.is_fresh(id) {
-            self.reads.insert(id, lo, hi);
-            self.check_budget();
-        }
+        let instrumented = self.track.mode.tracks_reads() && !self.is_fresh(id);
+        self.track.read(instrumented, id, lo, hi);
+    }
+
+    /// Whether writes to `id` are instrumented.
+    #[inline]
+    fn tracks_writes_to(&self, id: ObjId) -> bool {
+        self.track.mode.tracks_writes() && !self.is_fresh(id)
     }
 
     #[inline]
     fn track_write(&mut self, id: ObjId, lo: u32, hi: u32) {
-        self.stats.write_ops += 1;
-        self.stats.write_words += u64::from(hi - lo);
-        if self.mode.tracks_writes() && !self.is_fresh(id) {
-            self.writes.insert(id, lo, hi);
-            self.check_budget();
-        }
+        let instrumented = self.tracks_writes_to(id);
+        self.track.write(instrumented, id, lo, hi);
     }
 
     /// Borrows the payload to read words `lo..hi` of `id` from — the private
@@ -376,21 +500,7 @@ impl<'s> Tx<'s> {
                     .snap
                     .get(id)
                     .unwrap_or_else(|| panic!("transaction wrote dead or unknown {id}"));
-                if src.len() <= EAGER_MAX_WORDS {
-                    return slot.insert(src.clone());
-                }
-                let obj = slot.insert(self.cow.buffer_like(src));
-                let blocks = src.len().div_ceil(BLOCK_WORDS);
-                let mut lazy = LazyCopy {
-                    bits_at: self.cow.bits.len(),
-                    missing: u32::try_from(blocks).expect("object length fits u32"),
-                };
-                self.cow.bits.resize(lazy.bits_at + blocks.div_ceil(64), 0);
-                lazy.fill(&mut self.cow.bits, obj, || src, lo, hi);
-                if lazy.missing > 0 {
-                    self.cow.lazy.insert(id, lazy);
-                }
-                obj
+                slot.insert(self.cow.private_copy(id, src, lo, hi))
             }
         }
     }
@@ -495,6 +605,54 @@ impl<'s> Tx<'s> {
         f(&mut self.view_mut(id, lo, hi).i64s_mut()[lo..hi])
     }
 
+    // ----- guarded rows (one instrumentation call for the reads, one overlay
+    // lookup for the row, exact single-word write records) -----
+
+    /// Calls `f` with a guarded view of words `lo..hi` of float object `id`,
+    /// recording a single range read. The view reads words with
+    /// [`RowF64s::get`] and writes them with [`RowF64s::set`], each `set`
+    /// recording exactly the word it writes — the sets and counters are
+    /// those of one [`Tx::with_f64s`] followed by one [`Tx::write_f64`] per
+    /// `set`, without the copy of the row the first would need to outlive
+    /// the second, and without an overlay lookup per write.
+    pub fn row_f64s<R>(
+        &mut self,
+        id: ObjId,
+        lo: usize,
+        hi: usize,
+        f: impl FnOnce(&mut RowF64s<'_>) -> R,
+    ) -> R {
+        self.track_read(id, lo as u32, hi as u32);
+        let tracked = self.tracks_writes_to(id);
+        let words = match self.overlay.entry(id) {
+            Entry::Occupied(slot) => {
+                let obj = slot.into_mut();
+                self.cow.fill(self.snap, id, obj, lo, hi);
+                RowWords::Private(&mut obj.f64s_mut()[lo..hi])
+            }
+            Entry::Vacant(slot) => {
+                let src = self
+                    .snap
+                    .get(id)
+                    .unwrap_or_else(|| panic!("transaction accessed dead or unknown {id}"));
+                RowWords::Shared {
+                    row: &src.f64s()[lo..hi],
+                    src,
+                    slot,
+                }
+            }
+        };
+        f(&mut RowF64s {
+            words,
+            id,
+            lo,
+            hi,
+            tracked,
+            track: &mut self.track,
+            cow: &mut self.cow,
+        })
+    }
+
     // ----- object lifecycle -----
 
     /// Length in words of object `id` (not instrumented: object sizes are
@@ -516,7 +674,7 @@ impl<'s> Tx<'s> {
     /// becomes visible to other transactions only if this one commits.
     pub fn alloc(&mut self, data: ObjData) -> ObjId {
         let id = self.ids.next_id();
-        self.stats.allocs += 1;
+        self.track.stats.allocs += 1;
         self.overlay.insert(id, data);
         self.fresh.push(id);
         id
@@ -533,7 +691,7 @@ impl<'s> Tx<'s> {
             // Alloc+free within one transaction cancels out.
             self.fresh.swap_remove(pos);
             self.overlay.remove(&id);
-            self.stats.frees += 1;
+            self.track.stats.frees += 1;
             return;
         }
         let len = self.len(id) as u32;
@@ -543,7 +701,7 @@ impl<'s> Tx<'s> {
             self.cow.recycle(copy);
         }
         self.freed.push(id);
-        self.stats.frees += 1;
+        self.track.stats.frees += 1;
     }
 
     /// Whether `id` is visible (live in the snapshot or created here) and
@@ -559,7 +717,7 @@ impl<'s> Tx<'s> {
     /// virtual-time cost model.
     #[inline]
     pub fn work(&mut self, n: u64) {
-        self.stats.work += n;
+        self.track.stats.work += n;
     }
 
     /// Declares `n` words of memory traffic on loop-invariant inputs that
@@ -568,17 +726,17 @@ impl<'s> Tx<'s> {
     /// instrumentation or tracking happens.
     #[inline]
     pub fn traffic(&mut self, n: u64) {
-        self.stats.traffic_words += n;
+        self.track.stats.traffic_words += n;
     }
 
     /// The tracking mode this transaction runs under.
     pub fn mode(&self) -> TrackMode {
-        self.mode
+        self.track.mode
     }
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> &TxStats {
-        &self.stats
+        &self.track.stats
     }
 
     /// The snapshot this transaction reads through.
@@ -589,7 +747,8 @@ impl<'s> Tx<'s> {
     /// Finishes the transaction, yielding everything the commit engine
     /// needs: private writes, access sets, allocation log and counters.
     pub fn finish(mut self) -> TxEffects {
-        if self.mode == TrackMode::None {
+        self.track.fold_logs();
+        if self.track.mode == TrackMode::None {
             // Nothing recorded which words were written, so the commit takes
             // whole objects: complete the partly filled ones.
             for (id, lazy) in &mut self.cow.lazy {
@@ -612,13 +771,15 @@ impl<'s> Tx<'s> {
         };
         TxEffects {
             overlay,
-            reads: self.reads,
-            writes: self.writes,
+            reads: self.track.reads,
+            writes: self.track.writes,
             allocs,
             frees: self.freed,
-            stats: self.stats,
+            stats: self.track.stats,
             alloc_high_water: self.ids.high_water(),
             cow: self.cow,
+            read_log: self.track.read_log,
+            write_log: self.track.write_log,
         }
     }
 
@@ -628,6 +789,74 @@ impl<'s> Tx<'s> {
     fn valid_blocks(&self, id: ObjId) -> usize {
         let blocks = self.overlay[&id].len().div_ceil(BLOCK_WORDS);
         blocks - self.cow.lazy.get(&id).map_or(0, |l| l.missing as usize)
+    }
+}
+
+/// Where a [`RowF64s`] finds its words.
+enum RowWords<'a> {
+    /// The object has no private copy: `row` is the snapshot's words, `src`
+    /// the object they belong to, and `slot` where its private copy goes on
+    /// the first [`RowF64s::set`].
+    Shared {
+        row: &'a [f64],
+        src: &'a ObjData,
+        slot: VacantEntry<'a, ObjId, ObjData>,
+    },
+    /// The row's words in the private copy, their blocks valid.
+    Private(&'a mut [f64]),
+}
+
+/// A guarded view of one row — words `lo..hi` of a float object — handed
+/// out by [`Tx::row_f64s`], which see. Indices are relative to `lo`.
+pub struct RowF64s<'a> {
+    words: RowWords<'a>,
+    id: ObjId,
+    lo: usize,
+    hi: usize,
+    /// Whether writes to `id` are instrumented.
+    tracked: bool,
+    track: &'a mut Tracker,
+    cow: &'a mut CowScratch,
+}
+
+impl RowF64s<'_> {
+    /// Word `j` of the row, as this transaction sees it. Not counted: the
+    /// range read that opened the row covers it.
+    #[inline]
+    pub fn get(&self, j: usize) -> f64 {
+        match &self.words {
+            RowWords::Shared { row, .. } => row[j],
+            RowWords::Private(row) => row[j],
+        }
+    }
+
+    /// Writes word `j` of the row, recording a write of exactly that word.
+    /// The first write through a row whose object the transaction had not
+    /// written before makes the private copy.
+    #[inline]
+    pub fn set(&mut self, j: usize, v: f64) {
+        let word = (self.lo + j) as u32;
+        self.track.write(self.tracked, self.id, word, word + 1);
+        if let RowWords::Shared { .. } = self.words {
+            self.make_private();
+        }
+        let RowWords::Private(row) = &mut self.words else {
+            unreachable!("made private above");
+        };
+        row[j] = v;
+    }
+
+    #[cold]
+    fn make_private(&mut self) {
+        let RowWords::Shared { src, slot, .. } =
+            std::mem::replace(&mut self.words, RowWords::Private(&mut []))
+        else {
+            unreachable!("only called on a shared row");
+        };
+        // The whole row's blocks, not just the written word's: `get` reads
+        // the rest of the row from the copy from now on.
+        let obj = slot.insert(self.cow.private_copy(self.id, src, self.lo, self.hi));
+        self.words = RowWords::Private(&mut obj.f64s_mut()[self.lo..self.hi]);
     }
 }
 
@@ -653,6 +882,9 @@ pub struct TxEffects {
     pub alloc_high_water: u32,
     /// Recyclable private-copy storage, on its way back to the pool.
     cow: CowScratch,
+    /// The emptied access logs, likewise.
+    read_log: AccessLog,
+    write_log: AccessLog,
 }
 
 impl TxEffects {
@@ -707,6 +939,8 @@ impl TxEffects {
             reads: std::mem::take(&mut self.reads),
             writes: std::mem::take(&mut self.writes),
             cow: std::mem::take(&mut self.cow),
+            read_log: std::mem::take(&mut self.read_log),
+            write_log: std::mem::take(&mut self.write_log),
         }
     }
 }
@@ -963,6 +1197,8 @@ mod tests {
                 stats: self.stats,
                 alloc_high_water: ids().high_water(),
                 cow: CowScratch::default(),
+                read_log: AccessLog::default(),
+                write_log: AccessLog::default(),
             }
         }
     }
@@ -1023,6 +1259,51 @@ mod tests {
         } else {
             tx.write_i64s(id, lo, vals)
         }
+    }
+
+    /// Opens words `lo..hi` of float object `id` as a guarded row and plays
+    /// `script` through it — `(j, None)` reads word `j`, `(j, Some(v))` writes
+    /// it — returning what the reads saw.
+    fn tx_row(
+        tx: &mut Tx<'_>,
+        id: ObjId,
+        lo: usize,
+        hi: usize,
+        script: &[(usize, Option<i64>)],
+    ) -> Vec<i64> {
+        tx.row_f64s(id, lo, hi, |row| {
+            let mut seen = Vec::new();
+            for &(j, v) in script {
+                match v {
+                    Some(v) => row.set(j, v as f64),
+                    None => seen.push(row.get(j) as i64),
+                }
+            }
+            seen
+        })
+    }
+
+    /// The same row through the reference: one range read, then a
+    /// single-word write per `set`, reads served from what those leave.
+    fn eager_row(
+        eager: &mut EagerTx<'_>,
+        id: ObjId,
+        lo: usize,
+        hi: usize,
+        script: &[(usize, Option<i64>)],
+    ) -> Vec<i64> {
+        let mut row = eager.read(id, lo, hi);
+        let mut seen = Vec::new();
+        for &(j, v) in script {
+            match v {
+                Some(v) => {
+                    eager.write(id, lo + j, &[v]);
+                    row[j] = v;
+                }
+                None => seen.push(row[j]),
+            }
+        }
+        seen
     }
 
     /// Minimal SplitMix64 for deterministic case generation.
@@ -1110,7 +1391,23 @@ mod tests {
                 let o = live[at];
                 let (id, float, len) = (objs[o], o % 2 == 1, SIZES[o]);
                 let ctx = format!("case {case} step {step} {mode:?} obj {o}");
-                match rng.below(16) {
+                match rng.below(19) {
+                    // A guarded row: in-order and out-of-order writes, reads
+                    // of written and unwritten words, sometimes no write.
+                    16..=18 if float => {
+                        let (lo, hi) = rng.range(len);
+                        let script: Vec<(usize, Option<i64>)> = (0..rng.below(12))
+                            .map(|_| {
+                                let v = (rng.below(3) > 0).then(|| rng.small());
+                                (rng.below(hi - lo), v)
+                            })
+                            .collect();
+                        assert_eq!(
+                            tx_row(&mut tx, id, lo, hi, &script),
+                            eager_row(&mut eager, id, lo, hi, &script),
+                            "{ctx}"
+                        );
+                    }
                     0..=3 => {
                         let i = rng.below(len);
                         assert_eq!(
@@ -1155,10 +1452,22 @@ mod tests {
             }
             let (mut fx, mut want) = (tx.finish(), eager.finish());
             let ctx = format!("case {case} {mode:?}");
-            assert_eq!(sorted_sets(&fx.reads), sorted_sets(&want.reads), "{ctx}");
-            assert_eq!(sorted_sets(&fx.writes), sorted_sets(&want.writes), "{ctx}");
+            // The sets are built from the logs in `finish`, the reference's
+            // by one ordered insert per access.
+            for (got, want) in [(&fx.reads, &want.reads), (&fx.writes, &want.writes)] {
+                assert_eq!(sorted_sets(got), sorted_sets(want), "{ctx}");
+                assert_eq!(got.words(), want.words(), "{ctx}");
+                assert_eq!(got.range_count(), want.range_count(), "{ctx}");
+                assert_eq!(got.fingerprint(), want.fingerprint(), "{ctx}");
+            }
             assert_eq!(fx.stats, want.stats, "{ctx}");
             assert_eq!(fx.frees, want.frees, "{ctx}");
+            let keys = |fx: &TxEffects| {
+                let mut keys: Vec<ObjId> = fx.overlay.keys().copied().collect();
+                keys.sort_unstable();
+                keys
+            };
+            assert_eq!(keys(&fx), keys(&want), "{ctx}: overlay keys");
             assert_eq!(
                 fx.overlay.values().map(ObjData::len).sum::<usize>(),
                 want.overlay.values().map(ObjData::len).sum::<usize>(),
@@ -1171,6 +1480,146 @@ mod tests {
             pool.release(fx.take_buffers());
         }
         assert!(pool.reuses() > 0);
+    }
+
+    /// One tracked access of the budget test's script.
+    #[derive(Clone, Copy, Debug)]
+    enum Access {
+        Read(usize, usize, usize),
+        Write(usize, usize, usize),
+        /// A guarded row over `lo..hi` with one `set` at `lo + j`.
+        RowSet(usize, usize, usize, usize),
+    }
+
+    #[test]
+    fn memory_budget_trips_at_the_same_access() {
+        let mut rng = Rng(0xb0d6e7);
+        // Floats only (the guard arm needs them).
+        const LENS: [usize; 3] = [65, 129, 8192];
+        let mut heap = Heap::new();
+        let objs = LENS.map(|n| heap.alloc(ObjData::zeros_f64(n)));
+        let snap = heap.snapshot();
+        // Repeats, overlaps and contiguous runs, so that the log's upper
+        // bound runs well ahead of the exact count before the larger budgets
+        // trip.
+        let script: Vec<Access> = (0..16_000)
+            .map(|step| {
+                let o = rng.below(LENS.len());
+                let (lo, hi) = match rng.below(3) {
+                    0 => {
+                        let (lo, hi) = rng.range(LENS[o]);
+                        (lo, hi.min(lo + 48))
+                    }
+                    _ => {
+                        let at = (step * 3) % LENS[o];
+                        (at, at + 1)
+                    }
+                };
+                match rng.below(5) {
+                    0 | 1 => Access::Read(o, lo, hi),
+                    2 | 3 => Access::Write(o, lo, hi),
+                    _ => Access::RowSet(o, lo, hi, rng.below(hi - lo)),
+                }
+            })
+            .collect();
+        for mode in [TrackMode::ReadsAndWrites, TrackMode::WritesOnly] {
+            for budget in [1, 7, 64, 65, 4096] {
+                // The reference checks the sets themselves after every insert.
+                let (mut reads, mut writes) = (AccessSet::new(), AccessSet::new());
+                let want = script.iter().enumerate().find_map(|(at, access)| {
+                    let (o, read, write) = match *access {
+                        Access::Read(o, lo, hi) => (o, Some((lo, hi)), None),
+                        Access::Write(o, lo, hi) => (o, None, Some((lo, hi))),
+                        Access::RowSet(o, lo, hi, j) => {
+                            (o, Some((lo, hi)), Some((lo + j, lo + j + 1)))
+                        }
+                    };
+                    [(true, read), (false, write)]
+                        .into_iter()
+                        .find_map(|(is_read, range)| {
+                            let (lo, hi) = range?;
+                            if is_read && mode.tracks_reads() {
+                                reads.insert(objs[o], lo as u32, hi as u32);
+                            } else if !is_read && mode.tracks_writes() {
+                                writes.insert(objs[o], lo as u32, hi as u32);
+                            }
+                            let words = reads.words() + writes.words();
+                            (words > budget).then_some((at, MemoryExceeded { words, budget }))
+                        })
+                });
+                let at = std::cell::Cell::new(0);
+                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut tx = Tx::new(&snap, mode, ids(), budget);
+                    for (i, access) in script.iter().enumerate() {
+                        at.set(i);
+                        match *access {
+                            Access::Read(o, lo, hi) => {
+                                tx.with_f64s(objs[o], lo, hi, |_| {});
+                            }
+                            Access::Write(o, lo, hi) => {
+                                tx.write_f64s(objs[o], lo, &vec![0.0; hi - lo]);
+                            }
+                            Access::RowSet(o, lo, hi, j) => {
+                                tx.row_f64s(objs[o], lo, hi, |row| row.set(j, 0.0));
+                            }
+                        }
+                    }
+                }))
+                .err()
+                .map(|payload| {
+                    let me = payload
+                        .downcast_ref::<MemoryExceeded>()
+                        .expect("typed payload");
+                    (at.get(), *me)
+                });
+                assert!(
+                    want.is_some(),
+                    "{mode:?} budget {budget}: the script must trip it"
+                );
+                assert_eq!(got, want, "{mode:?} budget {budget}");
+            }
+        }
+    }
+
+    /// Per-write seconds of `n` single-word writes into one `n`-word object
+    /// as four interleaved ascending sweeps (words 0, 4, 8, … then 1, 5, 9, …
+    /// and so on), `finish` included: best of three.
+    fn interleaved_sweeps_secs_per_write(n: usize) -> f64 {
+        let mut h = Heap::new();
+        let obj = h.alloc(ObjData::zeros_f64(n));
+        let snap = h.snapshot();
+        (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let mut tx = Tx::new(&snap, TrackMode::WritesOnly, ids(), u64::MAX);
+                for sweep in 0..4 {
+                    for i in (sweep..n).step_by(4) {
+                        tx.write_f64(obj, i, 1.0);
+                    }
+                }
+                let fx = tx.finish();
+                let secs = start.elapsed().as_secs_f64();
+                assert_eq!(fx.writes.words(), n as u64);
+                assert_eq!(fx.writes.range_count(), 1);
+                secs / n as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    #[test]
+    fn a_tracked_write_costs_the_same_however_many_ranges_are_held() {
+        // Three of the four sweeps write between ranges already held (up to
+        // n / 4 of them). A set that is recounted, or spliced into, on every
+        // write makes the per-write time grow with n — 16× between these two
+        // sizes; a ratio holds in debug and release alike.
+        let small = interleaved_sweeps_secs_per_write(2_000);
+        let large = interleaved_sweeps_secs_per_write(32_000);
+        assert!(
+            large < 4.0 * small,
+            "per write: {:.0} ns at 32 000 words against {:.0} ns at 2 000",
+            large * 1e9,
+            small * 1e9
+        );
     }
 
     #[test]

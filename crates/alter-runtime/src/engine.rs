@@ -859,7 +859,8 @@ fn run_rounds(
                     // words a scan of each earlier writer would compare, up to
                     // and including the conflicting one — so event payloads are
                     // a function of the sets alone (the sanitizer re-derives
-                    // them). `words()` is O(1), so this costs nothing.
+                    // them). `AccessSet::words` is a maintained count, so
+                    // this costs nothing.
                     for (_, earlier) in round_writes.iter().take(winner_index + 1) {
                         validate_words += earlier.words().min(tracked);
                     }

@@ -100,17 +100,21 @@ impl Floyd {
             let k = iter as usize;
             let row_k: Vec<f64> = ctx.tx.with_f64s(path, k * n, (k + 1) * n, |r| r.to_vec());
             for i in 0..n {
-                let row_i: Vec<f64> = ctx.tx.with_f64s(path, i * n, (i + 1) * n, |r| r.to_vec());
-                let pik = row_i[k];
-                if pik >= INF {
-                    continue;
-                }
-                ctx.tx.work(2 * n as u64);
-                for j in 0..n {
-                    let cand = pik + row_k[j];
-                    if cand < row_i[j] {
-                        ctx.tx.write_f64(path, i * n + j, cand);
+                let relaxed = ctx.tx.row_f64s(path, i * n, (i + 1) * n, |row_i| {
+                    let pik = row_i.get(k);
+                    if pik >= INF {
+                        return false;
                     }
+                    for (j, pkj) in row_k.iter().enumerate() {
+                        let cand = pik + pkj;
+                        if cand < row_i.get(j) {
+                            row_i.set(j, cand);
+                        }
+                    }
+                    true
+                });
+                if relaxed {
+                    ctx.tx.work(2 * n as u64);
                 }
             }
         }
