@@ -25,7 +25,7 @@ use alter_analyze::absint::{cross_validate, interpret, static_verdict, LoopSpec,
 use alter_analyze::AnalyzeConfig;
 use alter_infer::{InferConfig, Model};
 use alter_runtime::DepKind;
-use alter_workloads::{all_benchmarks, Benchmark, Scale};
+use alter_workloads::{all_benchmarks, find_benchmark, Benchmark, Scale};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -37,19 +37,6 @@ flags:
   --json PATH  also write the deterministic static baseline
                (STATIC.json) to PATH
   --list       list workload names and exit";
-
-fn find_benchmark(name: &str) -> Option<Box<dyn Benchmark>> {
-    let norm = |s: &str| {
-        s.chars()
-            .filter(|c| *c != '-' && *c != '_')
-            .flat_map(char::to_lowercase)
-            .collect::<String>()
-    };
-    let want = norm(name);
-    all_benchmarks(Scale::Inference)
-        .into_iter()
-        .find(|b| norm(b.name()) == want)
-}
 
 /// One workload's spec, summary, and cross-validation violations.
 struct Analyzed {

@@ -29,7 +29,7 @@ use alter_analyze::{lint, predict, sanitize, AnalyzeConfig, LintTarget, Sanitize
 use alter_infer::{InferConfig, Model};
 use alter_runtime::Annotation;
 use alter_trace::{Recorder, RingRecorder};
-use alter_workloads::{all_benchmarks, Benchmark, Scale};
+use alter_workloads::{all_benchmarks, find_benchmark, Benchmark, Scale};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -47,19 +47,6 @@ flags:
 /// Sanitizer capacity: canonical traces with `task_sets` payloads are much
 /// larger than flight-recorder ones; keep every event.
 const LINT_RING_CAPACITY: usize = 1 << 20;
-
-fn find_benchmark(name: &str) -> Option<Box<dyn Benchmark>> {
-    let norm = |s: &str| {
-        s.chars()
-            .filter(|c| *c != '-' && *c != '_')
-            .flat_map(char::to_lowercase)
-            .collect::<String>()
-    };
-    let want = norm(name);
-    all_benchmarks(Scale::Inference)
-        .into_iter()
-        .find(|b| norm(b.name()) == want)
-}
 
 /// Records the workload's best-configuration trace with full set payloads
 /// and replays it through the sanitizer. Returns the number of events

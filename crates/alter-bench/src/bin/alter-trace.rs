@@ -16,6 +16,7 @@
 
 use alter_analyze::absint::{interpret, ALLOC_REGION};
 use alter_infer::{Model, Probe};
+use alter_runtime::RunStats;
 use alter_trace::{
     format_hash, to_jsonl, trace_hash, Event, Metrics, Profile, Recorder, RingRecorder,
 };
@@ -168,39 +169,24 @@ fn list_workloads() {
 }
 
 /// Runs `probe` against `bench` with a fresh ring recorder and returns the
-/// captured events, the run verdict line, and the runtime's out-of-band
-/// perf counters: the validation quartet `[fingerprint_hits,
-/// fingerprint_rejects, pool_reuses, exact_scan_words]`, the
-/// round-overhead trio `[snapshot_slots_copied, snapshot_pages_reused,
-/// pool_round_handoffs]`, then the ticket pair `[tickets_issued,
-/// tickets_requeued]` (zeros when the run aborted). The counters travel
+/// captured events, the run verdict line, and the run's statistics
+/// (zeros when the run aborted), whose out-of-band perf counters travel
 /// outside the event stream — traces are byte-identical under either
 /// driver.
-fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, [u64; 9]) {
+fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, RunStats) {
     let rec = Arc::new(RingRecorder::default());
     let mut probe = probe.clone();
     probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
-    let mut counters = [0u64; 9];
-    let verdict = match bench.run_probe(&probe) {
-        Ok(run) => {
-            counters = [
-                run.stats.fingerprint_hits,
-                run.stats.fingerprint_rejects,
-                run.stats.pool_reuses,
-                run.stats.exact_scan_words,
-                run.stats.snapshot_slots_copied,
-                run.stats.snapshot_pages_reused,
-                run.stats.pool_round_handoffs,
-                run.stats.tickets_issued,
-                run.stats.tickets_requeued,
-            ];
+    let (verdict, stats) = match bench.run_probe(&probe) {
+        Ok(run) => (
             format!(
                 "run: ok  (retry rate {:.3}, {:.1} sequential-work units)",
                 run.stats.retry_rate(),
                 run.clock.seq_units
-            )
-        }
-        Err(e) => format!("run: aborted ({e})"),
+            ),
+            run.stats,
+        ),
+        Err(e) => (format!("run: aborted ({e})"), RunStats::default()),
     };
     let events = rec.events();
     if rec.dropped() > 0 {
@@ -209,7 +195,7 @@ fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, [u64
             rec.dropped()
         );
     }
-    (events, verdict, counters)
+    (events, verdict, stats)
 }
 
 fn main() -> ExitCode {
@@ -319,7 +305,7 @@ fn main() -> ExitCode {
             format!(" ({})", notes.join("; "))
         }
     );
-    let (events, verdict, counters) = record_run(bench.as_ref(), &probe);
+    let (events, verdict, stats) = record_run(bench.as_ref(), &probe);
     println!("{verdict}");
     println!();
 
@@ -329,11 +315,24 @@ fn main() -> ExitCode {
         print!("{}", alter_trace::render_timeline(&events));
     }
     println!();
-    let mut metrics = Metrics::from_events(&events);
-    metrics.record_validation_counters(counters[0], counters[1], counters[2], counters[3]);
-    metrics.record_round_counters(counters[4], counters[5], counters[6]);
-    metrics.record_pipeline_counters(counters[7], counters[8]);
-    print!("{}", metrics.render());
+    let runtime_counters = format!(
+        "  fingerprint_hits={} fingerprint_rejects={} pool_reuses={} exact_scan_words={}\n  \
+         snapshot_slots_copied={} snapshot_pages_reused={} pool_round_handoffs={}\n  \
+         tickets_issued={} tickets_requeued={}\n",
+        stats.fingerprint_hits,
+        stats.fingerprint_rejects,
+        stats.pool_reuses,
+        stats.exact_scan_words,
+        stats.snapshot_slots_copied,
+        stats.snapshot_pages_reused,
+        stats.pool_round_handoffs,
+        stats.tickets_issued,
+        stats.tickets_requeued
+    );
+    print!(
+        "{}",
+        Metrics::from_events(&events).render(&runtime_counters)
+    );
     println!();
     if profile {
         // Same aggregation the `alter-replay profile` subcommand uses.

@@ -11,8 +11,8 @@
 //! * [`convergence_facts`] — the §7.2 convergence observations (GS sweep
 //!   counts, SG3D max-vs-+ iterations, Floyd passes).
 //!
-//! Run `cargo bench` (or the `alter-tables` / `alter-figures` binaries)
-//! to print them.
+//! Print them with `cargo run --release -p alter-bench --bin alter-tables`
+//! and `... --bin alter-figures [-- --quick]`.
 
 #![warn(missing_docs)]
 

@@ -1,33 +1,39 @@
 //! The deterministic fork-join engine (paper §4.1, Figure 4; determinism
 //! argument §4.3).
 //!
-//! Execution proceeds in lock-step rounds, under one of two drivers: the
-//! sequential driver runs a round's tasks inline on the caller's thread
-//! (reference semantics, simulator, replay); the threaded driver runs them
-//! on the lanes of a [`WorkerPool`] forked once per run. Either way the
-//! round's tasks all finish before the first of them retires. Each round:
+//! Execution proceeds in lock-step rounds, and a round is a plain sequence
+//! of stages — the [`Phase`] taxonomy the cost-unit ledger and the wall
+//! spans share — each a method of the `Coordinator`, on the calling thread:
 //!
-//! 1. takes one snapshot of the committed memory state (the analogue of
-//!    re-establishing N copy-on-write mappings);
-//! 2. assigns up to N chunk-transactions — retries first, then fresh chunks
-//!    from the iteration space — to workers in deterministic order;
-//! 3. executes them in isolation (in parallel under the threaded driver,
-//!    sequentially otherwise — the results are identical by construction);
-//! 4. validates and commits in ascending task order (the paper's "ascending
-//!    order of child pids"): a task commits iff its sets do not conflict,
-//!    under the active [`ConflictPolicy`], with the write sets of tasks that
-//!    committed *earlier in the same round* (earlier rounds are already in
-//!    the snapshot). Failed tasks re-execute next round; under
+//! 1. **snapshot + issue** (`begin_round`): takes one snapshot of the
+//!    committed memory state (the analogue of re-establishing N
+//!    copy-on-write mappings) and assigns up to N chunk-transactions —
+//!    retries first, then fresh chunks from the iteration space — to
+//!    workers in deterministic order. What comes out is the round as data,
+//!    a `RoundInput`.
+//! 2. **execute** (the driver): a function from the `RoundInput` to one
+//!    outcome per ticket, in ticket order, each ticket executed in
+//!    isolation. The sequential driver runs the jobs inline on the caller's
+//!    thread (reference semantics, simulator, replay); the threaded driver
+//!    on the lanes of a [`WorkerPool`] forked once per run — the outcomes
+//!    are identical by construction.
+//! 3. **validate**, then **commit** or **re-queue** (`retire`), in
+//!    ascending ticket order (the paper's "ascending order of child pids"):
+//!    a task commits iff its sets do not conflict, under the active
+//!    [`ConflictPolicy`], with the write sets of tasks that committed
+//!    *earlier in the same round* (earlier rounds are already in the
+//!    snapshot). Failed tasks re-execute next round; under
 //!    [`CommitOrder::InOrder`] a failure also squashes every later task in
 //!    the round, which is what makes `RAW + InOrder` equivalent to
 //!    sequential execution (Theorem 4.3).
+//! 4. **close** (`end_round`): the round's phase ledger joins the run's,
+//!    the observer sees the round, the work budget is enforced.
 //!
 //! Determinism follows exactly as in the paper: isolated executions, an
-//! in-order handoff from execution to commit (the committer retires ticket
-//! *s* only after ticket *s*−1, however the lanes finish — that order, not
-//! the barrier both drivers happen to keep, is what the argument needs),
-//! deterministic commit order, and conflict detection that is a pure
-//! function of the (deterministic) sets.
+//! in-order handoff from execution to commit (ticket *s* retires only after
+//! ticket *s*−1, however the lanes finish — that order, not the barrier
+//! both drivers happen to keep, is what the argument needs), and conflict
+//! detection that is a pure function of the (deterministic) sets.
 
 use crate::body::{LoopBody, TxCtx};
 use crate::params::{CommitOrder, ConflictPolicy, ExecParams};
@@ -38,7 +44,8 @@ use alter_heap::{
     AccessSet, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, TrackMode, Tx, TxBufferPool,
     TxBuffers, TxEffects, TxStats,
 };
-use alter_trace::{ConflictKind, Event, Phase, Recorder};
+use alter_trace::{ConflictKind, Event, Phase, Recorder, WallProfile};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -194,8 +201,8 @@ pub struct RunStats {
     pub tickets_issued: u64,
     /// Re-queue occurrences: tickets sent back to the sequencer with a
     /// fresh snapshot epoch after failing validation or being squashed by
-    /// an earlier in-order failure. Decided by the one committer both
-    /// drivers feed, so identical under either.
+    /// an earlier in-order failure. Decided by the one coordinator both
+    /// drivers serve, so identical under either.
     pub tickets_requeued: u64,
     /// Deterministic cost units charged to each engine phase (the phase
     /// profiler's ledger; identical under both drivers).
@@ -357,7 +364,7 @@ impl RoundObserver for NullObserver {
 }
 
 /// One chunk-transaction in flight: the unit the sequencer issues, a
-/// worker lane executes, and the committer retires strictly in `seq`
+/// worker lane executes, and the coordinator retires strictly in `seq`
 /// order.
 #[derive(Debug)]
 struct Ticket {
@@ -386,16 +393,11 @@ impl Sequencer {
     /// Returns the round's tickets plus how many were freshly issued;
     /// snapshot epochs are stamped by the caller once the round snapshot
     /// exists.
-    fn next_round(
-        &mut self,
-        space: &mut dyn IterSpace,
-        workers: usize,
-        chunk: usize,
-    ) -> (Vec<Ticket>, u64) {
+    fn next_round(&mut self, space: &mut dyn IterSpace, params: &ExecParams) -> (Vec<Ticket>, u64) {
         let mut tickets: Vec<Ticket> = self.retry.drain(..).collect();
         let mut fresh = 0;
-        while tickets.len() < workers && !space.is_exhausted() {
-            let iters = space.next_chunk(chunk);
+        while tickets.len() < params.workers && !space.is_exhausted() {
+            let iters = space.next_chunk(params.chunk);
             if iters.is_empty() {
                 break;
             }
@@ -409,61 +411,85 @@ impl Sequencer {
         }
         (tickets, fresh)
     }
+}
 
-    /// Hands a failed ticket back for the next round, where it will execute
-    /// against a fresh snapshot epoch.
-    fn requeue(&mut self, ticket: Ticket) {
-        self.retry.push_back(ticket);
+/// What one executed ticket hands the coordinator: its effects and
+/// reduction deltas, or the error its body raised.
+type TaskOutcome = Result<(TxEffects, Vec<RedDelta>), RunError>;
+
+/// The message a caught panic carries.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
     }
 }
 
-enum TaskPanic {
-    Oom(MemoryExceeded),
-    Crash(String),
+impl RunError {
+    /// The error a caught panic stands for: a tripped memory budget unwinds
+    /// with its [`MemoryExceeded`]; anything else is a crash of the
+    /// candidate program.
+    fn from_panic(payload: &(dyn Any + Send)) -> RunError {
+        match payload.downcast_ref::<MemoryExceeded>() {
+            Some(&MemoryExceeded { words, budget }) => RunError::OutOfMemory { words, budget },
+            None => RunError::Crash(panic_message(payload)),
+        }
+    }
+
+    /// The trace event announcing this abort.
+    fn event(&self) -> Event {
+        match *self {
+            RunError::Crash(ref message) => Event::Crash {
+                message: message.clone(),
+            },
+            RunError::OutOfMemory { words, budget } => Event::Oom { words, budget },
+            RunError::WorkBudgetExceeded { spent, budget } => {
+                Event::WorkBudgetExceeded { spent, budget }
+            }
+        }
+    }
 }
 
-type TaskOutcome = Result<(TxEffects, Vec<RedDelta>), TaskPanic>;
-
-#[allow(clippy::too_many_arguments)]
-fn run_one_task<B: LoopBody + ?Sized>(
-    snap: &Snapshot,
-    task: &Ticket,
-    bufs: TxBuffers,
-    worker: usize,
+/// One round as the coordinator hands it to a driver. A driver consumes it
+/// — snapshot included, so no view of the round outlives its execution and
+/// the commits that follow write in place (`Heap::apply_commit`) — and
+/// returns one `(ticket, outcome)` per ticket, in ticket order.
+struct RoundInput {
+    snap: Snapshot,
+    tickets: Vec<Ticket>,
+    /// One lent buffer set per ticket.
+    bufs: Vec<TxBuffers>,
+    /// The heap's high water at snapshot time (base of the id reservations).
     base: u32,
-    params: &ExecParams,
-    reds: &RedVars,
-    mode: TrackMode,
-    body: &B,
-) -> TaskOutcome {
-    let ids = IdReservation::new(base, worker, params.workers, params.alloc_block);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let tx = Tx::with_buffers(snap, mode, ids, params.budget_words, bufs);
-        let locals = RedLocals::for_policy(&params.reductions, reds);
-        let mut ctx = TxCtx::new(tx, locals);
-        for &i in &task.iters {
-            body.run_iter(&mut ctx, i);
-        }
-        let (tx, locals) = ctx.into_parts();
-        (tx.finish(), locals.into_deltas())
-    }));
-    result.map_err(|payload| {
-        if let Some(me) = payload.downcast_ref::<MemoryExceeded>() {
-            TaskPanic::Oom(*me)
-        } else if let Some(s) = payload.downcast_ref::<&str>() {
-            TaskPanic::Crash((*s).to_owned())
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            TaskPanic::Crash(s.clone())
-        } else {
-            TaskPanic::Crash("non-string panic payload".to_owned())
-        }
-    })
+    /// The reduction registry as of the round's start. Workers only read
+    /// it; merges happen on the coordinator, against the registry itself.
+    reds: Arc<RedVars>,
 }
 
-/// One round's worth of work shipped to a persistent pool worker. The
-/// snapshot and reduction registry ride along as cheap shared handles;
-/// everything else is owned by exactly one worker for the round.
-struct PoolJob {
+impl RoundInput {
+    /// Splits the round into one self-contained job per ticket. The
+    /// snapshot and reduction registry ride along as cheap shared handles;
+    /// everything else is owned by exactly one job.
+    fn into_jobs(self) -> Vec<Job> {
+        debug_assert_eq!(self.tickets.len(), self.bufs.len());
+        let jobs = self.tickets.into_iter().zip(self.bufs);
+        jobs.map(|(ticket, bufs)| Job {
+            snap: self.snap.clone(),
+            ticket,
+            bufs,
+            base: self.base,
+            reds: Arc::clone(&self.reds),
+        })
+        .collect()
+    }
+}
+
+/// One ticket's share of a [`RoundInput`]: what a lane (or the caller's
+/// thread, under the sequential driver) needs to execute it.
+struct Job {
     snap: Snapshot,
     ticket: Ticket,
     bufs: TxBuffers,
@@ -471,33 +497,55 @@ struct PoolJob {
     reds: Arc<RedVars>,
 }
 
-fn conflicts_with(policy: ConflictPolicy, effects: &TxEffects, earlier_writes: &AccessSet) -> bool {
-    match policy {
-        ConflictPolicy::Full => {
-            effects.reads.overlaps(earlier_writes) || effects.writes.overlaps(earlier_writes)
+/// Executes one job in isolation on lane `worker`. The job's view of the
+/// round dies here, before the outcome is handed back.
+fn run_job<B: LoopBody + ?Sized>(
+    worker: usize,
+    job: Job,
+    params: &ExecParams,
+    body: &B,
+) -> (Ticket, TaskOutcome) {
+    let ids = IdReservation::new(job.base, worker, params.workers, params.alloc_block);
+    let mode = params.conflict.track_mode();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let tx = Tx::with_buffers(&job.snap, mode, ids, params.budget_words, job.bufs);
+        let locals = RedLocals::for_policy(&params.reductions, &job.reds);
+        let mut ctx = TxCtx::new(tx, locals);
+        for &i in &job.ticket.iters {
+            body.run_iter(&mut ctx, i);
         }
-        ConflictPolicy::Waw => effects.writes.overlaps(earlier_writes),
-        ConflictPolicy::Raw => effects.reads.overlaps(earlier_writes),
-        ConflictPolicy::None => false,
-    }
+        let (tx, locals) = ctx.into_parts();
+        (tx.finish(), locals.into_deltas())
+    }));
+    let outcome = result.map_err(|payload| RunError::from_panic(&*payload));
+    (job.ticket, outcome)
+}
+
+/// The sets of `effects` that `policy` validates against earlier write
+/// sets, each with the dependence an overlap breaks. Reads come before
+/// writes — validation order under `FULL`.
+fn validated_sets(
+    policy: ConflictPolicy,
+    effects: &TxEffects,
+) -> impl Iterator<Item = (ConflictKind, &AccessSet)> {
+    use ConflictPolicy::{Full, Raw, Waw};
+    let reads = matches!(policy, Full | Raw).then_some((ConflictKind::Raw, &effects.reads));
+    let writes = matches!(policy, Full | Waw).then_some((ConflictKind::Waw, &effects.writes));
+    reads.into_iter().chain(writes)
+}
+
+fn conflicts_with(policy: ConflictPolicy, effects: &TxEffects, earlier_writes: &AccessSet) -> bool {
+    validated_sets(policy, effects).any(|(_, set)| set.overlaps(earlier_writes))
 }
 
 /// O(1) fingerprint pre-check mirroring [`conflicts_with`]: `false` proves
 /// the exact check is `false`; `true` means "cannot rule it out".
 fn may_conflict(policy: ConflictPolicy, effects: &TxEffects, earlier_writes: &AccessSet) -> bool {
-    match policy {
-        ConflictPolicy::Full => {
-            effects.reads.may_overlap(earlier_writes) || effects.writes.may_overlap(earlier_writes)
-        }
-        ConflictPolicy::Waw => effects.writes.may_overlap(earlier_writes),
-        ConflictPolicy::Raw => effects.reads.may_overlap(earlier_writes),
-        ConflictPolicy::None => false,
-    }
+    validated_sets(policy, effects).any(|(_, set)| set.may_overlap(earlier_writes))
 }
 
 /// Pinpoints the first conflicting word once [`conflicts_with`] has already
-/// said "yes". Reads are checked before writes, matching validation order
-/// under `FULL`; within a set the search is deterministic (ascending
+/// said "yes": within a set the search is deterministic (ascending
 /// allocation, then lowest word). Only runs on the conflict path, so the
 /// extra scan never taxes a conflict-free round.
 fn locate_conflict(
@@ -505,33 +553,127 @@ fn locate_conflict(
     effects: &TxEffects,
     earlier_writes: &AccessSet,
 ) -> Option<(ConflictKind, ObjId, u32)> {
-    let raw = || {
-        effects
-            .reads
-            .first_overlap(earlier_writes)
-            .map(|(obj, word)| (ConflictKind::Raw, obj, word))
-    };
-    let waw = || {
-        effects
-            .writes
-            .first_overlap(earlier_writes)
-            .map(|(obj, word)| (ConflictKind::Waw, obj, word))
-    };
-    match policy {
-        ConflictPolicy::Full => raw().or_else(waw),
-        ConflictPolicy::Waw => waw(),
-        ConflictPolicy::Raw => raw(),
-        ConflictPolicy::None => None,
+    validated_sets(policy, effects).find_map(|(kind, set)| {
+        let (obj, word) = set.first_overlap(earlier_writes)?;
+        Some((kind, obj, word))
+    })
+}
+
+/// The validate stage: the write sets the current round has committed so
+/// far — one entry per committer, for conflict attribution — plus their
+/// running union, whose fingerprint rejects a non-overlapping ticket in
+/// O(1) and otherwise stands in for a scan of every earlier writer.
+struct Validator {
+    policy: ConflictPolicy,
+    writers: Vec<(u64, AccessSet)>,
+    union: AccessSet,
+}
+
+impl Validator {
+    fn new(policy: ConflictPolicy) -> Self {
+        Validator {
+            policy,
+            writers: Vec::new(),
+            union: AccessSet::new(),
+        }
     }
+
+    /// Validates one ticket's sets against the round's earlier committers:
+    /// returns its `validate_words` charge and, if it lost, the first
+    /// earlier writer (in commit order) and word it lost to. Changes
+    /// nothing of the validator; what the check itself cost goes to
+    /// `stats`' fingerprint and exact-scan counters.
+    fn check(&self, effects: &TxEffects, stats: &mut RunStats) -> (u64, Option<ConflictDetail>) {
+        let tracked = effects.reads.words() + effects.writes.words();
+        // One fingerprint test against the union. A reject proves
+        // disjointness from every earlier writer with no scan at all; a hit
+        // runs one exact scan against the union instead of one per writer.
+        let conflicted = if self.writers.is_empty() || self.policy == ConflictPolicy::None {
+            false
+        } else if may_conflict(self.policy, effects, &self.union) {
+            stats.fingerprint_hits += 1;
+            stats.exact_scan_words += self.union.words().min(tracked);
+            conflicts_with(self.policy, effects, &self.union)
+        } else {
+            stats.fingerprint_rejects += 1;
+            false
+        };
+        // Attribution runs only on the conflict path: walk the per-writer
+        // log in commit order to name the first earlier transaction this
+        // one lost to — the same writer and word a per-writer scan would
+        // have reported.
+        let mut conflict = None;
+        let mut probed = self.writers.len();
+        if conflicted {
+            for (i, (winner_seq, earlier)) in self.writers.iter().enumerate() {
+                stats.exact_scan_words += earlier.words().min(tracked);
+                if conflicts_with(self.policy, effects, earlier) {
+                    let (kind, obj, word) = locate_conflict(self.policy, effects, earlier)
+                        .expect("overlap test and locate must agree");
+                    conflict = Some(ConflictDetail {
+                        kind,
+                        obj,
+                        word,
+                        winner_seq: *winner_seq,
+                    });
+                    probed = i + 1;
+                    break;
+                }
+            }
+            debug_assert!(
+                conflict.is_some(),
+                "a conflict with the union names some individual writer"
+            );
+        }
+        // Trace-visible accounting is the per-writer formula — the words a
+        // scan of each earlier writer would compare, up to and including
+        // the conflicting one — so event payloads are a function of the
+        // sets alone (the sanitizer re-derives them). `AccessSet::words` is
+        // a maintained count, so this costs nothing.
+        let validate_words = self.writers[..probed]
+            .iter()
+            .map(|(_, earlier)| earlier.words().min(tracked))
+            .sum();
+        (validate_words, conflict)
+    }
+
+    /// Remembers a committed write set with its owner's sequence number, so
+    /// a later conflict can name the transaction it lost to.
+    fn admit(&mut self, seq: u64, writes: AccessSet) {
+        self.union.union_with(&writes);
+        self.writers.push((seq, writes));
+    }
+
+    /// The write log is only meaningful within a round (earlier rounds are
+    /// already visible in the next snapshot): recycle its sets and reset
+    /// the union.
+    fn end_round(&mut self, bufs: &mut TxBufferPool) {
+        for (_, set) in self.writers.drain(..) {
+            bufs.release_set(set);
+        }
+        self.union.clear();
+    }
+}
+
+/// Runs `f`, adding its wall time to `phase` when a profile is attached.
+/// `None` (the default) means no `Instant` is ever taken; the deterministic
+/// cost-unit ledger never reads the clock either way.
+fn timed<T>(wall: Option<&WallProfile>, phase: Phase, f: impl FnOnce() -> T) -> T {
+    let Some(wall) = wall else { return f() };
+    let t = Instant::now();
+    let out = f();
+    wall.add(phase, t.elapsed().as_secs_f64());
+    out
 }
 
 /// Runs an annotated loop to completion. This is the engine entry point;
 /// prefer the [`crate::run_loop`] / [`crate::LoopBuilder`] wrappers.
 ///
-/// This function only picks the driver; the round loop itself lives in
-/// [`run_rounds`], parameterized by a round-execution callback so the same
-/// (deterministic) scheduling, validation and commit code runs whether a
-/// round's tasks execute inline or on the [`WorkerPool`] spanning the run.
+/// This function only picks the driver — how a [`RoundInput`] becomes the
+/// round's outcomes; everything else about a run lives in [`run_rounds`]
+/// and the [`Coordinator`], so the same (deterministic) scheduling,
+/// validation and commit code runs whether a round's jobs execute inline
+/// or on the [`WorkerPool`] spanning the run.
 pub(crate) fn run_loop_engine<B: LoopBody>(
     heap: &mut Heap,
     reds: &mut RedVars,
@@ -542,63 +684,15 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
     observer: &mut dyn RoundObserver,
 ) -> Result<RunStats, RunError> {
     assert!(params.workers >= 1, "need at least one worker");
-    let mode = params.conflict.track_mode();
+    let run = |worker: usize, job: Job| run_job(worker, job, params, body);
     if threaded && params.workers > 1 {
-        // Threaded driver: one thread::scope for the whole run; workers
-        // outlive every round and receive per-round jobs over channels.
-        // The per-round reduction registry is cloned into the job batch
-        // (workers only read it; merges happen on this thread, between
-        // rounds) — one small clone per round, same values as inline.
-        let worker_fn = |worker: usize, job: PoolJob| {
-            let outcome = run_one_task(
-                &job.snap,
-                &job.ticket,
-                job.bufs,
-                worker,
-                job.base,
-                params,
-                &job.reds,
-                mode,
-                body,
-            );
-            (job.ticket, outcome)
-        };
+        // Threaded driver: one thread::scope for the whole run; lanes
+        // outlive every round, job *i* of a round runs on lane *i*, and
+        // `run_round` returns once the last lane has.
         std::thread::scope(|scope| {
-            let mut pool = WorkerPool::new(scope, params.workers, &worker_fn);
-            // Inner block: `exec` mutably borrows the pool and must die
-            // before the handoff counter can be read back.
-            let mut result = {
-                let mut exec = |snap: Snapshot,
-                                tickets: Vec<Ticket>,
-                                bufs: Vec<TxBuffers>,
-                                base: u32,
-                                reds: Arc<RedVars>,
-                                sink: &mut TaskSink<'_>|
-                 -> Result<(), RunError> {
-                    let jobs: Vec<PoolJob> = tickets
-                        .into_iter()
-                        .zip(bufs)
-                        .map(|(ticket, bufs)| PoolJob {
-                            snap: snap.clone(),
-                            ticket,
-                            bufs,
-                            base,
-                            reds: Arc::clone(&reds),
-                        })
-                        .collect();
-                    // Only the jobs keep the round's view alive now: it dies
-                    // with the last lane to return, which `run_round` waits
-                    // for, and the commits write in place
-                    // (`Heap::apply_commit`).
-                    drop(snap);
-                    for (worker, (ticket, outcome)) in pool.run_round(jobs).into_iter().enumerate()
-                    {
-                        sink(worker, ticket, outcome)?;
-                    }
-                    Ok(())
-                };
-                run_rounds(heap, reds, space, params, &mut exec, observer)
-            };
+            let mut pool = WorkerPool::new(scope, params.workers, &run);
+            let exec = |round: RoundInput| pool.run_round(round.into_jobs());
+            let mut result = run_rounds(heap, reds, space, params, exec, observer);
             if let Ok(stats) = &mut result {
                 stats.pool_round_handoffs = pool.round_handoffs();
             }
@@ -607,138 +701,136 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
             // implicit join finds every worker already draining out.
         })
     } else {
-        // Sequential driver: every task runs inline, in ticket order, before
+        // Sequential driver: every job runs inline, in ticket order, before
         // the first one retires.
-        let mut exec = |snap: Snapshot,
-                        tickets: Vec<Ticket>,
-                        bufs: Vec<TxBuffers>,
-                        base: u32,
-                        reds: Arc<RedVars>,
-                        sink: &mut TaskSink<'_>|
-         -> Result<(), RunError> {
-            debug_assert_eq!(tickets.len(), bufs.len());
-            let outcomes: Vec<TaskOutcome> = tickets
-                .iter()
-                .zip(bufs)
-                .enumerate()
-                .map(|(worker, (task, buf))| {
-                    run_one_task(&snap, task, buf, worker, base, params, &reds, mode, body)
-                })
-                .collect();
-            // Every task has returned, so nothing reads the round's view any
-            // more: drop it and the commits write in place.
-            drop(snap);
-            for (worker, (ticket, outcome)) in tickets.into_iter().zip(outcomes).enumerate() {
-                sink(worker, ticket, outcome)?;
-            }
-            Ok(())
+        let exec = |round: RoundInput| {
+            let jobs = round.into_jobs().into_iter().enumerate();
+            jobs.map(|(worker, job)| run(worker, job)).collect()
         };
-        run_rounds(heap, reds, space, params, &mut exec, observer)
+        run_rounds(heap, reds, space, params, exec, observer)
     }
 }
 
-/// The committer's per-ticket consumer: validates and commits (or
-/// re-queues) one ticket. [`run_rounds`] builds one sink per round over its
-/// own mutable state; drivers must feed it **strictly in ticket order** —
-/// that in-order handoff, not a barrier, is the only ordering the
-/// determinism argument needs. An `Err` aborts the round (and the run).
-type TaskSink<'a> = dyn FnMut(usize, Ticket, TaskOutcome) -> Result<(), RunError> + 'a;
-
-/// Per-round execution callback of [`run_rounds`]: given the round's
-/// snapshot, tickets, lent buffers, base worker index, and a shared handle
-/// on the reduction registry, runs every ticket and feeds each `(worker,
-/// ticket, outcome)` to the sink in ticket order. Both drivers run the
-/// whole round first and then feed. The snapshot is the driver's to drop:
-/// a commit copies the payload it writes for as long as some snapshot
-/// shares it, so a driver lets go of the round's view as soon as no task
-/// needs it.
-type RoundExec<'a> = dyn FnMut(
-        Snapshot,
-        Vec<Ticket>,
-        Vec<TxBuffers>,
-        u32,
-        Arc<RedVars>,
-        &mut TaskSink<'_>,
-    ) -> Result<(), RunError>
-    + 'a;
-
-/// The round loop: schedule, snapshot, execute (via `exec`), validate,
-/// commit, observe — everything about a run that is independent of how a
-/// round's tasks are driven.
+/// The round loop, one line per stage of the [`Phase`] taxonomy: snapshot
+/// and issue, execute (the driver), then validate and commit — or re-queue
+/// — strictly in ticket order, and close the round. That in-order
+/// retirement, not the barrier both drivers happen to keep, is the only
+/// ordering the determinism argument needs.
 fn run_rounds(
     heap: &mut Heap,
     reds: &mut RedVars,
     space: &mut dyn IterSpace,
     params: &ExecParams,
-    exec: &mut RoundExec<'_>,
+    mut exec: impl FnMut(RoundInput) -> Vec<(Ticket, TaskOutcome)>,
     observer: &mut dyn RoundObserver,
 ) -> Result<RunStats, RunError> {
-    let mode = params.conflict.track_mode();
-    // Resolve the recorder once: `None` here means every emission site below
-    // is one predicted-not-taken branch and constructs nothing.
-    let rec: Option<&dyn Recorder> = params.recorder.as_deref().filter(|r| r.is_enabled());
-    // Wall-clock phase mirror: `None` (the default) means no `Instant` is
-    // ever taken; the deterministic cost-unit accounting below runs either
-    // way and never reads the clock.
-    let wall = params.wall_profile.as_deref();
-    let mut stats = RunStats::default();
-    let mut sequencer = Sequencer::default();
-    let mut reports: Vec<TaskReport> = Vec::new();
-    // Cross-round recycling: the pool lends each task its transaction
-    // buffers and takes them back — emptied, capacity intact — once the
-    // task's effects are consumed. It lives on this coordinating thread and
-    // is only touched between rounds, so recycling cannot perturb
-    // determinism: only capacity is reused, never contents.
-    let mut pool = TxBufferPool::new();
-    // Committed write sets of the current round, one entry per committer
-    // (for conflict attribution), plus their running union. The union's
-    // fingerprint lets validation reject a non-overlapping task in O(1) and
-    // compare against one merged set — instead of scanning every earlier
-    // writer — when it cannot.
-    let mut round_writes: Vec<(u64, AccessSet)> = Vec::new();
-    let mut merged_writes = AccessSet::new();
+    let mut co = Coordinator::new(heap, reds, params);
+    let mut run = || -> Result<(), RunError> {
+        while let Some(round) = co.begin_round(space) {
+            let outcomes = timed(co.wall, Phase::Execute, || exec(round));
+            for (worker, (ticket, outcome)) in outcomes.into_iter().enumerate() {
+                co.retire(worker, ticket, outcome)?;
+            }
+            co.end_round(observer)?;
+        }
+        Ok(())
+    };
+    let result = run();
+    co.finish(result)
+}
 
-    loop {
-        // Assemble the round from the sequencer: re-queued tickets first
-        // (lowest seq first — they are already in order), then fresh
-        // chunks.
-        let (mut tickets, fresh) = sequencer.next_round(space, params.workers, params.chunk);
+/// Everything about a run that does not depend on how a round's jobs are
+/// driven, on the calling thread: the ticket source, the buffer pool, the
+/// validator, the heap and reduction registry that commits go to, and the
+/// books — statistics, the round's phase ledger and task reports, recorder
+/// and wall profile. Its methods are the stages [`run_rounds`] sequences.
+struct Coordinator<'a> {
+    heap: &'a mut Heap,
+    reds: &'a mut RedVars,
+    params: &'a ExecParams,
+    mode: TrackMode,
+    /// Resolved once: `None` means every emission site is one
+    /// predicted-not-taken branch and constructs nothing.
+    rec: Option<&'a dyn Recorder>,
+    wall: Option<&'a WallProfile>,
+    stats: RunStats,
+    validator: Validator,
+    /// Cross-round recycling: lends each task its transaction buffers and
+    /// takes them back — emptied, capacity intact — once its effects are
+    /// consumed. Only touched on this thread, and only capacity is reused,
+    /// never contents, so recycling cannot perturb determinism.
+    bufs: TxBufferPool,
+    /// Phase ledger of the round in flight.
+    costs: PhaseCosts,
+    /// Set by the round's first in-order validation failure: every later
+    /// ticket of the round is squashed by that sequence number.
+    squashed_by: Option<u64>,
+    // Dropped last, as the closure's locals were: freeing the lane-born
+    // sets and buffers last instead costs Genome +10 % peak RSS over
+    // repeated runs (EXPERIMENTS "Wall clock: round as data").
+    reports: Vec<TaskReport>,
+    sequencer: Sequencer,
+}
+
+impl<'a> Coordinator<'a> {
+    fn new(heap: &'a mut Heap, reds: &'a mut RedVars, params: &'a ExecParams) -> Self {
+        Coordinator {
+            heap,
+            reds,
+            params,
+            mode: params.conflict.track_mode(),
+            rec: params.recorder.as_deref().filter(|r| r.is_enabled()),
+            wall: params.wall_profile.as_deref(),
+            stats: RunStats::default(),
+            validator: Validator::new(params.conflict),
+            bufs: TxBufferPool::new(),
+            costs: PhaseCosts::default(),
+            squashed_by: None,
+            reports: Vec::new(),
+            sequencer: Sequencer::default(),
+        }
+    }
+
+    /// Snapshot + issue: assembles the next round from the sequencer
+    /// (re-queued tickets first, then fresh chunks), establishes its
+    /// snapshot and announces it. `None` once the space is exhausted and
+    /// nothing is left to retry.
+    fn begin_round(&mut self, space: &mut dyn IterSpace) -> Option<RoundInput> {
+        let (mut tickets, fresh) = self.sequencer.next_round(space, self.params);
         if tickets.is_empty() {
-            break;
+            return None;
         }
-        stats.tickets_issued += fresh;
+        self.stats.tickets_issued += fresh;
 
-        // Establish the round snapshot by patching the heap's persistent
-        // page table: O(slots dirtied since the previous round).
-        let wall_t = wall.map(|_| Instant::now());
-        let (snap, snap_stats) = heap.snapshot_incremental();
-        if let (Some(w), Some(t)) = (wall, wall_t) {
-            w.add(Phase::Snapshot, t.elapsed().as_secs_f64());
-        }
-        stats.snapshot_slots_copied += snap_stats.slots_copied;
-        stats.snapshot_pages_reused += snap_stats.pages_reused;
-        // The snapshot bumped the heap's monotonic snapshot epoch; stamp
-        // it onto the round's tickets. A re-queued ticket is re-stamped
-        // here — it re-executes against the fresh epoch its
-        // `TicketRequeued` event promised.
-        let epoch = heap.snapshot_epoch();
+        // Patches the heap's persistent page table: O(slots dirtied since
+        // the previous round).
+        let heap = &mut *self.heap;
+        let (snap, snap_stats) = timed(self.wall, Phase::Snapshot, || heap.snapshot_incremental());
+        self.stats.snapshot_slots_copied += snap_stats.slots_copied;
+        self.stats.snapshot_pages_reused += snap_stats.pages_reused;
+        // The snapshot bumped the heap's monotonic snapshot epoch; stamp it
+        // onto the round's tickets. A re-queued ticket is re-stamped here —
+        // it re-executes against the fresh epoch its `TicketRequeued` event
+        // promised.
+        let epoch = self.heap.snapshot_epoch();
         for t in &mut tickets {
             t.epoch = epoch;
         }
-        // Phase ledger for this round. Snapshot cost is the trace's
-        // `snapshot_slots` figure (one charge per slot in the round's view),
-        // deliberately not `slots_copied`, which depends on what earlier
-        // runs on the same heap left in the snapshot cache.
-        let round_snapshot = snap.slot_count() as u64;
-        let mut round_execute: u64 = 0;
-        let mut round_validate: u64 = 0;
-        let mut round_commit: u64 = 0;
-        let base = heap.high_water();
-        if let Some(rec) = rec {
+        // Snapshot cost is the trace's `snapshot_slots` figure (one charge
+        // per slot in the round's view), deliberately not `slots_copied`,
+        // which depends on what earlier runs on the same heap left in the
+        // snapshot cache.
+        self.costs = PhaseCosts {
+            snapshot: snap.slot_count() as u64,
+            ..PhaseCosts::default()
+        };
+        self.squashed_by = None;
+        self.reports.clear();
+        if let Some(rec) = self.rec {
             rec.record(Event::RoundStart {
-                round: stats.rounds,
+                round: self.stats.rounds,
                 tasks: tickets.len() as u32,
-                snapshot_slots: snap.slot_count() as u64,
+                snapshot_slots: self.costs.snapshot,
             });
             for (worker, task) in tickets.iter().enumerate() {
                 rec.record(Event::TaskStart {
@@ -746,7 +838,7 @@ fn run_rounds(
                     worker: worker as u32,
                     iters: task.iters.len() as u32,
                 });
-                if params.trace_tickets {
+                if self.params.trace_tickets {
                     rec.record(Event::TicketIssued {
                         seq: task.seq,
                         epoch: task.epoch,
@@ -755,334 +847,242 @@ fn run_rounds(
                 }
             }
         }
-        let bufs: Vec<TxBuffers> = tickets.iter().map(|_| pool.acquire()).collect();
-        // Workers read the reduction registry through a shared handle;
-        // merges happen in the sink below, on this thread, against `reds`
-        // itself. The handle's values are identical under both drivers.
-        let exec_reds = Arc::new(reds.clone());
+        Some(RoundInput {
+            bufs: tickets.iter().map(|_| self.bufs.acquire()).collect(),
+            base: self.heap.high_water(),
+            reds: Arc::new(self.reds.clone()),
+            snap,
+            tickets,
+        })
+    }
 
-        // Validate and commit strictly in ticket order. The sink below is
-        // the single committer both drivers feed once the whole round has
-        // run. Each committed write set is remembered with its owner's
-        // sequence number so a later conflict can name the transaction it
-        // lost to.
-        let mut squash = false;
-        let mut squashed_by: u64 = 0;
-        // Out-of-band wall bookkeeping: the committer's validate/commit
-        // spans land *inside* the exec span, so the sink measures them and
-        // the remainder approximates execution.
-        let mut sink_secs = 0.0f64;
-        reports.clear();
-        let round_wall_t = wall.map(|_| Instant::now());
-        let mut sink =
-            |worker: usize, task: Ticket, outcome: TaskOutcome| -> Result<(), RunError> {
-                let (mut effects, deltas) = match outcome {
-                    Ok(v) => v,
-                    Err(TaskPanic::Oom(me)) => {
-                        if let Some(rec) = rec {
-                            rec.record(Event::Oom {
-                                words: me.words,
-                                budget: me.budget,
-                            });
-                        }
-                        return Err(RunError::OutOfMemory {
-                            words: me.words,
-                            budget: me.budget,
-                        });
-                    }
-                    Err(TaskPanic::Crash(msg)) => {
-                        if let Some(rec) = rec {
-                            rec.record(Event::Crash {
-                                message: msg.clone(),
-                            });
-                        }
-                        return Err(RunError::Crash(msg));
-                    }
-                };
+    /// Retires one executed ticket — in ticket order, the caller's duty:
+    /// books its execution, validates it unless an earlier in-order failure
+    /// already squashed it, and commits or re-queues it. An `Err` (the
+    /// body's, or a failed reduction merge) aborts the run.
+    fn retire(
+        &mut self,
+        worker: usize,
+        task: Ticket,
+        outcome: TaskOutcome,
+    ) -> Result<(), RunError> {
+        let (effects, deltas) = outcome?;
+        let stats = &mut self.stats;
+        stats.attempts += 1;
+        stats.tx_stats.add(&effects.stats);
+        self.costs.execute +=
+            effects.stats.work + effects.stats.read_words + effects.stats.write_words;
+        let tracked = effects.reads.words() + effects.writes.words();
+        stats.tracked_words += tracked;
+        stats.max_tracked_words = stats.max_tracked_words.max(tracked);
 
-                stats.attempts += 1;
-                stats.tx_stats.add(&effects.stats);
-                round_execute +=
-                    effects.stats.work + effects.stats.read_words + effects.stats.write_words;
-                let tracked = effects.reads.words() + effects.writes.words();
-                stats.tracked_words += tracked;
-                stats.max_tracked_words = stats.max_tracked_words.max(tracked);
+        let squashed = self.squashed_by.is_some();
+        let (validate_words, conflict) = if squashed {
+            (0, None)
+        } else {
+            let validator = &self.validator;
+            timed(self.wall, Phase::Validate, || {
+                validator.check(&effects, stats)
+            })
+        };
+        stats.validate_words += validate_words;
+        self.costs.validate += validate_words;
 
-                let mut validate_words = 0;
-                let mut conflict: Option<ConflictDetail> = None;
-                let wall_t = wall.map(|_| Instant::now());
-                if !squash {
-                    // One fingerprint test against the union of the
-                    // round's committed write sets. A reject proves disjointness
-                    // from every earlier writer with no scan at all; a hit runs
-                    // one exact scan against the merged set instead of one per
-                    // earlier writer.
-                    let conflicted =
-                        if round_writes.is_empty() || params.conflict == ConflictPolicy::None {
-                            false
-                        } else if may_conflict(params.conflict, &effects, &merged_writes) {
-                            stats.fingerprint_hits += 1;
-                            stats.exact_scan_words += merged_writes.words().min(tracked);
-                            conflicts_with(params.conflict, &effects, &merged_writes)
-                        } else {
-                            stats.fingerprint_rejects += 1;
-                            false
-                        };
-                    // Attribution runs only on the conflict path: walk the
-                    // per-writer log in commit order to name the first earlier
-                    // transaction this one lost to — the same writer and word
-                    // the per-writer scan would have reported.
-                    let mut winner_index = round_writes.len();
-                    if conflicted {
-                        for (i, (winner_seq, earlier)) in round_writes.iter().enumerate() {
-                            stats.exact_scan_words += earlier.words().min(tracked);
-                            if conflicts_with(params.conflict, &effects, earlier) {
-                                let (kind, obj, word) =
-                                    locate_conflict(params.conflict, &effects, earlier)
-                                        .expect("overlap test and locate must agree");
-                                conflict = Some(ConflictDetail {
-                                    kind,
-                                    obj,
-                                    word,
-                                    winner_seq: *winner_seq,
-                                });
-                                winner_index = i;
-                                break;
-                            }
-                        }
-                        debug_assert!(
-                            conflict.is_some(),
-                            "a conflict with the union names some individual writer"
-                        );
-                    }
-                    // Trace-visible accounting is the per-writer formula — the
-                    // words a scan of each earlier writer would compare, up to
-                    // and including the conflicting one — so event payloads are
-                    // a function of the sets alone (the sanitizer re-derives
-                    // them). `AccessSet::words` is a maintained count, so
-                    // this costs nothing.
-                    for (_, earlier) in round_writes.iter().take(winner_index + 1) {
-                        validate_words += earlier.words().min(tracked);
-                    }
-                }
-                if let (Some(w), Some(t)) = (wall, wall_t) {
-                    let dt = t.elapsed().as_secs_f64();
-                    sink_secs += dt;
-                    w.add(Phase::Validate, dt);
-                }
-                stats.validate_words += validate_words;
-                round_validate += validate_words;
-
-                let mut report = TaskReport {
-                    seq: task.seq,
-                    worker,
-                    iters: task.iters.len() as u32,
-                    committed: false,
-                    squashed: squash,
-                    stats: effects.stats,
-                    read_words: effects.reads.words(),
-                    write_words: effects.writes.words(),
-                    validate_words,
-                    instr_read_ops: if mode.tracks_reads() {
-                        effects.stats.read_ops
-                    } else {
-                        0
-                    },
-                    instr_write_ops: if mode.tracks_writes() {
-                        effects.stats.write_ops
-                    } else {
-                        0
-                    },
-                    overlay_words: effects.overlay.values().map(|o| o.len() as u64).sum(),
-                    alloc_words: effects.allocs.iter().map(|(_, o)| o.len() as u64).sum(),
-                    write_ranges: effects.writes.range_count() as u64,
-                    conflict,
-                };
-
-                // Opt-in sanitizer payload: the full tracked sets, emitted just
-                // before the verdict event they justify.
-                if params.record_sets {
-                    if let Some(rec) = rec {
-                        rec.record(Event::TaskSets {
-                            seq: task.seq,
-                            reads: alter_trace::render_set(&effects.reads),
-                            writes: alter_trace::render_set(&effects.writes),
-                        });
-                    }
-                }
-
-                if squash || conflict.is_some() {
-                    if let Some(rec) = rec {
-                        if let Some(c) = conflict {
-                            rec.record(Event::ValidateConflict {
-                                seq: task.seq,
-                                kind: c.kind,
-                                obj: c.obj,
-                                word: c.word,
-                                winner_seq: c.winner_seq,
-                            });
-                        } else {
-                            rec.record(Event::Squash {
-                                seq: task.seq,
-                                by_seq: squashed_by,
-                            });
-                        }
-                        if params.trace_tickets {
-                            // The re-queue executes against the next round's
-                            // snapshot — announce the fresh epoch it will get.
-                            rec.record(Event::TicketRequeued {
-                                seq: task.seq,
-                                epoch: task.epoch + 1,
-                            });
-                        }
-                    }
-                    if conflict.is_some() && params.order == CommitOrder::InOrder {
-                        squash = true;
-                        squashed_by = task.seq;
-                    }
-                    stats.tickets_requeued += 1;
-                    sequencer.requeue(task);
-                    pool.release(effects.take_buffers());
-                } else {
-                    report.committed = true;
-                    stats.committed += 1;
-                    stats.iterations += task.iters.len() as u64;
-                    round_commit += report.write_words + report.alloc_words;
-                    let wall_t = wall.map(|_| Instant::now());
-                    if let Some(rec) = rec {
-                        rec.record(Event::ValidateOk {
-                            seq: task.seq,
-                            validate_words,
-                        });
-                        rec.record(Event::Commit {
-                            seq: task.seq,
-                            read_words: report.read_words,
-                            write_words: report.write_words,
-                            allocs: effects.allocs.len() as u32,
-                            frees: effects.frees.len() as u32,
-                        });
-                        if params.trace_tickets {
-                            rec.record(Event::TicketValidated {
-                                seq: task.seq,
-                                epoch: task.epoch,
-                            });
-                        }
-                    }
-                    // A type-mismatched reduction (e.g. a boolean operator on a
-                    // float variable) is an invalid annotation; report it as a
-                    // crash of the candidate program rather than unwinding.
-                    let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        for d in &deltas {
-                            reds.merge(d);
-                        }
-                    }));
-                    if let Err(payload) = merged {
-                        let msg = payload
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                            .unwrap_or_else(|| "reduction merge failed".to_owned());
-                        if let Some(rec) = rec {
-                            rec.record(Event::Crash {
-                                message: msg.clone(),
-                            });
-                        }
-                        return Err(RunError::Crash(msg));
-                    }
-                    if let Some(rec) = rec {
-                        for d in &deltas {
-                            rec.record(Event::ReductionMerge {
-                                seq: task.seq,
-                                var: d.var.index() as u32,
-                                op: d.op.as_str(),
-                            });
-                        }
-                    }
-                    heap.apply_commit(effects.commit_ops(mode));
-                    // The committed write set moves into the round log (no
-                    // clone — `commit_ops` only borrowed it); the rest of the
-                    // transaction's buffers go back to the pool, along with a
-                    // recycled set to keep the returned buffers complete.
-                    let writes = std::mem::replace(&mut effects.writes, pool.acquire_set());
-                    merged_writes.union_with(&writes);
-                    round_writes.push((task.seq, writes));
-                    pool.release(effects.take_buffers());
-                    if let (Some(w), Some(t)) = (wall, wall_t) {
-                        let dt = t.elapsed().as_secs_f64();
-                        sink_secs += dt;
-                        w.add(Phase::Commit, dt);
-                    }
-                }
-                reports.push(report);
-                Ok(())
-            };
-        exec(snap, tickets, bufs, base, exec_reds, &mut sink)?;
-        if let (Some(w), Some(t)) = (wall, round_wall_t) {
-            w.add(
-                Phase::Execute,
-                (t.elapsed().as_secs_f64() - sink_secs).max(0.0),
-            );
+        let mut report = TaskReport {
+            seq: task.seq,
+            worker,
+            iters: task.iters.len() as u32,
+            committed: false,
+            squashed,
+            stats: effects.stats,
+            read_words: effects.reads.words(),
+            write_words: effects.writes.words(),
+            validate_words,
+            instr_read_ops: if self.mode.tracks_reads() {
+                effects.stats.read_ops
+            } else {
+                0
+            },
+            instr_write_ops: if self.mode.tracks_writes() {
+                effects.stats.write_ops
+            } else {
+                0
+            },
+            overlay_words: effects.overlay.values().map(|o| o.len() as u64).sum(),
+            alloc_words: effects.allocs.iter().map(|(_, o)| o.len() as u64).sum(),
+            write_ranges: effects.writes.range_count() as u64,
+            conflict,
+        };
+        // Opt-in sanitizer payload: the full tracked sets, emitted just
+        // before the verdict event they justify.
+        if let (true, Some(rec)) = (self.params.record_sets, self.rec) {
+            rec.record(Event::TaskSets {
+                seq: task.seq,
+                reads: alter_trace::render_set(&effects.reads),
+                writes: alter_trace::render_set(&effects.writes),
+            });
         }
+        if squashed || conflict.is_some() {
+            self.requeue(task, effects, conflict);
+        } else {
+            report.committed = true;
+            timed(self.wall, Phase::Commit, || {
+                self.commit(&task, effects, &deltas, &report)
+            })?;
+        }
+        self.reports.push(report);
+        Ok(())
+    }
 
-        // Close the round's phase ledger: fold it into the run statistics
-        // (always — the adds are free and driver-invariant) and, for opted-in
-        // profiling consumers, emit one `PhaseProfile` event per phase after
-        // the round's task events.
-        stats.phase_costs.snapshot += round_snapshot;
-        stats.phase_costs.execute += round_execute;
-        stats.phase_costs.validate += round_validate;
-        stats.phase_costs.commit += round_commit;
-        if params.profile_phases {
-            if let Some(rec) = rec {
-                for (phase, cost) in [
-                    (Phase::Snapshot, round_snapshot),
-                    (Phase::Execute, round_execute),
-                    (Phase::Validate, round_validate),
-                    (Phase::Commit, round_commit),
-                ] {
-                    rec.record(Event::PhaseProfile {
-                        round: stats.rounds,
-                        phase,
-                        cost,
-                    });
-                }
+    /// Sends a ticket that lost validation (`conflict`) or was squashed
+    /// back to the sequencer for the next round; under
+    /// [`CommitOrder::InOrder`] a loser also squashes every later ticket of
+    /// this one.
+    fn requeue(&mut self, task: Ticket, mut effects: TxEffects, conflict: Option<ConflictDetail>) {
+        if let Some(rec) = self.rec {
+            rec.record(match (conflict, self.squashed_by) {
+                (Some(c), _) => Event::ValidateConflict {
+                    seq: task.seq,
+                    kind: c.kind,
+                    obj: c.obj,
+                    word: c.word,
+                    winner_seq: c.winner_seq,
+                },
+                (None, by_seq) => Event::Squash {
+                    seq: task.seq,
+                    by_seq: by_seq.expect("a ticket is re-queued for a conflict or a squash"),
+                },
+            });
+            if self.params.trace_tickets {
+                // The re-queue executes against the next round's snapshot —
+                // announce the fresh epoch it will get.
+                rec.record(Event::TicketRequeued {
+                    seq: task.seq,
+                    epoch: task.epoch + 1,
+                });
             }
         }
-
-        // The round's write log is only meaningful within the round (earlier
-        // rounds are already visible in the next snapshot): recycle its sets
-        // and reset the running union.
-        for (_, set) in round_writes.drain(..) {
-            pool.release_set(set);
+        if conflict.is_some() && self.params.order == CommitOrder::InOrder {
+            self.squashed_by = Some(task.seq);
         }
-        merged_writes.clear();
+        self.stats.tickets_requeued += 1;
+        self.sequencer.retry.push_back(task);
+        self.bufs.release(effects.take_buffers());
+    }
 
-        stats.rounds += 1;
+    /// Commits a validated ticket: announces it, merges its reduction
+    /// deltas, applies its writes to the heap in place and admits its write
+    /// set to the validator.
+    fn commit(
+        &mut self,
+        task: &Ticket,
+        mut effects: TxEffects,
+        deltas: &[RedDelta],
+        report: &TaskReport,
+    ) -> Result<(), RunError> {
+        self.stats.committed += 1;
+        self.stats.iterations += task.iters.len() as u64;
+        self.costs.commit += report.write_words + report.alloc_words;
+        if let Some(rec) = self.rec {
+            rec.record(Event::ValidateOk {
+                seq: task.seq,
+                validate_words: report.validate_words,
+            });
+            rec.record(Event::Commit {
+                seq: task.seq,
+                read_words: report.read_words,
+                write_words: report.write_words,
+                allocs: effects.allocs.len() as u32,
+                frees: effects.frees.len() as u32,
+            });
+            if self.params.trace_tickets {
+                rec.record(Event::TicketValidated {
+                    seq: task.seq,
+                    epoch: task.epoch,
+                });
+            }
+        }
+        // A type-mismatched reduction (e.g. a boolean operator on a float
+        // variable) is an invalid annotation; report it as a crash of the
+        // candidate program rather than unwinding.
+        let reds = &mut *self.reds;
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for d in deltas {
+                reds.merge(d);
+            }
+        }))
+        .map_err(|payload| RunError::from_panic(&*payload))?;
+        if let Some(rec) = self.rec {
+            for d in deltas {
+                rec.record(Event::ReductionMerge {
+                    seq: task.seq,
+                    var: d.var.index() as u32,
+                    op: d.op.as_str(),
+                });
+            }
+        }
+        self.heap.apply_commit(effects.commit_ops(self.mode));
+        // The committed write set moves into the validator's log (no clone
+        // — `commit_ops` only borrowed it); the rest of the transaction's
+        // buffers go back to the pool, along with a recycled set to keep
+        // the returned buffers complete.
+        let writes = std::mem::replace(&mut effects.writes, self.bufs.acquire_set());
+        self.validator.admit(task.seq, writes);
+        self.bufs.release(effects.take_buffers());
+        Ok(())
+    }
+
+    /// Closes the round: folds its phase ledger into the run statistics
+    /// and, when opted in, emits one `PhaseProfile` event per phase after
+    /// the round's task events; resets the validator, reports to the
+    /// observer and enforces the work budget.
+    fn end_round(&mut self, observer: &mut dyn RoundObserver) -> Result<(), RunError> {
+        self.stats.phase_costs.add(&self.costs);
+        if let (true, Some(rec)) = (self.params.profile_phases, self.rec) {
+            for phase in [
+                Phase::Snapshot,
+                Phase::Execute,
+                Phase::Validate,
+                Phase::Commit,
+            ] {
+                rec.record(Event::PhaseProfile {
+                    round: self.stats.rounds,
+                    phase,
+                    cost: self.costs.cost(phase),
+                });
+            }
+        }
+        self.validator.end_round(&mut self.bufs);
         observer.on_round(&RoundReport {
-            round: stats.rounds - 1,
-            tasks: &reports,
-            snapshot_slots: round_snapshot as usize,
+            round: self.stats.rounds,
+            tasks: &self.reports,
+            snapshot_slots: self.costs.snapshot as usize,
         });
-
-        if let Some(budget) = params.work_budget {
-            let spent = stats.cost_units();
+        self.stats.rounds += 1;
+        if let Some(budget) = self.params.work_budget {
+            let spent = self.stats.cost_units();
             if spent > budget {
-                if let Some(rec) = rec {
-                    rec.record(Event::WorkBudgetExceeded { spent, budget });
-                }
                 return Err(RunError::WorkBudgetExceeded { spent, budget });
             }
         }
+        Ok(())
     }
-    stats.pool_reuses = pool.reuses();
-    if let Some(rec) = rec {
-        rec.record(Event::RunEnd {
-            rounds: stats.rounds,
-            attempts: stats.attempts,
-            committed: stats.committed,
-        });
+
+    /// Ends the run: the one place an abort becomes its trace event.
+    fn finish(mut self, result: Result<(), RunError>) -> Result<RunStats, RunError> {
+        self.stats.pool_reuses = self.bufs.reuses();
+        if let Some(rec) = self.rec {
+            rec.record(match &result {
+                Err(e) => e.event(),
+                Ok(()) => Event::RunEnd {
+                    rounds: self.stats.rounds,
+                    attempts: self.stats.attempts,
+                    committed: self.stats.committed,
+                },
+            });
+        }
+        result.map(|()| self.stats)
     }
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -1689,5 +1689,120 @@ mod tests {
             stats.rounds
         );
         assert!(stats.snapshot_pages_reused > 0, "cold pages must be reused");
+    }
+
+    /// [`Validator::check`] on its own: three earlier committers of 2, 16
+    /// and 4 words in the 64-word blocks 0, 1 and 2 of one object. Pins the
+    /// verdict, the per-writer `validate_words` formula and what the check
+    /// itself is booked at (fingerprint hits, rejects, exact-scan words) on
+    /// the conflict path, the fingerprint-reject path and under `NONE`.
+    #[test]
+    fn validator_check_names_the_writer_lost_to_and_charges_per_writer() {
+        let mut heap = Heap::new();
+        let xs = heap.alloc(ObjData::zeros_i64(1024));
+        let (snap, _) = heap.snapshot_incremental();
+        let check = |policy: ConflictPolicy, words: &[usize]| {
+            let mut validator = Validator::new(policy);
+            for (seq, lo, hi) in [(10, 0, 2), (11, 64, 80), (12, 128, 132)] {
+                let mut writes = AccessSet::new();
+                writes.insert(xs, lo, hi);
+                validator.admit(seq, writes);
+            }
+            let ids = IdReservation::new(heap.high_water(), 0, 1, 8);
+            let mut tx = Tx::new(&snap, policy.track_mode(), ids, u64::MAX);
+            for &w in words {
+                tx.write_i64(xs, w, 1);
+            }
+            let mut stats = RunStats::default();
+            let verdict = validator.check(&tx.finish(), &mut stats);
+            let booked = (
+                stats.fingerprint_hits,
+                stats.fingerprint_rejects,
+                stats.exact_scan_words,
+            );
+            (verdict, booked)
+        };
+
+        // Five tracked words overlapping only the second writer, first at
+        // word 70: charged min(2, 5) + min(16, 5) for the writers up to and
+        // including the winner; one fingerprint hit, which scanned the
+        // 22-word union (min(22, 5)) and then those two writers.
+        let overlapping = [70, 71, 72, 300, 301];
+        let lost = ConflictDetail {
+            kind: ConflictKind::Waw,
+            obj: xs,
+            word: 70,
+            winner_seq: 11,
+        };
+        assert_eq!(
+            check(ConflictPolicy::Waw, &overlapping),
+            ((2 + 5, Some(lost)), (1, 0, 5 + 2 + 5))
+        );
+        // Block 8 is no writer's: rejected by fingerprint with no scan at
+        // all, and charged for every writer.
+        assert_eq!(
+            check(ConflictPolicy::Waw, &[512, 513, 514]),
+            ((2 + 3 + 3, None), (0, 1, 0))
+        );
+        // NONE never conflicts and never probes, but is charged all the same.
+        assert_eq!(
+            check(ConflictPolicy::None, &overlapping),
+            ((2 + 5 + 4, None), (0, 0, 0))
+        );
+    }
+
+    /// The engine's wall spans, which only `bench/` consumed: with a
+    /// [`WallProfile`] attached, under both drivers, a conflicting
+    /// multi-round loop times each of the four engine phases, nests them
+    /// all inside the run, and changes nothing the unprofiled run produces.
+    #[test]
+    fn wall_spans_cover_every_engine_phase_and_perturb_nothing() {
+        let run = |threaded: bool, wall: Option<Arc<WallProfile>>| {
+            let mut heap = Heap::new();
+            let xs = heap.alloc(ObjData::zeros_i64(32));
+            let shared = heap.alloc(ObjData::scalar_i64(0));
+            let mut reds = RedVars::new();
+            let rec = Arc::new(alter_trace::RingRecorder::new(1 << 16));
+            let mut p = params(4, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder)
+                .with_recorder(rec.clone());
+            p.wall_profile = wall;
+            let started = Instant::now();
+            let stats = run_loop_engine(
+                &mut heap,
+                &mut reds,
+                &mut RangeSpace::new(0, 32),
+                &p,
+                threaded,
+                &|ctx: &mut TxCtx<'_>, i| {
+                    let s = ctx.tx.read_i64(shared, 0);
+                    ctx.tx.write_i64(xs, i as usize, s + i as i64);
+                    if i % 5 == 0 {
+                        ctx.tx.write_i64(shared, 0, s + 1);
+                    }
+                },
+                &mut NullObserver,
+            )
+            .unwrap();
+            let elapsed = started.elapsed().as_secs_f64();
+            assert!(stats.retries() > 0 && stats.rounds > 1);
+            assert_eq!(rec.dropped(), 0);
+            let hash = alter_trace::trace_hash(&rec.events());
+            ((stats, heap.digest(), hash), elapsed)
+        };
+        for threaded in [false, true] {
+            let wall = Arc::new(WallProfile::new());
+            let (profiled, elapsed) = run(threaded, Some(Arc::clone(&wall)));
+            let secs = wall.seconds();
+            for phase in Phase::ALL {
+                let engine_phase = phase != Phase::InferProbe;
+                assert_eq!(
+                    secs[phase.index()] > 0.0,
+                    engine_phase,
+                    "{phase}, threaded={threaded}"
+                );
+            }
+            assert!(wall.total() <= elapsed, "spans nest inside the run");
+            assert_eq!(profiled, run(threaded, None).0, "threaded={threaded}");
+        }
     }
 }

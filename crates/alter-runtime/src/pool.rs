@@ -274,11 +274,7 @@ mod tests {
             }))
         })
         .expect_err("a worker died");
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-            .unwrap_or_default()
+        crate::engine::panic_message(&*payload)
     }
 
     #[test]

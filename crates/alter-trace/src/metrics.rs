@@ -152,33 +152,6 @@ pub struct Metrics {
     pub write_words: Histogram,
     /// Histogram of per-validation compared words (successful validations).
     pub validate_words: Histogram,
-    /// Validations whose fingerprint pre-check fell through to an exact
-    /// scan. Reported by the runtime (not derived from events — the event
-    /// stream carries the per-writer charge, not the scans that ran).
-    pub fingerprint_hits: u64,
-    /// Validations rejected in O(1) by the fingerprint pre-check.
-    pub fingerprint_rejects: u64,
-    /// Transaction buffers served from the recycling pool.
-    pub pool_reuses: u64,
-    /// Words actually compared by exact validation merge-scans.
-    pub exact_scan_words: u64,
-    /// Slot entries copied while establishing round snapshots. Reported by
-    /// the runtime, like the validation counters: the event stream carries
-    /// the trace-stable full-table figure (`RoundStart.snapshot_slots`),
-    /// while this counter reflects what snapshot construction actually
-    /// copied (the slots dirtied since the previous round).
-    pub snapshot_slots_copied: u64,
-    /// Snapshot pages structurally shared with the previous round's
-    /// snapshot instead of being copied.
-    pub snapshot_pages_reused: u64,
-    /// Rounds handed to the persistent worker pool (0 under the sequential
-    /// driver).
-    pub pool_round_handoffs: u64,
-    /// Fresh tickets handed out by the sequencer. Reported by the runtime
-    /// (pipeline-ledger bookkeeping, not derived from events).
-    pub tickets_issued: u64,
-    /// Tickets re-queued after a conflict or in-order squash.
-    pub tickets_requeued: u64,
 }
 
 impl Metrics {
@@ -222,8 +195,7 @@ impl Metrics {
             Event::WorkBudgetExceeded { .. } => self.work_budget_exceeded += 1,
             Event::ProbeStart { .. } => self.probes += 1,
             // Ticket lifecycle events mirror TaskStart/verdict events the
-            // registry already counts; the pipeline counters proper arrive
-            // out-of-band via `record_pipeline_counters`.
+            // registry already counts.
             Event::TaskSets { .. }
             | Event::PhaseProfile { .. }
             | Event::TicketIssued { .. }
@@ -232,49 +204,6 @@ impl Metrics {
             | Event::ProbeOutcome { .. }
             | Event::RunEnd { .. } => {}
         }
-    }
-
-    /// Merges the runtime's validation scan counters into the registry.
-    /// These live outside the event stream on purpose: traces carry the
-    /// per-writer charge, which is a function of the sets alone, so what
-    /// the fingerprint-gated scans really compared arrives through run
-    /// statistics instead. Plain integers keep this crate free of a
-    /// runtime dependency.
-    pub fn record_validation_counters(
-        &mut self,
-        fingerprint_hits: u64,
-        fingerprint_rejects: u64,
-        pool_reuses: u64,
-        exact_scan_words: u64,
-    ) {
-        self.fingerprint_hits += fingerprint_hits;
-        self.fingerprint_rejects += fingerprint_rejects;
-        self.pool_reuses += pool_reuses;
-        self.exact_scan_words += exact_scan_words;
-    }
-
-    /// Merges the runtime's round-overhead counters — snapshot
-    /// construction and worker-pool handoffs — into the registry. Like the
-    /// validation counters, these live outside the event stream: traces
-    /// are byte-identical whichever driver produced them, so the counters
-    /// arrive through run statistics.
-    pub fn record_round_counters(
-        &mut self,
-        snapshot_slots_copied: u64,
-        snapshot_pages_reused: u64,
-        pool_round_handoffs: u64,
-    ) {
-        self.snapshot_slots_copied += snapshot_slots_copied;
-        self.snapshot_pages_reused += snapshot_pages_reused;
-        self.pool_round_handoffs += pool_round_handoffs;
-    }
-
-    /// Merges the runtime's ticketed-pipeline counters into the registry.
-    /// Like the other out-of-band counters, these never ride in the event
-    /// stream (ticket lifecycle events are opt-in).
-    pub fn record_pipeline_counters(&mut self, tickets_issued: u64, tickets_requeued: u64) {
-        self.tickets_issued += tickets_issued;
-        self.tickets_requeued += tickets_requeued;
     }
 
     /// Fraction of started tasks that did not commit (conflicted, squashed,
@@ -287,8 +216,11 @@ impl Metrics {
         }
     }
 
-    /// Human-readable metrics report.
-    pub fn render(&self) -> String {
+    /// Human-readable metrics report. `runtime_counters` — whole lines of
+    /// what the caller knows from run statistics and no trace carries (scans
+    /// run, slots copied, how rounds were driven) — go between the counters
+    /// and the histograms.
+    pub fn render(&self, runtime_counters: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "metrics:");
         let _ = writeln!(
@@ -307,24 +239,7 @@ impl Metrics {
             self.ooms, self.crashes, self.work_budget_exceeded, self.probes
         );
         let _ = writeln!(out, "  retry_rate={:.4}", self.retry_rate());
-        let _ = writeln!(
-            out,
-            "  fingerprint_hits={} fingerprint_rejects={} pool_reuses={} exact_scan_words={}",
-            self.fingerprint_hits,
-            self.fingerprint_rejects,
-            self.pool_reuses,
-            self.exact_scan_words
-        );
-        let _ = writeln!(
-            out,
-            "  snapshot_slots_copied={} snapshot_pages_reused={} pool_round_handoffs={}",
-            self.snapshot_slots_copied, self.snapshot_pages_reused, self.pool_round_handoffs
-        );
-        let _ = writeln!(
-            out,
-            "  tickets_issued={} tickets_requeued={}",
-            self.tickets_issued, self.tickets_requeued
-        );
+        out.push_str(runtime_counters);
         self.read_words.render_into(&mut out, "read_words");
         self.write_words.render_into(&mut out, "write_words");
         self.validate_words.render_into(&mut out, "validate_words");
@@ -421,40 +336,5 @@ mod tests {
     #[test]
     fn retry_rate_with_no_tasks_is_zero() {
         assert_eq!(Metrics::default().retry_rate(), 0.0);
-    }
-
-    #[test]
-    fn validation_counters_accumulate_and_render() {
-        let mut m = Metrics::default();
-        m.record_validation_counters(3, 7, 11, 640);
-        m.record_validation_counters(1, 1, 1, 10);
-        assert_eq!(m.fingerprint_hits, 4);
-        assert_eq!(m.fingerprint_rejects, 8);
-        assert_eq!(m.pool_reuses, 12);
-        assert_eq!(m.exact_scan_words, 650);
-        assert!(m.render().contains("fingerprint_rejects=8"));
-        assert!(m.render().contains("exact_scan_words=650"));
-    }
-
-    #[test]
-    fn round_counters_accumulate_and_render() {
-        let mut m = Metrics::default();
-        m.record_round_counters(100, 30, 5);
-        m.record_round_counters(20, 10, 2);
-        assert_eq!(m.snapshot_slots_copied, 120);
-        assert_eq!(m.snapshot_pages_reused, 40);
-        assert_eq!(m.pool_round_handoffs, 7);
-        assert!(m.render().contains("snapshot_slots_copied=120"));
-        assert!(m.render().contains("pool_round_handoffs=7"));
-    }
-
-    #[test]
-    fn pipeline_counters_accumulate_and_render() {
-        let mut m = Metrics::default();
-        m.record_pipeline_counters(8, 2);
-        m.record_pipeline_counters(2, 1);
-        assert_eq!(m.tickets_issued, 10);
-        assert_eq!(m.tickets_requeued, 3);
-        assert!(m.render().contains("tickets_issued=10 tickets_requeued=3"));
     }
 }

@@ -147,3 +147,5 @@ if [[ -n "$(git status --porcelain -- BENCH_runtime.json)" ]]; then
 fi
 
 echo "tier-1 gate: OK"
+# The workspace size ROADMAP item 4 tracks (lower is better).
+echo "workspace .rs lines: $(find crates src tests examples -name '*.rs' | xargs cat | wc -l)"
