@@ -318,7 +318,7 @@ fn main() -> ExitCode {
     let runtime_counters = format!(
         "  fingerprint_hits={} fingerprint_rejects={} pool_reuses={} exact_scan_words={}\n  \
          snapshot_slots_copied={} snapshot_pages_reused={} pool_round_handoffs={}\n  \
-         tickets_issued={} tickets_requeued={}\n",
+         tickets_issued={} tickets_requeued={} tickets_helped={}\n",
         stats.fingerprint_hits,
         stats.fingerprint_rejects,
         stats.pool_reuses,
@@ -327,7 +327,8 @@ fn main() -> ExitCode {
         stats.snapshot_pages_reused,
         stats.pool_round_handoffs,
         stats.tickets_issued,
-        stats.tickets_requeued
+        stats.tickets_requeued,
+        stats.tickets_helped
     );
     print!(
         "{}",

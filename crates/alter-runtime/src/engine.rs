@@ -15,8 +15,10 @@
 //!    outcome per ticket, in ticket order, each ticket executed in
 //!    isolation. The sequential driver runs the jobs inline on the caller's
 //!    thread (reference semantics, simulator, replay); the threaded driver
-//!    on the lanes of a [`WorkerPool`] forked once per run — the outcomes
-//!    are identical by construction.
+//!    offers them to the lanes of a [`WorkerPool`] forked once per run and
+//!    runs, on the caller's thread too, whichever no lane has started
+//!    ([`WorkerPool::help_round`]) — the outcomes are identical by
+//!    construction.
 //! 3. **validate**, then **commit** or **re-queue** (`retire`), in
 //!    ascending ticket order (the paper's "ascending order of child pids"):
 //!    a task commits iff its sets do not conflict, under the active
@@ -38,7 +40,7 @@
 use crate::body::{LoopBody, TxCtx};
 use crate::params::{CommitOrder, ConflictPolicy, ExecParams};
 use crate::pool::WorkerPool;
-use crate::reduction::{RedDelta, RedLocals, RedVars};
+use crate::reduction::{RedDelta, RedLocals, RedVal, RedVars};
 use crate::space::IterSpace;
 use alter_heap::{
     AccessSet, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, TrackMode, Tx, TxBufferPool,
@@ -193,6 +195,12 @@ pub struct RunStats {
     /// (zero under the sequential driver). Scheduling telemetry, masked by
     /// [`RunStats::modulo_drive_mode`].
     pub pool_round_handoffs: u64,
+    /// Tickets of pool-driven rounds that the coordinator executed itself
+    /// because no lane had started them ([`crate::WorkerPool::helped`]; zero
+    /// under the sequential driver). Which thread wins a ticket is a race, so
+    /// this is scheduling telemetry too, masked by
+    /// [`RunStats::modulo_drive_mode`] and never written to an event.
+    pub tickets_helped: u64,
     /// Tickets handed out by the sequencer — fresh chunk-transactions only;
     /// a re-queued ticket keeps its sequence number and is counted in
     /// [`RunStats::tickets_requeued`] instead. On a clean run
@@ -259,13 +267,15 @@ impl RunStats {
         self.snapshot_slots_copied += other.snapshot_slots_copied;
         self.snapshot_pages_reused += other.snapshot_pages_reused;
         self.pool_round_handoffs += other.pool_round_handoffs;
+        self.tickets_helped += other.tickets_helped;
         self.tickets_issued += other.tickets_issued;
         self.tickets_requeued += other.tickets_requeued;
         self.phase_costs.add(&other.phase_costs);
     }
 
-    /// These statistics with the one scheduling-telemetry counter masked
-    /// to zero: [`RunStats::pool_round_handoffs`]. What remains is the
+    /// These statistics with the two scheduling-telemetry counters masked
+    /// to zero: [`RunStats::pool_round_handoffs`] and
+    /// [`RunStats::tickets_helped`]. What remains is the
     /// quantity the determinism guarantee promises identical under the
     /// sequential and the threaded driver: semantic work, not how it was
     /// driven. Every counter the choice of driver may legally change
@@ -274,6 +284,7 @@ impl RunStats {
     pub fn modulo_drive_mode(&self) -> RunStats {
         RunStats {
             pool_round_handoffs: 0,
+            tickets_helped: 0,
             ..*self
         }
     }
@@ -464,9 +475,10 @@ struct RoundInput {
     bufs: Vec<TxBuffers>,
     /// The heap's high water at snapshot time (base of the id reservations).
     base: u32,
-    /// The reduction registry as of the round's start. Workers only read
-    /// it; merges happen on the coordinator, against the registry itself.
-    reds: Arc<RedVars>,
+    /// The reduction variables' values as of the round's start. Workers
+    /// only read them; merges happen on the coordinator, against the
+    /// registry itself.
+    reds: Arc<[RedVal]>,
 }
 
 impl RoundInput {
@@ -494,11 +506,13 @@ struct Job {
     ticket: Ticket,
     bufs: TxBuffers,
     base: u32,
-    reds: Arc<RedVars>,
+    reds: Arc<[RedVal]>,
 }
 
-/// Executes one job in isolation on lane `worker`. The job's view of the
-/// round dies here, before the outcome is handed back.
+/// Executes one job in isolation as ticket `worker` of its round — the
+/// ticket's position, whichever thread this is, so id reservations and
+/// everything derived from them do not depend on who executed. The job's
+/// view of the round dies here, before the outcome is handed back.
 fn run_job<B: LoopBody + ?Sized>(
     worker: usize,
     job: Job,
@@ -509,7 +523,7 @@ fn run_job<B: LoopBody + ?Sized>(
     let mode = params.conflict.track_mode();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let tx = Tx::with_buffers(&job.snap, mode, ids, params.budget_words, job.bufs);
-        let locals = RedLocals::for_policy(&params.reductions, &job.reds);
+        let locals = RedLocals::for_values(&params.reductions, &job.reds);
         let mut ctx = TxCtx::new(tx, locals);
         for &i in &job.ticket.iters {
             body.run_iter(&mut ctx, i);
@@ -687,14 +701,17 @@ pub(crate) fn run_loop_engine<B: LoopBody>(
     let run = |worker: usize, job: Job| run_job(worker, job, params, body);
     if threaded && params.workers > 1 {
         // Threaded driver: one thread::scope for the whole run; lanes
-        // outlive every round, job *i* of a round runs on lane *i*, and
-        // `run_round` returns once the last lane has.
+        // outlive every round. Job *i* of a round is offered to lane *i*
+        // and run — as ticket *i* either way — by that lane or by this
+        // thread, whichever reaches it first; `help_round` returns once the
+        // last job has finished.
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::new(scope, params.workers, &run);
-            let exec = |round: RoundInput| pool.run_round(round.into_jobs());
+            let exec = |round: RoundInput| pool.help_round(round.into_jobs(), &run);
             let mut result = run_rounds(heap, reds, space, params, exec, observer);
             if let Ok(stats) = &mut result {
                 stats.pool_round_handoffs = pool.round_handoffs();
+                stats.tickets_helped = pool.helped();
             }
             result
             // The pool drops here, closing the job channels, so the scope's
@@ -850,7 +867,7 @@ impl<'a> Coordinator<'a> {
         Some(RoundInput {
             bufs: tickets.iter().map(|_| self.bufs.acquire()).collect(),
             base: self.heap.high_water(),
-            reds: Arc::new(self.reds.clone()),
+            reds: self.reds.values().into(),
             snap,
             tickets,
         })
@@ -1107,9 +1124,10 @@ mod tests {
 
     /// The masking contract of [`RunStats::modulo_drive_mode`], pinned as a
     /// test so a future counter cannot silently dodge it: with every field
-    /// non-zero, masking zeroes exactly the one scheduling-telemetry
-    /// counter — `pool_round_handoffs` — and passes every other field,
-    /// the ticket counters included, through untouched.
+    /// non-zero, masking zeroes exactly the two scheduling-telemetry
+    /// counters — `pool_round_handoffs` and `tickets_helped` — and passes
+    /// every other field, the sequencer's ticket counters included, through
+    /// untouched.
     #[test]
     fn modulo_drive_mode_masks_exactly_the_schedule_counters() {
         let full = RunStats {
@@ -1137,6 +1155,7 @@ mod tests {
             snapshot_slots_copied: 20,
             snapshot_pages_reused: 21,
             pool_round_handoffs: 22,
+            tickets_helped: 25,
             tickets_issued: 23,
             tickets_requeued: 24,
             phase_costs: PhaseCosts {
@@ -1147,13 +1166,14 @@ mod tests {
             },
         };
         let masked = full.modulo_drive_mode();
-        // The masked counter is zeroed...
-        assert_eq!(masked.pool_round_handoffs, 0);
+        // The masked counters are zeroed...
+        assert_eq!((masked.pool_round_handoffs, masked.tickets_helped), (0, 0));
         assert_eq!((masked.tickets_issued, masked.tickets_requeued), (23, 24));
-        // ...and nothing else moved: re-zeroing the same field on the
+        // ...and nothing else moved: re-zeroing the same fields on the
         // original must reproduce the masked value exactly.
         let expect = RunStats {
             pool_round_handoffs: 0,
+            tickets_helped: 0,
             ..full
         };
         assert_eq!(masked, expect);
@@ -1657,6 +1677,81 @@ mod tests {
         );
     }
 
+    /// A helped round from the engine's side: at two workers the caller's
+    /// thread and lane 1 both execute tickets — ticket 0 of the first round
+    /// does not finish before ticket 1 has started, which only the lane can
+    /// have done — and nothing the run produces shows who executed what:
+    /// heap, semantic statistics and event stream equal the sequential
+    /// driver's.
+    #[test]
+    fn coordinator_and_lane_both_execute_tickets_and_leave_no_trace_of_it() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let run = |threaded: bool| {
+            let mut heap = Heap::new();
+            let xs = heap.alloc(ObjData::zeros_i64(32));
+            let shared = heap.alloc(ObjData::scalar_i64(0));
+            let mut reds = RedVars::new();
+            let rec = Arc::new(alter_trace::RingRecorder::new(1 << 16));
+            let p = params(2, 1, ConflictPolicy::Raw, CommitOrder::OutOfOrder)
+                .with_recorder(rec.clone());
+            let caller = std::thread::current().id();
+            let ticket_1_started = AtomicBool::new(false);
+            let ran_on = std::sync::Mutex::new(std::collections::BTreeSet::new());
+            let stats = run_loop_engine(
+                &mut heap,
+                &mut reds,
+                &mut RangeSpace::new(0, 32),
+                &p,
+                threaded,
+                &|ctx: &mut TxCtx<'_>, i| {
+                    let me = std::thread::current();
+                    let who = match me.name() {
+                        _ if me.id() == caller => "caller",
+                        Some(lane) => lane,
+                        None => "unnamed",
+                    };
+                    ran_on.lock().unwrap().insert(who.to_owned());
+                    match i {
+                        1 => ticket_1_started.store(true, Ordering::SeqCst),
+                        0 if threaded => {
+                            let waiting = Instant::now();
+                            while !ticket_1_started.load(Ordering::SeqCst) {
+                                assert!(waiting.elapsed().as_secs() < 30, "no lane took ticket 1");
+                                std::thread::yield_now();
+                            }
+                        }
+                        _ => {}
+                    }
+                    let s = ctx.tx.read_i64(shared, 0);
+                    ctx.tx.write_i64(xs, i as usize, s + i as i64);
+                    if i % 5 == 0 {
+                        ctx.tx.write_i64(shared, 0, s + 1);
+                    }
+                },
+                &mut NullObserver,
+            )
+            .unwrap();
+            assert!(stats.retries() > 0 && stats.rounds > 1);
+            assert_eq!(rec.dropped(), 0);
+            let hash = alter_trace::trace_hash(&rec.events());
+            let ran_on: Vec<String> = ran_on.into_inner().unwrap().into_iter().collect();
+            (
+                (heap.digest(), stats.modulo_drive_mode(), hash),
+                stats,
+                ran_on,
+            )
+        };
+        let (seq, s_seq, ran_on_seq) = run(false);
+        let (thr, s_thr, ran_on_thr) = run(true);
+        assert_eq!(ran_on_seq, ["caller"]);
+        assert_eq!(ran_on_thr, ["alter-worker-1", "caller"]);
+        assert_eq!(thr, seq, "who executed a ticket cannot be observed");
+        assert_eq!(s_seq.tickets_helped, 0);
+        // Ticket 0 of every round is the coordinator's; ticket 1 of the
+        // first round, at least, was not.
+        assert!((s_thr.rounds..s_thr.attempts).contains(&s_thr.tickets_helped));
+    }
+
     /// Round snapshots copy only the slots the previous round dirtied: a
     /// multi-round run copies far fewer than the whole table per round and
     /// carries the cold pages over.
@@ -1787,6 +1882,11 @@ mod tests {
             assert!(stats.retries() > 0 && stats.rounds > 1);
             assert_eq!(rec.dropped(), 0);
             let hash = alter_trace::trace_hash(&rec.events());
+            // Two runs of the threaded driver race differently for tickets.
+            let stats = RunStats {
+                tickets_helped: 0,
+                ..stats
+            };
             ((stats, heap.digest(), hash), elapsed)
         };
         for threaded in [false, true] {

@@ -193,6 +193,12 @@ impl RedVars {
         (0..self.vals.len()).map(RedVarId)
     }
 
+    /// The committed values, in declaration order — all a transaction
+    /// needs of the registry.
+    pub(crate) fn values(&self) -> &[RedVal] {
+        &self.vals
+    }
+
     /// Number of declared variables.
     pub fn len(&self) -> usize {
         self.vals.len()
@@ -273,11 +279,17 @@ impl RedLocals {
     /// Builds the private copies for the active reductions, initialized
     /// from the committed values (the transaction's `oldSt`).
     pub fn for_policy(policy: &[(RedVarId, RedOp)], committed: &RedVars) -> Self {
+        Self::for_values(policy, committed.values())
+    }
+
+    /// [`RedLocals::for_policy`] from the committed values alone
+    /// ([`RedVars::values`]), which is what a round ships to its lanes.
+    pub(crate) fn for_values(policy: &[(RedVarId, RedOp)], committed: &[RedVal]) -> Self {
         RedLocals {
             accs: policy
                 .iter()
                 .map(|&(var, op)| {
-                    let v = committed.get(var);
+                    let v = committed[var.0];
                     RedDelta {
                         var,
                         op,
