@@ -15,8 +15,8 @@
 //!   probes.
 //! * [`lint`] — an annotation linter: given a parsed
 //!   [`Annotation`](alter_runtime::Annotation) (or the DOALL/TLS targets),
-//!   emit structured [`Diagnostic`]s — severity, location, human message —
-//!   with a canonical machine-readable JSON form.
+//!   emit structured [`Diagnostic`]s — severity, stable rule code,
+//!   location, human message.
 //! * [`sanitize`] — a trace isolation sanitizer: replay a recorded JSONL
 //!   trace (with `ExecParams::record_sets` payloads) and re-check the
 //!   isolation invariants — deterministic commit order, committed
@@ -59,5 +59,5 @@ pub use check::{
     check_events, check_journal, CheckConfig, CheckReport, UnsoundRound, DEFAULT_SCHEDULE_BUDGET,
 };
 pub use classify::{classify_edge, predict, AnalyzeConfig, Breakability, Verdict};
-pub use lint::{diagnostics_json, lint, Diagnostic, LintTarget, Severity};
+pub use lint::{lint, Diagnostic, LintTarget, Severity};
 pub use sanitize::{sanitize, SanitizeConfig, Violation};

@@ -11,12 +11,12 @@
 //! * [`convergence_facts`] — the §7.2 convergence observations (GS sweep
 //!   counts, SG3D max-vs-+ iterations, Floyd passes).
 //!
-//! Print them with `cargo run --release -p alter-bench --bin alter-tables`
-//! and `... --bin alter-figures [-- --quick]`.
+//! Print them with `cargo run --release -p alter-bench --bin alter-cli --
+//! tables` and `... -- figures [--quick]`.
 
 #![warn(missing_docs)]
 
-use alter_infer::{infer, InferConfig, Model, Probe};
+use alter_infer::{infer, InferConfig, InferTarget, Model, Probe};
 use alter_sim::SimClock;
 use alter_workloads::gauss_seidel::GaussSeidel;
 use alter_workloads::kmeans::KMeans;
@@ -145,7 +145,7 @@ pub fn table4() -> String {
     let mut lines = Vec::new();
     {
         let mut push_line = |name: String, probe: &Probe, b: &dyn Benchmark| {
-            if let Ok(run) = b.run_probe_public(probe) {
+            if let Ok(run) = b.run_probe(probe) {
                 lines.push(fmt_row(
                     &[
                         name,
@@ -161,7 +161,7 @@ pub fn table4() -> String {
             }
         };
         for b in all_benchmarks(Scale::Inference) {
-            let name = b.name_public().to_owned();
+            let name = b.name().to_owned();
             if name == "Labyrinth" {
                 continue; // no valid annotation; skipped in the paper too
             }
@@ -183,30 +183,6 @@ pub fn table4() -> String {
         let _ = writeln!(out, "{l}");
     }
     out
-}
-
-/// Helper trait so the harness can call `InferTarget` methods through
-/// `Box<dyn Benchmark>` without naming the supertrait everywhere.
-pub trait BenchmarkExt {
-    /// The benchmark's name.
-    fn name_public(&self) -> &str;
-    /// Runs a probe (delegates to `InferTarget::run_probe`).
-    fn run_probe_public(
-        &self,
-        probe: &Probe,
-    ) -> Result<alter_infer::ProbeRun, alter_runtime::RunError>;
-}
-
-impl<T: Benchmark + ?Sized> BenchmarkExt for T {
-    fn name_public(&self) -> &str {
-        self.name()
-    }
-    fn run_probe_public(
-        &self,
-        probe: &Probe,
-    ) -> Result<alter_infer::ProbeRun, alter_runtime::RunError> {
-        self.run_probe(probe)
-    }
 }
 
 /// Renders Figure 5: K-means runtime vs chunk factor across four inputs
@@ -266,7 +242,7 @@ fn speedup_series(b: &dyn Benchmark, mk_probe: impl Fn(usize) -> Probe) -> Vec<(
     WORKER_SWEEP
         .iter()
         .map(|&w| {
-            let s = match b.run_probe_public(&mk_probe(w)) {
+            let s = match b.run_probe(&mk_probe(w)) {
                 Ok(run) => diluted_speedup(&run.clock, b.loop_weight()),
                 Err(_) => f64::NAN,
             };
@@ -302,7 +278,7 @@ pub fn figures(scale: Scale) -> String {
     let by_name = |name: &str| -> Box<dyn Benchmark> {
         all_benchmarks(scale)
             .into_iter()
-            .find(|b| b.name_public() == name)
+            .find(|b| b.name() == name)
             .expect("benchmark registered")
     };
 
@@ -366,7 +342,7 @@ pub fn figures(scale: Scale) -> String {
     );
     for gs in [GaussSeidel::dense(scale), GaussSeidel::sparse(scale)] {
         let series = speedup_series(&gs, |w| gs.best_probe(w));
-        let _ = writeln!(out, "{}", series_row(gs.name_public(), &series));
+        let _ = writeln!(out, "{}", series_row(gs.name(), &series));
         let manual_series: Vec<(usize, f64)> = WORKER_SWEEP
             .iter()
             .map(|&w| {
@@ -379,7 +355,7 @@ pub fn figures(scale: Scale) -> String {
         let _ = writeln!(
             out,
             "{}",
-            series_row(&format!("{}-manual", gs.name_public()), &manual_series)
+            series_row(&format!("{}-manual", gs.name()), &manual_series)
         );
     }
 
@@ -406,10 +382,7 @@ pub fn figures(scale: Scale) -> String {
                 max_probe.reduction = Some(("err".into(), alter_runtime::RedOp::Max));
                 let mut op_probe = sg.best_probe(w);
                 op_probe.reduction = Some(("err".into(), op));
-                let s = match (
-                    sg.run_probe_public(&max_probe),
-                    sg.run_probe_public(&op_probe),
-                ) {
+                let s = match (sg.run_probe(&max_probe), sg.run_probe(&op_probe)) {
                     (Ok(reference), Ok(run)) => {
                         let mut clock = run.clock.clone();
                         clock.seq_units = reference.clock.seq_units;
@@ -448,7 +421,7 @@ pub fn chunk_tuning() -> String {
     for name in ["Genome", "K-means", "SG3D"] {
         let b = all_benchmarks(Scale::Inference)
             .into_iter()
-            .find(|b| b.name_public() == name)
+            .find(|b| b.name() == name)
             .expect("registered");
         let (model, reduction) = b.best_config();
         let tuning = tune_chunk(b.as_ref(), model, reduction, 4);
@@ -479,7 +452,7 @@ pub fn convergence_facts(scale: Scale) -> String {
         let _ = writeln!(
             out,
             "{}: sweeps sequential {} -> StaleReads {} (paper: 16->17 dense, 20->21 sparse)",
-            gs.name_public(),
+            gs.name(),
             seq_sweeps,
             par_sweeps
         );

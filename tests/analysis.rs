@@ -6,13 +6,13 @@
 //!   fewer probes wherever anything was pruned, and a must-fail verdict
 //!   never contradicts an observed probe pass;
 //! * determinism — summaries, classifier verdicts, and the linter's
-//!   canonical JSON are byte-identical across runs;
+//!   diagnostics are identical across runs;
 //! * sanitizer — every workload's canonical best-configuration trace
 //!   passes the isolation sanitizer, and deliberately corrupted traces
 //!   (reordered verdicts, overlapping committed write-sets) are rejected.
 
 use alter::analyze::{
-    diagnostics_json, lint, predict, sanitize, AnalyzeConfig, LintTarget, SanitizeConfig, Severity,
+    lint, predict, sanitize, AnalyzeConfig, LintTarget, SanitizeConfig, Severity,
 };
 use alter::infer::{infer, InferConfig, InferReport, Model, Outcome};
 use alter::runtime::Annotation;
@@ -149,8 +149,8 @@ fn pruning_preserves_the_inferred_annotations_on_all_workloads() {
     );
 }
 
-/// Summaries, verdicts, and the linter's canonical JSON are pure functions
-/// of the workload: byte-identical across independent runs.
+/// Summaries, verdicts, and the linter's diagnostics are pure functions of
+/// the workload: identical across independent runs.
 #[test]
 fn analyzer_diagnostics_are_deterministic_on_all_workloads() {
     let icfg = InferConfig::default();
@@ -177,14 +177,16 @@ fn analyzer_diagnostics_are_deterministic_on_all_workloads() {
         }
 
         let target = best_target(b.as_ref());
-        let json1 = diagnostics_json(&lint(&s1, &target));
-        let json2 = diagnostics_json(&lint(&s2, &target));
-        assert_eq!(json1, json2, "{name}: linter JSON is not byte-stable");
+        let diags = lint(&s1, &target);
+        assert_eq!(
+            diags,
+            lint(&s2, &target),
+            "{name}: linter diagnostics are not deterministic"
+        );
 
         // The paper's chosen annotation is sound on its own workload: the
         // linter must not flag an error for it (warnings — e.g. pervasive
         // WAW retries the paper resolves by testing — are fine).
-        let diags = lint(&s1, &target);
         assert!(
             diags.iter().all(|d| d.severity != Severity::Error),
             "{name}: best config {target} flagged unsound: {:?}",
@@ -197,7 +199,7 @@ fn analyzer_diagnostics_are_deterministic_on_all_workloads() {
 }
 
 /// Records the workload's best-configuration run with full `task_sets`
-/// payloads — the canonical trace `alter-lint` audits.
+/// payloads — the canonical trace `alter-cli lint` audits.
 fn canonical_trace(bench: &dyn Benchmark) -> (Vec<Event>, SanitizeConfig) {
     let rec = Arc::new(RingRecorder::new(1 << 20));
     let mut probe = bench.best_probe(4);

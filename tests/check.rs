@@ -1,10 +1,10 @@
-//! Integration tests for the `alter-check` schedule-space model checker:
+//! Integration tests for the `alter-cli check` schedule-space model checker:
 //! a seeded two-sided property test of the per-schedule oracle (disjoint
 //! permutations sanitize clean, conflicting reorderings are flagged), the
 //! negative-fixture corpus of hand-corrupted journals with byte-for-byte
 //! expected counterexamples, and the end-to-end acceptance path — a
 //! deliberately-unsound DOALL run whose counterexample journals replay
-//! through the `alter-replay diff` bisector.
+//! through the `alter-cli diff` bisector.
 
 use alter::analyze::{check_events, check_journal, sanitize, CheckConfig, SanitizeConfig};
 use alter::heap::ObjId;
@@ -439,7 +439,7 @@ fn doall_counterexample_replays_through_the_diff_bisector() {
 
     // Package both synthesized streams as standalone journals, round-trip
     // them through the JSONL codec, and bisect — exactly what
-    // `alter-check --cex` + `alter-replay diff` do.
+    // `alter-cli check --cex` + `alter-cli diff` do.
     let journal = |events: &[Event]| {
         let header = JournalHeader {
             workload: "K-means".to_owned(),
