@@ -1,4 +1,4 @@
-//! Symbolic loop-summary abstract interpretation (`alter-absint`).
+//! Symbolic loop-summary abstract interpretation (`alter-cli absint`).
 //!
 //! PR 5's [`LoopSummary`] is a *dynamic* artifact: everything the analyzer
 //! knows it learned by replaying the loop once. This module adds the static
@@ -215,7 +215,7 @@ impl fmt::Display for StrideInterval {
 /// A named set of heap allocations a loop touches, declared up front.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Region {
-    /// Human-readable name (rendered in `STATIC.json` and `--deps`).
+    /// Human-readable name (rendered by `alter-cli deps <workload>`).
     pub name: &'static str,
     /// The member allocations, in declaration order. [`Member::Each`]
     /// indexes this vector by iteration ordinal.
@@ -783,7 +783,7 @@ pub enum StaticVerdict {
 
 impl StaticVerdict {
     /// Short stable class name (`safe`, `o.o.m.`, `unknown`), used by
-    /// `STATIC.json` and the `--deps` table.
+    /// `VERDICTS.json`.
     pub fn class(&self) -> &'static str {
         match self {
             StaticVerdict::ProvedSafe => "safe",

@@ -1,5 +1,5 @@
 //! DPOR schedule-space model checker over recorded trace journals —
-//! the engine behind `alter-check`.
+//! the engine behind `alter-cli check`.
 //!
 //! A recorded journal proves an annotation sound on exactly *one*
 //! schedule: the deterministic commit order the engine happened to
@@ -43,7 +43,7 @@
 //! annotation whose committed writers overlap, which order-insensitive
 //! policies never check at run time) produces a structured
 //! [`Divergence`] by bisecting the re-derived stream against the
-//! recorded claims — the same counterexample format `alter-replay diff`
+//! recorded claims — the same counterexample format `alter-cli diff`
 //! bisects and renders, so every verdict here is replayable evidence.
 
 use crate::sanitize::{recompute_conflict, sanitize, validate_charge, SanitizeConfig, Violation};
@@ -99,7 +99,7 @@ impl CheckConfig {
 /// counterexample: `expected` is the stream the recorded access sets
 /// imply, `actual` re-sequences the journal's recorded claims. Both are
 /// structurally valid single-round streams (round renumbered to 0), so
-/// they can be packaged as journals and fed to `alter-replay diff`.
+/// they can be packaged as journals and fed to `alter-cli diff`.
 #[derive(Clone, Debug)]
 pub struct UnsoundRound {
     /// Global round ordinal in the journal (across run segments).

@@ -1,4 +1,4 @@
-//! The trace isolation sanitizer behind `alter-lint`.
+//! The trace isolation sanitizer behind `alter-cli lint`.
 //!
 //! Replays a recorded structured trace — with the opt-in
 //! `ExecParams::record_sets` payloads — and re-checks the engine's

@@ -1,47 +1,36 @@
-//! `baselines`: regenerates the five committed baselines into the current
-//! directory in one process, and fails with the gate's message on the
-//! first gate any of them asserts:
+//! `baselines`: records one verdict per Table 2 workload and writes them,
+//! with the flagships' phase sweep, to `VERDICTS.json` in the current
+//! directory — or fails with the first gate's message.
 //!
-//! | file | gate |
-//! |------|------|
-//! | `ANALYSIS.json` | every canonical trace is sanitizer-clean |
-//! | `STATIC.json` | every LoopSpec covers its replay (static ⊇ dynamic) |
-//! | `CHECK.json` | all twelve best annotations are schedule-sound |
-//! | `PROFILE.json` | — |
-//! | `BENCH_runtime.json` `phases` | the trace-folded profile equals the `RunStats` ledger, the threaded driver charges what the sequential one does, and profiling is pure |
-//! | `BENCH_runtime.json` `check` | Genome and K-means: the run completes, and DPOR prunes ≥ 5× with no budget hit |
-//! | `BENCH_runtime.json` `absint` | the static tier skips ≥ 10 probes and changes no inferred annotation |
-//!
-//! Every number written is a deterministic counter (cost units, schedules,
-//! probes, trace hashes) — no wall-clock — so the files are stable across
-//! machines and a diff means the runtime's behaviour changed.
+//! A workload's verdict comes from one `probe_summary`, one `interpret`,
+//! the inference suite with and without the static tier, and one
+//! recording of its best run with task sets and the phase profile on.
+//! A field is written only if it is measured — nothing a gate pins to a
+//! constant, nothing that is arithmetic on other fields — and every number
+//! is a deterministic counter, so a diff means the runtime's behaviour
+//! changed.
 
-use crate::replay::{profile_json, profile_run};
-use crate::verify::{
-    analysis_json, check_json, check_workload, cross_validate_all, sanitize_all, static_json,
-    CheckedRun,
+use crate::json::{json, Json};
+use crate::verify::{audit, check_config};
+use crate::{find, record_run};
+use alter_analyze::absint::{cross_validate, interpret, static_verdict};
+use alter_analyze::{
+    check_events, lint, predict, AnalyzeConfig, CheckReport, LintTarget, DEFAULT_SCHEDULE_BUDGET,
 };
-use crate::{find, record_run, DEFAULT_WORKERS};
-use alter_analyze::{CheckReport, DEFAULT_SCHEDULE_BUDGET};
-use alter_infer::{infer, InferConfig};
-use alter_runtime::PhaseCosts;
-use alter_trace::{trace_hash, Event, Phase, Profile};
+use alter_infer::{infer, InferConfig, InferReport, Model, Probe};
+use alter_runtime::{DepKind, ExecParams, LoopSummary, RunStats};
+use alter_trace::{format_hash, trace_hash, Event, Phase, Profile};
 use alter_workloads::{all_benchmarks, Benchmark, Scale};
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 
-/// Worker counts of the `phases` section.
+const PATH: &str = "VERDICTS.json";
+
+/// Worker counts of the phase sweep.
 const WORKER_SWEEP: [usize; 3] = [1, 2, 8];
 
-/// The engine phases of the `phases` section, in column order.
-const ENGINE_PHASES: [Phase; 4] = [
-    Phase::Snapshot,
-    Phase::Execute,
-    Phase::Validate,
-    Phase::Commit,
-];
-
-/// The workloads of the `phases` and `check` sections, as they name them.
-const FLAGSHIPS: [&str; 2] = ["genome", "k-means"];
+/// The workloads whose DPOR pruning is gated and whose phase costs are
+/// swept over [`WORKER_SWEEP`].
+const FLAGSHIPS: [&str; 2] = ["Genome", "K-means"];
 
 fn ensure(ok: bool, message: impl FnOnce() -> String) -> Result<(), String> {
     if ok {
@@ -51,317 +40,357 @@ fn ensure(ok: bool, message: impl FnOnce() -> String) -> Result<(), String> {
     }
 }
 
-fn write(path: &str, json: &str) -> Result<(), String> {
-    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-    println!("wrote {path}");
+pub fn write_all() -> Result<(), String> {
+    let icfg = InferConfig::default();
+    let verdicts = all_benchmarks(Scale::Inference)
+        .iter()
+        .map(|b| Verdict::measure(b.as_ref(), &icfg))
+        .collect::<Result<Vec<_>, _>>()?;
+    gate(&verdicts)?;
+    let sweep = FLAGSHIPS.map(phase_sweep);
+    let doc = json!({
+        "geometry": json!({
+            "workers": icfg.workers as u64,
+            "chunk": icfg.chunk as u64,
+            "max_schedules_per_round": DEFAULT_SCHEDULE_BUDGET,
+        }),
+        "workloads": Json::Arr(verdicts.into_iter().map(|v| v.record).collect()),
+        "phase_sweep": Json::Arr(sweep.into_iter().collect::<Result<_, _>>()?),
+    });
+    std::fs::write(PATH, doc.pretty()).map_err(|e| format!("writing {PATH}: {e}"))?;
+    println!("wrote {PATH}");
     Ok(())
 }
 
-pub fn write_all() -> Result<(), String> {
-    let benches = all_benchmarks(Scale::Inference);
-
-    let clean = sanitize_all(&benches, DEFAULT_WORKERS)?;
-    ensure(clean, || "sanitizer: isolation violations found".into())?;
-    write("ANALYSIS.json", &analysis_json(&benches))?;
-
-    let (analyzed, covered) = cross_validate_all(&benches);
-    ensure(covered, || {
-        "absint: a LoopSpec is missing or does not cover its replay (static ⊉ dynamic)".into()
-    })?;
-    write("STATIC.json", &static_json(&benches, &analyzed))?;
-
-    let checks = benches
-        .iter()
-        .map(|b| check_workload(b.as_ref(), "best", DEFAULT_WORKERS, DEFAULT_SCHEDULE_BUDGET))
-        .collect::<Result<Vec<_>, _>>()?;
-    if let Some(r) = checks.iter().find(|r| !r.report.sound()) {
-        return Err(format!("check: {} [best] is schedule-unsound", r.name));
-    }
-    write(
-        "CHECK.json",
-        &check_json(DEFAULT_WORKERS, DEFAULT_SCHEDULE_BUDGET, &checks),
-    )?;
-
-    let profiles = benches
-        .iter()
-        .map(|b| profile_run(b.as_ref(), "best", DEFAULT_WORKERS))
-        .collect::<Result<Vec<_>, _>>()?;
-    write("PROFILE.json", &profile_json(DEFAULT_WORKERS, &profiles))?;
-
-    // The three sections keep the layout of the per-bench files the
-    // retired `scripts/bench.sh` spliced together, separators included.
-    let bench_runtime = format!(
-        "{{\n\"phases\":\n{},\n\"check\":\n{},\n\"absint\":\n{}}}\n",
-        phases_json(&measure_phases()?),
-        dpor_json(&measure_dpor(&checks)?),
-        absint_json(&measure_absint(&benches)?)
-    );
-    write("BENCH_runtime.json", &bench_runtime)
-}
-
-/// One (workload, workers) measurement of the `phases` section.
-struct Measured {
-    workers: usize,
-    rounds: u64,
+/// One workload's written record and the measurements its gates read.
+/// Verdicts are judged at the inference geometry; the recording runs the
+/// best annotation at its tuned chunk with the geometry's worker count.
+#[derive(Clone)]
+struct Verdict {
+    name: String,
+    record: Json,
+    /// Cross-validation violations (static ⊉ dynamic).
+    uncovered: Vec<String>,
+    /// Sanitizer violations of the recorded stream.
+    violations: Vec<String>,
+    stats: RunStats,
     profile: Profile,
+    dpor: CheckReport,
+    /// Inference with both pruning tiers, and with the dynamic tier only.
+    combined: InferReport,
+    dynamic_only: InferReport,
 }
 
-/// Runs `bench`'s best probe at `workers` and returns the recorded events
-/// plus the engine's own phase ledger and round count.
-fn profiled_run(
-    bench: &dyn Benchmark,
-    workers: usize,
-    threaded: bool,
-    profile_phases: bool,
-) -> Result<(Vec<Event>, PhaseCosts, u64), String> {
-    let mut probe = bench.best_probe(workers);
-    probe.threaded = threaded;
-    probe.profile_phases = profile_phases;
-    let (events, run) = record_run(bench, &probe)?;
-    let run = run.map_err(|e| format!("{}: probe must complete ({e})", bench.name()))?;
-    Ok((events, run.stats.phase_costs, run.stats.rounds))
-}
+impl Verdict {
+    fn measure(bench: &dyn Benchmark, icfg: &InferConfig) -> Result<Verdict, String> {
+        let name = bench.name().to_owned();
+        let summary = bench.probe_summary();
+        let spec = bench
+            .loop_spec()
+            .ok_or_else(|| format!("absint: {name} declares no LoopSpec"))?;
+        let s = interpret(&spec);
+        let acfg = AnalyzeConfig {
+            workers: icfg.workers,
+            chunk: icfg.chunk,
+            high_conflict_threshold: icfg.high_conflict_threshold,
+            budget_words: bench.tracked_budget_words().unwrap_or(icfg.budget_words),
+            ..AnalyzeConfig::default()
+        };
+        let models =
+            Model::TABLE3.map(|m| (m.to_string(), m.exec_params(icfg.workers, icfg.chunk)));
+        let per_model = |class: &dyn Fn(&ExecParams) -> &'static str| {
+            let classes = models
+                .iter()
+                .map(|(m, p)| (m.to_ascii_lowercase(), class(p).into()));
+            Json::Obj(classes.collect())
+        };
 
-/// The profiled sequential run at `workers`, gated against the ledger,
-/// the threaded driver and an unprofiled run.
-fn measure(name: &str, bench: &dyn Benchmark, workers: usize) -> Result<Measured, String> {
-    let (events, ledger, rounds) = profiled_run(bench, workers, false, true)?;
-    let profile = Profile::from_events(&events);
+        let mut probe = bench.best_probe(icfg.workers);
+        probe.record_sets = true;
+        probe.profile_phases = true;
+        let (events, stats) = completed_run(bench, &probe)?;
+        let profile = Profile::from_events(&events);
+        let dpor = check_events(&events, &check_config(&probe, DEFAULT_SCHEDULE_BUDGET))?;
+        let combined = infer(bench, icfg);
+        let mut dynamic_only = icfg.clone();
+        dynamic_only.static_prune = false;
 
-    // The trace-folded profile and the engine's in-stats ledger are two
-    // paths to the same numbers; they must agree exactly.
-    for phase in ENGINE_PHASES {
-        ensure(profile.cost(phase) == ledger.cost(phase), || {
-            format!("{name} N={workers}: trace profile and RunStats ledger disagree on {phase}")
-        })?;
+        let dep = summary.report();
+        let edges = |kind| s.edges.iter().filter(|e| e.kind == kind).count() as u64;
+        let cost = |phase| profile.cost(phase);
+        let skips = (combined.static_pruned.iter())
+            .map(|pc| format!("{}: {}", pc.annotation, pc.reason).into());
+        let record = json!({
+            "name": name.as_str(),
+            "best": format!("[{}]", probe.describe()),
+            "chunk": probe.chunk as u64,
+            "dep": json!({"raw": dep.raw, "waw": dep.waw, "war": dep.war}),
+            "verdicts": json!({
+                "dynamic": per_model(&|p| predict(&summary, p.conflict, p.order, &[], &acfg).class()),
+                "static": per_model(&|p| static_verdict(&s, p.conflict, &acfg).class()),
+            }),
+            "lint": lint_counts(&summary, &probe),
+            "static_summary": json!({
+                "iterations": s.iterations,
+                "regions": spec.regions.len() as u64,
+                "edges": json!({
+                    "raw": edges(DepKind::Raw),
+                    "waw": edges(DepKind::Waw),
+                    "war": edges(DepKind::War),
+                }),
+                "may_iter_words": json!({"rw": s.may_iter_words_rw, "w": s.may_iter_words_w}),
+                "must_first_words": json!({"rw": s.must_first_words_rw, "w": s.must_first_words_w}),
+                "allocates": s.allocates,
+            }),
+            "run": json!({
+                "trace_hash": format_hash(trace_hash(&events)),
+                "rounds": stats.rounds,
+                "tasks": dpor.tasks,
+                "snapshot": cost(Phase::Snapshot),
+                "execute": cost(Phase::Execute),
+                "validate": cost(Phase::Validate),
+                "commit": cost(Phase::Commit),
+            }),
+            "dpor": json!({
+                "naive_schedules": dpor.naive_schedules,
+                "explored": dpor.explored,
+                "flagged": dpor.flagged,
+                "budget_hits": dpor.budget_hits,
+                "scan_words": dpor.scan_words,
+            }),
+            "probes": json!({
+                "run": combined.probes_run,
+                "static_skips": Json::Arr(skips.collect()),
+            }),
+        });
+        Ok(Verdict {
+            uncovered: cross_validate(&spec, &s, &summary),
+            violations: audit(&events, &probe),
+            dynamic_only: infer(bench, &dynamic_only),
+            name,
+            record,
+            stats,
+            profile,
+            dpor,
+            combined,
+        })
     }
-    // One entry per engine phase per round. (`Profile::rounds()` can be
-    // smaller than `stats.rounds` for workloads that drive the loop once
-    // per outer iteration — round numbering restarts each segment.)
-    ensure(
-        profile.total() == ledger.total() && profile.entries() == 4 * rounds,
-        || format!("{name} N={workers}: trace profile and RunStats ledger disagree on the totals"),
-    )?;
 
-    // Phase costs are trace-stable: the threaded driver must charge the
-    // exact same units as the sequential simulation.
-    let (threaded_events, threaded_ledger, _) = profiled_run(bench, workers, true, true)?;
-    ensure(
-        ledger == threaded_ledger && trace_hash(&events) == trace_hash(&threaded_events),
-        || format!("{name} N={workers}: drive mode changed phase costs"),
-    )?;
+    /// The record-level gates, in order; the first that fails is the
+    /// error: the best run is sanitizer-clean, its LoopSpec covers its
+    /// replay (static ⊇ dynamic), it is schedule-sound, its profile equals
+    /// its ledger, the checker counts the same rounds, DPOR prunes a
+    /// flagship ≥ 5× with no budget hit, and the static tier changes no
+    /// inferred annotation and saves one probe per skip.
+    fn gate(&self) -> Result<(), String> {
+        let name = &self.name;
+        if let Some(v) = self.violations.first() {
+            return Err(format!("sanitizer: {name}: {v}"));
+        }
+        if let Some(v) = self.uncovered.first() {
+            return Err(format!(
+                "absint: {name}: LoopSpec does not cover its replay (static ⊉ dynamic): {v}"
+            ));
+        }
+        let r = &self.dpor;
+        ensure(r.sound(), || {
+            format!("check: {name} [best] is schedule-unsound")
+        })?;
+        ledger_gate(name, &self.profile, &self.stats)?;
+        ensure(r.rounds == self.stats.rounds, || {
+            format!(
+                "{name}: the checker counts {} round(s), RunStats and the profile {}",
+                r.rounds, self.stats.rounds
+            )
+        })?;
+        if FLAGSHIPS.contains(&name.as_str()) {
+            ensure(r.budget_hits == 0, || {
+                format!("{name}: schedule budget must not bite")
+            })?;
+            ensure(r.explored * 5 <= r.naive_schedules, || {
+                format!(
+                    "{name}: DPOR pruning below 5x: {} explored vs {} naive",
+                    r.explored, r.naive_schedules
+                )
+            })?;
+        }
+        let (c, d) = (&self.combined, &self.dynamic_only);
+        ensure(c.valid_annotations == d.valid_annotations, || {
+            format!("{name}: static pruning changed the inferred annotations")
+        })?;
+        ensure(
+            d.probes_run.checked_sub(c.probes_run) == Some(c.static_pruned.len() as u64),
+            || format!("{name}: every static skip must save exactly one probe"),
+        )
+    }
+}
 
-    // Profiling must be observationally pure: stripping the phase_profile
-    // events recovers the unprofiled trace byte for byte, and the ledger
-    // is folded either way.
-    let (plain_events, plain_ledger, _) = profiled_run(bench, workers, false, false)?;
-    let stripped: Vec<Event> = events
+/// Every record's gates, then the suite-wide one: the static tier skips
+/// at least 10 probes.
+fn gate(verdicts: &[Verdict]) -> Result<(), String> {
+    verdicts.iter().try_for_each(Verdict::gate)?;
+    let skips: usize = verdicts
         .iter()
-        .filter(|ev| !matches!(ev, Event::PhaseProfile { .. }))
-        .cloned()
-        .collect();
-    ensure(
-        trace_hash(&stripped) == trace_hash(&plain_events) && ledger == plain_ledger,
-        || format!("{name} N={workers}: profiler perturbed the underlying trace"),
-    )?;
-
-    Ok(Measured {
-        workers,
-        rounds,
-        profile,
+        .map(|v| v.combined.static_pruned.len())
+        .sum();
+    ensure(skips >= 10, || {
+        format!("absint: the static tier skipped only {skips} probes suite-wide (need >= 10)")
     })
 }
 
-/// Per-phase cost units of the flagships under their best annotations
-/// across [`WORKER_SWEEP`] — the numbers behind the EXPERIMENTS.md
-/// cost-share table.
-fn measure_phases() -> Result<Vec<(String, String, Vec<Measured>)>, String> {
-    let mut rows = Vec::new();
-    for name in FLAGSHIPS {
-        let bench = find(name)?;
-        let runs = WORKER_SWEEP
-            .iter()
-            .map(|&w| measure(name, bench.as_ref(), w))
-            .collect::<Result<_, _>>()?;
-        rows.push((name.to_owned(), bench.best_probe(1).describe(), runs));
-    }
-    Ok(rows)
-}
-
-/// Renders the `phases` section.
-fn phases_json(rows: &[(String, String, Vec<Measured>)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, (name, annotation, runs)) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{name}\",");
-        let _ = writeln!(out, "      \"annotation\": \"{annotation}\",");
-        let _ = writeln!(out, "      \"configs\": [");
-        for (j, m) in runs.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"workers\": {}, \"rounds\": {}, \"total_cost\": {}",
-                m.workers,
-                m.rounds,
-                m.profile.total()
-            );
-            for phase in ENGINE_PHASES {
-                let _ = write!(out, ", \"{}\": {}", phase.as_str(), m.profile.cost(phase));
-            }
-            let _ = writeln!(out, "}}{}", if j + 1 < runs.len() { "," } else { "" });
-        }
-        let _ = writeln!(out, "      ]");
-        let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// One flagship's schedule-space audit: its `CHECK.json` run.
-struct Audited<'a> {
-    name: &'static str,
-    annotation: String,
-    report: &'a CheckReport,
-}
-
-/// The DPOR pruning economics of the flagships' `CHECK.json` runs: naive
-/// schedule count (`Σ n!` over rounds), representatives explored,
-/// reorderings flagged and the words the commutativity block scans
-/// compared. DPOR must explore at least 5× fewer schedules than naive
-/// enumeration, within the budget.
-fn measure_dpor(checks: &[CheckedRun]) -> Result<Vec<Audited<'_>>, String> {
-    let mut rows = Vec::new();
-    for name in FLAGSHIPS {
-        let bench = find(name)?;
-        let run = checks
-            .iter()
-            .find(|r| r.name == bench.name())
-            .expect("CHECK.json covers every workload");
-        ensure(run.completed, || format!("{name}: probe must complete"))?;
-        let report = &run.report;
-        ensure(report.budget_hits == 0, || {
-            format!("{name}: schedule budget must not bite")
+/// The trace-folded profile and the engine's in-stats ledger are two
+/// paths to the same numbers, per phase (the ledger charges nothing to
+/// inference) and in rounds.
+fn ledger_gate(what: &str, profile: &Profile, stats: &RunStats) -> Result<(), String> {
+    for phase in Phase::ALL {
+        ensure(profile.cost(phase) == stats.phase_costs.cost(phase), || {
+            format!("{what}: trace profile and RunStats ledger disagree on {phase}")
         })?;
-        ensure(report.explored * 5 <= report.naive_schedules, || {
-            format!(
-                "{name}: DPOR pruning below 5x: {} explored vs {} naive",
-                report.explored, report.naive_schedules
-            )
-        })?;
-        rows.push(Audited {
-            name,
-            annotation: bench.best_probe(DEFAULT_WORKERS).describe(),
-            report,
-        });
     }
-    Ok(rows)
+    ensure(profile.rounds() == stats.rounds, || {
+        format!(
+            "{what}: the profile counts {} round(s), RunStats {}",
+            profile.rounds(),
+            stats.rounds
+        )
+    })
 }
 
-/// Renders the `check` section.
-fn dpor_json(rows: &[Audited]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"workers\": {DEFAULT_WORKERS},");
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, m) in rows.iter().enumerate() {
-        let r = m.report;
-        let ratio = r.naive_schedules as f64 / r.explored.max(1) as f64;
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"annotation\": \"{}\",", m.annotation);
-        let _ = writeln!(out, "      \"rounds\": {},", r.rounds);
-        let _ = writeln!(out, "      \"tasks\": {},", r.tasks);
-        let _ = writeln!(out, "      \"naive_schedules\": {},", r.naive_schedules);
-        let _ = writeln!(out, "      \"explored\": {},", r.explored);
-        let _ = writeln!(out, "      \"pruned\": {},", r.pruned());
-        let _ = writeln!(out, "      \"pruning_ratio_x\": {ratio:.2},");
-        let _ = writeln!(out, "      \"flagged\": {},", r.flagged);
-        let _ = writeln!(out, "      \"scan_words\": {},", r.scan_words);
-        let _ = writeln!(out, "      \"sound\": {}", r.sound());
-        let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// One workload's probe economics under the two pruning configurations.
-struct Economics {
-    name: String,
-    probes_dynamic: u64,
-    probes_combined: u64,
-    static_skips: usize,
-    /// `class` of each statically decided candidate, e.g.
-    /// `"TLS: proved unsound: o.o.m."`.
-    skipped: Vec<String>,
-}
-
-/// The static analyzer's probe economics: the full inference suite with
-/// dynamic-only pruning versus the combined static + dynamic tiers. The
-/// static tier must change no answer and skip at least 10 probes.
-fn measure_absint(benches: &[Box<dyn Benchmark>]) -> Result<Vec<Economics>, String> {
-    let combined_cfg = InferConfig::default();
-    let dynamic_cfg = InferConfig {
-        static_prune: false,
-        ..InferConfig::default()
+/// Lint diagnostic counts per `severity:code` under the probe's
+/// annotation: a byte-stable fingerprint of the linter that stays small
+/// even for SSCA2's thousands of edges.
+fn lint_counts(summary: &LoopSummary, probe: &Probe) -> Json {
+    let target = match probe.model {
+        Model::Doall => LintTarget::Doall,
+        Model::Tls => LintTarget::Tls,
+        Model::OutOfOrder | Model::StaleReads => LintTarget::Annotated(
+            format!("[{}]", probe.describe())
+                .parse()
+                .expect("a best configuration is a valid annotation"),
+        ),
     };
-    let mut rows = Vec::new();
-    for b in benches {
-        let name = b.name().to_owned();
-        let combined = infer(b.as_ref(), &combined_cfg);
-        let dynamic = infer(b.as_ref(), &dynamic_cfg);
-        ensure(
-            combined.valid_annotations == dynamic.valid_annotations,
-            || format!("{name}: static pruning changed the inferred annotations"),
-        )?;
-        ensure(
-            dynamic.probes_run.checked_sub(combined.probes_run)
-                == Some(combined.static_pruned.len() as u64),
-            || format!("{name}: every static skip must save exactly one probe"),
-        )?;
-        rows.push(Economics {
-            name,
-            probes_dynamic: dynamic.probes_run,
-            probes_combined: combined.probes_run,
-            static_skips: combined.static_pruned.len(),
-            skipped: combined
-                .static_pruned
-                .iter()
-                .map(|pc| format!("{}: {}", pc.annotation, pc.reason))
-                .collect(),
-        });
+    let mut counts = BTreeMap::new();
+    for d in lint(summary, &target) {
+        *counts
+            .entry(format!("{}:{}", d.severity.as_str(), d.code))
+            .or_insert(0) += 1;
     }
-    let total_skips: usize = rows.iter().map(|m| m.static_skips).sum();
-    ensure(total_skips >= 10, || {
-        format!("static tier skipped only {total_skips} probes suite-wide (need >= 10)")
-    })?;
-    Ok(rows)
+    Json::Obj(
+        counts
+            .into_iter()
+            .map(|(code, n)| (code, Json::Int(n)))
+            .collect(),
+    )
 }
 
-/// Renders the `absint` section.
-fn absint_json(rows: &[Economics]) -> String {
-    let total_dynamic: u64 = rows.iter().map(|m| m.probes_dynamic).sum();
-    let total_combined: u64 = rows.iter().map(|m| m.probes_combined).sum();
-    let total_skips: usize = rows.iter().map(|m| m.static_skips).sum();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"probes_dynamic_only\": {total_dynamic},");
-    let _ = writeln!(out, "  \"probes_combined\": {total_combined},");
-    let _ = writeln!(out, "  \"static_skips\": {total_skips},");
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, m) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"probes_dynamic_only\": {},", m.probes_dynamic);
-        let _ = writeln!(out, "      \"probes_combined\": {},", m.probes_combined);
-        let _ = writeln!(out, "      \"static_skips\": {},", m.static_skips);
-        let skipped: Vec<String> = m.skipped.iter().map(|s| format!("\"{s}\"")).collect();
-        let _ = writeln!(out, "      \"skipped\": [{}]", skipped.join(", "));
-        let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+/// One flagship's best run at each of [`WORKER_SWEEP`]: rounds and phase
+/// costs, each run gated against the ledger, the threaded driver and an
+/// unprofiled run.
+fn phase_sweep(name: &str) -> Result<Json, String> {
+    let bench = find(name)?;
+    let run = |workers, threaded, profile_phases| {
+        let mut probe = bench.best_probe(workers);
+        probe.threaded = threaded;
+        probe.profile_phases = profile_phases;
+        completed_run(bench.as_ref(), &probe)
+    };
+    let runs = WORKER_SWEEP
+        .iter()
+        .map(|&workers| {
+            let what = format!("{name} N={workers}");
+            let (events, stats) = run(workers, false, true)?;
+            ledger_gate(&what, &Profile::from_events(&events), &stats)?;
+
+            // Phase costs are trace-stable: the threaded driver must charge
+            // the exact same units as the sequential simulation.
+            let (threaded_events, threaded) = run(workers, true, true)?;
+            ensure(
+                stats.phase_costs == threaded.phase_costs
+                    && trace_hash(&events) == trace_hash(&threaded_events),
+                || format!("{what}: drive mode changed phase costs"),
+            )?;
+
+            // Profiling must be observationally pure: stripping the
+            // phase_profile events recovers the unprofiled trace byte for
+            // byte, and the ledger is folded either way.
+            let (plain_events, plain) = run(workers, false, false)?;
+            let mut stripped = events.clone();
+            stripped.retain(|ev| !matches!(ev, Event::PhaseProfile { .. }));
+            ensure(
+                trace_hash(&stripped) == trace_hash(&plain_events)
+                    && stats.phase_costs == plain.phase_costs,
+                || format!("{what}: profiler perturbed the underlying trace"),
+            )?;
+
+            let c = &stats.phase_costs;
+            Ok(json!({
+                "workers": workers as u64,
+                "rounds": stats.rounds,
+                "snapshot": c.snapshot,
+                "execute": c.execute,
+                "validate": c.validate,
+                "commit": c.commit,
+            }))
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(json!({"name": name, "runs": Json::Arr(runs)}))
+}
+
+/// Records `probe` against `bench`; the run must complete.
+fn completed_run(bench: &dyn Benchmark, probe: &Probe) -> Result<(Vec<Event>, RunStats), String> {
+    let (events, run) = record_run(bench, probe)?;
+    let run = run.map_err(|e| format!("{}: the run must complete ({e})", bench.name()))?;
+    Ok((events, run.stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_gate_rejects_its_doctored_record() {
+        let good =
+            Verdict::measure(find("genome").unwrap().as_ref(), &InferConfig::default()).unwrap();
+        assert_eq!(good.gate(), Ok(()));
+        // Genome's candidates all run, so on its own it fails the suite gate.
+        let suite = gate(std::slice::from_ref(&good)).unwrap_err();
+        assert_eq!(
+            suite,
+            "absint: the static tier skipped only 0 probes suite-wide (need >= 10)"
+        );
+        let doctors: [fn(&mut Verdict); 11] = [
+            |v| v.violations.push("overlap".into()),
+            |v| v.uncovered.push("RAW edge".into()),
+            |v| v.dpor.unsound_rounds = 1,
+            |v| v.profile.record(0, Phase::Commit, 1),
+            |v| v.profile.record(0, Phase::InferProbe, 1),
+            |v| v.stats.rounds += 1,
+            |v| v.dpor.rounds += 1,
+            |v| v.dpor.budget_hits = 1,
+            |v| v.dpor.explored = v.dpor.naive_schedules,
+            |v| v.dynamic_only.valid_annotations.clear(),
+            |v| v.dynamic_only.probes_run += 1,
+        ];
+        let errors = doctors.map(|doctor| {
+            let mut v = good.clone();
+            doctor(&mut v);
+            v.gate().unwrap_err()
+        });
+        assert_eq!(
+            errors,
+            [
+                "sanitizer: Genome: overlap",
+                "absint: Genome: LoopSpec does not cover its replay (static ⊉ dynamic): RAW edge",
+                "check: Genome [best] is schedule-unsound",
+                "Genome: trace profile and RunStats ledger disagree on commit",
+                "Genome: trace profile and RunStats ledger disagree on infer_probe",
+                "Genome: the profile counts 38 round(s), RunStats 39",
+                "Genome: the checker counts 39 round(s), RunStats and the profile 38",
+                "Genome: schedule budget must not bite",
+                "Genome: DPOR pruning below 5x: 889 explored vs 889 naive",
+                "Genome: static pruning changed the inferred annotations",
+                "Genome: every static skip must save exactly one probe",
+            ]
+        );
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }

@@ -1,7 +1,7 @@
 //! `alter-cli` — one command line over the twelve Table 2 workloads: the
 //! flight recorder, the dependence summary, the isolation sanitizer, the
 //! abstract interpreter, the DPOR model checker, record/replay, the
-//! paper's tables and figures, and the committed baselines CI
+//! paper's tables and figures, and the committed verdict record CI
 //! drift-checks.
 //!
 //! ```text
@@ -10,16 +10,16 @@
 //!
 //! Every subcommand shares one parser ([`parse`]: each command accepts
 //! only its own flags), one workload selector ([`select`]), one
-//! annotation grammar ([`probe_for`]), one recording helper
-//! ([`record_run`]) and one analyzer geometry ([`analyze_config`]).
+//! annotation grammar ([`probe_for`]) and one recording helper
+//! ([`record_run`]).
 
 mod baselines;
+mod json;
 mod replay;
 mod trace;
 mod verify;
 
-use alter_analyze::AnalyzeConfig;
-use alter_infer::{InferConfig, Model, Probe, ProbeRun};
+use alter_infer::{Model, Probe, ProbeRun};
 use alter_runtime::RunError;
 use alter_trace::{Event, Recorder, RingRecorder};
 use alter_workloads::{all_benchmarks, find_benchmark, Benchmark, Scale};
@@ -90,15 +90,14 @@ commands:
       Figures 5-13 at paper scale
         --quick      inference-scale inputs
   baselines
-      write ANALYSIS.json, STATIC.json, CHECK.json, PROFILE.json and
-      BENCH_runtime.json into the current directory; exit 1 with the
-      gate's message when any gate fails
+      record every workload's verdict and write VERDICTS.json into the
+      current directory; exit 1 with the gate's message when any gate
+      fails
 
   workload:   a Table 2 workload, case-insensitive (see `list`)
   annotation: tls | outoforder | stalereads | doall | best  (default best)";
 
-/// Worker count when `--workers` is absent (and the one every baseline
-/// is recorded at).
+/// Worker count when `--workers` is absent.
 const DEFAULT_WORKERS: usize = 4;
 
 /// Ring capacity of every recording — the sanitizer's: canonical traces
@@ -368,18 +367,6 @@ fn record_capped(bench: &dyn Benchmark, probe: &Probe, cap: usize) -> Result<Rec
              the trace would be the run's tail",
             bench.name()
         )),
-    }
-}
-
-/// The analyzer at the inference geometry, with the workload's own
-/// tracked-word budget.
-fn analyze_config(bench: &dyn Benchmark, icfg: &InferConfig) -> AnalyzeConfig {
-    AnalyzeConfig {
-        workers: icfg.workers,
-        chunk: icfg.chunk,
-        high_conflict_threshold: icfg.high_conflict_threshold,
-        budget_words: bench.tracked_budget_words().unwrap_or(icfg.budget_words),
-        ..AnalyzeConfig::default()
     }
 }
 

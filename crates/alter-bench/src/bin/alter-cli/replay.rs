@@ -1,6 +1,5 @@
 //! `record`, `replay`, `diff` and `profile`: trace journals and the
-//! deterministic phase profile, including the writer of the committed
-//! `PROFILE.json` baseline.
+//! deterministic phase profile.
 //!
 //! Because engine traces are pure functions of program + annotation, a
 //! journal recorded on one machine replays byte-identically on any other;
@@ -14,9 +13,8 @@
 use crate::{find, probe_for, record_run, select, Args};
 use alter_infer::Probe;
 use alter_runtime::replay::{diverge_bisect, ReplayOutcome};
-use alter_trace::{format_hash, trace_hash, Event, Journal, JournalHeader, Phase, Profile};
+use alter_trace::{format_hash, trace_hash, Event, Journal, JournalHeader, Profile};
 use alter_workloads::Benchmark;
-use std::fmt::Write as _;
 
 pub fn record(a: &Args) -> Result<(), String> {
     let bench = find(&a.pos[0])?;
@@ -116,77 +114,25 @@ fn print_bisection(expected: &[Event], actual: &[Event], identical: &str) -> boo
     }
 }
 
-/// One workload's phase profile plus the run's trace hash (profiled stream).
-pub struct ProfiledRun {
-    name: String,
-    annotation: String,
-    profile: Profile,
-    hash: u64,
-}
-
-pub fn profile_run(
-    bench: &dyn Benchmark,
-    annotation: &str,
-    workers: usize,
-) -> Result<ProfiledRun, String> {
-    let mut probe = probe_for(bench, annotation, workers)?;
-    probe.profile_phases = true;
-    let (events, run) = record_run(bench, &probe)?;
-    if let Err(e) = run {
-        eprintln!(
-            "note: {} aborted ({e}); profiling the partial run",
-            bench.name()
-        );
-    }
-    Ok(ProfiledRun {
-        name: bench.name().to_owned(),
-        annotation: annotation.to_owned(),
-        profile: Profile::from_events(&events),
-        hash: trace_hash(&events),
-    })
-}
-
-/// Renders `PROFILE.json`: schema tag, worker count, and one object per
-/// workload in Table 2 row order with per-phase cost-unit totals. Pure
-/// cost units — wall-clock never appears here, which is what makes the
-/// file safe to drift-check in CI.
-pub fn profile_json(workers: usize, runs: &[ProfiledRun]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n\"schema\": \"alter-profile-v1\",\n");
-    let _ = writeln!(s, "\"workers\": {workers},");
-    s.push_str("\"workloads\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            s,
-            "{{\"name\": \"{}\", \"annotation\": \"{}\", \"trace_hash\": \"{}\", \"rounds\": {}, \"total_cost\": {}",
-            r.name,
-            r.annotation,
-            format_hash(r.hash),
-            r.profile.rounds(),
-            r.profile.total()
-        );
-        for phase in Phase::ALL {
-            let _ = write!(s, ", \"{}\": {}", phase.as_str(), r.profile.cost(phase));
-        }
-        s.push_str(if i + 1 < runs.len() { "},\n" } else { "}\n" });
-    }
-    s.push_str("]\n}\n");
-    s
-}
-
 pub fn profile(a: &Args) -> Result<(), String> {
     let workers = a.workers();
-    let runs: Vec<ProfiledRun> = select(a.pos.first())?
-        .iter()
-        .map(|b| profile_run(b.as_ref(), &a.annotation(), workers))
-        .collect::<Result<_, _>>()?;
-    for r in &runs {
+    for b in select(a.pos.first())? {
+        let mut probe = probe_for(b.as_ref(), &a.annotation(), workers)?;
+        probe.profile_phases = true;
+        let (events, run) = record_run(b.as_ref(), &probe)?;
+        if let Err(e) = run {
+            eprintln!(
+                "note: {} aborted ({e}); profiling the partial run",
+                b.name()
+            );
+        }
+        let profile = Profile::from_events(&events);
         if a.has("--folded") {
-            print!("{}", r.profile.folded(&r.name));
+            print!("{}", profile.folded(b.name()));
         } else {
-            let label = format!("{} [{}] {} worker(s)", r.name, r.annotation, workers);
-            print!("{}", r.profile.render(&label));
-            println!("  trace hash: {}", format_hash(r.hash));
+            let label = format!("{} [{}] {} worker(s)", b.name(), a.annotation(), workers);
+            print!("{}", profile.render(&label));
+            println!("  trace hash: {}", format_hash(trace_hash(&events)));
         }
     }
     Ok(())

@@ -202,7 +202,7 @@ impl LoopSummary {
         self.edges.iter().filter(move |e| e.obj == obj)
     }
 
-    /// Human-readable rendering (the `alter-trace --deps` output).
+    /// Human-readable rendering (the `alter-cli deps <workload>` output).
     pub fn render(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "iterations: {}", self.iterations);

@@ -115,7 +115,7 @@ pub struct ExecParams {
     pub recorder: Option<Arc<dyn Recorder>>,
     /// Emit an `Event::TaskSets` with each validated task's full read and
     /// write sets (canonical `obj:lo-hi,…` form). Off by default — it fattens
-    /// traces considerably and exists for the `alter-lint` isolation
+    /// traces considerably and exists for the `alter-cli lint` isolation
     /// sanitizer, which re-checks validation verdicts against the recorded
     /// sets. No effect without a recorder.
     pub record_sets: bool,
@@ -266,7 +266,7 @@ impl ExecParams {
     }
 
     /// Builder-style: emit full per-task read/write sets into the trace
-    /// (off by default; used by the `alter-lint` isolation sanitizer).
+    /// (off by default; used by the `alter-cli lint` isolation sanitizer).
     pub fn with_record_sets(mut self, on: bool) -> Self {
         self.record_sets = on;
         self
@@ -274,7 +274,7 @@ impl ExecParams {
 
     /// Builder-style: emit per-round `Event::PhaseProfile` cost-unit
     /// entries (off by default; used by the phase profiler and
-    /// `alter-replay`).
+    /// `alter-cli record --profile`).
     pub fn with_profile_phases(mut self, on: bool) -> Self {
         self.profile_phases = on;
         self

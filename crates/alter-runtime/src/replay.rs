@@ -18,7 +18,7 @@
 //! streams fork.
 //!
 //! The workload re-execution itself lives with the workload registry
-//! (`alter-bench`'s `alter-replay` binary): this crate deliberately knows
+//! (`alter-bench`'s `alter-cli replay`): this crate deliberately knows
 //! nothing about workloads, only about event streams.
 
 use alter_trace::{event_json, parse_set, trace_hash, Event, TraceHasher};

@@ -148,7 +148,7 @@ pub enum Event {
     /// see [`crate::jsonl::render_set`]). Emitted only when
     /// `ExecParams::record_sets` is on — it fattens traces considerably —
     /// and immediately precedes the task's verdict event, which lets the
-    /// `alter-lint` sanitizer recompute every validation verdict from the
+    /// `alter-cli lint` sanitizer recompute every validation verdict from the
     /// recorded sets.
     TaskSets {
         /// The task about to be validated.

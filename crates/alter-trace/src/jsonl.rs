@@ -6,7 +6,7 @@
 //! string, so byte-identical traces ⇔ identical event streams. The trace
 //! hash is computed over exactly these bytes (see [`crate::hash`]).
 //! [`from_jsonl`] inverts [`to_jsonl`], which is what lets the
-//! `alter-lint` sanitizer replay a recorded trace offline.
+//! `alter-cli lint` sanitizer replay a recorded trace offline.
 
 use crate::event::{ConflictKind, Event, Phase};
 use alter_heap::{AccessSet, ObjId};
@@ -54,7 +54,7 @@ pub fn parse_set(s: &str) -> Result<Vec<(ObjId, u32, u32)>, String> {
 }
 
 /// Escapes `s` as JSON string contents (without the surrounding quotes).
-pub(crate) fn escape_into(out: &mut String, s: &str) {
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -2,11 +2,11 @@
 //!
 //! [`Profile`] folds the [`Event::PhaseProfile`] entries of a trace into
 //! per-phase cost-unit totals and renders them two ways: a sorted hotspot
-//! table (the `alter-trace --profile` / `alter-replay profile` report) and
+//! table (the `alter-cli trace --profile` / `alter-cli profile` report) and
 //! folded-stack lines (`workload;phase cost`) that any flamegraph tool can
 //! consume directly. Because phase costs are deterministic cost units, a
 //! `Profile` is a pure function of the trace — byte-stable across reruns,
-//! machines and drivers — which is what lets `PROFILE.json` sit under
+//! machines and drivers — which is what lets `VERDICTS.json` sit under
 //! a CI drift check.
 //!
 //! Wall-clock mirroring is deliberately out-of-band: [`WallProfile`] is a
@@ -25,11 +25,9 @@ pub const PHASE_COUNT: usize = Phase::ALL.len();
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Profile {
     totals: [u64; PHASE_COUNT],
-    /// `PhaseProfile` entries folded (not rounds: a round contributes one
-    /// entry per engine phase).
-    entries: u64,
-    /// Highest round index seen on a round-phase entry, plus one; 0 when
-    /// no round phases were recorded.
+    /// `Snapshot` entries folded: the engine charges every round exactly
+    /// one. (Round indices restart with each `run_loop`, so the highest
+    /// index seen under-counts a multi-loop run.)
     rounds: u64,
     /// Highest probe index seen on an `InferProbe` entry, plus one.
     probes: u64,
@@ -61,11 +59,10 @@ impl Profile {
     /// Records one phase accounting entry directly.
     pub fn record(&mut self, round: u64, phase: Phase, cost: u64) {
         self.totals[phase.index()] += cost;
-        self.entries += 1;
-        if phase == Phase::InferProbe {
-            self.probes = self.probes.max(round + 1);
-        } else {
-            self.rounds = self.rounds.max(round + 1);
+        match phase {
+            Phase::InferProbe => self.probes = self.probes.max(round + 1),
+            Phase::Snapshot => self.rounds += 1,
+            _ => {}
         }
     }
 
@@ -74,8 +71,7 @@ impl Profile {
         for (t, o) in self.totals.iter_mut().zip(&other.totals) {
             *t += o;
         }
-        self.entries += other.entries;
-        self.rounds = self.rounds.max(other.rounds);
+        self.rounds += other.rounds;
         self.probes = self.probes.max(other.probes);
     }
 
@@ -89,12 +85,7 @@ impl Profile {
         self.totals.iter().sum()
     }
 
-    /// `PhaseProfile` entries folded.
-    pub fn entries(&self) -> u64 {
-        self.entries
-    }
-
-    /// Rounds covered by the round-phase entries.
+    /// Rounds profiled, across every `run_loop` of the trace.
     pub fn rounds(&self) -> u64 {
         self.rounds
     }
@@ -221,16 +212,17 @@ mod tests {
             entry(0, Phase::Commit, 6),
             entry(1, Phase::Snapshot, 4),
             entry(1, Phase::Execute, 50),
+            // A second `run_loop`: round indices restart at 0.
+            entry(0, Phase::Snapshot, 4),
             entry(0, Phase::InferProbe, 500),
         ];
         let p = Profile::from_events(&evs);
-        assert_eq!(p.cost(Phase::Snapshot), 8);
+        assert_eq!(p.cost(Phase::Snapshot), 12);
         assert_eq!(p.cost(Phase::Execute), 150);
-        assert_eq!(p.total(), 674);
-        assert_eq!(p.entries(), 7);
-        assert_eq!(p.rounds(), 2);
+        assert_eq!(p.total(), 678);
+        assert_eq!(p.rounds(), 3);
         assert_eq!(p.probes(), 1);
-        assert!((p.share(Phase::InferProbe) - 500.0 / 674.0).abs() < 1e-12);
+        assert!((p.share(Phase::InferProbe) - 500.0 / 678.0).abs() < 1e-12);
     }
 
     #[test]
@@ -266,15 +258,16 @@ mod tests {
     #[test]
     fn merge_adds_totals() {
         let mut a = Profile::new();
+        a.record(0, Phase::Snapshot, 1);
         a.record(0, Phase::Execute, 5);
         let mut b = Profile::new();
-        b.record(2, Phase::Execute, 6);
+        b.record(0, Phase::Snapshot, 1);
+        b.record(0, Phase::Execute, 6);
         b.record(0, Phase::InferProbe, 1);
         a.merge(&b);
         assert_eq!(a.cost(Phase::Execute), 11);
-        assert_eq!(a.rounds(), 3);
+        assert_eq!(a.rounds(), 2, "round counts add; both profiles saw round 0");
         assert_eq!(a.probes(), 1);
-        assert_eq!(a.entries(), 3);
     }
 
     #[test]

@@ -45,27 +45,27 @@ fi
 # Every verification surface is a subcommand of one bin.
 cli() { cargo run --release -q -p alter-bench --bin alter-cli -- "$@"; }
 
-echo "== alter-cli baselines (analysis gates + baseline drift check) =="
-# One process regenerates the five committed baselines and exits non-zero
-# with the gate's message when any gate fails: every workload's canonical
-# best-configuration trace (full task_sets payloads) is isolation-
-# sanitizer clean; every declared LoopSpec covers its dynamic replay
-# (static ⊇ dynamic); all 12 best annotations are schedule-sound; DPOR
-# prunes Genome and K-means >= 5x below naive enumeration with no budget
-# hit; the trace-folded phase profile equals the RunStats ledger, the
-# threaded driver charges what the sequential one does and profiling is
-# pure; and the static tier skips >= 10 probes without changing an
-# inferred annotation. Every number written is a deterministic counter
-# (no wall-clock), so any diff is drift. `git status --porcelain` (not
-# `git diff --quiet`) so a deleted or never-committed baseline counts as
-# drift too.
-baselines=(ANALYSIS.json STATIC.json CHECK.json PROFILE.json BENCH_runtime.json)
+echo "== alter-cli baselines (verdict gates + VERDICTS.json drift check) =="
+# One process records every workload's best run once (task sets and phase
+# profile on) and writes one verdict record per workload to VERDICTS.json,
+# exiting non-zero with the gate's message when any gate fails: every best
+# run is isolation-sanitizer clean, every declared LoopSpec covers its
+# dynamic replay (static ⊇ dynamic), every best run is schedule-sound, the
+# trace-folded phase profile equals the RunStats ledger and RunStats,
+# profile and checker count the same rounds, DPOR prunes Genome and
+# K-means >= 5x below naive enumeration with no budget hit, and the static
+# tier skips >= 10 probes without changing an inferred annotation. The
+# flagships' N = 1/2/8 phase sweep also gates that the threaded driver
+# charges what the sequential one does and that profiling is pure. Every
+# number written is a deterministic counter (no wall-clock), so any diff is
+# drift. `git status --porcelain` (not `git diff --quiet`) so a deleted or
+# never-committed VERDICTS.json counts as drift too.
 cli baselines
-if [[ -n "$(git status --porcelain -- "${baselines[@]}")" ]]; then
-  echo "error: a committed baseline drifted — an analyzer verdict, static"
-  echo "summary, schedule-space count, phase cost or probe count changed;"
+if [[ -n "$(git status --porcelain -- VERDICTS.json)" ]]; then
+  echo "error: VERDICTS.json drifted — an analyzer verdict, static summary,"
+  echo "trace hash, phase cost, schedule-space count or probe count changed;"
   echo "inspect the diff and re-commit if intended."
-  git --no-pager diff -- "${baselines[@]}"
+  git --no-pager diff -- VERDICTS.json
   exit 1
 fi
 
@@ -74,10 +74,17 @@ echo "== record/replay identity (determinism gate) =="
 # it under its recorded configuration: the fresh event stream must be
 # byte-identical. On mismatch `replay` bisects to the first divergent
 # round/event and prints the structured diff, which is exactly what we
-# want in a CI log.
+# want in a CI log. The same journal, model-checked offline, must print the
+# summary a fresh `check <w> best` prints.
 for w in genome k-means; do
   cli record "$w" --sets --profile --out "target/$w.journal" > /dev/null
   cli replay "target/$w.journal"
+  cli check --journal "target/$w.journal" > "target/$w.check-journal"
+  cli check "$w" best > "target/$w.check-fresh"
+  if ! cmp "target/$w.check-journal" "target/$w.check-fresh"; then
+    echo "error: check --journal on the recorded $w journal differs from check $w best"
+    exit 1
+  fi
 done
 
 echo "== DPOR schedule-space model checker =="
