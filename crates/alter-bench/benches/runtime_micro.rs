@@ -11,7 +11,7 @@
 //! attached, making the recorder's zero-overhead contract checkable
 //! without timing noise.
 
-use alter_heap::{AccessSet, Heap, IdReservation, ObjData, TrackMode, Tx};
+use alter_heap::{AccessSet, CommitOps, Heap, IdReservation, ObjData, ObjId, TrackMode, Tx};
 use alter_runtime::{run_loop, ConflictPolicy, Driver, ExecParams, RedVars};
 use alter_trace::NopRecorder;
 use std::hint::black_box;
@@ -37,12 +37,37 @@ fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
     println!("{name:<32} {best:>12.1} ns/iter");
 }
 
-fn bench_snapshot() {
+fn scalar_heap(slots: usize) -> (Heap, Vec<ObjId>) {
     let mut heap = Heap::new();
-    for _ in 0..10_000 {
-        heap.alloc(ObjData::scalar_i64(1));
-    }
+    let ids = (0..slots)
+        .map(|_| heap.alloc(ObjData::scalar_i64(1)))
+        .collect();
+    (heap, ids)
+}
+
+/// A round snapshot is one `Arc` clone of the page table's root. What it
+/// no longer pays lands on the first commit made while a view is held: that
+/// commit path-copies the root (one pointer per 64-slot page), one page and
+/// the payload; the view is released inside the timed call too.
+fn bench_snapshot() {
+    let (heap, _) = scalar_heap(10_000);
     bench("snapshot_10k_slots", 1000, || heap.snapshot());
+    for (slots, name) in [
+        (10_000, "commit_under_held_snapshot_10k"),
+        (131_072, "commit_under_held_snapshot_131k"),
+    ] {
+        let (mut heap, ids) = scalar_heap(slots);
+        let mut at = 0;
+        bench(name, 200, || {
+            let held = heap.snapshot();
+            at = (at + 7919) % slots;
+            heap.apply_commit(CommitOps {
+                writes: vec![(ids[at], 0, 1, Arc::new(ObjData::scalar_i64(2)))],
+                ..CommitOps::default()
+            });
+            held
+        });
+    }
 }
 
 fn bench_instrumented_access() {

@@ -2,90 +2,57 @@
 //!
 //! The paper's runtime keeps one *committed memory state* plus N process-
 //! private copy-on-write mappings (§4.1, Figure 4). Here the committed state
-//! is a vector of `Arc`'d objects; a [`Snapshot`] is a page-chunked
-//! structural copy of that vector (every object shared), and transaction
-//! privacy comes from a private copy in the transaction's overlay, made on
-//! first write and filled block by block as it is touched ([`crate::Tx`]).
+//! is a two-level persistent page table — a root of `Arc`'d pages of
+//! [`SNAPSHOT_PAGE_SLOTS`] slots, each slot an `Arc`'d object — and a
+//! [`Snapshot`] is one `Arc` clone of that root, the analogue of the paper's
+//! free `fork`. Transaction privacy comes from a private copy in the
+//! transaction's overlay, made on first write and filled block by block as it
+//! is touched ([`crate::Tx`]).
 //!
 //! # Writing in place
 //!
-//! A commit (or sequential [`Heap::get_mut`]) must not change a payload some
-//! snapshot can still read, and must not copy one nobody can. `Arc` counts
-//! decide, and nothing else: the payload is written in place exactly when
-//! the committed slot holds the only reference to it. One reference needs an
-//! argument — the heap's own snapshot page cache shares every payload it has
-//! ever handed out. But the slot being written is journalled first, so the
-//! cache's entry for it is already stale: the next incremental snapshot
-//! overwrites it before anyone reads it. If no live [`Snapshot`] shares that
-//! cached page either (`Arc::get_mut` on it succeeds), the entry is released
-//! and the slot's count drops to one. Any round snapshot, one-shot
-//! [`Heap::snapshot`] or [`Snapshot::get_arc`] handle that still shares the
-//! payload keeps the count above one and gets the copy. The engine's
-//! drivers drop the round's snapshot once its last task has returned, so in
-//! steady state their commits write in place.
-//!
-//! Snapshots come in two flavours. [`Heap::snapshot`] builds the page table
-//! from scratch (O(slots), one `Arc` clone per slot — the cost this module
-//! existed with for its first two releases). [`Heap::snapshot_incremental`]
-//! instead patches a persistent page table kept inside the heap, guided by a
-//! dirty-slot journal that every mutation path feeds, and is O(slots dirtied
-//! since the previous incremental snapshot) — the analogue of the paper's
-//! runtime re-establishing only the *invalidated* copy-on-write mappings at
-//! a round boundary instead of remapping the whole address space. Both
-//! produce bit-identical snapshot views.
+//! A mutation ([`Heap::alloc`], [`Heap::free`], [`Heap::get_mut`],
+//! [`Heap::apply_commit`]) must not change anything a snapshot can still
+//! read, and must not copy anything nobody can. `Arc` counts decide, and
+//! nothing else: a mutation reaches its slot through `Arc::make_mut` on the
+//! root, then on the slot's page, then on the payload. Each level is written
+//! in place when the heap holds the only reference to it and copied when a
+//! live [`Snapshot`] shares it — the root's page pointers, one page's slots,
+//! one payload — after which later writes along that path are in place
+//! again. The engine's drivers drop the round's snapshot once its last task
+//! has returned, so in steady state their commits copy nothing; the
+//! O(pages) root copy is paid only by the first write under a held view
+//! (the analogue of the paper's page faults after a `fork`).
 
 use crate::object::{ObjData, ObjId};
 use std::sync::Arc;
 
-/// Slots per snapshot page. Pages are the unit of structural sharing
-/// between consecutive incremental snapshots: a page none of whose slots
-/// were dirtied since the last snapshot is reused as-is (one `Arc` bump for
-/// the whole page instead of one per slot).
+/// Slots per page of the committed page table: the unit a write under a
+/// held snapshot copies.
 pub const SNAPSHOT_PAGE_SLOTS: usize = 64;
 
-/// One fixed-size page of a snapshot's slot table. The array is padded
-/// with `None` past the heap's current length, which stays correct across
-/// heap growth because a slot is `None` until its first allocation — and
-/// that allocation lands in the dirty journal.
-#[derive(Clone, Debug)]
-struct PageData {
-    slots: [Option<Arc<ObjData>>; SNAPSHOT_PAGE_SLOTS],
+/// One page of the table. Slots past the heap's high water are `None`, so
+/// a lookup through any snapshot needs no length check.
+type Page = [Option<Arc<ObjData>>; SNAPSHOT_PAGE_SLOTS];
+
+/// The root of the page table, shared by the heap and every snapshot taken
+/// since the heap last mutated it.
+type Table = Arc<Vec<Arc<Page>>>;
+
+/// Slot `idx` of `table`, or `None` if it is dead or past the table.
+#[inline]
+fn lookup(table: &[Arc<Page>], idx: usize) -> Option<&ObjData> {
+    table.get(idx / SNAPSHOT_PAGE_SLOTS)?[idx % SNAPSHOT_PAGE_SLOTS].as_deref()
 }
 
-impl PageData {
-    fn empty() -> Self {
-        PageData {
-            slots: [const { None }; SNAPSHOT_PAGE_SLOTS],
-        }
-    }
-
-    /// Builds one page from the slot vector starting at `lo`, tolerating
-    /// short (or absent) tails — the padding stays `None`.
-    fn from_slots_at(slots: &[Option<Arc<ObjData>>], lo: usize) -> Self {
-        let mut page = PageData::empty();
-        if lo < slots.len() {
-            let hi = (lo + SNAPSHOT_PAGE_SLOTS).min(slots.len());
-            for (dst, src) in page.slots.iter_mut().zip(&slots[lo..hi]) {
-                *dst = src.clone();
-            }
-        }
-        page
-    }
-}
-
-type Page = Arc<PageData>;
-
-/// Construction cost of one snapshot, reported by
-/// [`Heap::snapshot_incremental`] (the full [`Heap::snapshot`] path costs
-/// `slot_count` copies and reuses nothing, by definition).
+/// What establishing one round snapshot cost, reported by
+/// [`Heap::snapshot_incremental`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Slot entries `Arc`-cloned into the page table: every slot on a full
-    /// (re)build, only journalled slots on the incremental path.
+    /// Slots path-copied since the previous round snapshot:
+    /// [`SNAPSHOT_PAGE_SLOTS`] for every page a write copied because some
+    /// snapshot still shared it. Zero when nothing was held across a write.
     pub slots_copied: u64,
-    /// Pages carried over from the previous snapshot untouched — their
-    /// slots were not copied at all.
-    pub pages_reused: u64,
 }
 
 /// The committed memory state.
@@ -97,30 +64,22 @@ pub struct SnapshotStats {
 /// [`Heap::apply_commit`] in deterministic commit order.
 #[derive(Debug, Default)]
 pub struct Heap {
-    /// The slot table, indexed by object id. Its length is the high water:
-    /// the number of slot ids ever issued (live or dead).
-    slots: Vec<Option<Arc<ObjData>>>,
-    /// Commit version at which each slot was last written.
-    versions: Vec<u64>,
+    table: Table,
+    /// The number of slot ids ever issued (live or dead).
+    len: usize,
     live: usize,
     live_words: u64,
     /// Commit counter; bumped once per committed transaction.
     version: u64,
     /// Slots freed by sequential code, reusable by sequential allocation.
     free: Vec<u32>,
-    /// Persistent page table shared with the last incremental snapshot.
-    snap_pages: Vec<Page>,
-    /// Slots mutated since the last incremental snapshot, deduplicated via
-    /// `journaled`.
-    journal: Vec<u32>,
-    journaled: Vec<bool>,
-    /// Whether `snap_pages` reflects some past snapshot (false until the
-    /// first incremental snapshot, which does a full build).
-    snap_valid: bool,
     /// Monotonic snapshot epoch: bumped once per round snapshot. The
     /// engine stamps every ticket with the epoch it executes against; a
     /// re-queued ticket gets the next (fresh) epoch.
     epoch: u64,
+    /// [`SnapshotStats::slots_copied`] accumulating for the next round
+    /// snapshot.
+    slots_copied: u64,
 }
 
 impl Heap {
@@ -129,40 +88,32 @@ impl Heap {
         Self::default()
     }
 
-    /// Records that slot `idx` diverged from the last incremental snapshot.
-    #[inline]
-    fn mark_dirty(&mut self, idx: usize) {
-        if idx >= self.journaled.len() {
-            self.journaled.resize(idx + 1, false);
-        }
-        if !self.journaled[idx] {
-            self.journaled[idx] = true;
-            self.journal.push(idx as u32);
-        }
-    }
-
-    /// Mutably borrows the payload in slot `idx`, which the caller has just
-    /// journalled — in place if nothing else can read it, a fresh copy
-    /// otherwise (the module docs' "Writing in place"). `None` if the slot
-    /// is dead or unknown.
-    fn payload_mut(&mut self, idx: usize) -> Option<&mut ObjData> {
-        debug_assert!(self.journaled[idx], "the cache entry must be stale");
-        if let Some(page) = self
-            .snap_pages
-            .get_mut(idx / SNAPSHOT_PAGE_SLOTS)
-            .and_then(Arc::get_mut)
-        {
-            page.slots[idx % SNAPSHOT_PAGE_SLOTS] = None;
-        }
-        self.slots.get_mut(idx)?.as_mut().map(Arc::make_mut)
-    }
-
-    /// Grows the slot table to cover index `idx`.
+    /// Grows the table to cover slot `idx`.
     fn ensure(&mut self, idx: usize) {
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-            self.versions.resize(idx + 1, 0);
+        if idx >= self.len {
+            self.len = idx + 1;
+            let pages = self.len.div_ceil(SNAPSHOT_PAGE_SLOTS);
+            if pages > self.table.len() {
+                Arc::make_mut(&mut self.table)
+                    .resize_with(pages, || Arc::new([const { None }; SNAPSHOT_PAGE_SLOTS]));
+            }
         }
+    }
+
+    /// Slot `idx`, reached for writing (the module docs' "Writing in
+    /// place"); `None` past the table.
+    fn slot_mut(&mut self, idx: usize) -> Option<&mut Option<Arc<ObjData>>> {
+        let page = Arc::make_mut(&mut self.table).get_mut(idx / SNAPSHOT_PAGE_SLOTS)?;
+        if Arc::strong_count(page) > 1 {
+            self.slots_copied += SNAPSHOT_PAGE_SLOTS as u64;
+        }
+        Some(&mut Arc::make_mut(page)[idx % SNAPSHOT_PAGE_SLOTS])
+    }
+
+    /// The live payload in slot `idx`, reached for writing; `None` if the
+    /// slot is dead or was never issued.
+    fn payload_mut(&mut self, idx: usize) -> Option<&mut Arc<ObjData>> {
+        self.slot_mut(idx)?.as_mut()
     }
 
     /// Allocates an object from sequential code and returns its id.
@@ -176,17 +127,14 @@ impl Heap {
         let idx = match self.free.pop() {
             Some(idx) => idx as usize,
             None => {
-                let idx = self.slots.len();
-                u32::try_from(idx).expect("heap exhausted");
-                idx
+                u32::try_from(self.len).expect("heap exhausted");
+                self.len
             }
         };
         self.ensure(idx);
         self.live_words += data.len() as u64;
-        self.slots[idx] = Some(Arc::new(data));
-        self.versions[idx] = self.version;
         self.live += 1;
-        self.mark_dirty(idx);
+        *self.slot_mut(idx).expect("ensured above") = Some(Arc::new(data));
         ObjId(idx as u32)
     }
 
@@ -196,15 +144,13 @@ impl Heap {
     ///
     /// Panics if `id` is not live (double free or never allocated).
     pub fn free(&mut self, id: ObjId) {
-        let idx = id.0 as usize;
-        let slot = self
-            .slots
-            .get_mut(idx)
-            .unwrap_or_else(|| panic!("free of unknown {id}"));
-        let freed = slot.take().unwrap_or_else(|| panic!("double free of {id}"));
+        let freed = self
+            .slot_mut(id.0 as usize)
+            .unwrap_or_else(|| panic!("free of unknown {id}"))
+            .take()
+            .unwrap_or_else(|| panic!("double free of {id}"));
         self.live_words -= freed.len() as u64;
         self.live -= 1;
-        self.mark_dirty(idx);
         self.free.push(id.0);
     }
 
@@ -215,17 +161,13 @@ impl Heap {
     /// Panics if `id` is not live.
     #[inline]
     pub fn get(&self, id: ObjId) -> &ObjData {
-        self.slots
-            .get(id.0 as usize)
-            .and_then(|slot| slot.as_deref())
+        lookup(&self.table, id.0 as usize)
             .unwrap_or_else(|| panic!("access to dead or unknown {id}"))
     }
 
     /// Whether `id` names a live allocation.
     pub fn is_live(&self, id: ObjId) -> bool {
-        self.slots
-            .get(id.0 as usize)
-            .is_some_and(|slot| slot.is_some())
+        lookup(&self.table, id.0 as usize).is_some()
     }
 
     /// Mutably borrows the committed payload of `id` from sequential code,
@@ -235,39 +177,17 @@ impl Heap {
     ///
     /// Panics if `id` is not live.
     pub fn get_mut(&mut self, id: ObjId) -> &mut ObjData {
-        let idx = id.0 as usize;
-        if idx < self.versions.len() {
-            self.versions[idx] = self.version;
-        }
-        self.mark_dirty(idx);
-        self.payload_mut(idx)
-            .unwrap_or_else(|| panic!("access to dead or unknown {id}"))
+        let payload = self.payload_mut(id.0 as usize);
+        Arc::make_mut(payload.unwrap_or_else(|| panic!("access to dead or unknown {id}")))
     }
 
-    /// Number of snapshot pages covering the slot table.
-    fn page_count(&self) -> usize {
-        self.slots.len().div_ceil(SNAPSHOT_PAGE_SLOTS)
-    }
-
-    /// Takes a consistent snapshot of the committed state, building the
-    /// page table from scratch.
-    ///
-    /// Cost is one `Arc` clone per slot — the analogue of re-establishing
-    /// all N copy-on-write mappings at the start of a lock-step round. The
-    /// engine's hot path uses [`Heap::snapshot_incremental`] instead; this
-    /// entry point stays for one-shot snapshots (dependence detection,
-    /// tests); it leaves the snapshot epoch alone.
+    /// Takes a consistent snapshot of the committed state: one `Arc` clone
+    /// of the page table's root. Leaves the snapshot epoch alone; the
+    /// engine's rounds use [`Heap::snapshot_incremental`].
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            pages: (0..self.page_count())
-                .map(|p| {
-                    Arc::new(PageData::from_slots_at(
-                        &self.slots,
-                        p * SNAPSHOT_PAGE_SLOTS,
-                    ))
-                })
-                .collect(),
-            len: self.slots.len(),
+            table: Arc::clone(&self.table),
+            len: self.len,
             version: self.version,
         }
     }
@@ -280,66 +200,15 @@ impl Heap {
         self.epoch
     }
 
-    /// Takes a snapshot bit-identical to [`Heap::snapshot`]'s by patching
-    /// the persistent page table, in O(slots dirtied since the previous
-    /// incremental snapshot).
-    ///
-    /// The first call (and any call after [`Heap::reset_snapshot_cache`])
-    /// falls back to a full build. Clean pages are shared structurally with
-    /// the previous snapshot — one `Arc` bump per page; dirty pages are
-    /// patched slot-by-slot, copy-on-write if the previous snapshot is still
-    /// alive, in place once it has been dropped (the engine's steady state,
-    /// since a round's snapshot dies with the round's last task).
+    /// Takes a round snapshot: [`Heap::snapshot`] plus a bump of the
+    /// snapshot epoch, reporting the slots path-copied since the previous
+    /// round snapshot.
     pub fn snapshot_incremental(&mut self) -> (Snapshot, SnapshotStats) {
         self.epoch += 1;
-        let mut stats = SnapshotStats::default();
-        let npages = self.page_count();
-        if self.snap_valid {
-            debug_assert!(self.snap_pages.len() <= npages, "slots never shrink");
-            while self.snap_pages.len() < npages {
-                self.snap_pages.push(Arc::new(PageData::empty()));
-            }
-            let mut page_dirty = vec![false; npages];
-            for &idx in &self.journal {
-                let idx = idx as usize;
-                let page_idx = idx / SNAPSHOT_PAGE_SLOTS;
-                page_dirty[page_idx] = true;
-                let page = Arc::make_mut(&mut self.snap_pages[page_idx]);
-                page.slots[idx % SNAPSHOT_PAGE_SLOTS] = self.slots.get(idx).cloned().flatten();
-                self.journaled[idx] = false;
-            }
-            stats.slots_copied = self.journal.len() as u64;
-            stats.pages_reused = page_dirty.iter().filter(|d| !**d).count() as u64;
-        } else {
-            self.snap_pages.clear();
-            self.snap_pages.extend((0..npages).map(|p| {
-                Arc::new(PageData::from_slots_at(
-                    &self.slots,
-                    p * SNAPSHOT_PAGE_SLOTS,
-                ))
-            }));
-            for &idx in &self.journal {
-                self.journaled[idx as usize] = false;
-            }
-            stats.slots_copied = self.slots.len() as u64;
-            self.snap_valid = true;
-        }
-        self.journal.clear();
-        let snap = Snapshot {
-            pages: self.snap_pages.as_slice().into(),
-            len: self.slots.len(),
-            version: self.version,
+        let stats = SnapshotStats {
+            slots_copied: std::mem::take(&mut self.slots_copied),
         };
-        (snap, stats)
-    }
-
-    /// Drops the persistent page table; the next
-    /// [`Heap::snapshot_incremental`] does a full build. Only useful to
-    /// release memory between unrelated parallel phases.
-    pub fn reset_snapshot_cache(&mut self) {
-        self.snap_pages.clear();
-        self.snap_pages.shrink_to_fit();
-        self.snap_valid = false;
+        (self.snapshot(), stats)
     }
 
     /// Current global commit version.
@@ -347,14 +216,18 @@ impl Heap {
         self.version
     }
 
-    /// Commit version at which `id` was last written.
-    pub fn slot_version(&self, id: ObjId) -> u64 {
-        self.versions.get(id.0 as usize).copied().unwrap_or(0)
-    }
-
     /// Number of live allocations.
     pub fn live_objects(&self) -> usize {
         self.live
+    }
+
+    /// Live slots in index order.
+    fn objects(&self) -> impl Iterator<Item = (usize, &ObjData)> {
+        self.table
+            .iter()
+            .flat_map(|page| page.iter())
+            .enumerate()
+            .filter_map(|(i, slot)| Some((i, slot.as_deref()?)))
     }
 
     /// Total words across live allocations (used by the simulator's
@@ -363,11 +236,7 @@ impl Heap {
     pub fn live_words(&self) -> u64 {
         debug_assert_eq!(
             self.live_words,
-            self.slots
-                .iter()
-                .flatten()
-                .map(|o| o.len() as u64)
-                .sum::<u64>(),
+            self.objects().map(|(_, o)| o.len() as u64).sum::<u64>(),
             "live-words counter diverged from the sweep"
         );
         self.live_words
@@ -376,7 +245,7 @@ impl Heap {
     /// First id that has never been allocated; parallel id reservations
     /// start here (see [`crate::IdReservation`]).
     pub fn high_water(&self) -> u32 {
-        u32::try_from(self.slots.len()).expect("heap exhausted")
+        u32::try_from(self.len).expect("heap exhausted")
     }
 
     /// Applies a validated transaction's effects, in deterministic commit
@@ -396,24 +265,19 @@ impl Heap {
     /// with a live slot (an allocator invariant violation).
     pub fn apply_commit(&mut self, ops: CommitOps) {
         self.version += 1;
-        let version = self.version;
         let mut writes = ops.writes.into_iter().peekable();
         while let Some((id, lo, hi, src)) = writes.next() {
-            let idx = id.0 as usize;
-            self.versions[idx] = version;
-            self.mark_dirty(idx);
-            let len = self.slots[idx]
-                .as_ref()
-                .unwrap_or_else(|| panic!("commit write to dead {id}"))
-                .len();
-            if lo == 0 && hi as usize == src.len() && src.len() == len {
+            let payload = self
+                .payload_mut(id.0 as usize)
+                .unwrap_or_else(|| panic!("commit write to dead {id}"));
+            if lo == 0 && hi as usize == src.len() && src.len() == payload.len() {
                 // Whole-object write: swap the Arc, no copy.
-                self.slots[idx] = Some(src);
+                *payload = src;
                 continue;
             }
             // The ranges of one object follow each other: find its payload
             // once and merge them all.
-            let payload = self.payload_mut(idx).expect("slot checked live");
+            let payload = Arc::make_mut(payload);
             payload.copy_range_from(&src, lo as usize, hi as usize);
             while let Some((_, lo, hi, src)) = writes.next_if(|w| w.0 == id) {
                 payload.copy_range_from(&src, lo as usize, hi as usize);
@@ -422,25 +286,22 @@ impl Heap {
         for (id, data) in ops.allocs {
             let idx = id.0 as usize;
             self.ensure(idx);
+            self.live_words += data.len() as u64;
+            self.live += 1;
+            let slot = self.slot_mut(idx).expect("ensured above");
             assert!(
-                self.slots[idx].is_none(),
+                slot.is_none(),
                 "allocator invariant violated: {id} already live at commit"
             );
-            self.live_words += data.len() as u64;
-            self.slots[idx] = Some(data);
-            self.versions[idx] = version;
-            self.live += 1;
-            self.mark_dirty(idx);
+            *slot = Some(data);
         }
         for id in ops.frees {
-            let idx = id.0 as usize;
-            let slot = self.slots[idx]
-                .take()
+            let freed = self
+                .slot_mut(id.0 as usize)
+                .and_then(Option::take)
                 .unwrap_or_else(|| panic!("commit free of dead {id}"));
-            self.live_words -= slot.len() as u64;
-            drop(slot);
+            self.live_words -= freed.len() as u64;
             self.live -= 1;
-            self.mark_dirty(idx);
             // Freed parallel slots are not recycled: the paper's allocator
             // also leaves holes rather than risk cross-process reuse races.
         }
@@ -455,12 +316,9 @@ impl Heap {
             h ^= v;
             h = h.wrapping_mul(0x1000_0000_01b3);
         };
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(obj) = slot else {
-                continue;
-            };
+        for (i, obj) in self.objects() {
             mix(i as u64);
-            match obj.as_ref() {
+            match obj {
                 ObjData::F64(v) => {
                     mix(1);
                     for x in v {
@@ -481,14 +339,12 @@ impl Heap {
 
 /// A consistent, immutable view of the committed state at some version.
 ///
-/// Cloning a snapshot is O(1); all transactions of one lock-step round share
-/// one snapshot. The slot table is chunked into fixed-size pages
-/// ([`SNAPSHOT_PAGE_SLOTS`]) so consecutive incremental snapshots can share
-/// clean pages structurally; page padding past [`Snapshot::slot_count`] is
-/// always `None`, so lookups need no length check.
+/// Taking and cloning a snapshot are O(1): it shares the heap's page table
+/// root, and the heap path-copies whatever it writes while a snapshot is
+/// alive. All transactions of one lock-step round share one snapshot.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    pages: Arc<[Page]>,
+    table: Table,
     len: usize,
     version: u64,
 }
@@ -498,18 +354,7 @@ impl Snapshot {
     /// object was dead (or not yet allocated) at snapshot time.
     #[inline]
     pub fn get(&self, id: ObjId) -> Option<&ObjData> {
-        let idx = id.0 as usize;
-        self.pages
-            .get(idx / SNAPSHOT_PAGE_SLOTS)
-            .and_then(|p| p.slots[idx % SNAPSHOT_PAGE_SLOTS].as_deref())
-    }
-
-    /// Shares the payload `Arc` of `id`, for zero-copy reads.
-    pub fn get_arc(&self, id: ObjId) -> Option<Arc<ObjData>> {
-        let idx = id.0 as usize;
-        self.pages
-            .get(idx / SNAPSHOT_PAGE_SLOTS)
-            .and_then(|p| p.slots[idx % SNAPSHOT_PAGE_SLOTS].clone())
+        lookup(&self.table, id.0 as usize)
     }
 
     /// The commit version this snapshot was taken at.
@@ -605,7 +450,6 @@ mod tests {
         });
         assert_eq!(h.get(a).f64s(), &[1.0, 1.0, 2.0, 2.0]);
         assert_eq!(h.version(), 2);
-        assert_eq!(h.slot_version(a), 2);
     }
 
     #[test]
@@ -649,20 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_get_arc_shares_until_write() {
-        let mut h = Heap::new();
-        let a = h.alloc(ObjData::zeros_f64(4));
-        let snap = h.snapshot();
-        let arc = snap.get_arc(a).unwrap();
-        // Snapshot and heap share the payload until a write forces a copy.
-        assert!(std::sync::Arc::ptr_eq(&arc, &snap.get_arc(a).unwrap()));
-        h.get_mut(a).f64s_mut()[0] = 5.0;
-        assert_eq!(arc.f64s()[0], 0.0, "snapshot view unaffected");
-        assert_eq!(h.get(a).f64s()[0], 5.0);
-        assert!(snap.get_arc(ObjId::from_index(99)).is_none());
-    }
-
-    #[test]
     fn live_words_counts_all_payloads() {
         let mut h = Heap::new();
         h.alloc(ObjData::zeros_f64(10));
@@ -689,100 +519,6 @@ mod tests {
         assert_eq!(h.live_words(), 3);
     }
 
-    /// Asserts `snap` is exactly the view [`Heap::snapshot`] would produce.
-    fn assert_snap_matches(snap: &Snapshot, h: &Heap) {
-        assert_eq!(snap.slot_count(), h.high_water() as usize);
-        assert_eq!(snap.version(), h.version());
-        for i in 0..h.high_water() + SNAPSHOT_PAGE_SLOTS as u32 {
-            let id = ObjId::from_index(i);
-            let expect = if h.is_live(id) { Some(h.get(id)) } else { None };
-            assert_eq!(snap.get(id), expect, "slot {i}");
-        }
-    }
-
-    #[test]
-    fn incremental_snapshot_matches_full_snapshot() {
-        let mut h = Heap::new();
-        let mut ids = Vec::new();
-        // Span several pages (the mutations below leave page 3 untouched).
-        for i in 0..SNAPSHOT_PAGE_SLOTS * 4 {
-            ids.push(h.alloc(ObjData::scalar_i64(i as i64)));
-        }
-        let (s0, st0) = h.snapshot_incremental();
-        assert_eq!(
-            st0.slots_copied,
-            h.high_water() as u64,
-            "first use: full build"
-        );
-        assert_snap_matches(&s0, &h);
-        drop(s0);
-
-        // Dirty a handful of slots through every mutation path.
-        h.get_mut(ids[3]).i64s_mut()[0] = -3;
-        h.free(ids[70]);
-        let reused = h.alloc(ObjData::scalar_f64(0.5)); // reuses slot 70
-        assert_eq!(reused.index(), 70);
-        h.apply_commit(CommitOps {
-            writes: vec![(ids[130], 0, 1, Arc::new(ObjData::scalar_i64(-130)))],
-            allocs: vec![(
-                ObjId::from_index(h.high_water()),
-                Arc::new(ObjData::zeros_f64(2)),
-            )],
-            frees: vec![ids[131]],
-        });
-
-        let (s1, st1) = h.snapshot_incremental();
-        assert_snap_matches(&s1, &h);
-        assert_eq!(st1.slots_copied, 5, "3, 70, 130, 131 and the new slot");
-        assert!(st1.pages_reused >= 1, "untouched pages must be reused");
-
-        // A clean snapshot copies nothing and reuses every page.
-        let (s2, st2) = h.snapshot_incremental();
-        assert_snap_matches(&s2, &h);
-        assert_eq!(st2.slots_copied, 0);
-        assert_eq!(st2.pages_reused, s2.pages.len() as u64);
-    }
-
-    #[test]
-    fn incremental_snapshot_is_isolated_while_previous_lives() {
-        let mut h = Heap::new();
-        let a = h.alloc(ObjData::scalar_i64(1));
-        let (s1, _) = h.snapshot_incremental();
-        h.get_mut(a).i64s_mut()[0] = 2;
-        // s1 is still alive: the dirty page must be patched copy-on-write.
-        let (s2, _) = h.snapshot_incremental();
-        assert_eq!(s1.get(a).unwrap().i64s()[0], 1);
-        assert_eq!(s2.get(a).unwrap().i64s()[0], 2);
-    }
-
-    #[test]
-    fn incremental_snapshot_grows_across_page_boundaries() {
-        let mut h = Heap::new();
-        let (s0, _) = h.snapshot_incremental();
-        assert_eq!(s0.slot_count(), 0);
-        let mut ids = Vec::new();
-        for i in 0..SNAPSHOT_PAGE_SLOTS + 3 {
-            ids.push(h.alloc(ObjData::scalar_i64(i as i64)));
-        }
-        let (s1, st1) = h.snapshot_incremental();
-        assert_snap_matches(&s1, &h);
-        assert_eq!(st1.slots_copied, (SNAPSHOT_PAGE_SLOTS + 3) as u64);
-        assert!(s1.get(ids[SNAPSHOT_PAGE_SLOTS]).is_some());
-        // Growth did not leak into the earlier snapshot's view.
-        assert_eq!(s0.slot_count(), 0);
-    }
-
-    #[test]
-    fn reset_snapshot_cache_forces_full_rebuild() {
-        let mut h = Heap::new();
-        let a = h.alloc(ObjData::scalar_i64(1));
-        let _ = h.snapshot_incremental();
-        h.reset_snapshot_cache();
-        let (s, st) = h.snapshot_incremental();
-        assert_eq!(st.slots_copied, 1);
-        assert_eq!(s.get(a).unwrap().i64s()[0], 1);
-    }
-
     #[test]
     fn snapshot_epoch_is_monotonic_across_round_snapshots() {
         let mut h = Heap::new();
@@ -793,10 +529,8 @@ mod tests {
         assert_eq!(h.snapshot_epoch(), 1);
         let _ = h.snapshot_incremental();
         assert_eq!(h.snapshot_epoch(), 2);
-        // …a plain one-shot snapshot does not, and neither does dropping
-        // the incremental cache (epochs stay monotonic forever).
+        // …a plain one-shot snapshot does not.
         let _ = h.snapshot();
-        h.reset_snapshot_cache();
         assert_eq!(h.snapshot_epoch(), 2);
         let _ = h.snapshot_incremental();
         assert_eq!(h.snapshot_epoch(), 3);
@@ -812,66 +546,215 @@ mod tests {
     }
 
     #[test]
-    fn commit_copies_while_anything_shares_the_payload() {
-        // A one-object heap whose page cache is warm, as in a run's later rounds.
-        let warm = || {
-            let mut h = Heap::new();
-            let a = h.alloc(ObjData::I64(vec![0; 4]));
-            drop(h.snapshot_incremental());
-            (h, a)
-        };
-        // Commits into `a` while whatever `old` reads through is alive.
-        let check = |h: &mut Heap, a: ObjId, old: &dyn Fn() -> Vec<i64>, holder: &str| {
-            let before = h.get(a).i64s().as_ptr();
-            partial_commit(h, a, 7);
-            assert_eq!(h.get(a).i64s(), &[0, 7, 7, 0]);
-            assert_ne!(h.get(a).i64s().as_ptr(), before, "{holder}: must copy");
-            assert_eq!(old(), [0; 4], "{holder} still reads the old words");
-        };
-        let (mut h, a) = warm();
-        let round = h.snapshot_incremental().0;
-        check(
-            &mut h,
-            a,
-            &|| round.get(a).unwrap().i64s().to_vec(),
-            "round snapshot",
-        );
-        let (mut h, a) = warm();
-        let one_shot = h.snapshot();
-        check(
-            &mut h,
-            a,
-            &|| one_shot.get(a).unwrap().i64s().to_vec(),
-            "one-shot snapshot",
-        );
-        let (mut h, a) = warm();
-        let arc = h.snapshot_incremental().0.get_arc(a).unwrap();
-        check(&mut h, a, &|| arc.i64s().to_vec(), "get_arc handle");
-    }
-
-    #[test]
-    fn commit_writes_in_place_once_the_snapshot_is_dead() {
+    fn writes_copy_one_page_under_a_held_snapshot_and_nothing_otherwise() {
         let mut h = Heap::new();
         let ids: Vec<ObjId> = (0..SNAPSHOT_PAGE_SLOTS * 3)
             .map(|_| h.alloc(ObjData::I64(vec![0; 4])))
             .collect();
         let a = ids[70];
-        let (round, _) = h.snapshot_incremental();
+        let (round, stats) = h.snapshot_incremental();
+        assert_eq!(stats.slots_copied, 0, "set-up held no view");
         let before = h.get(a).i64s().as_ptr();
         drop(round);
         partial_commit(&mut h, a, 7);
         partial_commit(&mut h, a, 8);
         h.get_mut(a).i64s_mut()[0] = 9;
         assert_eq!(h.get(a).i64s().as_ptr(), before, "nobody could see it");
-        // Snapshot economics are what they were when the commit copied: one
-        // journalled slot, every other page reused — and the view is right.
         let (snap, stats) = h.snapshot_incremental();
-        assert_eq!((stats.slots_copied, stats.pages_reused), (1, 2));
-        assert_snap_matches(&snap, &h);
-        assert_eq!(snap.get(a).unwrap().i64s(), &[9, 8, 8, 0]);
-        // With that snapshot alive the next commit copies again.
+        assert_eq!(stats.slots_copied, 0, "nothing was shared");
+        // With that snapshot alive, writes to two slots of one page copy
+        // the page once, and the payload, and leave the view alone.
         partial_commit(&mut h, a, 1);
+        h.get_mut(ids[71]).i64s_mut()[0] = 1;
         assert_eq!(snap.get(a).unwrap().i64s(), &[9, 8, 8, 0]);
+        assert_eq!(h.get(a).i64s(), &[9, 1, 1, 0]);
         assert_ne!(h.get(a).i64s().as_ptr(), before);
+        let (_, stats) = h.snapshot_incremental();
+        assert_eq!(stats.slots_copied, SNAPSHOT_PAGE_SLOTS as u64);
+    }
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+
+        /// A payload of one to six words of a random kind.
+        fn fresh(&mut self) -> ObjData {
+            let len = 1 + self.below(6);
+            self.payload(len, None)
+        }
+
+        /// A payload of `len` words of `like`'s kind (or a random kind).
+        fn payload(&mut self, len: usize, like: Option<&ObjData>) -> ObjData {
+            let float = like.map_or(self.below(2) == 0, |o| matches!(o, ObjData::F64(_)));
+            let words = (0..len).map(|_| self.below(2001) as i64 - 1000);
+            if float {
+                ObjData::F64(words.map(|w| w as f64).collect())
+            } else {
+                ObjData::I64(words.collect())
+            }
+        }
+    }
+
+    /// The committed state as a naive slot vector: what the heap reads, and
+    /// what a snapshot taken now must read for as long as it lives.
+    type Model = Vec<Option<ObjData>>;
+
+    /// `Heap::digest`'s definition, computed over the model.
+    fn model_digest(model: &Model) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| {
+            h ^= v;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        };
+        for (i, obj) in model.iter().enumerate() {
+            let (tag, words): (u64, Vec<u64>) = match obj {
+                None => continue,
+                Some(ObjData::F64(v)) => (1, v.iter().map(|x| x.to_bits()).collect()),
+                Some(ObjData::I64(v)) => (2, v.iter().map(|x| *x as u64).collect()),
+            };
+            mix(i as u64);
+            mix(tag);
+            words.into_iter().for_each(&mut mix);
+        }
+        h
+    }
+
+    /// Random sequential allocs, frees and writes and random commits
+    /// (partial ranges, whole-object swaps, allocs past the high water,
+    /// frees) against a naive model, with snapshots held for random
+    /// stretches. After every step: each held snapshot reads exactly the
+    /// model as of its creation, the digests agree, and a payload written
+    /// in place kept its address exactly when no held snapshot shared it.
+    #[test]
+    fn persistent_table_matches_a_naive_model() {
+        let mut rng = Rng(0x28_9a6e);
+        for case in 0..200 {
+            let mut h = Heap::new();
+            let mut model: Model = Vec::new();
+            // (view, the model when it was taken, the step it is dropped at)
+            let mut held: Vec<(Snapshot, Model, usize)> = Vec::new();
+            for step in 0..1 + rng.below(80) {
+                let ctx = format!("case {case} step {step}");
+                held.retain(|(.., until)| *until > step);
+                let live: Vec<usize> = (0..model.len()).filter(|&i| model[i].is_some()).collect();
+                let pick = |rng: &mut Rng| live[rng.below(live.len())];
+                // Payloads the step merges into, with their address and
+                // whether a held view shares them.
+                let mut merged: Vec<(ObjId, *const ObjData, bool)> = Vec::new();
+                let mut note = |h: &Heap, id: ObjId| {
+                    let at: *const ObjData = h.get(id);
+                    let shared = held
+                        .iter()
+                        .any(|(s, ..)| s.get(id).is_some_and(|o| std::ptr::eq(o, at)));
+                    merged.push((id, at, shared));
+                };
+                match rng.below(8) {
+                    0 | 1 => {
+                        let data = rng.fresh();
+                        let id = h.alloc(data.clone());
+                        let idx = id.index() as usize;
+                        if idx == model.len() {
+                            model.push(None);
+                        }
+                        assert!(model[idx].is_none(), "{ctx}: alloc into a live slot");
+                        model[idx] = Some(data);
+                    }
+                    2 if !live.is_empty() => {
+                        let idx = pick(&mut rng);
+                        h.free(ObjId::from_index(idx as u32));
+                        model[idx] = None;
+                    }
+                    3 if !live.is_empty() => {
+                        let idx = pick(&mut rng);
+                        let id = ObjId::from_index(idx as u32);
+                        note(&h, id);
+                        let obj = model[idx].as_mut().unwrap();
+                        let src = rng.payload(obj.len(), Some(&*obj));
+                        let w = rng.below(src.len());
+                        h.get_mut(id).copy_range_from(&src, w, w + 1);
+                        obj.copy_range_from(&src, w, w + 1);
+                    }
+                    4 | 5 => {
+                        let mut ops = CommitOps::default();
+                        let mut written = Vec::new();
+                        for _ in 0..rng.below(4).min(live.len()) {
+                            let idx = pick(&mut rng);
+                            if written.contains(&idx) {
+                                continue;
+                            }
+                            written.push(idx);
+                            let id = ObjId::from_index(idx as u32);
+                            let obj = model[idx].as_mut().unwrap();
+                            let len = obj.len();
+                            let src = Arc::new(rng.payload(len, Some(&*obj)));
+                            if len == 1 || rng.below(3) == 0 {
+                                ops.writes.push((id, 0, len as u32, Arc::clone(&src)));
+                                *obj = (*src).clone();
+                                continue;
+                            }
+                            note(&h, id);
+                            for _ in 0..1 + rng.below(3) {
+                                let lo = rng.below(len - 1);
+                                let hi = lo + 1 + rng.below(len - 1 - lo);
+                                ops.writes
+                                    .push((id, lo as u32, hi as u32, Arc::clone(&src)));
+                                obj.copy_range_from(&src, lo, hi);
+                            }
+                        }
+                        let mut next = model.len();
+                        for _ in 0..rng.below(3) {
+                            let idx = next + rng.below(SNAPSHOT_PAGE_SLOTS + 2);
+                            next = idx + 1;
+                            let data = rng.fresh();
+                            ops.allocs
+                                .push((ObjId::from_index(idx as u32), Arc::new(data.clone())));
+                            model.resize(next, None);
+                            model[idx] = Some(data);
+                        }
+                        for &idx in &live {
+                            if !written.contains(&idx) && rng.below(8) == 0 {
+                                ops.frees.push(ObjId::from_index(idx as u32));
+                                model[idx] = None;
+                            }
+                        }
+                        h.apply_commit(ops);
+                    }
+                    6 => {
+                        let snap = if rng.below(2) == 0 {
+                            h.snapshot()
+                        } else {
+                            h.snapshot_incremental().0
+                        };
+                        held.push((snap, model.clone(), step + 1 + rng.below(12)));
+                    }
+                    _ => {}
+                }
+
+                assert_eq!(h.high_water() as usize, model.len(), "{ctx}");
+                assert_eq!(h.digest(), model_digest(&model), "{ctx}");
+                for (snap, view, _) in &held {
+                    assert_eq!(snap.slot_count(), view.len(), "{ctx}");
+                    for i in 0..view.len() + SNAPSHOT_PAGE_SLOTS {
+                        let want = view.get(i).and_then(Option::as_ref);
+                        assert_eq!(
+                            snap.get(ObjId::from_index(i as u32)),
+                            want,
+                            "{ctx} slot {i}"
+                        );
+                    }
+                }
+                for (id, at, shared) in merged {
+                    let moved = !std::ptr::eq(h.get(id), at);
+                    assert_eq!(moved, shared, "{ctx}: {id} copied exactly when shared");
+                }
+            }
+        }
     }
 }

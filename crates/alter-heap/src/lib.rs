@@ -6,8 +6,8 @@
 //!
 //! * a committed [`Heap`] of typed allocations ([`ObjData`]) addressed by
 //!   stable [`ObjId`]s — the analogue of the paper's committed memory state;
-//! * O(1)-cloneable [`Snapshot`]s, the consistent views each lock-step round
-//!   starts from;
+//! * O(1) [`Snapshot`]s — one `Arc` clone of the heap's persistent page
+//!   table — the consistent views each lock-step round starts from;
 //! * [`Tx`], a private copy-on-write overlay with instrumented reads and
 //!   writes recorded as word-range [`AccessSet`]s — what the paper's
 //!   `InstrumentRead` / `InstrumentWrite` compiler pass produces;

@@ -355,6 +355,9 @@ where
         let op_log = ctx.op_log.take().unwrap_or_default();
         let (tx, _) = ctx.into_parts();
         let mut effects = tx.finish();
+        // The commit below writes in place only once nothing shares the
+        // heap's page table.
+        drop(snap);
 
         let mut access = IterAccess {
             index: iters[0],

@@ -182,15 +182,13 @@ pub struct RunStats {
     /// Fingerprint rejects and the cumulative round write-set keep this
     /// far below [`RunStats::validate_words`].
     pub exact_scan_words: u64,
-    /// Slot entries `Arc`-cloned while establishing round snapshots: only
-    /// slots dirtied since the previous round (plus the first round's full
-    /// build). Trace-visible snapshot accounting
-    /// (`RoundStart.snapshot_slots`, the simulator's per-slot charge) is
-    /// the full-table figure instead.
+    /// Heap slots path-copied because a write landed while some snapshot
+    /// still shared its page ([`alter_heap::SnapshotStats::slots_copied`],
+    /// summed over the run's round snapshots): zero in the drivers' steady
+    /// state, which drop each round's view before committing. Trace-visible
+    /// snapshot accounting (`RoundStart.snapshot_slots`, the simulator's
+    /// per-slot charge) is the full-table figure instead.
     pub snapshot_slots_copied: u64,
-    /// Snapshot pages carried over untouched from the previous round's
-    /// snapshot (the structural-sharing win).
-    pub snapshot_pages_reused: u64,
     /// Rounds whose tasks were handed to the persistent [`crate::WorkerPool`]
     /// (zero under the sequential driver). Scheduling telemetry, masked by
     /// [`RunStats::modulo_drive_mode`].
@@ -265,7 +263,6 @@ impl RunStats {
         self.pool_reuses += other.pool_reuses;
         self.exact_scan_words += other.exact_scan_words;
         self.snapshot_slots_copied += other.snapshot_slots_copied;
-        self.snapshot_pages_reused += other.snapshot_pages_reused;
         self.pool_round_handoffs += other.pool_round_handoffs;
         self.tickets_helped += other.tickets_helped;
         self.tickets_issued += other.tickets_issued;
@@ -819,12 +816,10 @@ impl<'a> Coordinator<'a> {
         }
         self.stats.tickets_issued += fresh;
 
-        // Patches the heap's persistent page table: O(slots dirtied since
-        // the previous round).
+        // One `Arc` clone of the heap's page table root.
         let heap = &mut *self.heap;
         let (snap, snap_stats) = timed(self.wall, Phase::Snapshot, || heap.snapshot_incremental());
         self.stats.snapshot_slots_copied += snap_stats.slots_copied;
-        self.stats.snapshot_pages_reused += snap_stats.pages_reused;
         // The snapshot bumped the heap's monotonic snapshot epoch; stamp it
         // onto the round's tickets. A re-queued ticket is re-stamped here —
         // it re-executes against the fresh epoch its `TicketRequeued` event
@@ -835,8 +830,9 @@ impl<'a> Coordinator<'a> {
         }
         // Snapshot cost is the trace's `snapshot_slots` figure (one charge
         // per slot in the round's view), deliberately not `slots_copied`,
-        // which depends on what earlier runs on the same heap left in the
-        // snapshot cache.
+        // which depends on what views the caller held across writes before
+        // this round. Taking the view is O(1), so the charge overstates
+        // it; it stays because the trace hashes it.
         self.costs = PhaseCosts {
             snapshot: snap.slot_count() as u64,
             ..PhaseCosts::default()
@@ -1153,7 +1149,6 @@ mod tests {
             pool_reuses: 18,
             exact_scan_words: 19,
             snapshot_slots_copied: 20,
-            snapshot_pages_reused: 21,
             pool_round_handoffs: 22,
             tickets_helped: 25,
             tickets_issued: 23,
@@ -1752,38 +1747,46 @@ mod tests {
         assert!((s_thr.rounds..s_thr.attempts).contains(&s_thr.tickets_helped));
     }
 
-    /// Round snapshots copy only the slots the previous round dirtied: a
-    /// multi-round run copies far fewer than the whole table per round and
-    /// carries the cold pages over.
+    /// Round snapshots copy nothing: every round's view is dropped before
+    /// its commits, so a run's writes land in place and
+    /// `snapshot_slots_copied` stays zero. It counts one page for a write
+    /// made under a view the caller holds, reported by the next round.
     #[test]
-    fn round_snapshots_copy_only_dirty_slots() {
+    fn round_snapshots_copy_only_pages_written_under_a_held_view() {
         let mut heap = Heap::new();
-        // Two pages of mostly-cold slots plus one hot object.
+        // Two pages of cold slots; the hot object is on the second.
         for i in 0..96 {
             heap.alloc(ObjData::scalar_i64(i));
         }
         let xs = heap.alloc(ObjData::zeros_i64(64));
-        let mut reds = RedVars::new();
         let p = params(4, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-        let stats = run_loop_engine(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, 64),
-            &p,
-            false,
-            &|ctx: &mut TxCtx<'_>, i| {
-                ctx.tx.write_i64(xs, i as usize, i as i64);
-            },
-            &mut NullObserver,
-        )
-        .unwrap();
-        assert!(
-            stats.snapshot_slots_copied < stats.rounds * 97 / 2,
-            "must copy far fewer slots than the table per round ({} in {} rounds)",
+        let run = |heap: &mut Heap| {
+            run_loop_engine(
+                heap,
+                &mut RedVars::new(),
+                &mut RangeSpace::new(0, 64),
+                &p,
+                false,
+                &|ctx: &mut TxCtx<'_>, i| {
+                    ctx.tx.write_i64(xs, i as usize, i as i64);
+                },
+                &mut NullObserver,
+            )
+            .unwrap()
+        };
+        let stats = run(&mut heap);
+        assert!(stats.rounds > 1);
+        assert_eq!(stats.snapshot_slots_copied, 0, "no view outlives a round");
+
+        let held = heap.snapshot();
+        heap.get_mut(xs).i64s_mut()[0] = -1;
+        let stats = run(&mut heap);
+        assert_eq!(
             stats.snapshot_slots_copied,
-            stats.rounds
+            alter_heap::SNAPSHOT_PAGE_SLOTS as u64,
+            "one page was written under the held view, once"
         );
-        assert!(stats.snapshot_pages_reused > 0, "cold pages must be reused");
+        assert_eq!(held.get(xs).unwrap().i64s()[0], 0);
     }
 
     /// [`Validator::check`] on its own: three earlier committers of 2, 16
