@@ -34,7 +34,11 @@ fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
         let per_call = start.elapsed().as_secs_f64() * 1e9 / f64::from(iters);
         best = best.min(per_call);
     }
-    println!("{name:<32} {best:>12.1} ns/iter");
+    report(name, best);
+}
+
+fn report(name: &str, ns: f64) {
+    println!("{name:<32} {ns:>12.1} ns/iter");
 }
 
 fn scalar_heap(slots: usize) -> (Heap, Vec<ObjId>) {
@@ -47,8 +51,8 @@ fn scalar_heap(slots: usize) -> (Heap, Vec<ObjId>) {
 
 /// A round snapshot is one `Arc` clone of the page table's root. What it
 /// no longer pays lands on the first commit made while a view is held: that
-/// commit path-copies the root (one pointer per 64-slot page), one page and
-/// the payload; the view is released inside the timed call too.
+/// commit path-copies the root (one pointer per 64-slot page) and one page
+/// with its 64 payloads; the view is released inside the timed call too.
 fn bench_snapshot() {
     let (heap, _) = scalar_heap(10_000);
     bench("snapshot_10k_slots", 1000, || heap.snapshot());
@@ -68,6 +72,26 @@ fn bench_snapshot() {
             held
         });
     }
+}
+
+/// Allocating 131 072 ten-word objects into an empty heap (Genome's bucket
+/// count), then dropping the heap, timed apart: one allocation per object
+/// on each side, since payloads live inline in their page.
+fn bench_heap_build_drop() {
+    let (mut build, mut teardown) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let start = Instant::now();
+        let mut heap = Heap::new();
+        for _ in 0..131_072 {
+            heap.alloc(ObjData::zeros_i64(10));
+        }
+        let built = Instant::now();
+        drop(black_box(heap));
+        build = build.min((built - start).as_secs_f64() * 1e9);
+        teardown = teardown.min(built.elapsed().as_secs_f64() * 1e9);
+    }
+    report("heap_build_131k_10w", build);
+    report("heap_drop_131k_10w", teardown);
 }
 
 fn bench_instrumented_access() {
@@ -173,6 +197,7 @@ fn main() {
         return;
     }
     bench_snapshot();
+    bench_heap_build_drop();
     bench_instrumented_access();
     bench_conflict_validation();
     bench_sets_insert_resident();

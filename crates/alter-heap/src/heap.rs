@@ -2,10 +2,10 @@
 //!
 //! The paper's runtime keeps one *committed memory state* plus N process-
 //! private copy-on-write mappings (§4.1, Figure 4). Here the committed state
-//! is a two-level persistent page table — a root of `Arc`'d pages of
-//! [`SNAPSHOT_PAGE_SLOTS`] slots, each slot an `Arc`'d object — and a
-//! [`Snapshot`] is one `Arc` clone of that root, the analogue of the paper's
-//! free `fork`. Transaction privacy comes from a private copy in the
+//! is a persistent page table — a root of `Arc`'d pages of
+//! [`SNAPSHOT_PAGE_SLOTS`] slots, each slot holding its payload inline — and
+//! a [`Snapshot`] is one `Arc` clone of that root, the analogue of the
+//! paper's free `fork`. Transaction privacy comes from a private copy in the
 //! transaction's overlay, made on first write and filled block by block as it
 //! is touched ([`crate::Tx`]).
 //!
@@ -15,25 +15,27 @@
 //! [`Heap::apply_commit`]) must not change anything a snapshot can still
 //! read, and must not copy anything nobody can. `Arc` counts decide, and
 //! nothing else: a mutation reaches its slot through `Arc::make_mut` on the
-//! root, then on the slot's page, then on the payload. Each level is written
-//! in place when the heap holds the only reference to it and copied when a
-//! live [`Snapshot`] shares it — the root's page pointers, one page's slots,
-//! one payload — after which later writes along that path are in place
-//! again. The engine's drivers drop the round's snapshot once its last task
-//! has returned, so in steady state their commits copy nothing; the
-//! O(pages) root copy is paid only by the first write under a held view
-//! (the analogue of the paper's page faults after a `fork`).
+//! root, then on the slot's page. Each level is written in place when the
+//! heap holds the only reference to it and copied when a live [`Snapshot`]
+//! shares it — the root's page pointers, or one page together with its
+//! payloads, the paper's page-granular copy-on-write — after which later
+//! writes along that path are in place again. The engine's drivers drop the
+//! round's snapshot once its last task has returned, so in steady state
+//! their commits copy nothing; the O(pages) root copy is paid only by the
+//! first write under a held view (the analogue of the paper's page faults
+//! after a `fork`). A whole-object commit or a transactional alloc moves the
+//! transaction's buffer into its slot instead of copying it.
 
 use crate::object::{ObjData, ObjId};
 use std::sync::Arc;
 
 /// Slots per page of the committed page table: the unit a write under a
-/// held snapshot copies.
+/// held snapshot copies, payloads and all.
 pub const SNAPSHOT_PAGE_SLOTS: usize = 64;
 
 /// One page of the table. Slots past the heap's high water are `None`, so
 /// a lookup through any snapshot needs no length check.
-type Page = [Option<Arc<ObjData>>; SNAPSHOT_PAGE_SLOTS];
+type Page = [Option<ObjData>; SNAPSHOT_PAGE_SLOTS];
 
 /// The root of the page table, shared by the heap and every snapshot taken
 /// since the heap last mutated it.
@@ -42,7 +44,7 @@ type Table = Arc<Vec<Arc<Page>>>;
 /// Slot `idx` of `table`, or `None` if it is dead or past the table.
 #[inline]
 fn lookup(table: &[Arc<Page>], idx: usize) -> Option<&ObjData> {
-    table.get(idx / SNAPSHOT_PAGE_SLOTS)?[idx % SNAPSHOT_PAGE_SLOTS].as_deref()
+    table.get(idx / SNAPSHOT_PAGE_SLOTS)?[idx % SNAPSHOT_PAGE_SLOTS].as_ref()
 }
 
 /// What establishing one round snapshot cost, reported by
@@ -102,18 +104,12 @@ impl Heap {
 
     /// Slot `idx`, reached for writing (the module docs' "Writing in
     /// place"); `None` past the table.
-    fn slot_mut(&mut self, idx: usize) -> Option<&mut Option<Arc<ObjData>>> {
+    fn slot_mut(&mut self, idx: usize) -> Option<&mut Option<ObjData>> {
         let page = Arc::make_mut(&mut self.table).get_mut(idx / SNAPSHOT_PAGE_SLOTS)?;
         if Arc::strong_count(page) > 1 {
             self.slots_copied += SNAPSHOT_PAGE_SLOTS as u64;
         }
         Some(&mut Arc::make_mut(page)[idx % SNAPSHOT_PAGE_SLOTS])
-    }
-
-    /// The live payload in slot `idx`, reached for writing; `None` if the
-    /// slot is dead or was never issued.
-    fn payload_mut(&mut self, idx: usize) -> Option<&mut Arc<ObjData>> {
-        self.slot_mut(idx)?.as_mut()
     }
 
     /// Allocates an object from sequential code and returns its id.
@@ -134,7 +130,7 @@ impl Heap {
         self.ensure(idx);
         self.live_words += data.len() as u64;
         self.live += 1;
-        *self.slot_mut(idx).expect("ensured above") = Some(Arc::new(data));
+        *self.slot_mut(idx).expect("ensured above") = Some(data);
         ObjId(idx as u32)
     }
 
@@ -171,14 +167,15 @@ impl Heap {
     }
 
     /// Mutably borrows the committed payload of `id` from sequential code,
-    /// cloning it first if a live snapshot still shares it.
+    /// copying its page first if a live snapshot still shares it.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not live.
     pub fn get_mut(&mut self, id: ObjId) -> &mut ObjData {
-        let payload = self.payload_mut(id.0 as usize);
-        Arc::make_mut(payload.unwrap_or_else(|| panic!("access to dead or unknown {id}")))
+        self.slot_mut(id.0 as usize)
+            .and_then(Option::as_mut)
+            .unwrap_or_else(|| panic!("access to dead or unknown {id}"))
     }
 
     /// Takes a consistent snapshot of the committed state: one `Arc` clone
@@ -227,7 +224,7 @@ impl Heap {
             .iter()
             .flat_map(|page| page.iter())
             .enumerate()
-            .filter_map(|(i, slot)| Some((i, slot.as_deref()?)))
+            .filter_map(|(i, slot)| Some((i, slot.as_ref()?)))
     }
 
     /// Total words across live allocations (used by the simulator's
@@ -256,28 +253,31 @@ impl Heap {
     /// transactions commit writes to disjoint ranges of one allocation, so a
     /// whole-object overwrite would lose the earlier commit. The merge
     /// writes the committed payload in place unless a snapshot can still
-    /// read it (the module docs' "Writing in place").
+    /// read its page (the module docs' "Writing in place"). Whole-object
+    /// writes and allocs move the source's buffer in, or copy it if shared.
     ///
     /// # Panics
     ///
     /// Panics if an op refers to a dead object (the engine validates before
-    /// committing, so this indicates a runtime bug) or an alloc id collides
-    /// with a live slot (an allocator invariant violation).
+    /// committing, so this is a runtime bug), a write's kind differs from its
+    /// object's, or an alloc id collides with a live slot (an allocator bug).
     pub fn apply_commit(&mut self, ops: CommitOps) {
         self.version += 1;
         let mut writes = ops.writes.into_iter().peekable();
         while let Some((id, lo, hi, src)) = writes.next() {
             let payload = self
-                .payload_mut(id.0 as usize)
+                .slot_mut(id.0 as usize)
+                .and_then(Option::as_mut)
                 .unwrap_or_else(|| panic!("commit write to dead {id}"));
-            if lo == 0 && hi as usize == src.len() && src.len() == payload.len() {
-                // Whole-object write: swap the Arc, no copy.
-                *payload = src;
+            let whole = lo == 0 && hi as usize == src.len() && src.len() == payload.len();
+            if whole && src.kind() == payload.kind() {
+                // Whole-object write: move the buffer in (a kind mismatch
+                // falls through to the merge's type error).
+                *payload = Arc::unwrap_or_clone(src);
                 continue;
             }
             // The ranges of one object follow each other: find its payload
             // once and merge them all.
-            let payload = Arc::make_mut(payload);
             payload.copy_range_from(&src, lo as usize, hi as usize);
             while let Some((_, lo, hi, src)) = writes.next_if(|w| w.0 == id) {
                 payload.copy_range_from(&src, lo as usize, hi as usize);
@@ -293,7 +293,7 @@ impl Heap {
                 slot.is_none(),
                 "allocator invariant violated: {id} already live at commit"
             );
-            *slot = Some(data);
+            *slot = Some(Arc::unwrap_or_clone(data));
         }
         for id in ops.frees {
             let freed = self
@@ -573,6 +573,53 @@ mod tests {
         assert_eq!(stats.slots_copied, SNAPSHOT_PAGE_SLOTS as u64);
     }
 
+    /// Where `obj`'s words live.
+    fn buffer(obj: &ObjData) -> *const u8 {
+        match obj {
+            ObjData::F64(v) => v.as_ptr().cast(),
+            ObjData::I64(v) => v.as_ptr().cast(),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "type error")]
+    fn whole_object_commit_of_another_kind_panics() {
+        let mut h = Heap::new();
+        let a = h.alloc(ObjData::zeros_i64(2));
+        h.apply_commit(CommitOps {
+            writes: vec![(a, 0, 2, Arc::new(ObjData::zeros_f64(2)))],
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    fn whole_object_commits_and_allocs_move_their_buffer_unless_it_is_held() {
+        let mut h = Heap::new();
+        let a = h.alloc(ObjData::zeros_i64(3));
+        let far = ObjId::from_index(5);
+        // The caller keeps a handle on both sources: the heap copies them.
+        let src = Arc::new(ObjData::I64(vec![1, 2, 3]));
+        let fresh = Arc::new(ObjData::F64(vec![4.0, 5.0]));
+        h.apply_commit(CommitOps {
+            writes: vec![(a, 0, 3, Arc::clone(&src))],
+            allocs: vec![(far, Arc::clone(&fresh))],
+            ..Default::default()
+        });
+        assert_eq!(h.get(a).i64s(), &[1, 2, 3]);
+        assert_eq!(h.get(far).f64s(), &[4.0, 5.0]);
+        assert_ne!(buffer(h.get(a)), buffer(&src));
+        assert_ne!(buffer(h.get(far)), buffer(&fresh));
+        // Handed over for good: the heap installs the buffer itself.
+        let (at, fresh_at) = (buffer(&src), buffer(&fresh));
+        h.apply_commit(CommitOps {
+            writes: vec![(a, 0, 3, src)],
+            allocs: vec![(ObjId::from_index(6), fresh)],
+            ..Default::default()
+        });
+        assert_eq!(buffer(h.get(a)), at);
+        assert_eq!(buffer(h.get(ObjId::from_index(6))), fresh_at);
+    }
+
     struct Rng(u64);
 
     impl Rng {
@@ -630,8 +677,11 @@ mod tests {
     /// (partial ranges, whole-object swaps, allocs past the high water,
     /// frees) against a naive model, with snapshots held for random
     /// stretches. After every step: each held snapshot reads exactly the
-    /// model as of its creation, the digests agree, and a payload written
-    /// in place kept its address exactly when no held snapshot shared it.
+    /// model as of its creation, the digests agree, a whole-object commit
+    /// installed its source's buffer, and every other live payload kept its
+    /// buffer unless the step wrote to its page while a held view shared it
+    /// — the page is the unit of copy-on-write, so a write under a view moves
+    /// every payload on that page and none on any other.
     #[test]
     fn persistent_table_matches_a_naive_model() {
         let mut rng = Rng(0x28_9a6e);
@@ -645,21 +695,28 @@ mod tests {
                 held.retain(|(.., until)| *until > step);
                 let live: Vec<usize> = (0..model.len()).filter(|&i| model[i].is_some()).collect();
                 let pick = |rng: &mut Rng| live[rng.below(live.len())];
-                // Payloads the step merges into, with their address and
-                // whether a held view shares them.
-                let mut merged: Vec<(ObjId, *const ObjData, bool)> = Vec::new();
-                let mut note = |h: &Heap, id: ObjId| {
-                    let at: *const ObjData = h.get(id);
-                    let shared = held
-                        .iter()
-                        .any(|(s, ..)| s.get(id).is_some_and(|o| std::ptr::eq(o, at)));
-                    merged.push((id, at, shared));
-                };
+                // Every live payload's buffer, and which pages a held view
+                // shares, before the step; the slots the step writes; the
+                // buffers whole-object commits hand over.
+                let before: Vec<(usize, *const u8)> = live
+                    .iter()
+                    .map(|&i| (i, buffer(h.get(ObjId::from_index(i as u32)))))
+                    .collect();
+                let shared: Vec<bool> = (0..h.table.len())
+                    .map(|p| {
+                        held.iter().any(|(s, ..)| {
+                            s.table.get(p).is_some_and(|q| Arc::ptr_eq(q, &h.table[p]))
+                        })
+                    })
+                    .collect();
+                let mut touched: Vec<usize> = Vec::new();
+                let mut moved_in: Vec<(usize, *const u8)> = Vec::new();
                 match rng.below(8) {
                     0 | 1 => {
                         let data = rng.fresh();
                         let id = h.alloc(data.clone());
                         let idx = id.index() as usize;
+                        touched.push(idx);
                         if idx == model.len() {
                             model.push(None);
                         }
@@ -670,11 +727,12 @@ mod tests {
                         let idx = pick(&mut rng);
                         h.free(ObjId::from_index(idx as u32));
                         model[idx] = None;
+                        touched.push(idx);
                     }
                     3 if !live.is_empty() => {
                         let idx = pick(&mut rng);
                         let id = ObjId::from_index(idx as u32);
-                        note(&h, id);
+                        touched.push(idx);
                         let obj = model[idx].as_mut().unwrap();
                         let src = rng.payload(obj.len(), Some(&*obj));
                         let w = rng.below(src.len());
@@ -690,16 +748,17 @@ mod tests {
                                 continue;
                             }
                             written.push(idx);
+                            touched.push(idx);
                             let id = ObjId::from_index(idx as u32);
                             let obj = model[idx].as_mut().unwrap();
                             let len = obj.len();
                             let src = Arc::new(rng.payload(len, Some(&*obj)));
                             if len == 1 || rng.below(3) == 0 {
+                                moved_in.push((idx, buffer(&src)));
                                 ops.writes.push((id, 0, len as u32, Arc::clone(&src)));
                                 *obj = (*src).clone();
                                 continue;
                             }
-                            note(&h, id);
                             for _ in 0..1 + rng.below(3) {
                                 let lo = rng.below(len - 1);
                                 let hi = lo + 1 + rng.below(len - 1 - lo);
@@ -717,11 +776,13 @@ mod tests {
                                 .push((ObjId::from_index(idx as u32), Arc::new(data.clone())));
                             model.resize(next, None);
                             model[idx] = Some(data);
+                            touched.push(idx);
                         }
                         for &idx in &live {
                             if !written.contains(&idx) && rng.below(8) == 0 {
                                 ops.frees.push(ObjId::from_index(idx as u32));
                                 model[idx] = None;
+                                touched.push(idx);
                             }
                         }
                         h.apply_commit(ops);
@@ -750,9 +811,23 @@ mod tests {
                         );
                     }
                 }
-                for (id, at, shared) in merged {
-                    let moved = !std::ptr::eq(h.get(id), at);
-                    assert_eq!(moved, shared, "{ctx}: {id} copied exactly when shared");
+                let now = |i: usize| buffer(h.get(ObjId::from_index(i as u32)));
+                for &(i, src) in &moved_in {
+                    assert_eq!(now(i), src, "{ctx}: slot {i} holds the moved source");
+                }
+                let copied = |i: usize| {
+                    let page = i / SNAPSHOT_PAGE_SLOTS;
+                    shared[page] && touched.iter().any(|t| t / SNAPSHOT_PAGE_SLOTS == page)
+                };
+                for (i, at) in before {
+                    if model[i].is_some() && !moved_in.iter().any(|m| m.0 == i) {
+                        let moved = now(i) != at;
+                        assert_eq!(
+                            moved,
+                            copied(i),
+                            "{ctx}: slot {i} moved iff its page was copied"
+                        );
+                    }
                 }
             }
         }

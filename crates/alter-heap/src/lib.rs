@@ -17,8 +17,8 @@
 //!
 //! The paper achieves isolation with Win32 processes and copy-on-write page
 //! mappings; this crate achieves the same semantics in safe Rust with
-//! `Arc`-shared objects and per-transaction overlays (see DESIGN.md for the
-//! substitution argument).
+//! `Arc`-shared pages that hold their objects inline, copied on write, and
+//! per-transaction overlays (see DESIGN.md for the substitution argument).
 //!
 //! ```
 //! use alter_heap::{Heap, ObjData, Tx, TrackMode, IdReservation};

@@ -913,9 +913,11 @@ impl TxEffects {
                 for (lo, hi) in ranges.iter() {
                     ops.writes.push((id, lo, hi, Arc::clone(&arc)));
                 }
-                // The heap copies the ranges out and drops its handles; this
-                // one lets the buffer serve the next lazy private copy.
-                if arc.len() > EAGER_MAX_WORDS {
+                // The heap copies partial ranges out and drops its handles;
+                // this one lets the buffer serve the next lazy private copy.
+                // A whole-object write moves the buffer into the heap, which
+                // a handle kept here would force it to copy instead.
+                if arc.len() > EAGER_MAX_WORDS && ranges.words() < arc.len() as u64 {
                     self.cow.sources.push(arc);
                 }
             }
@@ -1645,5 +1647,42 @@ mod tests {
         assert!(tx.cow.lazy.is_empty());
         let fx = tx.finish();
         assert_eq!(fx.overlay[&big].i64s()[8191], 7);
+    }
+
+    #[test]
+    fn a_whole_object_commit_installs_the_private_copy_itself() {
+        for mode in [TrackMode::WritesOnly, TrackMode::None] {
+            // One object short enough to be cloned whole, one long enough to
+            // be copied lazily.
+            for len in [EAGER_MAX_WORDS / 2, 3 * EAGER_MAX_WORDS] {
+                let ctx = format!("{len} words under {mode:?}");
+                let mut h = Heap::new();
+                let a = h.alloc(ObjData::zeros_i64(len));
+                let snap = h.snapshot();
+                let mut tx = Tx::new(&snap, mode, ids(), u64::MAX);
+                tx.write_i64s(a, 0, &vec![7; len]);
+                let mut fx = tx.finish();
+                let private = fx.overlay[&a].i64s().as_ptr();
+                drop(snap);
+                h.apply_commit(fx.commit_ops(mode));
+                assert_eq!(h.get(a).i64s(), vec![7; len], "{ctx}");
+                assert_eq!(
+                    h.get(a).i64s().as_ptr(),
+                    private,
+                    "{ctx}: moved, not copied"
+                );
+                assert!(fx.cow.sources.is_empty(), "{ctx}: no handle kept");
+            }
+        }
+        // A partial write of a long object still leaves its buffer for reuse.
+        let mut h = Heap::new();
+        let a = h.alloc(ObjData::zeros_i64(3 * EAGER_MAX_WORDS));
+        let snap = h.snapshot();
+        let mut tx = Tx::new(&snap, TrackMode::WritesOnly, ids(), u64::MAX);
+        tx.write_i64(a, 1, 7);
+        let mut fx = tx.finish();
+        h.apply_commit(fx.commit_ops(TrackMode::WritesOnly));
+        assert_eq!(fx.cow.sources.len(), 1);
+        assert_eq!(h.get(a).i64s()[..3], [0, 7, 0]);
     }
 }

@@ -75,8 +75,10 @@ echo "== record/replay identity (determinism gate) =="
 # byte-identical. On mismatch `replay` bisects to the first divergent
 # round/event and prints the structured diff, which is exactly what we
 # want in a CI log. The same journal, model-checked offline, must print the
-# summary a fresh `check <w> best` prints.
-for w in genome k-means; do
+# summary a fresh `check <w> best` prints. Floyd adds the biggest partial
+# commit (thousands of ranges merged into one 16 384-word object) and
+# BarnesHut objects linked into lists.
+for w in genome k-means floyd barneshut; do
   cli record "$w" --sets --profile --out "target/$w.journal" > /dev/null
   cli replay "target/$w.journal"
   cli check --journal "target/$w.journal" > "target/$w.check-journal"
