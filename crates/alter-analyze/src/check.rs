@@ -10,8 +10,8 @@
 //! are the same schedule). This module closes that gap: for each round
 //! of a journal recorded with `ExecParams::record_sets`, it enumerates
 //! alternative commit orders, prunes equivalent ones with dynamic
-//! partial-order reduction, and runs the [`sanitize`] verdict
-//! re-derivation as the per-schedule oracle.
+//! partial-order reduction, and audits each against [`derive`], the
+//! verdict oracle the [`sanitize`] audit runs on the recorded order.
 //!
 //! **Commutativity criterion.** Two tasks of a round commute iff their
 //! recorded access sets are disjoint under the run's conflict policy:
@@ -33,24 +33,29 @@
 //! case for a sound annotation — collapses from `n!` naive schedules to
 //! exactly one representative.
 //!
-//! **Oracle and counterexamples.** For each representative the checker
-//! re-sequences the recorded verdicts under the candidate order
-//! (sequence numbers relabelled to schedule positions) and sanitizes
-//! the synthesized stream; it also re-derives the verdicts from the
-//! recorded sets alone. A clean journal passes the identity schedule
+//! **Oracle and counterexamples.** The journal is read once, by the
+//! sanitizer's round reader, so each task's sets are parsed once. For
+//! each representative the checker re-sequences the recorded claims under
+//! the candidate order (sequence numbers relabelled to schedule
+//! positions) and audits them record by record against [`derive`],
+//! exactly as the sanitizer audits the recorded order; no event stream is
+//! rendered or re-read. A clean journal passes the identity schedule
 //! exactly and gets its genuinely conflicting reorderings *flagged* —
-//! evidence the oracle is two-sided. An unsound journal (or an
-//! annotation whose committed writers overlap, which order-insensitive
-//! policies never check at run time) produces a structured
-//! [`Divergence`] by bisecting the re-derived stream against the
-//! recorded claims — the same counterexample format `alter-cli diff`
-//! bisects and renders, so every verdict here is replayable evidence.
+//! evidence the oracle is two-sided. An unsound journal (or an annotation
+//! whose committed writers overlap, which order-insensitive policies never
+//! check at run time) is rendered only then, as two single-round streams
+//! — the verdicts the sets imply and the recorded claims — and reported as
+//! the [`Divergence`] between them: the counterexample format
+//! `alter-cli diff` finds and renders, so every verdict here is replayable
+//! evidence.
 
-use crate::sanitize::{recompute_conflict, sanitize, validate_charge, SanitizeConfig, Violation};
+use crate::sanitize::{
+    audit_round, read_rounds, sanitize, Claim, CommitWords, Round, SanitizeConfig, TaskRecord,
+};
 use alter_heap::{AccessSet, ObjId};
 use alter_runtime::replay::{diverge_bisect, Divergence, ReplayOutcome};
 use alter_runtime::{CommitOrder, ConflictPolicy};
-use alter_trace::{parse_set, render_set, trace_hash, ConflictKind, Event, Journal, TraceHasher};
+use alter_trace::{render_set, ConflictKind, Event, Journal};
 use std::collections::{HashMap, HashSet};
 
 /// Default per-round budget of DPOR representatives to run through the
@@ -93,18 +98,25 @@ impl CheckConfig {
             max_schedules_per_round: DEFAULT_SCHEDULE_BUDGET,
         }
     }
+
+    fn sanitize_config(&self) -> SanitizeConfig {
+        SanitizeConfig {
+            conflict: self.conflict,
+            order: self.order,
+        }
+    }
 }
 
-/// One round the checker proved unsound, with the bisected
-/// counterexample: `expected` is the stream the recorded access sets
-/// imply, `actual` re-sequences the journal's recorded claims. Both are
-/// structurally valid single-round streams (round renumbered to 0), so
-/// they can be packaged as journals and fed to `alter-cli diff`.
+/// One round the checker proved unsound, with its counterexample:
+/// `expected` is the stream the recorded access sets imply, `actual`
+/// re-sequences the journal's recorded claims. Both are structurally
+/// valid single-round streams (round renumbered to 0), so they can be
+/// packaged as journals and fed to `alter-cli diff`.
 #[derive(Clone, Debug)]
 pub struct UnsoundRound {
     /// Global round ordinal in the journal (across run segments).
     pub round: u64,
-    /// The first divergent event, bisected exactly as replay mismatches
+    /// The first divergent event, found exactly as replay mismatches
     /// are.
     pub divergence: Box<Divergence>,
     /// The re-derived (sets-implied) event stream.
@@ -154,223 +166,50 @@ impl CheckReport {
     }
 }
 
-/// A recorded verdict, exactly as the journal claims it.
-#[derive(Clone, Debug)]
-enum RecordedVerdict {
-    Ok {
-        validate_words: u64,
-        /// `(read_words, write_words, allocs, frees)` of the recorded
-        /// `commit` event; `None` when the stream truncated before it.
-        commit: Option<(u64, u64, u32, u32)>,
-    },
-    Conflict {
-        kind: ConflictKind,
-        obj: u32,
-        word: u32,
-        winner_seq: u64,
-    },
-    Squash {
-        by_seq: u64,
-    },
+/// What [`derive`] gives one task's recorded sets.
+pub(crate) struct Derived {
+    /// The first conflict, `(kind, obj, word, winner)`, if any.
+    pub conflict: Option<(ConflictKind, u32, u32, u64)>,
+    /// The `validate_ok.validate_words` charge.
+    pub charge: u64,
 }
 
-/// One task of a round: its recorded sets and claimed verdict.
-struct Task {
-    seq: u64,
-    reads: AccessSet,
-    writes: AccessSet,
-    verdict: RecordedVerdict,
-}
-
-/// One extracted round.
-struct RoundTasks {
-    snapshot_slots: u64,
-    tasks: Vec<Task>,
-}
-
-/// A verdict re-derived from the recorded sets under a candidate
-/// schedule. `winner`/`by` are task *indices* (into the round's task
-/// vector), mapped to schedule positions at synthesis time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DerivedVerdict {
-    Ok {
-        /// The per-earlier-writer validation charge under the schedule.
-        validate_words: u64,
-    },
-    Conflict {
-        kind: ConflictKind,
-        obj: u32,
-        word: u32,
-        winner: usize,
-    },
-    Squash {
-        by: usize,
-    },
-}
-
-/// A fully resolved per-position verdict, ready to render as events.
-enum SynthVerdict {
-    Ok {
-        validate_words: u64,
-        commit: (u64, u64, u32, u32),
-    },
-    Conflict {
-        kind: ConflictKind,
-        obj: u32,
-        word: u32,
-        winner_seq: u64,
-    },
-    Squash {
-        by_seq: u64,
-    },
-}
-
-/// Parses a canonical set rendering back into an [`AccessSet`].
-fn parse_access_set(s: &str, what: &str, seq: u64) -> Result<AccessSet, String> {
-    let ranges = parse_set(s).map_err(|e| format!("task {seq}: unparseable {what} set ({e})"))?;
-    let mut set = AccessSet::new();
-    for (obj, lo, hi) in ranges {
-        set.insert(obj, lo, hi);
+/// The one verdict oracle: what a task's recorded sets earn against the
+/// round's writers committed ahead of it, `(seq, write set)` in commit
+/// order. The first writer with an overlap wins, reads are checked before
+/// writes under FULL, and the conflicting word is the first in ascending
+/// (object, word) order. The charge is what a scan of every earlier
+/// writer would compare — each costs the smaller of its write words and
+/// the task's tracked words — whatever scans the engine ran. The
+/// sanitizer audits the recorded verdicts with it; the checker re-derives
+/// every candidate order with it.
+pub(crate) fn derive(
+    policy: ConflictPolicy,
+    reads: &AccessSet,
+    writes: &AccessSet,
+    committed: &[(u64, &AccessSet)],
+) -> Derived {
+    let reads_checked = matches!(policy, ConflictPolicy::Full | ConflictPolicy::Raw);
+    let writes_checked = matches!(policy, ConflictPolicy::Full | ConflictPolicy::Waw);
+    let conflict = committed.iter().find_map(|&(seq, cw)| {
+        let raw = reads_checked.then(|| reads.first_overlap(cw)).flatten();
+        let (kind, (obj, word)) = match raw {
+            Some(at) => (ConflictKind::Raw, at),
+            None => (
+                ConflictKind::Waw,
+                writes_checked.then(|| writes.first_overlap(cw)).flatten()?,
+            ),
+        };
+        Some((kind, obj.index(), word, seq))
+    });
+    let tracked = reads.words() + writes.words();
+    Derived {
+        conflict,
+        charge: committed
+            .iter()
+            .map(|(_, cw)| cw.words().min(tracked))
+            .sum(),
     }
-    Ok(set)
-}
-
-/// Walks the event stream and groups it into rounds of tasks. Requires
-/// `task_sets` payloads before every verdict (squashes excepted — the
-/// engine may squash a task whose sets were never tracked); truncated
-/// trailing tasks are dropped, matching the sanitizer's tolerance.
-fn extract_rounds(events: &[Event]) -> Result<Vec<RoundTasks>, String> {
-    let mut rounds: Vec<RoundTasks> = Vec::new();
-    let mut current: Option<RoundTasks> = None;
-    let mut pending: Option<(u64, AccessSet, AccessSet)> = None;
-    for ev in events {
-        match ev {
-            Event::RoundStart { snapshot_slots, .. } => {
-                pending = None;
-                if let Some(r) = current.take() {
-                    rounds.push(r);
-                }
-                current = Some(RoundTasks {
-                    snapshot_slots: *snapshot_slots,
-                    tasks: Vec::new(),
-                });
-            }
-            Event::TaskSets { seq, reads, writes } => {
-                pending = Some((
-                    *seq,
-                    parse_access_set(reads, "read", *seq)?,
-                    parse_access_set(writes, "write", *seq)?,
-                ));
-            }
-            Event::ValidateOk {
-                seq,
-                validate_words,
-            } => {
-                let (pseq, reads, writes) = pending.take().ok_or(format!(
-                    "no recorded task_sets for task {seq}: record the journal with --sets"
-                ))?;
-                if pseq != *seq {
-                    return Err(format!(
-                        "verdict for task {seq} but recorded sets are for task {pseq}"
-                    ));
-                }
-                let round = current.as_mut().ok_or("verdict before any round_start")?;
-                round.tasks.push(Task {
-                    seq: *seq,
-                    reads,
-                    writes,
-                    verdict: RecordedVerdict::Ok {
-                        validate_words: *validate_words,
-                        commit: None,
-                    },
-                });
-            }
-            Event::ValidateConflict {
-                seq,
-                kind,
-                obj,
-                word,
-                winner_seq,
-            } => {
-                let (pseq, reads, writes) = pending.take().ok_or(format!(
-                    "no recorded task_sets for task {seq}: record the journal with --sets"
-                ))?;
-                if pseq != *seq {
-                    return Err(format!(
-                        "verdict for task {seq} but recorded sets are for task {pseq}"
-                    ));
-                }
-                let round = current.as_mut().ok_or("verdict before any round_start")?;
-                round.tasks.push(Task {
-                    seq: *seq,
-                    reads,
-                    writes,
-                    verdict: RecordedVerdict::Conflict {
-                        kind: *kind,
-                        obj: obj.index(),
-                        word: *word,
-                        winner_seq: *winner_seq,
-                    },
-                });
-            }
-            Event::Squash { seq, by_seq } => {
-                let (reads, writes) = match pending.take() {
-                    Some((pseq, r, w)) if pseq == *seq => (r, w),
-                    _ => (AccessSet::new(), AccessSet::new()),
-                };
-                let round = current.as_mut().ok_or("verdict before any round_start")?;
-                round.tasks.push(Task {
-                    seq: *seq,
-                    reads,
-                    writes,
-                    verdict: RecordedVerdict::Squash { by_seq: *by_seq },
-                });
-            }
-            Event::Commit {
-                seq,
-                read_words,
-                write_words,
-                allocs,
-                frees,
-            } => {
-                let task = current
-                    .as_mut()
-                    .and_then(|r| r.tasks.last_mut())
-                    .filter(|t| t.seq == *seq);
-                match task {
-                    Some(t) => match &mut t.verdict {
-                        RecordedVerdict::Ok { commit, .. } if commit.is_none() => {
-                            *commit = Some((*read_words, *write_words, *allocs, *frees));
-                        }
-                        _ => {
-                            return Err(format!(
-                                "commit for task {seq} without a preceding validate_ok"
-                            ))
-                        }
-                    },
-                    None => {
-                        return Err(format!(
-                            "commit for task {seq} without a preceding validate_ok"
-                        ))
-                    }
-                }
-            }
-            Event::RunEnd { .. }
-            | Event::Oom { .. }
-            | Event::Crash { .. }
-            | Event::WorkBudgetExceeded { .. } => {
-                pending = None;
-                if let Some(r) = current.take() {
-                    rounds.push(r);
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some(r) = current.take() {
-        rounds.push(r);
-    }
-    Ok(rounds)
 }
 
 /// Exact overlap test via the word-block scanner, behind the same
@@ -411,7 +250,7 @@ struct DepGraph {
 /// Builds the dependence relation from the recorded sets: write-write
 /// overlap always breaks commutativity; read-vs-write overlap breaks it
 /// under read-checking policies.
-fn dep_graph(tasks: &[Task], policy: ConflictPolicy) -> DepGraph {
+fn dep_graph(tasks: &[TaskRecord], policy: ConflictPolicy) -> DepGraph {
     let n = tasks.len();
     let reads_checked = matches!(policy, ConflictPolicy::Full | ConflictPolicy::Raw);
     let mut g = DepGraph {
@@ -448,11 +287,17 @@ fn dep_graph(tasks: &[Task], policy: ConflictPolicy) -> DepGraph {
 /// true iff the edge's lower-indexed task commits first. Two schedules
 /// with equal signatures are one Mazurkiewicz trace.
 fn signature(g: &DepGraph, order: &[usize]) -> Vec<bool> {
-    let mut pos = vec![0usize; g.n];
-    for (p, &t) in order.iter().enumerate() {
+    let pos = positions(order);
+    g.edges.iter().map(|&(i, j)| pos[i] < pos[j]).collect()
+}
+
+/// `pos[t]`: the position of task `t` in `sched`.
+fn positions(sched: &[usize]) -> Vec<usize> {
+    let mut pos = vec![0; sched.len()];
+    for (p, &t) in sched.iter().enumerate() {
         pos[t] = p;
     }
-    g.edges.iter().map(|&(i, j)| pos[i] < pos[j]).collect()
+    pos
 }
 
 /// `n!`, saturating at `u64::MAX`.
@@ -543,113 +388,252 @@ fn representatives(g: &DepGraph, budget: u64) -> (Vec<Vec<usize>>, bool) {
     (schedules, hit)
 }
 
-/// Re-derives every verdict from the recorded sets alone, validating in
-/// schedule order: first committed writer wins, in-order commit
-/// squashes everything after the round's first failure.
-fn derive(
-    tasks: &[Task],
+/// Re-derives every verdict of a candidate schedule from the recorded
+/// sets alone, validating in schedule order: first committed writer wins,
+/// in-order commit squashes everything after the round's first failure.
+/// Winners and squashers are task *indices*; [`place`] maps them to
+/// schedule positions.
+fn derive_order(
+    tasks: &[TaskRecord],
     sched: &[usize],
     policy: ConflictPolicy,
     order: CommitOrder,
-) -> Vec<DerivedVerdict> {
+) -> Vec<Claim> {
     let mut out = Vec::with_capacity(sched.len());
-    let mut committed: Vec<usize> = Vec::new();
+    let mut committed: Vec<(u64, &AccessSet)> = Vec::new();
     let mut first_fail: Option<usize> = None;
     for &t in sched {
         if let (CommitOrder::InOrder, Some(f)) = (order, first_fail) {
-            out.push(DerivedVerdict::Squash { by: f });
+            out.push(Claim::Squash { by: f as u64 });
             continue;
         }
-        let hit = recompute_conflict(
-            policy,
-            &tasks[t].reads,
-            &tasks[t].writes,
-            committed.iter().map(|&c| (c as u64, &tasks[c].writes)),
-        );
-        match hit {
+        let d = derive(policy, &tasks[t].reads, &tasks[t].writes, &committed);
+        out.push(match d.conflict {
             None => {
-                out.push(DerivedVerdict::Ok {
-                    validate_words: validate_charge(
-                        &tasks[t].reads,
-                        &tasks[t].writes,
-                        committed.iter().map(|&c| &tasks[c].writes),
-                    ),
-                });
-                committed.push(t);
+                committed.push((t as u64, &tasks[t].writes));
+                Claim::Ok {
+                    validate_words: d.charge,
+                    commit: None,
+                }
             }
             Some((kind, obj, word, winner)) => {
-                out.push(DerivedVerdict::Conflict {
+                first_fail.get_or_insert(t);
+                Claim::Conflict {
                     kind,
                     obj,
                     word,
-                    winner: winner as usize,
-                });
-                first_fail.get_or_insert(t);
+                    winner,
+                }
             }
-        }
+        });
     }
     out
 }
 
-/// Renders per-position verdicts as a structurally valid single-round
+/// Re-sequences the *recorded* claims under a candidate schedule. Conflict
+/// attribution and the validation charge are schedule-relative
+/// reporting, not semantics: when both the record and the re-derivation
+/// agree on a reordered task's verdict, the claim carries the schedule's
+/// own attribution or charge (the recorded winner, or the writers
+/// committed ahead of the task, may legitimately differ once commit order
+/// moves). On the identity schedule the recorded figures are kept
+/// verbatim (positions permitting), so the oracle there is exactly as
+/// strict as the sanitizer.
+fn resequence(
+    tasks: &[TaskRecord],
+    sched: &[usize],
+    derived: &[Claim],
+    identity: bool,
+) -> Vec<Claim> {
+    let pos = positions(sched);
+    let seq_to_pos: HashMap<u64, u64> = tasks
+        .iter()
+        .zip(&pos)
+        .map(|(t, &p)| (t.seq, p as u64))
+        .collect();
+    let remap = |seq: u64| seq_to_pos.get(&seq).copied().unwrap_or(seq);
+    sched
+        .iter()
+        .zip(derived)
+        .map(|(&t, d)| match (tasks[t].claim, *d) {
+            (
+                Claim::Ok {
+                    validate_words,
+                    commit,
+                },
+                d,
+            ) => Claim::Ok {
+                validate_words: match d {
+                    Claim::Ok {
+                        validate_words: charge,
+                        ..
+                    } if !identity => charge,
+                    _ => validate_words,
+                },
+                commit: Some(commit.unwrap_or(CommitWords {
+                    read_words: tasks[t].reads.words(),
+                    write_words: tasks[t].writes.words(),
+                    allocs: 0,
+                    frees: 0,
+                })),
+            },
+            (
+                Claim::Conflict { .. },
+                Claim::Conflict {
+                    kind,
+                    obj,
+                    word,
+                    winner,
+                },
+            ) if !identity => Claim::Conflict {
+                kind,
+                obj,
+                word,
+                winner: pos[winner as usize] as u64,
+            },
+            (
+                Claim::Conflict {
+                    kind,
+                    obj,
+                    word,
+                    winner,
+                },
+                _,
+            ) => Claim::Conflict {
+                kind,
+                obj,
+                word,
+                winner: remap(winner),
+            },
+            (Claim::Squash { by }, _) => Claim::Squash { by: remap(by) },
+        })
+        .collect()
+}
+
+/// Places *re-derived* verdicts at their schedule positions. Commit
+/// payloads come from the recorded sets (word counts a commit must
+/// match); allocation counters carry over from the record where one
+/// exists, since sets cannot derive them.
+fn place(tasks: &[TaskRecord], sched: &[usize], derived: &[Claim]) -> Vec<Claim> {
+    let pos = positions(sched);
+    sched
+        .iter()
+        .zip(derived)
+        .map(|(&t, d)| match *d {
+            Claim::Ok { validate_words, .. } => {
+                let (allocs, frees) = match tasks[t].claim {
+                    Claim::Ok {
+                        commit: Some(c), ..
+                    } => (c.allocs, c.frees),
+                    _ => (0, 0),
+                };
+                Claim::Ok {
+                    validate_words,
+                    commit: Some(CommitWords {
+                        read_words: tasks[t].reads.words(),
+                        write_words: tasks[t].writes.words(),
+                        allocs,
+                        frees,
+                    }),
+                }
+            }
+            Claim::Conflict {
+                kind,
+                obj,
+                word,
+                winner,
+            } => Claim::Conflict {
+                kind,
+                obj,
+                word,
+                winner: pos[winner as usize] as u64,
+            },
+            Claim::Squash { by } => Claim::Squash {
+                by: pos[by as usize] as u64,
+            },
+        })
+        .collect()
+}
+
+/// The record-level oracle on one schedule: its re-derived verdicts, the
+/// recorded claims re-sequenced under it, and whether those claims
+/// survive [`audit_round`] — what sanitizing their rendered stream would
+/// find, without rendering it.
+fn audit_schedule(
+    tasks: &[TaskRecord],
+    sched: &[usize],
+    identity: bool,
+    cfg: &SanitizeConfig,
+) -> (Vec<Claim>, Vec<Claim>, bool) {
+    let derived = derive_order(tasks, sched, cfg.conflict, cfg.order);
+    let claims = resequence(tasks, sched, &derived, identity);
+    let mut clean = true;
+    audit_round(
+        cfg,
+        sched
+            .iter()
+            .zip(&claims)
+            .enumerate()
+            .map(|(p, (&t, c))| (p as u64, &tasks[t], c)),
+        &mut |_: usize, _: String| clean = false,
+    );
+    (derived, claims, clean)
+}
+
+/// Renders per-position claims as a structurally valid single-round
 /// stream: `round_start`, then `task_sets` + verdict (+ `commit`) per
 /// position with sequence numbers relabelled to schedule positions,
-/// closed by a consistent `run_end`. The round is renumbered to 0 so
-/// the stream packages as a standalone journal.
-fn synth_events(
-    tasks: &[Task],
-    sched: &[usize],
-    verdicts: &[SynthVerdict],
-    snapshot_slots: u64,
-) -> Vec<Event> {
+/// closed by a consistent `run_end`. The round is renumbered to 0 so the
+/// stream packages as a standalone journal.
+fn synth_events(round: &Round, sched: &[usize], claims: &[Claim]) -> Vec<Event> {
     let n = sched.len();
     let mut evs = Vec::with_capacity(3 * n + 2);
     evs.push(Event::RoundStart {
         round: 0,
         tasks: n as u32,
-        snapshot_slots,
+        snapshot_slots: round.snapshot_slots,
     });
     let mut commits = 0u64;
-    for (p, (&t, v)) in sched.iter().zip(verdicts).enumerate() {
+    for (p, (&t, claim)) in sched.iter().zip(claims).enumerate() {
+        let seq = p as u64;
         evs.push(Event::TaskSets {
-            seq: p as u64,
-            reads: render_set(&tasks[t].reads),
-            writes: render_set(&tasks[t].writes),
+            seq,
+            reads: render_set(&round.tasks[t].reads),
+            writes: render_set(&round.tasks[t].writes),
         });
-        match v {
-            SynthVerdict::Ok {
+        match *claim {
+            Claim::Ok {
                 validate_words,
-                commit: (read_words, write_words, allocs, frees),
+                commit,
             } => {
                 evs.push(Event::ValidateOk {
-                    seq: p as u64,
-                    validate_words: *validate_words,
+                    seq,
+                    validate_words,
                 });
-                evs.push(Event::Commit {
-                    seq: p as u64,
-                    read_words: *read_words,
-                    write_words: *write_words,
-                    allocs: *allocs,
-                    frees: *frees,
-                });
-                commits += 1;
+                if let Some(c) = commit {
+                    evs.push(Event::Commit {
+                        seq,
+                        read_words: c.read_words,
+                        write_words: c.write_words,
+                        allocs: c.allocs,
+                        frees: c.frees,
+                    });
+                    commits += 1;
+                }
             }
-            SynthVerdict::Conflict {
+            Claim::Conflict {
                 kind,
                 obj,
                 word,
-                winner_seq,
+                winner,
             } => evs.push(Event::ValidateConflict {
-                seq: p as u64,
-                kind: *kind,
-                obj: ObjId::from_index(*obj),
-                word: *word,
-                winner_seq: *winner_seq,
+                seq,
+                kind,
+                obj: ObjId::from_index(obj),
+                word,
+                winner_seq: winner,
             }),
-            SynthVerdict::Squash { by_seq } => evs.push(Event::Squash {
-                seq: p as u64,
-                by_seq: *by_seq,
-            }),
+            Claim::Squash { by } => evs.push(Event::Squash { seq, by_seq: by }),
         }
     }
     evs.push(Event::RunEnd {
@@ -660,161 +644,22 @@ fn synth_events(
     evs
 }
 
-/// Resolves the *recorded* claims under a candidate schedule. Conflict
-/// attribution and the validation charge are schedule-relative
-/// reporting, not semantics: when both the record and the re-derivation
-/// agree on a reordered task's verdict, the synthesized stream carries
-/// the schedule's own attribution or charge (the recorded winner, or the
-/// writers committed ahead of the task, may legitimately differ once
-/// commit order moves). On the identity schedule the recorded figures
-/// are kept verbatim (positions permitting), so the oracle there is
-/// exactly as strict as the sanitizer.
-fn recorded_verdicts(
-    tasks: &[Task],
-    sched: &[usize],
-    derived: &[DerivedVerdict],
-    identity: bool,
-) -> Vec<SynthVerdict> {
-    let mut pos = vec![0usize; tasks.len()];
-    for (p, &t) in sched.iter().enumerate() {
-        pos[t] = p;
-    }
-    let seq_to_pos: HashMap<u64, u64> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.seq, pos[i] as u64))
-        .collect();
-    let remap = |seq: u64| seq_to_pos.get(&seq).copied().unwrap_or(seq);
-    sched
-        .iter()
-        .zip(derived)
-        .map(|(&t, d)| match &tasks[t].verdict {
-            RecordedVerdict::Ok {
-                validate_words,
-                commit,
-            } => SynthVerdict::Ok {
-                validate_words: match d {
-                    DerivedVerdict::Ok {
-                        validate_words: charge,
-                    } if !identity => *charge,
-                    _ => *validate_words,
-                },
-                commit: commit.unwrap_or((tasks[t].reads.words(), tasks[t].writes.words(), 0, 0)),
-            },
-            RecordedVerdict::Conflict {
-                kind,
-                obj,
-                word,
-                winner_seq,
-            } => {
-                if let (
-                    false,
-                    DerivedVerdict::Conflict {
-                        kind: dk,
-                        obj: dobj,
-                        word: dword,
-                        winner,
-                    },
-                ) = (identity, d)
-                {
-                    SynthVerdict::Conflict {
-                        kind: *dk,
-                        obj: *dobj,
-                        word: *dword,
-                        winner_seq: pos[*winner] as u64,
-                    }
-                } else {
-                    SynthVerdict::Conflict {
-                        kind: *kind,
-                        obj: *obj,
-                        word: *word,
-                        winner_seq: remap(*winner_seq),
-                    }
-                }
-            }
-            RecordedVerdict::Squash { by_seq } => SynthVerdict::Squash {
-                by_seq: remap(*by_seq),
-            },
-        })
-        .collect()
-}
-
-/// Resolves the *re-derived* verdicts under a candidate schedule. Commit
-/// payloads come from the recorded sets (word counts a commit must
-/// match); allocation counters carry over from the record where one
-/// exists, since sets cannot derive them.
-fn derived_verdicts(
-    tasks: &[Task],
-    sched: &[usize],
-    derived: &[DerivedVerdict],
-) -> Vec<SynthVerdict> {
-    let mut pos = vec![0usize; tasks.len()];
-    for (p, &t) in sched.iter().enumerate() {
-        pos[t] = p;
-    }
-    sched
-        .iter()
-        .zip(derived)
-        .map(|(&t, d)| match d {
-            DerivedVerdict::Ok { validate_words } => {
-                let (allocs, frees) = match &tasks[t].verdict {
-                    RecordedVerdict::Ok { commit, .. } => {
-                        let (_, _, a, f) = commit.unwrap_or((0, 0, 0, 0));
-                        (a, f)
-                    }
-                    _ => (0, 0),
-                };
-                SynthVerdict::Ok {
-                    validate_words: *validate_words,
-                    commit: (
-                        tasks[t].reads.words(),
-                        tasks[t].writes.words(),
-                        allocs,
-                        frees,
-                    ),
-                }
-            }
-            DerivedVerdict::Conflict {
-                kind,
-                obj,
-                word,
-                winner,
-            } => SynthVerdict::Conflict {
-                kind: *kind,
-                obj: *obj,
-                word: *word,
-                winner_seq: pos[*winner] as u64,
-            },
-            DerivedVerdict::Squash { by } => SynthVerdict::Squash {
-                by_seq: pos[*by] as u64,
-            },
-        })
-        .collect()
-}
-
-/// First pair of schedule-committed tasks whose write sets overlap, in
-/// schedule order. Under write-checking policies this cannot happen (the
-/// re-derivation would have conflicted the later writer); under
-/// RAW-only or unchecked policies it is the order-sensitivity witness.
-fn first_ww_committed(
-    g: &DepGraph,
-    sched: &[usize],
-    derived: &[DerivedVerdict],
-) -> Option<(usize, usize)> {
+/// Whether two writers the schedule commits overlap. Under write-checking
+/// policies this cannot happen (the re-derivation would have conflicted
+/// the later writer); under RAW-only or unchecked policies it is the
+/// order-sensitivity witness.
+fn ww_committed(g: &DepGraph, sched: &[usize], derived: &[Claim]) -> bool {
     let committed: Vec<usize> = sched
         .iter()
         .zip(derived)
-        .filter(|(_, d)| matches!(d, DerivedVerdict::Ok { .. }))
+        .filter(|(_, d)| matches!(d, Claim::Ok { .. }))
         .map(|(&t, _)| t)
         .collect();
-    for j in 1..committed.len() {
-        for &earlier in &committed[..j] {
-            if g.ww[earlier * g.n + committed[j]] {
-                return Some((earlier, committed[j]));
-            }
-        }
-    }
-    None
+    (1..committed.len()).any(|j| {
+        committed[..j]
+            .iter()
+            .any(|&earlier| g.ww[earlier * g.n + committed[j]])
+    })
 }
 
 /// Escalates a policy to its write-checking counterpart — the reference
@@ -827,38 +672,32 @@ fn escalate(policy: ConflictPolicy) -> ConflictPolicy {
     }
 }
 
-/// Bisects the two synthesized streams into a [`Divergence`]. The
-/// streams differ whenever the oracle rejected the schedule; the
-/// fallback (identical streams despite violations, possible only for
-/// identical overlapping write sets) still reports the first violating
-/// event as structured evidence.
-fn make_divergence(
-    expected: Vec<Event>,
-    actual: Vec<Event>,
-    violations: &[Violation],
-) -> (Box<Divergence>, Vec<Event>, Vec<Event>) {
-    match diverge_bisect(&expected, &actual) {
-        ReplayOutcome::Diverged(d) => (d, expected, actual),
+/// A rejected schedule rendered as evidence: the divergence, then the
+/// expected and actual streams.
+type Counterexample = (Box<Divergence>, Vec<Event>, Vec<Event>);
+
+/// Renders a rejected schedule as its two streams — the `reference`
+/// verdicts placed at their positions, and the re-sequenced `claims` —
+/// and finds the [`Divergence`] between them. Streams identical despite
+/// the rejection (possible only for identical overlapping write sets)
+/// diverge at the sanitizer's first violation instead.
+fn counterexample(
+    round: &Round,
+    sched: &[usize],
+    reference: &[Claim],
+    claims: &[Claim],
+    cfg: &SanitizeConfig,
+) -> Counterexample {
+    let expected = synth_events(round, sched, &place(&round.tasks, sched, reference));
+    let actual = synth_events(round, sched, claims);
+    let divergence = match diverge_bisect(&expected, &actual) {
+        ReplayOutcome::Diverged(d) => d,
         ReplayOutcome::Identical { .. } => {
-            let index = violations.first().map_or(0, |v| v.event);
-            let mut h = TraceHasher::new();
-            for ev in actual.iter().take(index) {
-                h.update_event(ev);
-            }
-            let d = Divergence {
-                round: 0,
-                seq: None,
-                index,
-                expected: None,
-                actual: actual.get(index).cloned(),
-                prefix_hash: h.finish(),
-                expected_hash: trace_hash(&expected),
-                actual_hash: trace_hash(&actual),
-                set_delta: None,
-            };
-            (Box::new(d), expected, actual)
+            let index = sanitize(&actual, cfg).first().map_or(0, |v| v.event);
+            Box::new(Divergence::at(&expected, &actual, index))
         }
-    }
+    };
+    (divergence, expected, actual)
 }
 
 /// Per-round outcome of the schedule-space walk.
@@ -869,13 +708,13 @@ struct RoundOutcome {
     flagged: u64,
     budget_hit: bool,
     scan_words: u64,
-    unsound: Option<(Box<Divergence>, Vec<Event>, Vec<Event>)>,
+    unsound: Option<Counterexample>,
 }
 
-/// Model-checks one round: enumerate representatives, sanitize the
-/// recorded claims under each, and re-derive against the sets for the
-/// counterexample on rejection.
-fn check_round(round: &RoundTasks, cfg: &CheckConfig) -> RoundOutcome {
+/// Model-checks one round: enumerate representatives and audit the
+/// recorded claims re-sequenced under each; render a counterexample when
+/// the identity schedule fails or committed writers overlap.
+fn check_round(round: &Round, cfg: &CheckConfig) -> RoundOutcome {
     let tasks = &round.tasks;
     let n = tasks.len();
     let mut out = RoundOutcome::default();
@@ -898,58 +737,63 @@ fn check_round(round: &RoundTasks, cfg: &CheckConfig) -> RoundOutcome {
         CommitOrder::OutOfOrder => factorial_sat(n),
     };
     out.explored = schedules.len() as u64;
-    let scfg = SanitizeConfig {
-        conflict: cfg.conflict,
-        order: cfg.order,
-    };
+    let scfg = cfg.sanitize_config();
     let write_checked = matches!(cfg.conflict, ConflictPolicy::Full | ConflictPolicy::Waw);
     for (si, sched) in schedules.iter().enumerate() {
         let identity = si == 0;
-        let derived = derive(tasks, sched, cfg.conflict, cfg.order);
-        let actual = synth_events(
-            tasks,
-            sched,
-            &recorded_verdicts(tasks, sched, &derived, identity),
-            round.snapshot_slots,
-        );
-        let violations = sanitize(&actual, &scfg);
-        if identity && !violations.is_empty() {
-            // The journal's own claims fail re-derivation: bisect the
-            // sets-implied stream against the recorded one.
-            let expected = synth_events(
+        let (derived, claims, clean) = audit_schedule(tasks, sched, identity, &scfg);
+        let reference = if identity && !clean {
+            // The journal's own claims fail re-derivation: the reference
+            // is what the sets imply.
+            Some(derived)
+        } else if !write_checked && ww_committed(&g, sched, &derived) {
+            // Two committed writers overlap: the final heap state depends
+            // on commit order. Render the counterexample against the
+            // write-checking reference policy.
+            Some(derive_order(
                 tasks,
                 sched,
-                &derived_verdicts(tasks, sched, &derived),
-                round.snapshot_slots,
-            );
-            out.unsound = Some(make_divergence(expected, actual, &violations));
+                escalate(cfg.conflict),
+                cfg.order,
+            ))
+        } else {
+            None
+        };
+        if let Some(reference) = reference {
+            out.unsound = Some(counterexample(round, sched, &reference, &claims, &scfg));
             break;
         }
-        if !write_checked && first_ww_committed(&g, sched, &derived).is_some() {
-            // Two committed writers overlap: the final heap state
-            // depends on commit order. Render the counterexample
-            // against the write-checking reference policy.
-            let esc = derive(tasks, sched, escalate(cfg.conflict), cfg.order);
-            let expected = synth_events(
-                tasks,
-                sched,
-                &derived_verdicts(tasks, sched, &esc),
-                round.snapshot_slots,
-            );
-            out.unsound = Some(make_divergence(expected, actual, &violations));
-            break;
-        }
-        if !identity && !violations.is_empty() {
+        if !identity && !clean {
             out.flagged += 1;
         }
     }
     out
 }
 
+/// Reads a stream's rounds for checking: a structurally malformed stream,
+/// or a verdict without the sets that are the model, is an error.
+fn read_model(events: &[Event]) -> Result<Vec<Round>, String> {
+    let (rounds, defects) = read_rounds(events);
+    if let Some(v) = defects.first() {
+        return Err(format!("malformed trace: {v}"));
+    }
+    let unmodelled = rounds
+        .iter()
+        .flat_map(|r| &r.tasks)
+        .find(|t| !t.has_sets && !matches!(t.claim, Claim::Squash { .. }));
+    match unmodelled {
+        Some(t) => Err(format!(
+            "no recorded task_sets for task {}: record the journal with --sets",
+            t.seq
+        )),
+        None => Ok(rounds),
+    }
+}
+
 /// Model-checks a recorded event stream (with `task_sets` payloads)
 /// against every DPOR-representative commit order per round.
 pub fn check_events(events: &[Event], cfg: &CheckConfig) -> Result<CheckReport, String> {
-    let rounds = extract_rounds(events)?;
+    let rounds = read_model(events)?;
     let mut report = CheckReport::default();
     for (ordinal, round) in rounds.iter().enumerate() {
         let out = check_round(round, cfg);
@@ -973,6 +817,32 @@ pub fn check_events(events: &[Event], cfg: &CheckConfig) -> Result<CheckReport, 
         }
     }
     Ok(report)
+}
+
+/// The oracle [`check_events`] runs on each representative, for any one
+/// schedule of a single-round stream: whether the recorded claims,
+/// re-sequenced with the tasks committed in `order` (indices into the
+/// recorded order), survive re-derivation from their sets.
+pub fn schedule_is_clean(
+    events: &[Event],
+    cfg: &CheckConfig,
+    order: &[usize],
+) -> Result<bool, String> {
+    let rounds = read_model(events)?;
+    let [round] = &rounds[..] else {
+        return Err(format!("expected one round, read {}", rounds.len()));
+    };
+    let mut sorted = order.to_vec();
+    sorted.sort_unstable();
+    if !sorted.into_iter().eq(0..round.tasks.len()) {
+        return Err(format!(
+            "{order:?} does not order the round's {} tasks",
+            round.tasks.len()
+        ));
+    }
+    let identity = order.iter().copied().eq(0..order.len());
+    let (_, _, clean) = audit_schedule(&round.tasks, order, identity, &cfg.sanitize_config());
+    Ok(clean)
 }
 
 /// Model-checks a loaded journal. The journal must have been recorded
@@ -1169,5 +1039,26 @@ mod tests {
         ];
         let err = check_events(&evs, &cfg_waw()).unwrap_err();
         assert!(err.contains("--sets"), "{err}");
+    }
+
+    #[test]
+    fn malformed_streams_and_orders_are_rejected() {
+        // Task 1's (task_sets, validate_ok, commit) ahead of task 0's.
+        let mut evs = disjoint_round();
+        evs.swap(1, 4);
+        evs.swap(2, 5);
+        evs.swap(3, 6);
+        let err = check_events(&evs, &cfg_waw()).unwrap_err();
+        assert!(err.contains("validation order must ascend"), "{err}");
+        let err = schedule_is_clean(&disjoint_round(), &cfg_waw(), &[0, 0, 1]).unwrap_err();
+        assert!(err.contains("does not order"), "{err}");
+        assert_eq!(
+            schedule_is_clean(&disjoint_round(), &cfg_waw(), &[2, 0, 1]),
+            Ok(true)
+        );
+        assert_eq!(
+            schedule_is_clean(&conflicting_round(), &cfg_waw(), &[1, 0]),
+            Ok(false)
+        );
     }
 }

@@ -17,11 +17,12 @@
 //!   [`Annotation`](alter_runtime::Annotation) (or the DOALL/TLS targets),
 //!   emit structured [`Diagnostic`]s — severity, stable rule code,
 //!   location, human message.
-//! * [`sanitize`] — a trace isolation sanitizer: replay a recorded JSONL
-//!   trace (with `ExecParams::record_sets` payloads) and re-check the
-//!   isolation invariants — deterministic commit order, committed
-//!   write-sets disjoint under StaleReads, validate verdicts consistent
-//!   with the recorded read/write sets.
+//! * [`sanitize`] — a trace isolation sanitizer, and the crate's one
+//!   reader of a trace's rounds: read a recorded JSONL trace (with
+//!   `ExecParams::record_sets` payloads) into task records once and
+//!   re-check the isolation invariants — deterministic commit order,
+//!   committed write-sets disjoint under StaleReads, validate verdicts
+//!   consistent with the recorded read/write sets.
 //! * [`absint`] — the static half of the synergy: a declarative
 //!   [`LoopSpec`] IR (symbolic per-iteration accesses over the iteration
 //!   index) evaluated by an abstract interpreter under an interval ×
@@ -32,8 +33,8 @@
 //! * [`check`] — a DPOR schedule-space model checker over recorded
 //!   journals: enumerate the alternative commit orders each round's
 //!   tickets could legally produce, prune Mazurkiewicz-equivalent ones
-//!   by access-set commutativity, and run the sanitizer as the
-//!   per-schedule oracle, reporting unsound rounds as bisected
+//!   by access-set commutativity, and audit each with the sanitizer's
+//!   verdict oracle, reporting unsound rounds as
 //!   [`Divergence`](alter_runtime::replay::Divergence) counterexamples.
 //!
 //! The prediction contract is deliberately one-sided: [`predict`] may
@@ -56,7 +57,8 @@ pub use absint::{
     RegionFootprint, StaticEdge, StaticSummary, StaticVerdict, StrideInterval, Words,
 };
 pub use check::{
-    check_events, check_journal, CheckConfig, CheckReport, UnsoundRound, DEFAULT_SCHEDULE_BUDGET,
+    check_events, check_journal, schedule_is_clean, CheckConfig, CheckReport, UnsoundRound,
+    DEFAULT_SCHEDULE_BUDGET,
 };
 pub use classify::{classify_edge, predict, AnalyzeConfig, Breakability, Verdict};
 pub use lint::{lint, Diagnostic, LintTarget, Severity};

@@ -1,37 +1,42 @@
-//! The trace isolation sanitizer behind `alter-cli lint`.
+//! The trace isolation sanitizer behind `alter-cli lint`, and the one
+//! reader of the round grammar it shares with the schedule-space model
+//! checker ([`crate::check`]).
 //!
-//! Replays a recorded structured trace — with the opt-in
-//! `ExecParams::record_sets` payloads — and re-checks the engine's
-//! isolation invariants from first principles:
+//! [`read_rounds`] walks a recorded structured trace once — with the
+//! opt-in `ExecParams::record_sets` payloads — and turns it into rounds of
+//! [`TaskRecord`]s: each task's sets parsed once, its claimed verdict and
+//! `commit` payload, and the event index of each. What breaks the grammar
+//! is a structural [`Violation`]:
 //!
 //! * **Round structure** — rounds are consecutive within a run (a new run
-//!   segment starts at round 0), and every verdict belongs to a round.
-//! * **Deterministic commit order** — verdicts and commits are processed
-//!   in ascending task order within a round.
+//!   segment starts at round 0); a `task_sets` is followed by its own
+//!   task's verdict, and a `commit` follows its task's `validate_ok`.
+//! * **Deterministic commit order** — verdicts ascend in task order within
+//!   a round.
+//! * **Run accounting** — `run_end` counters equal the read
+//!   attempt/commit/round counts.
+//!
+//! [`sanitize`] adds [`audit_round`] over every round in recorded order.
+//! Its verdicts come from [`derive`], the one oracle the checker also runs
+//! under every candidate commit order:
+//!
 //! * **Verdicts consistent with the recorded sets** — every
-//!   `validate_ok`/`validate_conflict` is recomputed from the task's
-//!   recorded read/write sets against the round's committed write sets,
-//!   including the exact `(kind, obj, word, winner)` attribution the
-//!   engine reported (reads checked before writes under FULL, first
-//!   overlapping word in ascending object/word order, first committed
-//!   writer wins).
-//! * **Validation charge consistent with the recorded sets** — every
-//!   `validate_ok.validate_words` equals the per-earlier-writer formula
-//!   (Σ over the round's committed writers of min(the writer's write
-//!   words, the task's tracked words)), whatever scans the engine ran.
+//!   `validate_ok`/`validate_conflict` is what `derive` gives the task's
+//!   recorded read/write sets against the round's committed writers,
+//!   including the exact `(kind, obj, word, winner)` attribution and the
+//!   `validate_ok.validate_words` charge.
 //! * **Committed write sets disjoint** — under write-checking policies
 //!   (StaleReads/FULL) the round's committed write sets must be pairwise
 //!   disjoint; `commit` word counts must match the recorded sets.
 //! * **Squash discipline** — squashes only under in-order commit, only
 //!   after an earlier failure in the same round, attributed to the round's
 //!   first failing task.
-//! * **Run accounting** — `run_end` counters equal the replayed
-//!   attempt/commit/round counts.
 //!
 //! A trace that ends mid-run (crash, OOM, work-budget abort, or a
 //! truncated ring buffer) is tolerated: the sanitizer checks what is
 //! there and does not require a trailing `run_end`.
 
+use crate::check::derive;
 use alter_heap::AccessSet;
 use alter_runtime::{CommitOrder, ConflictPolicy};
 use alter_trace::{parse_set, ConflictKind, Event};
@@ -60,103 +65,127 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// One committed transaction of the current round.
-struct Committed {
-    seq: u64,
-    writes: AccessSet,
+/// A claimed verdict: as the trace records it, or re-sequenced by the
+/// checker under a candidate commit order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Claim {
+    /// `validate_ok`, with the `commit` payload that followed it, if any.
+    Ok {
+        validate_words: u64,
+        commit: Option<CommitWords>,
+    },
+    /// `validate_conflict` against task `winner`.
+    Conflict {
+        kind: ConflictKind,
+        obj: u32,
+        word: u32,
+        winner: u64,
+    },
+    /// `squash` by task `by`.
+    Squash { by: u64 },
 }
 
-/// Recomputes the engine's conflict verdict for a task against the
-/// round's committed writers, in commit order: the first writer with an
-/// overlap wins, reads are checked before writes under FULL, and the
-/// conflicting word is the first in ascending (object, word) order.
-///
-/// Shared with the schedule-space model checker (`check`), which
-/// replays it under candidate commit orders — hence the borrowed
-/// `(seq, write set)` pairs rather than this module's `Committed`.
-pub(crate) fn recompute_conflict<'a>(
-    policy: ConflictPolicy,
-    reads: &AccessSet,
-    writes: &AccessSet,
-    committed: impl IntoIterator<Item = (u64, &'a AccessSet)>,
-) -> Option<(ConflictKind, u32, u32, u64)> {
-    for (seq, cw) in committed {
-        let raw_hit = match policy {
-            ConflictPolicy::Full | ConflictPolicy::Raw => reads.first_overlap(cw),
-            _ => None,
-        };
-        if let Some((obj, word)) = raw_hit {
-            return Some((ConflictKind::Raw, obj.index(), word, seq));
-        }
-        let waw_hit = match policy {
-            ConflictPolicy::Full | ConflictPolicy::Waw => writes.first_overlap(cw),
-            _ => None,
-        };
-        if let Some((obj, word)) = waw_hit {
-            return Some((ConflictKind::Waw, obj.index(), word, seq));
-        }
+/// A `commit` event's payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct CommitWords {
+    pub read_words: u64,
+    pub write_words: u64,
+    pub allocs: u32,
+    pub frees: u32,
+}
+
+/// One task's recorded verdict.
+pub(crate) struct TaskRecord {
+    pub seq: u64,
+    /// Stream indices of the verdict and of its `commit` (the verdict's
+    /// own index while none followed).
+    pub events: [usize; 2],
+    /// Whether the task's `task_sets` preceded its verdict; `reads` and
+    /// `writes` are empty when not.
+    pub has_sets: bool,
+    pub reads: AccessSet,
+    pub writes: AccessSet,
+    pub claim: Claim,
+}
+
+/// One round: its `round_start` snapshot charge and its tasks in verdict
+/// order.
+pub(crate) struct Round {
+    pub snapshot_slots: u64,
+    pub tasks: Vec<TaskRecord>,
+}
+
+/// Parses a canonical set rendering — the crate's one reading of a
+/// `task_sets` payload.
+fn parse(s: &str) -> Result<AccessSet, String> {
+    let mut set = AccessSet::new();
+    for (obj, lo, hi) in parse_set(s)? {
+        set.insert(obj, lo, hi);
     }
-    None
+    Ok(set)
 }
 
-/// The validation charge the engine reports for a task that validated ok:
-/// each writer committed ahead of it in the round costs the smaller of
-/// that writer's write words and the task's own tracked words — what a
-/// scan of every earlier writer would compare, whatever scans ran.
-pub(crate) fn validate_charge<'a>(
-    reads: &AccessSet,
-    writes: &AccessSet,
-    committed: impl IntoIterator<Item = &'a AccessSet>,
-) -> u64 {
-    let tracked = reads.words() + writes.words();
-    committed
-        .into_iter()
-        .map(|cw| cw.words().min(tracked))
-        .sum()
-}
-
-/// Audits a trace against the isolation invariants. Returns every
-/// violation found (empty = clean). See the module docs for the checks.
-pub fn sanitize(events: &[Event], cfg: &SanitizeConfig) -> Vec<Violation> {
-    let mut v: Vec<Violation> = Vec::new();
-    let mut fail = |idx: usize, msg: String| {
-        v.push(Violation {
-            event: idx,
-            message: msg,
-        })
-    };
-
-    // Per-run state.
+/// Reads a stream's round grammar once: its rounds of task records, in
+/// stream order across run segments, and every structural defect at its
+/// event index. A verdict before any `round_start` opens a round of its
+/// own.
+pub(crate) fn read_rounds(events: &[Event]) -> (Vec<Round>, Vec<Violation>) {
+    let mut rounds: Vec<Round> = Vec::new();
+    let mut defects: Vec<Violation> = Vec::new();
+    let mut fail = |event: usize, message: String| defects.push(Violation { event, message });
+    // Per run segment: whether one is open, the next round number and the
+    // counts its `run_end` must match.
     let mut in_run = false;
-    let mut next_round: u64 = 0;
-    let mut run_attempts: u64 = 0;
-    let mut run_commits: u64 = 0;
-    let mut run_rounds: u64 = 0;
-    // Per-round state.
-    let mut committed: Vec<Committed> = Vec::new();
-    let mut last_verdict_seq: Option<u64> = None;
-    let mut first_failure: Option<u64> = None;
-    // The sets of the task about to receive its verdict.
+    let mut next_round = 0u64;
+    let (mut run_rounds, mut run_attempts, mut run_commits) = (0u64, 0u64, 0u64);
+    // Per round: the last verdict's task, and the parsed sets awaiting
+    // their verdict.
+    let mut last_verdict: Option<u64> = None;
     let mut pending: Option<(u64, AccessSet, AccessSet)> = None;
     let mut saw_sets = false;
 
     for (idx, ev) in events.iter().enumerate() {
-        // Any verdict event consumes the pending sets; other events must
-        // not interleave between task_sets and its verdict.
-        match ev {
-            Event::RoundStart { round, .. } => {
-                if pending.is_some() {
+        let (seq, claim) = match ev {
+            Event::ValidateOk {
+                seq,
+                validate_words,
+            } => (
+                *seq,
+                Claim::Ok {
+                    validate_words: *validate_words,
+                    commit: None,
+                },
+            ),
+            Event::ValidateConflict {
+                seq,
+                kind,
+                obj,
+                word,
+                winner_seq,
+            } => (
+                *seq,
+                Claim::Conflict {
+                    kind: *kind,
+                    obj: obj.index(),
+                    word: *word,
+                    winner: *winner_seq,
+                },
+            ),
+            Event::Squash { seq, by_seq } => (*seq, Claim::Squash { by: *by_seq }),
+            Event::RoundStart {
+                round,
+                snapshot_slots,
+                ..
+            } => {
+                if pending.take().is_some() {
                     fail(idx, "task_sets without a following verdict".into());
-                    pending = None;
                 }
                 if *round == 0 {
                     // New run segment (convergence loops run the engine
                     // repeatedly inside one probe).
                     in_run = true;
                     next_round = 0;
-                    run_attempts = 0;
-                    run_commits = 0;
-                    run_rounds = 0;
+                    (run_rounds, run_attempts, run_commits) = (0, 0, 0);
                 } else if !in_run || *round != next_round {
                     fail(
                         idx,
@@ -166,288 +195,316 @@ pub fn sanitize(events: &[Event], cfg: &SanitizeConfig) -> Vec<Violation> {
                 }
                 next_round += 1;
                 run_rounds += 1;
-                committed.clear();
-                last_verdict_seq = None;
-                first_failure = None;
+                last_verdict = None;
+                rounds.push(Round {
+                    snapshot_slots: *snapshot_slots,
+                    tasks: Vec::new(),
+                });
+                continue;
             }
-            Event::TaskStart { .. } => {}
             Event::TaskSets { seq, reads, writes } => {
                 saw_sets = true;
                 if pending.is_some() {
                     fail(idx, "task_sets without a following verdict".into());
                 }
-                let mut parse = |s: &str, what: &str| match parse_set(s) {
-                    Ok(ranges) => {
-                        let mut set = AccessSet::new();
-                        for (obj, lo, hi) in ranges {
-                            set.insert(obj, lo, hi);
-                        }
-                        Some(set)
-                    }
-                    Err(e) => {
-                        fail(idx, format!("unparseable {what} set: {e}"));
-                        None
-                    }
+                let mut parse_or_fail = |s: &str, what: &str| {
+                    parse(s)
+                        .map_err(|e| fail(idx, format!("unparseable {what} set: {e}")))
+                        .ok()
                 };
-                match (parse(reads, "read"), parse(writes, "write")) {
-                    (Some(r), Some(w)) => pending = Some((*seq, r, w)),
-                    _ => pending = None,
-                }
-            }
-            Event::ValidateOk { seq, .. }
-            | Event::ValidateConflict { seq, .. }
-            | Event::Squash { seq, .. } => {
-                run_attempts += 1;
-                if let Some(prev) = last_verdict_seq {
-                    if *seq <= prev {
-                        fail(
-                            idx,
-                            format!(
-                                "verdict for task {seq} after task {prev}: validation order must ascend within a round"
-                            ),
-                        );
-                    }
-                }
-                last_verdict_seq = Some(*seq);
-
-                let sets = match pending.take() {
-                    Some((pseq, r, w)) => {
-                        if pseq != *seq {
-                            fail(
-                                idx,
-                                format!(
-                                    "verdict for task {seq} but recorded sets are for task {pseq}"
-                                ),
-                            );
-                            None
-                        } else {
-                            Some((r, w))
-                        }
-                    }
-                    None => {
-                        if saw_sets && !matches!(ev, Event::Squash { .. }) {
-                            fail(idx, format!("no recorded sets for task {seq}"));
-                        }
-                        None
-                    }
+                pending = match (parse_or_fail(reads, "read"), parse_or_fail(writes, "write")) {
+                    (Some(r), Some(w)) => Some((*seq, r, w)),
+                    _ => None,
                 };
-
-                match ev {
-                    Event::ValidateOk { validate_words, .. } => {
-                        if let Some((r, w)) = &sets {
-                            let charge = validate_charge(r, w, committed.iter().map(|c| &c.writes));
-                            if *validate_words != charge {
-                                fail(
-                                    idx,
-                                    format!(
-                                        "task {seq} validate_ok claims {validate_words} validate words but its recorded sets charge {charge}"
-                                    ),
-                                );
-                            }
-                            if let Some((kind, obj, word, winner)) = recompute_conflict(
-                                cfg.conflict,
-                                r,
-                                w,
-                                committed.iter().map(|c| (c.seq, &c.writes)),
-                            ) {
-                                fail(
-                                    idx,
-                                    format!(
-                                        "task {seq} validated ok but its sets conflict ({kind}) with committed task {winner} at obj {obj} word {word}"
-                                    ),
-                                );
-                            }
-                        }
-                        if first_failure.is_some() && cfg.order == CommitOrder::InOrder {
-                            fail(
-                                idx,
-                                format!(
-                                    "task {seq} validated after an in-order failure: it must have been squashed"
-                                ),
-                            );
-                        }
-                        // Remember the write set; the Commit event that
-                        // must follow carries the word counts.
-                        if let Some((_, w)) = sets {
-                            committed.push(Committed {
-                                seq: *seq,
-                                writes: w,
-                            });
-                        } else {
-                            committed.push(Committed {
-                                seq: *seq,
-                                writes: AccessSet::new(),
-                            });
-                        }
-                    }
-                    Event::ValidateConflict {
-                        kind,
-                        obj,
-                        word,
-                        winner_seq,
-                        ..
-                    } => {
-                        first_failure.get_or_insert(*seq);
-                        if let Some((r, w)) = &sets {
-                            match recompute_conflict(
-                                cfg.conflict,
-                                r,
-                                w,
-                                committed.iter().map(|c| (c.seq, &c.writes)),
-                            ) {
-                                None => fail(
-                                    idx,
-                                    format!(
-                                        "task {seq} reported a conflict but its sets are disjoint from every committed writer"
-                                    ),
-                                ),
-                                Some((k, o, wd, win)) => {
-                                    if (k, o, wd, win) != (*kind, obj.index(), *word, *winner_seq) {
-                                        fail(
-                                            idx,
-                                            format!(
-                                                "task {seq} conflict attribution mismatch: trace says {} obj {} word {} winner {}, sets say {} obj {} word {} winner {}",
-                                                kind.as_str(), obj.index(), word, winner_seq,
-                                                k.as_str(), o, wd, win
-                                            ),
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Event::Squash { by_seq, .. } => {
-                        if cfg.order != CommitOrder::InOrder {
-                            fail(
-                                idx,
-                                format!("task {seq} squashed under out-of-order commit"),
-                            );
-                        }
-                        match first_failure {
-                            None => fail(
-                                idx,
-                                format!("task {seq} squashed with no earlier failure in the round"),
-                            ),
-                            Some(f) => {
-                                if *by_seq != f {
-                                    fail(
-                                        idx,
-                                        format!(
-                                            "task {seq} squashed by {by_seq}, but the round's first failure was {f}"
-                                        ),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    _ => unreachable!(),
-                }
+                continue;
             }
             Event::Commit {
                 seq,
                 read_words,
                 write_words,
-                ..
+                allocs,
+                frees,
             } => {
                 run_commits += 1;
-                match committed.last() {
-                    Some(c) if c.seq == *seq => {
-                        if saw_sets {
-                            let w = c.writes.words();
-                            if w != *write_words {
-                                fail(
-                                    idx,
-                                    format!(
-                                        "task {seq} commit claims {write_words} write words but its recorded set has {w}"
-                                    ),
-                                );
-                            }
-                            // Read words are only recorded under
-                            // read-tracking policies; recorded reads are
-                            // empty otherwise and both sides agree on 0.
-                            let _ = read_words;
-                        }
-                        // Disjointness under write-checking policies: the
-                        // new writer must not overlap any earlier one.
-                        if matches!(cfg.conflict, ConflictPolicy::Full | ConflictPolicy::Waw) {
-                            for earlier in &committed[..committed.len() - 1] {
-                                if let Some((obj, word)) = c.writes.first_overlap(&earlier.writes) {
-                                    fail(
-                                        idx,
-                                        format!(
-                                            "committed write sets overlap: tasks {} and {} both wrote obj {} word {}",
-                                            earlier.seq,
-                                            seq,
-                                            obj.index(),
-                                            word
-                                        ),
-                                    );
-                                }
-                            }
-                        }
+                // The round's last validated-ok task must be this one, and
+                // not yet committed.
+                let open = rounds
+                    .last_mut()
+                    .and_then(|r| {
+                        r.tasks
+                            .iter_mut()
+                            .rev()
+                            .find(|t| matches!(t.claim, Claim::Ok { .. }))
+                    })
+                    .filter(|t| t.seq == *seq);
+                match open {
+                    Some(TaskRecord {
+                        events,
+                        claim:
+                            Claim::Ok {
+                                commit: c @ None, ..
+                            },
+                        ..
+                    }) => {
+                        *c = Some(CommitWords {
+                            read_words: *read_words,
+                            write_words: *write_words,
+                            allocs: *allocs,
+                            frees: *frees,
+                        });
+                        events[1] = idx;
                     }
                     _ => fail(
                         idx,
                         format!("commit for task {seq} without a preceding validate_ok"),
                     ),
                 }
+                continue;
             }
-            Event::ReductionMerge { .. } => {}
             Event::Oom { .. } | Event::Crash { .. } | Event::WorkBudgetExceeded { .. } => {
                 // Abnormal termination: the run ends here; drop any
                 // half-recorded task.
                 pending = None;
                 in_run = false;
+                continue;
             }
-            // Phase-profile entries land after a round's verdicts and carry
-            // no isolation evidence; probe brackets are outside rounds.
-            // Ticket lifecycle events mirror the task events the sanitizer
-            // already checks (issue ↔ task_start, validate ↔ commit,
-            // requeue ↔ conflict/squash) and carry no access sets.
-            Event::PhaseProfile { .. }
-            | Event::TicketIssued { .. }
-            | Event::TicketValidated { .. }
-            | Event::TicketRequeued { .. }
-            | Event::ProbeStart { .. }
-            | Event::ProbeOutcome { .. } => {}
             Event::RunEnd {
-                rounds,
+                rounds: claimed_rounds,
                 attempts,
-                committed: run_committed,
+                committed,
             } => {
-                if pending.is_some() {
+                if pending.take().is_some() {
                     fail(idx, "task_sets without a following verdict".into());
-                    pending = None;
                 }
                 if in_run {
-                    if *rounds != run_rounds {
-                        fail(
-                            idx,
-                            format!("run_end claims {rounds} rounds, replay counted {run_rounds}"),
-                        );
-                    }
-                    if *attempts != run_attempts {
-                        fail(
-                            idx,
-                            format!(
-                                "run_end claims {attempts} attempts, replay counted {run_attempts}"
-                            ),
-                        );
-                    }
-                    if *run_committed != run_commits {
-                        fail(
-                            idx,
-                            format!(
-                                "run_end claims {run_committed} commits, replay counted {run_commits}"
-                            ),
-                        );
+                    for (what, claimed, counted) in [
+                        ("rounds", *claimed_rounds, run_rounds),
+                        ("attempts", *attempts, run_attempts),
+                        ("commits", *committed, run_commits),
+                    ] {
+                        if claimed != counted {
+                            fail(
+                                idx,
+                                format!(
+                                    "run_end claims {claimed} {what}, replay counted {counted}"
+                                ),
+                            );
+                        }
                     }
                 }
                 in_run = false;
+                continue;
+            }
+            // Task starts and reduction merges carry no isolation
+            // evidence, phase-profile entries land after a round's
+            // verdicts, and probe brackets are outside rounds.
+            Event::TaskStart { .. }
+            | Event::ReductionMerge { .. }
+            | Event::PhaseProfile { .. }
+            | Event::ProbeStart { .. }
+            | Event::ProbeOutcome { .. } => continue,
+        };
+
+        run_attempts += 1;
+        if let Some(prev) = last_verdict.filter(|&prev| seq <= prev) {
+            fail(
+                idx,
+                format!(
+                    "verdict for task {seq} after task {prev}: validation order must ascend within a round"
+                ),
+            );
+        }
+        last_verdict = Some(seq);
+        let sets = match pending.take() {
+            Some((pseq, reads, writes)) if pseq == seq => Some((reads, writes)),
+            Some((pseq, ..)) => {
+                fail(
+                    idx,
+                    format!("verdict for task {seq} but recorded sets are for task {pseq}"),
+                );
+                None
+            }
+            None => {
+                // The engine may squash a task whose sets were never
+                // tracked.
+                if saw_sets && !matches!(claim, Claim::Squash { .. }) {
+                    fail(idx, format!("no recorded sets for task {seq}"));
+                }
+                None
+            }
+        };
+        let has_sets = sets.is_some();
+        let (reads, writes) = sets.unwrap_or_default();
+        let task = TaskRecord {
+            seq,
+            events: [idx; 2],
+            has_sets,
+            reads,
+            writes,
+            claim,
+        };
+        match rounds.last_mut() {
+            Some(round) => round.tasks.push(task),
+            None => rounds.push(Round {
+                snapshot_slots: 0,
+                tasks: vec![task],
+            }),
+        }
+    }
+    (rounds, defects)
+}
+
+/// Audits one round's claims in commit order — `(seq, record, claim)`,
+/// the claim as recorded or as the checker re-sequenced it — against what
+/// [`derive`] gives each record's sets, reporting every violation at the
+/// record's event index.
+pub(crate) fn audit_round<'a>(
+    cfg: &SanitizeConfig,
+    claims: impl IntoIterator<Item = (u64, &'a TaskRecord, &'a Claim)>,
+    fail: &mut dyn FnMut(usize, String),
+) {
+    let in_order = cfg.order == CommitOrder::InOrder;
+    let write_checked = matches!(cfg.conflict, ConflictPolicy::Full | ConflictPolicy::Waw);
+    let mut committed: Vec<(u64, &AccessSet)> = Vec::new();
+    let mut first_failure: Option<u64> = None;
+    for (seq, t, claim) in claims {
+        let [verdict, commit_event] = t.events;
+        let derived = t
+            .has_sets
+            .then(|| derive(cfg.conflict, &t.reads, &t.writes, &committed));
+        match *claim {
+            Claim::Ok {
+                validate_words,
+                commit,
+            } => {
+                if let Some(d) = &derived {
+                    if validate_words != d.charge {
+                        fail(
+                            verdict,
+                            format!(
+                                "task {seq} validate_ok claims {validate_words} validate words but its recorded sets charge {}",
+                                d.charge
+                            ),
+                        );
+                    }
+                    if let Some((kind, obj, word, winner)) = d.conflict {
+                        fail(
+                            verdict,
+                            format!(
+                                "task {seq} validated ok but its sets conflict ({kind}) with committed task {winner} at obj {obj} word {word}"
+                            ),
+                        );
+                    }
+                }
+                if first_failure.is_some() && in_order {
+                    fail(
+                        verdict,
+                        format!(
+                            "task {seq} validated after an in-order failure: it must have been squashed"
+                        ),
+                    );
+                }
+                if let Some(c) = commit {
+                    // Read words are only recorded under read-tracking
+                    // policies; recorded reads are empty otherwise and
+                    // both sides agree on 0.
+                    let w = t.writes.words();
+                    if t.has_sets && c.write_words != w {
+                        fail(
+                            commit_event,
+                            format!(
+                                "task {seq} commit claims {} write words but its recorded set has {w}",
+                                c.write_words
+                            ),
+                        );
+                    }
+                    // Disjointness under write-checking policies: the new
+                    // writer must not overlap any earlier one.
+                    if write_checked {
+                        for &(earlier, ew) in &committed {
+                            if let Some((obj, word)) = t.writes.first_overlap(ew) {
+                                fail(
+                                    commit_event,
+                                    format!(
+                                        "committed write sets overlap: tasks {earlier} and {seq} both wrote obj {} word {word}",
+                                        obj.index()
+                                    ),
+                                );
+                            }
+                        }
+                    }
+                }
+                committed.push((seq, &t.writes));
+            }
+            Claim::Conflict {
+                kind,
+                obj,
+                word,
+                winner,
+            } => {
+                first_failure.get_or_insert(seq);
+                match derived.map(|d| d.conflict) {
+                    Some(None) => fail(
+                        verdict,
+                        format!(
+                            "task {seq} reported a conflict but its sets are disjoint from every committed writer"
+                        ),
+                    ),
+                    Some(Some((k, o, wd, win))) if (k, o, wd, win) != (kind, obj, word, winner) => {
+                        fail(
+                            verdict,
+                            format!(
+                                "task {seq} conflict attribution mismatch: trace says {} obj {obj} word {word} winner {winner}, sets say {} obj {o} word {wd} winner {win}",
+                                kind.as_str(),
+                                k.as_str()
+                            ),
+                        )
+                    }
+                    _ => {}
+                }
+            }
+            Claim::Squash { by } => {
+                if !in_order {
+                    fail(
+                        verdict,
+                        format!("task {seq} squashed under out-of-order commit"),
+                    );
+                }
+                match first_failure {
+                    None => fail(
+                        verdict,
+                        format!("task {seq} squashed with no earlier failure in the round"),
+                    ),
+                    Some(f) if by != f => fail(
+                        verdict,
+                        format!(
+                            "task {seq} squashed by {by}, but the round's first failure was {f}"
+                        ),
+                    ),
+                    Some(_) => {}
+                }
             }
         }
     }
-    v
+}
+
+/// Audits a trace against the isolation invariants. Returns every
+/// violation found (empty = clean) in stream order. See the module docs
+/// for the checks.
+pub fn sanitize(events: &[Event], cfg: &SanitizeConfig) -> Vec<Violation> {
+    let (rounds, mut violations) = read_rounds(events);
+    let mut fail = |event: usize, message: String| violations.push(Violation { event, message });
+    for round in &rounds {
+        audit_round(
+            cfg,
+            round.tasks.iter().map(|t| (t.seq, t, &t.claim)),
+            &mut fail,
+        );
+    }
+    // A stable sort: where a structural defect and an audit finding name
+    // one event, the defect comes first.
+    violations.sort_by_key(|v| v.event);
+    violations
 }
 
 #[cfg(test)]
@@ -672,5 +729,143 @@ mod tests {
             message: "boom".into(),
         });
         assert_eq!(sanitize(&evs, &cfg_stale()), vec![]);
+    }
+
+    // The reader, one structural defect per stream, each reported once at
+    // its event.
+
+    fn start(round: u64) -> Event {
+        Event::RoundStart {
+            round,
+            tasks: 1,
+            snapshot_slots: 0,
+        }
+    }
+
+    fn sets(seq: u64) -> Event {
+        Event::TaskSets {
+            seq,
+            reads: String::new(),
+            writes: format!("1:{}-{}", 4 * seq, 4 * seq + 4),
+        }
+    }
+
+    fn ok(seq: u64) -> Event {
+        Event::ValidateOk {
+            seq,
+            validate_words: 0,
+        }
+    }
+
+    fn defects(evs: &[Event]) -> Vec<(usize, String)> {
+        let (_, defects) = read_rounds(evs);
+        defects.into_iter().map(|v| (v.event, v.message)).collect()
+    }
+
+    fn defect(event: usize, message: &str) -> Vec<(usize, String)> {
+        vec![(event, message.to_owned())]
+    }
+
+    #[test]
+    fn reader_reports_a_round_out_of_order() {
+        assert_eq!(
+            defects(&[start(0), start(2)]),
+            defect(1, "round 2 out of order (expected 1)")
+        );
+    }
+
+    #[test]
+    fn reader_reports_task_sets_without_a_verdict() {
+        assert_eq!(
+            defects(&[start(0), sets(0), sets(1), ok(1)]),
+            defect(2, "task_sets without a following verdict")
+        );
+    }
+
+    #[test]
+    fn reader_reports_a_verdict_for_another_tasks_sets() {
+        assert_eq!(
+            defects(&[start(0), sets(0), ok(1)]),
+            defect(2, "verdict for task 1 but recorded sets are for task 0")
+        );
+    }
+
+    #[test]
+    fn reader_reports_a_descending_verdict() {
+        assert_eq!(
+            defects(&[start(0), ok(1), ok(0)]),
+            defect(
+                2,
+                "verdict for task 0 after task 1: validation order must ascend within a round"
+            )
+        );
+    }
+
+    #[test]
+    fn reader_reports_a_commit_without_validate_ok() {
+        let commit = Event::Commit {
+            seq: 1,
+            read_words: 0,
+            write_words: 4,
+            allocs: 0,
+            frees: 0,
+        };
+        assert_eq!(
+            defects(&[start(0), sets(0), ok(0), commit]),
+            defect(3, "commit for task 1 without a preceding validate_ok")
+        );
+    }
+
+    #[test]
+    fn reader_reports_run_end_counters_off() {
+        let run_end = Event::RunEnd {
+            rounds: 1,
+            attempts: 2,
+            committed: 0,
+        };
+        assert_eq!(
+            defects(&[start(0), ok(0), run_end]),
+            defect(2, "run_end claims 2 attempts, replay counted 1")
+        );
+    }
+
+    #[test]
+    fn reader_reports_a_verdict_without_sets_once_sets_are_recorded() {
+        assert_eq!(
+            defects(&[start(0), sets(0), ok(0), ok(1)]),
+            defect(3, "no recorded sets for task 1")
+        );
+        // Before any task_sets the trace simply carries none.
+        assert_eq!(defects(&[start(0), ok(0), ok(1)]), vec![]);
+    }
+
+    #[test]
+    fn reader_parses_each_tasks_sets_once() {
+        let (rounds, defects) = read_rounds(&ok_trace());
+        assert!(defects.is_empty());
+        let [round] = &rounds[..] else {
+            panic!("one round")
+        };
+        let tasks: Vec<_> = round
+            .tasks
+            .iter()
+            .map(|t| (t.seq, t.events, t.has_sets, t.writes.words(), t.claim))
+            .collect();
+        let claim = |validate_words| Claim::Ok {
+            validate_words,
+            commit: Some(CommitWords {
+                read_words: 0,
+                write_words: 4,
+                allocs: 0,
+                frees: 0,
+            }),
+        };
+        assert_eq!(
+            tasks,
+            [
+                (0, [2, 3], true, 4, claim(0)),
+                (1, [5, 6], true, 4, claim(4))
+            ]
+        );
     }
 }

@@ -43,9 +43,6 @@ commands:
                      phase_profile events) and print the hotspot table
         --threaded   drive rounds on the worker pool's threads instead of
                      the sequential simulation (identical traces)
-        --tickets    emit ticket-lifecycle events (ticket_issued /
-                     ticket_validated / ticket_requeued); off by default so
-                     hashes match previous releases
   deps [workload]
       the workload's dependence summary (per-location edges with
       iteration distances), its Table 3 Dep cell and the static
@@ -76,10 +73,10 @@ commands:
         --profile    record per-round phase_profile cost-unit events
   replay <journal>
       re-execute the journal under its recorded configuration and verify
-      the fresh stream is byte-identical; on mismatch, bisect to the first
-      divergent round/event and print a structured diff (exit 1)
+      the fresh stream is byte-identical; on mismatch, print the first
+      divergent round/event as a structured diff (exit 1)
   diff <journal-a> <journal-b>
-      bisect two journals against each other (exit 1 when they fork)
+      compare two journals event by event (exit 1 when they fork)
   profile <workload|all> [annotation]
       run with the phase profiler and print the sorted hotspot table
         --workers N  worker count (default 4)
@@ -107,7 +104,7 @@ const RING_CAPACITY: usize = 1 << 20;
 
 /// Every flag any subcommand takes, with what its value must be (`None`
 /// for a switch).
-const FLAGS: [(&str, Option<&str>); 14] = [
+const FLAGS: [(&str, Option<&str>); 13] = [
     ("--workers", Some(INTEGER)),
     ("--chunk", Some(INTEGER)),
     ("--max-schedules", Some(INTEGER)),
@@ -118,7 +115,6 @@ const FLAGS: [(&str, Option<&str>); 14] = [
     ("--twice", None),
     ("--profile", None),
     ("--threaded", None),
-    ("--tickets", None),
     ("--sets", None),
     ("--folded", None),
     ("--quick", None),
@@ -160,7 +156,6 @@ const COMMANDS: [Command; 13] = [
             "--twice",
             "--profile",
             "--threaded",
-            "--tickets",
         ],
     },
     Command {
@@ -437,7 +432,7 @@ mod tests {
             ("list", Ok(())),
             ("trace k-means best --jsonl", Ok(())),
             (
-                "trace sg3d --workers 1 --chunk 1 --twice --profile --threaded --tickets",
+                "trace sg3d --workers 1 --chunk 1 --twice --profile --threaded",
                 Ok(()),
             ),
             ("deps", Ok(())),
@@ -449,8 +444,10 @@ mod tests {
             ("profile all --folded --workers 2", Ok(())),
             ("figures --quick", Ok(())),
             ("baselines", Ok(())),
-            // Unknown flags, including the deleted `--json` / `--analysis`.
+            // Unknown flags, including the deleted `--json` / `--analysis`
+            // / `--tickets`.
             ("trace genome --bogus", Err("unknown flag --bogus")),
+            ("trace genome --tickets", Err("unknown flag --tickets")),
             ("record genome --json x.json", Err("unknown flag --json")),
             ("lint --analysis A.json", Err("unknown flag --analysis")),
             // A flag another subcommand takes.

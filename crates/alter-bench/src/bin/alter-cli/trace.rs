@@ -166,27 +166,15 @@ pub fn trace(a: &Args) -> Result<bool, String> {
         probe.chunk = chunk;
     }
     probe.threaded = a.has("--threaded");
-    probe.trace_tickets = a.has("--tickets");
     probe.profile_phases = a.has("--profile");
 
-    let mut notes = Vec::new();
-    if probe.threaded {
-        notes.push("threaded");
-    }
-    if probe.trace_tickets {
-        notes.push("ticket events");
-    }
     println!(
         "{} under [{}], {} worker(s), chunk {}{}",
         bench.name(),
         probe.describe(),
         probe.workers,
         probe.chunk,
-        if notes.is_empty() {
-            String::new()
-        } else {
-            format!(" ({})", notes.join("; "))
-        }
+        if probe.threaded { " (threaded)" } else { "" }
     );
     let (events, verdict, stats) = traced(bench.as_ref(), &probe)?;
     println!("{verdict}");

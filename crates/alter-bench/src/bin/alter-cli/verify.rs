@@ -12,10 +12,10 @@
 //! * `check` quantifies over the schedule *space*: per round it
 //!   enumerates the commit orders the ticket sequencer could legally have
 //!   produced, prunes Mazurkiewicz-equivalent ones by access-set
-//!   commutativity ([`alter_analyze::check`]) and re-runs the sanitizer
-//!   as the per-schedule oracle. An unsound schedule comes with the
-//!   bisected divergence and, with `--cex`, a pair of standalone journals
-//!   `diff` renders.
+//!   commutativity ([`alter_analyze::check`]) and audits each against the
+//!   sanitizer's verdict oracle. An unsound schedule comes with its
+//!   divergence and, with `--cex`, a pair of standalone journals `diff`
+//!   renders.
 
 use crate::replay::{journal_probe, load_journal};
 use crate::{probe_for, record_run, select, Args};
@@ -235,7 +235,7 @@ fn print_summary(r: &CheckedRun) {
 }
 
 /// Packages a counterexample's synthesized streams as standalone journals
-/// so `diff` bisects and renders the divergence.
+/// so `diff` finds and renders the divergence.
 fn write_counterexample(r: &CheckedRun, prefix: &str) -> Result<(), String> {
     let Some(u) = r.report.unsound.first() else {
         return Ok(());

@@ -75,10 +75,6 @@ pub struct Heap {
     version: u64,
     /// Slots freed by sequential code, reusable by sequential allocation.
     free: Vec<u32>,
-    /// Monotonic snapshot epoch: bumped once per round snapshot. The
-    /// engine stamps every ticket with the epoch it executes against; a
-    /// re-queued ticket gets the next (fresh) epoch.
-    epoch: u64,
     /// [`SnapshotStats::slots_copied`] accumulating for the next round
     /// snapshot.
     slots_copied: u64,
@@ -179,8 +175,8 @@ impl Heap {
     }
 
     /// Takes a consistent snapshot of the committed state: one `Arc` clone
-    /// of the page table's root. Leaves the snapshot epoch alone; the
-    /// engine's rounds use [`Heap::snapshot_incremental`].
+    /// of the page table's root. The engine's rounds use
+    /// [`Heap::snapshot_incremental`].
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             table: Arc::clone(&self.table),
@@ -189,19 +185,9 @@ impl Heap {
         }
     }
 
-    /// The current snapshot epoch: how many round snapshots this heap has
-    /// issued. Monotonic across engine runs on the same heap (convergence
-    /// loops drive the engine repeatedly), so an epoch names one snapshot
-    /// globally, not just within a run.
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Takes a round snapshot: [`Heap::snapshot`] plus a bump of the
-    /// snapshot epoch, reporting the slots path-copied since the previous
-    /// round snapshot.
+    /// Takes a round snapshot: [`Heap::snapshot`], reporting the slots
+    /// path-copied since the previous round snapshot.
     pub fn snapshot_incremental(&mut self) -> (Snapshot, SnapshotStats) {
-        self.epoch += 1;
         let stats = SnapshotStats {
             slots_copied: std::mem::take(&mut self.slots_copied),
         };
@@ -517,23 +503,6 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(h.live_words(), 3);
-    }
-
-    #[test]
-    fn snapshot_epoch_is_monotonic_across_round_snapshots() {
-        let mut h = Heap::new();
-        let _ = h.alloc(ObjData::scalar_i64(1));
-        assert_eq!(h.snapshot_epoch(), 0);
-        // Every round snapshot advances the epoch…
-        let _ = h.snapshot_incremental();
-        assert_eq!(h.snapshot_epoch(), 1);
-        let _ = h.snapshot_incremental();
-        assert_eq!(h.snapshot_epoch(), 2);
-        // …a plain one-shot snapshot does not.
-        let _ = h.snapshot();
-        assert_eq!(h.snapshot_epoch(), 2);
-        let _ = h.snapshot_incremental();
-        assert_eq!(h.snapshot_epoch(), 3);
     }
 
     /// A commit of words `1..3` of `id` (a partial range, so the payload is

@@ -32,14 +32,12 @@ pub struct InferConfig {
     /// Structured-event sink. Each probe is bracketed by
     /// `ProbeStart`/`ProbeOutcome` events and its engine run emits into the
     /// same recorder, so a trace shows each candidate annotation followed
-    /// by exactly what its execution did.
+    /// by exactly what its execution did. While one is enabled the probes
+    /// run one after another, because their event streams would otherwise
+    /// interleave; without one they run concurrently through a
+    /// [`WorkerPool`], and since each probe owns its heap and its seeded
+    /// inputs the report is the same either way.
     pub recorder: Option<Arc<dyn Recorder>>,
-    /// Run independent probes concurrently through a [`WorkerPool`] (on by
-    /// default). Each probe owns its heap and its seeded inputs, so the
-    /// report is identical to the serial schedule; probing falls back to
-    /// serial automatically while a recorder is enabled, because the probes'
-    /// event streams would otherwise interleave.
-    pub concurrent_probes: bool,
     /// Consult the static analyzer before each probe and skip candidates it
     /// proves must fail (on by default). Pruning never changes which
     /// annotations are reported valid — the analyzer's verdicts are
@@ -72,7 +70,6 @@ impl std::fmt::Debug for InferConfig {
             .field("high_conflict_threshold", &self.high_conflict_threshold)
             .field("budget_words", &self.budget_words)
             .field("recorder", &self.recorder.as_ref().map(|r| r.is_enabled()))
-            .field("concurrent_probes", &self.concurrent_probes)
             .field("prune", &self.prune)
             .field("static_prune", &self.static_prune)
             .field("profile_phases", &self.profile_phases)
@@ -89,7 +86,6 @@ impl Default for InferConfig {
             high_conflict_threshold: 0.5,
             budget_words: 1 << 22, // 4M words = 32 MiB of tracked state
             recorder: None,
-            concurrent_probes: true,
             prune: true,
             static_prune: true,
             profile_phases: false,
@@ -264,12 +260,12 @@ fn sequential_cost(target: &dyn InferTarget, cfg: &InferConfig) -> u64 {
 }
 
 /// Runs a batch of independent probes and returns their outcomes in probe
-/// order. Serial when so configured, when the batch is trivial, or when a
-/// recorder is enabled (each probe's engine run writes to the shared
-/// recorder, and concurrency would interleave the event streams);
-/// otherwise the probes are handed to a [`WorkerPool`] in rounds, job *i*
-/// on worker *i*, so the outcome vector — and everything derived from it —
-/// is byte-identical to the serial schedule.
+/// order. Serial when the batch is trivial or when a recorder is enabled
+/// (each probe's engine run writes to the shared recorder, and concurrency
+/// would interleave the event streams); otherwise the probes are handed to
+/// a [`WorkerPool`] in rounds, job *i* on worker *i*, so the outcome vector
+/// — and everything derived from it — is byte-identical to the serial
+/// schedule.
 fn run_probes(
     target: &(dyn InferTarget + Sync),
     reference: &ProgramOutput,
@@ -277,9 +273,7 @@ fn run_probes(
     cfg: &InferConfig,
     probe_index: &AtomicU64,
 ) -> Vec<Outcome> {
-    let serial = !cfg.concurrent_probes
-        || probes.len() <= 1
-        || cfg.recorder.as_deref().is_some_and(|r| r.is_enabled());
+    let serial = probes.len() <= 1 || cfg.recorder.as_deref().is_some_and(|r| r.is_enabled());
     if serial {
         return probes
             .iter()

@@ -286,21 +286,16 @@ mod tests {
     #[test]
     fn serial_and_concurrent_probes_yield_identical_reports() {
         // SumToy exercises the full pipeline: three model probes plus the
-        // bounded reduction search (2 models × 6 operators).
+        // bounded reduction search (2 models × 6 operators). An enabled
+        // recorder makes the probes run one after another.
         let serial = infer(
             &SumToy,
             &InferConfig {
-                concurrent_probes: false,
+                recorder: Some(std::sync::Arc::new(alter_trace::RingRecorder::default())),
                 ..Default::default()
             },
         );
-        let concurrent = infer(
-            &SumToy,
-            &InferConfig {
-                concurrent_probes: true,
-                ..Default::default()
-            },
-        );
+        let concurrent = infer(&SumToy, &InferConfig::default());
         assert_eq!(serial, concurrent);
         assert!(!concurrent.reductions.is_empty(), "search actually ran");
     }

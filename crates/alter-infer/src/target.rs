@@ -96,11 +96,6 @@ pub struct Probe {
     /// simulation of the workers. Either driver yields byte-identical
     /// traces; threading only changes wall-clock time.
     pub threaded: bool,
-    /// Whether the engine emits ticket-lifecycle events
-    /// (`ticket_issued`/`ticket_validated`/`ticket_requeued`). Off by
-    /// default so recorded traces stay byte-identical to previous releases;
-    /// when on, both drivers emit the identical event stream.
-    pub trace_tickets: bool,
     /// Whether the engine records each task's full tracked read/write sets
     /// into the trace (`task_sets` events) for the isolation sanitizer.
     /// Off by default: the payloads are large and recorded traces stay
@@ -127,7 +122,6 @@ impl std::fmt::Debug for Probe {
             .field("work_budget", &self.work_budget)
             .field("recorder", &self.recorder.as_ref().map(|r| r.is_enabled()))
             .field("threaded", &self.threaded)
-            .field("trace_tickets", &self.trace_tickets)
             .field("record_sets", &self.record_sets)
             .field("profile_phases", &self.profile_phases)
             .field("wall_profile", &self.wall_profile.is_some())
@@ -148,7 +142,6 @@ impl Probe {
             work_budget: None,
             recorder: None,
             threaded: false,
-            trace_tickets: false,
             record_sets: false,
             profile_phases: false,
             wall_profile: None,
@@ -180,7 +173,6 @@ impl Probe {
         p.budget_words = self.budget_words;
         p.work_budget = self.work_budget;
         p.recorder = self.recorder.clone();
-        p.trace_tickets = self.trace_tickets;
         p.record_sets = self.record_sets;
         p.profile_phases = self.profile_phases;
         p.wall_profile = self.wall_profile.clone();

@@ -205,9 +205,9 @@ pub struct RunStats {
     /// `tickets_issued + tickets_requeued == attempts`. Both drivers share
     /// the one sequencer, so the counter is identical under either.
     pub tickets_issued: u64,
-    /// Re-queue occurrences: tickets sent back to the sequencer with a
-    /// fresh snapshot epoch after failing validation or being squashed by
-    /// an earlier in-order failure. Decided by the one coordinator both
+    /// Re-queue occurrences: tickets sent back to the sequencer, to
+    /// re-execute against the next round's snapshot, after failing
+    /// validation or being squashed by an earlier in-order failure. Decided by the one coordinator both
     /// drivers serve, so identical under either.
     pub tickets_requeued: u64,
     /// Deterministic cost units charged to each engine phase (the phase
@@ -379,9 +379,6 @@ struct Ticket {
     /// Program-order chunk sequence number — assigned once at issue time
     /// and kept across re-queues (validation order is `seq` order).
     seq: u64,
-    /// Snapshot epoch the ticket executes against, re-stamped each round:
-    /// a re-queued ticket always re-executes against a fresh epoch.
-    epoch: u64,
     /// Iterations in the chunk.
     iters: Vec<u64>,
 }
@@ -398,9 +395,7 @@ struct Sequencer {
 impl Sequencer {
     /// Assembles the next round: re-queued tickets first (already in
     /// ascending `seq` order), then fresh chunks up to the worker count.
-    /// Returns the round's tickets plus how many were freshly issued;
-    /// snapshot epochs are stamped by the caller once the round snapshot
-    /// exists.
+    /// Returns the round's tickets plus how many were freshly issued.
     fn next_round(&mut self, space: &mut dyn IterSpace, params: &ExecParams) -> (Vec<Ticket>, u64) {
         let mut tickets: Vec<Ticket> = self.retry.drain(..).collect();
         let mut fresh = 0;
@@ -411,7 +406,6 @@ impl Sequencer {
             }
             tickets.push(Ticket {
                 seq: self.next_seq,
-                epoch: 0,
                 iters,
             });
             self.next_seq += 1;
@@ -810,7 +804,7 @@ impl<'a> Coordinator<'a> {
     /// snapshot and announces it. `None` once the space is exhausted and
     /// nothing is left to retry.
     fn begin_round(&mut self, space: &mut dyn IterSpace) -> Option<RoundInput> {
-        let (mut tickets, fresh) = self.sequencer.next_round(space, self.params);
+        let (tickets, fresh) = self.sequencer.next_round(space, self.params);
         if tickets.is_empty() {
             return None;
         }
@@ -820,14 +814,6 @@ impl<'a> Coordinator<'a> {
         let heap = &mut *self.heap;
         let (snap, snap_stats) = timed(self.wall, Phase::Snapshot, || heap.snapshot_incremental());
         self.stats.snapshot_slots_copied += snap_stats.slots_copied;
-        // The snapshot bumped the heap's monotonic snapshot epoch; stamp it
-        // onto the round's tickets. A re-queued ticket is re-stamped here —
-        // it re-executes against the fresh epoch its `TicketRequeued` event
-        // promised.
-        let epoch = self.heap.snapshot_epoch();
-        for t in &mut tickets {
-            t.epoch = epoch;
-        }
         // Snapshot cost is the trace's `snapshot_slots` figure (one charge
         // per slot in the round's view), deliberately not `slots_copied`,
         // which depends on what views the caller held across writes before
@@ -851,13 +837,6 @@ impl<'a> Coordinator<'a> {
                     worker: worker as u32,
                     iters: task.iters.len() as u32,
                 });
-                if self.params.trace_tickets {
-                    rec.record(Event::TicketIssued {
-                        seq: task.seq,
-                        epoch: task.epoch,
-                        iters: task.iters.len() as u32,
-                    });
-                }
             }
         }
         Some(RoundInput {
@@ -966,14 +945,6 @@ impl<'a> Coordinator<'a> {
                     by_seq: by_seq.expect("a ticket is re-queued for a conflict or a squash"),
                 },
             });
-            if self.params.trace_tickets {
-                // The re-queue executes against the next round's snapshot —
-                // announce the fresh epoch it will get.
-                rec.record(Event::TicketRequeued {
-                    seq: task.seq,
-                    epoch: task.epoch + 1,
-                });
-            }
         }
         if conflict.is_some() && self.params.order == CommitOrder::InOrder {
             self.squashed_by = Some(task.seq);
@@ -1008,12 +979,6 @@ impl<'a> Coordinator<'a> {
                 allocs: effects.allocs.len() as u32,
                 frees: effects.frees.len() as u32,
             });
-            if self.params.trace_tickets {
-                rec.record(Event::TicketValidated {
-                    seq: task.seq,
-                    epoch: task.epoch,
-                });
-            }
         }
         // A type-mismatched reduction (e.g. a boolean operator on a float
         // variable) is an invalid annotation; report it as a crash of the

@@ -128,13 +128,6 @@ pub struct ExecParams {
     /// adds elapsed seconds per phase. Lives outside the event stream (wall
     /// time is nondeterministic), so it never affects traces or hashes.
     pub wall_profile: Option<Arc<alter_trace::WallProfile>>,
-    /// Emit `TicketIssued`/`TicketValidated`/`TicketRequeued` lifecycle
-    /// events into the trace. Off by default so existing canonical traces
-    /// and their hashes are unchanged; when on, *every* driver emits the
-    /// identical ticket lifecycle at the identical points, so the events
-    /// never break cross-driver trace identity. No effect without a
-    /// recorder.
-    pub trace_tickets: bool,
 }
 
 impl std::fmt::Debug for ExecParams {
@@ -152,7 +145,6 @@ impl std::fmt::Debug for ExecParams {
             .field("record_sets", &self.record_sets)
             .field("profile_phases", &self.profile_phases)
             .field("wall_profile", &self.wall_profile.is_some())
-            .field("trace_tickets", &self.trace_tickets)
             .finish()
     }
 }
@@ -174,7 +166,6 @@ impl ExecParams {
             record_sets: false,
             profile_phases: false,
             wall_profile: None,
-            trace_tickets: false,
         }
     }
 
@@ -284,12 +275,6 @@ impl ExecParams {
     /// only; excluded from traces and hashes).
     pub fn with_wall_profile(mut self, wall: Arc<alter_trace::WallProfile>) -> Self {
         self.wall_profile = Some(wall);
-        self
-    }
-
-    /// Builder-style: emit ticket-lifecycle trace events (off by default).
-    pub fn with_trace_tickets(mut self, on: bool) -> Self {
-        self.trace_tickets = on;
         self
     }
 

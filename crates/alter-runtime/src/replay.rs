@@ -1,4 +1,4 @@
-//! Replay comparison and divergence bisection — the trace-level referee.
+//! Replay comparison and divergence — the trace-level referee.
 //!
 //! A recorded journal promises that re-executing its workload under its
 //! recorded configuration reproduces the event stream byte for byte
@@ -7,21 +7,18 @@
 //! journal) and the *actual* stream (from a fresh run), [`diverge_bisect`]
 //! either certifies identity or pinpoints the first divergent event.
 //!
-//! The search is hash-guided: one pass builds cumulative trace-hash
-//! prefixes for both streams, then a binary search over the expected
-//! stream's round boundaries finds the first round whose hash prefix
-//! forks — O(log rounds) boundary probes instead of comparing every event
-//! of every round — and a linear scan inside that one round lands on the
-//! exact event. The result is a structured [`Divergence`]: expected vs.
-//! actual event, the divergent round and task, the access-set delta when
-//! both sides carry recorded sets, and the trace-hash prefix where the
+//! The search is one linear pass to the first unequal event (or the end
+//! of the shorter stream); trace hashes are computed only for the result.
+//! That is a structured [`Divergence`]: expected vs. actual event, the
+//! divergent round and task, the access-set delta when both sides carry
+//! recorded sets, and the trace hash of the shared prefix where the
 //! streams fork.
 //!
 //! The workload re-execution itself lives with the workload registry
 //! (`alter-bench`'s `alter-cli replay`): this crate deliberately knows
 //! nothing about workloads, only about event streams.
 
-use alter_trace::{event_json, parse_set, trace_hash, Event, TraceHasher};
+use alter_trace::{event_json, parse_set, trace_hash, Event};
 use std::fmt::Write as _;
 
 /// The outcome of replaying a journal against a fresh run.
@@ -108,6 +105,71 @@ pub struct Divergence {
 }
 
 impl Divergence {
+    /// The divergence at `index`, the first event where `actual` forks
+    /// from `expected` (or either stream ends). Its round is the last
+    /// `RoundStart` before the fork — the one the fork is on, if none is
+    /// — and 0 before any round starts.
+    pub fn at(expected: &[Event], actual: &[Event], index: usize) -> Divergence {
+        let prefix = &expected[..index.min(expected.len())];
+        let expected_ev = expected.get(index).cloned();
+        let actual_ev = actual.get(index).cloned();
+        // The shared prefix is identical in both streams, so the expected
+        // side alone determines the enclosing round.
+        let round = prefix
+            .iter()
+            .rev()
+            .find_map(|ev| match ev {
+                Event::RoundStart { round, .. } => Some(*round),
+                _ => None,
+            })
+            .or(match (&expected_ev, &actual_ev) {
+                (Some(Event::RoundStart { round, .. }), _)
+                | (_, Some(Event::RoundStart { round, .. })) => Some(*round),
+                _ => None,
+            })
+            .unwrap_or(0);
+        let seq = expected_ev
+            .as_ref()
+            .and_then(event_seq)
+            .or_else(|| actual_ev.as_ref().and_then(event_seq));
+        let set_delta = match (&expected_ev, &actual_ev) {
+            (
+                Some(Event::TaskSets {
+                    seq: es,
+                    reads: er,
+                    writes: ew,
+                }),
+                Some(Event::TaskSets {
+                    seq: as_,
+                    reads: ar,
+                    writes: aw,
+                }),
+            ) if es == as_ => {
+                let reads = SetDelta::between(er, ar);
+                let writes = SetDelta::between(ew, aw);
+                let tagged = |tag: &str, entries: &[String]| -> Vec<String> {
+                    entries.iter().map(|e| format!("{tag}:{e}")).collect()
+                };
+                Some(SetDelta {
+                    missing: [tagged("r", &reads.missing), tagged("w", &writes.missing)].concat(),
+                    extra: [tagged("r", &reads.extra), tagged("w", &writes.extra)].concat(),
+                })
+            }
+            _ => None,
+        };
+        Divergence {
+            round,
+            seq,
+            index,
+            expected: expected_ev,
+            actual: actual_ev,
+            prefix_hash: trace_hash(prefix),
+            expected_hash: trace_hash(expected),
+            actual_hash: trace_hash(actual),
+            set_delta,
+        }
+    }
+
     /// Renders the structured diff the CLIs and CI print on mismatch.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -174,145 +236,32 @@ fn event_seq(ev: &Event) -> Option<u64> {
         | Event::ValidateConflict { seq, .. }
         | Event::Commit { seq, .. }
         | Event::Squash { seq, .. }
-        | Event::ReductionMerge { seq, .. }
-        | Event::TicketIssued { seq, .. }
-        | Event::TicketValidated { seq, .. }
-        | Event::TicketRequeued { seq, .. } => Some(*seq),
+        | Event::ReductionMerge { seq, .. } => Some(*seq),
         _ => None,
     }
-}
-
-/// Cumulative trace-hash prefixes: `out[i]` hashes `events[..i]`.
-fn prefix_hashes(events: &[Event]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(events.len() + 1);
-    let mut h = TraceHasher::new();
-    out.push(h.finish());
-    for ev in events {
-        h.update_event(ev);
-        out.push(h.finish());
-    }
-    out
 }
 
 /// Compares an actual event stream against the journal's expected one:
-/// certifies identity or bisects to the first divergent round and event.
+/// certifies identity or finds the first divergent event.
 pub fn diverge_bisect(expected: &[Event], actual: &[Event]) -> ReplayOutcome {
-    let exp_hashes = prefix_hashes(expected);
-    let act_hashes = prefix_hashes(actual);
-    if expected.len() == actual.len() && exp_hashes.last() == act_hashes.last() {
+    let index = expected
+        .iter()
+        .zip(actual)
+        .take_while(|(e, a)| e == a)
+        .count();
+    if index == expected.len() && index == actual.len() {
         return ReplayOutcome::Identical {
-            events: expected.len(),
-            hash: *exp_hashes.last().expect("prefix_hashes is never empty"),
+            events: index,
+            hash: trace_hash(expected),
         };
     }
-
-    // Hash prefixes agree at stream index `i`? (Indices past the actual
-    // stream's end count as disagreement: the prefix can't match a longer
-    // expected one — FNV-1a folds every byte.)
-    let agree = |i: usize| i < act_hashes.len() && exp_hashes[i] == act_hashes[i];
-
-    // Binary search over round boundaries: find the last boundary whose
-    // prefix still agrees; the divergence lives in the round that starts
-    // there. Boundary list: index 0 plus every RoundStart in the expected
-    // stream (the streams are identical up to the fork, so the expected
-    // stream's boundaries are the shared ones).
-    let mut boundaries: Vec<usize> = vec![0];
-    boundaries.extend(
-        expected
-            .iter()
-            .enumerate()
-            .filter_map(|(i, ev)| matches!(ev, Event::RoundStart { .. }).then_some(i)),
-    );
-    let (mut lo, mut hi) = (0usize, boundaries.len() - 1);
-    // Invariant: agree(boundaries[lo]); boundaries past `hi` disagree or
-    // are unexplored. agree(0) always holds (empty prefix).
-    while lo < hi {
-        let mid = (lo + hi).div_ceil(2);
-        if agree(boundaries[mid]) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-
-    // Linear scan inside the one divergent round.
-    let mut index = boundaries[lo];
-    while index < expected.len() && index < actual.len() && expected[index] == actual[index] {
-        index += 1;
-    }
-
-    let expected_ev = expected.get(index).cloned();
-    let actual_ev = actual.get(index).cloned();
-    // The shared prefix is identical in both streams, so the expected side
-    // alone determines the enclosing round; a fork *on* a RoundStart
-    // attributes to that round.
-    let round = expected[..index]
-        .iter()
-        .rev()
-        .find_map(|ev| match ev {
-            Event::RoundStart { round, .. } => Some(*round),
-            _ => None,
-        })
-        .or(match (&expected_ev, &actual_ev) {
-            (Some(Event::RoundStart { round, .. }), _)
-            | (_, Some(Event::RoundStart { round, .. })) => Some(*round),
-            _ => None,
-        })
-        .unwrap_or(0);
-    let seq = expected_ev
-        .as_ref()
-        .and_then(event_seq)
-        .or_else(|| actual_ev.as_ref().and_then(event_seq));
-    let set_delta = match (&expected_ev, &actual_ev) {
-        (
-            Some(Event::TaskSets {
-                seq: es,
-                reads: er,
-                writes: ew,
-            }),
-            Some(Event::TaskSets {
-                seq: as_,
-                reads: ar,
-                writes: aw,
-            }),
-        ) if es == as_ => {
-            let reads = SetDelta::between(er, ar);
-            let writes = SetDelta::between(ew, aw);
-            let mut merged = SetDelta::default();
-            merged
-                .missing
-                .extend(reads.missing.iter().map(|e| format!("r:{e}")));
-            merged
-                .missing
-                .extend(writes.missing.iter().map(|e| format!("w:{e}")));
-            merged
-                .extra
-                .extend(reads.extra.iter().map(|e| format!("r:{e}")));
-            merged
-                .extra
-                .extend(writes.extra.iter().map(|e| format!("w:{e}")));
-            Some(merged)
-        }
-        _ => None,
-    };
-
-    ReplayOutcome::Diverged(Box::new(Divergence {
-        round,
-        seq,
-        index,
-        expected: expected_ev,
-        actual: actual_ev,
-        prefix_hash: exp_hashes[index],
-        expected_hash: trace_hash(expected),
-        actual_hash: trace_hash(actual),
-        set_delta,
-    }))
+    ReplayOutcome::Diverged(Box::new(Divergence::at(expected, actual, index)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alter_trace::Phase;
+    use alter_trace::{Phase, TraceHasher};
 
     fn round(r: u64, seqs: &[u64]) -> Vec<Event> {
         let mut evs = vec![Event::RoundStart {

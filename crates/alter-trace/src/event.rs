@@ -266,40 +266,6 @@ pub enum Event {
         /// `mismatch`, `o.o.m.`.
         outcome: String,
     },
-    /// The sequencer handed a ticket to a worker lane: one iteration chunk
-    /// stamped with the snapshot epoch it will execute against. Emitted
-    /// only when `ExecParams::trace_tickets` is on, immediately after the
-    /// ticket's [`Event::TaskStart`]; both drivers emit the same ticket
-    /// lifecycle at the same points, so the events never perturb
-    /// cross-driver trace identity.
-    TicketIssued {
-        /// Program-order ticket (= chunk sequence) number.
-        seq: u64,
-        /// Heap snapshot epoch the ticket executes against.
-        epoch: u64,
-        /// Iterations in the ticket's chunk.
-        iters: u32,
-    },
-    /// The committer validated and retired the ticket in ticket order.
-    /// Emitted (under `ExecParams::trace_tickets`) after the ticket's
-    /// [`Event::Commit`].
-    TicketValidated {
-        /// The retired ticket.
-        seq: u64,
-        /// The snapshot epoch the ticket committed from.
-        epoch: u64,
-    },
-    /// The committer rejected the ticket (conflict or in-order squash) and
-    /// re-queued it with a fresh snapshot epoch. Emitted (under
-    /// `ExecParams::trace_tickets`) after the ticket's
-    /// [`Event::ValidateConflict`] or [`Event::Squash`]; `epoch` is the
-    /// *new* epoch the ticket will re-execute against.
-    TicketRequeued {
-        /// The re-queued ticket (it keeps its sequence number).
-        seq: u64,
-        /// The fresh snapshot epoch assigned for the retry.
-        epoch: u64,
-    },
     /// The run finished normally.
     RunEnd {
         /// Rounds executed.
@@ -327,9 +293,6 @@ impl Event {
             Event::Crash { .. } => "crash",
             Event::WorkBudgetExceeded { .. } => "work_budget_exceeded",
             Event::PhaseProfile { .. } => "phase_profile",
-            Event::TicketIssued { .. } => "ticket_issued",
-            Event::TicketValidated { .. } => "ticket_validated",
-            Event::TicketRequeued { .. } => "ticket_requeued",
             Event::ProbeStart { .. } => "probe_start",
             Event::ProbeOutcome { .. } => "probe_outcome",
             Event::RunEnd { .. } => "run_end",
@@ -399,13 +362,6 @@ mod tests {
                 phase: Phase::Snapshot,
                 cost: 1,
             },
-            Event::TicketIssued {
-                seq: 0,
-                epoch: 1,
-                iters: 1,
-            },
-            Event::TicketValidated { seq: 0, epoch: 1 },
-            Event::TicketRequeued { seq: 1, epoch: 2 },
             Event::ProbeStart {
                 annotation: "TLS".into(),
             },

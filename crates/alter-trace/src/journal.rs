@@ -232,8 +232,8 @@ impl Journal {
         (start, end)
     }
 
-    /// Trace hash of the event prefix `events[..upto]` — the cumulative
-    /// hash the bisector compares at round boundaries.
+    /// Trace hash of the event prefix `events[..upto]` — what a
+    /// divergence at `upto` reports as its shared prefix.
     pub fn prefix_hash(&self, upto: usize) -> u64 {
         let mut h = TraceHasher::new();
         for ev in &self.events[..upto] {

@@ -154,12 +154,6 @@ pub fn event_json(ev: &Event) -> String {
                 phase.as_str()
             );
         }
-        Event::TicketIssued { seq, epoch, iters } => {
-            let _ = write!(s, ",\"seq\":{seq},\"epoch\":{epoch},\"iters\":{iters}");
-        }
-        Event::TicketValidated { seq, epoch } | Event::TicketRequeued { seq, epoch } => {
-            let _ = write!(s, ",\"seq\":{seq},\"epoch\":{epoch}");
-        }
         Event::ProbeStart { annotation } => {
             s.push_str(",\"annotation\":\"");
             escape_into(&mut s, annotation);
@@ -432,19 +426,6 @@ pub(crate) fn parse_event_fields(f: &Fields) -> Result<Event, String> {
             },
             cost: f.int("cost")?,
         },
-        "ticket_issued" => Event::TicketIssued {
-            seq: f.int("seq")?,
-            epoch: f.int("epoch")?,
-            iters: f.int32("iters")?,
-        },
-        "ticket_validated" => Event::TicketValidated {
-            seq: f.int("seq")?,
-            epoch: f.int("epoch")?,
-        },
-        "ticket_requeued" => Event::TicketRequeued {
-            seq: f.int("seq")?,
-            epoch: f.int("epoch")?,
-        },
         "probe_start" => Event::ProbeStart {
             annotation: f.string("annotation")?,
         },
@@ -552,13 +533,6 @@ mod tests {
                 phase: Phase::Validate,
                 cost: 128,
             },
-            Event::TicketIssued {
-                seq: 4,
-                epoch: 2,
-                iters: 8,
-            },
-            Event::TicketValidated { seq: 4, epoch: 2 },
-            Event::TicketRequeued { seq: 5, epoch: 3 },
             Event::ProbeStart {
                 annotation: "[StaleReads]".into(),
             },

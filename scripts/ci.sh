@@ -72,7 +72,7 @@ fi
 echo "== record/replay identity (determinism gate) =="
 # Records a journal with full task_sets + profile payloads and re-executes
 # it under its recorded configuration: the fresh event stream must be
-# byte-identical. On mismatch `replay` bisects to the first divergent
+# byte-identical. On mismatch `replay` finds the first divergent
 # round/event and prints the structured diff, which is exactly what we
 # want in a CI log. The same journal, model-checked offline, must print the
 # summary a fresh `check <w> best` prints. Floyd adds the biggest partial
@@ -95,7 +95,8 @@ cli check genome best --max-schedules 1024
 cli check k-means best --max-schedules 1024
 # The checker must also fail when it should: k-means under DOALL is
 # deliberately unsound, and the dumped counterexample pair must diverge
-# under the replay diff bisector (both commands exit 1).
+# under `alter-cli diff` (both commands exit 1), while a journal diffed
+# against itself is identical (exit 0).
 if cli check k-means doall --cex target/kmeans-doall > /dev/null; then
   echo "error: k-means under DOALL must be schedule-unsound"
   exit 1
@@ -105,6 +106,8 @@ if cli diff target/kmeans-doall-expected.journal \
   echo "error: counterexample journals must diverge under alter-cli diff"
   exit 1
 fi
+cli diff target/kmeans-doall-expected.journal \
+  target/kmeans-doall-expected.journal > /dev/null
 
 echo "tier-1 gate: OK"
 # The workspace size ROADMAP item 4 tracks (lower is better).

@@ -1,12 +1,15 @@
 //! Integration tests for the `alter-cli check` schedule-space model checker:
 //! a seeded two-sided property test of the per-schedule oracle (disjoint
-//! permutations sanitize clean, conflicting reorderings are flagged), the
-//! negative-fixture corpus of hand-corrupted journals with byte-for-byte
-//! expected counterexamples, and the end-to-end acceptance path — a
-//! deliberately-unsound DOALL run whose counterexample journals replay
-//! through the `alter-cli diff` bisector.
+//! permutations sanitize clean, conflicting reorderings are flagged, and
+//! the record-level oracle agrees with sanitizing every rendered
+//! permutation), the negative-fixture corpus of hand-corrupted journals
+//! with byte-for-byte expected counterexamples, and the end-to-end
+//! acceptance path — a deliberately-unsound DOALL run whose counterexample
+//! journals replay through `alter-cli diff`.
 
-use alter::analyze::{check_events, check_journal, sanitize, CheckConfig, SanitizeConfig};
+use alter::analyze::{
+    check_events, check_journal, sanitize, schedule_is_clean, CheckConfig, SanitizeConfig,
+};
 use alter::heap::ObjId;
 use alter::infer::{Model, Probe};
 use alter::runtime::replay::{diverge_bisect, ReplayOutcome};
@@ -131,6 +134,9 @@ fn oracle_is_two_sided_over_seeded_rounds() {
             (1..=n as u64).product::<u64>(),
             "seed {seed}"
         );
+        // The record-level oracle re-sequences the recorded round; the
+        // reference renders the permuted stream and sanitizes it.
+        let recorded = render_round(&disjoint, &identity);
         for _ in 0..3 {
             let perm = shuffle(n, &mut rng);
             let permuted = render_round(&disjoint, &perm);
@@ -138,6 +144,11 @@ fn oracle_is_two_sided_over_seeded_rounds() {
                 sanitize(&permuted, &scfg),
                 vec![],
                 "seed {seed}: disjoint permutation {perm:?} must sanitize clean"
+            );
+            assert_eq!(
+                schedule_is_clean(&recorded, &ccfg, &perm),
+                Ok(true),
+                "seed {seed}: {perm:?}"
             );
         }
 
@@ -183,6 +194,17 @@ fn oracle_is_two_sided_over_seeded_rounds() {
             !sanitize(&reordered, &scfg).is_empty(),
             "seed {seed}: conflicting reorder {perm:?} must be flagged"
         );
+        // Every rendered permutation of the conflicting round, the
+        // reordering above and a random one with either orientation: the
+        // record-level oracle's verdict is the rendered stream's.
+        let recorded = render_round(&tasks, &identity);
+        for perm in [perm, shuffle(n, &mut rng), identity] {
+            assert_eq!(
+                schedule_is_clean(&recorded, &ccfg, &perm),
+                Ok(sanitize(&render_round(&tasks, &perm), &scfg).is_empty()),
+                "seed {seed}: {perm:?}"
+            );
+        }
     }
 }
 
