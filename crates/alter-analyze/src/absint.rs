@@ -368,8 +368,9 @@ pub struct AccessSpec {
 }
 
 /// The declarative loop IR: a symbolic description of the same loop
-/// instance `probe_summary` replays — same deterministic heap construction,
-/// same `ObjId`s — which is what makes [`cross_validate`] an exact check.
+/// instance `probe_summary` replays — a workload builds both from one
+/// start function, so they name the same `ObjId`s — which is what makes
+/// [`cross_validate`] an exact check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoopSpec {
     /// Iteration (replay-ordinal) count.

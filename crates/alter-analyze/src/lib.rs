@@ -13,11 +13,11 @@
 //!   summarised access sets, yielding conservative must-fail verdicts
 //!   ([`Verdict`]) the inference engine uses to prune provably-failing
 //!   probes.
-//! * [`lint`] — an annotation linter: given a parsed
+//! * [`lint`](mod@lint) — an annotation linter: given a parsed
 //!   [`Annotation`](alter_runtime::Annotation) (or the DOALL/TLS targets),
 //!   emit structured [`Diagnostic`]s — severity, stable rule code,
 //!   location, human message.
-//! * [`sanitize`] — a trace isolation sanitizer, and the crate's one
+//! * [`sanitize`](mod@sanitize) — a trace isolation sanitizer, and the crate's one
 //!   reader of a trace's rounds: read a recorded JSONL trace (with
 //!   `ExecParams::record_sets` payloads) into task records once and
 //!   re-check the isolation invariants — deterministic commit order,

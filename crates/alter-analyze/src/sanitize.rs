@@ -2,9 +2,9 @@
 //! reader of the round grammar it shares with the schedule-space model
 //! checker ([`crate::check`]).
 //!
-//! [`read_rounds`] walks a recorded structured trace once — with the
+//! `read_rounds` walks a recorded structured trace once — with the
 //! opt-in `ExecParams::record_sets` payloads — and turns it into rounds of
-//! [`TaskRecord`]s: each task's sets parsed once, its claimed verdict and
+//! `TaskRecord`s: each task's sets parsed once, its claimed verdict and
 //! `commit` payload, and the event index of each. What breaks the grammar
 //! is a structural [`Violation`]:
 //!
@@ -16,7 +16,7 @@
 //! * **Run accounting** — `run_end` counters equal the read
 //!   attempt/commit/round counts.
 //!
-//! [`sanitize`] adds [`audit_round`] over every round in recorded order.
+//! [`sanitize`] adds `audit_round` over every round in recorded order.
 //! Its verdicts come from [`derive`], the one oracle the checker also runs
 //! under every candidate commit order:
 //!

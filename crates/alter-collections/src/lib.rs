@@ -11,8 +11,8 @@
 //! * [`AlterList`] — ALTERList: a doubly linked list whose node sequence
 //!   can be captured as an iteration space (used by AggloClust and
 //!   BarnesHut in the evaluation);
-//! * [`AlterHashSet`] / [`AlterHashMap`] — bucketized hash containers (the
-//!   shared structure behind the Genome benchmark).
+//! * [`AlterHashSet`] — a bucketized hash set (the shared structure behind
+//!   the Genome benchmark).
 //!
 //! All three "can also safely be used in a sequential program" (§4.1): each
 //! offers `seq_*` accessors that work directly on the committed heap.
@@ -42,13 +42,11 @@
 #![warn(missing_docs)]
 
 mod element;
-mod hashmap;
 mod hashset;
 mod list;
 mod vec;
 
 pub use element::Element;
-pub use hashmap::AlterHashMap;
 pub use hashset::AlterHashSet;
 pub use list::AlterList;
 pub use vec::AlterVec;

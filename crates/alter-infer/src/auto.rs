@@ -113,7 +113,7 @@ mod tests {
     use crate::target::{ProbeRun, ProgramOutput};
     use alter_heap::{Heap, ObjData};
     use alter_runtime::{
-        detect_dependences, BoundScalar, DepReport, RangeSpace, RedVal, RedVars, RunError,
+        summarize_dependences, BoundScalar, LoopSummary, RangeSpace, RedVal, RedVars, RunError,
     };
     use alter_sim::{simulate_loop, CostModel};
 
@@ -152,13 +152,16 @@ mod tests {
                 clock,
             })
         }
-        fn probe_dependences(&self) -> DepReport {
+        fn probe_summary(&self) -> LoopSummary {
             let mut heap = Heap::new();
             let mut reds = RedVars::new();
             let total = BoundScalar::declare(&mut heap, &mut reds, "total", RedVal::I64(0));
-            detect_dependences(&mut heap, &mut RangeSpace::new(0, 256), move |ctx, i| {
-                total.add(ctx, i as i64);
-            })
+            let mut s =
+                summarize_dependences(&mut heap, &mut RangeSpace::new(0, 256), move |ctx, i| {
+                    total.add(ctx, i as i64);
+                });
+            s.label("total", total.object());
+            s
         }
         fn reduction_candidates(&self) -> Vec<String> {
             vec!["total".into()]
@@ -203,12 +206,13 @@ mod tests {
                 clock,
             })
         }
-        fn probe_dependences(&self) -> DepReport {
-            DepReport {
-                raw: true,
-                waw: true,
-                war: true,
-            }
+        fn probe_summary(&self) -> LoopSummary {
+            let mut heap = Heap::new();
+            let cell = heap.alloc(ObjData::scalar_i64(1));
+            summarize_dependences(&mut heap, &mut RangeSpace::new(0, 64), |ctx, _| {
+                let v = ctx.tx.read_i64(cell, 0);
+                ctx.tx.write_i64(cell, 0, v.wrapping_mul(3).wrapping_add(1));
+            })
         }
     }
 

@@ -394,11 +394,7 @@ pub fn infer(target: &(dyn InferTarget + Sync), cfg: &InferConfig) -> InferRepor
     let work_budget = (seq_cost as f64 * cfg.timeout_factor * cfg.workers as f64) as u64;
 
     let summary = target.probe_summary();
-    let dep = if summary.is_empty() {
-        target.probe_dependences()
-    } else {
-        summary.report()
-    };
+    let dep = summary.report();
 
     let budget_words = target.tracked_budget_words().unwrap_or(cfg.budget_words);
     let acfg = AnalyzeConfig {

@@ -216,9 +216,6 @@ mod tests {
                 |_, _, _| ProgramOutput::default(),
             )
         }
-        fn probe_dependences(&self) -> DepReport {
-            DepReport::default()
-        }
     }
 
     #[test]
@@ -344,6 +341,32 @@ mod tests {
         let report = infer(&CrashToy, &InferConfig::default());
         assert!(report.pruned_candidates.is_empty());
         assert_eq!(report.probes_run, 3, "all three model probes ran");
+    }
+
+    /// [`ChainToy`]'s program without its dependence summary.
+    struct UnsummarizedChain;
+
+    impl InferTarget for UnsummarizedChain {
+        fn name(&self) -> &str {
+            "unsummarized-chain"
+        }
+        fn run_sequential(&self) -> ProgramOutput {
+            ChainToy.run_sequential()
+        }
+        fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
+            ChainToy.run_probe(probe)
+        }
+    }
+
+    #[test]
+    fn the_dep_column_is_the_summary_so_no_summary_reports_no_dependences() {
+        // The chain carries a RAW dependence, which ChainToy's summary
+        // shows, but the Dep column is only ever the summary's projection:
+        // no summary, no dependences, and nothing for the analyzer to prune.
+        let report = infer(&UnsummarizedChain, &InferConfig::default());
+        assert_eq!(report.dep, DepReport::default());
+        assert!(report.pruned_candidates.is_empty() && report.static_pruned.is_empty());
+        assert_eq!(report.stale_reads, Outcome::OutputMismatch, "still probed");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! variables a reduction annotation could name.
 
 use alter_analyze::absint::LoopSpec;
-use alter_runtime::{DepReport, ExecParams, LoopSummary, RedOp, RedVars, RunError, RunStats};
+use alter_runtime::{ExecParams, LoopSummary, RedOp, RedVars, RunError, RunStats};
 use alter_sim::SimClock;
 use alter_trace::Recorder;
 use std::sync::Arc;
@@ -273,20 +273,13 @@ pub trait InferTarget {
     /// (see [`alter_runtime::summarize_dependences`]): per-location edges
     /// with iteration distances, access statistics, and per-iteration
     /// read/write sets. The analyzer consumes this to prune provably
-    /// failing probes and to lint annotations.
+    /// failing probes and to lint annotations, and Table 3's Dep column is
+    /// its [`LoopSummary::report`].
     ///
     /// The default returns an empty summary, which disables analysis-based
-    /// pruning for this target; override [`InferTarget::probe_dependences`]
-    /// too in that case, or the Dep column will be empty as well.
+    /// pruning for this target and reports no dependences.
     fn probe_summary(&self) -> LoopSummary {
         LoopSummary::default()
-    }
-
-    /// Replays the loop to detect loop-carried dependences (Table 3's Dep
-    /// column). Defaults to collapsing [`InferTarget::probe_summary`]; only
-    /// targets that cannot produce a summary need their own replay here.
-    fn probe_dependences(&self) -> DepReport {
-        self.probe_summary().report()
     }
 
     /// Scalar variables a reduction annotation may name.

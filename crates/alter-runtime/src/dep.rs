@@ -9,10 +9,10 @@
 //! a per-location dependence graph ([`DepEdge`]: RAW/WAW/WAR edges with
 //! iteration distances), and per-location access statistics
 //! ([`LocationStats`]) including which reduction operators flowed through
-//! each location. The boolean [`DepReport`] of earlier versions is now a
-//! projection of the summary ([`LoopSummary::report`]); both the Table-3
-//! check and the `alter-analyze` classifier share the single replay path
-//! in [`summarize_dependences`].
+//! each location. The boolean [`DepReport`] is a projection of the summary
+//! ([`LoopSummary::report`]); both the Table-3 check and the
+//! `alter-analyze` classifier share the single replay path in
+//! [`summarize_dependences`].
 
 use crate::annotation::RedOp;
 use crate::body::TxCtx;
@@ -318,9 +318,19 @@ struct LocAcc {
 /// Replays the loop sequentially (one iteration per transaction, full
 /// tracking) and returns the complete [`LoopSummary`]. The heap is mutated
 /// exactly as a sequential execution of the loop would mutate it.
+/// [`LoopSummary::report`] projects it onto Table 3's boolean Dep check.
 ///
-/// [`detect_dependences`] is the boolean projection of this replay; both
-/// share this single code path.
+/// ```
+/// use alter_heap::{Heap, ObjData};
+/// use alter_runtime::{summarize_dependences, RangeSpace};
+/// let mut heap = Heap::new();
+/// let xs = heap.alloc(ObjData::zeros_f64(8));
+/// let summary = summarize_dependences(&mut heap, &mut RangeSpace::new(1, 8), |ctx, i| {
+///     let prev = ctx.tx.read_f64(xs, i as usize - 1);
+///     ctx.tx.write_f64(xs, i as usize, prev + 1.0);
+/// });
+/// assert!(summary.report().raw && summary.report().any());
+/// ```
 ///
 /// Reduction variables do not participate: run the replay with the loop's
 /// reducible scalars bound to heap objects (the unannotated
@@ -549,33 +559,6 @@ where
     }
 }
 
-/// Replays the loop sequentially and reports which loop-carried
-/// dependences exist (the Table-3 boolean check). The heap is mutated
-/// exactly as a sequential execution of the loop would. This is the
-/// boolean projection of [`summarize_dependences`] — one shared replay.
-///
-/// ```
-/// use alter_heap::{Heap, ObjData};
-/// use alter_runtime::{detect_dependences, RangeSpace};
-/// let mut heap = Heap::new();
-/// let xs = heap.alloc(ObjData::zeros_f64(8));
-/// let report = detect_dependences(&mut heap, &mut RangeSpace::new(1, 8), |ctx, i| {
-///     let prev = ctx.tx.read_f64(xs, i as usize - 1);
-///     ctx.tx.write_f64(xs, i as usize, prev + 1.0);
-/// });
-/// assert!(report.raw && report.any());
-/// ```
-///
-/// Reduction variables do not participate: run the probe with the loop's
-/// reducible scalars bound to heap objects (the unannotated configuration),
-/// which is precisely when their dependences should be visible.
-pub fn detect_dependences<F>(heap: &mut Heap, space: &mut dyn IterSpace, body: F) -> DepReport
-where
-    F: Fn(&mut TxCtx<'_>, u64) + Sync,
-{
-    summarize_dependences(heap, space, body).report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,9 +571,10 @@ mod tests {
     fn doall_loop_has_no_deps() {
         let mut heap = Heap::new();
         let xs = heap.alloc(ObjData::zeros_f64(8));
-        let report = detect_dependences(&mut heap, &mut RangeSpace::new(0, 8), |ctx, i| {
+        let report = summarize_dependences(&mut heap, &mut RangeSpace::new(0, 8), |ctx, i| {
             ctx.tx.write_f64(xs, i as usize, 1.0);
-        });
+        })
+        .report();
         assert!(!report.any());
     }
 
@@ -598,10 +582,11 @@ mod tests {
     fn recurrence_has_raw_dep() {
         let mut heap = Heap::new();
         let xs = heap.alloc(ObjData::zeros_f64(8));
-        let report = detect_dependences(&mut heap, &mut RangeSpace::new(1, 8), |ctx, i| {
+        let report = summarize_dependences(&mut heap, &mut RangeSpace::new(1, 8), |ctx, i| {
             let prev = ctx.tx.read_f64(xs, i as usize - 1);
             ctx.tx.write_f64(xs, i as usize, prev + 1.0);
-        });
+        })
+        .report();
         assert!(report.raw);
         assert!(!report.waw);
         // Execution effect matches sequential semantics.
@@ -612,10 +597,11 @@ mod tests {
     fn shared_accumulator_has_all_deps() {
         let mut heap = Heap::new();
         let acc = heap.alloc(ObjData::scalar_i64(0));
-        let report = detect_dependences(&mut heap, &mut RangeSpace::new(0, 4), |ctx, _| {
+        let report = summarize_dependences(&mut heap, &mut RangeSpace::new(0, 4), |ctx, _| {
             let v = ctx.tx.read_i64(acc, 0);
             ctx.tx.write_i64(acc, 0, v + 1);
-        });
+        })
+        .report();
         assert!(report.raw && report.waw && report.war);
         assert_eq!(heap.get(acc).i64s()[0], 4);
     }
@@ -625,10 +611,11 @@ mod tests {
         let mut heap = Heap::new();
         let table = heap.alloc(ObjData::zeros_f64(4));
         let out = heap.alloc(ObjData::zeros_f64(8));
-        let report = detect_dependences(&mut heap, &mut RangeSpace::new(0, 8), |ctx, i| {
+        let report = summarize_dependences(&mut heap, &mut RangeSpace::new(0, 8), |ctx, i| {
             let v = ctx.tx.read_f64(table, (i % 4) as usize);
             ctx.tx.write_f64(out, i as usize, v);
-        });
+        })
+        .report();
         assert!(!report.any());
     }
 

@@ -44,7 +44,7 @@ use crate::reduction::{RedDelta, RedLocals, RedVal, RedVars};
 use crate::space::IterSpace;
 use alter_heap::{
     AccessSet, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, TrackMode, Tx, TxBufferPool,
-    TxBuffers, TxEffects, TxStats,
+    TxBuffers, TxEffects, TxStats, DEFAULT_BLOCK_SIZE,
 };
 use alter_trace::{ConflictKind, Event, Phase, Recorder, WallProfile};
 use std::any::Any;
@@ -510,7 +510,7 @@ fn run_job<B: LoopBody + ?Sized>(
     params: &ExecParams,
     body: &B,
 ) -> (Ticket, TaskOutcome) {
-    let ids = IdReservation::new(job.base, worker, params.workers, params.alloc_block);
+    let ids = IdReservation::new(job.base, worker, params.workers, DEFAULT_BLOCK_SIZE);
     let mode = params.conflict.track_mode();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let tx = Tx::with_buffers(&job.snap, mode, ids, params.budget_words, job.bufs);

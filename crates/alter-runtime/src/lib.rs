@@ -60,8 +60,7 @@ mod var;
 pub use annotation::{Annotation, ParseAnnotationError, Policy, RedOp, Reduction};
 pub use body::{LoopBody, TxCtx};
 pub use dep::{
-    detect_dependences, summarize_dependences, DepEdge, DepKind, DepReport, IterAccess,
-    LocationStats, LoopSummary,
+    summarize_dependences, DepEdge, DepKind, DepReport, IterAccess, LocationStats, LoopSummary,
 };
 pub use engine::{
     ConflictDetail, NullObserver, PhaseCosts, RoundObserver, RoundReport, RunError, RunStats,

@@ -101,8 +101,6 @@ pub struct ExecParams {
     pub chunk: usize,
     /// Number of concurrent workers (the paper's process count N).
     pub workers: usize,
-    /// Ids per allocator reservation block.
-    pub alloc_block: u32,
     /// Abort the run if one transaction tracks more than this many words
     /// (emulates the paper's out-of-memory crashes on huge read sets).
     pub budget_words: u64,
@@ -138,7 +136,6 @@ impl std::fmt::Debug for ExecParams {
             .field("reductions", &self.reductions)
             .field("chunk", &self.chunk)
             .field("workers", &self.workers)
-            .field("alloc_block", &self.alloc_block)
             .field("budget_words", &self.budget_words)
             .field("work_budget", &self.work_budget)
             .field("recorder", &self.recorder.as_ref().map(|r| r.is_enabled()))
@@ -159,7 +156,6 @@ impl ExecParams {
             reductions: Vec::new(),
             chunk: chunk.max(1),
             workers: workers.max(1),
-            alloc_block: alter_heap::DEFAULT_BLOCK_SIZE,
             budget_words: u64::MAX,
             work_budget: None,
             recorder: None,
@@ -232,49 +228,9 @@ impl ExecParams {
         p
     }
 
-    /// Builder-style: set the reduction policy.
-    pub fn with_reductions(mut self, reductions: Vec<(RedVarId, RedOp)>) -> Self {
-        self.reductions = reductions;
-        self
-    }
-
-    /// Builder-style: set the per-transaction tracked-memory budget.
-    pub fn with_budget_words(mut self, words: u64) -> Self {
-        self.budget_words = words;
-        self
-    }
-
-    /// Builder-style: set the total work budget (timeout analogue).
-    pub fn with_work_budget(mut self, units: u64) -> Self {
-        self.work_budget = Some(units);
-        self
-    }
-
     /// Builder-style: attach a structured-event recorder.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
-        self
-    }
-
-    /// Builder-style: emit full per-task read/write sets into the trace
-    /// (off by default; used by the `alter-cli lint` isolation sanitizer).
-    pub fn with_record_sets(mut self, on: bool) -> Self {
-        self.record_sets = on;
-        self
-    }
-
-    /// Builder-style: emit per-round `Event::PhaseProfile` cost-unit
-    /// entries (off by default; used by the phase profiler and
-    /// `alter-cli record --profile`).
-    pub fn with_profile_phases(mut self, on: bool) -> Self {
-        self.profile_phases = on;
-        self
-    }
-
-    /// Builder-style: attach a wall-clock phase accumulator (informational
-    /// only; excluded from traces and hashes).
-    pub fn with_wall_profile(mut self, wall: Arc<alter_trace::WallProfile>) -> Self {
-        self.wall_profile = Some(wall);
         self
     }
 
@@ -350,12 +306,10 @@ mod tests {
     #[test]
     fn builders_and_describe() {
         let p = ExecParams::new(0, 0) // clamped to 1
-            .with_budget_words(100)
-            .with_work_budget(1000);
+            .with_recorder(Arc::new(alter_trace::RingRecorder::default()));
         assert_eq!(p.workers, 1);
         assert_eq!(p.chunk, 1);
-        assert_eq!(p.budget_words, 100);
-        assert_eq!(p.work_budget, Some(1000));
+        assert!(p.recorder.is_some());
         assert_eq!(
             ExecParams::new(4, 16).describe(),
             "WAW/OutOfOrder cf=16 N=4"

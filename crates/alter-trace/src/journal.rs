@@ -218,11 +218,6 @@ impl Journal {
         self.rounds.len()
     }
 
-    /// Index into [`Journal::events`] of round `r`'s `RoundStart`.
-    pub fn round_start_index(&self, r: usize) -> usize {
-        self.rounds[r]
-    }
-
     /// The half-open event index range `[start, end)` covering round `r`
     /// (from its `RoundStart` up to the next round's, or to the end of the
     /// stream for the last round).

@@ -21,7 +21,7 @@ use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
     summarize_dependences, LoopSummary, RedOp, RedVars, RunError, RunStats, SeqSpace, TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::{SimClock, SimObserver};
 
 // Cluster object layout: [0] = x·size, [1] = y·size, [2] = size,
 // [3] = accumulated merge cost of this cluster's subtree (all f64).
@@ -127,6 +127,21 @@ impl AggloClust {
         (merge_cost, clusters.len())
     }
 
+    /// The loop's start state: one singleton cluster object per point,
+    /// linked into a list in order. Returns the list and the cluster
+    /// objects.
+    fn start(&self) -> (Heap, RedVars, AlterList<ObjId>, Vec<ObjId>) {
+        let mut heap = Heap::new();
+        let list = AlterList::new(&mut heap);
+        let mut clusters = Vec::new();
+        for (x, y) in self.points() {
+            let obj = heap.alloc(ObjData::F64(vec![x, y, 1.0, 0.0]));
+            list.push_back(&mut heap, obj);
+            clusters.push(obj);
+        }
+        (heap, RedVars::new(), list, clusters)
+    }
+
     fn read_cluster(ctx: &mut TxCtx<'_>, obj: ObjId) -> (f64, f64, f64) {
         // Element-granular reads: this is the pointer-chasing scan whose
         // tracked read set blows up under RAW policies.
@@ -146,13 +161,7 @@ impl AggloClust {
     /// oversized tracked read sets.
     #[allow(clippy::type_complexity)]
     pub fn run(&self, probe: &Probe) -> Result<(f64, usize, RunStats, SimClock), RunError> {
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let list: AlterList<ObjId> = AlterList::new(&mut heap);
-        for (x, y) in self.points() {
-            let obj = heap.alloc(ObjData::F64(vec![x, y, 1.0, 0.0]));
-            list.push_back(&mut heap, obj);
-        }
+        let (mut heap, mut reds, list, _) = self.start();
         let params = probe.exec_params(&reds);
         let model = self.cost_model();
         let mut obs = SimObserver::new(&model, params.workers);
@@ -283,12 +292,7 @@ impl InferTarget for AggloClust {
         // merge-cost cell and the cluster scans. The replay runs at the
         // full point count so the summarised read-set footprint matches
         // what a real probe would have to track against its memory budget.
-        let mut heap = Heap::new();
-        let list: AlterList<ObjId> = AlterList::new(&mut heap);
-        for (x, y) in self.points() {
-            let obj = heap.alloc(ObjData::F64(vec![x, y, 1.0, 0.0]));
-            list.push_back(&mut heap, obj);
-        }
+        let (mut heap, _, list, _) = self.start();
         let nodes = list.node_ids(&heap);
         let nodes2 = nodes.clone();
         let body = move |ctx: &mut TxCtx<'_>, raw: u64| {
@@ -313,15 +317,7 @@ impl InferTarget for AggloClust {
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
-        let mut heap = Heap::new();
-        let list: AlterList<ObjId> = AlterList::new(&mut heap);
-        let mut clusters = Vec::new();
-        for (x, y) in self.points() {
-            let obj = heap.alloc(ObjData::F64(vec![x, y, 1.0, 0.0]));
-            list.push_back(&mut heap, obj);
-            clusters.push(obj);
-        }
+        let (heap, _, list, clusters) = self.start();
         let nodes: Vec<ObjId> = list
             .node_ids(&heap)
             .into_iter()
@@ -390,10 +386,6 @@ impl Benchmark for AggloClust {
 
     fn best_config(&self) -> (Model, Option<(String, RedOp)>) {
         (Model::StaleReads, None)
-    }
-
-    fn cost_model(&self) -> CostModel {
-        CostModel::default()
     }
 }
 

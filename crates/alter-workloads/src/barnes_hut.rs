@@ -16,7 +16,7 @@ use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
     summarize_dependences, LoopSummary, RedOp, RedVars, RunError, RunStats, SeqSpace, TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::{SimClock, SimObserver};
 
 // Body object layout: [0]=x [1]=y [2]=vx [3]=vy [4]=mass.
 const BX: usize = 0;
@@ -24,6 +24,10 @@ const BY: usize = 1;
 const VX: usize = 2;
 const VY: usize = 3;
 const BM: usize = 4;
+
+/// Bodies in the one-timestep dependence replay and its `LoopSpec`: the
+/// force loop's access shape does not depend on the body count.
+const REPLAY_BODIES: usize = 64;
 
 /// A quadtree node: either an aggregate (centre of mass) or a leaf body.
 #[derive(Clone, Debug)]
@@ -134,6 +138,55 @@ impl BarnesHut {
             .collect()
     }
 
+    /// The loop's start state: the first `n` bodies, one heap object each,
+    /// linked into a list in order. Returns the list and the body objects.
+    fn start(&self, n: usize) -> (Heap, RedVars, AlterList<ObjId>, Vec<ObjId>) {
+        let mut heap = Heap::new();
+        let list = AlterList::new(&mut heap);
+        let mut bodies = Vec::new();
+        for b in self.initial_bodies().into_iter().take(n) {
+            let obj = heap.alloc(ObjData::F64(b.to_vec()));
+            list.push_back(&mut heap, obj);
+            bodies.push(obj);
+        }
+        (heap, RedVars::new(), list, bodies)
+    }
+
+    /// The quadtree over the bodies' committed positions and masses.
+    fn tree(heap: &Heap, list: AlterList<ObjId>) -> QuadNode {
+        let snapshot: Vec<(f64, f64, f64)> = list
+            .seq_values(heap)
+            .iter()
+            .map(|o| {
+                let b = heap.get(*o).f64s();
+                (b[BX], b[BY], b[BM])
+            })
+            .collect();
+        QuadNode::build(&snapshot, -2.0, -2.0, 5.0, 0)
+    }
+
+    /// The force loop's body for one timestep over `tree`.
+    fn body<'a>(
+        &self,
+        list: AlterList<ObjId>,
+        tree: &'a QuadNode,
+    ) -> impl Fn(&mut TxCtx<'_>, u64) + Sync + 'a {
+        let dt = self.dt;
+        move |ctx, raw| {
+            let node = ObjId::from_index(raw as u32);
+            let obj = list.value(ctx, node);
+            let (x, y) = (ctx.tx.read_f64(obj, BX), ctx.tx.read_f64(obj, BY));
+            let (fx, fy, visited) = tree.force(x, y, 0.5);
+            ctx.tx.work(visited * 8);
+            ctx.tx.update_f64s(obj, 0, 4, |b| {
+                b[VX] += fx * dt;
+                b[VY] += fy * dt;
+                b[BX] += b[VX] * dt;
+                b[BY] += b[VY] * dt;
+            });
+        }
+    }
+
     /// Sequential reference: returns final positions.
     pub fn run_sequential_raw(&self) -> Vec<f64> {
         let mut bodies = self.initial_bodies();
@@ -159,45 +212,18 @@ impl BarnesHut {
     /// Propagates runtime aborts.
     #[allow(clippy::type_complexity)]
     pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, RunStats, SimClock), RunError> {
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let list: AlterList<ObjId> = AlterList::new(&mut heap);
-        for b in self.initial_bodies() {
-            let obj = heap.alloc(ObjData::F64(b.to_vec()));
-            list.push_back(&mut heap, obj);
-        }
+        let (mut heap, mut reds, list, _) = self.start(self.bodies);
         let params = probe.exec_params(&reds);
         let model = self.cost_model();
         let mut obs = SimObserver::new(&model, params.workers);
         let mut stats = RunStats::default();
-        let dt = self.dt;
 
         for _ in 0..self.steps {
             // Sequential tree build from the committed state (the paper
             // parallelizes only the force loop).
-            let objs: Vec<ObjId> = list.seq_values(&heap);
-            let snapshot: Vec<(f64, f64, f64)> = objs
-                .iter()
-                .map(|o| {
-                    let b = heap.get(*o).f64s();
-                    (b[BX], b[BY], b[BM])
-                })
-                .collect();
-            let tree = QuadNode::build(&snapshot, -2.0, -2.0, 5.0, 0);
+            let tree = Self::tree(&heap, list);
             let nodes = list.node_ids(&heap);
-            let body = |ctx: &mut TxCtx<'_>, raw: u64| {
-                let node = ObjId::from_index(raw as u32);
-                let obj = list.value(ctx, node);
-                let (x, y) = (ctx.tx.read_f64(obj, BX), ctx.tx.read_f64(obj, BY));
-                let (fx, fy, visited) = tree.force(x, y, 0.5);
-                ctx.tx.work(visited * 8);
-                ctx.tx.update_f64s(obj, 0, 4, |b| {
-                    b[VX] += fx * dt;
-                    b[VY] += fy * dt;
-                    b[BX] += b[VX] * dt;
-                    b[BY] += b[VY] * dt;
-                });
-            };
+            let body = self.body(list, &tree);
             let step_stats = alter_runtime::run_loop_observed(
                 &mut heap,
                 &mut reds,
@@ -243,48 +269,14 @@ impl InferTarget for BarnesHut {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let mut heap = Heap::new();
-        let list: AlterList<ObjId> = AlterList::new(&mut heap);
-        for b in self.initial_bodies().into_iter().take(64) {
-            let obj = heap.alloc(ObjData::F64(b.to_vec()));
-            list.push_back(&mut heap, obj);
-        }
-        let snapshot: Vec<(f64, f64, f64)> = list
-            .seq_values(&heap)
-            .iter()
-            .map(|o| {
-                let b = heap.get(*o).f64s();
-                (b[BX], b[BY], b[BM])
-            })
-            .collect();
-        let tree = QuadNode::build(&snapshot, -2.0, -2.0, 5.0, 0);
+        let (mut heap, _, list, _) = self.start(REPLAY_BODIES);
+        let tree = Self::tree(&heap, list);
         let nodes = list.node_ids(&heap);
-        let dt = self.dt;
-        let body = move |ctx: &mut TxCtx<'_>, raw: u64| {
-            let node = ObjId::from_index(raw as u32);
-            let obj = list.value(ctx, node);
-            let (x, y) = (ctx.tx.read_f64(obj, BX), ctx.tx.read_f64(obj, BY));
-            let (fx, fy, _) = tree.force(x, y, 0.5);
-            ctx.tx.update_f64s(obj, 0, 4, |b| {
-                b[VX] += fx * dt;
-                b[VY] += fy * dt;
-                b[BX] += b[VX] * dt;
-                b[BY] += b[VY] * dt;
-            });
-        };
-        summarize_dependences(&mut heap, &mut SeqSpace::new(nodes), body)
+        summarize_dependences(&mut heap, &mut SeqSpace::new(nodes), self.body(list, &tree))
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
-        let mut heap = Heap::new();
-        let list: AlterList<ObjId> = AlterList::new(&mut heap);
-        let mut bodies = Vec::new();
-        for b in self.initial_bodies().into_iter().take(64) {
-            let obj = heap.alloc(ObjData::F64(b.to_vec()));
-            list.push_back(&mut heap, obj);
-            bodies.push(obj);
-        }
+        let (heap, _, list, bodies) = self.start(REPLAY_BODIES);
         let nodes: Vec<ObjId> = list
             .node_ids(&heap)
             .into_iter()
@@ -328,10 +320,6 @@ impl Benchmark for BarnesHut {
     fn best_config(&self) -> (Model, Option<(String, RedOp)>) {
         (Model::StaleReads, None)
     }
-
-    fn cost_model(&self) -> CostModel {
-        CostModel::default()
-    }
 }
 
 #[cfg(test)]
@@ -360,7 +348,7 @@ mod tests {
     #[test]
     fn no_loop_carried_dependences() {
         let bh = tiny();
-        assert!(!bh.probe_dependences().any());
+        assert!(!bh.probe_summary().report().any());
     }
 
     #[test]

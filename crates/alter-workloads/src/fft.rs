@@ -106,6 +106,17 @@ impl Fft {
         rows.into_iter().flatten().collect()
     }
 
+    /// The loop's start state: one heap object per input row.
+    fn start(&self) -> (Heap, RedVars, Vec<ObjId>) {
+        let mut heap = Heap::new();
+        let row_objs = self
+            .input()
+            .into_iter()
+            .map(|row| heap.alloc(ObjData::F64(row)))
+            .collect();
+        (heap, RedVars::new(), row_objs)
+    }
+
     fn body<'a>(&self, row_objs: &'a [ObjId]) -> impl Fn(&mut TxCtx<'_>, u64) + Sync + 'a {
         let cols = self.cols;
         move |ctx, iter| {
@@ -168,13 +179,7 @@ impl Fft {
     ///
     /// Propagates runtime aborts.
     pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, RunStats, SimClock), RunError> {
-        let input = self.input();
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let row_objs: Vec<ObjId> = input
-            .iter()
-            .map(|row| heap.alloc(ObjData::F64(row.clone())))
-            .collect();
+        let (mut heap, mut reds, row_objs) = self.start();
         let params = probe.exec_params(&reds);
         let model = self.cost_model();
         let mut obs = SimObserver::new(&model, params.workers);
@@ -215,24 +220,13 @@ impl InferTarget for Fft {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let input = self.input();
-        let mut heap = Heap::new();
-        let row_objs: Vec<ObjId> = input
-            .iter()
-            .map(|row| heap.alloc(ObjData::F64(row.clone())))
-            .collect();
+        let (mut heap, _, row_objs) = self.start();
         let body = self.body(&row_objs);
         summarize_dependences(&mut heap, &mut RangeSpace::new(0, self.rows as u64), body)
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
-        let mut heap = Heap::new();
-        let rows: Vec<ObjId> = self
-            .input()
-            .iter()
-            .map(|row| heap.alloc(ObjData::F64(row.clone())))
-            .collect();
+        let (heap, _, rows) = self.start();
         let width = (2 * self.cols) as u32;
         let mut spec = LoopSpec::new(self.rows as u64, heap.high_water());
         // Each iteration FFTs its own interleaved row in place — the whole

@@ -92,6 +92,13 @@ impl Floyd {
         m
     }
 
+    /// The loop's start state: the distance matrix as one heap object.
+    fn start(&self) -> (Heap, RedVars, ObjId) {
+        let mut heap = Heap::new();
+        let path = heap.alloc(ObjData::F64(self.edges()));
+        (heap, RedVars::new(), path)
+    }
+
     /// One relaxation step for iteration `k`: reads the whole matrix,
     /// writes only improved cells.
     fn body(&self, path: ObjId) -> impl Fn(&mut TxCtx<'_>, u64) + Sync {
@@ -128,9 +135,7 @@ impl Floyd {
     #[allow(clippy::type_complexity)]
     pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, usize, RunStats, SimClock), RunError> {
         let n = self.n;
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let path = heap.alloc(ObjData::F64(self.edges()));
+        let (mut heap, mut reds, path) = self.start();
         let params = probe.exec_params(&reds);
         let model = self.cost_model();
         let mut obs = SimObserver::new(&model, params.workers);
@@ -181,18 +186,15 @@ impl InferTarget for Floyd {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let mut heap = Heap::new();
-        let path = heap.alloc(ObjData::F64(self.edges()));
+        let (mut heap, _, path) = self.start();
         let body = self.body(path);
         summarize_dependences(&mut heap, &mut RangeSpace::new(0, self.n as u64), body)
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
         let n = self.n as u64;
         let nn = (self.n * self.n) as u32;
-        let mut heap = Heap::new();
-        let path = heap.alloc(ObjData::F64(self.edges()));
+        let (heap, _, path) = self.start();
         let mut spec = LoopSpec::new(n, heap.high_water());
         let path_r = spec.region("path", vec![path], nn);
         // Iteration k reads row k (the affine pivot window) and scans every

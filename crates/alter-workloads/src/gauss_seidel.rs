@@ -168,6 +168,15 @@ impl GaussSeidel {
         (x, sweeps)
     }
 
+    /// The loop's start state: the system, and a zero solution vector as
+    /// one heap object.
+    fn start(&self) -> (System, Heap, RedVars, ObjId) {
+        let sys = self.build();
+        let mut heap = Heap::new();
+        let xvec = heap.alloc(ObjData::zeros_f64(sys.n()));
+        (sys, heap, RedVars::new(), xvec)
+    }
+
     fn body<'a>(&self, sys: &'a System, xvec: ObjId) -> impl Fn(&mut TxCtx<'_>, u64) + Sync + 'a {
         let dense = self.nnz.is_none();
         let n = sys.n();
@@ -215,10 +224,7 @@ impl GaussSeidel {
         probe: &Probe,
         model: &CostModel,
     ) -> Result<(Vec<f64>, usize, RunStats, SimClock), RunError> {
-        let sys = self.build();
-        let mut heap = Heap::new();
-        let xvec = heap.alloc(ObjData::zeros_f64(sys.n()));
-        let mut reds = RedVars::new();
+        let (sys, mut heap, mut reds, xvec) = self.start();
         let params = probe.exec_params(&reds);
         let mut obs = SimObserver::new(model, params.workers);
         let mut stats = RunStats::default();
@@ -283,18 +289,14 @@ impl InferTarget for GaussSeidel {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let sys = self.build();
-        let mut heap = Heap::new();
-        let xvec = heap.alloc(ObjData::zeros_f64(sys.n()));
+        let (sys, mut heap, _, xvec) = self.start();
         let body = self.body(&sys, xvec);
         summarize_dependences(&mut heap, &mut RangeSpace::new(0, sys.n() as u64), body)
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
         let n = self.n as u32;
-        let mut heap = Heap::new();
-        let xvec = heap.alloc(ObjData::zeros_f64(self.n));
+        let (_, heap, _, xvec) = self.start();
         let mut spec = LoopSpec::new(self.n as u64, heap.high_water());
         let x_r = spec.region("x", vec![xvec], n);
         // Dense rows scan the whole solution vector; sparse rows read only

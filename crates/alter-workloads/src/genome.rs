@@ -17,7 +17,7 @@ use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
     summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::{SimClock, SimObserver};
 
 /// The Genome segment-deduplication benchmark.
 #[derive(Clone, Debug)]
@@ -68,6 +68,14 @@ impl Genome {
         set
     }
 
+    /// The loop's start state: the segment stream and an empty set.
+    fn start(&self) -> (Vec<i64>, Heap, RedVars, AlterHashSet) {
+        let stream = self.stream();
+        let mut heap = Heap::new();
+        let set = AlterHashSet::new(&mut heap, self.buckets, self.bucket_cap);
+        (stream, heap, RedVars::new(), set)
+    }
+
     fn body<'a>(
         &self,
         stream: &'a [i64],
@@ -86,10 +94,7 @@ impl Genome {
     /// Propagates runtime aborts.
     #[allow(clippy::type_complexity)]
     pub fn run(&self, probe: &Probe) -> Result<(Vec<i64>, RunStats, SimClock), RunError> {
-        let stream = self.stream();
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let set = AlterHashSet::new(&mut heap, self.buckets, self.bucket_cap);
+        let (stream, mut heap, mut reds, set) = self.start();
         let params = probe.exec_params(&reds);
         let model = self.cost_model();
         let mut obs = SimObserver::new(&model, params.workers);
@@ -128,9 +133,7 @@ impl InferTarget for Genome {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let stream = self.stream();
-        let mut heap = Heap::new();
-        let set = AlterHashSet::new(&mut heap, self.buckets, self.bucket_cap);
+        let (stream, mut heap, _, set) = self.start();
         let body = self.body(&stream, set);
         summarize_dependences(
             &mut heap,
@@ -140,9 +143,7 @@ impl InferTarget for Genome {
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
-        let mut heap = Heap::new();
-        let set = AlterHashSet::new(&mut heap, self.buckets, self.bucket_cap);
+        let (_, heap, _, set) = self.start();
         let buckets: Vec<ObjId> = heap
             .get(set.directory())
             .i64s()
@@ -202,10 +203,6 @@ impl Benchmark for Genome {
 
     fn best_config(&self) -> (Model, Option<(String, RedOp)>) {
         (Model::StaleReads, None)
-    }
-
-    fn cost_model(&self) -> CostModel {
-        CostModel::default()
     }
 }
 

@@ -14,7 +14,19 @@ use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
     summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::{SimClock, SimObserver};
+
+/// What `Hmm::start` returns: A, B, the observations, the heap, the
+/// registry, and the alpha vectors of the current and next step.
+type Start = (
+    Vec<Vec<f64>>,
+    Vec<Vec<f64>>,
+    Vec<usize>,
+    Heap,
+    RedVars,
+    ObjId,
+    ObjId,
+);
 
 /// The HMM forward-algorithm benchmark.
 #[derive(Clone, Debug)]
@@ -89,6 +101,16 @@ impl Hmm {
         alpha
     }
 
+    /// The loop's start state, with a uniform alpha vector.
+    fn start(&self) -> Start {
+        let (a, b, obs) = self.model();
+        let n = self.states;
+        let mut heap = Heap::new();
+        let cur = heap.alloc(ObjData::F64(vec![1.0 / n as f64; n]));
+        let next = heap.alloc(ObjData::zeros_f64(n));
+        (a, b, obs, heap, RedVars::new(), cur, next)
+    }
+
     fn body<'a>(
         &self,
         a: &'a [Vec<f64>],
@@ -118,12 +140,8 @@ impl Hmm {
     ///
     /// Propagates runtime aborts.
     pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, RunStats, SimClock), RunError> {
-        let (a, b, obs) = self.model();
         let n = self.states;
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let mut cur = heap.alloc(ObjData::F64(vec![1.0 / n as f64; n]));
-        let mut next = heap.alloc(ObjData::zeros_f64(n));
+        let (a, b, obs, mut heap, mut reds, mut cur, mut next) = self.start();
         let params = probe.exec_params(&reds);
         let model = self.cost_model();
         let mut obs_clock = SimObserver::new(&model, params.workers);
@@ -173,21 +191,14 @@ impl InferTarget for Hmm {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let (a, b, obs) = self.model();
-        let n = self.states;
-        let mut heap = Heap::new();
-        let cur = heap.alloc(ObjData::F64(vec![1.0 / n as f64; n]));
-        let next = heap.alloc(ObjData::zeros_f64(n));
+        let (a, b, obs, mut heap, _, cur, next) = self.start();
         let body = self.body(&a, &b, obs[0], cur, next);
-        summarize_dependences(&mut heap, &mut RangeSpace::new(0, n as u64), body)
+        summarize_dependences(&mut heap, &mut RangeSpace::new(0, self.states as u64), body)
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
         let n = self.states;
-        let mut heap = Heap::new();
-        let cur = heap.alloc(ObjData::F64(vec![1.0 / n as f64; n]));
-        let next = heap.alloc(ObjData::zeros_f64(n));
+        let (_, _, _, heap, _, cur, next) = self.start();
         let words = n as u32;
         let mut spec = LoopSpec::new(n as u64, heap.high_water());
         // Iteration s reads the whole previous alpha vector (loop-invariant
@@ -230,10 +241,6 @@ impl Benchmark for Hmm {
 
     fn best_config(&self) -> (Model, Option<(String, RedOp)>) {
         (Model::StaleReads, None)
-    }
-
-    fn cost_model(&self) -> CostModel {
-        CostModel::default()
     }
 }
 

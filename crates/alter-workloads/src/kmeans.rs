@@ -39,6 +39,18 @@ use alter_runtime::{
 };
 use alter_sim::{CostModel, SimClock, SimObserver};
 
+/// What `KMeans::start` returns: the points, the heap, the registry, the
+/// feature objects, the membership array, the accumulators and `delta`.
+type Start = (
+    Vec<Vec<f64>>,
+    Heap,
+    RedVars,
+    Vec<ObjId>,
+    ObjId,
+    Vec<ObjId>,
+    BoundScalar,
+);
+
 /// The K-means clustering benchmark.
 #[derive(Clone, Debug)]
 pub struct KMeans {
@@ -195,12 +207,24 @@ impl KMeans {
         }
     }
 
-    /// Allocates the read-only per-point feature objects.
-    fn alloc_features(&self, heap: &mut Heap, features: &[Vec<f64>]) -> Vec<ObjId> {
-        features
+    /// The loop's start state, with one read-only heap object per point
+    /// and one accumulator object per cluster.
+    fn start(&self) -> Start {
+        let features = self.features();
+        let mut heap = Heap::new();
+        let mut reds = RedVars::new();
+        // Feature objects first: the cold read-only bulk of the heap stays
+        // on its own snapshot pages, away from the hot state below.
+        let feats = features
             .iter()
             .map(|f| heap.alloc(ObjData::F64(f.clone())))
-            .collect()
+            .collect();
+        let membership = heap.alloc(ObjData::I64(vec![-1; self.npoints]));
+        let accs = (0..self.nclusters)
+            .map(|_| heap.alloc(ObjData::zeros_f64(self.nfeatures + 1)))
+            .collect();
+        let delta = BoundScalar::declare(&mut heap, &mut reds, "delta", RedVal::F64(0.0));
+        (features, heap, reds, feats, membership, accs, delta)
     }
 
     /// Runs the full program under `probe`.
@@ -222,18 +246,7 @@ impl KMeans {
         probe: &Probe,
         model: &CostModel,
     ) -> Result<(Vec<i64>, usize, RunStats, SimClock), RunError> {
-        let features = self.features();
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        // Feature objects first: the cold read-only bulk of the heap stays
-        // on its own snapshot pages, away from the hot state below.
-        let feats = self.alloc_features(&mut heap, &features);
-        let membership = heap.alloc(ObjData::I64(vec![-1; self.npoints]));
-        let accs: Vec<ObjId> = (0..self.nclusters)
-            .map(|_| heap.alloc(ObjData::zeros_f64(self.nfeatures + 1)))
-            .collect();
-        let delta = BoundScalar::declare(&mut heap, &mut reds, "delta", RedVal::F64(0.0));
-
+        let (features, mut heap, mut reds, feats, membership, accs, delta) = self.start();
         let params = probe.exec_params(&reds);
         let was_reduced = !params.reductions.is_empty();
         let mut obs = SimObserver::new(model, params.workers);
@@ -318,15 +331,7 @@ impl InferTarget for KMeans {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let features = self.features();
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let feats = self.alloc_features(&mut heap, &features);
-        let membership = heap.alloc(ObjData::I64(vec![-1; self.npoints]));
-        let accs: Vec<ObjId> = (0..self.nclusters)
-            .map(|_| heap.alloc(ObjData::zeros_f64(self.nfeatures + 1)))
-            .collect();
-        let delta = BoundScalar::declare(&mut heap, &mut reds, "delta", RedVal::F64(0.0));
+        let (features, mut heap, _, feats, membership, accs, delta) = self.start();
         let centers: Vec<Vec<f64>> = features[..self.nclusters].to_vec();
         let body = self.body(&feats, &centers, membership, &accs, delta);
         let mut s = summarize_dependences(
@@ -339,16 +344,8 @@ impl InferTarget for KMeans {
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
         let nf = self.nfeatures as u32;
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let feats = self.alloc_features(&mut heap, &self.features());
-        let membership = heap.alloc(ObjData::I64(vec![-1; self.npoints]));
-        let accs: Vec<ObjId> = (0..self.nclusters)
-            .map(|_| heap.alloc(ObjData::zeros_f64(self.nfeatures + 1)))
-            .collect();
-        let delta = BoundScalar::declare(&mut heap, &mut reds, "delta", RedVal::F64(0.0));
+        let (_, heap, _, feats, membership, accs, delta) = self.start();
         let mut spec = LoopSpec::new(self.npoints as u64, heap.high_water());
         // Iteration i reads its own feature object and read-writes its own
         // membership slot (both injective); the data-dependent cluster
@@ -425,10 +422,6 @@ impl Benchmark for KMeans {
 
     fn best_config(&self) -> (Model, Option<(String, RedOp)>) {
         (Model::StaleReads, Some(("delta".into(), RedOp::Add)))
-    }
-
-    fn cost_model(&self) -> CostModel {
-        CostModel::default() // compute-bound: distance evaluations dominate
     }
 }
 

@@ -16,7 +16,7 @@ use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
     summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::{SimClock, SimObserver};
 use std::collections::VecDeque;
 
 const FREE: i64 = 0;
@@ -142,6 +142,14 @@ impl Labyrinth {
         (grid, routed)
     }
 
+    /// The loop's start state: the requests, and a free grid.
+    fn start(&self) -> (Vec<(usize, usize)>, Heap, RedVars, AlterVec<i64>) {
+        let requests = self.requests();
+        let mut heap = Heap::new();
+        let grid = AlterVec::new(&mut heap, self.width * self.height * self.depth);
+        (requests, heap, RedVars::new(), grid)
+    }
+
     fn body<'a>(
         &'a self,
         requests: &'a [(usize, usize)],
@@ -167,10 +175,7 @@ impl Labyrinth {
     /// Propagates runtime aborts.
     #[allow(clippy::type_complexity)]
     pub fn run(&self, probe: &Probe) -> Result<(Vec<i64>, usize, RunStats, SimClock), RunError> {
-        let requests = self.requests();
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let grid: AlterVec<i64> = AlterVec::new(&mut heap, self.width * self.height * self.depth);
+        let (requests, mut heap, mut reds, grid) = self.start();
         let params = probe.exec_params(&reds);
         let model = self.cost_model();
         let mut obs = SimObserver::new(&model, params.workers);
@@ -219,9 +224,7 @@ impl InferTarget for Labyrinth {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let requests = self.requests();
-        let mut heap = Heap::new();
-        let grid: AlterVec<i64> = AlterVec::new(&mut heap, self.width * self.height * self.depth);
+        let (requests, mut heap, _, grid) = self.start();
         let body = self.body(&requests, grid);
         summarize_dependences(
             &mut heap,
@@ -231,10 +234,8 @@ impl InferTarget for Labyrinth {
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
         let len = (self.width * self.height * self.depth) as u32;
-        let mut heap = Heap::new();
-        let grid: AlterVec<i64> = AlterVec::new(&mut heap, self.width * self.height * self.depth);
+        let (_, heap, _, grid) = self.start();
         let mut spec = LoopSpec::new(self.paths as u64, heap.high_water());
         // Every route BFSes over a snapshot of the whole grid, then claims
         // the (data-dependent) cells of the path it found — the
@@ -275,10 +276,6 @@ impl Benchmark for Labyrinth {
     fn best_config(&self) -> (Model, Option<(String, RedOp)>) {
         // No annotation validates; figures show the (failing) StaleReads run.
         (Model::StaleReads, None)
-    }
-
-    fn cost_model(&self) -> CostModel {
-        CostModel::default()
     }
 }
 

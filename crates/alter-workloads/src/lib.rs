@@ -7,6 +7,12 @@
 //! output validator. Every workload implements
 //! [`alter_infer::InferTarget`] (for Table 3) and [`Benchmark`] (for the
 //! speedup figures).
+//!
+//! Each workload builds its loop's start state — input, heap, reduction
+//! registry and the handles into the heap — in one private `start`
+//! function, which `run`, `probe_summary` and `loop_spec` all call. The
+//! dependence replay and the static `LoopSpec` therefore describe the same
+//! loop instance, down to the `ObjId`s, by construction.
 #![warn(missing_docs)]
 
 pub mod agglo;

@@ -138,6 +138,17 @@ impl Sg3d {
         (c % self.n, (c / self.n) % self.n, c / (self.n * self.n))
     }
 
+    /// The loop's start state: the source term and the sweep order, a
+    /// zero grid as one heap object, and the error scalar.
+    fn start(&self) -> (Vec<f64>, Vec<usize>, Heap, RedVars, ObjId, BoundScalar) {
+        let (f, cells) = (self.source(), self.interior());
+        let mut heap = Heap::new();
+        let mut reds = RedVars::new();
+        let grid = heap.alloc(ObjData::zeros_f64(self.n * self.n * self.n));
+        let err = BoundScalar::declare(&mut heap, &mut reds, "err", RedVal::F64(0.0));
+        (f, cells, heap, reds, grid, err)
+    }
+
     fn body<'a>(
         &self,
         f: &'a [f64],
@@ -178,13 +189,7 @@ impl Sg3d {
     /// Propagates runtime aborts from any sweep.
     #[allow(clippy::type_complexity)]
     pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, usize, RunStats, SimClock), RunError> {
-        let f = self.source();
-        let cells = self.interior();
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let grid = heap.alloc(ObjData::zeros_f64(self.n * self.n * self.n));
-        let err = BoundScalar::declare(&mut heap, &mut reds, "err", RedVal::F64(0.0));
-
+        let (f, cells, mut heap, mut reds, grid, err) = self.start();
         let params = probe.exec_params(&reds);
         let was_reduced = !params.reductions.is_empty();
         let model = self.cost_model();
@@ -243,12 +248,7 @@ impl InferTarget for Sg3d {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let f = self.source();
-        let cells = self.interior();
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let grid = heap.alloc(ObjData::zeros_f64(self.n * self.n * self.n));
-        let err = BoundScalar::declare(&mut heap, &mut reds, "err", RedVal::F64(0.0));
+        let (f, cells, mut heap, _, grid, err) = self.start();
         let body = self.body(&f, &cells, grid, err);
         let mut s =
             summarize_dependences(&mut heap, &mut RangeSpace::new(0, cells.len() as u64), body);
@@ -257,13 +257,9 @@ impl InferTarget for Sg3d {
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
         let words = (self.n * self.n * self.n) as u32;
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let grid = heap.alloc(ObjData::zeros_f64(self.n * self.n * self.n));
-        let err = BoundScalar::declare(&mut heap, &mut reds, "err", RedVal::F64(0.0));
-        let mut spec = LoopSpec::new(self.interior().len() as u64, heap.high_water());
+        let (_, cells, heap, _, grid, err) = self.start();
+        let mut spec = LoopSpec::new(cells.len() as u64, heap.high_water());
         // The shuffled sweep order makes the stencil's 27-point neighbour
         // window and own-cell write data-dependent per ordinal; the error
         // maximum is the one shared scalar, updated every iteration.

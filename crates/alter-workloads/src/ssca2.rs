@@ -17,7 +17,7 @@ use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
     summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::{SimClock, SimObserver};
 
 // Adjacency object layout: [0] = degree, [1..] = neighbour slots.
 const DEG: usize = 0;
@@ -87,6 +87,17 @@ impl Ssca2 {
             .collect()
     }
 
+    /// The loop's start state: the edge list, and one empty adjacency
+    /// object per vertex.
+    fn start(&self) -> (Vec<(usize, usize)>, Heap, RedVars, Vec<ObjId>) {
+        let edges = self.edge_list();
+        let mut heap = Heap::new();
+        let adj = (0..self.vertices)
+            .map(|_| heap.alloc(ObjData::zeros_i64(SLOTS + self.cap)))
+            .collect();
+        (edges, heap, RedVars::new(), adj)
+    }
+
     fn body<'a>(
         &self,
         edges: &'a [(usize, usize)],
@@ -111,12 +122,7 @@ impl Ssca2 {
     /// Propagates runtime aborts.
     #[allow(clippy::type_complexity)]
     pub fn run(&self, probe: &Probe) -> Result<(Vec<i64>, RunStats, SimClock), RunError> {
-        let edges = self.edge_list();
-        let mut heap = Heap::new();
-        let mut reds = RedVars::new();
-        let adj: Vec<ObjId> = (0..self.vertices)
-            .map(|_| heap.alloc(ObjData::zeros_i64(SLOTS + self.cap)))
-            .collect();
+        let (edges, mut heap, mut reds, adj) = self.start();
         let params = probe.exec_params(&reds);
         let model = self.cost_model();
         let mut obs = SimObserver::new(&model, params.workers);
@@ -167,22 +173,14 @@ impl InferTarget for Ssca2 {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let edges = self.edge_list();
-        let mut heap = Heap::new();
-        let adj: Vec<ObjId> = (0..self.vertices)
-            .map(|_| heap.alloc(ObjData::zeros_i64(SLOTS + self.cap)))
-            .collect();
+        let (edges, mut heap, _, adj) = self.start();
         let body = self.body(&edges, &adj);
         summarize_dependences(&mut heap, &mut RangeSpace::new(0, edges.len() as u64), body)
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {
-        // Mirror `probe_summary`'s heap construction so ObjIds line up.
         let words = (SLOTS + self.cap) as u32;
-        let mut heap = Heap::new();
-        let adj: Vec<ObjId> = (0..self.vertices)
-            .map(|_| heap.alloc(ObjData::zeros_i64(SLOTS + self.cap)))
-            .collect();
+        let (_, heap, _, adj) = self.start();
         let mut spec = LoopSpec::new(self.edges as u64, heap.high_water());
         // Each edge read-modify-writes its tail vertex's adjacency object:
         // a degree read, then (below capacity) a slot and degree write —
@@ -215,10 +213,6 @@ impl Benchmark for Ssca2 {
 
     fn best_config(&self) -> (Model, Option<(String, RedOp)>) {
         (Model::StaleReads, None)
-    }
-
-    fn cost_model(&self) -> CostModel {
-        CostModel::default()
     }
 }
 

@@ -12,6 +12,11 @@ cargo fmt --all --check
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+# Catches intra-doc links left dangling when an item is deleted or made
+# private, and links that name both a module and a function.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== build --release (warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release
 

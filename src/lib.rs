@@ -8,7 +8,7 @@
 //!   metrics, JSONL export, flight-recorder rendering, trace hashing.
 //! * [`runtime`] — annotation language, conflict policies, reductions, and
 //!   the deterministic fork-join loop executor.
-//! * [`collections`] — `AlterVec` / `AlterList` / `AlterMap` collection
+//! * [`collections`] — `AlterVec` / `AlterList` / `AlterHashSet` collection
 //!   classes whose iterators act as induction variables.
 //! * [`sim`] — deterministic virtual-time multicore simulator (substitute
 //!   for the paper's 8-core Xeon; see DESIGN.md).
