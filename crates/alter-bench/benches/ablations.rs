@@ -10,9 +10,11 @@
 //! Run with `cargo bench --bench ablations`.
 
 use alter_heap::{Heap, ObjData};
-use alter_infer::{Model, Probe};
-use alter_runtime::{CommitOrder, ConflictPolicy, ExecParams, RangeSpace, RedVars};
-use alter_sim::{simulate_loop, CostModel};
+use alter_infer::{InferTarget, Model, Probe};
+use alter_runtime::{
+    CommitOrder, ConflictPolicy, Driver, ExecParams, LoopBuilder, RunStats, TxCtx,
+};
+use alter_sim::{CostModel, SimClock, SimObserver};
 use alter_workloads::genome::Genome;
 use alter_workloads::Scale;
 
@@ -28,6 +30,24 @@ fn params(
     p
 }
 
+/// Runs `body` over `0..iters` with the sequential driver while a
+/// [`SimObserver`] charges virtual time under the default cost model.
+fn simulate(
+    heap: &mut Heap,
+    iters: u64,
+    p: &ExecParams,
+    body: impl Fn(&mut TxCtx<'_>, u64) + Sync,
+) -> (RunStats, SimClock) {
+    let model = CostModel::default();
+    let mut obs = SimObserver::new(&model, p.workers);
+    let stats = LoopBuilder::new(p)
+        .range(0, iters)
+        .observer(&mut obs)
+        .run(heap, Driver::sequential(), body)
+        .unwrap();
+    (stats, obs.into_clock())
+}
+
 /// Ablation 1: the read-instrumentation elision. Genome under WAW
 /// (StaleReads), RAW (OutOfOrder) and FULL (WAW semantics with read
 /// tracking forced back on).
@@ -38,7 +58,8 @@ fn ablate_read_tracking() {
         ("WAW  (reads elided)   ", Model::StaleReads),
         ("RAW  (reads tracked)  ", Model::OutOfOrder),
     ] {
-        let (_, stats, clock) = g.run(&Probe::new(model, 4, 16)).unwrap();
+        let run = g.run_probe(&Probe::new(model, 4, 16)).unwrap();
+        let (stats, clock) = (run.stats, run.clock);
         println!(
             "  {label} par={:>9.0}  tracked words/txn={:>5.0}  retry={:.1}%",
             clock.par_units,
@@ -57,27 +78,17 @@ fn ablate_granularity() {
     for (label, whole_object) in [("word ranges ", false), ("whole object", true)] {
         let mut heap = Heap::new();
         let objs: Vec<_> = (0..32).map(|_| heap.alloc(ObjData::zeros_f64(8))).collect();
-        let mut reds = RedVars::new();
         let p = params(ConflictPolicy::Waw, CommitOrder::OutOfOrder, 4, 1);
-        let model = CostModel::default();
-        let (stats, _) = simulate_loop(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, 64),
-            &p,
-            &model,
-            |ctx, i| {
-                let obj = objs[(i / 2) as usize];
-                if whole_object {
-                    ctx.tx
-                        .update_f64s(obj, 0, 8, |s| s[(i % 2) as usize * 4] += 1.0);
-                } else {
-                    let half = (i % 2) as usize * 4;
-                    ctx.tx.update_f64s(obj, half, half + 4, |s| s[0] += 1.0);
-                }
-            },
-        )
-        .unwrap();
+        let (stats, _) = simulate(&mut heap, 64, &p, |ctx, i| {
+            let obj = objs[(i / 2) as usize];
+            if whole_object {
+                ctx.tx
+                    .update_f64s(obj, 0, 8, |s| s[(i % 2) as usize * 4] += 1.0);
+            } else {
+                let half = (i % 2) as usize * 4;
+                ctx.tx.update_f64s(obj, half, half + 4, |s| s[0] += 1.0);
+            }
+        });
         println!(
             "  {label}: retry rate {:>5.1}%  ({} attempts for 64 iterations)",
             stats.retry_rate() * 100.0,
@@ -97,7 +108,8 @@ fn ablate_commit_order() {
         ("OutOfOrder", Model::OutOfOrder),
         ("InOrder   ", Model::Tls),
     ] {
-        let (_, stats, clock) = g.run(&Probe::new(model, 8, 16)).unwrap();
+        let run = g.run_probe(&Probe::new(model, 8, 16)).unwrap();
+        let (stats, clock) = (run.stats, run.clock);
         println!(
             "  {label}: retry rate {:>5.1}%  simulated time {:>8.0}",
             stats.retry_rate() * 100.0,
@@ -120,26 +132,16 @@ fn ablate_chunking() {
         let mut heap = Heap::new();
         let arr = heap.alloc(ObjData::zeros_f64(512));
         let hot = heap.alloc(ObjData::zeros_i64(8));
-        let mut reds = RedVars::new();
         let p = params(ConflictPolicy::Waw, CommitOrder::OutOfOrder, 4, cf);
-        let model = CostModel::default();
-        let (_, clock) = simulate_loop(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, 512),
-            &p,
-            &model,
-            |ctx, i| {
-                ctx.tx.work(40);
-                ctx.tx.write_f64(arr, i as usize, 1.0);
-                if i % 16 == 0 {
-                    let c = (i / 16 % 8) as usize;
-                    let v = ctx.tx.read_i64(hot, c);
-                    ctx.tx.write_i64(hot, c, v + 1);
-                }
-            },
-        )
-        .unwrap();
+        let (_, clock) = simulate(&mut heap, 512, &p, |ctx, i| {
+            ctx.tx.work(40);
+            ctx.tx.write_f64(arr, i as usize, 1.0);
+            if i % 16 == 0 {
+                let c = (i / 16 % 8) as usize;
+                let v = ctx.tx.read_i64(hot, c);
+                ctx.tx.write_i64(hot, c, v + 1);
+            }
+        });
         print!("{:>9.0}", clock.par_units);
     }
     println!("\n  (left edge pays a barrier per iteration; right edge loses parallelism and concentrates conflicts)\n");

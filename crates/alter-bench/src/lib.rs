@@ -212,7 +212,10 @@ pub fn figure5() -> String {
         for &cf in &cfs {
             let mut probe = km.best_probe(4);
             probe.chunk = cf;
-            let t = km.run(&probe).map(|r| r.3.par_units).unwrap_or(f64::NAN);
+            let t = km
+                .run_probe(&probe)
+                .map(|r| r.clock.par_units)
+                .unwrap_or(f64::NAN);
             if t < best.1 {
                 best = (cf, t);
             }
@@ -448,7 +451,8 @@ pub fn convergence_facts(scale: Scale) -> String {
     let _ = writeln!(out, "Convergence under broken dependences (§7.2)");
     for gs in [GaussSeidel::dense(scale), GaussSeidel::sparse(scale)] {
         let (_, seq_sweeps) = gs.solve_sequential();
-        let (_, par_sweeps, _, _) = gs.run(&gs.best_probe(4)).expect("stale GS runs");
+        let run = gs.run_probe(&gs.best_probe(4)).expect("stale GS runs");
+        let par_sweeps = run.output.ints[0];
         let _ = writeln!(
             out,
             "{}: sweeps sequential {} -> StaleReads {} (paper: 16->17 dense, 20->21 sparse)",
@@ -462,14 +466,16 @@ pub fn convergence_facts(scale: Scale) -> String {
     max_probe.reduction = Some(("err".into(), alter_runtime::RedOp::Max));
     let mut add_probe = sg.best_probe(4);
     add_probe.reduction = Some(("err".into(), alter_runtime::RedOp::Add));
-    let (_, max_sweeps, _, _) = sg.run(&max_probe).expect("sg3d max runs");
-    let (_, add_sweeps, _, _) = sg.run(&add_probe).expect("sg3d + runs");
+    let max_sweeps = sg.run_probe(&max_probe).expect("sg3d max runs").output.ints[0];
+    let add_sweeps = sg.run_probe(&add_probe).expect("sg3d + runs").output.ints[0];
     let _ = writeln!(
         out,
         "SG3D: sweeps with max {max_sweeps} vs with + {add_sweeps} (paper: 1670 -> 2752 iterations)"
     );
     let fl = alter_workloads::floyd::Floyd::new(scale);
-    let (_, passes, _, _) = fl.run(&fl.best_probe(4)).expect("floyd runs");
+    let run = fl.run_probe(&fl.best_probe(4)).expect("floyd runs");
+    // Every pass commits all n iterations of the n × n distance matrix.
+    let passes = run.stats.iterations / run.output.floats.len().isqrt() as u64;
     let _ = writeln!(
         out,
         "Floyd: relaxation passes to fixpoint under StaleReads: {passes} (sequential: 1 + check)"

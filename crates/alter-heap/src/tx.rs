@@ -739,11 +739,6 @@ impl<'s> Tx<'s> {
         &self.track.stats
     }
 
-    /// The snapshot this transaction reads through.
-    pub fn snapshot(&self) -> &Snapshot {
-        self.snap
-    }
-
     /// Finishes the transaction, yielding everything the commit engine
     /// needs: private writes, access sets, allocation log and counters.
     pub fn finish(mut self) -> TxEffects {

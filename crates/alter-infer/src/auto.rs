@@ -115,7 +115,7 @@ mod tests {
     use alter_runtime::{
         summarize_dependences, BoundScalar, LoopSummary, RangeSpace, RedVal, RedVars, RunError,
     };
-    use alter_sim::{simulate_loop, CostModel};
+    use alter_sim::CostModel;
 
     /// A loop that needs `Reduction(total, +)`: the auto pipeline must pick
     /// StaleReads with that reduction and a chunk factor > 1.
@@ -132,25 +132,19 @@ mod tests {
             let mut heap = Heap::new();
             let mut reds = RedVars::new();
             let total = BoundScalar::declare(&mut heap, &mut reds, "total", RedVal::I64(0));
-            let params = probe.exec_params(&reds);
-            let was_reduced = !params.reductions.is_empty();
-            let (stats, clock) = simulate_loop(
+            let model = CostModel::default();
+            let mut session = probe.session(&reds, &model);
+            session.run_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 256),
-                &params,
-                &CostModel::default(),
                 |ctx, i| {
                     ctx.tx.work(10);
                     total.add(ctx, i as i64);
                 },
             )?;
-            let v = total.seq_get_sync(&mut heap, &mut reds, was_reduced);
-            Ok(ProbeRun {
-                output: ProgramOutput::from_ints(vec![v.as_i64()]),
-                stats,
-                clock,
-            })
+            let v = total.seq_get_sync(&mut heap, &mut reds, session.params());
+            Ok(session.finish(ProgramOutput::from_ints(vec![v.as_i64()]), 0.0))
         }
         fn probe_summary(&self) -> LoopSummary {
             let mut heap = Heap::new();
@@ -188,23 +182,19 @@ mod tests {
             let mut heap = Heap::new();
             let mut reds = RedVars::new();
             let cell = heap.alloc(ObjData::scalar_i64(1));
-            let params = probe.exec_params(&reds);
-            let (stats, clock) = simulate_loop(
+            let model = CostModel::default();
+            let mut session = probe.session(&reds, &model);
+            session.run_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 64),
-                &params,
-                &CostModel::default(),
                 |ctx, _| {
                     let v = ctx.tx.read_i64(cell, 0);
                     ctx.tx.write_i64(cell, 0, v.wrapping_mul(3).wrapping_add(1));
                 },
             )?;
-            Ok(ProbeRun {
-                output: ProgramOutput::from_ints(vec![heap.get(cell).i64s()[0]]),
-                stats,
-                clock,
-            })
+            let output = ProgramOutput::from_ints(vec![heap.get(cell).i64s()[0]]);
+            Ok(session.finish(output, 0.0))
         }
         fn probe_summary(&self) -> LoopSummary {
             let mut heap = Heap::new();

@@ -24,7 +24,7 @@ pub use auto::{auto_parallelize, AutoDecision, ChosenConfig};
 pub use chunk::{tune_chunk, ChunkTuning};
 pub use engine::{classify, infer, InferConfig, InferReport, PrunedCandidate, ReductionResult};
 pub use outcome::Outcome;
-pub use target::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
+pub use target::{InferTarget, Model, Probe, ProbeRun, ProbeSession, ProgramOutput};
 
 #[cfg(test)]
 mod tests {
@@ -34,7 +34,7 @@ mod tests {
         summarize_dependences, BoundScalar, DepReport, LoopSummary, RangeSpace, RedVal, RedVars,
         RunError, TxCtx,
     };
-    use alter_sim::{simulate_loop, CostModel};
+    use alter_sim::CostModel;
 
     /// Shared probe harness: build fresh state, run the loop, read output.
     fn run_program<S, B, O>(
@@ -51,21 +51,11 @@ mod tests {
         let mut heap = Heap::new();
         let mut reds = RedVars::new();
         let state = setup(&mut heap, &mut reds);
-        let params = probe.exec_params(&reds);
         let model = CostModel::default();
-        let (stats, clock) = simulate_loop(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(range.0, range.1),
-            &params,
-            &model,
-            body(&state),
-        )?;
-        Ok(ProbeRun {
-            output: output(&heap, &reds, &state),
-            stats,
-            clock,
-        })
+        let mut session = probe.session(&reds, &model);
+        let space = &mut RangeSpace::new(range.0, range.1);
+        session.run_loop(&mut heap, &mut reds, space, body(&state))?;
+        Ok(session.finish(output(&heap, &reds, &state), 0.0))
     }
 
     /// A loop with no dependences: out[i] = 3i.
@@ -153,26 +143,19 @@ mod tests {
             let mut heap = Heap::new();
             let mut reds = RedVars::new();
             let sum = BoundScalar::declare(&mut heap, &mut reds, "sum", RedVal::I64(0));
-            let params = probe.exec_params(&reds);
             let model = CostModel::default();
-            let was_reduced = !params.reductions.is_empty();
-            let (stats, clock) = simulate_loop(
+            let mut session = probe.session(&reds, &model);
+            session.run_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 512),
-                &params,
-                &model,
                 |ctx, i| {
                     ctx.tx.work(5);
                     sum.add(ctx, i as i64);
                 },
             )?;
-            let v = sum.seq_get_sync(&mut heap, &mut reds, was_reduced);
-            Ok(ProbeRun {
-                output: ProgramOutput::from_ints(vec![v.as_i64()]),
-                stats,
-                clock,
-            })
+            let v = sum.seq_get_sync(&mut heap, &mut reds, session.params());
+            Ok(session.finish(ProgramOutput::from_ints(vec![v.as_i64()]), 0.0))
         }
         fn probe_summary(&self) -> LoopSummary {
             let mut heap = Heap::new();

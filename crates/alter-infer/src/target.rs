@@ -6,8 +6,12 @@
 //! variables a reduction annotation could name.
 
 use alter_analyze::absint::LoopSpec;
-use alter_runtime::{ExecParams, LoopSummary, RedOp, RedVars, RunError, RunStats};
-use alter_sim::SimClock;
+use alter_heap::Heap;
+use alter_runtime::{
+    run_loop_observed, Driver, ExecParams, IterSpace, LoopSummary, RedOp, RedVars, RunError,
+    RunStats, TxCtx,
+};
+use alter_sim::{CostModel, SimClock, SimObserver};
 use alter_trace::Recorder;
 use std::sync::Arc;
 
@@ -150,13 +154,31 @@ impl Probe {
 
     /// The loop driver this probe asks for: threaded when
     /// [`Probe::threaded`] is set, the sequential round simulation
-    /// otherwise. Targets should pass this to
-    /// [`alter_runtime::LoopBuilder::run`] instead of hard-coding a driver.
-    pub fn driver(&self) -> alter_runtime::Driver {
+    /// otherwise. [`Probe::session`] runs every pass with it, so targets
+    /// never hard-code a driver.
+    pub fn driver(&self) -> Driver {
         if self.threaded {
-            alter_runtime::Driver::threaded()
+            Driver::threaded()
         } else {
-            alter_runtime::Driver::sequential()
+            Driver::sequential()
+        }
+    }
+
+    /// Opens one probe run of a target: resolves this probe against `reds`
+    /// ([`Probe::exec_params`]) and its [`Probe::driver`] once, and attaches
+    /// one [`SimObserver`] charging virtual time under `model` that every
+    /// pass of the target loop shares.
+    ///
+    /// # Panics
+    ///
+    /// As [`Probe::exec_params`].
+    pub fn session<'m>(&self, reds: &RedVars, model: &'m CostModel) -> ProbeSession<'m> {
+        let params = self.exec_params(reds);
+        ProbeSession {
+            observer: SimObserver::new(model, params.workers),
+            driver: self.driver(),
+            params,
+            stats: RunStats::default(),
         }
     }
 
@@ -250,6 +272,71 @@ pub struct ProbeRun {
     pub clock: SimClock,
 }
 
+/// One probe run in progress (see [`Probe::session`]): the run's engine
+/// parameters and driver, the [`SimObserver`] every pass shares, and the
+/// passes' statistics so far. A convergence program runs its target loop
+/// once per outer iteration through [`ProbeSession::run_loop`] and closes
+/// the run with [`ProbeSession::finish`].
+#[derive(Debug)]
+pub struct ProbeSession<'m> {
+    params: ExecParams,
+    driver: Driver,
+    observer: SimObserver<'m>,
+    stats: RunStats,
+}
+
+impl ProbeSession<'_> {
+    /// The engine parameters every pass runs under — what sequential code
+    /// between passes asks which copy of a reduced scalar is authoritative
+    /// ([`alter_runtime::BoundScalar::seq_get_sync`]).
+    pub fn params(&self) -> &ExecParams {
+        &self.params
+    }
+
+    /// Runs one pass of the target loop over `space`, adds its statistics
+    /// to the run's, and returns them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the runtime's crash / out-of-memory / work-budget aborts.
+    pub fn run_loop<F>(
+        &mut self,
+        heap: &mut Heap,
+        reds: &mut RedVars,
+        space: &mut dyn IterSpace,
+        body: F,
+    ) -> Result<RunStats, RunError>
+    where
+        F: Fn(&mut TxCtx<'_>, u64) + Sync,
+    {
+        let pass = run_loop_observed(
+            heap,
+            reds,
+            space,
+            &self.params,
+            self.driver,
+            body,
+            &mut self.observer,
+        )?;
+        self.stats.absorb(&pass);
+        Ok(pass)
+    }
+
+    /// Closes the run with the program's `output`, charging
+    /// `sequential_units` of program text outside the loop (epilogues,
+    /// convergence checks) to both clocks once
+    /// ([`SimClock::add_sequential`]).
+    pub fn finish(self, output: ProgramOutput, sequential_units: f64) -> ProbeRun {
+        let mut clock = self.observer.into_clock();
+        clock.add_sequential(sequential_units);
+        ProbeRun {
+            output,
+            stats: self.stats,
+            clock,
+        }
+    }
+}
+
 /// A program with one target loop, as seen by the inference engine.
 ///
 /// Implementations must be deterministic: each probe starts from identical
@@ -315,7 +402,8 @@ pub trait InferTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alter_runtime::{CommitOrder, ConflictPolicy, RedVal};
+    use alter_heap::{ObjData, ObjId};
+    use alter_runtime::{CommitOrder, ConflictPolicy, RangeSpace, RedVal};
 
     #[test]
     fn model_params_match_theorems() {
@@ -350,6 +438,71 @@ mod tests {
         assert_eq!(p.work_budget, Some(1000));
         assert_eq!(probe.describe(), "StaleReads + Reduction(delta, +)");
         assert_eq!(Probe::new(Model::Tls, 2, 4).describe(), "TLS");
+    }
+
+    /// Two passes of a shared-counter loop through one session.
+    fn two_pass_run(probe: &Probe, model: &CostModel) -> ProbeRun {
+        let mut heap = Heap::new();
+        let c = heap.alloc(ObjData::scalar_i64(0));
+        let mut reds = RedVars::new();
+        let mut session = probe.session(&reds, model);
+        for _ in 0..2 {
+            let space = &mut RangeSpace::new(0, 32);
+            session
+                .run_loop(&mut heap, &mut reds, space, counter_body(c))
+                .unwrap();
+        }
+        session.finish(ProgramOutput::from_ints(heap.get(c).i64s().to_vec()), 7.5)
+    }
+
+    fn counter_body(c: ObjId) -> impl Fn(&mut TxCtx<'_>, u64) + Sync {
+        move |ctx, _| {
+            ctx.tx.work(10);
+            let v = ctx.tx.read_i64(c, 0);
+            ctx.tx.write_i64(c, 0, v + 1);
+        }
+    }
+
+    #[test]
+    fn a_session_absorbs_every_pass_and_adds_sequential_units_once() {
+        let model = CostModel::default();
+        let probe = Probe::new(Model::OutOfOrder, 4, 2);
+        let run = two_pass_run(&probe, &model);
+        assert_eq!(run.output.ints, vec![64]);
+
+        // The same two passes by hand: one observer carried across both.
+        let mut heap = Heap::new();
+        let c = heap.alloc(ObjData::scalar_i64(0));
+        let mut reds = RedVars::new();
+        let params = probe.exec_params(&reds);
+        let mut obs = SimObserver::new(&model, params.workers);
+        let mut stats = RunStats::default();
+        for _ in 0..2 {
+            let pass = run_loop_observed(
+                &mut heap,
+                &mut reds,
+                &mut RangeSpace::new(0, 32),
+                &params,
+                Driver::sequential(),
+                counter_body(c),
+                &mut obs,
+            )
+            .unwrap();
+            assert!(pass.retries() > 0, "the counter conflicts");
+            stats.absorb(&pass);
+        }
+        let mut clock = obs.into_clock();
+        clock.add_sequential(7.5);
+        assert_eq!(run.stats, stats);
+        assert_eq!(run.stats.iterations, 64);
+        assert_eq!(format!("{:?}", run.clock), format!("{clock:?}"));
+
+        let mut threaded = probe.clone();
+        threaded.threaded = true;
+        let t = two_pass_run(&threaded, &model);
+        assert_eq!(t.output, run.output);
+        assert_eq!(t.stats.modulo_drive_mode(), run.stats.modulo_drive_mode());
+        assert_eq!(format!("{:?}", t.clock), format!("{:?}", run.clock));
     }
 
     #[test]

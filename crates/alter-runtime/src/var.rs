@@ -10,6 +10,7 @@
 
 use crate::annotation::RedOp;
 use crate::body::TxCtx;
+use crate::params::ExecParams;
 use crate::reduction::{RedVal, RedVarId, RedVars};
 use alter_heap::{Heap, ObjData, ObjId};
 
@@ -104,12 +105,13 @@ impl BoundScalar {
         reds.set(self.red, v);
     }
 
-    /// Reads the value from sequential code after a parallel loop.
-    /// `was_reduced` says whether the loop ran with this variable in its
-    /// `ReductionPolicy` (i.e. which copy is authoritative); the other copy
-    /// is synchronized as a side effect.
-    pub fn seq_get_sync(&self, heap: &mut Heap, reds: &mut RedVars, was_reduced: bool) -> RedVal {
-        let v = if was_reduced {
+    /// Reads the value from sequential code after a parallel loop run under
+    /// `params`. The registry copy is authoritative exactly when *this*
+    /// variable is in the run's `ReductionPolicy`; otherwise the heap copy
+    /// is, whatever else the loop reduced. The other copy is synchronized
+    /// as a side effect.
+    pub fn seq_get_sync(&self, heap: &mut Heap, reds: &mut RedVars, params: &ExecParams) -> RedVal {
+        let v = if params.reductions.iter().any(|&(var, _)| var == self.red) {
             reds.get(self.red)
         } else if self.is_float {
             RedVal::F64(heap.get(self.obj).f64s()[0])
@@ -125,7 +127,6 @@ impl BoundScalar {
 mod tests {
     use super::*;
     use crate::executor::{Driver, LoopBuilder};
-    use crate::params::ExecParams;
 
     #[test]
     fn annotated_updates_flow_through_reductions() {
@@ -142,7 +143,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(stats.retries(), 0, "reduction updates never conflict");
-        let v = delta.seq_get_sync(&mut heap, &mut reds, true);
+        let v = delta.seq_get_sync(&mut heap, &mut reds, &params);
         assert_eq!(v.as_f64(), 64.0);
         // Heap copy synchronized.
         assert_eq!(heap.get(delta.object()).f64s()[0], 64.0);
@@ -163,8 +164,34 @@ mod tests {
             })
             .unwrap();
         assert!(stats.retries() > 0, "heap RMW on a shared scalar conflicts");
-        let v = delta.seq_get_sync(&mut heap, &mut reds, false);
+        let v = delta.seq_get_sync(&mut heap, &mut reds, &params);
         assert_eq!(v.as_f64(), 64.0, "but the result is still exact");
+    }
+
+    #[test]
+    fn a_loop_reducing_another_variable_reads_this_ones_heap_copy() {
+        let mut heap = Heap::new();
+        let mut reds = RedVars::new();
+        let sum = BoundScalar::declare(&mut heap, &mut reds, "sum", RedVal::I64(0));
+        let count = BoundScalar::declare(&mut heap, &mut reds, "count", RedVal::I64(0));
+        let mut params = ExecParams::new(1, 4);
+        params.reductions = vec![(sum.red_var(), RedOp::Add)];
+        LoopBuilder::new(&params)
+            .range(0, 8)
+            .reductions(&mut reds)
+            .run(&mut heap, Driver::sequential(), |ctx, i| {
+                sum.add(ctx, i as i64);
+                count.add(ctx, 1i64);
+            })
+            .unwrap();
+        // `count` was updated through the heap; its registry copy is stale.
+        assert_eq!(reds.get(count.red_var()).as_i64(), 0);
+        assert_eq!(
+            count.seq_get_sync(&mut heap, &mut reds, &params).as_i64(),
+            8
+        );
+        assert_eq!(reds.get(count.red_var()).as_i64(), 8, "registry synced");
+        assert_eq!(sum.seq_get_sync(&mut heap, &mut reds, &params).as_i64(), 28);
     }
 
     #[test]
@@ -175,6 +202,7 @@ mod tests {
         n.seq_set(&mut heap, &mut reds, RedVal::I64(9));
         assert_eq!(heap.get(n.object()).i64s()[0], 9);
         assert_eq!(reds.get(n.red_var()).as_i64(), 9);
-        assert_eq!(n.seq_get_sync(&mut heap, &mut reds, false).as_i64(), 9);
+        let params = ExecParams::new(1, 1);
+        assert_eq!(n.seq_get_sync(&mut heap, &mut reds, &params).as_i64(), 9);
     }
 }

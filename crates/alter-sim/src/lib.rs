@@ -26,4 +26,4 @@ mod cost;
 mod sim;
 
 pub use cost::CostModel;
-pub use sim::{simulate_loop, SimClock, SimObserver};
+pub use sim::{SimClock, SimObserver};

@@ -1,11 +1,7 @@
 //! The deterministic virtual-time multicore executor.
 
 use crate::cost::CostModel;
-use alter_heap::Heap;
-use alter_runtime::{
-    run_loop_observed, Driver, ExecParams, IterSpace, RedVars, RoundObserver, RoundReport,
-    RunError, RunStats, TaskReport, TxCtx,
-};
+use alter_runtime::{RoundObserver, RoundReport, TaskReport};
 
 /// Accumulated virtual-time accounting for one or more loop executions
 /// (convergence algorithms run the inner loop many times; keep one
@@ -92,11 +88,6 @@ impl<'m> SimObserver<'m> {
     pub fn into_clock(self) -> SimClock {
         self.clock
     }
-
-    /// The clock so far.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
 }
 
 impl RoundObserver for SimObserver<'_> {
@@ -151,62 +142,40 @@ impl RoundObserver for SimObserver<'_> {
     }
 }
 
-/// Runs one loop on the simulated multicore: executes it for real (with the
-/// sequential driver, so results are identical to any other driver) while a
-/// [`SimObserver`] charges virtual time.
-///
-/// # Errors
-///
-/// Propagates the runtime's [`RunError`]s.
-pub fn simulate_loop<F>(
-    heap: &mut Heap,
-    reds: &mut RedVars,
-    space: &mut dyn IterSpace,
-    params: &ExecParams,
-    model: &CostModel,
-    body: F,
-) -> Result<(RunStats, SimClock), RunError>
-where
-    F: Fn(&mut TxCtx<'_>, u64) + Sync,
-{
-    let mut obs = SimObserver::new(model, params.workers);
-    let stats = run_loop_observed(
-        heap,
-        reds,
-        space,
-        params,
-        Driver::sequential(),
-        body,
-        &mut obs,
-    )?;
-    Ok((stats, obs.into_clock()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alter_heap::ObjData;
-    use alter_runtime::{ConflictPolicy, RangeSpace};
+    use alter_heap::{Heap, ObjData};
+    use alter_runtime::{ConflictPolicy, Driver, ExecParams, LoopBuilder, RunStats, TxCtx};
+
+    /// Runs `body` over `0..iters` with the sequential driver while a
+    /// [`SimObserver`] charges virtual time under `model`.
+    fn simulate(
+        heap: &mut Heap,
+        iters: u64,
+        params: &ExecParams,
+        model: &CostModel,
+        body: impl Fn(&mut TxCtx<'_>, u64) + Sync,
+    ) -> (RunStats, SimClock) {
+        let mut obs = SimObserver::new(model, params.workers);
+        let stats = LoopBuilder::new(params)
+            .range(0, iters)
+            .observer(&mut obs)
+            .run(heap, Driver::sequential(), body)
+            .unwrap();
+        (stats, obs.into_clock())
+    }
 
     fn run_doall(workers: usize, iters: u64, work_per_iter: u64) -> SimClock {
         let mut heap = Heap::new();
         let xs = heap.alloc(ObjData::zeros_f64(iters as usize));
-        let mut reds = RedVars::new();
         let mut params = ExecParams::new(workers, 8);
         params.conflict = ConflictPolicy::None;
         let model = CostModel::default();
-        let (_, clock) = simulate_loop(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, iters),
-            &params,
-            &model,
-            |ctx, i| {
-                ctx.tx.work(work_per_iter);
-                ctx.tx.write_f64(xs, i as usize, 1.0);
-            },
-        )
-        .unwrap();
+        let (_, clock) = simulate(&mut heap, iters, &params, &model, |ctx, i| {
+            ctx.tx.work(work_per_iter);
+            ctx.tx.write_f64(xs, i as usize, 1.0);
+        });
         clock
     }
 
@@ -237,27 +206,18 @@ mod tests {
             let mut heap = Heap::new();
             let xs = heap.alloc(ObjData::zeros_f64(n));
             let ys = heap.alloc(ObjData::zeros_f64(n));
-            let mut reds = RedVars::new();
             let chunk = 256usize;
             let params = ExecParams::new(workers, 1);
             let model = CostModel::memory_bound(2.5);
-            let (_, clock) = simulate_loop(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, (n / chunk) as u64),
-                &params,
-                &model,
-                |ctx, c| {
-                    // Streaming kernel: one range read + one range write per
-                    // chunk of 256 elements.
-                    let lo = c as usize * chunk;
-                    let vals: Vec<f64> = ctx
-                        .tx
-                        .with_f64s(xs, lo, lo + chunk, |s| s.iter().map(|v| v * 2.0).collect());
-                    ctx.tx.write_f64s(ys, lo, &vals);
-                },
-            )
-            .unwrap();
+            let (_, clock) = simulate(&mut heap, (n / chunk) as u64, &params, &model, |ctx, c| {
+                // Streaming kernel: one range read + one range write per
+                // chunk of 256 elements.
+                let lo = c as usize * chunk;
+                let vals: Vec<f64> = ctx
+                    .tx
+                    .with_f64s(xs, lo, lo + chunk, |s| s.iter().map(|v| v * 2.0).collect());
+                ctx.tx.write_f64s(ys, lo, &vals);
+            });
             clock
         };
         let s8 = run(8);
@@ -274,22 +234,13 @@ mod tests {
         // All iterations hammer one counter: massive retries.
         let mut heap = Heap::new();
         let c = heap.alloc(ObjData::scalar_i64(0));
-        let mut reds = RedVars::new();
         let params = ExecParams::new(4, 1);
         let model = CostModel::default();
-        let (stats, clock) = simulate_loop(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, 32),
-            &params,
-            &model,
-            |ctx, _| {
-                ctx.tx.work(100);
-                let v = ctx.tx.read_i64(c, 0);
-                ctx.tx.write_i64(c, 0, v + 1);
-            },
-        )
-        .unwrap();
+        let (stats, clock) = simulate(&mut heap, 32, &params, &model, |ctx, _| {
+            ctx.tx.work(100);
+            let v = ctx.tx.read_i64(c, 0);
+            ctx.tx.write_i64(c, 0, v + 1);
+        });
         assert!(stats.retries() > 0);
         assert!(
             clock.speedup() < 1.0,
@@ -317,25 +268,16 @@ mod tests {
         let run = |traffic: u64, bw: Option<f64>| {
             let mut heap = Heap::new();
             let xs = heap.alloc(ObjData::zeros_f64(256));
-            let mut reds = RedVars::new();
             let mut params = ExecParams::new(4, 8);
             params.conflict = ConflictPolicy::None;
             let model = CostModel {
                 bandwidth_words_per_unit: bw,
                 ..CostModel::default()
             };
-            let (_, clock) = simulate_loop(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, 256),
-                &params,
-                &model,
-                |ctx, i| {
-                    ctx.tx.traffic(traffic);
-                    ctx.tx.write_f64(xs, i as usize, 1.0);
-                },
-            )
-            .unwrap();
+            let (_, clock) = simulate(&mut heap, 256, &params, &model, |ctx, i| {
+                ctx.tx.traffic(traffic);
+                ctx.tx.write_f64(xs, i as usize, 1.0);
+            });
             clock
         };
         let quiet = run(0, None);

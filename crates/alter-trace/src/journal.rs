@@ -19,7 +19,7 @@
 //! (`alter_runtime::replay`).
 
 use crate::event::Event;
-use crate::hash::{trace_hash, TraceHasher};
+use crate::hash::trace_hash;
 use crate::jsonl::{escape_into, event_json, parse_object, Fields, ParseTraceError};
 use std::fmt::Write as _;
 
@@ -104,13 +104,13 @@ impl JournalHeader {
     }
 }
 
-/// A validated recorded run: header, event stream, and a round index.
+/// A validated recorded run: header, event stream, and its round count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Journal {
     header: JournalHeader,
     events: Vec<Event>,
-    /// `rounds[r]` is the index into `events` of round `r`'s `RoundStart`.
-    rounds: Vec<usize>,
+    /// `RoundStart` events in the stream, across segments.
+    rounds: usize,
 }
 
 impl Journal {
@@ -120,7 +120,7 @@ impl Journal {
     /// numbering, terminal final event).
     pub fn new(mut header: JournalHeader, events: Vec<Event>) -> Result<Journal, String> {
         header.trace_hash = trace_hash(&events);
-        let rounds = index_rounds(&events).map_err(|(_, msg)| msg)?;
+        let rounds = count_rounds(&events).map_err(|(_, msg)| msg)?;
         Ok(Journal {
             header,
             events,
@@ -174,7 +174,7 @@ impl Journal {
             events.push(crate::jsonl::parse_event_fields(&f).map_err(at)?);
             event_lines.push(idx + 1);
         }
-        let rounds = index_rounds(&events).map_err(|(pos, msg)| ParseTraceError {
+        let rounds = count_rounds(&events).map_err(|(pos, msg)| ParseTraceError {
             line: pos.map_or_else(
                 || event_lines.last().copied().unwrap_or(1),
                 |i| event_lines[i],
@@ -215,30 +215,11 @@ impl Journal {
 
     /// Number of rounds in the recorded run.
     pub fn round_count(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// The half-open event index range `[start, end)` covering round `r`
-    /// (from its `RoundStart` up to the next round's, or to the end of the
-    /// stream for the last round).
-    pub fn round_span(&self, r: usize) -> (usize, usize) {
-        let start = self.rounds[r];
-        let end = self.rounds.get(r + 1).copied().unwrap_or(self.events.len());
-        (start, end)
-    }
-
-    /// Trace hash of the event prefix `events[..upto]` — what a
-    /// divergence at `upto` reports as its shared prefix.
-    pub fn prefix_hash(&self, upto: usize) -> u64 {
-        let mut h = TraceHasher::new();
-        for ev in &self.events[..upto] {
-            h.update_event(ev);
-        }
-        h.finish()
+        self.rounds
     }
 }
 
-/// Builds the round index, enforcing the recorded-probe shape. A probe run
+/// Counts the rounds, enforcing the recorded-probe shape. A probe run
 /// is one or more engine-run *segments* (workloads like k-means drive the
 /// target loop once per outer iteration), each numbering its rounds
 /// strictly `0, 1, 2, …` and each closed by a terminal event (`run_end`,
@@ -246,11 +227,9 @@ impl Journal {
 /// were reordered or spliced; a stream whose final event is not terminal
 /// was truncated. Probe brackets are rejected — journals record a single
 /// probe run, not an inference search. Errors carry the offending event
-/// index (`None` = end of stream). The returned index lists `RoundStart`
-/// positions in stream order (the global round ordinal, across segments).
-#[allow(clippy::type_complexity)]
-fn index_rounds(events: &[Event]) -> Result<Vec<usize>, (Option<usize>, String)> {
-    let mut rounds = Vec::new();
+/// index (`None` = end of stream).
+fn count_rounds(events: &[Event]) -> Result<usize, (Option<usize>, String)> {
+    let mut rounds = 0;
     let mut expected = 0u64; // next round number within the current segment
     for (i, ev) in events.iter().enumerate() {
         match ev {
@@ -264,7 +243,7 @@ fn index_rounds(events: &[Event]) -> Result<Vec<usize>, (Option<usize>, String)>
                     ));
                 }
                 expected += 1;
-                rounds.push(i);
+                rounds += 1;
             }
             Event::RunEnd { .. }
             | Event::Oom { .. }
@@ -374,14 +353,7 @@ mod tests {
         let back = Journal::from_jsonl(&text).expect("parses back");
         assert_eq!(back, j);
         assert_eq!(back.round_count(), 2);
-        assert_eq!(back.round_span(0), (0, 4));
-        assert_eq!(back.round_span(1), (4, 8));
         assert_eq!(back.header().trace_hash, trace_hash(back.events()));
-        assert_eq!(
-            back.prefix_hash(back.events().len()),
-            back.header().trace_hash
-        );
-        assert_eq!(back.prefix_hash(0), TraceHasher::new().finish());
     }
 
     #[test]

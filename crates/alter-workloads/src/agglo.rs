@@ -19,9 +19,8 @@ use alter_collections::AlterList;
 use alter_heap::{Heap, ObjData, ObjId};
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
-    summarize_dependences, LoopSummary, RedOp, RedVars, RunError, RunStats, SeqSpace, TxCtx,
+    summarize_dependences, LoopSummary, RedOp, RedVars, RunError, SeqSpace, TxCtx,
 };
-use alter_sim::{SimClock, SimObserver};
 
 // Cluster object layout: [0] = x·size, [1] = y·size, [2] = size,
 // [3] = accumulated merge cost of this cluster's subtree (all f64).
@@ -151,22 +150,28 @@ impl AggloClust {
             ctx.tx.read_f64(obj, SZ),
         )
     }
+}
 
-    /// Runs the full program under `probe`; returns (merge cost, final
-    /// cluster count, stats, clock).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime aborts — including the out-of-memory abort on
-    /// oversized tracked read sets.
-    #[allow(clippy::type_complexity)]
-    pub fn run(&self, probe: &Probe) -> Result<(f64, usize, RunStats, SimClock), RunError> {
+impl InferTarget for AggloClust {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn run_sequential(&self) -> ProgramOutput {
+        let (cost, remaining) = self.run_sequential_raw();
+        ProgramOutput {
+            floats: vec![cost],
+            ints: vec![remaining as i64],
+        }
+    }
+
+    /// Runs the full program under `probe`; the output is the merge cost
+    /// and the final cluster count. Aborts include the out-of-memory abort
+    /// on oversized tracked read sets.
+    fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
         let (mut heap, mut reds, list, _) = self.start();
-        let params = probe.exec_params(&reds);
         let model = self.cost_model();
-        let mut obs = SimObserver::new(&model, params.workers);
-        let mut stats = RunStats::default();
-
+        let mut session = probe.session(&reds, &model);
         let mut passes = 0;
         while list.len(&heap) > self.target && passes < self.max_passes {
             let nodes = list.node_ids(&heap);
@@ -233,18 +238,10 @@ impl AggloClust {
                     ctx.tx.free(other_obj);
                 }
             };
-            let pass_stats = alter_runtime::run_loop_observed(
-                &mut heap,
-                &mut reds,
-                &mut SeqSpace::new(nodes.clone()),
-                &params,
-                probe.driver(),
-                body,
-                &mut obs,
-            )?;
-            stats.absorb(&pass_stats);
+            let space = &mut SeqSpace::new(nodes.clone());
+            let pass = session.run_loop(&mut heap, &mut reds, space, body)?;
             passes += 1;
-            if pass_stats.iterations == 0 {
+            if pass.iterations == 0 {
                 break;
             }
         }
@@ -257,34 +254,11 @@ impl AggloClust {
                 heap.get(obj).f64s()[SCOST]
             })
             .sum();
-        let remaining = list.len(&heap);
-        Ok((merge_cost, remaining, stats, obs.into_clock()))
-    }
-}
-
-impl InferTarget for AggloClust {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn run_sequential(&self) -> ProgramOutput {
-        let (cost, remaining) = self.run_sequential_raw();
-        ProgramOutput {
-            floats: vec![cost],
-            ints: vec![remaining as i64],
-        }
-    }
-
-    fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (cost, remaining, stats, clock) = self.run(probe)?;
-        Ok(ProbeRun {
-            output: ProgramOutput {
-                floats: vec![cost],
-                ints: vec![remaining as i64],
-            },
-            stats,
-            clock,
-        })
+        let output = ProgramOutput {
+            floats: vec![merge_cost],
+            ints: vec![list.len(&heap) as i64],
+        };
+        Ok(session.finish(output, 0.0))
     }
 
     fn probe_summary(&self) -> LoopSummary {

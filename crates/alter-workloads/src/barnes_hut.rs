@@ -14,9 +14,8 @@ use alter_collections::AlterList;
 use alter_heap::{Heap, ObjData, ObjId};
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
-    summarize_dependences, LoopSummary, RedOp, RedVars, RunError, RunStats, SeqSpace, TxCtx,
+    summarize_dependences, LoopSummary, RedOp, RedVars, RunError, SeqSpace, TxCtx,
 };
-use alter_sim::{SimClock, SimObserver};
 
 // Body object layout: [0]=x [1]=y [2]=vx [3]=vy [4]=mass.
 const BX: usize = 0;
@@ -204,50 +203,6 @@ impl BarnesHut {
         }
         bodies.iter().flat_map(|b| [b[BX], b[BY]]).collect()
     }
-
-    /// Runs the full program under `probe`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime aborts.
-    #[allow(clippy::type_complexity)]
-    pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, RunStats, SimClock), RunError> {
-        let (mut heap, mut reds, list, _) = self.start(self.bodies);
-        let params = probe.exec_params(&reds);
-        let model = self.cost_model();
-        let mut obs = SimObserver::new(&model, params.workers);
-        let mut stats = RunStats::default();
-
-        for _ in 0..self.steps {
-            // Sequential tree build from the committed state (the paper
-            // parallelizes only the force loop).
-            let tree = Self::tree(&heap, list);
-            let nodes = list.node_ids(&heap);
-            let body = self.body(list, &tree);
-            let step_stats = alter_runtime::run_loop_observed(
-                &mut heap,
-                &mut reds,
-                &mut SeqSpace::new(nodes),
-                &params,
-                probe.driver(),
-                body,
-                &mut obs,
-            )?;
-            stats.absorb(&step_stats);
-        }
-        let positions: Vec<f64> = list
-            .seq_values(&heap)
-            .iter()
-            .flat_map(|o| {
-                let b = heap.get(*o).f64s();
-                [b[BX], b[BY]]
-            })
-            .collect();
-        let mut clock = obs.into_clock();
-        // Tree builds are the sequential 0.4% of runtime (loop weight 99.6%).
-        clock.add_sequential(self.steps as f64 * self.bodies as f64 * 4.0);
-        Ok((positions, stats, clock))
-    }
 }
 
 impl InferTarget for BarnesHut {
@@ -260,12 +215,27 @@ impl InferTarget for BarnesHut {
     }
 
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (positions, stats, clock) = self.run(probe)?;
-        Ok(ProbeRun {
-            output: ProgramOutput::from_floats(positions),
-            stats,
-            clock,
-        })
+        let (mut heap, mut reds, list, _) = self.start(self.bodies);
+        let model = self.cost_model();
+        let mut session = probe.session(&reds, &model);
+        for _ in 0..self.steps {
+            // Sequential tree build from the committed state (the paper
+            // parallelizes only the force loop).
+            let tree = Self::tree(&heap, list);
+            let space = &mut SeqSpace::new(list.node_ids(&heap));
+            session.run_loop(&mut heap, &mut reds, space, self.body(list, &tree))?;
+        }
+        let positions: Vec<f64> = list
+            .seq_values(&heap)
+            .iter()
+            .flat_map(|o| {
+                let b = heap.get(*o).f64s();
+                [b[BX], b[BY]]
+            })
+            .collect();
+        // Tree builds are the sequential 0.4% of runtime (loop weight 99.6%).
+        let tree_builds = self.steps as f64 * self.bodies as f64 * 4.0;
+        Ok(session.finish(ProgramOutput::from_floats(positions), tree_builds))
     }
 
     fn probe_summary(&self) -> LoopSummary {

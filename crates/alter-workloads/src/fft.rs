@@ -15,9 +15,9 @@ use alter_analyze::absint::{AccessKind, LoopSpec, Member, Words};
 use alter_heap::{Heap, ObjData, ObjId};
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
-    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
+    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::CostModel;
 
 /// The 2D FFT benchmark.
 #[derive(Clone, Debug)]
@@ -172,33 +172,6 @@ impl Fft {
             }
         }
     }
-
-    /// Runs the row-FFT loop under `probe`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime aborts.
-    pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, RunStats, SimClock), RunError> {
-        let (mut heap, mut reds, row_objs) = self.start();
-        let params = probe.exec_params(&reds);
-        let model = self.cost_model();
-        let mut obs = SimObserver::new(&model, params.workers);
-        let body = self.body(&row_objs);
-        let stats = alter_runtime::run_loop_observed(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, self.rows as u64),
-            &params,
-            probe.driver(),
-            body,
-            &mut obs,
-        )?;
-        let out: Vec<f64> = row_objs
-            .iter()
-            .flat_map(|o| heap.get(*o).f64s().to_vec())
-            .collect();
-        Ok((out, stats, obs.into_clock()))
-    }
 }
 
 impl InferTarget for Fft {
@@ -211,12 +184,16 @@ impl InferTarget for Fft {
     }
 
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (out, stats, clock) = self.run(probe)?;
-        Ok(ProbeRun {
-            output: ProgramOutput::from_floats(out),
-            stats,
-            clock,
-        })
+        let (mut heap, mut reds, row_objs) = self.start();
+        let model = self.cost_model();
+        let mut session = probe.session(&reds, &model);
+        let space = &mut RangeSpace::new(0, self.rows as u64);
+        session.run_loop(&mut heap, &mut reds, space, self.body(&row_objs))?;
+        let out: Vec<f64> = row_objs
+            .iter()
+            .flat_map(|o| heap.get(*o).f64s().to_vec())
+            .collect();
+        Ok(session.finish(ProgramOutput::from_floats(out), 0.0))
     }
 
     fn probe_summary(&self) -> LoopSummary {
@@ -329,7 +306,10 @@ mod tests {
     fn instrumentation_overhead_causes_slowdown() {
         // The Figure 13 effect: ALTER makes FFT slower than sequential.
         let f = tiny();
-        let (_, _, clock) = f.run(&Probe::new(Model::StaleReads, 4, 2)).unwrap();
+        let clock = f
+            .run_probe(&Probe::new(Model::StaleReads, 4, 2))
+            .unwrap()
+            .clock;
         assert!(
             clock.speedup() < 1.0,
             "element-wise instrumentation must dominate: {:.2}",

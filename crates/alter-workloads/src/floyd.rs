@@ -23,9 +23,9 @@ use alter_analyze::absint::{AccessKind, LoopSpec, Member, Words};
 use alter_heap::{Heap, ObjData, ObjId};
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
-    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
+    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::CostModel;
 
 const INF: f64 = 1e30;
 
@@ -126,45 +126,6 @@ impl Floyd {
             }
         }
     }
-
-    /// Runs the relax-to-fixpoint program under `probe`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime aborts from any pass.
-    #[allow(clippy::type_complexity)]
-    pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, usize, RunStats, SimClock), RunError> {
-        let n = self.n;
-        let (mut heap, mut reds, path) = self.start();
-        let params = probe.exec_params(&reds);
-        let model = self.cost_model();
-        let mut obs = SimObserver::new(&model, params.workers);
-        let mut stats = RunStats::default();
-        let mut passes = 0;
-        loop {
-            let before: Vec<f64> = heap.get(path).f64s().to_vec();
-            let body = self.body(path);
-            let pass_stats = alter_runtime::run_loop_observed(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, n as u64),
-                &params,
-                probe.driver(),
-                body,
-                &mut obs,
-            )?;
-            stats.absorb(&pass_stats);
-            passes += 1;
-            let changed = heap.get(path).f64s() != &before[..];
-            if !changed || passes >= self.max_passes {
-                break;
-            }
-        }
-        let mut clock = obs.into_clock();
-        clock.add_sequential(passes as f64 * (n * n) as f64); // fixpoint check
-        let m = heap.get(path).f64s().to_vec();
-        Ok((m, passes, stats, clock))
-    }
 }
 
 impl InferTarget for Floyd {
@@ -176,13 +137,30 @@ impl InferTarget for Floyd {
         ProgramOutput::from_floats(self.run_sequential_raw())
     }
 
+    /// Relaxes to a fixpoint under `probe`. Every pass commits exactly
+    /// `n` iterations, so the pass count is `stats.iterations / n`.
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (m, _passes, stats, clock) = self.run(probe)?;
-        Ok(ProbeRun {
-            output: ProgramOutput::from_floats(m),
-            stats,
-            clock,
-        })
+        let n = self.n;
+        let (mut heap, mut reds, path) = self.start();
+        let model = self.cost_model();
+        let mut session = probe.session(&reds, &model);
+        let mut passes = 0;
+        loop {
+            let before: Vec<f64> = heap.get(path).f64s().to_vec();
+            let space = &mut RangeSpace::new(0, n as u64);
+            session.run_loop(&mut heap, &mut reds, space, self.body(path))?;
+            passes += 1;
+            let changed = heap.get(path).f64s() != &before[..];
+            if !changed || passes >= self.max_passes {
+                break;
+            }
+        }
+        let m = heap.get(path).f64s().to_vec();
+        // The fixpoint check is sequential program text.
+        Ok(session.finish(
+            ProgramOutput::from_floats(m),
+            passes as f64 * (n * n) as f64,
+        ))
     }
 
     fn probe_summary(&self) -> LoopSummary {
@@ -288,16 +266,17 @@ mod tests {
         let fl = tiny();
         let seq = fl.run_sequential();
         let probe = Probe::new(Model::StaleReads, 4, 2);
-        let (m, passes, stats, _) = fl.run(&probe).unwrap();
+        let run = fl.run_probe(&probe).unwrap();
         assert!(
-            fl.validate(&seq, &ProgramOutput::from_floats(m)),
+            fl.validate(&seq, &run.output),
             "fixpoint must be the true shortest paths"
         );
+        let passes = run.stats.iterations / fl.n as u64;
         assert!(passes <= 4, "stale relaxation converges quickly: {passes}");
         assert!(
-            stats.retry_rate() < 0.5,
+            run.stats.retry_rate() < 0.5,
             "improvement writes are sparse: {:.2}",
-            stats.retry_rate()
+            run.stats.retry_rate()
         );
     }
 

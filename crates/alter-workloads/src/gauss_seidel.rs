@@ -29,9 +29,9 @@ use alter_analyze::absint::{AccessKind, LoopSpec, Member, Words};
 use alter_heap::{Heap, ObjData, ObjId};
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
-    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
+    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::CostModel;
 
 /// Sparse/dense system `Ax = b` with a strictly diagonally dominant `A`.
 #[derive(Clone, Debug)]
@@ -205,44 +205,23 @@ impl GaussSeidel {
     }
 
     /// Runs the full program (outer convergence loop + inner ALTER loop)
-    /// under `probe`, returning the solution, sweep count, accumulated
-    /// statistics and the virtual clock.
+    /// under `probe`, charging virtual time under `model`:
+    /// [`InferTarget::run_probe`] passes the benchmark's own cost model, and
+    /// the manual-parallelization baseline of Figure 9 reuses the same
+    /// execution with the instrumentation and commit costs stripped. The
+    /// output's one int is the sweep count.
     ///
     /// # Errors
     ///
     /// Propagates runtime aborts from any sweep.
-    pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, usize, RunStats, SimClock), RunError> {
-        self.run_with_model(probe, &self.cost_model())
-    }
-
-    /// Like [`GaussSeidel::run`] with an explicit cost model — the manual-
-    /// parallelization baseline of Figure 9 reuses the same execution with
-    /// the instrumentation and commit costs stripped.
-    #[allow(clippy::type_complexity)]
-    pub fn run_with_model(
-        &self,
-        probe: &Probe,
-        model: &CostModel,
-    ) -> Result<(Vec<f64>, usize, RunStats, SimClock), RunError> {
+    pub fn run_with_model(&self, probe: &Probe, model: &CostModel) -> Result<ProbeRun, RunError> {
         let (sys, mut heap, mut reds, xvec) = self.start();
-        let params = probe.exec_params(&reds);
-        let mut obs = SimObserver::new(model, params.workers);
-        let mut stats = RunStats::default();
+        let mut session = probe.session(&reds, model);
         let mut sweeps = 0;
-
         loop {
             let before: Vec<f64> = heap.get(xvec).f64s().to_vec();
-            let body = self.body(&sys, xvec);
-            let sweep_stats = alter_runtime::run_loop_observed(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, sys.n() as u64),
-                &params,
-                probe.driver(),
-                body,
-                &mut obs,
-            )?;
-            stats.absorb(&sweep_stats);
+            let space = &mut RangeSpace::new(0, sys.n() as u64);
+            session.run_loop(&mut heap, &mut reds, space, self.body(&sys, xvec))?;
             sweeps += 1;
             let change = heap
                 .get(xvec)
@@ -255,11 +234,12 @@ impl GaussSeidel {
                 break;
             }
         }
-        let mut clock = obs.into_clock();
+        let output = ProgramOutput {
+            floats: heap.get(xvec).f64s().to_vec(),
+            ints: vec![sweeps as i64],
+        };
         // The per-sweep O(n) convergence check is sequential program text.
-        clock.add_sequential(sweeps as f64 * sys.n() as f64 * 3.0);
-        let x = heap.get(xvec).f64s().to_vec();
-        Ok((x, sweeps, stats, clock))
+        Ok(session.finish(output, sweeps as f64 * sys.n() as f64 * 3.0))
     }
 }
 
@@ -277,15 +257,7 @@ impl InferTarget for GaussSeidel {
     }
 
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (x, sweeps, stats, clock) = self.run(probe)?;
-        Ok(ProbeRun {
-            output: ProgramOutput {
-                floats: x,
-                ints: vec![sweeps as i64],
-            },
-            stats,
-            clock,
-        })
+        self.run_with_model(probe, &self.cost_model())
     }
 
     fn probe_summary(&self) -> LoopSummary {
@@ -453,8 +425,8 @@ mod tests {
     #[test]
     fn speedup_is_positive_and_saturates_with_bandwidth() {
         let gs = tiny_sparse();
-        let s2 = gs.run(&gs.best_probe(2)).unwrap().3.speedup();
-        let s4 = gs.run(&gs.best_probe(4)).unwrap().3.speedup();
+        let s2 = gs.run_probe(&gs.best_probe(2)).unwrap().clock.speedup();
+        let s4 = gs.run_probe(&gs.best_probe(4)).unwrap().clock.speedup();
         assert!(s2 > 1.0, "2 workers must speed up: {s2:.2}");
         assert!(s4 > s2 * 0.9, "4 workers no worse: {s2:.2} -> {s4:.2}");
     }

@@ -15,9 +15,8 @@ use alter_collections::AlterHashSet;
 use alter_heap::{Heap, ObjId};
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
-    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
+    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, TxCtx,
 };
-use alter_sim::{SimClock, SimObserver};
 
 /// The Genome segment-deduplication benchmark.
 #[derive(Clone, Debug)]
@@ -86,32 +85,6 @@ impl Genome {
             set.insert(ctx, stream[i as usize]);
         }
     }
-
-    /// Runs the dedup loop under `probe`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime aborts.
-    #[allow(clippy::type_complexity)]
-    pub fn run(&self, probe: &Probe) -> Result<(Vec<i64>, RunStats, SimClock), RunError> {
-        let (stream, mut heap, mut reds, set) = self.start();
-        let params = probe.exec_params(&reds);
-        let model = self.cost_model();
-        let mut obs = SimObserver::new(&model, params.workers);
-        let body = self.body(&stream, set);
-        let stats = alter_runtime::run_loop_observed(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, stream.len() as u64),
-            &params,
-            probe.driver(),
-            body,
-            &mut obs,
-        )?;
-        let mut keys = set.seq_keys(&heap);
-        keys.sort_unstable();
-        Ok((keys, stats, obs.into_clock()))
-    }
 }
 
 impl InferTarget for Genome {
@@ -124,12 +97,14 @@ impl InferTarget for Genome {
     }
 
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (keys, stats, clock) = self.run(probe)?;
-        Ok(ProbeRun {
-            output: ProgramOutput::from_ints(keys),
-            stats,
-            clock,
-        })
+        let (stream, mut heap, mut reds, set) = self.start();
+        let model = self.cost_model();
+        let mut session = probe.session(&reds, &model);
+        let space = &mut RangeSpace::new(0, stream.len() as u64);
+        session.run_loop(&mut heap, &mut reds, space, self.body(&stream, set))?;
+        let mut keys = set.seq_keys(&heap);
+        keys.sort_unstable();
+        Ok(session.finish(ProgramOutput::from_ints(keys), 0.0))
     }
 
     fn probe_summary(&self) -> LoopSummary {
@@ -259,8 +234,14 @@ mod tests {
     fn stale_reads_beats_out_of_order_in_simulated_time() {
         // Figure 6's mechanism: WAW needs no read instrumentation.
         let g = tiny();
-        let stale = g.run(&Probe::new(Model::StaleReads, 4, 8)).unwrap().2;
-        let ooo = g.run(&Probe::new(Model::OutOfOrder, 4, 8)).unwrap().2;
+        let stale = g
+            .run_probe(&Probe::new(Model::StaleReads, 4, 8))
+            .unwrap()
+            .clock;
+        let ooo = g
+            .run_probe(&Probe::new(Model::OutOfOrder, 4, 8))
+            .unwrap()
+            .clock;
         assert!(
             stale.par_units < ooo.par_units,
             "stale {:.0} !< ooo {:.0}",
@@ -274,8 +255,8 @@ mod tests {
         let g = tiny();
         let seq = g.run_sequential_raw();
         for model in [Model::Tls, Model::OutOfOrder, Model::StaleReads] {
-            let (keys, _, _) = g.run(&Probe::new(model, 4, 8)).unwrap();
-            assert_eq!(keys, seq, "{model}");
+            let run = g.run_probe(&Probe::new(model, 4, 8)).unwrap();
+            assert_eq!(run.output.ints, seq, "{model}");
         }
     }
 }

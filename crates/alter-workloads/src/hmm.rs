@@ -12,9 +12,12 @@ use alter_analyze::absint::{AccessKind, LoopSpec, Member, Words};
 use alter_heap::{Heap, ObjData, ObjId};
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
-    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
+    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, TxCtx,
 };
-use alter_sim::{SimClock, SimObserver};
+
+/// What `Hmm::model` returns: the transition matrix A, the emission
+/// matrix B, and the observation sequence.
+type Chain = (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<usize>);
 
 /// What `Hmm::start` returns: A, B, the observations, the heap, the
 /// registry, and the alpha vectors of the current and next step.
@@ -56,8 +59,7 @@ impl Hmm {
 
     /// Deterministic model: transition matrix A (row-stochastic), emission
     /// matrix B, and an observation sequence.
-    #[allow(clippy::type_complexity)]
-    pub fn model(&self) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<usize>) {
+    pub fn model(&self) -> Chain {
         let mut r = rng(self.seed);
         let normalize = |mut v: Vec<f64>| {
             let s: f64 = v.iter().sum();
@@ -133,43 +135,6 @@ impl Hmm {
             ctx.tx.write_f64(next, s, acc * b[s][o]);
         }
     }
-
-    /// Runs the full forward pass under `probe`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime aborts.
-    pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, RunStats, SimClock), RunError> {
-        let n = self.states;
-        let (a, b, obs, mut heap, mut reds, mut cur, mut next) = self.start();
-        let params = probe.exec_params(&reds);
-        let model = self.cost_model();
-        let mut obs_clock = SimObserver::new(&model, params.workers);
-        let mut stats = RunStats::default();
-        for &o in &obs {
-            let body = self.body(&a, &b, o, cur, next);
-            let step_stats = alter_runtime::run_loop_observed(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, n as u64),
-                &params,
-                probe.driver(),
-                body,
-                &mut obs_clock,
-            )?;
-            stats.absorb(&step_stats);
-            // Sequential rescale between steps.
-            let norm: f64 = heap.get(next).f64s().iter().sum();
-            for x in heap.get_mut(next).f64s_mut() {
-                *x /= norm;
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        let alpha = heap.get(cur).f64s().to_vec();
-        let mut clock = obs_clock.into_clock();
-        clock.add_sequential(obs.len() as f64 * n as f64 * 2.0);
-        Ok((alpha, stats, clock))
-    }
 }
 
 impl InferTarget for Hmm {
@@ -182,12 +147,23 @@ impl InferTarget for Hmm {
     }
 
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (alpha, stats, clock) = self.run(probe)?;
-        Ok(ProbeRun {
-            output: ProgramOutput::from_floats(alpha),
-            stats,
-            clock,
-        })
+        let n = self.states;
+        let (a, b, obs, mut heap, mut reds, mut cur, mut next) = self.start();
+        let model = self.cost_model();
+        let mut session = probe.session(&reds, &model);
+        for &o in &obs {
+            let space = &mut RangeSpace::new(0, n as u64);
+            session.run_loop(&mut heap, &mut reds, space, self.body(&a, &b, o, cur, next))?;
+            // Sequential rescale between steps.
+            let norm: f64 = heap.get(next).f64s().iter().sum();
+            for x in heap.get_mut(next).f64s_mut() {
+                *x /= norm;
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        let alpha = heap.get(cur).f64s().to_vec();
+        let rescales = obs.len() as f64 * n as f64 * 2.0;
+        Ok(session.finish(ProgramOutput::from_floats(alpha), rescales))
     }
 
     fn probe_summary(&self) -> LoopSummary {
@@ -299,7 +275,7 @@ mod tests {
     #[test]
     fn speedup_is_positive() {
         let h = tiny();
-        let (_, _, clock) = h.run(&h.best_probe(4)).unwrap();
+        let clock = h.run_probe(&h.best_probe(4)).unwrap().clock;
         assert!(clock.speedup() > 1.2, "{:.2}", clock.speedup());
     }
 }

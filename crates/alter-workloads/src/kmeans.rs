@@ -35,9 +35,9 @@ use alter_heap::{Heap, ObjData, ObjId};
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
     summarize_dependences, BoundScalar, LoopSummary, RangeSpace, RedOp, RedVal, RedVars, RunError,
-    RunStats, TxCtx,
+    TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::CostModel;
 
 /// What `KMeans::start` returns: the points, the heap, the registry, the
 /// feature objects, the membership array, the accumulators and `delta`.
@@ -227,31 +227,18 @@ impl KMeans {
         (features, heap, reds, feats, membership, accs, delta)
     }
 
-    /// Runs the full program under `probe`.
+    /// Runs the full program under `probe`, charging virtual time under
+    /// `model`: [`InferTarget::run_probe`] passes the benchmark's own cost
+    /// model, and the fine-grained-locking baseline of Figure 8 reuses the
+    /// same execution with the ALTER overheads replaced by per-update lock
+    /// costs.
     ///
     /// # Errors
     ///
     /// Propagates runtime aborts from any round.
-    #[allow(clippy::type_complexity)]
-    pub fn run(&self, probe: &Probe) -> Result<(Vec<i64>, usize, RunStats, SimClock), RunError> {
-        self.run_with_model(probe, &self.cost_model())
-    }
-
-    /// Like [`KMeans::run`] with an explicit cost model — the fine-grained-
-    /// locking baseline of Figure 8 reuses the same execution with the
-    /// ALTER overheads replaced by per-update lock costs.
-    #[allow(clippy::type_complexity)]
-    pub fn run_with_model(
-        &self,
-        probe: &Probe,
-        model: &CostModel,
-    ) -> Result<(Vec<i64>, usize, RunStats, SimClock), RunError> {
+    pub fn run_with_model(&self, probe: &Probe, model: &CostModel) -> Result<ProbeRun, RunError> {
         let (features, mut heap, mut reds, feats, membership, accs, delta) = self.start();
-        let params = probe.exec_params(&reds);
-        let was_reduced = !params.reductions.is_empty();
-        let mut obs = SimObserver::new(model, params.workers);
-        let mut stats = RunStats::default();
-
+        let mut session = probe.session(&reds, model);
         let mut centers: Vec<Vec<f64>> = features[..self.nclusters].to_vec();
         let mut rounds = 0;
         loop {
@@ -260,16 +247,8 @@ impl KMeans {
                 heap.get_mut(*acc).f64s_mut().fill(0.0);
             }
             let body = self.body(&feats, &centers, membership, &accs, delta);
-            let round_stats = alter_runtime::run_loop_observed(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, self.npoints as u64),
-                &params,
-                probe.driver(),
-                body,
-                &mut obs,
-            )?;
-            stats.absorb(&round_stats);
+            let space = &mut RangeSpace::new(0, self.npoints as u64);
+            session.run_loop(&mut heap, &mut reds, space, body)?;
             rounds += 1;
 
             // Sequential epilogue: recompute centers from accumulators.
@@ -283,16 +262,16 @@ impl KMeans {
                 }
             }
             let d = delta
-                .seq_get_sync(&mut heap, &mut reds, was_reduced)
+                .seq_get_sync(&mut heap, &mut reds, session.params())
                 .as_f64();
             if d / self.npoints as f64 <= self.threshold || rounds >= self.max_rounds {
                 break;
             }
         }
-        let mut clock = obs.into_clock();
-        clock.add_sequential(rounds as f64 * (self.nclusters * self.nfeatures) as f64 * 3.0);
-        let membership = heap.get(membership).i64s().to_vec();
-        Ok((membership, rounds, stats, clock))
+        let mut ints = vec![rounds as i64];
+        ints.extend(self.cluster_sizes(heap.get(membership).i64s()));
+        let epilogue = rounds as f64 * (self.nclusters * self.nfeatures) as f64 * 3.0;
+        Ok(session.finish(ProgramOutput::from_ints(ints), epilogue))
     }
 
     fn cluster_sizes(&self, membership: &[i64]) -> Vec<i64> {
@@ -320,14 +299,7 @@ impl InferTarget for KMeans {
     }
 
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (membership, rounds, stats, clock) = self.run(probe)?;
-        let mut ints = vec![rounds as i64];
-        ints.extend(self.cluster_sizes(&membership));
-        Ok(ProbeRun {
-            output: ProgramOutput::from_ints(ints),
-            stats,
-            clock,
-        })
+        self.run_with_model(probe, &self.cost_model())
     }
 
     fn probe_summary(&self) -> LoopSummary {

@@ -14,9 +14,8 @@ use alter_collections::AlterVec;
 use alter_heap::Heap;
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
-    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
+    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, TxCtx,
 };
-use alter_sim::{SimClock, SimObserver};
 use std::collections::VecDeque;
 
 const FREE: i64 = 0;
@@ -167,37 +166,6 @@ impl Labyrinth {
             }
         }
     }
-
-    /// Runs the router under `probe`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime aborts.
-    #[allow(clippy::type_complexity)]
-    pub fn run(&self, probe: &Probe) -> Result<(Vec<i64>, usize, RunStats, SimClock), RunError> {
-        let (requests, mut heap, mut reds, grid) = self.start();
-        let params = probe.exec_params(&reds);
-        let model = self.cost_model();
-        let mut obs = SimObserver::new(&model, params.workers);
-        let body = self.body(&requests, grid);
-        let stats = alter_runtime::run_loop_observed(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, requests.len() as u64),
-            &params,
-            probe.driver(),
-            body,
-            &mut obs,
-        )?;
-        let cells = grid.seq_to_vec(&heap);
-        let routed = {
-            let mut ids: Vec<i64> = cells.iter().copied().filter(|&v| v != FREE).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids.len()
-        };
-        Ok((cells, routed, stats, obs.into_clock()))
-    }
 }
 
 impl InferTarget for Labyrinth {
@@ -213,14 +181,18 @@ impl InferTarget for Labyrinth {
     }
 
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (grid, routed, stats, clock) = self.run(probe)?;
-        let mut ints = vec![routed as i64];
-        ints.extend(grid);
-        Ok(ProbeRun {
-            output: ProgramOutput::from_ints(ints),
-            stats,
-            clock,
-        })
+        let (requests, mut heap, mut reds, grid) = self.start();
+        let model = self.cost_model();
+        let mut session = probe.session(&reds, &model);
+        let space = &mut RangeSpace::new(0, requests.len() as u64);
+        session.run_loop(&mut heap, &mut reds, space, self.body(&requests, grid))?;
+        let cells = grid.seq_to_vec(&heap);
+        let mut ids: Vec<i64> = cells.iter().copied().filter(|&v| v != FREE).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut ints = vec![ids.len() as i64];
+        ints.extend(cells);
+        Ok(session.finish(ProgramOutput::from_ints(ints), 0.0))
     }
 
     fn probe_summary(&self) -> LoopSummary {
@@ -335,7 +307,10 @@ mod tests {
     #[test]
     fn stale_reads_has_high_conflicts() {
         let l = tiny();
-        let (_, _, stats, _) = l.run(&Probe::new(Model::StaleReads, 4, 1)).unwrap();
+        let stats = l
+            .run_probe(&Probe::new(Model::StaleReads, 4, 1))
+            .unwrap()
+            .stats;
         assert!(
             stats.retry_rate() >= 0.4,
             "overlapping paths must conflict heavily: {:.2}",

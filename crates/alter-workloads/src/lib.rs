@@ -10,9 +10,12 @@
 //!
 //! Each workload builds its loop's start state — input, heap, reduction
 //! registry and the handles into the heap — in one private `start`
-//! function, which `run`, `probe_summary` and `loop_spec` all call. The
-//! dependence replay and the static `LoopSpec` therefore describe the same
-//! loop instance, down to the `ObjId`s, by construction.
+//! function, which `run_probe`, `probe_summary` and `loop_spec` all call.
+//! The dependence replay and the static `LoopSpec` therefore describe the
+//! same loop instance, down to the `ObjId`s, by construction. `run_probe`
+//! runs every pass of the loop through one [`alter_infer::Probe::session`]
+//! and returns its [`alter_infer::ProbeRun`]; a convergence count (sweeps,
+//! rounds) is the first int of the output.
 #![warn(missing_docs)]
 
 pub mod agglo;

@@ -19,7 +19,6 @@
 use crate::gauss_seidel::GaussSeidel;
 use crate::kmeans::KMeans;
 use crate::Benchmark;
-use alter_infer::Probe;
 use alter_runtime::RunError;
 use alter_sim::{CostModel, SimClock};
 
@@ -60,10 +59,9 @@ pub fn fine_grained_lock_model(base: &CostModel) -> CostModel {
 ///
 /// Propagates runtime aborts (none occur for valid configurations).
 pub fn manual_gauss_seidel(gs: &GaussSeidel, workers: usize) -> Result<SimClock, RunError> {
-    let probe: Probe = gs.best_probe(workers);
     let model = hand_synced_model(&gs.cost_model());
-    gs.run_with_model(&probe, &model)
-        .map(|(_, _, _, clock)| clock)
+    gs.run_with_model(&gs.best_probe(workers), &model)
+        .map(|run| run.clock)
 }
 
 /// Runs the manual fine-grained-locking K-means baseline at `workers`
@@ -73,22 +71,22 @@ pub fn manual_gauss_seidel(gs: &GaussSeidel, workers: usize) -> Result<SimClock,
 ///
 /// Propagates runtime aborts (none occur for valid configurations).
 pub fn manual_kmeans(km: &KMeans, workers: usize) -> Result<SimClock, RunError> {
-    let probe: Probe = km.best_probe(workers);
     let model = fine_grained_lock_model(&km.cost_model());
-    km.run_with_model(&probe, &model)
-        .map(|(_, _, _, clock)| clock)
+    km.run_with_model(&km.best_probe(workers), &model)
+        .map(|run| run.clock)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Scale;
+    use alter_infer::InferTarget;
 
     #[test]
     fn manual_kmeans_beats_alter_by_tens_of_percent() {
         let km = KMeans::new(Scale::Inference);
         let workers = 4;
-        let alter = km.run(&km.best_probe(workers)).unwrap().3;
+        let alter = km.run_probe(&km.best_probe(workers)).unwrap().clock;
         let manual = manual_kmeans(&km, workers).unwrap();
         let ratio = alter.par_units / manual.par_units;
         // The paper measures 20-47%; our software-COW isolation is cheaper
@@ -104,7 +102,7 @@ mod tests {
     fn manual_gauss_seidel_is_comparable_to_alter() {
         let gs = GaussSeidel::sparse(Scale::Inference);
         let workers = 4;
-        let alter = gs.run(&gs.best_probe(workers)).unwrap().3;
+        let alter = gs.run_probe(&gs.best_probe(workers)).unwrap().clock;
         let manual = manual_gauss_seidel(&gs, workers).unwrap();
         let ratio = alter.par_units / manual.par_units;
         assert!(

@@ -21,9 +21,9 @@ use alter_heap::{Heap, ObjData, ObjId};
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
     summarize_dependences, BoundScalar, LoopSummary, RangeSpace, RedOp, RedVal, RedVars, RunError,
-    RunStats, TxCtx,
+    TxCtx,
 };
-use alter_sim::{CostModel, SimClock, SimObserver};
+use alter_sim::CostModel;
 
 /// The SG3D stencil benchmark.
 #[derive(Clone, Debug)]
@@ -181,45 +181,6 @@ impl Sg3d {
             ctx.tx.write_f64(grid, c, new);
         }
     }
-
-    /// Runs the full program under `probe`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime aborts from any sweep.
-    #[allow(clippy::type_complexity)]
-    pub fn run(&self, probe: &Probe) -> Result<(Vec<f64>, usize, RunStats, SimClock), RunError> {
-        let (f, cells, mut heap, mut reds, grid, err) = self.start();
-        let params = probe.exec_params(&reds);
-        let was_reduced = !params.reductions.is_empty();
-        let model = self.cost_model();
-        let mut obs = SimObserver::new(&model, params.workers);
-        let mut stats = RunStats::default();
-        let mut sweeps = 0;
-        loop {
-            err.seq_set(&mut heap, &mut reds, RedVal::F64(0.0));
-            let body = self.body(&f, &cells, grid, err);
-            let sweep_stats = alter_runtime::run_loop_observed(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, cells.len() as u64),
-                &params,
-                probe.driver(),
-                body,
-                &mut obs,
-            )?;
-            stats.absorb(&sweep_stats);
-            sweeps += 1;
-            let e = err.seq_get_sync(&mut heap, &mut reds, was_reduced).as_f64();
-            if e < self.threshold || sweeps >= self.max_sweeps {
-                break;
-            }
-        }
-        let mut clock = obs.into_clock();
-        clock.add_sequential(sweeps as f64 * 10.0);
-        let grid = heap.get(grid).f64s().to_vec();
-        Ok((grid, sweeps, stats, clock))
-    }
 }
 
 impl InferTarget for Sg3d {
@@ -236,15 +197,28 @@ impl InferTarget for Sg3d {
     }
 
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (grid, sweeps, stats, clock) = self.run(probe)?;
-        Ok(ProbeRun {
-            output: ProgramOutput {
-                floats: grid,
-                ints: vec![sweeps as i64],
-            },
-            stats,
-            clock,
-        })
+        let (f, cells, mut heap, mut reds, grid, err) = self.start();
+        let model = self.cost_model();
+        let mut session = probe.session(&reds, &model);
+        let mut sweeps = 0;
+        loop {
+            err.seq_set(&mut heap, &mut reds, RedVal::F64(0.0));
+            let body = self.body(&f, &cells, grid, err);
+            let space = &mut RangeSpace::new(0, cells.len() as u64);
+            session.run_loop(&mut heap, &mut reds, space, body)?;
+            sweeps += 1;
+            let e = err
+                .seq_get_sync(&mut heap, &mut reds, session.params())
+                .as_f64();
+            if e < self.threshold || sweeps >= self.max_sweeps {
+                break;
+            }
+        }
+        let output = ProgramOutput {
+            floats: heap.get(grid).f64s().to_vec(),
+            ints: vec![sweeps as i64],
+        };
+        Ok(session.finish(output, sweeps as f64 * 10.0))
     }
 
     fn probe_summary(&self) -> LoopSummary {

@@ -15,9 +15,8 @@ use alter_analyze::absint::{AccessKind, LoopSpec, Member, Words};
 use alter_heap::{Heap, ObjData, ObjId};
 use alter_infer::{InferTarget, Model, Probe, ProbeRun, ProgramOutput};
 use alter_runtime::{
-    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, RunStats, TxCtx,
+    summarize_dependences, LoopSummary, RangeSpace, RedOp, RedVars, RunError, TxCtx,
 };
-use alter_sim::{SimClock, SimObserver};
 
 // Adjacency object layout: [0] = degree, [1..] = neighbour slots.
 const DEG: usize = 0;
@@ -114,28 +113,23 @@ impl Ssca2 {
             }
         }
     }
+}
 
-    /// Runs kernel 1 under `probe` (input generation untimed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime aborts.
-    #[allow(clippy::type_complexity)]
-    pub fn run(&self, probe: &Probe) -> Result<(Vec<i64>, RunStats, SimClock), RunError> {
+impl InferTarget for Ssca2 {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn run_sequential(&self) -> ProgramOutput {
+        ProgramOutput::from_ints(Self::digest(&self.run_sequential_raw()))
+    }
+
+    fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
         let (edges, mut heap, mut reds, adj) = self.start();
-        let params = probe.exec_params(&reds);
         let model = self.cost_model();
-        let mut obs = SimObserver::new(&model, params.workers);
-        let body = self.body(&edges, &adj);
-        let stats = alter_runtime::run_loop_observed(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, edges.len() as u64),
-            &params,
-            probe.driver(),
-            body,
-            &mut obs,
-        )?;
+        let mut session = probe.session(&reds, &model);
+        let space = &mut RangeSpace::new(0, edges.len() as u64);
+        session.run_loop(&mut heap, &mut reds, space, self.body(&edges, &adj))?;
         // Read back adjacency (sorted per vertex — commit order may differ).
         let result: Vec<Vec<usize>> = adj
             .iter()
@@ -150,26 +144,7 @@ impl Ssca2 {
                 l
             })
             .collect();
-        Ok((Self::digest(&result), stats, obs.into_clock()))
-    }
-}
-
-impl InferTarget for Ssca2 {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn run_sequential(&self) -> ProgramOutput {
-        ProgramOutput::from_ints(Self::digest(&self.run_sequential_raw()))
-    }
-
-    fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let (digest, stats, clock) = self.run(probe)?;
-        Ok(ProbeRun {
-            output: ProgramOutput::from_ints(digest),
-            stats,
-            clock,
-        })
+        Ok(session.finish(ProgramOutput::from_ints(Self::digest(&result)), 0.0))
     }
 
     fn probe_summary(&self) -> LoopSummary {
@@ -244,12 +219,12 @@ mod tests {
         let s = tiny();
         let seq = s.run_sequential();
         for model in [Model::OutOfOrder, Model::StaleReads] {
-            let (digest, stats, _) = s.run(&Probe::new(model, 4, 8)).unwrap();
-            assert_eq!(digest, seq.ints, "{model}");
+            let run = s.run_probe(&Probe::new(model, 4, 8)).unwrap();
+            assert_eq!(run.output.ints, seq.ints, "{model}");
             assert!(
-                stats.retry_rate() < 0.5,
+                run.stats.retry_rate() < 0.5,
                 "{model}: {:.2}",
-                stats.retry_rate()
+                run.stats.retry_rate()
             );
         }
     }
@@ -281,9 +256,12 @@ mod tests {
     #[test]
     fn stale_reads_is_fastest_in_simulated_time() {
         let s = tiny();
-        let stale = s.run(&Probe::new(Model::StaleReads, 4, 8)).unwrap().2;
-        let ooo = s.run(&Probe::new(Model::OutOfOrder, 4, 8)).unwrap().2;
-        let tls = s.run(&Probe::new(Model::Tls, 4, 8)).unwrap().2;
+        let clock = |model| s.run_probe(&Probe::new(model, 4, 8)).unwrap().clock;
+        let (stale, ooo, tls) = (
+            clock(Model::StaleReads),
+            clock(Model::OutOfOrder),
+            clock(Model::Tls),
+        );
         assert!(stale.par_units < ooo.par_units, "stale < ooo");
         assert!(
             ooo.par_units <= tls.par_units * 1.05,

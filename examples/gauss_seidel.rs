@@ -10,7 +10,7 @@
 //! with zero conflicts, and with a simulated multicore speedup that
 //! saturates once the kernel hits the memory-bandwidth ceiling.
 
-use alter::infer::Model;
+use alter::infer::{InferTarget, Model};
 use alter::workloads::gauss_seidel::GaussSeidel;
 use alter::workloads::{Benchmark, Scale};
 
@@ -21,15 +21,16 @@ fn main() {
     ] {
         let (x_seq, seq_sweeps) = gs.solve_sequential();
 
-        println!("== {} ==", alter::infer::InferTarget::name(&gs));
+        println!("== {} ==", gs.name());
         println!("sequential: {seq_sweeps} sweeps");
         for workers in [1, 2, 4, 8] {
             let probe = gs.best_probe(workers);
             assert_eq!(probe.model, Model::StaleReads);
-            let (x_par, sweeps, stats, clock) = gs.run(&probe).expect("StaleReads runs");
+            let run = gs.run_probe(&probe).expect("StaleReads runs");
+            let (sweeps, stats, clock) = (run.output.ints[0], run.stats, run.clock);
             let max_diff = x_seq
                 .iter()
-                .zip(&x_par)
+                .zip(&run.output.floats)
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f64, f64::max);
             println!(

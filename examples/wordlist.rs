@@ -13,8 +13,8 @@
 
 use alter::collections::AlterHashSet;
 use alter::heap::Heap;
-use alter::runtime::{Driver, ExecParams, LoopBuilder, RedVars};
-use alter::sim::{simulate_loop, CostModel};
+use alter::runtime::{Driver, ExecParams, LoopBuilder};
+use alter::sim::{CostModel, SimObserver};
 
 fn words() -> Vec<&'static str> {
     let text = "the quick brown fox jumps over the lazy dog while the dog \
@@ -61,18 +61,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // estimate (identical committed state, by determinism).
     let mut heap2 = Heap::new();
     let set2 = AlterHashSet::new(&mut heap2, 64, 4);
-    let mut reds = RedVars::new();
-    let (_, clock) = simulate_loop(
-        &mut heap2,
-        &mut reds,
-        &mut alter::runtime::RangeSpace::new(0, keys.len() as u64),
-        &params,
-        &CostModel::default(),
-        |ctx, i| {
+    let model = CostModel::default();
+    let mut obs = SimObserver::new(&model, params.workers);
+    LoopBuilder::new(&params)
+        .range(0, keys.len() as u64)
+        .observer(&mut obs)
+        .run(&mut heap2, Driver::sequential(), |ctx, i| {
             ctx.tx.work(32);
             set2.insert(ctx, keys[i as usize]);
-        },
-    )?;
+        })?;
+    let clock = obs.into_clock();
     assert_eq!(
         set2.seq_len(&heap2),
         distinct,

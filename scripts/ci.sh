@@ -50,6 +50,14 @@ fi
 # Every verification surface is a subcommand of one bin.
 cli() { cargo run --release -q -p alter-bench --bin alter-cli -- "$@"; }
 
+echo "== smoke: tables, figures --quick, gauss_seidel example =="
+# Outside the tests these are the only readers of a probe run's sweep and
+# pass counts and of its simulated clock; clippy only compiles them. Each
+# must exit 0 (about a second each in release mode).
+cli tables > /dev/null
+cli figures --quick > /dev/null
+cargo run --release -q --example gauss_seidel > /dev/null
+
 echo "== alter-cli baselines (verdict gates + VERDICTS.json drift check) =="
 # One process records every workload's best run once (task sets and phase
 # profile on) and writes one verdict record per workload to VERDICTS.json,

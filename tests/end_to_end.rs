@@ -6,9 +6,10 @@ use alter::collections::{AlterList, AlterVec};
 use alter::heap::{Heap, ObjData, ObjId};
 use alter::infer::{infer, InferConfig, Model, Probe};
 use alter::runtime::{
-    run_loop, CommitOrder, ConflictPolicy, Driver, ExecParams, RangeSpace, RedOp, RedVal, RedVars,
+    run_loop, CommitOrder, ConflictPolicy, Driver, ExecParams, LoopBuilder, RangeSpace, RedOp,
+    RedVal, RedVars,
 };
-use alter::sim::{simulate_loop, CostModel};
+use alter::sim::{CostModel, SimObserver};
 use alter::workloads::gauss_seidel::GaussSeidel;
 use alter::workloads::{all_benchmarks, Scale};
 
@@ -163,18 +164,15 @@ fn simulated_and_threaded_executions_agree() {
     .unwrap();
 
     let (mut h2, xs2) = build();
-    let mut reds2 = RedVars::new();
-    let (_, clock) = simulate_loop(
-        &mut h2,
-        &mut reds2,
-        &mut RangeSpace::new(0, 48),
-        &p,
-        &CostModel::default(),
-        body(xs2),
-    )
-    .unwrap();
+    let model = CostModel::default();
+    let mut obs = SimObserver::new(&model, p.workers);
+    LoopBuilder::new(&p)
+        .range(0, 48)
+        .observer(&mut obs)
+        .run(&mut h2, Driver::sequential(), body(xs2))
+        .unwrap();
     assert_eq!(h1.digest(), h2.digest());
-    assert!(clock.par_units > 0.0);
+    assert!(obs.into_clock().par_units > 0.0);
 }
 
 /// End-to-end inference on the Figure 1 program finds exactly the paper's
