@@ -11,7 +11,9 @@
 //! attached, making the recorder's zero-overhead contract checkable
 //! without timing noise.
 
-use alter_heap::{AccessSet, CommitOps, Heap, IdReservation, ObjData, ObjId, TrackMode, Tx};
+use alter_heap::{
+    AccessSet, CommitOps, Heap, IdReservation, ObjData, ObjId, Snapshot, TrackMode, Tx, TxStats,
+};
 use alter_runtime::{run_loop, ConflictPolicy, Driver, ExecParams, RedVars};
 use alter_trace::NopRecorder;
 use std::hint::black_box;
@@ -123,6 +125,63 @@ fn bench_instrumented_access() {
     });
 }
 
+/// One transaction relaxing all 128 rows of a 128×128 distance matrix that
+/// is already at its fixpoint through pivot row 0, as one of Floyd's later
+/// passes does, and finding nothing to write. Without `SCAN` every cell is
+/// read with `get` beside a `set` that never fires; with it, each row is
+/// scanned through `words()` and the `get`/`set` loop is never entered.
+fn guarded_row_pass<const SCAN: bool>(snap: &Snapshot, heap: &Heap, m: ObjId) -> TxStats {
+    const N: usize = 128;
+    let ids = IdReservation::new(heap.high_water(), 0, 1, 64);
+    let mut tx = Tx::new(snap, TrackMode::WritesOnly, ids, u64::MAX);
+    let row_k = tx.with_f64s(m, 0, N, |r| r.to_vec());
+    for i in 0..N {
+        tx.row_f64s(m, i * N, (i + 1) * N, |row| {
+            let pik = row.get(0);
+            let improves = !SCAN
+                || row
+                    .words()
+                    .iter()
+                    .zip(&row_k)
+                    .fold(false, |acc, (d, pkj)| acc | (pik + pkj < *d));
+            if improves {
+                for (j, pkj) in row_k.iter().enumerate() {
+                    if pik + pkj < row.get(j) {
+                        row.set(j, pik + pkj);
+                    }
+                }
+            }
+        });
+    }
+    tx.finish().stats
+}
+
+/// The read-only pass of a guarded row, through `get` and through
+/// `words()`. Zero on the diagonal and one elsewhere is a fixpoint, so
+/// neither writes, and both must leave the same counters.
+fn bench_guarded_row_scan() {
+    let mut heap = Heap::new();
+    let m = heap.alloc(ObjData::F64(
+        (0..128 * 128)
+            .map(|c| if c / 128 == c % 128 { 0.0 } else { 1.0 })
+            .collect(),
+    ));
+    let snap = heap.snapshot();
+    let by_get = guarded_row_pass::<false>(&snap, &heap, m);
+    assert_eq!(
+        by_get,
+        guarded_row_pass::<true>(&snap, &heap, m),
+        "scanning through words() changed the counters"
+    );
+    assert_eq!(by_get.write_ops, 0, "the matrix is not at its fixpoint");
+    bench("guarded_row_scan_get_16k", 200, || {
+        guarded_row_pass::<false>(&snap, &heap, m)
+    });
+    bench("guarded_row_scan_words_16k", 200, || {
+        guarded_row_pass::<true>(&snap, &heap, m)
+    });
+}
+
 fn bench_conflict_validation() {
     let mut a = AccessSet::new();
     let mut b_set = AccessSet::new();
@@ -191,14 +250,17 @@ fn bench_doall_loop() {
 }
 
 fn main() {
-    // `cargo test` runs bench targets with `--test`; there is nothing to
-    // test here, so just exit quickly.
+    // A plain `cargo test` does not build bench targets; `cargo test
+    // --benches` (or `--all-targets`) runs them with `--test`, and then
+    // there is nothing to time, so exit quickly. The assertions above run
+    // under `cargo bench`, which `scripts/ci.sh` runs once.
     if std::env::args().any(|a| a == "--test") {
         return;
     }
     bench_snapshot();
     bench_heap_build_drop();
     bench_instrumented_access();
+    bench_guarded_row_scan();
     bench_conflict_validation();
     bench_sets_insert_resident();
     bench_doall_loop();

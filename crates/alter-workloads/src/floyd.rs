@@ -9,14 +9,21 @@
 //! We parallelize the `k` loop ("we report results for the nesting level
 //! that leads to the most parallelism", §7) and — making the
 //! algebraic-path framing explicit — wrap it in a fixpoint loop: relaxation
-//! passes repeat until no distance improves. Sequentially one pass suffices
-//! (classic Floyd-Warshall); under `StaleReads` a pass may miss chained
-//! improvements whose intermediate `k`s shared a snapshot, and the next
-//! pass picks them up. Writes happen only on improvement, so write sets are
-//! sparse and snapshot isolation commits almost everything; the read set of
-//! an iteration is the whole matrix, so `RAW`-checking models (TLS,
-//! OutOfOrder) conflict with essentially every concurrent improvement and
-//! serialize.
+//! passes repeat until no distance improves. In exact arithmetic one
+//! sequential pass suffices (classic Floyd-Warshall), and that single pass
+//! is the reference output. In floating point it does not reach the
+//! fixpoint: a distance is a sum of edge weights, and a later pass that
+//! splits the same path at a different `k` may round it an ulp or two
+//! lower. At one worker, where a pass is the classic pass, passes 2 and 3
+//! make 1 898 and 103 such improvements on the paper-scale matrix and pass
+//! 4 changes nothing, so the loop runs four passes. Under `StaleReads` a
+//! pass may also miss chained improvements whose intermediate `k`s shared
+//! a snapshot, and the next pass picks them up.
+//!
+//! Writes happen only on improvement, so write sets are sparse and snapshot
+//! isolation commits almost everything; the read set of an iteration is the
+//! whole matrix, so `RAW`-checking models (TLS, OutOfOrder) conflict with
+//! essentially every concurrent improvement and serialize.
 
 use crate::common::{rng, Benchmark, Scale};
 use alter_analyze::absint::{AccessKind, LoopSpec, Member, Words};
@@ -112,10 +119,23 @@ impl Floyd {
                     if pik >= INF {
                         return false;
                     }
-                    for (j, pkj) in row_k.iter().enumerate() {
-                        let cand = pik + pkj;
-                        if cand < row_i.get(j) {
-                            row_i.set(j, cand);
+                    // Scan the row as one slice before opening the write
+                    // path: after the first pass most rows improve nowhere.
+                    // `|`, not `||`, leaves the scan no early exit, so the
+                    // compiler can vectorize it. A `set` changes only its
+                    // own cell, so the scan finds an improvement exactly
+                    // when the loop below makes one.
+                    let improves = row_i
+                        .words()
+                        .iter()
+                        .zip(&row_k)
+                        .fold(false, |acc, (d, pkj)| acc | (pik + pkj < *d));
+                    if improves {
+                        for (j, pkj) in row_k.iter().enumerate() {
+                            let cand = pik + pkj;
+                            if cand < row_i.get(j) {
+                                row_i.set(j, cand);
+                            }
                         }
                     }
                     true
@@ -125,6 +145,35 @@ impl Floyd {
                 }
             }
         }
+    }
+
+    /// Relaxes to a fixpoint under `probe`, running each pass's iterations
+    /// with `body(path)`.
+    fn relax<B>(&self, probe: &Probe, body: impl Fn(ObjId) -> B) -> Result<ProbeRun, RunError>
+    where
+        B: Fn(&mut TxCtx<'_>, u64) + Sync,
+    {
+        let n = self.n;
+        let (mut heap, mut reds, path) = self.start();
+        let model = self.cost_model();
+        let mut session = probe.session(&reds, &model);
+        let mut passes = 0;
+        loop {
+            let before: Vec<f64> = heap.get(path).f64s().to_vec();
+            let space = &mut RangeSpace::new(0, n as u64);
+            session.run_loop(&mut heap, &mut reds, space, body(path))?;
+            passes += 1;
+            let changed = heap.get(path).f64s() != &before[..];
+            if !changed || passes >= self.max_passes {
+                break;
+            }
+        }
+        let m = heap.get(path).f64s().to_vec();
+        // The fixpoint check is sequential program text.
+        Ok(session.finish(
+            ProgramOutput::from_floats(m),
+            passes as f64 * (n * n) as f64,
+        ))
     }
 }
 
@@ -140,27 +189,7 @@ impl InferTarget for Floyd {
     /// Relaxes to a fixpoint under `probe`. Every pass commits exactly
     /// `n` iterations, so the pass count is `stats.iterations / n`.
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
-        let n = self.n;
-        let (mut heap, mut reds, path) = self.start();
-        let model = self.cost_model();
-        let mut session = probe.session(&reds, &model);
-        let mut passes = 0;
-        loop {
-            let before: Vec<f64> = heap.get(path).f64s().to_vec();
-            let space = &mut RangeSpace::new(0, n as u64);
-            session.run_loop(&mut heap, &mut reds, space, self.body(path))?;
-            passes += 1;
-            let changed = heap.get(path).f64s() != &before[..];
-            if !changed || passes >= self.max_passes {
-                break;
-            }
-        }
-        let m = heap.get(path).f64s().to_vec();
-        // The fixpoint check is sequential program text.
-        Ok(session.finish(
-            ProgramOutput::from_floats(m),
-            passes as f64 * (n * n) as f64,
-        ))
+        self.relax(probe, |path| self.body(path))
     }
 
     fn probe_summary(&self) -> LoopSummary {
@@ -204,8 +233,10 @@ impl InferTarget for Floyd {
     }
 
     fn validate(&self, reference: &ProgramOutput, candidate: &ProgramOutput) -> bool {
-        // Shortest-path distances must match exactly (they are sums of the
-        // same edge weights; the fixpoint is unique).
+        // Shortest-path distances are sums of the same edge weights, but
+        // not always summed in the same order: the fixpoint loop's later
+        // passes round some of them an ulp or two below the single-pass
+        // reference, so they match to a relative 1e-9, not exactly.
         reference.approx_eq(candidate, 1e-9)
     }
 }
@@ -240,6 +271,75 @@ mod tests {
             density: 0.2,
             max_passes: 8,
             seed: 5,
+        }
+    }
+
+    /// The body before the row scan: every cell read through `get`. The
+    /// scanning body must be indistinguishable from it.
+    fn reference_body(fl: &Floyd, path: ObjId) -> impl Fn(&mut TxCtx<'_>, u64) + Sync {
+        let n = fl.n;
+        move |ctx, iter| {
+            let k = iter as usize;
+            let row_k: Vec<f64> = ctx.tx.with_f64s(path, k * n, (k + 1) * n, |r| r.to_vec());
+            for i in 0..n {
+                let relaxed = ctx.tx.row_f64s(path, i * n, (i + 1) * n, |row_i| {
+                    let pik = row_i.get(k);
+                    if pik >= INF {
+                        return false;
+                    }
+                    for (j, pkj) in row_k.iter().enumerate() {
+                        let cand = pik + pkj;
+                        if cand < row_i.get(j) {
+                            row_i.set(j, cand);
+                        }
+                    }
+                    true
+                });
+                if relaxed {
+                    ctx.tx.work(2 * n as u64);
+                }
+            }
+        }
+    }
+
+    /// Scanning a row before writing it changes no output bit, no counter
+    /// and no event, under every Table 3 model, at one and two workers,
+    /// with either driver.
+    #[test]
+    fn scanning_body_matches_the_get_set_reference() {
+        use alter_trace::{trace_hash, RingRecorder};
+        use std::sync::Arc;
+        let fl = tiny();
+        for model in Model::TABLE3 {
+            for workers in [1, 2] {
+                for threaded in [false, true] {
+                    let run = |reference: bool| {
+                        let rec = Arc::new(RingRecorder::new(1 << 20));
+                        let mut probe = Probe::new(model, workers, 2);
+                        probe.threaded = threaded;
+                        probe.recorder = Some(rec.clone());
+                        let run = if reference {
+                            fl.relax(&probe, |path| reference_body(&fl, path))
+                        } else {
+                            fl.run_probe(&probe)
+                        }
+                        .unwrap();
+                        assert_eq!(rec.dropped(), 0);
+                        let bits: Vec<u64> =
+                            run.output.floats.iter().map(|d| d.to_bits()).collect();
+                        (
+                            bits,
+                            run.stats.modulo_drive_mode(),
+                            trace_hash(&rec.events()),
+                        )
+                    };
+                    let (got, want) = (run(false), run(true));
+                    let ctx = format!("{model} workers={workers} threaded={threaded}");
+                    assert!(got.0 == want.0, "{ctx}: output floats differ");
+                    assert_eq!(got.1, want.1, "{ctx}: run stats");
+                    assert_eq!(got.2, want.2, "{ctx}: trace hash");
+                }
+            }
         }
     }
 

@@ -23,6 +23,15 @@ RUSTFLAGS="-D warnings" cargo build --release
 echo "== test (workspace) =="
 cargo test --workspace --quiet
 
+echo "== bench targets (runtime_micro, ablations) =="
+# `cargo test --workspace` builds no `[[bench]]` target, so the assertions
+# inside them run only here: runtime_micro's NopRecorder contract (cost
+# units and heap digest unchanged) and its guarded-row scan's equal
+# counters. One run each, timings discarded. On 2 vCPUs the leg takes
+# 5-17 s, of which running both is about 0.5 s and the rest compiling.
+cargo bench --quiet -p alter-bench --bench runtime_micro > /dev/null
+cargo bench --quiet -p alter-bench --bench ablations > /dev/null
+
 echo "== bench/check.sh (the wall benchmark's own gate) =="
 # The benchmark crate is outside the workspace and binds to the crates'
 # public surface (bench/README.md lists it), so only its own build notices
