@@ -19,9 +19,8 @@
 //! commit order), and under read-checking policies (FULL/OutOfOrder) a
 //! read overlapping the other task's writes breaks commutativity too.
 //! Overlap tests run the word-block scanner
-//! ([`alter_heap::RangeSet::block_scan`]) behind a fingerprint
-//! pre-filter, so building the relation costs a deterministic
-//! `scan_words` currency.
+//! ([`alter_heap::RangeSet::block_scan`]) over each shared allocation, so
+//! building the relation costs a deterministic `scan_words` currency.
 //!
 //! **DPOR.** Schedules are equivalent (one Mazurkiewicz trace) iff they
 //! agree on the relative order of every non-commuting pair, so a
@@ -212,13 +211,9 @@ pub(crate) fn derive(
     }
 }
 
-/// Exact overlap test via the word-block scanner, behind the same
-/// fingerprint pre-filter the runtime's validator uses. Returns the
-/// verdict and the words the block scans compared.
+/// Exact overlap test via the word-block scanner. Returns the verdict and
+/// the words the block scans compared.
 fn overlap_block_scan(a: &AccessSet, b: &AccessSet) -> (bool, u64) {
-    if a.is_empty() || b.is_empty() || !a.fingerprint().may_intersect(b.fingerprint()) {
-        return (false, 0);
-    }
     let mut words = 0u64;
     for (id, ranges) in a.iter_sorted() {
         if let Some(other) = b.ranges(id) {

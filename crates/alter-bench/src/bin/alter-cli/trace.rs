@@ -187,11 +187,9 @@ pub fn trace(a: &Args) -> Result<bool, String> {
     }
     println!();
     let runtime_counters = format!(
-        "  fingerprint_hits={} fingerprint_rejects={} pool_reuses={} exact_scan_words={}\n  \
+        "  pool_reuses={} exact_scan_words={}\n  \
          snapshot_slots_copied={} pool_round_handoffs={}\n  \
          tickets_issued={} tickets_requeued={} tickets_helped={}\n",
-        stats.fingerprint_hits,
-        stats.fingerprint_rejects,
         stats.pool_reuses,
         stats.exact_scan_words,
         stats.snapshot_slots_copied,

@@ -151,7 +151,6 @@ mod tests {
         let b = pool.acquire();
         assert!(b.overlay.is_empty());
         assert!(b.writes.is_empty());
-        assert!(b.writes.fingerprint().is_empty());
         assert!(b.overlay.capacity() >= cap, "capacity must be retained");
     }
 

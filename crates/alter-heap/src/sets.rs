@@ -13,21 +13,18 @@ use std::hash::Hasher as _;
 
 /// Words per fingerprint block: accesses are fingerprinted at the
 /// granularity of `(allocation, word >> FINGERPRINT_BLOCK_SHIFT)`, so one
-/// hash covers a 64-word block. Coarser blocks keep range inserts cheap;
-/// the exact merge-scan behind the fingerprint restores word precision.
+/// hash covers a 64-word block.
 const FINGERPRINT_BLOCK_SHIFT: u32 = 6;
 
-/// A 128-bit Bloom-style fingerprint of an access set, maintained
-/// incrementally on insert (paper §4.1 keeps a hash set *plus* a global
-/// array so conflict checks are cheap; this is the analogous cheap
-/// pre-filter in front of the exact range scan).
+/// A 128-bit Bloom-style summary of an access set, built on demand by
+/// [`AccessSet::fingerprint`]. No validation path reads it: the validator
+/// and the DPOR checker compare the exact sets.
 ///
-/// Each inserted `(ObjId, word-block)` pair sets two bits derived from its
-/// deterministic FxHash. The only guarantee is one-sided and that is the
-/// point: if two fingerprints share no bit, the underlying sets share no
+/// Each `(ObjId, word-block)` pair of the set sets two bits derived from
+/// its deterministic FxHash. The only guarantee is one-sided: if two
+/// fingerprints share no bit, the underlying sets share no
 /// `(allocation, word)` — so [`Fingerprint::may_intersect`] returning
-/// `false` proves [`AccessSet::overlaps`] is `false`. False positives
-/// merely fall through to the exact scan; verdicts never change.
+/// `false` proves [`AccessSet::overlaps`] is `false`.
 ///
 /// ```
 /// use alter_heap::{AccessSet, ObjId};
@@ -66,7 +63,7 @@ impl Fingerprint {
 
     /// Folds the blocks covered by words `lo..hi` of `id` in.
     #[inline]
-    pub(crate) fn insert_range(&mut self, id: ObjId, lo: u32, hi: u32) {
+    fn insert_range(&mut self, id: ObjId, lo: u32, hi: u32) {
         debug_assert!(lo < hi);
         for block in (lo >> FINGERPRINT_BLOCK_SHIFT)..=((hi - 1) >> FINGERPRINT_BLOCK_SHIFT) {
             self.insert_block(id, block);
@@ -80,22 +77,9 @@ impl Fingerprint {
         (self.bits[0] & other.bits[0]) | (self.bits[1] & other.bits[1]) != 0
     }
 
-    /// Folds every element of `other` in: the fingerprint of a union is the
-    /// union of the fingerprints.
-    #[inline]
-    fn union_with(&mut self, other: Fingerprint) {
-        self.bits[0] |= other.bits[0];
-        self.bits[1] |= other.bits[1];
-    }
-
     /// Whether no element was ever folded in.
     pub fn is_empty(self) -> bool {
         self.bits == [0, 0]
-    }
-
-    /// Resets to the empty fingerprint.
-    pub fn clear(&mut self) {
-        self.bits = [0, 0];
     }
 }
 
@@ -434,9 +418,6 @@ impl AccessLog {
 pub struct AccessSet {
     map: FxHashMap<ObjId, RangeSet>,
     words: u64,
-    /// Bloom-style summary maintained incrementally by [`AccessSet::insert`]
-    /// — the O(1) pre-filter in front of the exact merge-scan.
-    fp: Fingerprint,
     /// Cleared [`RangeSet`]s recycled by [`AccessSet::clear`]; their backing
     /// vectors keep their capacity and are reused by later inserts.
     spare: Vec<RangeSet>,
@@ -447,7 +428,6 @@ impl Clone for AccessSet {
         AccessSet {
             map: self.map.clone(),
             words: self.words,
-            fp: self.fp,
             // Spare capacity is a recycling detail of the original, not part
             // of the set's value.
             spare: Vec::new(),
@@ -457,7 +437,7 @@ impl Clone for AccessSet {
 
 /// The range set of `id` in `map`, started from a recycled one if `id` is
 /// new to it. (A function of the two fields, so that callers can update the
-/// set's word count and fingerprint beside it.)
+/// set's word count beside it.)
 fn ranges_mut<'m>(
     map: &'m mut FxHashMap<ObjId, RangeSet>,
     spare: &mut Vec<RangeSet>,
@@ -478,7 +458,6 @@ impl AccessSet {
         if lo >= hi {
             return;
         }
-        self.fp.insert_range(id, lo, hi);
         self.words += ranges_mut(&mut self.map, &mut self.spare, id).insert(lo, hi);
     }
 
@@ -544,7 +523,6 @@ impl AccessSet {
     /// Merges `other` into `self`: one lookup and one linear merge per
     /// allocation of `other`.
     pub fn union_with(&mut self, other: &AccessSet) {
-        self.fp.union_with(other.fp);
         for (id, ranges) in &other.map {
             let set = ranges_mut(&mut self.map, &mut self.spare, *id);
             self.words += set.extend_sorted(ranges.iter());
@@ -553,25 +531,14 @@ impl AccessSet {
 
     /// Folds `log` into the set and empties it, keeping its capacity: one
     /// sort of the log, then per allocation one lookup and one linear merge.
-    /// The result is the set, word count and fingerprint that inserting the
-    /// log's entries one by one would have built.
+    /// The result is the set and word count that inserting the log's
+    /// entries one by one would have built.
     pub(crate) fn absorb(&mut self, log: &mut AccessLog) {
         // Stable sort: a log is mostly a few ascending sweeps, which it
         // merges as runs.
         log.entries.sort();
         for group in log.entries.chunk_by(|a, b| a.0 == b.0) {
-            let id = group[0].0;
-            // `lo` ascends within the group, so a block at or below the
-            // highest one folded in so far has been folded in already.
-            let mut next_block = 0;
-            for &(_, lo, hi) in group {
-                let last = (hi - 1) >> FINGERPRINT_BLOCK_SHIFT;
-                for block in (lo >> FINGERPRINT_BLOCK_SHIFT).max(next_block)..=last {
-                    self.fp.insert_block(id, block);
-                }
-                next_block = next_block.max(last + 1);
-            }
-            let set = ranges_mut(&mut self.map, &mut self.spare, id);
+            let set = ranges_mut(&mut self.map, &mut self.spare, group[0].0);
             self.words += set.extend_sorted(group.iter().map(|&(_, lo, hi)| (lo, hi)));
         }
         log.entries.clear();
@@ -608,19 +575,20 @@ impl AccessSet {
             self.spare.push(ranges);
         }
         self.words = 0;
-        self.fp.clear();
     }
 
-    /// The Bloom-style fingerprint summarizing this set (empty set ⇒ empty
-    /// fingerprint).
+    /// The Bloom-style fingerprint of this set (empty set ⇒ empty
+    /// fingerprint), built from its ranges on each call: one hash per
+    /// 64-word block a range touches. Nothing in the runtime calls it; the
+    /// wall-clock benchmark's `sets.fingerprint_ns` probe times this build.
     pub fn fingerprint(&self) -> Fingerprint {
-        self.fp
-    }
-
-    /// O(1) conservative overlap pre-check: `false` proves
-    /// [`AccessSet::overlaps`] is `false`; `true` requires the exact scan.
-    pub fn may_overlap(&self, other: &AccessSet) -> bool {
-        self.fp.may_intersect(other.fp)
+        let mut fp = Fingerprint::new();
+        for (id, ranges) in &self.map {
+            for (lo, hi) in ranges.iter() {
+                fp.insert_range(*id, lo, hi);
+            }
+        }
+        fp
     }
 
     /// Iterates over `(allocation, ranges)` in ascending `ObjId` order.
@@ -786,25 +754,15 @@ mod tests {
             naive_range_count(naive),
             "{ctx}: range_count"
         );
-        // The same set built in sorted order, every insert a tail insert.
-        let mut sorted = AccessSet::new();
-        for &(obj, w) in naive {
-            sorted.insert_word(obj, w);
-        }
-        assert_eq!(
-            set.fingerprint(),
-            sorted.fingerprint(),
-            "{ctx}: fingerprint"
-        );
     }
 
     #[test]
-    fn word_counts_ranges_and_fingerprints_match_a_naive_model() {
+    fn word_counts_and_ranges_match_a_naive_model() {
         let mut rng = Rng(0x5e75);
         for case in 0..300 {
             let objects = 1 + rng.below(3);
             // Small universes make duplicates, adjacency and bridges common;
-            // the large one spreads ranges over several fingerprint blocks.
+            // the large one spreads ranges over several 64-word blocks.
             let universe = [24, 200, 3000][case % 3];
             let mut ops: Vec<(ObjId, u32, u32)> = Vec::new();
             match case % 5 {
@@ -946,15 +904,13 @@ mod tests {
     }
 
     #[test]
-    fn accessset_clear_recycles_rangesets_and_resets_fingerprint() {
+    fn accessset_clear_recycles_rangesets() {
         let mut s = AccessSet::new();
         s.insert(id(1), 0, 4);
         s.insert(id(2), 8, 16);
-        assert!(!s.fingerprint().is_empty());
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.words(), 0);
-        assert!(s.fingerprint().is_empty());
         assert_eq!(s.spare.len(), 2, "cleared range sets are kept for reuse");
         s.insert(id(3), 0, 1);
         assert_eq!(s.spare.len(), 1, "a reused range set left the spare list");
@@ -971,14 +927,14 @@ mod tests {
             let mut b = AccessSet::new();
             a.insert(id(n), n, n + 3);
             b.insert(id(n + 1), n, n + 3); // different allocation
-            if !a.may_overlap(&b) {
+            if !a.fingerprint().may_intersect(b.fingerprint()) {
                 assert!(!a.overlaps(&b));
             }
             let mut c = AccessSet::new();
             c.insert(id(n), n + 1, n + 2); // genuine overlap with `a`
             assert!(a.overlaps(&c));
             assert!(
-                a.may_overlap(&c),
+                a.fingerprint().may_intersect(c.fingerprint()),
                 "a real overlap must never be fingerprint-rejected (n={n})"
             );
         }
@@ -992,7 +948,10 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         let mut u = AccessSet::new();
         u.union_with(&a);
-        assert!(u.may_overlap(&a), "union must carry the donor's blocks");
+        assert!(
+            u.fingerprint().may_intersect(a.fingerprint()),
+            "union must carry the donor's blocks"
+        );
     }
 
     fn golden() -> u32 {
@@ -1004,9 +963,53 @@ mod tests {
     fn empty_fingerprints_never_intersect() {
         let a = AccessSet::new();
         let mut b = AccessSet::new();
-        assert!(!a.may_overlap(&b));
+        assert!(!a.fingerprint().may_intersect(b.fingerprint()));
         b.insert(id(1), 0, 1);
-        assert!(!a.may_overlap(&b), "empty set intersects nothing");
+        assert!(
+            !a.fingerprint().may_intersect(b.fingerprint()),
+            "empty set intersects nothing"
+        );
+    }
+
+    /// A random access set: a handful of word ranges over a few objects.
+    /// The geometry (few objects, 1024-word extents, 64-word fingerprint
+    /// blocks) makes both rejects and genuine overlaps common.
+    fn random_set(rng: &mut Rng) -> AccessSet {
+        let mut set = AccessSet::new();
+        for _ in 0..1 + rng.below(6) {
+            let obj = id(rng.below(8));
+            let lo = rng.below(1024);
+            let hi = lo + 1 + rng.below(96);
+            set.insert(obj, lo, hi);
+        }
+        set
+    }
+
+    /// Soundness over 2 000 seeded pairs: a fingerprint reject proves the
+    /// exact merge-scan finds no overlap, and every real overlap is a
+    /// fingerprint hit (the filter is one-sided, false positives only).
+    #[test]
+    fn fingerprint_reject_implies_exact_disjointness() {
+        let mut rng = Rng(0x0005_eeda_11e5);
+        let (mut rejects, mut overlaps) = (0u32, 0u32);
+        for case in 0..2000 {
+            let a = random_set(&mut rng);
+            let b = random_set(&mut rng);
+            let may = a.fingerprint().may_intersect(b.fingerprint());
+            if !may {
+                rejects += 1;
+            }
+            if a.overlaps(&b) {
+                overlaps += 1;
+                assert!(may, "case {case}: overlapping pair escaped the fingerprint");
+            }
+        }
+        // The generator must exercise both sides of the property.
+        assert!(rejects > 100, "only {rejects} rejects — geometry too dense");
+        assert!(
+            overlaps > 100,
+            "only {overlaps} overlaps — geometry too sparse"
+        );
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub struct PhaseCosts {
     pub execute: u64,
     /// Conflict validation under the per-earlier-writer accounting (the
     /// trace's `ValidateOk.validate_words` figure — a function of the sets
-    /// alone, not of the words the fingerprint-gated scans compared).
+    /// alone).
     pub validate: u64,
     /// Commit: words merged back into the heap plus words of fresh
     /// allocations published.
@@ -163,24 +163,18 @@ pub struct RunStats {
     pub max_tracked_words: u64,
     /// Words charged to conflict validation under the per-earlier-writer
     /// accounting (`min(earlier writer's words, tracked words)` per earlier
-    /// committer probed). This is the quantity the trace's `ValidateOk`
-    /// events and the virtual-time cost model consume: a function of the
-    /// round's sets alone, which the sanitizer re-derives from recorded
-    /// `task_sets`. The words an exact scan *actually* compared live in
-    /// [`RunStats::exact_scan_words`].
+    /// committer probed, up to and including the one a ticket lost to).
+    /// This is the quantity the trace's `ValidateOk` events and the
+    /// virtual-time cost model consume: a function of the round's sets
+    /// alone, which the sanitizer re-derives from recorded `task_sets`.
     pub validate_words: u64,
-    /// Validations whose fingerprint pre-check could not prove
-    /// disjointness and fell through to an exact merge-scan.
-    pub fingerprint_hits: u64,
-    /// Validations rejected in O(1) by the fingerprint pre-check — no
-    /// exact scan ran.
-    pub fingerprint_rejects: u64,
     /// Transaction buffers and round write-set containers served from the
     /// cross-round recycling pool instead of the allocator.
     pub pool_reuses: u64,
-    /// Words actually compared by exact validation merge-scans.
-    /// Fingerprint rejects and the cumulative round write-set keep this
-    /// far below [`RunStats::validate_words`].
+    /// Words booked to the validator's exact scans. The validator scans
+    /// each earlier writer directly and is charged per writer, so this
+    /// equals [`RunStats::validate_words`]; it stays a field of its own
+    /// because the wall-clock benchmark reports it.
     pub exact_scan_words: u64,
     /// Heap slots path-copied because a write landed while some snapshot
     /// still shared its page ([`alter_heap::SnapshotStats::slots_copied`],
@@ -258,8 +252,6 @@ impl RunStats {
         self.tracked_words += other.tracked_words;
         self.max_tracked_words = self.max_tracked_words.max(other.max_tracked_words);
         self.validate_words += other.validate_words;
-        self.fingerprint_hits += other.fingerprint_hits;
-        self.fingerprint_rejects += other.fingerprint_rejects;
         self.pool_reuses += other.pool_reuses;
         self.exact_scan_words += other.exact_scan_words;
         self.snapshot_slots_copied += other.snapshot_slots_copied;
@@ -543,12 +535,6 @@ fn conflicts_with(policy: ConflictPolicy, effects: &TxEffects, earlier_writes: &
     validated_sets(policy, effects).any(|(_, set)| set.overlaps(earlier_writes))
 }
 
-/// O(1) fingerprint pre-check mirroring [`conflicts_with`]: `false` proves
-/// the exact check is `false`; `true` means "cannot rule it out".
-fn may_conflict(policy: ConflictPolicy, effects: &TxEffects, earlier_writes: &AccessSet) -> bool {
-    validated_sets(policy, effects).any(|(_, set)| set.may_overlap(earlier_writes))
-}
-
 /// Pinpoints the first conflicting word once [`conflicts_with`] has already
 /// said "yes": within a set the search is deterministic (ascending
 /// allocation, then lowest word). Only runs on the conflict path, so the
@@ -565,13 +551,11 @@ fn locate_conflict(
 }
 
 /// The validate stage: the write sets the current round has committed so
-/// far — one entry per committer, for conflict attribution — plus their
-/// running union, whose fingerprint rejects a non-overlapping ticket in
-/// O(1) and otherwise stands in for a scan of every earlier writer.
+/// far, one entry per committer in commit order, so that a conflict names
+/// the transaction it lost to.
 struct Validator {
     policy: ConflictPolicy,
     writers: Vec<(u64, AccessSet)>,
-    union: AccessSet,
 }
 
 impl Validator {
@@ -579,84 +563,49 @@ impl Validator {
         Validator {
             policy,
             writers: Vec::new(),
-            union: AccessSet::new(),
         }
     }
 
-    /// Validates one ticket's sets against the round's earlier committers:
-    /// returns its `validate_words` charge and, if it lost, the first
-    /// earlier writer (in commit order) and word it lost to. Changes
-    /// nothing of the validator; what the check itself cost goes to
-    /// `stats`' fingerprint and exact-scan counters.
+    /// Validates one ticket's sets against the round's earlier committers,
+    /// walking them in commit order and stopping at the first it overlaps:
+    /// returns its `validate_words` charge — `min(writer's words, tracked
+    /// words)` for each writer walked, the one it lost to included — and,
+    /// if it lost, that writer and the first word. Changes nothing of the
+    /// validator; the charge is also booked to `stats.exact_scan_words`.
     fn check(&self, effects: &TxEffects, stats: &mut RunStats) -> (u64, Option<ConflictDetail>) {
         let tracked = effects.reads.words() + effects.writes.words();
-        // One fingerprint test against the union. A reject proves
-        // disjointness from every earlier writer with no scan at all; a hit
-        // runs one exact scan against the union instead of one per writer.
-        let conflicted = if self.writers.is_empty() || self.policy == ConflictPolicy::None {
-            false
-        } else if may_conflict(self.policy, effects, &self.union) {
-            stats.fingerprint_hits += 1;
-            stats.exact_scan_words += self.union.words().min(tracked);
-            conflicts_with(self.policy, effects, &self.union)
-        } else {
-            stats.fingerprint_rejects += 1;
-            false
-        };
-        // Attribution runs only on the conflict path: walk the per-writer
-        // log in commit order to name the first earlier transaction this
-        // one lost to — the same writer and word a per-writer scan would
-        // have reported.
+        let mut validate_words = 0;
         let mut conflict = None;
-        let mut probed = self.writers.len();
-        if conflicted {
-            for (i, (winner_seq, earlier)) in self.writers.iter().enumerate() {
-                stats.exact_scan_words += earlier.words().min(tracked);
-                if conflicts_with(self.policy, effects, earlier) {
-                    let (kind, obj, word) = locate_conflict(self.policy, effects, earlier)
-                        .expect("overlap test and locate must agree");
-                    conflict = Some(ConflictDetail {
-                        kind,
-                        obj,
-                        word,
-                        winner_seq: *winner_seq,
-                    });
-                    probed = i + 1;
-                    break;
-                }
+        for (winner_seq, earlier) in &self.writers {
+            validate_words += earlier.words().min(tracked);
+            if conflicts_with(self.policy, effects, earlier) {
+                let (kind, obj, word) = locate_conflict(self.policy, effects, earlier)
+                    .expect("overlap test and locate must agree");
+                conflict = Some(ConflictDetail {
+                    kind,
+                    obj,
+                    word,
+                    winner_seq: *winner_seq,
+                });
+                break;
             }
-            debug_assert!(
-                conflict.is_some(),
-                "a conflict with the union names some individual writer"
-            );
         }
-        // Trace-visible accounting is the per-writer formula — the words a
-        // scan of each earlier writer would compare, up to and including
-        // the conflicting one — so event payloads are a function of the
-        // sets alone (the sanitizer re-derives them). `AccessSet::words` is
-        // a maintained count, so this costs nothing.
-        let validate_words = self.writers[..probed]
-            .iter()
-            .map(|(_, earlier)| earlier.words().min(tracked))
-            .sum();
+        stats.exact_scan_words += validate_words;
         (validate_words, conflict)
     }
 
     /// Remembers a committed write set with its owner's sequence number, so
     /// a later conflict can name the transaction it lost to.
     fn admit(&mut self, seq: u64, writes: AccessSet) {
-        self.union.union_with(&writes);
         self.writers.push((seq, writes));
     }
 
     /// The write log is only meaningful within a round (earlier rounds are
-    /// already visible in the next snapshot): recycle its sets and reset
-    /// the union.
+    /// already visible in the next snapshot): recycle its sets.
     fn end_round(&mut self, bufs: &mut TxBufferPool) {
         for (_, set) in self.writers.drain(..) {
             bufs.release_set(set);
         }
-        self.union.clear();
     }
 }
 
@@ -1109,8 +1058,6 @@ mod tests {
             tracked_words: 13,
             max_tracked_words: 14,
             validate_words: 15,
-            fingerprint_hits: 16,
-            fingerprint_rejects: 17,
             pool_reuses: 18,
             exact_scan_words: 19,
             snapshot_slots_copied: 20,
@@ -1505,10 +1452,10 @@ mod tests {
         assert_eq!(obs.committed, stats.committed);
     }
 
-    /// A conflict-heavy loop pre-checks its validations by fingerprint and
+    /// A conflict-heavy loop books its scans at the per-writer charge and
     /// recycles transaction buffers across rounds.
     #[test]
-    fn conflicting_loop_prechecks_by_fingerprint_and_recycles_buffers() {
+    fn conflicting_loop_books_its_scans_and_recycles_buffers() {
         let mut heap = Heap::new();
         let xs = heap.alloc(ObjData::zeros_i64(64));
         let shared = heap.alloc(ObjData::scalar_i64(0));
@@ -1531,51 +1478,11 @@ mod tests {
         )
         .unwrap();
         assert!(stats.retries() > 0, "the loop must actually conflict");
-        assert!(
-            stats.fingerprint_hits + stats.fingerprint_rejects > 0,
-            "validations are pre-checked by fingerprint"
-        );
+        assert!(stats.validate_words > 0, "every validation is charged");
+        assert_eq!(stats.exact_scan_words, stats.validate_words);
         assert!(
             stats.pool_reuses > 0,
             "a multi-round run must recycle buffers"
-        );
-    }
-
-    /// On a conflict-free loop whose tasks touch distinct fingerprint
-    /// blocks, validations are dominated by O(1) rejects: the exact scans
-    /// compare far less than half the words a scan of every earlier writer
-    /// would (`validate_words` — the target regime, low-conflict
-    /// workloads).
-    #[test]
-    fn disjoint_writes_validate_mostly_by_fingerprint_reject() {
-        // Stride iterations 64 words apart so each task owns its own
-        // 64-word fingerprint blocks.
-        let mut heap = Heap::new();
-        let xs = heap.alloc(ObjData::zeros_i64(64 * 64));
-        let mut reds = RedVars::new();
-        let p = params(4, 4, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-        let stats = run_loop_engine(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, 64),
-            &p,
-            false,
-            &|ctx: &mut TxCtx<'_>, i| {
-                let w = i as usize * 64;
-                let v = ctx.tx.read_i64(xs, w);
-                ctx.tx.write_i64(xs, w, v + 1);
-            },
-            &mut NullObserver,
-        )
-        .unwrap();
-        assert_eq!(stats.retries(), 0);
-        assert!(stats.fingerprint_rejects > 0);
-        assert!(stats.validate_words > 0, "every validation is charged");
-        assert!(
-            stats.exact_scan_words * 2 <= stats.validate_words,
-            "fingerprints must at least halve exact-scan work here ({} vs {})",
-            stats.exact_scan_words,
-            stats.validate_words
         );
     }
 
@@ -1756,9 +1663,9 @@ mod tests {
 
     /// [`Validator::check`] on its own: three earlier committers of 2, 16
     /// and 4 words in the 64-word blocks 0, 1 and 2 of one object. Pins the
-    /// verdict, the per-writer `validate_words` formula and what the check
-    /// itself is booked at (fingerprint hits, rejects, exact-scan words) on
-    /// the conflict path, the fingerprint-reject path and under `NONE`.
+    /// verdict, the per-writer `validate_words` formula and the exact-scan
+    /// words the check is booked at, on the conflict path, the clean path
+    /// and under `NONE`.
     #[test]
     fn validator_check_names_the_writer_lost_to_and_charges_per_writer() {
         let mut heap = Heap::new();
@@ -1777,19 +1684,13 @@ mod tests {
                 tx.write_i64(xs, w, 1);
             }
             let mut stats = RunStats::default();
-            let verdict = validator.check(&tx.finish(), &mut stats);
-            let booked = (
-                stats.fingerprint_hits,
-                stats.fingerprint_rejects,
-                stats.exact_scan_words,
-            );
-            (verdict, booked)
+            let (validate_words, conflict) = validator.check(&tx.finish(), &mut stats);
+            (validate_words, conflict, stats.exact_scan_words)
         };
 
         // Five tracked words overlapping only the second writer, first at
         // word 70: charged min(2, 5) + min(16, 5) for the writers up to and
-        // including the winner; one fingerprint hit, which scanned the
-        // 22-word union (min(22, 5)) and then those two writers.
+        // including the winner, the two writers the walk scanned.
         let overlapping = [70, 71, 72, 300, 301];
         let lost = ConflictDetail {
             kind: ConflictKind::Waw,
@@ -1799,19 +1700,149 @@ mod tests {
         };
         assert_eq!(
             check(ConflictPolicy::Waw, &overlapping),
-            ((2 + 5, Some(lost)), (1, 0, 5 + 2 + 5))
+            (2 + 5, Some(lost), 2 + 5)
         );
-        // Block 8 is no writer's: rejected by fingerprint with no scan at
-        // all, and charged for every writer.
+        // Words 512.. are no writer's: every writer is scanned and charged.
         assert_eq!(
             check(ConflictPolicy::Waw, &[512, 513, 514]),
-            ((2 + 3 + 3, None), (0, 1, 0))
+            (2 + 3 + 3, None, 2 + 3 + 3)
         );
-        // NONE never conflicts and never probes, but is charged all the same.
+        // NONE never conflicts, but is charged for every writer all the same.
         assert_eq!(
             check(ConflictPolicy::None, &overlapping),
-            ((2 + 5 + 4, None), (0, 0, 0))
+            (2 + 5 + 4, None, 2 + 5 + 4)
         );
+    }
+
+    /// [`Validator::check`] against an oracle that shares nothing with the
+    /// access sets: random rounds of 0–4 earlier writers and a candidate,
+    /// ranges over 3 objects of 512 words, decided under every policy by a
+    /// plain `BTreeSet<(ObjId, u32)>` intersection in commit order. The
+    /// verdict, winner, kind, word and `validate_words` must all agree.
+    #[test]
+    fn validator_check_agrees_with_a_naive_intersection_in_commit_order() {
+        use std::collections::BTreeSet;
+        type Words = BTreeSet<(ObjId, u32)>;
+        /// SplitMix64.
+        struct Rng(u64);
+        impl Rng {
+            fn below(&mut self, bound: usize) -> usize {
+                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % bound as u64) as usize
+            }
+
+            /// `n` (object, lo, hi) draws: half short ranges, half long.
+            fn ranges(&mut self, objs: &[ObjId], n: usize) -> Vec<(ObjId, usize, usize)> {
+                (0..n)
+                    .map(|_| {
+                        let lo = self.below(512);
+                        let len = 1 + if self.below(2) == 0 {
+                            self.below(128)
+                        } else {
+                            self.below(4)
+                        };
+                        (objs[self.below(3)], lo, (lo + len).min(512))
+                    })
+                    .collect()
+            }
+        }
+        let mut rng = Rng(0x0da7_a5e7);
+        let mut heap = Heap::new();
+        let objs: Vec<ObjId> = (0..3)
+            .map(|_| heap.alloc(ObjData::zeros_i64(512)))
+            .collect();
+        let (snap, _) = heap.snapshot_incremental();
+        let (mut conflicts, mut clean) = (0, 0);
+        for case in 0..400 {
+            let writers: Vec<Vec<_>> = (0..rng.below(5))
+                .map(|_| {
+                    let n = 1 + rng.below(3);
+                    rng.ranges(&objs, n)
+                })
+                .collect();
+            let n = rng.below(4);
+            let reads = rng.ranges(&objs, n);
+            let n = rng.below(4);
+            let writes = rng.ranges(&objs, n);
+            let words = |rs: &[(ObjId, usize, usize)]| -> Words {
+                rs.iter()
+                    .flat_map(|&(o, lo, hi)| (lo as u32..hi as u32).map(move |w| (o, w)))
+                    .collect()
+            };
+            for policy in [
+                ConflictPolicy::Full,
+                ConflictPolicy::Raw,
+                ConflictPolicy::Waw,
+                ConflictPolicy::None,
+            ] {
+                let mut validator = Validator::new(policy);
+                for (seq, w) in writers.iter().enumerate() {
+                    let mut set = AccessSet::new();
+                    for &(o, lo, hi) in w {
+                        set.insert(o, lo as u32, hi as u32);
+                    }
+                    validator.admit(seq as u64, set);
+                }
+                let ids = IdReservation::new(heap.high_water(), 0, 1, 8);
+                let mut tx = Tx::new(&snap, policy.track_mode(), ids, u64::MAX);
+                for &(o, lo, hi) in &reads {
+                    tx.with_i64s(o, lo, hi, |_| ());
+                }
+                for &(o, lo, hi) in &writes {
+                    tx.write_i64s(o, lo, &vec![1; hi - lo]);
+                }
+                let mut stats = RunStats::default();
+                let (got_words, got) = validator.check(&tx.finish(), &mut stats);
+
+                // The oracle. Reads are tracked, and checked, exactly under
+                // FULL and RAW.
+                let r = match policy {
+                    ConflictPolicy::Full | ConflictPolicy::Raw => words(&reads),
+                    _ => Words::new(),
+                };
+                let w = words(&writes);
+                let write_checked = matches!(policy, ConflictPolicy::Full | ConflictPolicy::Waw);
+                let tracked = r.len() + w.len();
+                let mut want_words = 0;
+                let mut want = None;
+                for (seq, earlier) in writers.iter().enumerate() {
+                    let earlier = words(earlier);
+                    want_words += earlier.len().min(tracked) as u64;
+                    let first = |mine: &Words, kind| {
+                        let &(obj, word) = mine.intersection(&earlier).next()?;
+                        Some(ConflictDetail {
+                            kind,
+                            obj,
+                            word,
+                            winner_seq: seq as u64,
+                        })
+                    };
+                    want = first(&r, ConflictKind::Raw).or_else(|| {
+                        write_checked
+                            .then(|| first(&w, ConflictKind::Waw))
+                            .flatten()
+                    });
+                    if want.is_some() {
+                        break;
+                    }
+                }
+                let ctx = format!("case {case} {policy:?}");
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(got_words, want_words, "{ctx}");
+                assert_eq!(stats.exact_scan_words, want_words, "{ctx}");
+                if want.is_some() {
+                    conflicts += 1;
+                } else if !writers.is_empty() && policy != ConflictPolicy::None {
+                    clean += 1;
+                }
+            }
+        }
+        // The geometry must exercise both verdicts.
+        assert!(conflicts > 150, "only {conflicts} conflicts");
+        assert!(clean > 300, "only {clean} clean validations");
     }
 
     /// The engine's wall spans, which only `bench/` consumed: with a

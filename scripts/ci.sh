@@ -59,13 +59,19 @@ fi
 # Every verification surface is a subcommand of one bin.
 cli() { cargo run --release -q -p alter-bench --bin alter-cli -- "$@"; }
 
-echo "== smoke: tables, figures --quick, gauss_seidel example =="
+echo "== smoke: tables, figures --quick, gauss_seidel example, trace, lint, absint, deps =="
 # Outside the tests these are the only readers of a probe run's sweep and
 # pass counts and of its simulated clock; clippy only compiles them. Each
-# must exit 0 (about a second each in release mode).
+# must exit 0 (about a second each in release mode). `trace --twice` is the
+# determinism oracle and prints the runtime's counter line; `lint`,
+# `absint` and `deps` with no workload cover all twelve (≈ 1 s together).
 cli tables > /dev/null
 cli figures --quick > /dev/null
 cargo run --release -q --example gauss_seidel > /dev/null
+cli trace genome --threaded --twice > /dev/null
+cli lint > /dev/null
+cli absint > /dev/null
+cli deps > /dev/null
 
 echo "== alter-cli baselines (verdict gates + VERDICTS.json drift check) =="
 # One process records every workload's best run once (task sets and phase
@@ -132,5 +138,5 @@ cli diff target/kmeans-doall-expected.journal \
   target/kmeans-doall-expected.journal > /dev/null
 
 echo "tier-1 gate: OK"
-# The workspace size ROADMAP item 4 tracks (lower is better).
+# The workspace size ROADMAP item 7 tracks (lower is better).
 echo "workspace .rs lines: $(find crates src tests examples -name '*.rs' | xargs cat | wc -l)"

@@ -1,10 +1,15 @@
 //! Integration tests for the record/replay subsystem: JSONL codec
 //! round-trip properties over randomized event sequences, journal
 //! validation (truncation / reordering / field corruption), record→replay
-//! identity across all twelve workloads, and the divergence bisector's
-//! precision on a deliberately mutated journal.
+//! identity across all twelve workloads, the divergence bisector's
+//! precision on a deliberately mutated journal, and a byte-wise mutation
+//! sweep the journal reader must survive without panicking.
 
+use alter::heap::{Heap, ObjData};
 use alter::runtime::replay::{diverge_bisect, ReplayOutcome};
+use alter::runtime::{
+    run_loop, CommitOrder, ConflictPolicy, Driver, ExecParams, RangeSpace, RedVars,
+};
 use alter::trace::{
     from_jsonl, to_jsonl, trace_hash, ConflictKind, Event, Journal, JournalHeader, Phase, Profile,
     Recorder, RingRecorder,
@@ -399,4 +404,79 @@ fn phase_profile_is_deterministic_and_observationally_pure() {
         );
     }
     assert_eq!(profile.cost(Phase::InferProbe), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Byte-wise journal mutation: the reader errs, it never panics
+// ---------------------------------------------------------------------------
+
+/// A small recorded journal with access sets: a 2-worker `FULL` loop over 4
+/// iterations in which every third iteration also bumps a shared counter,
+/// so the stream carries `task_sets`, conflicts and retries.
+fn toy_journal_with_sets() -> Journal {
+    let mut heap = Heap::new();
+    let xs = heap.alloc(ObjData::zeros_i64(8));
+    let shared = heap.alloc(ObjData::scalar_i64(0));
+    let rec = Arc::new(RingRecorder::default());
+    let mut p = ExecParams::new(2, 1);
+    p.conflict = ConflictPolicy::Full;
+    p.order = CommitOrder::OutOfOrder;
+    p.record_sets = true;
+    let p = p.with_recorder(rec.clone() as Arc<dyn Recorder>);
+    run_loop(
+        &mut heap,
+        &mut RedVars::new(),
+        &mut RangeSpace::new(0, 4),
+        &p,
+        Driver::sequential(),
+        |ctx, i| {
+            let s = ctx.tx.read_i64(shared, 0);
+            ctx.tx.write_i64(xs, i as usize, s + 1);
+            if i % 3 == 0 {
+                ctx.tx.write_i64(shared, 0, s + 1);
+            }
+        },
+    )
+    .expect("toy loop completes");
+    let header = JournalHeader {
+        workload: "toy".to_owned(),
+        annotation: "[FULL + OutOfOrder]".to_owned(),
+        workers: 2,
+        record_sets: true,
+        profile_phases: false,
+        trace_hash: 0, // recomputed by Journal::new
+    };
+    Journal::new(header, rec.events()).expect("recorded stream is a valid journal")
+}
+
+/// Every single-byte deletion of the journal, and every byte replaced by
+/// each of `0 9 " } , \n`, must load as `Ok` or `Err` — never panic.
+#[test]
+fn journal_reader_never_panics_on_byte_mutations() {
+    let text = toy_journal_with_sets().to_jsonl();
+    assert!(text.contains("\"ev\":\"task_sets\""), "{text}");
+    assert!(text.contains("\"ev\":\"validate_conflict\""), "{text}");
+    assert!(text.is_ascii(), "every mutation below stays valid UTF-8");
+    let bytes = text.as_bytes();
+    let load = |mutated: Vec<u8>, what: &str| {
+        let mutated = String::from_utf8(mutated).expect("ASCII stays UTF-8");
+        let outcome = std::panic::catch_unwind(|| Journal::from_jsonl(&mutated).is_ok());
+        assert!(outcome.is_ok(), "{what}: the reader panicked on\n{mutated}");
+    };
+    let mut variants = 0;
+    for at in 0..bytes.len() {
+        let mut deleted = bytes.to_vec();
+        deleted.remove(at);
+        load(deleted, &format!("byte {at} deleted"));
+        variants += 1;
+        for &b in b"09\"},\n" {
+            if bytes[at] != b {
+                let mut replaced = bytes.to_vec();
+                replaced[at] = b;
+                load(replaced, &format!("byte {at} replaced by {:?}", b as char));
+                variants += 1;
+            }
+        }
+    }
+    assert!(variants > 5 * bytes.len(), "{variants} variants");
 }
