@@ -54,7 +54,7 @@ fn scalar_heap(slots: usize) -> (Heap, Vec<ObjId>) {
 /// A round snapshot is one `Arc` clone of the page table's root. What it
 /// no longer pays lands on the first commit made while a view is held: that
 /// commit path-copies the root (one pointer per 64-slot page) and one page
-/// with its 64 payloads; the view is released inside the timed call too.
+/// with its buffers; the view is released inside the timed call too.
 fn bench_snapshot() {
     let (heap, _) = scalar_heap(10_000);
     bench("snapshot_10k_slots", 1000, || heap.snapshot());
@@ -77,10 +77,15 @@ fn bench_snapshot() {
 }
 
 /// Allocating 131 072 ten-word objects into an empty heap (Genome's bucket
-/// count), then dropping the heap, timed apart: one allocation per object
-/// on each side, since payloads live inline in their page.
+/// count), walking them the way `AlterHashSet::seq_keys` walks its buckets,
+/// then dropping the heap, each timed apart. A page keeps its objects'
+/// words in one buffer per kind, so the drop frees per page, not per
+/// object; the build still makes and frees one `ObjData` per object.
 fn bench_heap_build_drop() {
-    let (mut build, mut teardown) = (f64::INFINITY, f64::INFINITY);
+    /// `Heap::digest` of the built heap, as computed before pages kept
+    /// their words in shared buffers: the layout must not change contents.
+    const BUILT_DIGEST: u64 = 0xa04e_0182_bc9a_2325;
+    let (mut build, mut walk, mut teardown) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..5 {
         let start = Instant::now();
         let mut heap = Heap::new();
@@ -88,11 +93,28 @@ fn bench_heap_build_drop() {
             heap.alloc(ObjData::zeros_i64(10));
         }
         let built = Instant::now();
+        let mut keys = Vec::new();
+        for i in 0..131_072 {
+            let words = heap.get(ObjId::from_index(i)).i64s();
+            let count = words[0] as usize;
+            keys.extend_from_slice(&words[2..2 + count]);
+            black_box(words[1]);
+        }
+        black_box(keys);
+        let walked = Instant::now();
+        assert_eq!(
+            heap.digest(),
+            BUILT_DIGEST,
+            "the built heap's contents moved"
+        );
+        let dropping = Instant::now();
         drop(black_box(heap));
         build = build.min((built - start).as_secs_f64() * 1e9);
-        teardown = teardown.min(built.elapsed().as_secs_f64() * 1e9);
+        walk = walk.min((walked - built).as_secs_f64() * 1e9);
+        teardown = teardown.min(dropping.elapsed().as_secs_f64() * 1e9);
     }
     report("heap_build_131k_10w", build);
+    report("heap_walk_131k_10w", walk);
     report("heap_drop_131k_10w", teardown);
 }
 

@@ -11,7 +11,7 @@
 //! hash to the same bucket; overflow chains are allocated transactionally
 //! through the ALTER-allocator.
 
-use alter_heap::{Heap, ObjData, ObjId};
+use alter_heap::{Heap, ObjData, ObjId, ObjRef};
 use alter_runtime::TxCtx;
 
 const NIL: i64 = -1;
@@ -43,12 +43,12 @@ impl AlterHashSet {
     pub fn new(heap: &mut Heap, buckets: usize, bucket_cap: usize) -> Self {
         let buckets = buckets.max(1);
         let bucket_cap = bucket_cap.max(1);
-        let ids: Vec<i64> = (0..buckets)
-            .map(|_| {
-                let mut words = vec![0i64; KEYS + bucket_cap];
-                words[OVERFLOW] = NIL;
-                heap.alloc(ObjData::I64(words)).to_i64()
-            })
+        // Every bucket starts as a copy of one empty bucket.
+        let mut empty = vec![0i64; KEYS + bucket_cap];
+        empty[OVERFLOW] = NIL;
+        let ids: Vec<i64> = heap
+            .alloc_copies(ObjRef::I64(&empty), buckets)
+            .map(ObjId::to_i64)
             .collect();
         let directory = heap.alloc(ObjData::I64(ids));
         AlterHashSet {
@@ -129,8 +129,8 @@ impl AlterHashSet {
     /// Total keys stored (sequential code).
     pub fn seq_len(&self, heap: &Heap) -> usize {
         let mut total = 0;
-        for b in 0..self.buckets {
-            let mut bucket = ObjId::from_i64(heap.get(self.directory).i64s()[b]);
+        for &head in heap.get(self.directory).i64s() {
+            let mut bucket = ObjId::from_i64(head);
             loop {
                 let words = heap.get(bucket).i64s();
                 total += words[COUNT] as usize;
@@ -147,8 +147,8 @@ impl AlterHashSet {
     /// code).
     pub fn seq_keys(&self, heap: &Heap) -> Vec<i64> {
         let mut out = Vec::new();
-        for b in 0..self.buckets {
-            let mut bucket = ObjId::from_i64(heap.get(self.directory).i64s()[b]);
+        for &head in heap.get(self.directory).i64s() {
+            let mut bucket = ObjId::from_i64(head);
             loop {
                 let words = heap.get(bucket).i64s();
                 let count = words[COUNT] as usize;

@@ -1,11 +1,15 @@
 //! The committed memory state, snapshots of it, and commit application.
 //!
 //! The paper's runtime keeps one *committed memory state* plus N process-
-//! private copy-on-write mappings (§4.1, Figure 4). Here the committed state
-//! is a persistent page table — a root of `Arc`'d pages of
-//! [`SNAPSHOT_PAGE_SLOTS`] slots, each slot holding its payload inline — and
-//! a [`Snapshot`] is one `Arc` clone of that root, the analogue of the
-//! paper's free `fork`. Transaction privacy comes from a private copy in the
+//! private copy-on-write mappings (§4.1, Figure 4), over a HOARD-like
+//! allocator, which carves objects out of superblocks. Here the committed
+//! state is a persistent page table — a root of `Arc`'d pages of
+//! [`SNAPSHOT_PAGE_SLOTS`] slots — and a [`Snapshot`] is one `Arc` clone of
+//! that root, the analogue of the paper's free `fork`. A page is the
+//! superblock: it keeps the words of all its objects in one buffer per kind,
+//! and a slot records which kind, where in that buffer and how long, so
+//! [`Heap::get`] and [`Snapshot::get`] hand out borrowed views ([`ObjRef`])
+//! into it. Transaction privacy comes from a private copy in the
 //! transaction's overlay, made on first write and filled block by block as it
 //! is touched ([`crate::Tx`]).
 //!
@@ -17,25 +21,142 @@
 //! nothing else: a mutation reaches its slot through `Arc::make_mut` on the
 //! root, then on the slot's page. Each level is written in place when the
 //! heap holds the only reference to it and copied when a live [`Snapshot`]
-//! shares it — the root's page pointers, or one page together with its
-//! payloads, the paper's page-granular copy-on-write — after which later
+//! shares it — the root's page pointers, or one page together with its two
+//! buffers, the paper's page-granular copy-on-write — after which later
 //! writes along that path are in place again. The engine's drivers drop the
 //! round's snapshot once its last task has returned, so in steady state
 //! their commits copy nothing; the O(pages) root copy is paid only by the
 //! first write under a held view (the analogue of the paper's page faults
-//! after a `fork`). A whole-object commit or a transactional alloc moves the
-//! transaction's buffer into its slot instead of copying it.
+//! after a `fork`).
+//!
+//! Every write copies words into the page's buffer: a commit's ranges, a
+//! whole-object commit and a transactional alloc alike (a long private copy,
+//! spent, goes back to its transaction's [`crate::CowScratch`]). An alloc
+//! appends its words to the buffer of its kind; a free leaves a hole, and a
+//! page whose holes come to outweigh its live words compacts its buffers.
 
-use crate::object::{ObjData, ObjId};
+use crate::object::{ObjData, ObjId, ObjKind, ObjMut, ObjRef};
 use std::sync::Arc;
 
 /// Slots per page of the committed page table: the unit a write under a
-/// held snapshot copies, payloads and all.
+/// held snapshot copies, words and all.
 pub const SNAPSHOT_PAGE_SLOTS: usize = 64;
 
-/// One page of the table. Slots past the heap's high water are `None`, so
-/// a lookup through any snapshot needs no length check.
-type Page = [Option<ObjData>; SNAPSHOT_PAGE_SLOTS];
+/// Where one live object's words are: `len` words at `at` in its page's
+/// buffer of `kind`.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    kind: ObjKind,
+    at: u32,
+    len: u32,
+}
+
+impl Slot {
+    fn range(self) -> std::ops::Range<usize> {
+        self.at as usize..self.at as usize + self.len as usize
+    }
+}
+
+/// One page of the table: a superblock of up to [`SNAPSHOT_PAGE_SLOTS`]
+/// objects. Slots past the heap's high water are `None`, so a lookup
+/// through any snapshot needs no length check.
+#[derive(Clone, Debug)]
+struct Page {
+    f64s: Vec<f64>,
+    i64s: Vec<i64>,
+    slots: [Option<Slot>; SNAPSHOT_PAGE_SLOTS],
+    /// Words of the two buffers that no live slot covers.
+    dead: usize,
+}
+
+impl Page {
+    const EMPTY: Page = Page {
+        f64s: Vec::new(),
+        i64s: Vec::new(),
+        slots: [None; SNAPSHOT_PAGE_SLOTS],
+        dead: 0,
+    };
+
+    #[inline]
+    fn get(&self, s: usize) -> Option<ObjRef<'_>> {
+        let slot = self.slots[s]?;
+        Some(match slot.kind {
+            ObjKind::F64 => ObjRef::F64(&self.f64s[slot.range()]),
+            ObjKind::I64 => ObjRef::I64(&self.i64s[slot.range()]),
+        })
+    }
+
+    #[inline]
+    fn get_mut(&mut self, s: usize) -> Option<ObjMut<'_>> {
+        let slot = self.slots[s]?;
+        Some(match slot.kind {
+            ObjKind::F64 => ObjMut::F64(&mut self.f64s[slot.range()]),
+            ObjKind::I64 => ObjMut::I64(&mut self.i64s[slot.range()]),
+        })
+    }
+
+    /// Installs a copy of `data` in the empty slot `s`, appended to the
+    /// buffer of its kind.
+    fn put(&mut self, s: usize, data: ObjRef<'_>) {
+        let at = match data {
+            ObjRef::F64(words) => append(&mut self.f64s, words),
+            ObjRef::I64(words) => append(&mut self.i64s, words),
+        };
+        self.slots[s] = Some(Slot {
+            kind: data.kind(),
+            at,
+            len: u32::try_from(data.len()).expect("object length fits u32"),
+        });
+    }
+
+    /// Makes room in the buffer of `data`'s kind for `n` more objects as
+    /// long as `data`.
+    fn reserve(&mut self, data: ObjRef<'_>, n: usize) {
+        match data {
+            ObjRef::F64(words) => self.f64s.reserve(n * words.len()),
+            ObjRef::I64(words) => self.i64s.reserve(n * words.len()),
+        }
+    }
+
+    /// Empties slot `s` and returns the length of the object it held, or
+    /// `None` if it held none. Compacts the buffers once the holes outweigh
+    /// the live words.
+    fn take(&mut self, s: usize) -> Option<usize> {
+        let len = self.slots[s].take()?.len as usize;
+        self.dead += len;
+        if 2 * self.dead > self.f64s.len() + self.i64s.len() {
+            self.compact();
+        }
+        Some(len)
+    }
+
+    /// Rewrites the buffers to hold the live slots' words and nothing else.
+    fn compact(&mut self) {
+        let live = |kind| -> usize {
+            let slots = self.slots.iter().flatten().filter(|s| s.kind == kind);
+            slots.map(|s| s.len as usize).sum()
+        };
+        let mut f64s = Vec::with_capacity(live(ObjKind::F64));
+        let mut i64s = Vec::with_capacity(live(ObjKind::I64));
+        for slot in self.slots.iter_mut().flatten() {
+            let at = match slot.kind {
+                ObjKind::F64 => append(&mut f64s, &self.f64s[slot.range()]),
+                ObjKind::I64 => append(&mut i64s, &self.i64s[slot.range()]),
+            };
+            slot.at = at;
+        }
+        self.f64s = f64s;
+        self.i64s = i64s;
+        self.dead = 0;
+    }
+}
+
+/// Appends `words` to `buf` and returns where they start.
+fn append<T: Copy>(buf: &mut Vec<T>, words: &[T]) -> u32 {
+    let at = buf.len();
+    buf.extend_from_slice(words);
+    u32::try_from(at).expect("page buffer fits u32 words")
+}
 
 /// The root of the page table, shared by the heap and every snapshot taken
 /// since the heap last mutated it.
@@ -43,8 +164,10 @@ type Table = Arc<Vec<Arc<Page>>>;
 
 /// Slot `idx` of `table`, or `None` if it is dead or past the table.
 #[inline]
-fn lookup(table: &[Arc<Page>], idx: usize) -> Option<&ObjData> {
-    table.get(idx / SNAPSHOT_PAGE_SLOTS)?[idx % SNAPSHOT_PAGE_SLOTS].as_ref()
+fn lookup(table: &[Arc<Page>], idx: usize) -> Option<ObjRef<'_>> {
+    table
+        .get(idx / SNAPSHOT_PAGE_SLOTS)?
+        .get(idx % SNAPSHOT_PAGE_SLOTS)
 }
 
 /// What establishing one round snapshot cost, reported by
@@ -92,20 +215,52 @@ impl Heap {
             self.len = idx + 1;
             let pages = self.len.div_ceil(SNAPSHOT_PAGE_SLOTS);
             if pages > self.table.len() {
-                Arc::make_mut(&mut self.table)
-                    .resize_with(pages, || Arc::new([const { None }; SNAPSHOT_PAGE_SLOTS]));
+                Arc::make_mut(&mut self.table).resize_with(pages, || Arc::new(Page::EMPTY));
             }
         }
     }
 
-    /// Slot `idx`, reached for writing (the module docs' "Writing in
-    /// place"); `None` past the table.
-    fn slot_mut(&mut self, idx: usize) -> Option<&mut Option<ObjData>> {
+    /// The page of slot `idx`, reached for writing (the module docs'
+    /// "Writing in place"); `None` past the table.
+    fn page_mut(&mut self, idx: usize) -> Option<&mut Page> {
         let page = Arc::make_mut(&mut self.table).get_mut(idx / SNAPSHOT_PAGE_SLOTS)?;
         if Arc::strong_count(page) > 1 {
             self.slots_copied += SNAPSHOT_PAGE_SLOTS as u64;
         }
-        Some(&mut Arc::make_mut(page)[idx % SNAPSHOT_PAGE_SLOTS])
+        Some(Arc::make_mut(page))
+    }
+
+    /// Installs `n` copies of `data` at ids `first..first + n`, reaching
+    /// each page for writing once and reserving its words once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of those ids is live (an allocator bug) or past `u32`.
+    fn install(&mut self, first: usize, data: ObjRef<'_>, n: usize) {
+        let end = first + n;
+        u32::try_from(end).expect("heap exhausted");
+        if n == 0 {
+            return;
+        }
+        self.ensure(end - 1);
+        self.live_words += (n * data.len()) as u64;
+        self.live += n;
+        let mut idx = first;
+        while idx < end {
+            let page = self.page_mut(idx).expect("ensured above");
+            let page_end = end.min((idx / SNAPSHOT_PAGE_SLOTS + 1) * SNAPSHOT_PAGE_SLOTS);
+            page.reserve(data, page_end - idx);
+            for i in idx..page_end {
+                let s = i % SNAPSHOT_PAGE_SLOTS;
+                assert!(
+                    page.slots[s].is_none(),
+                    "allocator invariant violated: {} already live",
+                    ObjId(i as u32)
+                );
+                page.put(s, data);
+            }
+            idx = page_end;
+        }
     }
 
     /// Allocates an object from sequential code and returns its id.
@@ -116,18 +271,20 @@ impl Heap {
     /// reservations so concurrent transactions can never be handed the same
     /// id (the ALTER-allocator guarantee, §4.1).
     pub fn alloc(&mut self, data: ObjData) -> ObjId {
-        let idx = match self.free.pop() {
-            Some(idx) => idx as usize,
-            None => {
-                u32::try_from(self.len).expect("heap exhausted");
-                self.len
-            }
-        };
-        self.ensure(idx);
-        self.live_words += data.len() as u64;
-        self.live += 1;
-        *self.slot_mut(idx).expect("ensured above") = Some(data);
+        let idx = self.free.pop().map_or(self.len, |idx| idx as usize);
+        self.install(idx, data.view(), 1);
         ObjId(idx as u32)
+    }
+
+    /// Allocates `n` copies of `data` from sequential code, at the next `n`
+    /// ids past the high water (freed slots are not reused), and returns
+    /// those ids. One [`Heap::alloc`] per copy would reach each page for
+    /// writing once per object, and pay a heap allocation per object for
+    /// the [`ObjData`]; this reaches it once, and copies from `data`.
+    pub fn alloc_copies(&mut self, data: ObjRef<'_>, n: usize) -> impl Iterator<Item = ObjId> {
+        let first = self.len;
+        self.install(first, data, n);
+        (first as u32..(first + n) as u32).map(ObjId)
     }
 
     /// Frees an object from sequential code.
@@ -136,12 +293,13 @@ impl Heap {
     ///
     /// Panics if `id` is not live (double free or never allocated).
     pub fn free(&mut self, id: ObjId) {
-        let freed = self
-            .slot_mut(id.0 as usize)
+        let idx = id.0 as usize;
+        let len = self
+            .page_mut(idx)
             .unwrap_or_else(|| panic!("free of unknown {id}"))
-            .take()
+            .take(idx % SNAPSHOT_PAGE_SLOTS)
             .unwrap_or_else(|| panic!("double free of {id}"));
-        self.live_words -= freed.len() as u64;
+        self.live_words -= len as u64;
         self.live -= 1;
         self.free.push(id.0);
     }
@@ -152,7 +310,7 @@ impl Heap {
     ///
     /// Panics if `id` is not live.
     #[inline]
-    pub fn get(&self, id: ObjId) -> &ObjData {
+    pub fn get(&self, id: ObjId) -> ObjRef<'_> {
         lookup(&self.table, id.0 as usize)
             .unwrap_or_else(|| panic!("access to dead or unknown {id}"))
     }
@@ -168,9 +326,10 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `id` is not live.
-    pub fn get_mut(&mut self, id: ObjId) -> &mut ObjData {
-        self.slot_mut(id.0 as usize)
-            .and_then(Option::as_mut)
+    pub fn get_mut(&mut self, id: ObjId) -> ObjMut<'_> {
+        let idx = id.0 as usize;
+        self.page_mut(idx)
+            .and_then(|page| page.get_mut(idx % SNAPSHOT_PAGE_SLOTS))
             .unwrap_or_else(|| panic!("access to dead or unknown {id}"))
     }
 
@@ -205,12 +364,11 @@ impl Heap {
     }
 
     /// Live slots in index order.
-    fn objects(&self) -> impl Iterator<Item = (usize, &ObjData)> {
-        self.table
-            .iter()
-            .flat_map(|page| page.iter())
-            .enumerate()
-            .filter_map(|(i, slot)| Some((i, slot.as_ref()?)))
+    fn objects(&self) -> impl Iterator<Item = (usize, ObjRef<'_>)> {
+        self.table.iter().enumerate().flat_map(|(p, page)| {
+            (0..SNAPSHOT_PAGE_SLOTS)
+                .filter_map(move |s| Some((p * SNAPSHOT_PAGE_SLOTS + s, page.get(s)?)))
+        })
     }
 
     /// Total words across live allocations (used by the simulator's
@@ -235,12 +393,12 @@ impl Heap {
     /// order, and bumps the commit version.
     ///
     /// Only the word ranges in the transaction's write set are merged back
-    /// ([`ObjData::copy_range_from`]): snapshot isolation lets two
+    /// ([`ObjMut::copy_range_from`]): snapshot isolation lets two
     /// transactions commit writes to disjoint ranges of one allocation, so a
     /// whole-object overwrite would lose the earlier commit. The merge
-    /// writes the committed payload in place unless a snapshot can still
-    /// read its page (the module docs' "Writing in place"). Whole-object
-    /// writes and allocs move the source's buffer in, or copy it if shared.
+    /// writes the committed words in place unless a snapshot can still read
+    /// their page (the module docs' "Writing in place"). Allocs copy their
+    /// words into the page of their reserved id.
     ///
     /// # Panics
     ///
@@ -251,42 +409,28 @@ impl Heap {
         self.version += 1;
         let mut writes = ops.writes.into_iter().peekable();
         while let Some((id, lo, hi, src)) = writes.next() {
-            let payload = self
-                .slot_mut(id.0 as usize)
-                .and_then(Option::as_mut)
+            let idx = id.0 as usize;
+            let mut payload = self
+                .page_mut(idx)
+                .and_then(|page| page.get_mut(idx % SNAPSHOT_PAGE_SLOTS))
                 .unwrap_or_else(|| panic!("commit write to dead {id}"));
-            let whole = lo == 0 && hi as usize == src.len() && src.len() == payload.len();
-            if whole && src.kind() == payload.kind() {
-                // Whole-object write: move the buffer in (a kind mismatch
-                // falls through to the merge's type error).
-                *payload = Arc::unwrap_or_clone(src);
-                continue;
-            }
-            // The ranges of one object follow each other: find its payload
+            // The ranges of one object follow each other: find its words
             // once and merge them all.
-            payload.copy_range_from(&src, lo as usize, hi as usize);
+            payload.copy_range_from(src.view(), lo as usize, hi as usize);
             while let Some((_, lo, hi, src)) = writes.next_if(|w| w.0 == id) {
-                payload.copy_range_from(&src, lo as usize, hi as usize);
+                payload.copy_range_from(src.view(), lo as usize, hi as usize);
             }
         }
         for (id, data) in ops.allocs {
-            let idx = id.0 as usize;
-            self.ensure(idx);
-            self.live_words += data.len() as u64;
-            self.live += 1;
-            let slot = self.slot_mut(idx).expect("ensured above");
-            assert!(
-                slot.is_none(),
-                "allocator invariant violated: {id} already live at commit"
-            );
-            *slot = Some(Arc::unwrap_or_clone(data));
+            self.install(id.0 as usize, data.view(), 1);
         }
         for id in ops.frees {
-            let freed = self
-                .slot_mut(id.0 as usize)
-                .and_then(Option::take)
+            let idx = id.0 as usize;
+            let len = self
+                .page_mut(idx)
+                .and_then(|page| page.take(idx % SNAPSHOT_PAGE_SLOTS))
                 .unwrap_or_else(|| panic!("commit free of dead {id}"));
-            self.live_words -= freed.len() as u64;
+            self.live_words -= len as u64;
             self.live -= 1;
             // Freed parallel slots are not recycled: the paper's allocator
             // also leaves holes rather than risk cross-process reuse races.
@@ -305,13 +449,13 @@ impl Heap {
         for (i, obj) in self.objects() {
             mix(i as u64);
             match obj {
-                ObjData::F64(v) => {
+                ObjRef::F64(v) => {
                     mix(1);
                     for x in v {
                         mix(x.to_bits());
                     }
                 }
-                ObjData::I64(v) => {
+                ObjRef::I64(v) => {
                     mix(2);
                     for x in v {
                         mix(*x as u64);
@@ -339,7 +483,7 @@ impl Snapshot {
     /// Borrows the payload of `id` as of this snapshot, or `None` if the
     /// object was dead (or not yet allocated) at snapshot time.
     #[inline]
-    pub fn get(&self, id: ObjId) -> Option<&ObjData> {
+    pub fn get(&self, id: ObjId) -> Option<ObjRef<'_>> {
         lookup(&self.table, id.0 as usize)
     }
 
@@ -370,6 +514,7 @@ pub struct CommitOps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn alloc_get_mutate_free() {
@@ -532,7 +677,7 @@ mod tests {
         let (snap, stats) = h.snapshot_incremental();
         assert_eq!(stats.slots_copied, 0, "nothing was shared");
         // With that snapshot alive, writes to two slots of one page copy
-        // the page once, and the payload, and leave the view alone.
+        // the page once, buffers and all, and leave the view alone.
         partial_commit(&mut h, a, 1);
         h.get_mut(ids[71]).i64s_mut()[0] = 1;
         assert_eq!(snap.get(a).unwrap().i64s(), &[9, 8, 8, 0]);
@@ -540,14 +685,6 @@ mod tests {
         assert_ne!(h.get(a).i64s().as_ptr(), before);
         let (_, stats) = h.snapshot_incremental();
         assert_eq!(stats.slots_copied, SNAPSHOT_PAGE_SLOTS as u64);
-    }
-
-    /// Where `obj`'s words live.
-    fn buffer(obj: &ObjData) -> *const u8 {
-        match obj {
-            ObjData::F64(v) => v.as_ptr().cast(),
-            ObjData::I64(v) => v.as_ptr().cast(),
-        }
     }
 
     #[test]
@@ -562,31 +699,43 @@ mod tests {
     }
 
     #[test]
-    fn whole_object_commits_and_allocs_move_their_buffer_unless_it_is_held() {
+    fn objects_of_a_page_share_one_buffer_per_kind() {
         let mut h = Heap::new();
-        let a = h.alloc(ObjData::zeros_i64(3));
-        let far = ObjId::from_index(5);
-        // The caller keeps a handle on both sources: the heap copies them.
-        let src = Arc::new(ObjData::I64(vec![1, 2, 3]));
-        let fresh = Arc::new(ObjData::F64(vec![4.0, 5.0]));
+        let a = h.alloc(ObjData::I64(vec![1, 2, 3]));
+        let x = h.alloc(ObjData::F64(vec![0.5]));
+        let b = h.alloc(ObjData::I64(vec![4, 5]));
+        let far = ObjId::from_index(3);
         h.apply_commit(CommitOps {
-            writes: vec![(a, 0, 3, Arc::clone(&src))],
-            allocs: vec![(far, Arc::clone(&fresh))],
+            writes: vec![(a, 0, 3, Arc::new(ObjData::I64(vec![7, 8, 9])))],
+            allocs: vec![(far, Arc::new(ObjData::I64(vec![6])))],
             ..Default::default()
         });
-        assert_eq!(h.get(a).i64s(), &[1, 2, 3]);
-        assert_eq!(h.get(far).f64s(), &[4.0, 5.0]);
-        assert_ne!(buffer(h.get(a)), buffer(&src));
-        assert_ne!(buffer(h.get(far)), buffer(&fresh));
-        // Handed over for good: the heap installs the buffer itself.
-        let (at, fresh_at) = (buffer(&src), buffer(&fresh));
-        h.apply_commit(CommitOps {
-            writes: vec![(a, 0, 3, src)],
-            allocs: vec![(ObjId::from_index(6), fresh)],
-            ..Default::default()
-        });
-        assert_eq!(buffer(h.get(a)), at);
-        assert_eq!(buffer(h.get(ObjId::from_index(6))), fresh_at);
+        let at = h.get(a).i64s().as_ptr();
+        // Each kind's words follow each other in the page's buffer, and a
+        // whole-object commit wrote over them where they were.
+        assert_eq!(h.get(b).i64s().as_ptr(), at.wrapping_add(3));
+        assert_eq!(h.get(far).i64s().as_ptr(), at.wrapping_add(5));
+        assert_eq!(h.get(a).i64s(), &[7, 8, 9]);
+        assert_eq!(h.get(x).f64s(), &[0.5]);
+        assert_eq!(h.table.len(), 1);
+        assert_eq!(h.table[0].i64s, [7, 8, 9, 4, 5, 6]);
+    }
+
+    #[test]
+    fn a_page_compacts_once_its_holes_outweigh_its_live_words() {
+        let mut h = Heap::new();
+        let ids: Vec<ObjId> = (0..10).map(|i| h.alloc(ObjData::I64(vec![i; 4]))).collect();
+        for &id in &ids[..5] {
+            h.free(id);
+        }
+        // 20 dead words against 20 live ones: not yet.
+        assert_eq!((h.table[0].i64s.len(), h.table[0].dead), (40, 20));
+        h.free(ids[5]);
+        assert_eq!((h.table[0].i64s.len(), h.table[0].dead), (16, 0));
+        for (i, &id) in ids.iter().enumerate().skip(6) {
+            assert_eq!(h.get(id).i64s(), &[i as i64; 4]);
+        }
+        assert_eq!(h.live_words(), 16);
     }
 
     struct Rng(u64);
@@ -600,15 +749,20 @@ mod tests {
             ((z ^ (z >> 31)) % bound as u64) as usize
         }
 
-        /// A payload of one to six words of a random kind.
+        /// A payload of a random kind: mostly up to six words, sometimes
+        /// none, sometimes a few hundred.
         fn fresh(&mut self) -> ObjData {
-            let len = 1 + self.below(6);
-            self.payload(len, None)
+            let len = match self.below(16) {
+                0 => 0,
+                1 => 1 + self.below(300),
+                _ => 1 + self.below(6),
+            };
+            let float = self.below(2) == 0;
+            self.payload(len, float)
         }
 
-        /// A payload of `len` words of `like`'s kind (or a random kind).
-        fn payload(&mut self, len: usize, like: Option<&ObjData>) -> ObjData {
-            let float = like.map_or(self.below(2) == 0, |o| matches!(o, ObjData::F64(_)));
+        /// A payload of `len` random words, floats if `float`.
+        fn payload(&mut self, len: usize, float: bool) -> ObjData {
             let words = (0..len).map(|_| self.below(2001) as i64 - 1000);
             if float {
                 ObjData::F64(words.map(|w| w as f64).collect())
@@ -618,112 +772,141 @@ mod tests {
         }
     }
 
-    /// The committed state as a naive slot vector: what the heap reads, and
+    /// One version of the committed state: naive owned payloads by id and
+    /// the number of ids ever issued, live or dead. What the heap reads, and
     /// what a snapshot taken now must read for as long as it lives.
-    type Model = Vec<Option<ObjData>>;
-
-    /// `Heap::digest`'s definition, computed over the model.
-    fn model_digest(model: &Model) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        for (i, obj) in model.iter().enumerate() {
-            let (tag, words): (u64, Vec<u64>) = match obj {
-                None => continue,
-                Some(ObjData::F64(v)) => (1, v.iter().map(|x| x.to_bits()).collect()),
-                Some(ObjData::I64(v)) => (2, v.iter().map(|x| *x as u64).collect()),
-            };
-            mix(i as u64);
-            mix(tag);
-            words.into_iter().for_each(&mut mix);
-        }
-        h
+    #[derive(Clone, Default)]
+    struct Model {
+        objs: BTreeMap<u32, ObjData>,
+        high: u32,
     }
 
-    /// Random sequential allocs, frees and writes and random commits
-    /// (partial ranges, whole-object swaps, allocs past the high water,
-    /// frees) against a naive model, with snapshots held for random
-    /// stretches. After every step: each held snapshot reads exactly the
-    /// model as of its creation, the digests agree, a whole-object commit
-    /// installed its source's buffer, and every other live payload kept its
-    /// buffer unless the step wrote to its page while a held view shared it
-    /// — the page is the unit of copy-on-write, so a write under a view moves
-    /// every payload on that page and none on any other.
+    impl Model {
+        /// Records `data` at the newly issued or reused id `i`.
+        fn insert(&mut self, i: u32, data: ObjData) {
+            self.high = self.high.max(i + 1);
+            assert!(self.objs.insert(i, data).is_none(), "id {i} was live");
+        }
+
+        /// `Heap::digest`'s definition, computed over the model.
+        fn digest(&self) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut mix = |v: u64| {
+                h ^= v;
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            };
+            for (&i, obj) in &self.objs {
+                let (tag, words): (u64, Vec<u64>) = match obj {
+                    ObjData::F64(v) => (1, v.iter().map(|x| x.to_bits()).collect()),
+                    ObjData::I64(v) => (2, v.iter().map(|x| *x as u64).collect()),
+                };
+                mix(u64::from(i));
+                mix(tag);
+                words.into_iter().for_each(&mut mix);
+            }
+            h
+        }
+    }
+
+    /// Random sequential allocs (one at a time and in runs of copies),
+    /// frees and in-place writes and random commits (range writes,
+    /// whole-object writes, allocs past the high water, frees) against a
+    /// `BTreeMap` model, with snapshots held for random stretches, each
+    /// with the model of its own version. The model issues the ids: an
+    /// alloc must return the high water or an id freed by sequential code.
+    /// After every step: each held snapshot reads exactly its version and
+    /// counts its version's ids; the counters, the high water and the
+    /// digest agree with the model; a page was copied exactly when a held
+    /// view shared it and the step wrote to it, and each round snapshot
+    /// reports those copies; no page's buffers hold more dead words than
+    /// live ones. The model knows nothing of pages; only the last two checks
+    /// look at them.
     #[test]
-    fn persistent_table_matches_a_naive_model() {
+    fn heap_matches_a_btreemap_model_across_held_versions() {
         let mut rng = Rng(0x28_9a6e);
+        let (mut compactions, mut page_copies) = (0, 0);
         for case in 0..200 {
             let mut h = Heap::new();
-            let mut model: Model = Vec::new();
+            let mut model = Model::default();
+            // Ids freed by sequential code: the ones `alloc` may reuse.
+            let mut reusable = BTreeSet::new();
             // (view, the model when it was taken, the step it is dropped at)
             let mut held: Vec<(Snapshot, Model, usize)> = Vec::new();
+            // Pages copied since the last round snapshot.
+            let mut copied = 0;
             for step in 0..1 + rng.below(80) {
                 let ctx = format!("case {case} step {step}");
                 held.retain(|(.., until)| *until > step);
-                let live: Vec<usize> = (0..model.len()).filter(|&i| model[i].is_some()).collect();
+                let live: Vec<u32> = model.objs.keys().copied().collect();
                 let pick = |rng: &mut Rng| live[rng.below(live.len())];
-                // Every live payload's buffer, and which pages a held view
-                // shares, before the step; the slots the step writes; the
-                // buffers whole-object commits hand over.
-                let before: Vec<(usize, *const u8)> = live
-                    .iter()
-                    .map(|&i| (i, buffer(h.get(ObjId::from_index(i as u32)))))
-                    .collect();
-                let shared: Vec<bool> = (0..h.table.len())
+                let words_before: usize = h.table.iter().map(|p| p.f64s.len() + p.i64s.len()).sum();
+                // Each page before the step and whether a held view shares
+                // it; the ids the step writes.
+                let pages: Vec<*const Page> = h.table.iter().map(Arc::as_ptr).collect();
+                let shared: Vec<bool> = (0..pages.len())
                     .map(|p| {
                         held.iter().any(|(s, ..)| {
                             s.table.get(p).is_some_and(|q| Arc::ptr_eq(q, &h.table[p]))
                         })
                     })
                     .collect();
-                let mut touched: Vec<usize> = Vec::new();
-                let mut moved_in: Vec<(usize, *const u8)> = Vec::new();
+                let mut touched: Vec<u32> = Vec::new();
                 match rng.below(8) {
                     0 | 1 => {
                         let data = rng.fresh();
-                        let id = h.alloc(data.clone());
-                        let idx = id.index() as usize;
-                        touched.push(idx);
-                        if idx == model.len() {
-                            model.push(None);
-                        }
-                        assert!(model[idx].is_none(), "{ctx}: alloc into a live slot");
-                        model[idx] = Some(data);
+                        let i = h.alloc(data.clone()).index();
+                        assert!(i == model.high || reusable.remove(&i), "{ctx}: id {i}");
+                        model.insert(i, data);
+                        touched.push(i);
                     }
                     2 if !live.is_empty() => {
-                        let idx = pick(&mut rng);
-                        h.free(ObjId::from_index(idx as u32));
-                        model[idx] = None;
-                        touched.push(idx);
+                        let i = pick(&mut rng);
+                        h.free(ObjId::from_index(i));
+                        model.objs.remove(&i);
+                        reusable.insert(i);
+                        touched.push(i);
+                    }
+                    2 => {
+                        let data = rng.fresh();
+                        let n = rng.below(2 * SNAPSHOT_PAGE_SLOTS + 2) as u32;
+                        let ids: Vec<u32> = h
+                            .alloc_copies(data.view(), n as usize)
+                            .map(ObjId::index)
+                            .collect();
+                        let want: Vec<u32> = (model.high..model.high + n).collect();
+                        assert_eq!(ids, want, "{ctx}");
+                        for i in want {
+                            model.insert(i, data.clone());
+                            touched.push(i);
+                        }
                     }
                     3 if !live.is_empty() => {
-                        let idx = pick(&mut rng);
-                        let id = ObjId::from_index(idx as u32);
-                        touched.push(idx);
-                        let obj = model[idx].as_mut().unwrap();
-                        let src = rng.payload(obj.len(), Some(&*obj));
-                        let w = rng.below(src.len());
-                        h.get_mut(id).copy_range_from(&src, w, w + 1);
-                        obj.copy_range_from(&src, w, w + 1);
+                        let i = pick(&mut rng);
+                        let obj = model.objs.get_mut(&i).unwrap();
+                        if !obj.is_empty() {
+                            let float = obj.kind() == ObjKind::F64;
+                            let src = rng.payload(obj.len(), float);
+                            let w = rng.below(src.len());
+                            let mut dst = h.get_mut(ObjId::from_index(i));
+                            dst.copy_range_from(src.view(), w, w + 1);
+                            obj.copy_range_from(src.view(), w, w + 1);
+                            touched.push(i);
+                        }
                     }
                     4 | 5 => {
                         let mut ops = CommitOps::default();
                         let mut written = Vec::new();
                         for _ in 0..rng.below(4).min(live.len()) {
-                            let idx = pick(&mut rng);
-                            if written.contains(&idx) {
+                            let i = pick(&mut rng);
+                            let obj = model.objs.get_mut(&i).unwrap();
+                            if written.contains(&i) || obj.is_empty() {
                                 continue;
                             }
-                            written.push(idx);
-                            touched.push(idx);
-                            let id = ObjId::from_index(idx as u32);
-                            let obj = model[idx].as_mut().unwrap();
+                            written.push(i);
+                            let id = ObjId::from_index(i);
                             let len = obj.len();
-                            let src = Arc::new(rng.payload(len, Some(&*obj)));
+                            let src = Arc::new(rng.payload(len, obj.kind() == ObjKind::F64));
                             if len == 1 || rng.below(3) == 0 {
-                                moved_in.push((idx, buffer(&src)));
                                 ops.writes.push((id, 0, len as u32, Arc::clone(&src)));
                                 *obj = (*src).clone();
                                 continue;
@@ -733,25 +916,23 @@ mod tests {
                                 let hi = lo + 1 + rng.below(len - 1 - lo);
                                 ops.writes
                                     .push((id, lo as u32, hi as u32, Arc::clone(&src)));
-                                obj.copy_range_from(&src, lo, hi);
+                                obj.copy_range_from(src.view(), lo, hi);
                             }
                         }
-                        let mut next = model.len();
+                        touched.extend(&written);
                         for _ in 0..rng.below(3) {
-                            let idx = next + rng.below(SNAPSHOT_PAGE_SLOTS + 2);
-                            next = idx + 1;
+                            let i = model.high + rng.below(SNAPSHOT_PAGE_SLOTS + 2) as u32;
                             let data = rng.fresh();
                             ops.allocs
-                                .push((ObjId::from_index(idx as u32), Arc::new(data.clone())));
-                            model.resize(next, None);
-                            model[idx] = Some(data);
-                            touched.push(idx);
+                                .push((ObjId::from_index(i), Arc::new(data.clone())));
+                            model.insert(i, data);
+                            touched.push(i);
                         }
-                        for &idx in &live {
-                            if !written.contains(&idx) && rng.below(8) == 0 {
-                                ops.frees.push(ObjId::from_index(idx as u32));
-                                model[idx] = None;
-                                touched.push(idx);
+                        for &i in &live {
+                            if !written.contains(&i) && rng.below(6) == 0 {
+                                ops.frees.push(ObjId::from_index(i));
+                                model.objs.remove(&i);
+                                touched.push(i);
                             }
                         }
                         h.apply_commit(ops);
@@ -760,45 +941,54 @@ mod tests {
                         let snap = if rng.below(2) == 0 {
                             h.snapshot()
                         } else {
-                            h.snapshot_incremental().0
+                            let (snap, stats) = h.snapshot_incremental();
+                            let want = std::mem::take(&mut copied) * SNAPSHOT_PAGE_SLOTS as u64;
+                            assert_eq!(stats.slots_copied, want, "{ctx}");
+                            snap
                         };
                         held.push((snap, model.clone(), step + 1 + rng.below(12)));
                     }
                     _ => {}
                 }
 
-                assert_eq!(h.high_water() as usize, model.len(), "{ctx}");
-                assert_eq!(h.digest(), model_digest(&model), "{ctx}");
+                assert_eq!(h.high_water(), model.high, "{ctx}");
+                assert_eq!(h.live_objects(), model.objs.len(), "{ctx}");
+                let words = model.objs.values().map(|o| o.len() as u64).sum::<u64>();
+                assert_eq!(h.live_words(), words, "{ctx}");
+                assert_eq!(h.digest(), model.digest(), "{ctx}");
                 for (snap, view, _) in &held {
-                    assert_eq!(snap.slot_count(), view.len(), "{ctx}");
-                    for i in 0..view.len() + SNAPSHOT_PAGE_SLOTS {
-                        let want = view.get(i).and_then(Option::as_ref);
-                        assert_eq!(
-                            snap.get(ObjId::from_index(i as u32)),
-                            want,
-                            "{ctx} slot {i}"
-                        );
+                    assert_eq!(snap.slot_count(), view.high as usize, "{ctx}");
+                    for i in 0..view.high + SNAPSHOT_PAGE_SLOTS as u32 {
+                        let got = snap.get(ObjId::from_index(i)).map(ObjRef::to_owned);
+                        assert_eq!(got.as_ref(), view.objs.get(&i), "{ctx} id {i}");
                     }
                 }
-                let now = |i: usize| buffer(h.get(ObjId::from_index(i as u32)));
-                for &(i, src) in &moved_in {
-                    assert_eq!(now(i), src, "{ctx}: slot {i} holds the moved source");
+                for (p, &before) in pages.iter().enumerate() {
+                    let wrote = touched
+                        .iter()
+                        .any(|&i| i as usize / SNAPSHOT_PAGE_SLOTS == p);
+                    let moved = Arc::as_ptr(&h.table[p]) != before;
+                    assert_eq!(moved, shared[p] && wrote, "{ctx}: page {p} copied");
+                    copied += u64::from(moved);
+                    page_copies += usize::from(moved);
                 }
-                let copied = |i: usize| {
-                    let page = i / SNAPSHOT_PAGE_SLOTS;
-                    shared[page] && touched.iter().any(|t| t / SNAPSHOT_PAGE_SLOTS == page)
-                };
-                for (i, at) in before {
-                    if model[i].is_some() && !moved_in.iter().any(|m| m.0 == i) {
-                        let moved = now(i) != at;
-                        assert_eq!(
-                            moved,
-                            copied(i),
-                            "{ctx}: slot {i} moved iff its page was copied"
-                        );
-                    }
+                for (p, page) in h.table.iter().enumerate() {
+                    let live: usize = page.slots.iter().flatten().map(|s| s.len as usize).sum();
+                    let dead = page.f64s.len() + page.i64s.len() - live;
+                    assert_eq!(page.dead, dead, "{ctx} page {p}");
+                    assert!(
+                        dead <= live,
+                        "{ctx} page {p}: {dead} dead words, {live} live"
+                    );
                 }
+                let words_after: usize = h.table.iter().map(|p| p.f64s.len() + p.i64s.len()).sum();
+                compactions += usize::from(words_after < words_before);
             }
         }
+        assert!(
+            compactions > 100,
+            "only {compactions} steps compacted a page"
+        );
+        assert!(page_copies > 100, "only {page_copies} pages copied");
     }
 }

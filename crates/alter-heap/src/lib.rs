@@ -4,8 +4,9 @@
 //! (Udupa, Rajan, Thies, *ALTER: Exploiting Breakable Dependences for
 //! Parallelization*, PLDI 2011):
 //!
-//! * a committed [`Heap`] of typed allocations ([`ObjData`]) addressed by
-//!   stable [`ObjId`]s — the analogue of the paper's committed memory state;
+//! * a committed [`Heap`] of typed allocations ([`ObjData`], read back as
+//!   [`ObjRef`] views) addressed by stable [`ObjId`]s — the analogue of the
+//!   paper's committed memory state;
 //! * O(1) [`Snapshot`]s — one `Arc` clone of the heap's persistent page
 //!   table — the consistent views each lock-step round starts from;
 //! * [`Tx`], a private copy-on-write overlay with instrumented reads and
@@ -17,8 +18,9 @@
 //!
 //! The paper achieves isolation with Win32 processes and copy-on-write page
 //! mappings; this crate achieves the same semantics in safe Rust with
-//! `Arc`-shared pages that hold their objects inline, copied on write, and
-//! per-transaction overlays (see DESIGN.md for the substitution argument).
+//! `Arc`-shared pages that keep their objects' words in one buffer per
+//! kind, copied on write, and per-transaction overlays (see DESIGN.md for
+//! the substitution argument).
 //!
 //! ```
 //! use alter_heap::{Heap, ObjData, Tx, TrackMode, IdReservation};
@@ -47,7 +49,7 @@ mod tx;
 
 pub use alloc::{IdReservation, DEFAULT_BLOCK_SIZE};
 pub use heap::{CommitOps, Heap, Snapshot, SnapshotStats, SNAPSHOT_PAGE_SLOTS};
-pub use object::{ObjData, ObjId, ObjKind};
+pub use object::{ObjData, ObjId, ObjKind, ObjMut, ObjRef};
 pub use pool::{TxBufferPool, TxBuffers};
 pub use sets::{AccessSet, Fingerprint, RangeSet};
 pub use tx::{CowScratch, MemoryExceeded, RowF64s, TrackMode, Tx, TxEffects, TxStats};

@@ -119,10 +119,7 @@ impl ObjData {
 
     /// Number of 64-bit words in the payload.
     pub fn len(&self) -> usize {
-        match self {
-            ObjData::F64(v) => v.len(),
-            ObjData::I64(v) => v.len(),
-        }
+        self.view().len()
     }
 
     /// Whether the payload has zero length.
@@ -132,10 +129,7 @@ impl ObjData {
 
     /// Payload kind.
     pub fn kind(&self) -> ObjKind {
-        match self {
-            ObjData::F64(_) => ObjKind::F64,
-            ObjData::I64(_) => ObjKind::I64,
-        }
+        self.view().kind()
     }
 
     /// Borrow the payload as floats.
@@ -145,10 +139,7 @@ impl ObjData {
     /// Panics if the object holds integers.
     #[inline]
     pub fn f64s(&self) -> &[f64] {
-        match self {
-            ObjData::F64(v) => v,
-            ObjData::I64(_) => panic!("type error: expected f64 object, found i64"),
-        }
+        self.view().f64s()
     }
 
     /// Mutably borrow the payload as floats.
@@ -158,10 +149,7 @@ impl ObjData {
     /// Panics if the object holds integers.
     #[inline]
     pub fn f64s_mut(&mut self) -> &mut [f64] {
-        match self {
-            ObjData::F64(v) => v,
-            ObjData::I64(_) => panic!("type error: expected f64 object, found i64"),
-        }
+        self.view_mut().f64s_mut()
     }
 
     /// Borrow the payload as integers.
@@ -171,10 +159,7 @@ impl ObjData {
     /// Panics if the object holds floats.
     #[inline]
     pub fn i64s(&self) -> &[i64] {
-        match self {
-            ObjData::I64(v) => v,
-            ObjData::F64(_) => panic!("type error: expected i64 object, found f64"),
-        }
+        self.view().i64s()
     }
 
     /// Mutably borrow the payload as integers.
@@ -184,9 +169,143 @@ impl ObjData {
     /// Panics if the object holds floats.
     #[inline]
     pub fn i64s_mut(&mut self) -> &mut [i64] {
+        self.view_mut().i64s_mut()
+    }
+
+    /// A borrowed view of the payload.
+    #[inline]
+    pub fn view(&self) -> ObjRef<'_> {
         match self {
-            ObjData::I64(v) => v,
-            ObjData::F64(_) => panic!("type error: expected i64 object, found f64"),
+            ObjData::F64(v) => ObjRef::F64(v),
+            ObjData::I64(v) => ObjRef::I64(v),
+        }
+    }
+
+    /// A mutable view of the payload.
+    #[inline]
+    pub(crate) fn view_mut(&mut self) -> ObjMut<'_> {
+        match self {
+            ObjData::F64(v) => ObjMut::F64(v),
+            ObjData::I64(v) => ObjMut::I64(v),
+        }
+    }
+
+    /// Copies the words in `lo..hi` from `src` into `self` (see
+    /// [`ObjMut::copy_range_from`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kinds differ or the range is out of bounds.
+    pub fn copy_range_from(&mut self, src: ObjRef<'_>, lo: usize, hi: usize) {
+        self.view_mut().copy_range_from(src, lo, hi);
+    }
+}
+
+/// A borrowed payload: what [`crate::Heap::get`] and
+/// [`crate::Snapshot::get`] hand out. The words live in their page's buffer
+/// (or in an [`ObjData`], through [`ObjData::view`]); the accessors take
+/// `self`, so a slice they return borrows the heap, not the view.
+#[derive(Clone, Copy, Debug)]
+pub enum ObjRef<'a> {
+    /// An array of `f64`.
+    F64(&'a [f64]),
+    /// An array of `i64`.
+    I64(&'a [i64]),
+}
+
+impl<'a> ObjRef<'a> {
+    /// Number of 64-bit words in the payload.
+    #[inline]
+    pub fn len(self) -> usize {
+        match self {
+            ObjRef::F64(v) => v.len(),
+            ObjRef::I64(v) => v.len(),
+        }
+    }
+
+    /// Whether the payload has zero length.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Payload kind.
+    #[inline]
+    pub fn kind(self) -> ObjKind {
+        match self {
+            ObjRef::F64(_) => ObjKind::F64,
+            ObjRef::I64(_) => ObjKind::I64,
+        }
+    }
+
+    /// The payload as floats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object holds integers.
+    #[inline]
+    pub fn f64s(self) -> &'a [f64] {
+        match self {
+            ObjRef::F64(v) => v,
+            ObjRef::I64(_) => panic!("type error: expected f64 object, found i64"),
+        }
+    }
+
+    /// The payload as integers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object holds floats.
+    #[inline]
+    pub fn i64s(self) -> &'a [i64] {
+        match self {
+            ObjRef::I64(v) => v,
+            ObjRef::F64(_) => panic!("type error: expected i64 object, found f64"),
+        }
+    }
+
+    /// An owned copy of the payload.
+    pub fn to_owned(self) -> ObjData {
+        match self {
+            ObjRef::F64(v) => ObjData::F64(v.to_vec()),
+            ObjRef::I64(v) => ObjData::I64(v.to_vec()),
+        }
+    }
+}
+
+/// A mutably borrowed payload: what [`crate::Heap::get_mut`] hands out.
+/// Like [`ObjRef`], its slice accessors take `self`.
+#[derive(Debug)]
+pub enum ObjMut<'a> {
+    /// An array of `f64`.
+    F64(&'a mut [f64]),
+    /// An array of `i64`.
+    I64(&'a mut [i64]),
+}
+
+impl<'a> ObjMut<'a> {
+    /// The payload as floats, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object holds integers.
+    #[inline]
+    pub fn f64s_mut(self) -> &'a mut [f64] {
+        match self {
+            ObjMut::F64(v) => v,
+            ObjMut::I64(_) => panic!("type error: expected f64 object, found i64"),
+        }
+    }
+
+    /// The payload as integers, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object holds floats.
+    #[inline]
+    pub fn i64s_mut(self) -> &'a mut [i64] {
+        match self {
+            ObjMut::I64(v) => v,
+            ObjMut::F64(_) => panic!("type error: expected i64 object, found f64"),
         }
     }
 
@@ -200,14 +319,17 @@ impl ObjData {
     /// # Panics
     ///
     /// Panics if the kinds differ or the range is out of bounds.
-    pub fn copy_range_from(&mut self, src: &ObjData, lo: usize, hi: usize) {
+    pub fn copy_range_from(&mut self, src: ObjRef<'_>, lo: usize, hi: usize) {
         match (self, src) {
-            (ObjData::F64(dst), ObjData::F64(s)) => dst[lo..hi].copy_from_slice(&s[lo..hi]),
-            (ObjData::I64(dst), ObjData::I64(s)) => dst[lo..hi].copy_from_slice(&s[lo..hi]),
-            (dst, src) => panic!(
-                "type error: cannot merge {} range into {} object",
-                src.kind(),
-                dst.kind()
+            (ObjMut::F64(dst), ObjRef::F64(s)) => dst[lo..hi].copy_from_slice(&s[lo..hi]),
+            (ObjMut::I64(dst), ObjRef::I64(s)) => dst[lo..hi].copy_from_slice(&s[lo..hi]),
+            (ObjMut::F64(_), src) => panic!(
+                "type error: cannot merge {} range into f64 object",
+                src.kind()
+            ),
+            (ObjMut::I64(_), src) => panic!(
+                "type error: cannot merge {} range into i64 object",
+                src.kind()
             ),
         }
     }
@@ -261,7 +383,7 @@ mod tests {
     fn copy_range_merges_only_requested_words() {
         let mut dst = ObjData::F64(vec![0.0; 5]);
         let src = ObjData::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        dst.copy_range_from(&src, 1, 3);
+        dst.copy_range_from(src.view(), 1, 3);
         assert_eq!(dst.f64s(), &[0.0, 2.0, 3.0, 0.0, 0.0]);
     }
 
@@ -269,6 +391,6 @@ mod tests {
     #[should_panic(expected = "cannot merge")]
     fn copy_range_panics_on_kind_mismatch() {
         let mut dst = ObjData::zeros_f64(2);
-        dst.copy_range_from(&ObjData::zeros_i64(2), 0, 1);
+        dst.copy_range_from(ObjData::zeros_i64(2).view(), 0, 1);
     }
 }

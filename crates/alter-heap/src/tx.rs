@@ -87,7 +87,7 @@
 use crate::alloc::IdReservation;
 use crate::fx::FxHashMap;
 use crate::heap::{CommitOps, Snapshot};
-use crate::object::{ObjData, ObjId, ObjKind};
+use crate::object::{ObjData, ObjId, ObjKind, ObjRef};
 use crate::pool::TxBuffers;
 use crate::sets::{AccessLog, AccessSet};
 use std::collections::hash_map::{Entry, VacantEntry};
@@ -119,7 +119,7 @@ impl LazyCopy {
         &mut self,
         bits: &mut [u64],
         obj: &mut ObjData,
-        src: impl Fn() -> &'a ObjData,
+        src: impl Fn() -> ObjRef<'a>,
         lo: usize,
         hi: usize,
     ) {
@@ -165,7 +165,7 @@ impl CowScratch {
 
     /// An initialised buffer of `src`'s kind and length with arbitrary
     /// contents: a spare if one fits, zeroes otherwise.
-    fn buffer_like(&mut self, src: &ObjData) -> ObjData {
+    fn buffer_like(&mut self, src: ObjRef<'_>) -> ObjData {
         let (kind, len) = (src.kind(), src.len());
         match self
             .spare
@@ -183,9 +183,9 @@ impl CowScratch {
     /// A private copy of `src`, the snapshot's version of `id`, with the
     /// blocks intersecting words `lo..hi` valid: a whole clone if `src` is
     /// short, a partly filled buffer otherwise.
-    fn private_copy(&mut self, id: ObjId, src: &ObjData, lo: usize, hi: usize) -> ObjData {
+    fn private_copy(&mut self, id: ObjId, src: ObjRef<'_>, lo: usize, hi: usize) -> ObjData {
         if src.len() <= EAGER_MAX_WORDS {
-            return src.clone();
+            return src.to_owned();
         }
         let mut obj = self.buffer_like(src);
         let blocks = src.len().div_ceil(BLOCK_WORDS);
@@ -211,6 +211,17 @@ impl CowScratch {
                 self.recycle(data);
             }
         }
+    }
+
+    /// `data` as a commit source. The heap copies every range out of it
+    /// and drops its handles; if the copy is one worth reusing, a handle
+    /// kept here lets [`CowScratch::reset`] turn it into a spare.
+    fn source(&mut self, data: ObjData) -> Arc<ObjData> {
+        let arc = Arc::new(data);
+        if arc.len() > EAGER_MAX_WORDS {
+            self.sources.push(Arc::clone(&arc));
+        }
+        arc
     }
 
     pub(crate) fn is_reset(&self) -> bool {
@@ -484,7 +495,8 @@ impl<'s> Tx<'s> {
     /// copy if there is one, with the blocks of that range made valid first,
     /// the snapshot otherwise — **without** recording a read. Internal
     /// helper; public reads go through the typed accessors.
-    fn view(&mut self, id: ObjId, lo: usize, hi: usize) -> &ObjData {
+    #[inline]
+    fn view(&mut self, id: ObjId, lo: usize, hi: usize) -> ObjRef<'_> {
         let Some(obj) = self.overlay.get_mut(&id) else {
             return self
                 .snap
@@ -492,7 +504,7 @@ impl<'s> Tx<'s> {
                 .unwrap_or_else(|| panic!("transaction accessed dead or unknown {id}"));
         };
         self.cow.fill(self.snap, id, obj, lo, hi);
-        obj
+        obj.view()
     }
 
     /// Mutably borrows the private copy of `id`, made on the first call,
@@ -644,9 +656,10 @@ impl<'s> Tx<'s> {
                 let src = self
                     .snap
                     .get(id)
-                    .unwrap_or_else(|| panic!("transaction accessed dead or unknown {id}"));
+                    .unwrap_or_else(|| panic!("transaction accessed dead or unknown {id}"))
+                    .f64s();
                 RowWords::Shared {
-                    row: &src.f64s()[lo..hi],
+                    row: &src[lo..hi],
                     src,
                     slot,
                 }
@@ -672,6 +685,7 @@ impl<'s> Tx<'s> {
         // original's length however much of it is filled.
         self.overlay
             .get(&id)
+            .map(ObjData::view)
             .or_else(|| self.snap.get(id))
             .unwrap_or_else(|| panic!("transaction accessed dead or unknown {id}"))
             .len()
@@ -800,11 +814,11 @@ impl<'s> Tx<'s> {
 /// Where a [`RowF64s`] finds its words.
 enum RowWords<'a> {
     /// The object has no private copy: `row` is the snapshot's words, `src`
-    /// the object they belong to, and `slot` where its private copy goes on
-    /// the first [`RowF64s::set`].
+    /// all the words of the object they belong to, and `slot` where its
+    /// private copy goes on the first [`RowF64s::set`].
     Shared {
         row: &'a [f64],
-        src: &'a ObjData,
+        src: &'a [f64],
         slot: VacantEntry<'a, ObjId, ObjData>,
     },
     /// The row's words in the private copy, their blocks valid.
@@ -875,6 +889,7 @@ impl RowF64s<'_> {
         };
         // The whole row's blocks, not just the written word's: `get` reads
         // the rest of the row from the copy from now on.
+        let src = ObjRef::F64(src);
         let obj = slot.insert(self.cow.private_copy(self.id, src, self.lo, self.hi));
         self.words = RowWords::Private(&mut obj.f64s_mut()[self.lo..self.hi]);
     }
@@ -920,7 +935,7 @@ impl TxEffects {
             for id in ids {
                 let data = self.overlay.remove(&id).expect("key just listed");
                 let hi = data.len() as u32;
-                ops.writes.push((id, 0, hi, Arc::new(data)));
+                ops.writes.push((id, 0, hi, self.cow.source(data)));
             }
         } else {
             for (id, ranges) in self.writes.iter_sorted() {
@@ -929,16 +944,9 @@ impl TxEffects {
                 let Some(data) = self.overlay.remove(&id) else {
                     continue;
                 };
-                let arc = Arc::new(data);
+                let arc = self.cow.source(data);
                 for (lo, hi) in ranges.iter() {
                     ops.writes.push((id, lo, hi, Arc::clone(&arc)));
-                }
-                // The heap copies partial ranges out and drops its handles;
-                // this one lets the buffer serve the next lazy private copy.
-                // A whole-object write moves the buffer into the heap, which
-                // a handle kept here would force it to copy instead.
-                if arc.len() > EAGER_MAX_WORDS && ranges.words() < arc.len() as u64 {
-                    self.cow.sources.push(arc);
                 }
             }
         }
@@ -1144,10 +1152,10 @@ mod tests {
         stats: TxStats,
     }
 
-    fn word(obj: &ObjData, idx: usize) -> i64 {
+    fn word(obj: ObjRef<'_>, idx: usize) -> i64 {
         match obj {
-            ObjData::F64(v) => v[idx] as i64,
-            ObjData::I64(v) => v[idx],
+            ObjRef::F64(v) => v[idx] as i64,
+            ObjRef::I64(v) => v[idx],
         }
     }
 
@@ -1177,7 +1185,10 @@ mod tests {
             if self.mode.tracks_reads() {
                 self.reads.insert(id, lo as u32, hi as u32);
             }
-            let obj = self.overlay.get(&id).or_else(|| self.snap.get(id)).unwrap();
+            let obj = match self.overlay.get(&id) {
+                Some(obj) => obj.view(),
+                None => self.snap.get(id).unwrap(),
+            };
             (lo..hi).map(|i| word(obj, i)).collect()
         }
 
@@ -1191,7 +1202,7 @@ mod tests {
             let obj = self
                 .overlay
                 .entry(id)
-                .or_insert_with(|| snap.get(id).unwrap().clone());
+                .or_insert_with(|| snap.get(id).unwrap().to_owned());
             for (i, v) in vals.iter().enumerate() {
                 set_word(obj, lo + i, *v);
             }
@@ -1408,7 +1419,7 @@ mod tests {
             let (mut heap, objs) = sized_heap(&mut rng);
             let mut ref_heap = Heap::new();
             for id in &objs {
-                ref_heap.alloc(heap.get(*id).clone());
+                ref_heap.alloc(heap.get(*id).to_owned());
             }
             let snap = heap.snapshot();
             let mut tx = Tx::with_buffers(&snap, mode, ids(), u64::MAX, pool.acquire());
@@ -1677,39 +1688,37 @@ mod tests {
     }
 
     #[test]
-    fn a_whole_object_commit_installs_the_private_copy_itself() {
+    fn a_commit_copies_into_the_page_and_keeps_long_copies_for_reuse() {
         for mode in [TrackMode::WritesOnly, TrackMode::None] {
             // One object short enough to be cloned whole, one long enough to
-            // be copied lazily.
+            // be copied lazily; a whole write of each, then a partial one.
             for len in [EAGER_MAX_WORDS / 2, 3 * EAGER_MAX_WORDS] {
-                let ctx = format!("{len} words under {mode:?}");
-                let mut h = Heap::new();
-                let a = h.alloc(ObjData::zeros_i64(len));
-                let snap = h.snapshot();
-                let mut tx = Tx::new(&snap, mode, ids(), u64::MAX);
-                tx.write_i64s(a, 0, &vec![7; len]);
-                let mut fx = tx.finish();
-                let private = fx.overlay[&a].i64s().as_ptr();
-                drop(snap);
-                h.apply_commit(fx.commit_ops(mode));
-                assert_eq!(h.get(a).i64s(), vec![7; len], "{ctx}");
-                assert_eq!(
-                    h.get(a).i64s().as_ptr(),
-                    private,
-                    "{ctx}: moved, not copied"
-                );
-                assert!(fx.cow.sources.is_empty(), "{ctx}: no handle kept");
+                for whole in [true, false] {
+                    let ctx = format!("{len} words under {mode:?}, whole {whole}");
+                    let mut h = Heap::new();
+                    let a = h.alloc(ObjData::zeros_i64(len));
+                    let committed = h.get(a).i64s().as_ptr();
+                    let snap = h.snapshot();
+                    let mut tx = Tx::new(&snap, mode, ids(), u64::MAX);
+                    if whole {
+                        tx.write_i64s(a, 0, &vec![7; len]);
+                    } else {
+                        tx.write_i64(a, 1, 7);
+                    }
+                    let mut fx = tx.finish();
+                    drop(snap);
+                    h.apply_commit(fx.commit_ops(mode));
+                    let want: Vec<i64> = (0..len)
+                        .map(|i| if whole || i == 1 { 7 } else { 0 })
+                        .collect();
+                    assert_eq!(h.get(a).i64s(), want, "{ctx}");
+                    assert_eq!(h.get(a).i64s().as_ptr(), committed, "{ctx}: in place");
+                    let long = len > EAGER_MAX_WORDS;
+                    assert_eq!(fx.cow.sources.len(), usize::from(long), "{ctx}");
+                    fx.cow.reset();
+                    assert_eq!(fx.cow.spare.len(), usize::from(long), "{ctx}: a spare");
+                }
             }
         }
-        // A partial write of a long object still leaves its buffer for reuse.
-        let mut h = Heap::new();
-        let a = h.alloc(ObjData::zeros_i64(3 * EAGER_MAX_WORDS));
-        let snap = h.snapshot();
-        let mut tx = Tx::new(&snap, TrackMode::WritesOnly, ids(), u64::MAX);
-        tx.write_i64(a, 1, 7);
-        let mut fx = tx.finish();
-        h.apply_commit(fx.commit_ops(TrackMode::WritesOnly));
-        assert_eq!(fx.cow.sources.len(), 1);
-        assert_eq!(h.get(a).i64s()[..3], [0, 7, 0]);
     }
 }
