@@ -29,11 +29,12 @@
 //! first write under a held view (the analogue of the paper's page faults
 //! after a `fork`).
 //!
-//! Every write copies words into the page's buffer: a commit's ranges, a
-//! whole-object commit and a transactional alloc alike (a long private copy,
-//! spent, goes back to its transaction's [`crate::CowScratch`]). An alloc
-//! appends its words to the buffer of its kind; a free leaves a hole, and a
-//! page whose holes come to outweigh its live words compacts its buffers.
+//! Every write copies words into the page's buffer: a commit's ranges and a
+//! transactional alloc alike (a long private copy, spent, stays with its
+//! transaction's [`crate::TxEffects`], for the next transaction built in
+//! them to reuse). An alloc appends its words to the buffer of its kind; a
+//! free leaves a hole, and a page whose holes come to outweigh its live
+//! words compacts its buffers.
 
 use crate::object::{ObjData, ObjId, ObjKind, ObjMut, ObjRef};
 use std::sync::Arc;

@@ -43,13 +43,11 @@ mod alloc;
 pub mod fx;
 mod heap;
 mod object;
-mod pool;
 mod sets;
 mod tx;
 
 pub use alloc::{IdReservation, DEFAULT_BLOCK_SIZE};
 pub use heap::{CommitOps, Heap, Snapshot, SnapshotStats, SNAPSHOT_PAGE_SLOTS};
 pub use object::{ObjData, ObjId, ObjKind, ObjMut, ObjRef};
-pub use pool::{TxBufferPool, TxBuffers};
 pub use sets::{AccessSet, Fingerprint, RangeSet};
-pub use tx::{CowScratch, MemoryExceeded, RowF64s, TrackMode, Tx, TxEffects, TxStats};
+pub use tx::{MemoryExceeded, RowF64s, TrackMode, Tx, TxEffects, TxStats};

@@ -261,8 +261,8 @@ impl RangeSet {
     }
 
     /// Removes all ranges, retaining the backing vector's capacity so a
-    /// recycled set (see [`AccessSet::clear`] and the runtime's buffer
-    /// pool) inserts without reallocating.
+    /// recycled set (see [`AccessSet::clear`] and [`crate::TxEffects::reset`])
+    /// inserts without reallocating.
     pub fn clear(&mut self) {
         self.ranges.clear();
         self.words = 0;
@@ -565,10 +565,16 @@ impl AccessSet {
         self.map.is_empty()
     }
 
+    /// Allocations the map holds room for without growing.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.map.capacity()
+    }
+
     /// Removes all recorded accesses, retaining capacity: the allocation
     /// map keeps its table, and each per-allocation [`RangeSet`] is drained
     /// into a spare list for reuse by later inserts — the `clear()`-style
-    /// recycling the cross-round buffer pool relies on.
+    /// recycling [`crate::TxEffects::reset`] relies on.
     pub fn clear(&mut self) {
         for (_, mut ranges) in self.map.drain() {
             ranges.clear();

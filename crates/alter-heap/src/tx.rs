@@ -26,11 +26,12 @@
 //! allocation.
 //!
 //! The unfilled copy is a recycled buffer of the same kind and length when
-//! the transaction's [`TxBuffers`] carry one (a private copy whose
-//! transaction has committed or been rejected), a zeroed allocation
-//! otherwise; either way it is initialised memory, and which one it was
-//! cannot be observed: blocks that were never made valid are never read, by
-//! the transaction or — see [`TxEffects::commit_ops`] — by the commit.
+//! the spent [`TxEffects`] the transaction was built in carry one (a private
+//! copy whose transaction has committed or been rejected), a zeroed
+//! allocation otherwise; either way it is initialised memory, and which one
+//! it was cannot be observed: blocks that were never made valid are never
+//! read, by the transaction or — see [`TxEffects::commit_ops`] — by the
+//! commit.
 //!
 //! # Access sets are built from a log
 //!
@@ -47,7 +48,7 @@
 //! accesses that did not continue their predecessor, not with the distinct
 //! words, until it is folded; the largest any of the twelve workloads builds
 //! under any model is Floyd's 5 748 write entries (67 KiB), and the logs'
-//! storage travels with the [`TxBuffers`] like the sets'.
+//! storage is recycled with the [`TxEffects`] like the sets'.
 //!
 //! The tracked-memory budget stays exact. Each logged access adds an upper
 //! bound on the words it newly covers to a running bound that starts from
@@ -88,7 +89,6 @@ use crate::alloc::IdReservation;
 use crate::fx::FxHashMap;
 use crate::heap::{CommitOps, Snapshot};
 use crate::object::{ObjData, ObjId, ObjKind, ObjRef};
-use crate::pool::TxBuffers;
 use crate::sets::{AccessLog, AccessSet};
 use std::collections::hash_map::{Entry, VacantEntry};
 use std::sync::Arc;
@@ -99,7 +99,7 @@ const BLOCK_WORDS: usize = 64;
 /// Objects up to this many words are cloned whole on their first write.
 const EAGER_MAX_WORDS: usize = 2 * BLOCK_WORDS;
 
-/// Spent private copies one set of [`TxBuffers`] keeps for reuse.
+/// Spent private copies one [`TxEffects`] keeps for reuse.
 const SPARE_MAX: usize = 8;
 
 /// Where one partly filled private copy stands.
@@ -137,11 +137,11 @@ impl LazyCopy {
 
 /// What a transaction's private copies need beyond the overlay map: the
 /// validity masks of the partly filled ones, and buffers to make the next
-/// ones from. Travels with the [`TxBuffers`] it came from — into the
-/// [`Tx`], out through [`TxEffects`], back into the pool — so that the
-/// masks' storage and the spent copies are reused instead of reallocated.
+/// ones from. Travels from a reset [`TxEffects`] into the [`Tx`] built in
+/// it and out through the next [`TxEffects`], so that the masks' storage
+/// and the spent copies are reused instead of reallocated.
 #[derive(Debug, Default)]
-pub struct CowScratch {
+pub(crate) struct CowScratch {
     /// Private copies that still have invalid blocks.
     lazy: FxHashMap<ObjId, LazyCopy>,
     /// Validity masks of this transaction's lazy copies, one bit per block,
@@ -157,7 +157,7 @@ pub struct CowScratch {
 impl CowScratch {
     /// Keeps `data`'s buffer for a later private copy if it is one that
     /// would be made lazily and there is room.
-    pub(crate) fn recycle(&mut self, data: ObjData) {
+    fn recycle(&mut self, data: ObjData) {
         if data.len() > EAGER_MAX_WORDS && self.spare.len() < SPARE_MAX {
             self.spare.push(data);
         }
@@ -203,7 +203,7 @@ impl CowScratch {
 
     /// Forgets the finished transaction and turns the commit sources nobody
     /// else holds any more into spares.
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.lazy.clear();
         self.bits.clear();
         while let Some(src) = self.sources.pop() {
@@ -222,10 +222,6 @@ impl CowScratch {
             self.sources.push(Arc::clone(&arc));
         }
         arc
-    }
-
-    pub(crate) fn is_reset(&self) -> bool {
-        self.lazy.is_empty() && self.bits.is_empty() && self.sources.is_empty()
     }
 
     /// If `id`'s private copy `obj` is partly filled, makes the blocks
@@ -250,21 +246,15 @@ impl CowScratch {
 pub enum TrackMode {
     /// Track reads and writes (needed by `FULL` and `RAW` conflict policies).
     ReadsAndWrites,
-    /// Track writes only (sufficient for `WAW` — the StaleReads fast path).
+    /// Track writes only (sufficient for `WAW` and `NONE` — the StaleReads
+    /// fast path; a commit needs the write ranges either way).
     WritesOnly,
-    /// Track nothing (DOALL / sequential replay; stats still counted).
-    None,
 }
 
 impl TrackMode {
     /// Whether read instrumentation is active.
     pub fn tracks_reads(self) -> bool {
         matches!(self, TrackMode::ReadsAndWrites)
-    }
-
-    /// Whether write instrumentation is active.
-    pub fn tracks_writes(self) -> bool {
-        !matches!(self, TrackMode::None)
     }
 }
 
@@ -424,46 +414,37 @@ impl<'s> Tx<'s> {
     /// Creates a transaction over `snap` with the given tracking mode, id
     /// reservation and tracked-memory budget (in words).
     pub fn new(snap: &'s Snapshot, mode: TrackMode, ids: IdReservation, budget_words: u64) -> Self {
-        Self::with_buffers(snap, mode, ids, budget_words, TxBuffers::new())
+        Self::with_buffers(snap, mode, ids, budget_words, TxEffects::default())
     }
 
-    /// Like [`Tx::new`], but starting from recycled buffers (overlay map
-    /// and access sets with retained capacity) handed out by a
-    /// [`crate::TxBufferPool`]. The buffers must be empty; only their
-    /// capacity and spare private-copy buffers carry over, so pooled and
-    /// fresh transactions behave identically.
+    /// Like [`Tx::new`], but built in the containers of a finished
+    /// transaction's effects, emptied by [`TxEffects::reset`]: only their
+    /// capacity and spare private-copy buffers carry over, so a recycled
+    /// and a fresh transaction behave identically.
     pub fn with_buffers(
         snap: &'s Snapshot,
         mode: TrackMode,
         ids: IdReservation,
         budget_words: u64,
-        bufs: TxBuffers,
+        spent: TxEffects,
     ) -> Self {
-        debug_assert!(
-            bufs.overlay.is_empty()
-                && bufs.cow.is_reset()
-                && bufs.reads.is_empty()
-                && bufs.writes.is_empty()
-                && bufs.read_log.is_empty()
-                && bufs.write_log.is_empty(),
-            "pooled buffers must be released empty"
-        );
+        debug_assert!(spent.is_reset(), "a transaction is built in reset effects");
         Tx {
             snap,
-            overlay: bufs.overlay,
-            cow: bufs.cow,
+            overlay: spent.overlay,
+            cow: spent.cow,
             track: Tracker {
                 mode,
                 stats: TxStats::default(),
-                reads: bufs.reads,
-                writes: bufs.writes,
-                read_log: bufs.read_log,
-                write_log: bufs.write_log,
+                reads: spent.reads,
+                writes: spent.writes,
+                read_log: spent.read_log,
+                write_log: spent.write_log,
                 tracked_bound: 0,
                 budget_words,
             },
             fresh: Vec::new(),
-            freed: Vec::new(),
+            freed: spent.frees,
             ids,
         }
     }
@@ -479,15 +460,9 @@ impl<'s> Tx<'s> {
         self.track.read(instrumented, id, lo, hi);
     }
 
-    /// Whether writes to `id` are instrumented.
-    #[inline]
-    fn tracks_writes_to(&self, id: ObjId) -> bool {
-        self.track.mode.tracks_writes() && !self.is_fresh(id)
-    }
-
     #[inline]
     fn track_write(&mut self, id: ObjId, lo: u32, hi: u32) {
-        let instrumented = self.tracks_writes_to(id);
+        let instrumented = !self.is_fresh(id);
         self.track.write(instrumented, id, lo, hi);
     }
 
@@ -645,7 +620,7 @@ impl<'s> Tx<'s> {
         f: impl FnOnce(&mut RowF64s<'_>) -> R,
     ) -> R {
         self.track_read(id, lo as u32, hi as u32);
-        let tracked = self.tracks_writes_to(id);
+        let tracked = !self.is_fresh(id);
         let words = match self.overlay.entry(id) {
             Entry::Occupied(slot) => {
                 let obj = slot.into_mut();
@@ -767,15 +742,6 @@ impl<'s> Tx<'s> {
     /// needs: private writes, access sets, allocation log and counters.
     pub fn finish(mut self) -> TxEffects {
         self.track.fold_logs();
-        if self.track.mode == TrackMode::None {
-            // Nothing recorded which words were written, so the commit takes
-            // whole objects: complete the partly filled ones.
-            for (id, lazy) in &mut self.cow.lazy {
-                let src = self.snap.get(*id).expect("a lazy copy has an original");
-                let obj = self.overlay.get_mut(id).expect("a lazy copy is private");
-                lazy.fill(&mut self.cow.bits, obj, || src, 0, src.len());
-            }
-        }
         let mut overlay = self.overlay;
         let allocs: Vec<(ObjId, ObjData)> = {
             let mut fresh = self.fresh;
@@ -896,16 +862,19 @@ impl RowF64s<'_> {
 }
 
 /// Everything a finished transaction hands to the validation/commit engine.
-#[derive(Debug)]
+/// Once the verdict is in and any commit applied, [`TxEffects::reset`]
+/// empties it and the next transaction is built in its containers
+/// ([`Tx::with_buffers`]).
+#[derive(Debug, Default)]
 pub struct TxEffects {
-    /// Private copies of the pre-existing objects the transaction wrote.
-    /// Under a tracking mode only the words of [`TxEffects::writes`] (and
-    /// the rest of their 64-word blocks) are meaningful in a copy longer
-    /// than two blocks; under [`TrackMode::None`] every copy is whole.
+    /// Private copies of the pre-existing objects the transaction wrote. In
+    /// a copy longer than two blocks only the words of
+    /// [`TxEffects::writes`] (and the rest of their 64-word blocks) are
+    /// meaningful.
     pub overlay: FxHashMap<ObjId, ObjData>,
     /// Read set (empty unless the mode tracked reads).
     pub reads: AccessSet,
-    /// Write set (empty under [`TrackMode::None`]).
+    /// Write set.
     pub writes: AccessSet,
     /// Freshly allocated objects, in ascending id order.
     pub allocs: Vec<(ObjId, ObjData)>,
@@ -915,7 +884,7 @@ pub struct TxEffects {
     pub stats: TxStats,
     /// High-water mark of the id reservation (for advancing the heap).
     pub alloc_high_water: u32,
-    /// Recyclable private-copy storage, on its way back to the pool.
+    /// Recyclable private-copy storage, for the next transaction.
     cow: CowScratch,
     /// The emptied access logs, likewise.
     read_log: AccessLog,
@@ -923,31 +892,19 @@ pub struct TxEffects {
 }
 
 impl TxEffects {
-    /// Drains the effects into commit operations for a transaction that ran
-    /// under `mode`, leaving the containers empty but with their capacity,
-    /// for [`TxEffects::take_buffers`].
-    pub fn commit_ops(&mut self, mode: TrackMode) -> CommitOps {
+    /// Drains the effects into commit operations, leaving the containers
+    /// empty but with their capacity, for [`TxEffects::reset`].
+    pub fn commit_ops(&mut self) -> CommitOps {
         let mut ops = CommitOps::default();
-        if mode == TrackMode::None {
-            // No per-range tracking: commit whole private objects, in id order.
-            let mut ids: Vec<_> = self.overlay.keys().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
-                let data = self.overlay.remove(&id).expect("key just listed");
-                let hi = data.len() as u32;
-                ops.writes.push((id, 0, hi, self.cow.source(data)));
-            }
-        } else {
-            for (id, ranges) in self.writes.iter_sorted() {
-                // Freed objects appear in the write set (a free conflicts like a
-                // whole-object write) but have no overlay payload to merge.
-                let Some(data) = self.overlay.remove(&id) else {
-                    continue;
-                };
-                let arc = self.cow.source(data);
-                for (lo, hi) in ranges.iter() {
-                    ops.writes.push((id, lo, hi, Arc::clone(&arc)));
-                }
+        for (id, ranges) in self.writes.iter_sorted() {
+            // Freed objects appear in the write set (a free conflicts like a
+            // whole-object write) but have no overlay payload to merge.
+            let Some(data) = self.overlay.remove(&id) else {
+                continue;
+            };
+            let arc = self.cow.source(data);
+            for (lo, hi) in ranges.iter() {
+                ops.writes.push((id, lo, hi, Arc::clone(&arc)));
             }
         }
         ops.allocs = self
@@ -960,18 +917,33 @@ impl TxEffects {
         ops
     }
 
-    /// Takes the recyclable containers out, contents and all, for
-    /// [`crate::TxBufferPool::release`] — which empties them, so call this
-    /// once the verdict is in and any commit has been applied.
-    pub fn take_buffers(&mut self) -> TxBuffers {
-        TxBuffers {
-            overlay: std::mem::take(&mut self.overlay),
-            reads: std::mem::take(&mut self.reads),
-            writes: std::mem::take(&mut self.writes),
-            cow: std::mem::take(&mut self.cow),
-            read_log: std::mem::take(&mut self.read_log),
-            write_log: std::mem::take(&mut self.write_log),
+    /// Empties the effects for the next transaction to be built in
+    /// ([`Tx::with_buffers`]), keeping the containers' capacity and, as
+    /// spares, the long private copies of a rejected transaction and the
+    /// commit sources the heap has let go of. Call it once the verdict is
+    /// in and any commit has been applied.
+    pub fn reset(&mut self) {
+        for (_, copy) in self.overlay.drain() {
+            self.cow.recycle(copy);
         }
+        self.cow.reset();
+        self.reads.clear();
+        self.writes.clear();
+        self.allocs.clear();
+        self.frees.clear();
+    }
+
+    fn is_reset(&self) -> bool {
+        self.overlay.is_empty()
+            && self.cow.lazy.is_empty()
+            && self.cow.bits.is_empty()
+            && self.cow.sources.is_empty()
+            && self.reads.is_empty()
+            && self.writes.is_empty()
+            && self.read_log.is_empty()
+            && self.write_log.is_empty()
+            && self.allocs.is_empty()
+            && self.frees.is_empty()
     }
 }
 
@@ -1029,19 +1001,6 @@ mod tests {
         assert!(fx.reads.is_empty());
         assert!(!fx.writes.is_empty());
         assert_eq!(fx.stats.read_ops, 1);
-    }
-
-    #[test]
-    fn none_mode_tracks_nothing() {
-        let (h, a, _) = setup();
-        let snap = h.snapshot();
-        let mut tx = Tx::new(&snap, TrackMode::None, ids(), u64::MAX);
-        tx.read_f64(a, 0);
-        tx.write_f64(a, 0, 7.0);
-        let fx = tx.finish();
-        assert!(fx.reads.is_empty());
-        assert!(fx.writes.is_empty());
-        assert_eq!(fx.overlay.len(), 1, "overlay still captures the write");
     }
 
     #[test]
@@ -1122,11 +1081,11 @@ mod tests {
     fn work_and_len_helpers() {
         let (h, a, _) = setup();
         let snap = h.snapshot();
-        let mut tx = Tx::new(&snap, TrackMode::None, ids(), u64::MAX);
+        let mut tx = Tx::new(&snap, TrackMode::WritesOnly, ids(), u64::MAX);
         assert_eq!(tx.len(a), 3);
         tx.work(42);
         assert_eq!(tx.stats().work, 42);
-        assert_eq!(tx.mode(), TrackMode::None);
+        assert_eq!(tx.mode(), TrackMode::WritesOnly);
     }
 
     #[test]
@@ -1134,7 +1093,7 @@ mod tests {
     fn reading_unknown_object_panics() {
         let h = Heap::new();
         let snap = h.snapshot();
-        let mut tx = Tx::new(&snap, TrackMode::None, ids(), u64::MAX);
+        let mut tx = Tx::new(&snap, TrackMode::WritesOnly, ids(), u64::MAX);
         tx.read_f64(ObjId::from_index(5), 0);
     }
 
@@ -1195,9 +1154,7 @@ mod tests {
         fn write(&mut self, id: ObjId, lo: usize, vals: &[i64]) {
             self.stats.write_ops += 1;
             self.stats.write_words += vals.len() as u64;
-            if self.mode.tracks_writes() {
-                self.writes.insert(id, lo as u32, (lo + vals.len()) as u32);
-            }
+            self.writes.insert(id, lo as u32, (lo + vals.len()) as u32);
             let snap = self.snap;
             let obj = self
                 .overlay
@@ -1210,9 +1167,7 @@ mod tests {
 
         fn free(&mut self, id: ObjId) {
             let len = self.snap.get(id).unwrap().len() as u32;
-            if self.mode.tracks_writes() {
-                self.writes.insert(id, 0, len);
-            }
+            self.writes.insert(id, 0, len);
             self.stats.write_ops += 1;
             self.stats.write_words += u64::from(len);
             self.stats.frees += 1;
@@ -1225,13 +1180,10 @@ mod tests {
                 overlay: self.overlay,
                 reads: self.reads,
                 writes: self.writes,
-                allocs: Vec::new(),
                 frees: self.freed,
                 stats: self.stats,
                 alloc_high_water: ids().high_water(),
-                cow: CowScratch::default(),
-                read_log: AccessLog::default(),
-                write_log: AccessLog::default(),
+                ..TxEffects::default()
             }
         }
     }
@@ -1407,22 +1359,20 @@ mod tests {
     #[test]
     fn lazy_private_copies_match_the_eager_reference() {
         let mut rng = Rng(0x13_c0de);
-        // One pool across all cases, so that later transactions build their
-        // private copies in spent buffers full of earlier cases' words.
-        let mut pool = crate::TxBufferPool::new();
+        // One `TxEffects` through all cases, so that later transactions
+        // build their private copies in spent buffers full of earlier cases'
+        // words.
+        let (mut spent, mut with_spares) = (TxEffects::default(), 0);
         for case in 0..120 {
-            let mode = [
-                TrackMode::ReadsAndWrites,
-                TrackMode::WritesOnly,
-                TrackMode::None,
-            ][case % 3];
+            let mode = [TrackMode::ReadsAndWrites, TrackMode::WritesOnly][case % 2];
             let (mut heap, objs) = sized_heap(&mut rng);
             let mut ref_heap = Heap::new();
             for id in &objs {
                 ref_heap.alloc(heap.get(*id).to_owned());
             }
             let snap = heap.snapshot();
-            let mut tx = Tx::with_buffers(&snap, mode, ids(), u64::MAX, pool.acquire());
+            with_spares += usize::from(!spent.cow.spare.is_empty());
+            let mut tx = Tx::with_buffers(&snap, mode, ids(), u64::MAX, spent);
             let mut eager = EagerTx::new(&snap, mode);
             let mut live: Vec<usize> = (0..objs.len()).collect();
             for step in 0..8 + rng.below(40) {
@@ -1514,12 +1464,13 @@ mod tests {
                 "{ctx}: overlay words"
             );
             drop(snap);
-            heap.apply_commit(fx.commit_ops(mode));
-            ref_heap.apply_commit(want.commit_ops(mode));
+            heap.apply_commit(fx.commit_ops());
+            ref_heap.apply_commit(want.commit_ops());
             assert_eq!(heap.digest(), ref_heap.digest(), "{ctx}");
-            pool.release(fx.take_buffers());
+            fx.reset();
+            spent = fx;
         }
-        assert!(pool.reuses() > 0);
+        assert!(with_spares > 0, "no case was built on a spare");
     }
 
     /// One tracked access of the budget test's script.
@@ -1580,7 +1531,7 @@ mod tests {
                             let (lo, hi) = range?;
                             if is_read && mode.tracks_reads() {
                                 reads.insert(objs[o], lo as u32, hi as u32);
-                            } else if !is_read && mode.tracks_writes() {
+                            } else if !is_read {
                                 writes.insert(objs[o], lo as u32, hi as u32);
                             }
                             let words = reads.words() + writes.words();
@@ -1689,36 +1640,65 @@ mod tests {
 
     #[test]
     fn a_commit_copies_into_the_page_and_keeps_long_copies_for_reuse() {
-        for mode in [TrackMode::WritesOnly, TrackMode::None] {
-            // One object short enough to be cloned whole, one long enough to
-            // be copied lazily; a whole write of each, then a partial one.
-            for len in [EAGER_MAX_WORDS / 2, 3 * EAGER_MAX_WORDS] {
-                for whole in [true, false] {
-                    let ctx = format!("{len} words under {mode:?}, whole {whole}");
-                    let mut h = Heap::new();
-                    let a = h.alloc(ObjData::zeros_i64(len));
-                    let committed = h.get(a).i64s().as_ptr();
-                    let snap = h.snapshot();
-                    let mut tx = Tx::new(&snap, mode, ids(), u64::MAX);
-                    if whole {
-                        tx.write_i64s(a, 0, &vec![7; len]);
-                    } else {
-                        tx.write_i64(a, 1, 7);
-                    }
-                    let mut fx = tx.finish();
-                    drop(snap);
-                    h.apply_commit(fx.commit_ops(mode));
-                    let want: Vec<i64> = (0..len)
-                        .map(|i| if whole || i == 1 { 7 } else { 0 })
-                        .collect();
-                    assert_eq!(h.get(a).i64s(), want, "{ctx}");
-                    assert_eq!(h.get(a).i64s().as_ptr(), committed, "{ctx}: in place");
-                    let long = len > EAGER_MAX_WORDS;
-                    assert_eq!(fx.cow.sources.len(), usize::from(long), "{ctx}");
-                    fx.cow.reset();
-                    assert_eq!(fx.cow.spare.len(), usize::from(long), "{ctx}: a spare");
+        // One object short enough to be cloned whole, one long enough to be
+        // copied lazily; a whole write of each, then a partial one.
+        for len in [EAGER_MAX_WORDS / 2, 3 * EAGER_MAX_WORDS] {
+            for whole in [true, false] {
+                let ctx = format!("{len} words, whole {whole}");
+                let mut h = Heap::new();
+                let a = h.alloc(ObjData::zeros_i64(len));
+                let committed = h.get(a).i64s().as_ptr();
+                let snap = h.snapshot();
+                let mut tx = Tx::new(&snap, TrackMode::WritesOnly, ids(), u64::MAX);
+                if whole {
+                    tx.write_i64s(a, 0, &vec![7; len]);
+                } else {
+                    tx.write_i64(a, 1, 7);
                 }
+                let mut fx = tx.finish();
+                drop(snap);
+                h.apply_commit(fx.commit_ops());
+                let want: Vec<i64> = (0..len)
+                    .map(|i| if whole || i == 1 { 7 } else { 0 })
+                    .collect();
+                assert_eq!(h.get(a).i64s(), want, "{ctx}");
+                assert_eq!(h.get(a).i64s().as_ptr(), committed, "{ctx}: in place");
+                let long = len > EAGER_MAX_WORDS;
+                assert_eq!(fx.cow.sources.len(), usize::from(long), "{ctx}");
+                fx.cow.reset();
+                assert_eq!(fx.cow.spare.len(), usize::from(long), "{ctx}: a spare");
             }
         }
+    }
+
+    #[test]
+    fn reset_effects_come_back_empty_with_capacity() {
+        let mut h = Heap::new();
+        let long = h.alloc(ObjData::zeros_f64(3 * EAGER_MAX_WORDS));
+        let short = h.alloc(ObjData::scalar_i64(1));
+        let snap = h.snapshot();
+        let mut tx = Tx::new(&snap, TrackMode::ReadsAndWrites, ids(), u64::MAX);
+        tx.read_i64(short, 0);
+        tx.write_i64(short, 0, 2);
+        tx.write_f64(long, 5, 1.0);
+        tx.alloc(ObjData::zeros_f64(3 * EAGER_MAX_WORDS));
+        tx.free(short);
+        // Rejected: nothing commits, so the long private copy is still in
+        // the overlay and the alloc in `allocs`.
+        let mut fx = tx.finish();
+        assert!(!fx.allocs.is_empty() && !fx.frees.is_empty());
+        let caps = |f: &TxEffects| [&f.reads, &f.writes].map(AccessSet::capacity);
+        let (overlay, sets) = (fx.overlay.capacity(), caps(&fx));
+        fx.reset();
+        assert!(fx.is_reset(), "{fx:?}");
+        assert_eq!(fx.overlay.capacity(), overlay, "capacity is kept");
+        assert_eq!(caps(&fx), sets, "capacity is kept");
+        // The long private copy is a spare, and the next transaction writes
+        // into it; the alloc is dropped, not kept as a second spare.
+        assert_eq!(fx.cow.spare.len(), 1);
+        let spare = fx.cow.spare[0].f64s().as_ptr();
+        let mut tx = Tx::with_buffers(&snap, TrackMode::WritesOnly, ids(), u64::MAX, fx);
+        tx.write_f64(long, 0, 3.0);
+        assert_eq!(tx.finish().overlay[&long].f64s().as_ptr(), spare);
     }
 }

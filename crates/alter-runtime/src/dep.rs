@@ -500,7 +500,7 @@ where
 
         iters_out.push(access);
         ordinal += 1;
-        heap.apply_commit(effects.commit_ops(TrackMode::ReadsAndWrites));
+        heap.apply_commit(effects.commit_ops());
     }
 
     let locations = locs

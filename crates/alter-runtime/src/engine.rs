@@ -43,8 +43,8 @@ use crate::pool::WorkerPool;
 use crate::reduction::{RedDelta, RedLocals, RedVal, RedVars};
 use crate::space::IterSpace;
 use alter_heap::{
-    AccessSet, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, TrackMode, Tx, TxBufferPool,
-    TxBuffers, TxEffects, TxStats, DEFAULT_BLOCK_SIZE,
+    AccessSet, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, Tx, TxEffects, TxStats,
+    DEFAULT_BLOCK_SIZE,
 };
 use alter_trace::{ConflictKind, Event, Phase, Recorder, WallProfile};
 use std::any::Any;
@@ -168,8 +168,10 @@ pub struct RunStats {
     /// virtual-time cost model consume: a function of the round's sets
     /// alone, which the sanitizer re-derives from recorded `task_sets`.
     pub validate_words: u64,
-    /// Transaction buffers and round write-set containers served from the
-    /// cross-round recycling pool instead of the allocator.
+    /// Transactions built in the spent effects of an earlier one (emptied,
+    /// capacity kept) instead of fresh containers. Every finished attempt's
+    /// effects are recycled, so on a clean run this is `attempts` minus the
+    /// tickets of the first round.
     pub pool_reuses: u64,
     /// Words booked to the validator's exact scans. The validator scans
     /// each earlier writer directly and is charged per writer, so this
@@ -320,9 +322,8 @@ pub struct TaskReport {
     pub validate_words: u64,
     /// Read operations that actually executed instrumentation (0 when the
     /// conflict policy elides read tracking — the StaleReads fast path).
+    /// Every write operation is instrumented: see `stats.write_ops`.
     pub instr_read_ops: u64,
-    /// Write operations that executed instrumentation.
-    pub instr_write_ops: u64,
     /// Words of the objects given a private copy in the overlay: their full
     /// lengths, even for one-word writes and however few blocks of a copy
     /// were filled — what the virtual-time cost model charges.
@@ -454,8 +455,8 @@ impl RunError {
 struct RoundInput {
     snap: Snapshot,
     tickets: Vec<Ticket>,
-    /// One lent buffer set per ticket.
-    bufs: Vec<TxBuffers>,
+    /// One reset [`TxEffects`] per ticket, to build its transaction in.
+    spent: Vec<TxEffects>,
     /// The heap's high water at snapshot time (base of the id reservations).
     base: u32,
     /// The reduction variables' values as of the round's start. Workers
@@ -469,12 +470,12 @@ impl RoundInput {
     /// snapshot and reduction registry ride along as cheap shared handles;
     /// everything else is owned by exactly one job.
     fn into_jobs(self) -> Vec<Job> {
-        debug_assert_eq!(self.tickets.len(), self.bufs.len());
-        let jobs = self.tickets.into_iter().zip(self.bufs);
-        jobs.map(|(ticket, bufs)| Job {
+        debug_assert_eq!(self.tickets.len(), self.spent.len());
+        let jobs = self.tickets.into_iter().zip(self.spent);
+        jobs.map(|(ticket, spent)| Job {
             snap: self.snap.clone(),
             ticket,
-            bufs,
+            spent,
             base: self.base,
             reds: Arc::clone(&self.reds),
         })
@@ -487,7 +488,7 @@ impl RoundInput {
 struct Job {
     snap: Snapshot,
     ticket: Ticket,
-    bufs: TxBuffers,
+    spent: TxEffects,
     base: u32,
     reds: Arc<[RedVal]>,
 }
@@ -505,7 +506,7 @@ fn run_job<B: LoopBody + ?Sized>(
     let ids = IdReservation::new(job.base, worker, params.workers, DEFAULT_BLOCK_SIZE);
     let mode = params.conflict.track_mode();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let tx = Tx::with_buffers(&job.snap, mode, ids, params.budget_words, job.bufs);
+        let tx = Tx::with_buffers(&job.snap, mode, ids, params.budget_words, job.spent);
         let locals = RedLocals::for_values(&params.reductions, &job.reds);
         let mut ctx = TxCtx::new(tx, locals);
         for &i in &job.ticket.iters {
@@ -550,12 +551,12 @@ fn locate_conflict(
     })
 }
 
-/// The validate stage: the write sets the current round has committed so
+/// The validate stage: the effects of the current round's committers so
 /// far, one entry per committer in commit order, so that a conflict names
 /// the transaction it lost to.
 struct Validator {
     policy: ConflictPolicy,
-    writers: Vec<(u64, AccessSet)>,
+    writers: Vec<(u64, TxEffects)>,
 }
 
 impl Validator {
@@ -577,6 +578,7 @@ impl Validator {
         let mut validate_words = 0;
         let mut conflict = None;
         for (winner_seq, earlier) in &self.writers {
+            let earlier = &earlier.writes;
             validate_words += earlier.words().min(tracked);
             if conflicts_with(self.policy, effects, earlier) {
                 let (kind, obj, word) = locate_conflict(self.policy, effects, earlier)
@@ -594,17 +596,20 @@ impl Validator {
         (validate_words, conflict)
     }
 
-    /// Remembers a committed write set with its owner's sequence number, so
-    /// a later conflict can name the transaction it lost to.
-    fn admit(&mut self, seq: u64, writes: AccessSet) {
-        self.writers.push((seq, writes));
+    /// Remembers a committed transaction's effects — its write set is what
+    /// later tickets are checked against — with its sequence number, so a
+    /// later conflict can name the transaction it lost to.
+    fn admit(&mut self, seq: u64, effects: TxEffects) {
+        self.writers.push((seq, effects));
     }
 
-    /// The write log is only meaningful within a round (earlier rounds are
-    /// already visible in the next snapshot): recycle its sets.
-    fn end_round(&mut self, bufs: &mut TxBufferPool) {
-        for (_, set) in self.writers.drain(..) {
-            bufs.release_set(set);
+    /// The log is only meaningful within a round (earlier rounds are
+    /// already visible in the next snapshot): hands each committer's
+    /// effects, reset, to `spent`.
+    fn end_round(&mut self, spent: &mut Vec<TxEffects>) {
+        for (_, mut effects) in self.writers.drain(..) {
+            effects.reset();
+            spent.push(effects);
         }
     }
 }
@@ -697,7 +702,7 @@ fn run_rounds(
 }
 
 /// Everything about a run that does not depend on how a round's jobs are
-/// driven, on the calling thread: the ticket source, the buffer pool, the
+/// driven, on the calling thread: the ticket source, the spent effects, the
 /// validator, the heap and reduction registry that commits go to, and the
 /// books — statistics, the round's phase ledger and task reports, recorder
 /// and wall profile. Its methods are the stages [`run_rounds`] sequences.
@@ -705,18 +710,17 @@ struct Coordinator<'a> {
     heap: &'a mut Heap,
     reds: &'a mut RedVars,
     params: &'a ExecParams,
-    mode: TrackMode,
     /// Resolved once: `None` means every emission site is one
     /// predicted-not-taken branch and constructs nothing.
     rec: Option<&'a dyn Recorder>,
     wall: Option<&'a WallProfile>,
     stats: RunStats,
     validator: Validator,
-    /// Cross-round recycling: lends each task its transaction buffers and
-    /// takes them back — emptied, capacity intact — once its effects are
-    /// consumed. Only touched on this thread, and only capacity is reused,
-    /// never contents, so recycling cannot perturb determinism.
-    bufs: TxBufferPool,
+    /// Cross-round recycling: the effects of finished transactions, reset
+    /// (emptied, capacity intact), each the containers of a later ticket's
+    /// transaction. Only touched on this thread, and only capacity is
+    /// reused, never contents, so recycling cannot perturb determinism.
+    spent: Vec<TxEffects>,
     /// Phase ledger of the round in flight.
     costs: PhaseCosts,
     /// Set by the round's first in-order validation failure: every later
@@ -735,12 +739,11 @@ impl<'a> Coordinator<'a> {
             heap,
             reds,
             params,
-            mode: params.conflict.track_mode(),
             rec: params.recorder.as_deref().filter(|r| r.is_enabled()),
             wall: params.wall_profile.as_deref(),
             stats: RunStats::default(),
             validator: Validator::new(params.conflict),
-            bufs: TxBufferPool::new(),
+            spent: Vec::new(),
             costs: PhaseCosts::default(),
             squashed_by: None,
             reports: Vec::new(),
@@ -788,8 +791,12 @@ impl<'a> Coordinator<'a> {
                 });
             }
         }
+        let reused = tickets.len().min(self.spent.len());
+        self.stats.pool_reuses += reused as u64;
+        let mut spent = self.spent.split_off(self.spent.len() - reused);
+        spent.resize_with(tickets.len(), TxEffects::default);
         Some(RoundInput {
-            bufs: tickets.iter().map(|_| self.bufs.acquire()).collect(),
+            spent,
             base: self.heap.high_water(),
             reds: self.reds.values().into(),
             snap,
@@ -839,13 +846,8 @@ impl<'a> Coordinator<'a> {
             read_words: effects.reads.words(),
             write_words: effects.writes.words(),
             validate_words,
-            instr_read_ops: if self.mode.tracks_reads() {
+            instr_read_ops: if self.params.conflict.track_mode().tracks_reads() {
                 effects.stats.read_ops
-            } else {
-                0
-            },
-            instr_write_ops: if self.mode.tracks_writes() {
-                effects.stats.write_ops
             } else {
                 0
             },
@@ -900,7 +902,8 @@ impl<'a> Coordinator<'a> {
         }
         self.stats.tickets_requeued += 1;
         self.sequencer.retry.push_back(task);
-        self.bufs.release(effects.take_buffers());
+        effects.reset();
+        self.spent.push(effects);
     }
 
     /// Commits a validated ticket: announces it, merges its reduction
@@ -948,14 +951,8 @@ impl<'a> Coordinator<'a> {
                 });
             }
         }
-        self.heap.apply_commit(effects.commit_ops(self.mode));
-        // The committed write set moves into the validator's log (no clone
-        // — `commit_ops` only borrowed it); the rest of the transaction's
-        // buffers go back to the pool, along with a recycled set to keep
-        // the returned buffers complete.
-        let writes = std::mem::replace(&mut effects.writes, self.bufs.acquire_set());
-        self.validator.admit(task.seq, writes);
-        self.bufs.release(effects.take_buffers());
+        self.heap.apply_commit(effects.commit_ops());
+        self.validator.admit(task.seq, effects);
         Ok(())
     }
 
@@ -979,7 +976,7 @@ impl<'a> Coordinator<'a> {
                 });
             }
         }
-        self.validator.end_round(&mut self.bufs);
+        self.validator.end_round(&mut self.spent);
         observer.on_round(&RoundReport {
             round: self.stats.rounds,
             tasks: &self.reports,
@@ -996,8 +993,7 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Ends the run: the one place an abort becomes its trace event.
-    fn finish(mut self, result: Result<(), RunError>) -> Result<RunStats, RunError> {
-        self.stats.pool_reuses = self.bufs.reuses();
+    fn finish(self, result: Result<(), RunError>) -> Result<RunStats, RunError> {
         if let Some(rec) = self.rec {
             rec.record(match &result {
                 Err(e) => e.event(),
@@ -1461,29 +1457,35 @@ mod tests {
         let shared = heap.alloc(ObjData::scalar_i64(0));
         let mut reds = RedVars::new();
         let p = params(8, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-        let stats = run_loop_engine(
-            &mut heap,
-            &mut reds,
-            &mut RangeSpace::new(0, 64),
-            &p,
-            false,
-            &|ctx: &mut TxCtx<'_>, i| {
-                let s = ctx.tx.read_i64(shared, 0);
-                ctx.tx.write_i64(xs, i as usize, s + i as i64);
-                if i % 7 == 0 {
-                    ctx.tx.write_i64(shared, 0, s + 1);
-                }
-            },
-            &mut NullObserver,
-        )
-        .unwrap();
-        assert!(stats.retries() > 0, "the loop must actually conflict");
-        assert!(stats.validate_words > 0, "every validation is charged");
-        assert_eq!(stats.exact_scan_words, stats.validate_words);
-        assert!(
-            stats.pool_reuses > 0,
-            "a multi-round run must recycle buffers"
-        );
+        for threaded in [false, true] {
+            let stats = run_loop_engine(
+                &mut heap,
+                &mut reds,
+                &mut RangeSpace::new(0, 64),
+                &p,
+                threaded,
+                &|ctx: &mut TxCtx<'_>, i| {
+                    let s = ctx.tx.read_i64(shared, 0);
+                    ctx.tx.write_i64(xs, i as usize, s + i as i64);
+                    if i % 7 == 0 {
+                        ctx.tx.write_i64(shared, 0, s + 1);
+                    }
+                },
+                &mut NullObserver,
+            )
+            .unwrap();
+            assert!(stats.retries() > 0, "the loop must actually conflict");
+            assert!(stats.validate_words > 0, "every validation is charged");
+            assert_eq!(stats.exact_scan_words, stats.validate_words);
+            // Round 0 fills all 8 lanes (32 chunks) with fresh effects; every
+            // later transaction is built in spent ones, so effects that a
+            // commit or a re-queue failed to hand back would show here.
+            assert_eq!(
+                stats.pool_reuses,
+                stats.attempts - p.workers as u64,
+                "threaded {threaded}"
+            );
+        }
     }
 
     /// `avg_rw_words` is well-defined (0.0, not NaN) when nothing ran.
@@ -1674,9 +1676,9 @@ mod tests {
         let check = |policy: ConflictPolicy, words: &[usize]| {
             let mut validator = Validator::new(policy);
             for (seq, lo, hi) in [(10, 0, 2), (11, 64, 80), (12, 128, 132)] {
-                let mut writes = AccessSet::new();
-                writes.insert(xs, lo, hi);
-                validator.admit(seq, writes);
+                let mut earlier = TxEffects::default();
+                earlier.writes.insert(xs, lo, hi);
+                validator.admit(seq, earlier);
             }
             let ids = IdReservation::new(heap.high_water(), 0, 1, 8);
             let mut tx = Tx::new(&snap, policy.track_mode(), ids, u64::MAX);
@@ -1780,11 +1782,11 @@ mod tests {
             ] {
                 let mut validator = Validator::new(policy);
                 for (seq, w) in writers.iter().enumerate() {
-                    let mut set = AccessSet::new();
+                    let mut earlier = TxEffects::default();
                     for &(o, lo, hi) in w {
-                        set.insert(o, lo as u32, hi as u32);
+                        earlier.writes.insert(o, lo as u32, hi as u32);
                     }
-                    validator.admit(seq as u64, set);
+                    validator.admit(seq as u64, earlier);
                 }
                 let ids = IdReservation::new(heap.high_water(), 0, 1, 8);
                 let mut tx = Tx::new(&snap, policy.track_mode(), ids, u64::MAX);

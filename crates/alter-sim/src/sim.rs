@@ -55,7 +55,7 @@ fn exec_cost(m: &CostModel, t: &TaskReport) -> f64 {
     t.stats.work as f64 * m.per_work
         + (t.stats.read_words + t.stats.write_words + t.stats.traffic_words) as f64
             * m.per_word_touch
-        + (t.instr_read_ops + t.instr_write_ops) as f64 * m.per_instr_op
+        + (t.instr_read_ops + t.stats.write_ops) as f64 * m.per_instr_op
         + cow_words as f64 * m.per_cow_word
 }
 
