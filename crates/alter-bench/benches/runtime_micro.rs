@@ -12,7 +12,7 @@
 //! without timing noise.
 
 use alter_heap::{
-    AccessSet, CommitOps, Heap, IdReservation, ObjData, ObjId, Snapshot, TrackMode, Tx, TxStats,
+    AccessSet, Heap, IdReservation, ObjData, ObjId, Snapshot, TrackMode, Tx, TxEffects, TxStats,
 };
 use alter_runtime::{run_loop, ConflictPolicy, Driver, ExecParams, RedVars};
 use alter_trace::NopRecorder;
@@ -51,10 +51,20 @@ fn scalar_heap(slots: usize) -> (Heap, Vec<ObjId>) {
     (heap, ids)
 }
 
+/// The effects of one transaction over `heap` that ran `body`.
+fn effects_of(heap: &Heap, body: impl FnOnce(&mut Tx<'_>)) -> TxEffects {
+    let snap = heap.snapshot();
+    let ids = IdReservation::new(heap.high_water(), 0, 1, 64);
+    let mut tx = Tx::new(&snap, TrackMode::WritesOnly, ids, u64::MAX);
+    body(&mut tx);
+    tx.finish()
+}
+
 /// A round snapshot is one `Arc` clone of the page table's root. What it
 /// no longer pays lands on the first commit made while a view is held: that
 /// commit path-copies the root (one pointer per 64-slot page) and one page
-/// with its buffers; the view is released inside the timed call too.
+/// with its buffers; the view is released inside the timed call too. The
+/// commits cycle through 64 one-word transactions spread over the heap.
 fn bench_snapshot() {
     let (heap, _) = scalar_heap(10_000);
     bench("snapshot_10k_slots", 1000, || heap.snapshot());
@@ -63,17 +73,38 @@ fn bench_snapshot() {
         (131_072, "commit_under_held_snapshot_131k"),
     ] {
         let (mut heap, ids) = scalar_heap(slots);
+        let commits: Vec<TxEffects> = (1..=64)
+            .map(|k| effects_of(&heap, |tx| tx.write_i64(ids[k * 7919 % slots], 0, 2)))
+            .collect();
         let mut at = 0;
         bench(name, 200, || {
             let held = heap.snapshot();
-            at = (at + 7919) % slots;
-            heap.apply_commit(CommitOps {
-                writes: vec![(ids[at], 0, 1, Arc::new(ObjData::scalar_i64(2)))],
-                ..CommitOps::default()
-            });
+            at = (at + 1) % commits.len();
+            heap.commit(&commits[at]);
             held
         });
     }
+}
+
+/// Floyd's commit: one transaction's single-word improvements to a
+/// 16 384-word distance matrix — every seventh word, 2 341 one-word ranges
+/// — copied from its private copy into the page, with no view held.
+fn bench_scattered_commit() {
+    /// `Heap::digest` after the commit, as computed when a commit went
+    /// through owned per-range operations: the path must not change what
+    /// lands.
+    const COMMITTED_DIGEST: u64 = 0x799b_ce60_29a5_6e3a;
+    let mut heap = Heap::new();
+    let m = heap.alloc(ObjData::F64((0..16_384).map(f64::from).collect()));
+    let fx = effects_of(&heap, |tx| {
+        for w in (0..16_384).step_by(7) {
+            tx.write_f64(m, w, -(w as f64));
+        }
+    });
+    assert_eq!(fx.writes.range_count(), 2_341);
+    heap.commit(&fx);
+    assert_eq!(heap.digest(), COMMITTED_DIGEST, "the committed words moved");
+    bench("commit_scattered_2341w_16k", 2000, || heap.commit(&fx));
 }
 
 /// Allocating 131 072 ten-word objects into an empty heap (Genome's bucket
@@ -150,8 +181,8 @@ fn bench_instrumented_access() {
 /// One transaction relaxing all 128 rows of a 128×128 distance matrix that
 /// is already at its fixpoint through pivot row 0, as one of Floyd's later
 /// passes does, and finding nothing to write. Without `SCAN` every cell is
-/// read with `get` beside a `set` that never fires; with it, each row is
-/// scanned through `words()` and the `get`/`set` loop is never entered.
+/// read with `get` beside a writer's `set` that never fires; with it, each
+/// row is scanned through `words()` and no writer is ever opened.
 fn guarded_row_pass<const SCAN: bool>(snap: &Snapshot, heap: &Heap, m: ObjId) -> TxStats {
     const N: usize = 128;
     let ids = IdReservation::new(heap.high_water(), 0, 1, 64);
@@ -160,13 +191,19 @@ fn guarded_row_pass<const SCAN: bool>(snap: &Snapshot, heap: &Heap, m: ObjId) ->
     for i in 0..N {
         tx.row_f64s(m, i * N, (i + 1) * N, |row| {
             let pik = row.get(0);
-            let improves = !SCAN
-                || row
-                    .words()
-                    .iter()
-                    .zip(&row_k)
-                    .fold(false, |acc, (d, pkj)| acc | (pik + pkj < *d));
-            if improves {
+            if !SCAN {
+                for (j, pkj) in row_k.iter().enumerate() {
+                    if pik + pkj < row.get(j) {
+                        row.writer().set(j, pik + pkj);
+                    }
+                }
+            } else if row
+                .words()
+                .iter()
+                .zip(&row_k)
+                .fold(false, |acc, (d, pkj)| acc | (pik + pkj < *d))
+            {
+                let mut row = row.writer();
                 for (j, pkj) in row_k.iter().enumerate() {
                     if pik + pkj < row.get(j) {
                         row.set(j, pik + pkj);
@@ -283,6 +320,7 @@ fn main() {
     bench_heap_build_drop();
     bench_instrumented_access();
     bench_guarded_row_scan();
+    bench_scattered_commit();
     bench_conflict_validation();
     bench_sets_insert_resident();
     bench_doall_loop();

@@ -16,7 +16,7 @@
 //! # Writing in place
 //!
 //! A mutation ([`Heap::alloc`], [`Heap::free`], [`Heap::get_mut`],
-//! [`Heap::apply_commit`]) must not change anything a snapshot can still
+//! [`Heap::commit`]) must not change anything a snapshot can still
 //! read, and must not copy anything nobody can. `Arc` counts decide, and
 //! nothing else: a mutation reaches its slot through `Arc::make_mut` on the
 //! root, then on the slot's page. Each level is written in place when the
@@ -37,6 +37,7 @@
 //! words compacts its buffers.
 
 use crate::object::{ObjData, ObjId, ObjKind, ObjMut, ObjRef};
+use crate::tx::TxEffects;
 use std::sync::Arc;
 
 /// Slots per page of the committed page table: the unit a write under a
@@ -159,6 +160,22 @@ fn append<T: Copy>(buf: &mut Vec<T>, words: &[T]) -> u32 {
     u32::try_from(at).expect("page buffer fits u32 words")
 }
 
+/// Copies each range `lo..hi` of `ranges` from `src` into `dst`.
+fn copy_ranges<T: Copy>(dst: &mut [T], src: &[T], ranges: impl Iterator<Item = (u32, u32)>) {
+    for (lo, hi) in ranges {
+        let (lo, hi) = (lo as usize, hi as usize);
+        // A one-word range (Floyd commits thousands) is one store; a
+        // `copy_from_slice` of a length known only at run time is a
+        // `memcpy` call, which made `runtime_micro`'s
+        // `commit_scattered_2341w_16k` 2.5× slower.
+        if hi - lo == 1 {
+            dst[lo] = src[lo];
+        } else {
+            dst[lo..hi].copy_from_slice(&src[lo..hi]);
+        }
+    }
+}
+
 /// The root of the page table, shared by the heap and every snapshot taken
 /// since the heap last mutated it.
 type Table = Arc<Vec<Arc<Page>>>;
@@ -186,8 +203,8 @@ pub struct SnapshotStats {
 /// Sequential (non-transactional) code — program setup, the sequential parts
 /// between parallel loops, validation — accesses the heap directly through
 /// [`Heap::get`] / [`Heap::get_mut`]. Parallel loops access it only through
-/// snapshots and transactions, and mutate it only through
-/// [`Heap::apply_commit`] in deterministic commit order.
+/// snapshots and transactions, and mutate it only through [`Heap::commit`]
+/// in deterministic commit order.
 #[derive(Debug, Default)]
 pub struct Heap {
     table: Table,
@@ -390,52 +407,86 @@ impl Heap {
         u32::try_from(self.len).expect("heap exhausted")
     }
 
-    /// Applies a validated transaction's effects, in deterministic commit
-    /// order, and bumps the commit version.
+    /// Commits a validated transaction's effects and bumps the commit
+    /// version: the engine's one way of writing a parallel loop's results.
     ///
-    /// Only the word ranges in the transaction's write set are merged back
-    /// ([`ObjMut::copy_range_from`]): snapshot isolation lets two
-    /// transactions commit writes to disjoint ranges of one allocation, so a
-    /// whole-object overwrite would lose the earlier commit. The merge
-    /// writes the committed words in place unless a snapshot can still read
-    /// their page (the module docs' "Writing in place"). Allocs copy their
-    /// words into the page of their reserved id.
+    /// Only the word ranges in the transaction's write set are merged back,
+    /// straight out of its private copies ([`ObjMut::copy_range_from`]):
+    /// snapshot isolation lets two transactions commit writes to disjoint
+    /// ranges of one allocation, so a whole-object overwrite would lose the
+    /// earlier commit. Each written object's page is reached once, and the
+    /// words are written in place unless a snapshot can still read that page
+    /// (the module docs' "Writing in place"). Copies to distinct objects
+    /// commute, so the overlay's order is as good as any. Allocs then copy
+    /// their words into the page of their reserved id, and frees empty their
+    /// slots. The private copies stay in `fx`, for [`TxEffects::reset`] to
+    /// recycle.
     ///
     /// # Panics
     ///
-    /// Panics if an op refers to a dead object (the engine validates before
-    /// committing, so this is a runtime bug), a write's kind differs from its
-    /// object's, or an alloc id collides with a live slot (an allocator bug).
+    /// Panics if an effect refers to a dead object (the engine validates
+    /// before committing, so this is a runtime bug), a write's kind differs
+    /// from its object's, or an alloc id collides with a live slot (an
+    /// allocator bug).
+    pub fn commit(&mut self, fx: &TxEffects) {
+        self.version += 1;
+        for (&id, data) in &fx.overlay {
+            // A private copy with no range in the write set wrote nothing.
+            if let Some(ranges) = fx.writes.ranges(id) {
+                self.merge(id, data.view(), ranges.iter());
+            }
+        }
+        for (id, data) in &fx.allocs {
+            self.install(id.0 as usize, data.view(), 1);
+        }
+        for &id in &fx.frees {
+            self.commit_free(id);
+        }
+    }
+
+    /// [`Heap::commit`] of effects given as [`CommitOps`], one range per
+    /// write: the form the wall-clock benchmark's probes build and time.
+    /// Panics as [`Heap::commit`] does.
     pub fn apply_commit(&mut self, ops: CommitOps) {
         self.version += 1;
-        let mut writes = ops.writes.into_iter().peekable();
-        while let Some((id, lo, hi, src)) = writes.next() {
-            let idx = id.0 as usize;
-            let mut payload = self
-                .page_mut(idx)
-                .and_then(|page| page.get_mut(idx % SNAPSHOT_PAGE_SLOTS))
-                .unwrap_or_else(|| panic!("commit write to dead {id}"));
-            // The ranges of one object follow each other: find its words
-            // once and merge them all.
-            payload.copy_range_from(src.view(), lo as usize, hi as usize);
-            while let Some((_, lo, hi, src)) = writes.next_if(|w| w.0 == id) {
-                payload.copy_range_from(src.view(), lo as usize, hi as usize);
-            }
+        for (id, lo, hi, src) in ops.writes {
+            self.merge(id, src.view(), std::iter::once((lo, hi)));
         }
         for (id, data) in ops.allocs {
             self.install(id.0 as usize, data.view(), 1);
         }
         for id in ops.frees {
-            let idx = id.0 as usize;
-            let len = self
-                .page_mut(idx)
-                .and_then(|page| page.take(idx % SNAPSHOT_PAGE_SLOTS))
-                .unwrap_or_else(|| panic!("commit free of dead {id}"));
-            self.live_words -= len as u64;
-            self.live -= 1;
-            // Freed parallel slots are not recycled: the paper's allocator
-            // also leaves holes rather than risk cross-process reuse races.
+            self.commit_free(id);
         }
+    }
+
+    /// Copies each range `lo..hi` of `ranges` from `src` into the live object
+    /// `id`, reaching its page and matching the two kinds once.
+    fn merge(&mut self, id: ObjId, src: ObjRef<'_>, ranges: impl Iterator<Item = (u32, u32)>) {
+        let idx = id.0 as usize;
+        let payload = self
+            .page_mut(idx)
+            .and_then(|page| page.get_mut(idx % SNAPSHOT_PAGE_SLOTS))
+            .unwrap_or_else(|| panic!("commit write to dead {id}"));
+        match (payload, src) {
+            (ObjMut::F64(dst), ObjRef::F64(src)) => copy_ranges(dst, src, ranges),
+            (ObjMut::I64(dst), ObjRef::I64(src)) => copy_ranges(dst, src, ranges),
+            // Kinds differ: the merge's own type error.
+            (mut payload, src) => payload.copy_range_from(src, 0, 0),
+        }
+    }
+
+    /// Empties the slot of `id`, freed by a committed transaction.
+    fn commit_free(&mut self, id: ObjId) {
+        let idx = id.0 as usize;
+        let len = self
+            .page_mut(idx)
+            .and_then(|page| page.take(idx % SNAPSHOT_PAGE_SLOTS))
+            .unwrap_or_else(|| panic!("commit free of dead {id}"));
+        self.live_words -= len as u64;
+        self.live -= 1;
+        // Freed parallel slots are not recycled: the paper's allocator also
+        // leaves holes rather than risk cross-process reuse races.
     }
 
     /// Returns a deterministic digest of the committed state, for
@@ -499,8 +550,9 @@ impl Snapshot {
     }
 }
 
-/// The effects of one validated transaction, applied by
-/// [`Heap::apply_commit`].
+/// A transaction's effects as owned operations, applied by
+/// [`Heap::apply_commit`]. The engine commits a [`TxEffects`] in place
+/// ([`Heap::commit`]); this form is what the wall-clock benchmark builds.
 #[derive(Debug, Default)]
 pub struct CommitOps {
     /// `(object, lo, hi, source)` — merge words `lo..hi` of `source` into

@@ -30,8 +30,8 @@
 //! copy whose transaction has committed or been rejected), a zeroed
 //! allocation otherwise; either way it is initialised memory, and which one
 //! it was cannot be observed: blocks that were never made valid are never
-//! read, by the transaction or — see [`TxEffects::commit_ops`] — by the
-//! commit.
+//! read, by the transaction or by [`crate::Heap::commit`], which copies the
+//! write set's ranges and nothing else out of the private copy.
 //!
 //! # Access sets are built from a log
 //!
@@ -65,20 +65,23 @@
 //! overlay lookup and a block-mask check per written word.
 //! [`Tx::row_f64s`] hands the body a [`RowF64s`] instead: one range read is
 //! recorded, the overlay entry is resolved and the row's blocks are filled
-//! once, `get(j)` reads one word, and `set(j, v)` logs exactly word
-//! `lo + j`. Write *sets* are what one `write_f64` per `set` would have
-//! produced — a conservative whole-row write would be a different program,
-//! with different conflicts — and no private copy exists before the first
-//! `set`.
+//! once, and `get(j)` reads one word. Writing goes through one door:
+//! [`RowF64s::writer`] makes the private copy, once, and hands out a
+//! [`RowWriter`] over the private row as a plain `&mut [f64]`, whose
+//! `set(j, v)` logs exactly word `lo + j`. Write *sets* are what one
+//! `write_f64` per `set` would have produced — a conservative whole-row
+//! write would be a different program, with different conflicts — and no
+//! private copy exists before the first writer.
 //!
-//! Each `get` matches on whether the row has a private copy yet, and the
-//! compiler cannot hoist that match out of a loop that may `set`. A body
-//! that writes rarely therefore scans first and writes second: it reads the
-//! row through [`RowF64s::words`], one slice it can compare at plain-loop
-//! speed, and enters its `get`/`set` loop only for a row the scan found
-//! something to write in. Floyd's relaxation does this: at one worker its
-//! passes after the first write under 2 000 of 16 384 cells each, so most
-//! rows never reach the write path.
+//! A [`RowF64s`] may read the snapshot's words or the private copy's, so
+//! each `get` matches on which; a [`RowWriter`] reads and writes one slice
+//! and pays no match. A body that writes rarely therefore scans first and
+//! writes second: it reads the row through [`RowF64s::words`], one slice it
+//! can compare at plain-loop speed, and opens a writer only for a row the
+//! scan found something to write in. Floyd's relaxation does this: at one
+//! worker its passes after the first write under 2 000 of 16 384 cells
+//! each, so most rows never reach the write path, and the rows that do
+//! compare and write through the writer's slice.
 //!
 //! Read tracking is elided when the conflict policy does not need read sets
 //! (`WAW`, `NONE`): this is precisely why the paper finds `StaleReads`
@@ -87,11 +90,10 @@
 
 use crate::alloc::IdReservation;
 use crate::fx::FxHashMap;
-use crate::heap::{CommitOps, Snapshot};
+use crate::heap::Snapshot;
 use crate::object::{ObjData, ObjId, ObjKind, ObjRef};
 use crate::sets::{AccessLog, AccessSet};
 use std::collections::hash_map::{Entry, VacantEntry};
-use std::sync::Arc;
 
 /// Words per block of a lazily filled private copy.
 const BLOCK_WORDS: usize = 64;
@@ -149,9 +151,6 @@ pub(crate) struct CowScratch {
     bits: Vec<u64>,
     /// Spent private copies: initialised buffers whose contents mean nothing.
     spare: Vec<ObjData>,
-    /// Handles on the private copies a commit is merging from; once the heap
-    /// has dropped its own, [`CowScratch::reset`] turns them into spares.
-    sources: Vec<Arc<ObjData>>,
 }
 
 impl CowScratch {
@@ -201,27 +200,10 @@ impl CowScratch {
         obj
     }
 
-    /// Forgets the finished transaction and turns the commit sources nobody
-    /// else holds any more into spares.
+    /// Forgets the finished transaction's partly filled copies.
     fn reset(&mut self) {
         self.lazy.clear();
         self.bits.clear();
-        while let Some(src) = self.sources.pop() {
-            if let Ok(data) = Arc::try_unwrap(src) {
-                self.recycle(data);
-            }
-        }
-    }
-
-    /// `data` as a commit source. The heap copies every range out of it
-    /// and drops its handles; if the copy is one worth reusing, a handle
-    /// kept here lets [`CowScratch::reset`] turn it into a spare.
-    fn source(&mut self, data: ObjData) -> Arc<ObjData> {
-        let arc = Arc::new(data);
-        if arc.len() > EAGER_MAX_WORDS {
-            self.sources.push(Arc::clone(&arc));
-        }
-        arc
     }
 
     /// If `id`'s private copy `obj` is partly filled, makes the blocks
@@ -607,7 +589,7 @@ impl<'s> Tx<'s> {
     /// Calls `f` with a guarded view of words `lo..hi` of float object `id`,
     /// recording a single range read. The view reads words with
     /// [`RowF64s::get`], or the whole row with [`RowF64s::words`], and
-    /// writes them with [`RowF64s::set`], each `set`
+    /// writes them through [`RowF64s::writer`], each [`RowWriter::set`]
     /// recording exactly the word it writes — the sets and counters are
     /// those of one [`Tx::with_f64s`] followed by one [`Tx::write_f64`] per
     /// `set`, without the copy of the row the first would need to outlive
@@ -684,8 +666,10 @@ impl<'s> Tx<'s> {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not visible to this transaction.
+    /// Panics if `id` is not visible to this transaction, which includes an
+    /// id it has already freed.
     pub fn free(&mut self, id: ObjId) {
+        assert!(!self.freed.contains(&id), "transaction freed {id} twice");
         if let Some(pos) = self.fresh.iter().position(|f| *f == id) {
             // Alloc+free within one transaction cancels out.
             self.fresh.swap_remove(pos);
@@ -781,7 +765,7 @@ impl<'s> Tx<'s> {
 enum RowWords<'a> {
     /// The object has no private copy: `row` is the snapshot's words, `src`
     /// all the words of the object they belong to, and `slot` where its
-    /// private copy goes on the first [`RowF64s::set`].
+    /// private copy goes when the first [`RowWriter`] opens.
     Shared {
         row: &'a [f64],
         src: &'a [f64],
@@ -809,16 +793,13 @@ impl RowF64s<'_> {
     /// range read that opened the row covers it.
     #[inline]
     pub fn get(&self, j: usize) -> f64 {
-        match &self.words {
-            RowWords::Shared { row, .. } => row[j],
-            RowWords::Private(row) => row[j],
-        }
+        self.words()[j]
     }
 
     /// The whole row as this transaction sees it: the snapshot's words
     /// while the object has no private copy, the private copy's once it
-    /// has one (from the first [`RowF64s::set`], or from the start if the
-    /// transaction wrote the object before). Not counted, like
+    /// has one (from the first [`RowF64s::writer`], or from the start if
+    /// the transaction wrote the object before). Not counted, like
     /// [`RowF64s::get`]: the range read that opened the row covers it. A
     /// scan through this slice pays the shared-or-private match once,
     /// where a loop of `get`s pays it per word.
@@ -830,20 +811,25 @@ impl RowF64s<'_> {
         }
     }
 
-    /// Writes word `j` of the row, recording a write of exactly that word.
-    /// The first write through a row whose object the transaction had not
-    /// written before makes the private copy.
+    /// The row's one way into writing: a [`RowWriter`] over the private
+    /// row. The first writer of a row whose object the transaction had not
+    /// written before makes the private copy, whether or not it then
+    /// writes, so open one only for a row there is something to write in.
     #[inline]
-    pub fn set(&mut self, j: usize, v: f64) {
-        let word = (self.lo + j) as u32;
-        self.track.write(self.tracked, self.id, word, word + 1);
+    pub fn writer(&mut self) -> RowWriter<'_> {
         if let RowWords::Shared { .. } = self.words {
             self.make_private();
         }
         let RowWords::Private(row) = &mut self.words else {
             unreachable!("made private above");
         };
-        row[j] = v;
+        RowWriter {
+            row,
+            id: self.id,
+            lo: self.lo,
+            tracked: self.tracked,
+            track: self.track,
+        }
     }
 
     #[cold]
@@ -853,11 +839,40 @@ impl RowF64s<'_> {
         else {
             unreachable!("only called on a shared row");
         };
-        // The whole row's blocks, not just the written word's: `get` reads
-        // the rest of the row from the copy from now on.
+        // The whole row's blocks, not just the written words': the row
+        // reads the rest of itself from the copy from now on.
         let src = ObjRef::F64(src);
         let obj = slot.insert(self.cow.private_copy(self.id, src, self.lo, self.hi));
         self.words = RowWords::Private(&mut obj.f64s_mut()[self.lo..self.hi]);
+    }
+}
+
+/// The private words of a guarded row, opened by [`RowF64s::writer`].
+/// Reads and writes go straight to the slice; each [`RowWriter::set`]
+/// records a write of exactly its word. Indices are relative to the row's
+/// `lo`, as in [`RowF64s`].
+pub struct RowWriter<'r> {
+    row: &'r mut [f64],
+    id: ObjId,
+    lo: usize,
+    tracked: bool,
+    track: &'r mut Tracker,
+}
+
+impl RowWriter<'_> {
+    /// Word `j` of the row. Not counted: the range read that opened the
+    /// row covers it.
+    #[inline]
+    pub fn get(&self, j: usize) -> f64 {
+        self.row[j]
+    }
+
+    /// Writes word `j` of the row, recording a write of exactly that word.
+    #[inline]
+    pub fn set(&mut self, j: usize, v: f64) {
+        let word = (self.lo + j) as u32;
+        self.track.write(self.tracked, self.id, word, word + 1);
+        self.row[j] = v;
     }
 }
 
@@ -892,36 +907,12 @@ pub struct TxEffects {
 }
 
 impl TxEffects {
-    /// Drains the effects into commit operations, leaving the containers
-    /// empty but with their capacity, for [`TxEffects::reset`].
-    pub fn commit_ops(&mut self) -> CommitOps {
-        let mut ops = CommitOps::default();
-        for (id, ranges) in self.writes.iter_sorted() {
-            // Freed objects appear in the write set (a free conflicts like a
-            // whole-object write) but have no overlay payload to merge.
-            let Some(data) = self.overlay.remove(&id) else {
-                continue;
-            };
-            let arc = self.cow.source(data);
-            for (lo, hi) in ranges.iter() {
-                ops.writes.push((id, lo, hi, Arc::clone(&arc)));
-            }
-        }
-        ops.allocs = self
-            .allocs
-            .drain(..)
-            .map(|(id, data)| (id, Arc::new(data)))
-            .collect();
-        ops.frees = std::mem::take(&mut self.frees);
-        ops.frees.sort_unstable();
-        ops
-    }
-
     /// Empties the effects for the next transaction to be built in
     /// ([`Tx::with_buffers`]), keeping the containers' capacity and, as
-    /// spares, the long private copies of a rejected transaction and the
-    /// commit sources the heap has let go of. Call it once the verdict is
-    /// in and any commit has been applied.
+    /// spares, the long private copies — a committed transaction's as well
+    /// as a rejected one's, since [`crate::Heap::commit`] copies out of them
+    /// and leaves them here. Call it once the verdict is in and any commit
+    /// has been applied.
     pub fn reset(&mut self) {
         for (_, copy) in self.overlay.drain() {
             self.cow.recycle(copy);
@@ -937,7 +928,6 @@ impl TxEffects {
         self.overlay.is_empty()
             && self.cow.lazy.is_empty()
             && self.cow.bits.is_empty()
-            && self.cow.sources.is_empty()
             && self.reads.is_empty()
             && self.writes.is_empty()
             && self.read_log.is_empty()
@@ -951,6 +941,7 @@ impl TxEffects {
 mod tests {
     use super::*;
     use crate::heap::Heap;
+    use crate::object::ObjMut;
 
     fn ids() -> IdReservation {
         IdReservation::new(1000, 0, 1, 16)
@@ -1045,6 +1036,27 @@ mod tests {
         let fx = tx.finish();
         assert_eq!(fx.frees, vec![a]);
         assert!(fx.writes.contains_range(a, 0, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "freed obj#0 twice")]
+    fn double_free_panics_in_the_transaction() {
+        let (h, a, _) = setup();
+        let snap = h.snapshot();
+        let mut tx = Tx::new(&snap, TrackMode::WritesOnly, ids(), u64::MAX);
+        tx.free(a);
+        tx.free(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "dead or unknown")]
+    fn double_free_of_a_fresh_object_panics() {
+        let (h, _, _) = setup();
+        let snap = h.snapshot();
+        let mut tx = Tx::new(&snap, TrackMode::WritesOnly, ids(), u64::MAX);
+        let x = tx.alloc(ObjData::scalar_i64(1));
+        tx.free(x);
+        tx.free(x);
     }
 
     #[test]
@@ -1151,15 +1163,19 @@ mod tests {
             (lo..hi).map(|i| word(obj, i)).collect()
         }
 
+        /// The private copy of `id`, cloned whole on first call.
+        fn own(&mut self, id: ObjId) -> &mut ObjData {
+            let snap = self.snap;
+            self.overlay
+                .entry(id)
+                .or_insert_with(|| snap.get(id).unwrap().to_owned())
+        }
+
         fn write(&mut self, id: ObjId, lo: usize, vals: &[i64]) {
             self.stats.write_ops += 1;
             self.stats.write_words += vals.len() as u64;
             self.writes.insert(id, lo as u32, (lo + vals.len()) as u32);
-            let snap = self.snap;
-            let obj = self
-                .overlay
-                .entry(id)
-                .or_insert_with(|| snap.get(id).unwrap().to_owned());
+            let obj = self.own(id);
             for (i, v) in vals.iter().enumerate() {
                 set_word(obj, lo + i, *v);
             }
@@ -1247,14 +1263,15 @@ mod tests {
     }
 
     /// One step of a guarded-row script.
-    #[derive(Clone, Copy)]
+    #[derive(Clone)]
     enum RowStep {
         /// Read word `j` with [`RowF64s::get`].
         Get(usize),
-        /// Write word `j` with [`RowF64s::set`].
-        Set(usize, i64),
         /// Read the whole row with [`RowF64s::words`].
         Words,
+        /// Open a [`RowWriter`] and, through it, read word `j` for each
+        /// `(j, None)` and write `v` to it for each `(j, Some(v))`.
+        Writer(Vec<(usize, Option<i64>)>),
     }
 
     /// Opens words `lo..hi` of float object `id` as a guarded row and plays
@@ -1262,11 +1279,19 @@ mod tests {
     fn tx_row(tx: &mut Tx<'_>, id: ObjId, lo: usize, hi: usize, script: &[RowStep]) -> Vec<i64> {
         tx.row_f64s(id, lo, hi, |row| {
             let mut seen = Vec::new();
-            for &step in script {
+            for step in script {
                 match step {
-                    RowStep::Get(j) => seen.push(row.get(j) as i64),
-                    RowStep::Set(j, v) => row.set(j, v as f64),
+                    RowStep::Get(j) => seen.push(row.get(*j) as i64),
                     RowStep::Words => seen.extend(row.words().iter().map(|w| *w as i64)),
+                    RowStep::Writer(steps) => {
+                        let mut writer = row.writer();
+                        for &(j, v) in steps {
+                            match v {
+                                None => seen.push(writer.get(j) as i64),
+                                Some(v) => writer.set(j, v as f64),
+                            }
+                        }
+                    }
                 }
             }
             seen
@@ -1274,7 +1299,8 @@ mod tests {
     }
 
     /// The same row through the reference: one range read, then a
-    /// single-word write per `set`, reads served from what those leave.
+    /// single-word write per `set`, reads served from what those leave. A
+    /// writer's opening makes the private copy.
     fn eager_row(
         eager: &mut EagerTx<'_>,
         id: ObjId,
@@ -1284,14 +1310,22 @@ mod tests {
     ) -> Vec<i64> {
         let mut row = eager.read(id, lo, hi);
         let mut seen = Vec::new();
-        for &step in script {
+        for step in script {
             match step {
-                RowStep::Get(j) => seen.push(row[j]),
-                RowStep::Set(j, v) => {
-                    eager.write(id, lo + j, &[v]);
-                    row[j] = v;
-                }
+                RowStep::Get(j) => seen.push(row[*j]),
                 RowStep::Words => seen.extend(&row),
+                RowStep::Writer(steps) => {
+                    eager.own(id);
+                    for &(j, v) in steps {
+                        match v {
+                            None => seen.push(row[j]),
+                            Some(v) => {
+                                eager.write(id, lo + j, &[v]);
+                                row[j] = v;
+                            }
+                        }
+                    }
+                }
             }
         }
         seen
@@ -1356,6 +1390,27 @@ mod tests {
             .collect()
     }
 
+    /// The reference commit, sharing no code with [`Heap::commit`]: each
+    /// word of the write set copied one at a time from the private copy (a
+    /// freed object has none), then the frees.
+    fn commit_word_by_word(heap: &mut Heap, fx: &TxEffects) {
+        for (id, ranges) in fx.writes.iter_sorted() {
+            let Some(src) = fx.overlay.get(&id) else {
+                continue;
+            };
+            for w in ranges.iter().flat_map(|(lo, hi)| lo as usize..hi as usize) {
+                match (heap.get_mut(id), src) {
+                    (ObjMut::F64(dst), ObjData::F64(src)) => dst[w] = src[w],
+                    (ObjMut::I64(dst), ObjData::I64(src)) => dst[w] = src[w],
+                    _ => unreachable!("a private copy has its object's kind"),
+                }
+            }
+        }
+        for &id in &fx.frees {
+            heap.free(id);
+        }
+    }
+
     #[test]
     fn lazy_private_copies_match_the_eager_reference() {
         let mut rng = Rng(0x13_c0de);
@@ -1381,16 +1436,25 @@ mod tests {
                 let (id, float, len) = (objs[o], o % 2 == 1, SIZES[o]);
                 let ctx = format!("case {case} step {step} {mode:?} obj {o}");
                 match rng.below(19) {
-                    // A guarded row: in-order and out-of-order writes, reads
-                    // of written and unwritten words, whole-row reads of the
-                    // shared row and of the private one, sometimes no write.
+                    // A guarded row: reads of the shared row and of the
+                    // private one, word by word and whole; writers with
+                    // in-order and out-of-order writes and reads of written
+                    // and unwritten words, one or several per row,
+                    // sometimes a writer that writes nothing.
                     16..=18 if float => {
                         let (lo, hi) = rng.range(len);
-                        let script: Vec<RowStep> = (0..rng.below(12))
-                            .map(|_| match rng.below(6) {
+                        let script: Vec<RowStep> = (0..rng.below(8))
+                            .map(|_| match rng.below(4) {
                                 0 => RowStep::Words,
-                                1 | 2 => RowStep::Get(rng.below(hi - lo)),
-                                _ => RowStep::Set(rng.below(hi - lo), rng.small()),
+                                1 => RowStep::Get(rng.below(hi - lo)),
+                                _ => RowStep::Writer(
+                                    (0..rng.below(6))
+                                        .map(|_| {
+                                            let j = rng.below(hi - lo);
+                                            (j, (rng.below(3) > 0).then(|| rng.small()))
+                                        })
+                                        .collect(),
+                                ),
                             })
                             .collect();
                         assert_eq!(
@@ -1441,7 +1505,7 @@ mod tests {
                     _ => assert_eq!(tx.len(id), len, "{ctx}"),
                 }
             }
-            let (mut fx, mut want) = (tx.finish(), eager.finish());
+            let (mut fx, want) = (tx.finish(), eager.finish());
             let ctx = format!("case {case} {mode:?}");
             // The sets are built from the logs in `finish`, the reference's
             // by one ordered insert per access.
@@ -1464,8 +1528,8 @@ mod tests {
                 "{ctx}: overlay words"
             );
             drop(snap);
-            heap.apply_commit(fx.commit_ops());
-            ref_heap.apply_commit(want.commit_ops());
+            heap.commit(&fx);
+            commit_word_by_word(&mut ref_heap, &want);
             assert_eq!(heap.digest(), ref_heap.digest(), "{ctx}");
             fx.reset();
             spent = fx;
@@ -1551,7 +1615,7 @@ mod tests {
                                 tx.write_f64s(objs[o], lo, &vec![0.0; hi - lo]);
                             }
                             Access::RowSet(o, lo, hi, j) => {
-                                tx.row_f64s(objs[o], lo, hi, |row| row.set(j, 0.0));
+                                tx.row_f64s(objs[o], lo, hi, |row| row.writer().set(j, 0.0));
                             }
                         }
                     }
@@ -1657,15 +1721,17 @@ mod tests {
                 }
                 let mut fx = tx.finish();
                 drop(snap);
-                h.apply_commit(fx.commit_ops());
+                h.commit(&fx);
                 let want: Vec<i64> = (0..len)
                     .map(|i| if whole || i == 1 { 7 } else { 0 })
                     .collect();
                 assert_eq!(h.get(a).i64s(), want, "{ctx}");
                 assert_eq!(h.get(a).i64s().as_ptr(), committed, "{ctx}: in place");
+                // The private copy the commit read is still in the effects,
+                // and resetting them keeps it as a spare if it is long.
+                assert_eq!(fx.overlay[&a].i64s(), want, "{ctx}");
+                fx.reset();
                 let long = len > EAGER_MAX_WORDS;
-                assert_eq!(fx.cow.sources.len(), usize::from(long), "{ctx}");
-                fx.cow.reset();
                 assert_eq!(fx.cow.spare.len(), usize::from(long), "{ctx}: a spare");
             }
         }

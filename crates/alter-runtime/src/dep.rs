@@ -364,7 +364,7 @@ where
         }
         let op_log = ctx.op_log.take().unwrap_or_default();
         let (tx, _) = ctx.into_parts();
-        let mut effects = tx.finish();
+        let effects = tx.finish();
         // The commit below writes in place only once nothing shares the
         // heap's page table.
         drop(snap);
@@ -500,7 +500,7 @@ where
 
         iters_out.push(access);
         ordinal += 1;
-        heap.apply_commit(effects.commit_ops());
+        heap.commit(&effects);
     }
 
     let locations = locs

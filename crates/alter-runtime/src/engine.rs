@@ -450,7 +450,7 @@ impl RunError {
 
 /// One round as the coordinator hands it to a driver. A driver consumes it
 /// — snapshot included, so no view of the round outlives its execution and
-/// the commits that follow write in place (`Heap::apply_commit`) — and
+/// the commits that follow write in place (`Heap::commit`) — and
 /// returns one `(ticket, outcome)` per ticket, in ticket order.
 struct RoundInput {
     snap: Snapshot,
@@ -912,7 +912,7 @@ impl<'a> Coordinator<'a> {
     fn commit(
         &mut self,
         task: &Ticket,
-        mut effects: TxEffects,
+        effects: TxEffects,
         deltas: &[RedDelta],
         report: &TaskReport,
     ) -> Result<(), RunError> {
@@ -951,7 +951,7 @@ impl<'a> Coordinator<'a> {
                 });
             }
         }
-        self.heap.apply_commit(effects.commit_ops());
+        self.heap.commit(&effects);
         self.validator.admit(task.seq, effects);
         Ok(())
     }
@@ -1306,6 +1306,27 @@ mod tests {
             for at in [4, 5, 7] {
                 let (err, xs) = run_with_fault(&p, at, |_, _| panic!("iteration exploded"));
                 assert!(matches!(err, RunError::Crash(ref m) if m.contains("exploded")));
+                assert_eq!(xs, prefix(at as i64));
+            }
+        });
+    }
+
+    /// A body that frees an object twice crashes in its own transaction,
+    /// not in the commit on the coordinator: the run returns the crash and
+    /// keeps the tickets before it committed.
+    #[test]
+    fn double_free_in_a_body_becomes_crash_error() {
+        crate::quiet::quiet_panics(|| {
+            let p = params(4, 1, ConflictPolicy::None, CommitOrder::OutOfOrder);
+            for at in [4, 5, 7] {
+                let (err, xs) = run_with_fault(&p, at, |ctx, big| {
+                    ctx.tx.free(big);
+                    ctx.tx.free(big);
+                });
+                assert!(
+                    matches!(err, RunError::Crash(ref m) if m.contains("freed obj#1 twice")),
+                    "{err:?}"
+                );
                 assert_eq!(xs, prefix(at as i64));
             }
         });
