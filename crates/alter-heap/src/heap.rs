@@ -37,7 +37,7 @@
 //! words compacts its buffers.
 
 use crate::object::{ObjData, ObjId, ObjKind, ObjMut, ObjRef};
-use crate::tx::TxEffects;
+use crate::tx::{Local, TxEffects};
 use std::sync::Arc;
 
 /// Slots per page of the committed page table: the unit a write under a
@@ -410,17 +410,15 @@ impl Heap {
     /// Commits a validated transaction's effects and bumps the commit
     /// version: the engine's one way of writing a parallel loop's results.
     ///
-    /// Only the word ranges in the transaction's write set are merged back,
-    /// straight out of its private copies ([`ObjMut::copy_range_from`]):
-    /// snapshot isolation lets two transactions commit writes to disjoint
-    /// ranges of one allocation, so a whole-object overwrite would lose the
-    /// earlier commit. Each written object's page is reached once, and the
-    /// words are written in place unless a snapshot can still read that page
-    /// (the module docs' "Writing in place"). Copies to distinct objects
-    /// commute, so the overlay's order is as good as any. Allocs then copy
-    /// their words into the page of their reserved id, and frees empty their
-    /// slots. The private copies stay in `fx`, for [`TxEffects::reset`] to
-    /// recycle.
+    /// One pass over the transaction's overlay: a private copy merges the
+    /// ranges the write set holds for it (snapshot isolation lets two
+    /// transactions commit disjoint ranges of one allocation, so a
+    /// whole-object overwrite would lose the earlier commit), a fresh object
+    /// is installed at its reserved id, and a freed one empties its slot.
+    /// The ids are distinct, so the steps commute. Each object's page is
+    /// reached once and written in place unless a snapshot can still read
+    /// it ("Writing in place" above). The private copies stay in `fx`, for
+    /// [`TxEffects::reset`] to recycle.
     ///
     /// # Panics
     ///
@@ -430,17 +428,17 @@ impl Heap {
     /// allocator bug).
     pub fn commit(&mut self, fx: &TxEffects) {
         self.version += 1;
-        for (&id, data) in &fx.overlay {
-            // A private copy with no range in the write set wrote nothing.
-            if let Some(ranges) = fx.writes.ranges(id) {
-                self.merge(id, data.view(), ranges.iter());
+        for (&id, local) in &fx.overlay {
+            match local {
+                // A private copy with no range in the write set wrote nothing.
+                Local::Copy { data, .. } => {
+                    if let Some(ranges) = fx.writes.ranges(id) {
+                        self.merge(id, data.view(), ranges.iter());
+                    }
+                }
+                Local::Fresh(data) => self.install(id.0 as usize, data.view(), 1),
+                Local::Freed => self.commit_free(id),
             }
-        }
-        for (id, data) in &fx.allocs {
-            self.install(id.0 as usize, data.view(), 1);
-        }
-        for &id in &fx.frees {
-            self.commit_free(id);
         }
     }
 

@@ -50,4 +50,4 @@ pub use alloc::{IdReservation, DEFAULT_BLOCK_SIZE};
 pub use heap::{CommitOps, Heap, Snapshot, SnapshotStats, SNAPSHOT_PAGE_SLOTS};
 pub use object::{ObjData, ObjId, ObjKind, ObjMut, ObjRef};
 pub use sets::{AccessSet, Fingerprint, RangeSet};
-pub use tx::{MemoryExceeded, RowF64s, RowWriter, TrackMode, Tx, TxEffects, TxStats};
+pub use tx::{Footprint, MemoryExceeded, RowF64s, RowWriter, TrackMode, Tx, TxEffects, TxStats};

@@ -7,6 +7,19 @@
 //! [`AccessSet`]s — the `InstrumentRead` / `InstrumentWrite` calls the ALTER
 //! compiler inserts (§4.1).
 //!
+//! # One entry per object
+//!
+//! The overlay holds one entry per object the transaction did more than
+//! read: a private copy of the snapshot's version (with its validity mask's
+//! position while it is partly filled, below), an object it allocated, or
+//! a snapshot object it freed. Every access looks the id up once, and the
+//! entry decides where the words are, which blocks to fill and whether the
+//! access is instrumented — not for a fresh object, which cannot conflict
+//! (the paper elides instrumentation for variables "defined afresh in each
+//! iteration"). Any access to a freed object, a second free included,
+//! panics in the body. An alloc and a free in one transaction cancel: the
+//! entry goes. [`Tx::finish`] hands the map on as it is.
+//!
 //! # Private copies are filled block by block
 //!
 //! The paper's transactions pay for the copy-on-write *pages* they dirty
@@ -19,11 +32,10 @@
 //! out contiguous slices, a read never sees a word that was not either
 //! copied from the snapshot or written by this transaction, and a
 //! transaction that changes 4 words of an 8 192-word array copies one block
-//! of it, not 64 KiB. An object whose blocks are all valid drops out of the
-//! bookkeeping, and shorter objects are cloned whole on first write as
-//! before: the copy is cheaper than the mask. Conflict detection is
-//! untouched by any of this — access sets stay word ranges keyed by
-//! allocation.
+//! of it, not 64 KiB. An object whose blocks are all valid drops its mask
+//! position, and shorter objects are cloned whole on first write: the copy
+//! is cheaper than the mask. Conflict detection is untouched by any of
+//! this — access sets stay word ranges keyed by allocation.
 //!
 //! The unfilled copy is a recycled buffer of the same kind and length when
 //! the spent [`TxEffects`] the transaction was built in carry one (a private
@@ -42,10 +54,8 @@
 //! tracked access appends `(allocation, lo, hi)` to the read or the write
 //! log — or widens the last entry, when it starts inside or right after
 //! it — and [`Tx::finish`] sorts each log once and coalesces it into the
-//! [`AccessSet`]. The sets that come out are the ones an
-//! ordered insert per access would have built; a write between two ranges
-//! already held no longer moves the ranges behind it. The log grows with the
-//! accesses that did not continue their predecessor, not with the distinct
+//! [`AccessSet`]. The sets that come out are the ones an ordered insert
+//! per access would have built. The log grows with the accesses that did not continue their predecessor, not with the distinct
 //! words, until it is folded; the largest any of the twelve workloads builds
 //! under any model is Floyd's 5 748 write entries (67 KiB), and the logs'
 //! storage is recycled with the [`TxEffects`] like the sets'.
@@ -59,29 +69,16 @@
 //!
 //! # Guarded rows
 //!
-//! A body that scans a row and writes the few words it improves — Floyd's
-//! relaxation — used to copy the row out (`with_f64s(.., |r| r.to_vec())`),
-//! because the slice could not outlive the next `write_f64`, and to pay an
-//! overlay lookup and a block-mask check per written word.
-//! [`Tx::row_f64s`] hands the body a [`RowF64s`] instead: one range read is
+//! [`Tx::row_f64s`] hands a body that scans a row and writes the few words
+//! it improves — Floyd's relaxation — a [`RowF64s`]: one range read is
 //! recorded, the overlay entry is resolved and the row's blocks are filled
-//! once, and `get(j)` reads one word. Writing goes through one door:
-//! [`RowF64s::writer`] makes the private copy, once, and hands out a
-//! [`RowWriter`] over the private row as a plain `&mut [f64]`, whose
-//! `set(j, v)` logs exactly word `lo + j`. Write *sets* are what one
-//! `write_f64` per `set` would have produced — a conservative whole-row
-//! write would be a different program, with different conflicts — and no
-//! private copy exists before the first writer.
-//!
-//! A [`RowF64s`] may read the snapshot's words or the private copy's, so
-//! each `get` matches on which; a [`RowWriter`] reads and writes one slice
-//! and pays no match. A body that writes rarely therefore scans first and
-//! writes second: it reads the row through [`RowF64s::words`], one slice it
-//! can compare at plain-loop speed, and opens a writer only for a row the
-//! scan found something to write in. Floyd's relaxation does this: at one
-//! worker its passes after the first write under 2 000 of 16 384 cells
-//! each, so most rows never reach the write path, and the rows that do
-//! compare and write through the writer's slice.
+//! once, and [`RowF64s::words`] is the row as one slice. Writing has one
+//! door: [`RowF64s::writer`] makes the private copy, once, and hands out a
+//! [`RowWriter`] over the private row as a `&mut [f64]`, whose `set(j, v)`
+//! logs exactly word `lo + j` — the write set one `write_f64` per `set`
+//! would have made, not a whole-row write with different conflicts. A body
+//! that writes rarely scans first and opens a writer only for a row the
+//! scan found something to write in.
 //!
 //! Read tracking is elided when the conflict policy does not need read sets
 //! (`WAW`, `NONE`): this is precisely why the paper finds `StaleReads`
@@ -106,7 +103,7 @@ const SPARE_MAX: usize = 8;
 
 /// Where one partly filled private copy stands.
 #[derive(Debug)]
-struct LazyCopy {
+pub(crate) struct LazyCopy {
     /// Index in [`CowScratch::bits`] of the first word of its validity mask.
     bits_at: usize,
     /// Blocks not yet valid.
@@ -137,15 +134,74 @@ impl LazyCopy {
     }
 }
 
-/// What a transaction's private copies need beyond the overlay map: the
+/// What a transaction holds of one object beyond the snapshot's version of
+/// it (see the module docs).
+#[derive(Debug)]
+pub(crate) enum Local {
+    /// A private copy of the snapshot's version, and where its validity
+    /// mask stands while it is only partly filled.
+    Copy {
+        data: ObjData,
+        lazy: Option<LazyCopy>,
+    },
+    /// An object this transaction allocated.
+    Fresh(ObjData),
+    /// A snapshot object this transaction freed.
+    Freed,
+}
+
+impl Local {
+    /// The object's words for an access to words `lo..hi` of `id`, with the
+    /// blocks of that range valid (see [`LazyCopy::fill`]), and whether the
+    /// access is instrumented: not for a fresh object. Panics if the
+    /// transaction freed the object.
+    #[inline]
+    fn words<'a>(
+        &mut self,
+        id: ObjId,
+        bits: &mut [u64],
+        src: impl Fn() -> ObjRef<'a>,
+        lo: usize,
+        hi: usize,
+    ) -> (&mut ObjData, bool) {
+        match self {
+            Local::Copy { data, lazy } => {
+                if let Some(copy) = lazy {
+                    copy.fill(bits, data, src, lo, hi);
+                    if copy.missing == 0 {
+                        *lazy = None;
+                    }
+                }
+                (data, true)
+            }
+            Local::Fresh(data) => (data, false),
+            Local::Freed => freed(id),
+        }
+    }
+}
+
+#[cold]
+fn freed(id: ObjId) -> ! {
+    panic!("transaction accessed freed {id}")
+}
+
+#[cold]
+fn unknown(id: ObjId) -> ! {
+    panic!("transaction accessed dead or unknown {id}")
+}
+
+/// The snapshot's version of `id`, which its private copy is filled from.
+fn original(snap: &Snapshot, id: ObjId) -> ObjRef<'_> {
+    snap.get(id).expect("a private copy has an original")
+}
+
+/// What a transaction's private copies need beyond the overlay: the
 /// validity masks of the partly filled ones, and buffers to make the next
 /// ones from. Travels from a reset [`TxEffects`] into the [`Tx`] built in
 /// it and out through the next [`TxEffects`], so that the masks' storage
 /// and the spent copies are reused instead of reallocated.
 #[derive(Debug, Default)]
 pub(crate) struct CowScratch {
-    /// Private copies that still have invalid blocks.
-    lazy: FxHashMap<ObjId, LazyCopy>,
     /// Validity masks of this transaction's lazy copies, one bit per block,
     /// appended on first write and dropped together at the end.
     bits: Vec<u64>,
@@ -162,64 +218,27 @@ impl CowScratch {
         }
     }
 
-    /// An initialised buffer of `src`'s kind and length with arbitrary
-    /// contents: a spare if one fits, zeroes otherwise.
-    fn buffer_like(&mut self, src: ObjRef<'_>) -> ObjData {
+    /// A private copy of `src`, the snapshot's version of an object: a
+    /// whole clone if `src` is short, otherwise an initialised buffer of its
+    /// kind and length with no block valid yet ([`Local::words`] fills what
+    /// an access needs) — a spare if one fits, zeroes if none does.
+    fn private_copy(&mut self, src: ObjRef<'_>) -> Local {
         let (kind, len) = (src.kind(), src.len());
-        match self
-            .spare
-            .iter()
-            .position(|s| s.kind() == kind && s.len() == len)
-        {
+        if len <= EAGER_MAX_WORDS {
+            let (data, lazy) = (src.to_owned(), None);
+            return Local::Copy { data, lazy };
+        }
+        let fits = |s: &ObjData| s.kind() == kind && s.len() == len;
+        let data = match self.spare.iter().position(fits) {
             Some(i) => self.spare.swap_remove(i),
-            None => match kind {
-                ObjKind::F64 => ObjData::zeros_f64(len),
-                ObjKind::I64 => ObjData::zeros_i64(len),
-            },
-        }
-    }
-
-    /// A private copy of `src`, the snapshot's version of `id`, with the
-    /// blocks intersecting words `lo..hi` valid: a whole clone if `src` is
-    /// short, a partly filled buffer otherwise.
-    fn private_copy(&mut self, id: ObjId, src: ObjRef<'_>, lo: usize, hi: usize) -> ObjData {
-        if src.len() <= EAGER_MAX_WORDS {
-            return src.to_owned();
-        }
-        let mut obj = self.buffer_like(src);
-        let blocks = src.len().div_ceil(BLOCK_WORDS);
-        let mut lazy = LazyCopy {
-            bits_at: self.bits.len(),
-            missing: u32::try_from(blocks).expect("object length fits u32"),
+            None if kind == ObjKind::F64 => ObjData::zeros_f64(len),
+            None => ObjData::zeros_i64(len),
         };
-        self.bits.resize(lazy.bits_at + blocks.div_ceil(64), 0);
-        lazy.fill(&mut self.bits, &mut obj, || src, lo, hi);
-        if lazy.missing > 0 {
-            self.lazy.insert(id, lazy);
-        }
-        obj
-    }
-
-    /// Forgets the finished transaction's partly filled copies.
-    fn reset(&mut self) {
-        self.lazy.clear();
-        self.bits.clear();
-    }
-
-    /// If `id`'s private copy `obj` is partly filled, makes the blocks
-    /// intersecting words `lo..hi` valid (see [`LazyCopy::fill`]).
-    fn fill(&mut self, snap: &Snapshot, id: ObjId, obj: &mut ObjData, lo: usize, hi: usize) {
-        if self.lazy.is_empty() {
-            return;
-        }
-        let Some(lazy) = self.lazy.get_mut(&id) else {
-            return;
-        };
-        let src = || snap.get(id).expect("a lazy copy has an original");
-        lazy.fill(&mut self.bits, obj, src, lo, hi);
-        if lazy.missing == 0 {
-            self.lazy.remove(&id);
-        }
+        let (bits_at, blocks) = (self.bits.len(), len.div_ceil(BLOCK_WORDS));
+        self.bits.resize(bits_at + blocks.div_ceil(64), 0);
+        let missing = u32::try_from(blocks).expect("object length fits u32");
+        let lazy = Some(LazyCopy { bits_at, missing });
+        Local::Copy { data, lazy }
     }
 }
 
@@ -342,43 +361,41 @@ impl Tracker {
         }
     }
 
-    /// Counts a read of words `lo..hi` of `id` and, if it is `instrumented`
-    /// (the mode tracks reads and `id` is not fresh), logs it.
+    /// Counts a read of words `lo..hi` of `id` and, if the mode tracks
+    /// reads and `id` is `tracked` (not fresh), logs it.
     #[inline]
-    fn read(&mut self, instrumented: bool, id: ObjId, lo: u32, hi: u32) {
+    fn read(&mut self, tracked: bool, id: ObjId, lo: u32, hi: u32) {
         self.stats.read_ops += 1;
         self.stats.read_words += u64::from(hi - lo);
-        if instrumented {
+        if tracked && self.mode.tracks_reads() {
             let logged = self.read_log.push(id, lo, hi);
             self.charge_budget(logged);
         }
     }
 
-    /// Like [`Tracker::read`], for a write.
+    /// Counts a write of words `lo..hi` of `id` and, if `id` is `tracked`
+    /// (not fresh), logs it.
     #[inline]
-    fn write(&mut self, instrumented: bool, id: ObjId, lo: u32, hi: u32) {
+    fn write(&mut self, tracked: bool, id: ObjId, lo: u32, hi: u32) {
         self.stats.write_ops += 1;
         self.stats.write_words += u64::from(hi - lo);
-        if instrumented {
+        if tracked {
             let logged = self.write_log.push(id, lo, hi);
             self.charge_budget(logged);
         }
     }
 }
 
-/// An isolated, instrumented view of the heap for one transaction.
+/// An isolated, instrumented view of the heap for one transaction. Every
+/// accessor panics if its object is dead, unknown, or freed by it.
 pub struct Tx<'s> {
     snap: &'s Snapshot,
-    /// Private copies of the objects written so far, plus the fresh ones.
-    overlay: FxHashMap<ObjId, ObjData>,
-    /// Which of those copies are only partly filled (see the module docs).
+    /// One entry per object written, allocated or freed so far (see the
+    /// module docs).
+    overlay: FxHashMap<ObjId, Local>,
+    /// The private copies' validity masks and spare buffers.
     cow: CowScratch,
     track: Tracker,
-    /// Ids allocated by this transaction; accesses to them are not
-    /// instrumented (they cannot conflict — the paper elides instrumentation
-    /// for variables "defined afresh in each iteration").
-    fresh: Vec<ObjId>,
-    freed: Vec<ObjId>,
     ids: IdReservation,
 }
 
@@ -425,62 +442,48 @@ impl<'s> Tx<'s> {
                 tracked_bound: 0,
                 budget_words,
             },
-            fresh: Vec::new(),
-            freed: spent.frees,
             ids,
         }
     }
 
+    /// Records a read of words `lo..hi` of `id` and borrows the words to
+    /// read it from: the object's overlay entry, with the blocks of that
+    /// range made valid, if it has one, the snapshot's version otherwise.
     #[inline]
-    fn is_fresh(&self, id: ObjId) -> bool {
-        self.fresh.contains(&id)
-    }
-
-    #[inline]
-    fn track_read(&mut self, id: ObjId, lo: u32, hi: u32) {
-        let instrumented = self.track.mode.tracks_reads() && !self.is_fresh(id);
-        self.track.read(instrumented, id, lo, hi);
-    }
-
-    #[inline]
-    fn track_write(&mut self, id: ObjId, lo: u32, hi: u32) {
-        let instrumented = !self.is_fresh(id);
-        self.track.write(instrumented, id, lo, hi);
-    }
-
-    /// Borrows the payload to read words `lo..hi` of `id` from — the private
-    /// copy if there is one, with the blocks of that range made valid first,
-    /// the snapshot otherwise — **without** recording a read. Internal
-    /// helper; public reads go through the typed accessors.
-    #[inline]
-    fn view(&mut self, id: ObjId, lo: usize, hi: usize) -> ObjRef<'_> {
-        let Some(obj) = self.overlay.get_mut(&id) else {
-            return self
-                .snap
-                .get(id)
-                .unwrap_or_else(|| panic!("transaction accessed dead or unknown {id}"));
+    fn read_view(&mut self, id: ObjId, lo: usize, hi: usize) -> ObjRef<'_> {
+        let snap = self.snap;
+        let (obj, tracked) = match self.overlay.get_mut(&id) {
+            None => (snap.get(id).unwrap_or_else(|| unknown(id)), true),
+            Some(local) => {
+                let (data, tracked) =
+                    local.words(id, &mut self.cow.bits, || original(snap, id), lo, hi);
+                (data.view(), tracked)
+            }
         };
-        self.cow.fill(self.snap, id, obj, lo, hi);
-        obj.view()
+        self.track.read(tracked, id, lo as u32, hi as u32);
+        obj
     }
 
-    /// Mutably borrows the private copy of `id`, made on the first call,
-    /// with the blocks intersecting words `lo..hi` valid.
-    fn view_mut(&mut self, id: ObjId, lo: usize, hi: usize) -> &mut ObjData {
-        match self.overlay.entry(id) {
-            Entry::Occupied(slot) => {
-                let obj = slot.into_mut();
-                self.cow.fill(self.snap, id, obj, lo, hi);
-                obj
-            }
+    /// Records a write of words `lo..hi` of `id`, after a read of them if
+    /// `read_too`, and mutably borrows the object's words: its private
+    /// copy, made on the first write, with the blocks of that range valid,
+    /// or the fresh object.
+    fn write_view(&mut self, id: ObjId, lo: usize, hi: usize, read_too: bool) -> &mut ObjData {
+        let snap = self.snap;
+        let local = match self.overlay.entry(id) {
+            Entry::Occupied(slot) => slot.into_mut(),
             Entry::Vacant(slot) => {
-                let src = self
-                    .snap
-                    .get(id)
-                    .unwrap_or_else(|| panic!("transaction wrote dead or unknown {id}"));
-                slot.insert(self.cow.private_copy(id, src, lo, hi))
+                let src = snap.get(id).unwrap_or_else(|| unknown(id));
+                slot.insert(self.cow.private_copy(src))
             }
+        };
+        let (data, tracked) = local.words(id, &mut self.cow.bits, || original(snap, id), lo, hi);
+        let (lo, hi) = (lo as u32, hi as u32);
+        if read_too {
+            self.track.read(tracked, id, lo, hi);
         }
+        self.track.write(tracked, id, lo, hi);
+        data
     }
 
     // ----- typed scalar access -----
@@ -488,29 +491,25 @@ impl<'s> Tx<'s> {
     /// Reads word `idx` of float object `id`.
     #[inline]
     pub fn read_f64(&mut self, id: ObjId, idx: usize) -> f64 {
-        self.track_read(id, idx as u32, idx as u32 + 1);
-        self.view(id, idx, idx + 1).f64s()[idx]
+        self.read_view(id, idx, idx + 1).f64s()[idx]
     }
 
     /// Reads word `idx` of integer object `id`.
     #[inline]
     pub fn read_i64(&mut self, id: ObjId, idx: usize) -> i64 {
-        self.track_read(id, idx as u32, idx as u32 + 1);
-        self.view(id, idx, idx + 1).i64s()[idx]
+        self.read_view(id, idx, idx + 1).i64s()[idx]
     }
 
     /// Writes word `idx` of float object `id`.
     #[inline]
     pub fn write_f64(&mut self, id: ObjId, idx: usize, v: f64) {
-        self.track_write(id, idx as u32, idx as u32 + 1);
-        self.view_mut(id, idx, idx + 1).f64s_mut()[idx] = v;
+        self.write_view(id, idx, idx + 1, false).f64s_mut()[idx] = v;
     }
 
     /// Writes word `idx` of integer object `id`.
     #[inline]
     pub fn write_i64(&mut self, id: ObjId, idx: usize, v: i64) {
-        self.track_write(id, idx as u32, idx as u32 + 1);
-        self.view_mut(id, idx, idx + 1).i64s_mut()[idx] = v;
+        self.write_view(id, idx, idx + 1, false).i64s_mut()[idx] = v;
     }
 
     // ----- range access (the paper's induction-variable-range optimization:
@@ -525,8 +524,7 @@ impl<'s> Tx<'s> {
         hi: usize,
         f: impl FnOnce(&[f64]) -> R,
     ) -> R {
-        self.track_read(id, lo as u32, hi as u32);
-        f(&self.view(id, lo, hi).f64s()[lo..hi])
+        f(&self.read_view(id, lo, hi).f64s()[lo..hi])
     }
 
     /// Calls `f` with words `lo..hi` of integer object `id`, recording a
@@ -538,22 +536,19 @@ impl<'s> Tx<'s> {
         hi: usize,
         f: impl FnOnce(&[i64]) -> R,
     ) -> R {
-        self.track_read(id, lo as u32, hi as u32);
-        f(&self.view(id, lo, hi).i64s()[lo..hi])
+        f(&self.read_view(id, lo, hi).i64s()[lo..hi])
     }
 
     /// Writes `src` into words `lo..` of float object `id` as one range write.
     pub fn write_f64s(&mut self, id: ObjId, lo: usize, src: &[f64]) {
-        self.track_write(id, lo as u32, (lo + src.len()) as u32);
         let hi = lo + src.len();
-        self.view_mut(id, lo, hi).f64s_mut()[lo..hi].copy_from_slice(src);
+        self.write_view(id, lo, hi, false).f64s_mut()[lo..hi].copy_from_slice(src);
     }
 
     /// Writes `src` into words `lo..` of integer object `id` as one range write.
     pub fn write_i64s(&mut self, id: ObjId, lo: usize, src: &[i64]) {
-        self.track_write(id, lo as u32, (lo + src.len()) as u32);
         let hi = lo + src.len();
-        self.view_mut(id, lo, hi).i64s_mut()[lo..hi].copy_from_slice(src);
+        self.write_view(id, lo, hi, false).i64s_mut()[lo..hi].copy_from_slice(src);
     }
 
     /// Calls `f` with mutable access to words `lo..hi` of float object `id`,
@@ -565,9 +560,7 @@ impl<'s> Tx<'s> {
         hi: usize,
         f: impl FnOnce(&mut [f64]) -> R,
     ) -> R {
-        self.track_read(id, lo as u32, hi as u32);
-        self.track_write(id, lo as u32, hi as u32);
-        f(&mut self.view_mut(id, lo, hi).f64s_mut()[lo..hi])
+        f(&mut self.write_view(id, lo, hi, true).f64s_mut()[lo..hi])
     }
 
     /// Like [`Tx::update_f64s`] for integer objects.
@@ -578,9 +571,7 @@ impl<'s> Tx<'s> {
         hi: usize,
         f: impl FnOnce(&mut [i64]) -> R,
     ) -> R {
-        self.track_read(id, lo as u32, hi as u32);
-        self.track_write(id, lo as u32, hi as u32);
-        f(&mut self.view_mut(id, lo, hi).i64s_mut()[lo..hi])
+        f(&mut self.write_view(id, lo, hi, true).i64s_mut()[lo..hi])
     }
 
     // ----- guarded rows (one instrumentation call for the reads, one overlay
@@ -601,27 +592,21 @@ impl<'s> Tx<'s> {
         hi: usize,
         f: impl FnOnce(&mut RowF64s<'_>) -> R,
     ) -> R {
-        self.track_read(id, lo as u32, hi as u32);
-        let tracked = !self.is_fresh(id);
-        let words = match self.overlay.entry(id) {
+        let snap = self.snap;
+        let (words, tracked) = match self.overlay.entry(id) {
             Entry::Occupied(slot) => {
-                let obj = slot.into_mut();
-                self.cow.fill(self.snap, id, obj, lo, hi);
-                RowWords::Private(&mut obj.f64s_mut()[lo..hi])
+                let (data, tracked) =
+                    slot.into_mut()
+                        .words(id, &mut self.cow.bits, || original(snap, id), lo, hi);
+                (RowWords::Private(&mut data.f64s_mut()[lo..hi]), tracked)
             }
             Entry::Vacant(slot) => {
-                let src = self
-                    .snap
-                    .get(id)
-                    .unwrap_or_else(|| panic!("transaction accessed dead or unknown {id}"))
-                    .f64s();
-                RowWords::Shared {
-                    row: &src[lo..hi],
-                    src,
-                    slot,
-                }
+                let src = snap.get(id).unwrap_or_else(|| unknown(id)).f64s();
+                let row = &src[lo..hi];
+                (RowWords::Shared { row, src, slot }, true)
             }
         };
+        self.track.read(tracked, id, lo as u32, hi as u32);
         f(&mut RowF64s {
             words,
             id,
@@ -638,14 +623,13 @@ impl<'s> Tx<'s> {
     /// Length in words of object `id` (not instrumented: object sizes are
     /// immutable, so reading one cannot race).
     pub fn len(&self, id: ObjId) -> usize {
-        // Overlay first, like every access; a private copy has its
-        // original's length however much of it is filled.
-        self.overlay
-            .get(&id)
-            .map(ObjData::view)
-            .or_else(|| self.snap.get(id))
-            .unwrap_or_else(|| panic!("transaction accessed dead or unknown {id}"))
-            .len()
+        match self.overlay.get(&id) {
+            // A private copy has its original's length however much of it
+            // is filled.
+            Some(Local::Copy { data, .. } | Local::Fresh(data)) => data.len(),
+            Some(Local::Freed) => freed(id),
+            None => self.snap.get(id).unwrap_or_else(|| unknown(id)).len(),
+        }
     }
 
     /// Allocates a fresh object from this transaction's id reservation.
@@ -656,44 +640,52 @@ impl<'s> Tx<'s> {
     pub fn alloc(&mut self, data: ObjData) -> ObjId {
         let id = self.ids.next_id();
         self.track.stats.allocs += 1;
-        self.overlay.insert(id, data);
-        self.fresh.push(id);
+        self.overlay.insert(id, Local::Fresh(data));
         id
     }
 
     /// Frees object `id`. The free takes effect at commit; concurrently it
-    /// behaves as a whole-object write for conflict purposes.
+    /// behaves as a whole-object write for conflict purposes. An object
+    /// this transaction allocated is dropped instead: the alloc and the
+    /// free cancel.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not visible to this transaction, which includes an
     /// id it has already freed.
     pub fn free(&mut self, id: ObjId) {
-        assert!(!self.freed.contains(&id), "transaction freed {id} twice");
-        if let Some(pos) = self.fresh.iter().position(|f| *f == id) {
-            // Alloc+free within one transaction cancels out.
-            self.fresh.swap_remove(pos);
-            self.overlay.remove(&id);
-            self.track.stats.frees += 1;
-            return;
-        }
-        let len = self.len(id) as u32;
-        self.track_write(id, 0, len.max(1));
-        if let Some(copy) = self.overlay.remove(&id) {
-            self.cow.lazy.remove(&id);
-            self.cow.recycle(copy);
-        }
-        self.freed.push(id);
+        let len = match self.overlay.entry(id) {
+            Entry::Occupied(mut slot) => match slot.insert(Local::Freed) {
+                Local::Freed => panic!("transaction freed {id} twice"),
+                Local::Fresh(_) => {
+                    slot.remove();
+                    self.track.stats.frees += 1;
+                    return;
+                }
+                Local::Copy { data, .. } => {
+                    let len = data.len();
+                    self.cow.recycle(data);
+                    len
+                }
+            },
+            Entry::Vacant(slot) => {
+                let len = self.snap.get(id).unwrap_or_else(|| unknown(id)).len();
+                slot.insert(Local::Freed);
+                len
+            }
+        };
+        self.track.write(true, id, 0, (len as u32).max(1));
         self.track.stats.frees += 1;
     }
 
     /// Whether `id` is visible (live in the snapshot or created here) and
     /// not freed by this transaction.
     pub fn is_live(&self, id: ObjId) -> bool {
-        if self.freed.contains(&id) {
-            return false;
+        match self.overlay.get(&id) {
+            Some(Local::Freed) => false,
+            Some(_) => true,
+            None => self.snap.get(id).is_some(),
         }
-        self.overlay.contains_key(&id) || self.snap.get(id).is_some()
     }
 
     /// Declares `n` abstract units of compute work, consumed by the
@@ -723,27 +715,13 @@ impl<'s> Tx<'s> {
     }
 
     /// Finishes the transaction, yielding everything the commit engine
-    /// needs: private writes, access sets, allocation log and counters.
+    /// needs: its objects, access sets and counters.
     pub fn finish(mut self) -> TxEffects {
         self.track.fold_logs();
-        let mut overlay = self.overlay;
-        let allocs: Vec<(ObjId, ObjData)> = {
-            let mut fresh = self.fresh;
-            fresh.sort_unstable();
-            fresh
-                .into_iter()
-                .map(|id| {
-                    let data = overlay.remove(&id).expect("fresh object lost");
-                    (id, data)
-                })
-                .collect()
-        };
         TxEffects {
-            overlay,
+            overlay: self.overlay,
             reads: self.track.reads,
             writes: self.track.writes,
-            allocs,
-            frees: self.freed,
             stats: self.track.stats,
             alloc_high_water: self.ids.high_water(),
             cow: self.cow,
@@ -751,27 +729,20 @@ impl<'s> Tx<'s> {
             write_log: self.track.write_log,
         }
     }
-
-    /// Valid blocks of `id`'s private copy (all of them once it is complete
-    /// or was cloned whole).
-    #[cfg(test)]
-    fn valid_blocks(&self, id: ObjId) -> usize {
-        let blocks = self.overlay[&id].len().div_ceil(BLOCK_WORDS);
-        blocks - self.cow.lazy.get(&id).map_or(0, |l| l.missing as usize)
-    }
 }
 
 /// Where a [`RowF64s`] finds its words.
 enum RowWords<'a> {
-    /// The object has no private copy: `row` is the snapshot's words, `src`
+    /// The object has no overlay entry: `row` is the snapshot's words, `src`
     /// all the words of the object they belong to, and `slot` where its
     /// private copy goes when the first [`RowWriter`] opens.
     Shared {
         row: &'a [f64],
         src: &'a [f64],
-        slot: VacantEntry<'a, ObjId, ObjData>,
+        slot: VacantEntry<'a, ObjId, Local>,
     },
-    /// The row's words in the private copy, their blocks valid.
+    /// The row's words in the private copy or fresh object, their blocks
+    /// valid.
     Private(&'a mut [f64]),
 }
 
@@ -842,8 +813,9 @@ impl RowF64s<'_> {
         // The whole row's blocks, not just the written words': the row
         // reads the rest of itself from the copy from now on.
         let src = ObjRef::F64(src);
-        let obj = slot.insert(self.cow.private_copy(self.id, src, self.lo, self.hi));
-        self.words = RowWords::Private(&mut obj.f64s_mut()[self.lo..self.hi]);
+        let copy = slot.insert(self.cow.private_copy(src));
+        let (data, _) = copy.words(self.id, &mut self.cow.bits, || src, self.lo, self.hi);
+        self.words = RowWords::Private(&mut data.f64s_mut()[self.lo..self.hi]);
     }
 }
 
@@ -876,25 +848,35 @@ impl RowWriter<'_> {
     }
 }
 
+/// What committing a transaction's effects changes in the heap
+/// ([`TxEffects::footprint`]). An object allocated and freed in the one
+/// transaction counts here in neither direction, in [`TxStats`] in both.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Full lengths of the private copies, however little of each is filled.
+    pub copy_words: u64,
+    /// Objects allocated.
+    pub allocs: u32,
+    /// Words of those objects.
+    pub alloc_words: u64,
+    /// Snapshot objects freed.
+    pub frees: u32,
+}
+
 /// Everything a finished transaction hands to the validation/commit engine.
 /// Once the verdict is in and any commit applied, [`TxEffects::reset`]
 /// empties it and the next transaction is built in its containers
 /// ([`Tx::with_buffers`]).
 #[derive(Debug, Default)]
 pub struct TxEffects {
-    /// Private copies of the pre-existing objects the transaction wrote. In
-    /// a copy longer than two blocks only the words of
-    /// [`TxEffects::writes`] (and the rest of their 64-word blocks) are
-    /// meaningful.
-    pub overlay: FxHashMap<ObjId, ObjData>,
+    /// The transaction's objects as [`Tx`] left them (in a private copy
+    /// longer than two blocks only the blocks [`TxEffects::writes`] touch
+    /// are meaningful).
+    pub(crate) overlay: FxHashMap<ObjId, Local>,
     /// Read set (empty unless the mode tracked reads).
     pub reads: AccessSet,
     /// Write set.
     pub writes: AccessSet,
-    /// Freshly allocated objects, in ascending id order.
-    pub allocs: Vec<(ObjId, ObjData)>,
-    /// Objects freed.
-    pub frees: Vec<ObjId>,
     /// Operation counters.
     pub stats: TxStats,
     /// High-water mark of the id reservation (for advancing the heap).
@@ -907,6 +889,23 @@ pub struct TxEffects {
 }
 
 impl TxEffects {
+    /// What a commit of these effects changes in the heap (one pass over
+    /// the overlay).
+    pub fn footprint(&self) -> Footprint {
+        let mut fp = Footprint::default();
+        for local in self.overlay.values() {
+            match local {
+                Local::Copy { data, .. } => fp.copy_words += data.len() as u64,
+                Local::Fresh(data) => {
+                    fp.allocs += 1;
+                    fp.alloc_words += data.len() as u64;
+                }
+                Local::Freed => fp.frees += 1,
+            }
+        }
+        fp
+    }
+
     /// Empties the effects for the next transaction to be built in
     /// ([`Tx::with_buffers`]), keeping the containers' capacity and, as
     /// spares, the long private copies — a committed transaction's as well
@@ -914,26 +913,23 @@ impl TxEffects {
     /// and leaves them here. Call it once the verdict is in and any commit
     /// has been applied.
     pub fn reset(&mut self) {
-        for (_, copy) in self.overlay.drain() {
-            self.cow.recycle(copy);
+        for (_, local) in self.overlay.drain() {
+            if let Local::Copy { data, .. } = local {
+                self.cow.recycle(data);
+            }
         }
-        self.cow.reset();
+        self.cow.bits.clear();
         self.reads.clear();
         self.writes.clear();
-        self.allocs.clear();
-        self.frees.clear();
     }
 
     fn is_reset(&self) -> bool {
         self.overlay.is_empty()
-            && self.cow.lazy.is_empty()
             && self.cow.bits.is_empty()
             && self.reads.is_empty()
             && self.writes.is_empty()
             && self.read_log.is_empty()
             && self.write_log.is_empty()
-            && self.allocs.is_empty()
-            && self.frees.is_empty()
     }
 }
 
@@ -945,6 +941,23 @@ mod tests {
 
     fn ids() -> IdReservation {
         IdReservation::new(1000, 0, 1, 16)
+    }
+
+    /// Valid blocks of `id`'s private copy (all of them once it is complete
+    /// or was cloned whole).
+    fn valid_blocks(tx: &Tx<'_>, id: ObjId) -> usize {
+        let Local::Copy { data, lazy } = &tx.overlay[&id] else {
+            panic!("{id} has no private copy");
+        };
+        data.len().div_ceil(BLOCK_WORDS) - lazy.as_ref().map_or(0, |l| l.missing as usize)
+    }
+
+    /// The words of `id`'s private copy in `fx`.
+    fn copy_of(fx: &TxEffects, id: ObjId) -> &ObjData {
+        match &fx.overlay[&id] {
+            Local::Copy { data, .. } => data,
+            other => panic!("{id} has no private copy: {other:?}"),
+        }
     }
 
     fn setup() -> (Heap, ObjId, ObjId) {
@@ -995,20 +1008,29 @@ mod tests {
     }
 
     #[test]
-    fn fresh_objects_are_untracked_and_sorted_in_effects() {
-        let (h, _, _) = setup();
+    fn fresh_objects_are_untracked_and_installed_by_the_commit() {
+        let (mut h, _, _) = setup();
         let snap = h.snapshot();
         let mut tx = Tx::new(&snap, TrackMode::ReadsAndWrites, ids(), u64::MAX);
         let x = tx.alloc(ObjData::scalar_i64(1));
-        let y = tx.alloc(ObjData::scalar_i64(2));
+        let y = tx.alloc(ObjData::zeros_f64(3));
         tx.write_i64(x, 0, 11);
         assert_eq!(tx.read_i64(x, 0), 11);
+        tx.row_f64s(y, 0, 3, |row| row.writer().set(2, 5.0));
+        assert_eq!(tx.len(y), 3);
         let fx = tx.finish();
         assert!(fx.reads.is_empty());
         assert!(fx.writes.is_empty());
-        let alloc_ids: Vec<ObjId> = fx.allocs.iter().map(|(i, _)| *i).collect();
-        assert_eq!(alloc_ids, vec![x, y]);
-        assert_eq!(fx.allocs[0].1.i64s(), &[11]);
+        let footprint = Footprint {
+            allocs: 2,
+            alloc_words: 4,
+            ..Footprint::default()
+        };
+        assert_eq!(fx.footprint(), footprint);
+        drop(snap);
+        h.commit(&fx);
+        assert_eq!(h.get(x).i64s(), &[11]);
+        assert_eq!(h.get(y).f64s(), &[0.0, 0.0, 5.0]);
     }
 
     #[test]
@@ -1019,9 +1041,14 @@ mod tests {
         let x = tx.alloc(ObjData::scalar_i64(1));
         tx.free(x);
         assert!(!tx.is_live(x));
+        // The id is as unknown as it was before the alloc.
+        let touched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tx.read_i64(x, 0)));
+        let payload = touched.expect_err("a read after the free");
+        let message = payload.downcast_ref::<String>().expect("a message");
+        assert!(message.contains(&format!("unknown {x}")), "{message}");
         let fx = tx.finish();
-        assert!(fx.allocs.is_empty());
-        assert!(fx.frees.is_empty());
+        assert!(fx.overlay.is_empty());
+        assert_eq!(fx.footprint(), Footprint::default());
         assert_eq!(fx.stats.allocs, 1);
         assert_eq!(fx.stats.frees, 1);
     }
@@ -1031,11 +1058,93 @@ mod tests {
         let (h, a, _) = setup();
         let snap = h.snapshot();
         let mut tx = Tx::new(&snap, TrackMode::ReadsAndWrites, ids(), u64::MAX);
+        tx.write_f64(a, 0, 9.0);
         tx.free(a);
         assert!(!tx.is_live(a));
         let fx = tx.finish();
-        assert_eq!(fx.frees, vec![a]);
+        assert!(matches!(fx.overlay[&a], Local::Freed));
+        let footprint = Footprint {
+            frees: 1,
+            ..Footprint::default()
+        };
+        assert_eq!(fx.footprint(), footprint);
         assert!(fx.writes.contains_range(a, 0, 3));
+    }
+
+    /// Every accessor on an id the transaction freed panics in the
+    /// transaction and names the id, whether the object was untouched,
+    /// cloned whole or partly filled before the free.
+    #[test]
+    fn every_access_to_a_freed_object_panics_and_names_it() {
+        type Access = fn(&mut Tx<'_>, ObjId);
+        let float: [Access; 8] = [
+            |tx, id| {
+                tx.read_f64(id, 1);
+            },
+            |tx, id| tx.write_f64(id, 1, 1.0),
+            |tx, id| tx.with_f64s(id, 0, 2, |_| ()),
+            |tx, id| tx.write_f64s(id, 0, &[1.0, 2.0]),
+            |tx, id| tx.update_f64s(id, 0, 2, |_| ()),
+            |tx, id| {
+                tx.row_f64s(id, 0, 2, |row| row.get(0));
+            },
+            |tx, id| tx.row_f64s(id, 0, 2, |row| row.writer().set(0, 1.0)),
+            |tx, id| {
+                tx.len(id);
+            },
+        ];
+        let integer: [Access; 6] = [
+            |tx, id| {
+                tx.read_i64(id, 1);
+            },
+            |tx, id| tx.write_i64(id, 1, 1),
+            |tx, id| tx.with_i64s(id, 0, 2, |_| ()),
+            |tx, id| tx.write_i64s(id, 0, &[1, 2]),
+            |tx, id| tx.update_i64s(id, 0, 2, |_| ()),
+            |tx, id| {
+                tx.len(id);
+            },
+        ];
+        let mut h = Heap::new();
+        let (short, long) = (EAGER_MAX_WORDS, 3 * EAGER_MAX_WORDS);
+        let objs = [
+            (
+                h.alloc(ObjData::zeros_f64(short)),
+                h.alloc(ObjData::zeros_f64(long)),
+            ),
+            (
+                h.alloc(ObjData::zeros_i64(short)),
+                h.alloc(ObjData::zeros_i64(long)),
+            ),
+        ];
+        let snap = h.snapshot();
+        for ((short, long), accesses) in objs.into_iter().zip([&float[..], &integer[..]]) {
+            let states = [
+                ("untouched", long),
+                ("cloned whole", short),
+                ("partly filled", long),
+            ];
+            for (n, (state, id)) in states.into_iter().enumerate() {
+                for (k, access) in accesses.iter().enumerate() {
+                    let ctx = format!("{state} {id}, access {k}");
+                    let mut tx = Tx::new(&snap, TrackMode::ReadsAndWrites, ids(), u64::MAX);
+                    if n > 0 {
+                        // The kind's one-word write.
+                        accesses[1](&mut tx, id);
+                        let partly = matches!(tx.overlay[&id], Local::Copy { lazy: Some(_), .. });
+                        assert_eq!(partly, id == long, "{ctx}");
+                    }
+                    tx.free(id);
+                    assert!(!tx.is_live(id), "{ctx}");
+                    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        access(&mut tx, id)
+                    }))
+                    .expect_err(&ctx);
+                    let message = payload.downcast_ref::<String>().expect("a message");
+                    assert!(message.contains(&format!("freed {id}")), "{ctx}: {message}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1192,11 +1301,15 @@ mod tests {
         }
 
         fn finish(self) -> TxEffects {
+            let copies = self.overlay.into_iter().map(|(id, data)| {
+                let lazy = None;
+                (id, Local::Copy { data, lazy })
+            });
+            let frees = self.freed.into_iter().map(|id| (id, Local::Freed));
             TxEffects {
-                overlay: self.overlay,
+                overlay: copies.chain(frees).collect(),
                 reads: self.reads,
                 writes: self.writes,
-                frees: self.freed,
                 stats: self.stats,
                 alloc_high_water: ids().high_water(),
                 ..TxEffects::default()
@@ -1395,7 +1508,7 @@ mod tests {
     /// freed object has none), then the frees.
     fn commit_word_by_word(heap: &mut Heap, fx: &TxEffects) {
         for (id, ranges) in fx.writes.iter_sorted() {
-            let Some(src) = fx.overlay.get(&id) else {
+            let Some(Local::Copy { data: src, .. }) = fx.overlay.get(&id) else {
                 continue;
             };
             for w in ranges.iter().flat_map(|(lo, hi)| lo as usize..hi as usize) {
@@ -1406,8 +1519,10 @@ mod tests {
                 }
             }
         }
-        for &id in &fx.frees {
-            heap.free(id);
+        for (&id, local) in &fx.overlay {
+            if let Local::Freed = local {
+                heap.free(id);
+            }
         }
     }
 
@@ -1505,6 +1620,32 @@ mod tests {
                     _ => assert_eq!(tx.len(id), len, "{ctx}"),
                 }
             }
+            // A freed object is gone: any access to it panics in the
+            // transaction, names it, and leaves the transaction as it was.
+            if !eager.freed.is_empty() {
+                let id = eager.freed[rng.below(eager.freed.len())];
+                let o = objs.iter().position(|x| *x == id).expect("one of ours");
+                let (float, len) = (o % 2 == 1, SIZES[o]);
+                let (access, i, (lo, hi)) = (rng.below(8), rng.below(len), rng.range(len));
+                let ctx = format!("case {case} {mode:?} freed obj {o}, access {access}");
+                let touched =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match access {
+                        0 => drop(tx_read(&mut tx, float, id, i)),
+                        1 => tx_write(&mut tx, float, id, i, 1),
+                        2 => drop(tx_range(&mut tx, float, id, lo, hi)),
+                        3 => drop(tx_update(&mut tx, float, id, lo, hi, 1)),
+                        4 => tx_write_range(&mut tx, float, id, lo, &vec![1; hi - lo]),
+                        5 if float => {
+                            let script = [RowStep::Words, RowStep::Writer(vec![(0, Some(1))])];
+                            drop(tx_row(&mut tx, id, lo, hi, &script));
+                        }
+                        6 => drop(tx.len(id)),
+                        _ => tx.free(id),
+                    }));
+                let payload = touched.expect_err(&ctx);
+                let message = payload.downcast_ref::<String>().expect("a message");
+                assert!(message.contains(&format!("freed {id}")), "{ctx}: {message}");
+            }
             let (mut fx, want) = (tx.finish(), eager.finish());
             let ctx = format!("case {case} {mode:?}");
             // The sets are built from the logs in `finish`, the reference's
@@ -1515,18 +1656,18 @@ mod tests {
                 assert_eq!(got.range_count(), want.range_count(), "{ctx}");
             }
             assert_eq!(fx.stats, want.stats, "{ctx}");
-            assert_eq!(fx.frees, want.frees, "{ctx}");
-            let keys = |fx: &TxEffects| {
-                let mut keys: Vec<ObjId> = fx.overlay.keys().copied().collect();
+            let keys = |fx: &TxEffects, freed: bool| {
+                let entries = fx.overlay.iter();
+                let mut keys: Vec<ObjId> = entries
+                    .filter(|(_, local)| matches!(local, Local::Freed) == freed)
+                    .map(|(id, _)| *id)
+                    .collect();
                 keys.sort_unstable();
                 keys
             };
-            assert_eq!(keys(&fx), keys(&want), "{ctx}: overlay keys");
-            assert_eq!(
-                fx.overlay.values().map(ObjData::len).sum::<usize>(),
-                want.overlay.values().map(ObjData::len).sum::<usize>(),
-                "{ctx}: overlay words"
-            );
+            assert_eq!(keys(&fx, false), keys(&want, false), "{ctx}: copies");
+            assert_eq!(keys(&fx, true), keys(&want, true), "{ctx}: frees");
+            assert_eq!(fx.footprint(), want.footprint(), "{ctx}");
             drop(snap);
             heap.commit(&fx);
             commit_word_by_word(&mut ref_heap, &want);
@@ -1688,18 +1829,18 @@ mod tests {
         for i in 62..66 {
             tx.write_i64(big, i, -1);
         }
-        assert_eq!(tx.valid_blocks(big), 2, "of {}", 8192 / BLOCK_WORDS);
+        assert_eq!(valid_blocks(&tx, big), 2, "of {}", 8192 / BLOCK_WORDS);
         assert_eq!(tx.read_i64(big, 8191), 8191, "a read fills its own block");
-        assert_eq!(tx.valid_blocks(big), 3);
+        assert_eq!(valid_blocks(&tx, big), 3);
         // Two blocks or fewer: cloned whole, as before.
         tx.write_i64(small, 0, -1);
-        assert_eq!(tx.valid_blocks(small), 2);
+        assert_eq!(valid_blocks(&tx, small), 2);
         // An object with no invalid block left drops out of the bookkeeping.
         tx.write_i64s(big, 0, &vec![7; 8192]);
-        assert_eq!(tx.valid_blocks(big), 8192 / BLOCK_WORDS);
-        assert!(tx.cow.lazy.is_empty());
+        assert_eq!(valid_blocks(&tx, big), 8192 / BLOCK_WORDS);
+        assert!(matches!(tx.overlay[&big], Local::Copy { lazy: None, .. }));
         let fx = tx.finish();
-        assert_eq!(fx.overlay[&big].i64s()[8191], 7);
+        assert_eq!(copy_of(&fx, big).i64s()[8191], 7);
     }
 
     #[test]
@@ -1729,7 +1870,7 @@ mod tests {
                 assert_eq!(h.get(a).i64s().as_ptr(), committed, "{ctx}: in place");
                 // The private copy the commit read is still in the effects,
                 // and resetting them keeps it as a spare if it is long.
-                assert_eq!(fx.overlay[&a].i64s(), want, "{ctx}");
+                assert_eq!(copy_of(&fx, a).i64s(), want, "{ctx}");
                 fx.reset();
                 let long = len > EAGER_MAX_WORDS;
                 assert_eq!(fx.cow.spare.len(), usize::from(long), "{ctx}: a spare");
@@ -1749,10 +1890,10 @@ mod tests {
         tx.write_f64(long, 5, 1.0);
         tx.alloc(ObjData::zeros_f64(3 * EAGER_MAX_WORDS));
         tx.free(short);
-        // Rejected: nothing commits, so the long private copy is still in
-        // the overlay and the alloc in `allocs`.
+        // Rejected: nothing commits, so the long private copy, the alloc
+        // and the free are still in the overlay.
         let mut fx = tx.finish();
-        assert!(!fx.allocs.is_empty() && !fx.frees.is_empty());
+        assert_eq!((fx.footprint().allocs, fx.footprint().frees), (1, 1));
         let caps = |f: &TxEffects| [&f.reads, &f.writes].map(AccessSet::capacity);
         let (overlay, sets) = (fx.overlay.capacity(), caps(&fx));
         fx.reset();
@@ -1765,6 +1906,6 @@ mod tests {
         let spare = fx.cow.spare[0].f64s().as_ptr();
         let mut tx = Tx::with_buffers(&snap, TrackMode::WritesOnly, ids(), u64::MAX, fx);
         tx.write_f64(long, 0, 3.0);
-        assert_eq!(tx.finish().overlay[&long].f64s().as_ptr(), spare);
+        assert_eq!(copy_of(&tx.finish(), long).f64s().as_ptr(), spare);
     }
 }

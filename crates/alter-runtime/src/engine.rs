@@ -43,8 +43,8 @@ use crate::pool::WorkerPool;
 use crate::reduction::{RedDelta, RedLocals, RedVal, RedVars};
 use crate::space::IterSpace;
 use alter_heap::{
-    AccessSet, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, Tx, TxEffects, TxStats,
-    DEFAULT_BLOCK_SIZE,
+    AccessSet, Footprint, Heap, IdReservation, MemoryExceeded, ObjId, Snapshot, Tx, TxEffects,
+    TxStats, DEFAULT_BLOCK_SIZE,
 };
 use alter_trace::{ConflictKind, Event, Phase, Recorder, WallProfile};
 use std::any::Any;
@@ -836,6 +836,7 @@ impl<'a> Coordinator<'a> {
         stats.validate_words += validate_words;
         self.costs.validate += validate_words;
 
+        let footprint = effects.footprint();
         let mut report = TaskReport {
             seq: task.seq,
             worker,
@@ -851,8 +852,8 @@ impl<'a> Coordinator<'a> {
             } else {
                 0
             },
-            overlay_words: effects.overlay.values().map(|o| o.len() as u64).sum(),
-            alloc_words: effects.allocs.iter().map(|(_, o)| o.len() as u64).sum(),
+            overlay_words: footprint.copy_words,
+            alloc_words: footprint.alloc_words,
             write_ranges: effects.writes.range_count() as u64,
             conflict,
         };
@@ -870,7 +871,7 @@ impl<'a> Coordinator<'a> {
         } else {
             report.committed = true;
             timed(self.wall, Phase::Commit, || {
-                self.commit(&task, effects, &deltas, &report)
+                self.commit(&task, effects, footprint, &deltas, &report)
             })?;
         }
         self.reports.push(report);
@@ -908,11 +909,12 @@ impl<'a> Coordinator<'a> {
 
     /// Commits a validated ticket: announces it, merges its reduction
     /// deltas, applies its writes to the heap in place and admits its write
-    /// set to the validator.
+    /// set to the validator. `footprint` is that of `effects`.
     fn commit(
         &mut self,
         task: &Ticket,
         effects: TxEffects,
+        footprint: Footprint,
         deltas: &[RedDelta],
         report: &TaskReport,
     ) -> Result<(), RunError> {
@@ -928,8 +930,8 @@ impl<'a> Coordinator<'a> {
                 seq: task.seq,
                 read_words: report.read_words,
                 write_words: report.write_words,
-                allocs: effects.allocs.len() as u32,
-                frees: effects.frees.len() as u32,
+                allocs: footprint.allocs,
+                frees: footprint.frees,
             });
         }
         // A type-mismatched reduction (e.g. a boolean operator on a float
@@ -1325,6 +1327,35 @@ mod tests {
                 });
                 assert!(
                     matches!(err, RunError::Crash(ref m) if m.contains("freed obj#1 twice")),
+                    "{err:?}"
+                );
+                assert_eq!(xs, prefix(at as i64));
+            }
+        });
+    }
+
+    /// A body that touches an object after freeing it crashes in its own
+    /// transaction, whichever accessor it uses, instead of its write being
+    /// merged and then freed at commit: the run returns the crash and keeps
+    /// the tickets before it committed.
+    #[test]
+    fn use_after_free_in_a_body_becomes_crash_error() {
+        crate::quiet::quiet_panics(|| {
+            let p = params(4, 1, ConflictPolicy::None, CommitOrder::OutOfOrder);
+            let touches: [fn(&mut TxCtx<'_>, ObjId); 3] = [
+                |ctx, big| ctx.tx.write_f64(big, 0, 5.0),
+                |ctx, big| {
+                    ctx.tx.read_f64(big, 999);
+                },
+                |ctx, big| ctx.tx.row_f64s(big, 0, 8, |row| row.writer().set(1, 5.0)),
+            ];
+            for (at, touch) in [4, 5, 7].into_iter().zip(touches) {
+                let (err, xs) = run_with_fault(&p, at, |ctx, big| {
+                    ctx.tx.free(big);
+                    touch(ctx, big);
+                });
+                assert!(
+                    matches!(err, RunError::Crash(ref m) if m.contains("accessed freed obj#1")),
                     "{err:?}"
                 );
                 assert_eq!(xs, prefix(at as i64));
