@@ -19,7 +19,7 @@
 //! commit order), and under read-checking policies (FULL/OutOfOrder) a
 //! read overlapping the other task's writes breaks commutativity too.
 //! Overlap tests run the word-block scanner
-//! ([`alter_heap::RangeSet::block_scan`]) over each shared allocation, so
+//! ([`alter_heap::AccessSet::block_scan`]) over each shared allocation, so
 //! building the relation costs a deterministic `scan_words` currency.
 //!
 //! **DPOR.** Schedules are equivalent (one Mazurkiewicz trace) iff they
@@ -211,22 +211,6 @@ pub(crate) fn derive(
     }
 }
 
-/// Exact overlap test via the word-block scanner. Returns the verdict and
-/// the words the block scans compared.
-fn overlap_block_scan(a: &AccessSet, b: &AccessSet) -> (bool, u64) {
-    let mut words = 0u64;
-    for (id, ranges) in a.iter_sorted() {
-        if let Some(other) = b.ranges(id) {
-            let (hit, w) = ranges.block_scan(other);
-            words += w;
-            if hit {
-                return (true, words);
-            }
-        }
-    }
-    (false, words)
-}
-
 /// The round's dependence (non-commutativity) relation.
 struct DepGraph {
     n: usize,
@@ -257,14 +241,14 @@ fn dep_graph(tasks: &[TaskRecord], policy: ConflictPolicy) -> DepGraph {
     };
     for j in 0..n {
         for i in 0..j {
-            let (w_hit, w) = overlap_block_scan(&tasks[i].writes, &tasks[j].writes);
+            let (w_hit, w) = tasks[i].writes.block_scan(&tasks[j].writes);
             g.scan_words += w;
             g.ww[i * n + j] = w_hit;
             g.ww[j * n + i] = w_hit;
             let mut d = w_hit;
             if !d && reads_checked {
-                let (rw, w1) = overlap_block_scan(&tasks[i].reads, &tasks[j].writes);
-                let (wr, w2) = overlap_block_scan(&tasks[j].reads, &tasks[i].writes);
+                let (rw, w1) = tasks[i].reads.block_scan(&tasks[j].writes);
+                let (wr, w2) = tasks[j].reads.block_scan(&tasks[i].writes);
                 g.scan_words += w1 + w2;
                 d = rw || wr;
             }

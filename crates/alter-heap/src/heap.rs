@@ -432,8 +432,9 @@ impl Heap {
             match local {
                 // A private copy with no range in the write set wrote nothing.
                 Local::Copy { data, .. } => {
-                    if let Some(ranges) = fx.writes.ranges(id) {
-                        self.merge(id, data.view(), ranges.iter());
+                    let ranges = fx.writes.ranges(id);
+                    if !ranges.is_empty() {
+                        self.merge(id, data.view(), ranges.iter().map(|&(_, lo, hi)| (lo, hi)));
                     }
                 }
                 Local::Fresh(data) => self.install(id.0 as usize, data.view(), 1),

@@ -49,5 +49,5 @@ mod tx;
 pub use alloc::{IdReservation, DEFAULT_BLOCK_SIZE};
 pub use heap::{CommitOps, Heap, Snapshot, SnapshotStats, SNAPSHOT_PAGE_SLOTS};
 pub use object::{ObjData, ObjId, ObjKind, ObjMut, ObjRef};
-pub use sets::{AccessSet, Fingerprint, RangeSet};
+pub use sets::{AccessSet, Fingerprint};
 pub use tx::{Footprint, MemoryExceeded, RowF64s, RowWriter, TrackMode, Tx, TxEffects, TxStats};

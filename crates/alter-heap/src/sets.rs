@@ -3,11 +3,13 @@
 //! The runtime library in the paper stores instrumented addresses "in a
 //! (local) hash set as well as a (global) array. The hash set allows quick
 //! elimination of duplicates, while the global array allows other processes
-//! to check for conflicts" (§4.1). We keep the same structure: a
-//! deterministic hash map from allocation to a set of word ranges, which
-//! doubles as the structure other transactions probe during validation.
+//! to check for conflicts" (§4.1). Duplicates go here by sorting instead: a
+//! transaction appends its accesses to a log, and the log is sorted and
+//! coalesced once into an [`AccessSet`], a sorted array of `(allocation,
+//! lo, hi)` word ranges. That array plays the paper's global array: it is
+//! what other transactions' validation walks.
 
-use crate::fx::{FxHashMap, FxHasher};
+use crate::fx::FxHasher;
 use crate::object::ObjId;
 use std::hash::Hasher as _;
 
@@ -83,282 +85,6 @@ impl Fingerprint {
     }
 }
 
-/// A sorted, coalesced set of half-open word ranges within one allocation.
-///
-/// ```
-/// use alter_heap::RangeSet;
-/// let mut r = RangeSet::new();
-/// r.insert(0, 4);
-/// r.insert(4, 8); // coalesces with the previous range
-/// assert_eq!(r.range_count(), 1);
-/// assert!(r.overlaps_range(6, 7));
-/// assert!(!r.contains(8));
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RangeSet {
-    /// Sorted by `lo`, pairwise disjoint and non-adjacent.
-    ranges: Vec<(u32, u32)>,
-    /// Σ `hi - lo` over `ranges`, kept by every mutation so that
-    /// [`RangeSet::words`] never walks the list.
-    words: u64,
-}
-
-impl RangeSet {
-    /// Creates an empty range set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts `lo..hi`, merging with overlapping or adjacent ranges, and
-    /// returns how many words that newly covered. Inserting an empty range
-    /// is a no-op.
-    pub fn insert(&mut self, lo: u32, hi: u32) -> u64 {
-        if lo >= hi {
-            return 0;
-        }
-        let added = self.insert_nonempty(lo, hi);
-        self.words += added;
-        added
-    }
-
-    /// [`RangeSet::insert`] below the bookkeeping: places the range and
-    /// returns the words it added. Each branch knows its own delta, so
-    /// nothing here is proportional to the number of ranges held except the
-    /// `splice` of an out-of-order insert.
-    fn insert_nonempty(&mut self, lo: u32, hi: u32) -> u64 {
-        // Fast path: append or extend at the tail (the common access pattern
-        // is monotonically increasing indices within a chunk).
-        match self.ranges.last_mut() {
-            Some(last) if lo >= last.0 => {
-                if lo <= last.1 {
-                    let added = hi.saturating_sub(last.1);
-                    last.1 += added;
-                    return u64::from(added);
-                }
-                self.ranges.push((lo, hi));
-                return u64::from(hi - lo);
-            }
-            None => {
-                self.ranges.push((lo, hi));
-                return u64::from(hi - lo);
-            }
-            Some(_) => {}
-        }
-        // Slow path: general insert with coalescing. The merged range
-        // replaces the ranges it absorbs; what it adds is its length minus
-        // theirs.
-        let start = self.ranges.partition_point(|&(_, h)| h < lo);
-        let mut end = start;
-        let mut new_lo = lo;
-        let mut new_hi = hi;
-        let mut absorbed = 0u64;
-        while end < self.ranges.len() && self.ranges[end].0 <= new_hi {
-            let (l, h) = self.ranges[end];
-            absorbed += u64::from(h - l);
-            new_lo = new_lo.min(l);
-            new_hi = new_hi.max(h);
-            end += 1;
-        }
-        self.ranges.splice(start..end, [(new_lo, new_hi)]);
-        u64::from(new_hi - new_lo) - absorbed
-    }
-
-    /// Inserts `sorted` — ranges in ascending `lo` order, overlapping or
-    /// not — in one pass over both lists, and returns how many words that
-    /// newly covered.
-    fn extend_sorted(&mut self, sorted: impl IntoIterator<Item = (u32, u32)>) -> u64 {
-        let before = self.words;
-        let mut new = sorted.into_iter().peekable();
-        let Some(&(first_lo, _)) = new.peek() else {
-            return 0;
-        };
-        if self.ranges.last().is_none_or(|last| last.0 <= first_lo) {
-            // Everything lands at or after the tail: the common case (a
-            // fresh set at `finish`, ascending commits), kept free of the
-            // merge's set-up.
-            for (lo, hi) in new {
-                self.insert(lo, hi);
-            }
-            return self.words - before;
-        }
-        // Ranges that start at or before the first new one stay where they
-        // are. The rest come off and go back on merged with the new ones in
-        // ascending order, which makes every insert a tail insert.
-        let keep = self.ranges.partition_point(|&(lo, _)| lo <= first_lo);
-        let old = self.ranges.split_off(keep);
-        self.words -= old.iter().map(|&(l, h)| u64::from(h - l)).sum::<u64>();
-        let mut old = old.into_iter().peekable();
-        while let Some((lo, hi)) = match (old.peek(), new.peek()) {
-            (Some(a), Some(b)) if a.0 <= b.0 => old.next(),
-            (Some(_), None) => old.next(),
-            (_, Some(_)) => new.next(),
-            (None, None) => None,
-        } {
-            self.insert(lo, hi);
-        }
-        self.words - before
-    }
-
-    /// Whether any word of `lo..hi` is present.
-    pub fn overlaps_range(&self, lo: u32, hi: u32) -> bool {
-        if lo >= hi {
-            return false;
-        }
-        let i = self.ranges.partition_point(|&(_, h)| h <= lo);
-        i < self.ranges.len() && self.ranges[i].0 < hi
-    }
-
-    /// Whether the two sets share any word.
-    pub fn overlaps(&self, other: &RangeSet) -> bool {
-        let (a, b) = (&self.ranges, &other.ranges);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i].1 <= b[j].0 {
-                i += 1;
-            } else if b[j].1 <= a[i].0 {
-                j += 1;
-            } else {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The lowest word shared by the two sets, if any.
-    pub fn first_overlap(&self, other: &RangeSet) -> Option<u32> {
-        let (a, b) = (&self.ranges, &other.ranges);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i].1 <= b[j].0 {
-                i += 1;
-            } else if b[j].1 <= a[i].0 {
-                j += 1;
-            } else {
-                return Some(a[i].0.max(b[j].0));
-            }
-        }
-        None
-    }
-
-    /// Whether a specific word is present.
-    pub fn contains(&self, word: u32) -> bool {
-        self.overlaps_range(word, word + 1)
-    }
-
-    /// Total number of words covered. O(1): a maintained count.
-    pub fn words(&self) -> u64 {
-        self.words
-    }
-
-    /// Number of maximal ranges.
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Removes all ranges, retaining the backing vector's capacity so a
-    /// recycled set (see [`AccessSet::clear`] and [`crate::TxEffects::reset`])
-    /// inserts without reallocating.
-    pub fn clear(&mut self) {
-        self.ranges.clear();
-        self.words = 0;
-    }
-
-    /// Iterates over the maximal ranges in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.ranges.iter().copied()
-    }
-
-    /// Word-block disjointness scan against `other`: walks both sets as
-    /// streams of `(64-word block, u64 occupancy mask)` pairs — one lane
-    /// comparison per common block instead of one per word — and returns
-    /// `(overlap, words_compared)`. The verdict is exact (masks are exact
-    /// occupancy, so it always equals [`RangeSet::overlaps`]);
-    /// `words_compared` charges each common block the smaller side's
-    /// popcount, the work a word-granular probe of that block would not
-    /// have been able to skip. Stops at the first overlapping block.
-    pub fn block_scan(&self, other: &RangeSet) -> (bool, u64) {
-        let mut a = BlockMasks::new(&self.ranges);
-        let mut b = BlockMasks::new(&other.ranges);
-        let (mut x, mut y) = (a.next(), b.next());
-        let mut words = 0u64;
-        while let (Some((ab, am)), Some((bb, bm))) = (x, y) {
-            match ab.cmp(&bb) {
-                std::cmp::Ordering::Less => x = a.next(),
-                std::cmp::Ordering::Greater => y = b.next(),
-                std::cmp::Ordering::Equal => {
-                    words += u64::from(am.count_ones().min(bm.count_ones()));
-                    if am & bm != 0 {
-                        return (true, words);
-                    }
-                    x = a.next();
-                    y = b.next();
-                }
-            }
-        }
-        (false, words)
-    }
-}
-
-/// Streams a sorted range list as `(block, occupancy mask)` pairs in
-/// ascending block order, skipping blocks the set does not touch.
-struct BlockMasks<'a> {
-    ranges: &'a [(u32, u32)],
-    /// First range not yet fully consumed.
-    idx: usize,
-    /// Next block to emit (valid while `idx < ranges.len()`).
-    block: u32,
-}
-
-impl<'a> BlockMasks<'a> {
-    fn new(ranges: &'a [(u32, u32)]) -> Self {
-        let block = ranges.first().map_or(0, |r| r.0 >> FINGERPRINT_BLOCK_SHIFT);
-        BlockMasks {
-            ranges,
-            idx: 0,
-            block,
-        }
-    }
-}
-
-impl Iterator for BlockMasks<'_> {
-    type Item = (u32, u64);
-
-    fn next(&mut self) -> Option<(u32, u64)> {
-        if self.idx >= self.ranges.len() {
-            return None;
-        }
-        let block = self.block;
-        let base = u64::from(block) << FINGERPRINT_BLOCK_SHIFT;
-        let mut mask = 0u64;
-        let mut j = self.idx;
-        while j < self.ranges.len() && u64::from(self.ranges[j].0) < base + 64 {
-            let (lo, hi) = (u64::from(self.ranges[j].0), u64::from(self.ranges[j].1));
-            let s = lo.max(base) - base;
-            let e = hi.min(base + 64) - base;
-            debug_assert!(s < e, "ranges are non-empty and sorted");
-            mask |= if e - s == 64 {
-                u64::MAX
-            } else {
-                ((1u64 << (e - s)) - 1) << s
-            };
-            if hi > base + 64 {
-                break; // range continues into the next block
-            }
-            j += 1;
-        }
-        self.idx = j;
-        if j < self.ranges.len() {
-            self.block = (block + 1).max(self.ranges[j].0 >> FINGERPRINT_BLOCK_SHIFT);
-        }
-        Some((block, mask))
-    }
-}
-
 /// Tracked accesses in program order, not yet folded into an [`AccessSet`].
 ///
 /// Recording an access is a push — or nothing at all when it continues the
@@ -395,56 +121,33 @@ impl AccessLog {
     }
 }
 
-/// A read or write set: for each touched allocation, the set of touched
-/// word ranges.
+/// A read or write set: the touched words as `(allocation, lo, hi)`
+/// half-open ranges, in ascending `(allocation, lo)` order. Within an
+/// allocation the ranges are pairwise disjoint and non-adjacent, so the
+/// list is canonical: equal sets hold equal lists, and the trace renders
+/// the list as it is (`obj:lo-hi,…`).
 ///
 /// ```
 /// use alter_heap::{AccessSet, ObjId};
 /// let (a, b) = (ObjId::from_index(1), ObjId::from_index(2));
 /// let mut reads = AccessSet::new();
-/// reads.insert(a, 0, 16);
+/// reads.insert(a, 4, 8);
+/// reads.insert(a, 0, 4); // coalesces with the range after it
+/// assert_eq!(reads.range_count(), 1);
 /// let mut writes = AccessSet::new();
 /// writes.insert(b, 0, 16); // different allocation: no conflict
 /// assert!(!reads.overlaps(&writes));
-/// writes.insert(a, 15, 17); // one shared word: conflict
-/// assert!(reads.overlaps(&writes));
+/// writes.insert(a, 7, 9); // one shared word: conflict
+/// assert_eq!(reads.first_overlap(&writes), Some((a, 7)));
+/// assert_eq!(writes.iter_sorted().next(), Some((a, 7, 9)));
 /// ```
-///
-/// Iteration order over allocations is only exposed in sorted form
-/// ([`AccessSet::iter_sorted`]) so that every consumer of the set is
-/// deterministic — determinism is a headline guarantee of the runtime
-/// (paper §4.3).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AccessSet {
-    map: FxHashMap<ObjId, RangeSet>,
+    /// Sorted by `(allocation, lo)`; per allocation disjoint, non-adjacent.
+    entries: Vec<(ObjId, u32, u32)>,
+    /// Σ `hi - lo` over `entries`, so that [`AccessSet::words`] never walks
+    /// the list.
     words: u64,
-    /// Cleared [`RangeSet`]s recycled by [`AccessSet::clear`]; their backing
-    /// vectors keep their capacity and are reused by later inserts.
-    spare: Vec<RangeSet>,
-}
-
-impl Clone for AccessSet {
-    fn clone(&self) -> Self {
-        AccessSet {
-            map: self.map.clone(),
-            words: self.words,
-            // Spare capacity is a recycling detail of the original, not part
-            // of the set's value.
-            spare: Vec::new(),
-        }
-    }
-}
-
-/// The range set of `id` in `map`, started from a recycled one if `id` is
-/// new to it. (A function of the two fields, so that callers can update the
-/// set's word count beside it.)
-fn ranges_mut<'m>(
-    map: &'m mut FxHashMap<ObjId, RangeSet>,
-    spare: &mut Vec<RangeSet>,
-    id: ObjId,
-) -> &'m mut RangeSet {
-    map.entry(id)
-        .or_insert_with(|| spare.pop().unwrap_or_default())
 }
 
 impl AccessSet {
@@ -453,12 +156,41 @@ impl AccessSet {
         Self::default()
     }
 
-    /// Records an access to words `lo..hi` of `id`.
+    /// Records an access to words `lo..hi` of `id`, merging it with the
+    /// ranges it overlaps or touches. Inserting an empty range is a no-op.
     pub fn insert(&mut self, id: ObjId, lo: u32, hi: u32) {
         if lo >= hi {
             return;
         }
-        self.words += ranges_mut(&mut self.map, &mut self.spare, id).insert(lo, hi);
+        // Fast path: at or after the last range (accesses mostly ascend).
+        if let Some(last) = self.entries.last_mut() {
+            if (id, lo) >= (last.0, last.1) {
+                if id == last.0 && lo <= last.2 {
+                    let added = hi.saturating_sub(last.2);
+                    last.2 += added;
+                    self.words += u64::from(added);
+                } else {
+                    self.entries.push((id, lo, hi));
+                    self.words += u64::from(hi - lo);
+                }
+                return;
+            }
+        }
+        // The merged range replaces the ranges of `id` it overlaps or
+        // touches; what it adds is its length minus theirs.
+        let start = self.entries.partition_point(|&(o, _, h)| (o, h) < (id, lo));
+        let (mut end, mut new_lo, mut new_hi, mut absorbed) = (start, lo, hi, 0u64);
+        while let Some(&(o, l, h)) = self.entries.get(end) {
+            if o != id || l > new_hi {
+                break;
+            }
+            absorbed += u64::from(h - l);
+            new_lo = new_lo.min(l);
+            new_hi = new_hi.max(h);
+            end += 1;
+        }
+        self.entries.splice(start..end, [(id, new_lo, new_hi)]);
+        self.words += u64::from(new_hi - new_lo) - absorbed;
     }
 
     /// Records an access to a single word.
@@ -472,76 +204,94 @@ impl AccessSet {
     /// reads∪writes against writes, `WAW` writes against writes, `RAW` reads
     /// against writes (paper §4.2).
     pub fn overlaps(&self, other: &AccessSet) -> bool {
-        // Probe from the smaller side.
-        let (small, big) = if self.map.len() <= other.map.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        for (id, ranges) in &small.map {
-            if let Some(other_ranges) = big.map.get(id) {
-                if ranges.overlaps(other_ranges) {
-                    return true;
-                }
-            }
-        }
-        false
+        self.first_overlap(other).is_some()
     }
 
-    /// The first `(allocation, word)` shared with `other`, searched in
-    /// deterministic order: ascending [`ObjId`], then lowest shared word.
+    /// The lowest `(allocation, word)` shared with `other`, in ascending
+    /// [`ObjId`] then word order; `None` if the sets are disjoint.
     ///
-    /// This is the slow sibling of [`AccessSet::overlaps`] used only on the
-    /// conflict path, where validation has already failed and the trace
-    /// wants to *name* the dependence that broke (which word, and below,
-    /// which committed writer owns it).
+    /// One merge walk over the two lists, which meets the shared words in
+    /// ascending order and so stops at the lowest. When one list is much
+    /// shorter, its ranges instead each binary-search the longer one.
     pub fn first_overlap(&self, other: &AccessSet) -> Option<(ObjId, u32)> {
-        let mut best: Option<(ObjId, u32)> = None;
-        for (id, ranges) in &self.map {
-            if best.is_some_and(|(b, _)| b <= *id) {
-                continue;
-            }
-            if let Some(other_ranges) = other.map.get(id) {
-                if let Some(word) = ranges.first_overlap(other_ranges) {
-                    best = Some((*id, word));
+        let (small, big) = if self.entries.len() <= other.entries.len() {
+            (&self.entries, &other.entries)
+        } else {
+            (&other.entries, &self.entries)
+        };
+        let log_big = (usize::BITS - big.len().leading_zeros()) as usize;
+        if small.len() * log_big < big.len() {
+            let mut at = 0;
+            for &(id, lo, hi) in small {
+                // The first range of `big` not wholly below `lo` of `id`;
+                // later ranges of `small` start higher still.
+                at += big[at..].partition_point(|&(o, _, h)| (o, h) <= (id, lo));
+                match big.get(at) {
+                    Some(&(o, l, _)) if o == id && l < hi => return Some((id, lo.max(l))),
+                    Some(_) => {}
+                    None => return None,
                 }
             }
+            return None;
         }
-        best
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&(a, a_lo, a_hi)), Some(&(b, b_lo, b_hi))) = (small.get(i), big.get(j)) {
+            if (a, a_hi) <= (b, b_lo) {
+                i += 1;
+            } else if (b, b_hi) <= (a, a_lo) {
+                j += 1;
+            } else {
+                return Some((a, a_lo.max(b_lo)));
+            }
+        }
+        None
     }
 
-    /// Whether words `lo..hi` of `id` are present.
+    /// Whether any of words `lo..hi` of `id` is present.
     pub fn contains_range(&self, id: ObjId, lo: u32, hi: u32) -> bool {
-        self.map.get(&id).is_some_and(|r| r.overlaps_range(lo, hi))
+        let at = self
+            .entries
+            .partition_point(|&(o, _, h)| (o, h) <= (id, lo));
+        let first = self.entries.get(at);
+        lo < hi && first.is_some_and(|&(o, l, _)| o == id && l < hi)
     }
 
-    /// The range set recorded for `id`, if any.
-    pub fn ranges(&self, id: ObjId) -> Option<&RangeSet> {
-        self.map.get(&id)
+    /// The ranges recorded for `id`, in ascending order (empty if none).
+    pub fn ranges(&self, id: ObjId) -> &[(ObjId, u32, u32)] {
+        let start = self.entries.partition_point(|&(o, ..)| o < id);
+        let len = self.entries[start..].partition_point(|&(o, ..)| o == id);
+        &self.entries[start..start + len]
     }
 
-    /// Merges `other` into `self`: one lookup and one linear merge per
-    /// allocation of `other`.
+    /// Merges `other` into `self`.
     pub fn union_with(&mut self, other: &AccessSet) {
-        for (id, ranges) in &other.map {
-            let set = ranges_mut(&mut self.map, &mut self.spare, *id);
-            self.words += set.extend_sorted(ranges.iter());
+        self.entries.extend_from_slice(&other.entries);
+        self.normalize();
+    }
+
+    /// Folds `log` into the set and empties it, keeping its capacity. The
+    /// result is the set that inserting the log's entries one by one would
+    /// have built.
+    pub(crate) fn absorb(&mut self, log: &mut AccessLog) {
+        if !log.entries.is_empty() {
+            self.entries.append(&mut log.entries);
+            self.normalize();
         }
     }
 
-    /// Folds `log` into the set and empties it, keeping its capacity: one
-    /// sort of the log, then per allocation one lookup and one linear merge.
-    /// The result is the set and word count that inserting the log's
-    /// entries one by one would have built.
-    pub(crate) fn absorb(&mut self, log: &mut AccessLog) {
-        // Stable sort: a log is mostly a few ascending sweeps, which it
-        // merges as runs.
-        log.entries.sort();
-        for group in log.entries.chunk_by(|a, b| a.0 == b.0) {
-            let set = ranges_mut(&mut self.map, &mut self.spare, group[0].0);
-            self.words += set.extend_sorted(group.iter().map(|&(_, lo, hi)| (lo, hi)));
-        }
-        log.entries.clear();
+    /// Sorts and coalesces `entries` and recounts `words`. The sort is
+    /// stable, so a list that is a few ascending runs (a sorted set plus a
+    /// log of sweeps) is merged as runs.
+    fn normalize(&mut self) {
+        self.entries.sort();
+        self.entries.dedup_by(|next, kept| {
+            let merge = next.0 == kept.0 && next.1 <= kept.2;
+            if merge {
+                kept.2 = kept.2.max(next.2);
+            }
+            merge
+        });
+        self.words = self.entries.iter().map(|&(_, l, h)| u64::from(h - l)).sum();
     }
 
     /// Total words covered across all allocations.
@@ -549,37 +299,27 @@ impl AccessSet {
         self.words
     }
 
-    /// Number of distinct allocations touched.
-    pub fn objects(&self) -> usize {
-        self.map.len()
-    }
-
     /// Total number of maximal ranges across all allocations (each maps to
     /// one instrumentation record).
     pub fn range_count(&self) -> usize {
-        self.map.values().map(RangeSet::range_count).sum()
+        self.entries.len()
     }
 
     /// Whether no access has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Allocations the map holds room for without growing.
+    /// Ranges the list holds room for without growing.
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
-        self.map.capacity()
+        self.entries.capacity()
     }
 
-    /// Removes all recorded accesses, retaining capacity: the allocation
-    /// map keeps its table, and each per-allocation [`RangeSet`] is drained
-    /// into a spare list for reuse by later inserts — the `clear()`-style
-    /// recycling [`crate::TxEffects::reset`] relies on.
+    /// Removes all recorded accesses, retaining capacity (the recycling
+    /// [`crate::TxEffects::reset`] relies on).
     pub fn clear(&mut self) {
-        for (_, mut ranges) in self.map.drain() {
-            ranges.clear();
-            self.spare.push(ranges);
-        }
+        self.entries.clear();
         self.words = 0;
     }
 
@@ -589,19 +329,103 @@ impl AccessSet {
     /// wall-clock benchmark's `sets.fingerprint_ns` probe times this build.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut fp = Fingerprint::new();
-        for (id, ranges) in &self.map {
-            for (lo, hi) in ranges.iter() {
-                fp.insert_range(*id, lo, hi);
-            }
+        for &(id, lo, hi) in &self.entries {
+            fp.insert_range(id, lo, hi);
         }
         fp
     }
 
-    /// Iterates over `(allocation, ranges)` in ascending `ObjId` order.
-    pub fn iter_sorted(&self) -> Vec<(ObjId, &RangeSet)> {
-        let mut v: Vec<_> = self.map.iter().map(|(id, r)| (*id, r)).collect();
-        v.sort_by_key(|(id, _)| *id);
-        v
+    /// The ranges as `(allocation, lo, hi)`, in ascending order.
+    pub fn iter_sorted(&self) -> impl Iterator<Item = (ObjId, u32, u32)> + '_ {
+        self.entries.iter().copied()
+    }
+
+    /// Word-block disjointness scan against `other`: walks the allocations
+    /// both sets hold in ascending order, each as two streams of `(64-word
+    /// block, u64 occupancy mask)` pairs — one lane comparison per common
+    /// block instead of one per word — and returns `(overlap,
+    /// words_compared)`. The verdict is exact (masks are exact occupancy, so
+    /// it always equals [`AccessSet::overlaps`]); `words_compared` charges
+    /// each common block the smaller side's popcount, the work a
+    /// word-granular probe of that block would not have been able to skip.
+    /// Stops at the first colliding block.
+    pub fn block_scan(&self, other: &AccessSet) -> (bool, u64) {
+        let mut words = 0u64;
+        for mine in self.entries.chunk_by(|a, b| a.0 == b.0) {
+            let theirs = other.ranges(mine[0].0);
+            let (mut a, mut b) = (BlockMasks::new(mine), BlockMasks::new(theirs));
+            let (mut x, mut y) = (a.next(), b.next());
+            while let (Some((ab, am)), Some((bb, bm))) = (x, y) {
+                match ab.cmp(&bb) {
+                    std::cmp::Ordering::Less => x = a.next(),
+                    std::cmp::Ordering::Greater => y = b.next(),
+                    std::cmp::Ordering::Equal => {
+                        words += u64::from(am.count_ones().min(bm.count_ones()));
+                        if am & bm != 0 {
+                            return (true, words);
+                        }
+                        x = a.next();
+                        y = b.next();
+                    }
+                }
+            }
+        }
+        (false, words)
+    }
+}
+
+/// Streams one allocation's ranges as `(block, occupancy mask)` pairs in
+/// ascending block order, skipping blocks the set does not touch.
+struct BlockMasks<'a> {
+    ranges: &'a [(ObjId, u32, u32)],
+    /// First range not yet fully consumed.
+    idx: usize,
+    /// Next block to emit (valid while `idx < ranges.len()`).
+    block: u32,
+}
+
+impl<'a> BlockMasks<'a> {
+    fn new(ranges: &'a [(ObjId, u32, u32)]) -> Self {
+        let block = ranges.first().map_or(0, |r| r.1 >> FINGERPRINT_BLOCK_SHIFT);
+        BlockMasks {
+            ranges,
+            idx: 0,
+            block,
+        }
+    }
+}
+
+impl Iterator for BlockMasks<'_> {
+    type Item = (u32, u64);
+
+    fn next(&mut self) -> Option<(u32, u64)> {
+        if self.idx >= self.ranges.len() {
+            return None;
+        }
+        let block = self.block;
+        let base = u64::from(block) << FINGERPRINT_BLOCK_SHIFT;
+        let mut mask = 0u64;
+        let mut j = self.idx;
+        while j < self.ranges.len() && u64::from(self.ranges[j].1) < base + 64 {
+            let (lo, hi) = (u64::from(self.ranges[j].1), u64::from(self.ranges[j].2));
+            let s = lo.max(base) - base;
+            let e = hi.min(base + 64) - base;
+            debug_assert!(s < e, "ranges are non-empty and sorted");
+            mask |= if e - s == 64 {
+                u64::MAX
+            } else {
+                ((1u64 << (e - s)) - 1) << s
+            };
+            if hi > base + 64 {
+                break; // range continues into the next block
+            }
+            j += 1;
+        }
+        self.idx = j;
+        if j < self.ranges.len() {
+            self.block = (block + 1).max(self.ranges[j].1 >> FINGERPRINT_BLOCK_SHIFT);
+        }
+        Some((block, mask))
     }
 }
 
@@ -613,53 +437,56 @@ mod tests {
         ObjId::from_index(n)
     }
 
+    // The `rangeset_*` tests check the ranges of one allocation.
+
     #[test]
     fn rangeset_coalesces_adjacent_and_overlapping() {
-        let mut r = RangeSet::new();
-        r.insert(0, 2);
-        r.insert(2, 4); // adjacent
+        let mut r = AccessSet::new();
+        r.insert(id(1), 0, 2);
+        r.insert(id(1), 2, 4); // adjacent
         assert_eq!(r.range_count(), 1);
         assert_eq!(r.words(), 4);
-        r.insert(10, 12);
-        r.insert(1, 11); // bridges both
+        r.insert(id(1), 10, 12);
+        r.insert(id(1), 1, 11); // bridges both
         assert_eq!(r.range_count(), 1);
         assert_eq!(r.words(), 12);
     }
 
     #[test]
     fn rangeset_out_of_order_inserts() {
-        let mut r = RangeSet::new();
-        r.insert(10, 20);
-        r.insert(0, 5);
-        r.insert(30, 40);
+        let mut r = AccessSet::new();
+        r.insert(id(1), 10, 20);
+        r.insert(id(1), 0, 5);
+        r.insert(id(1), 30, 40);
         assert_eq!(r.range_count(), 3);
-        assert!(r.contains(0));
-        assert!(r.contains(19));
-        assert!(!r.contains(20));
-        assert!(!r.contains(25));
-        assert!(r.contains(39));
+        let contains = |w: u32| r.contains_range(id(1), w, w + 1);
+        assert!(contains(0));
+        assert!(contains(19));
+        assert!(!contains(20));
+        assert!(!contains(25));
+        assert!(contains(39));
     }
 
     #[test]
     fn rangeset_empty_insert_is_noop() {
-        let mut r = RangeSet::new();
-        r.insert(5, 5);
+        let mut r = AccessSet::new();
+        r.insert(id(1), 5, 5);
         assert!(r.is_empty());
-        assert!(!r.overlaps_range(0, 100));
+        assert!(!r.contains_range(id(1), 0, 100));
     }
 
     #[test]
     fn rangeset_overlap_tests() {
-        let mut a = RangeSet::new();
-        a.insert(0, 10);
-        a.insert(20, 30);
-        let mut b = RangeSet::new();
-        b.insert(10, 20);
+        let mut a = AccessSet::new();
+        a.insert(id(1), 0, 10);
+        a.insert(id(1), 20, 30);
+        let mut b = AccessSet::new();
+        b.insert(id(1), 10, 20);
         assert!(!a.overlaps(&b));
-        b.insert(29, 35);
+        b.insert(id(1), 29, 35);
         assert!(a.overlaps(&b));
-        assert!(a.overlaps_range(5, 6));
-        assert!(!a.overlaps_range(10, 20));
+        assert!(a.contains_range(id(1), 5, 6));
+        assert!(!a.contains_range(id(1), 10, 20));
     }
 
     #[test]
@@ -669,7 +496,7 @@ mod tests {
         s.insert(id(1), 2, 6); // 2 new words
         s.insert_word(id(2), 9);
         assert_eq!(s.words(), 7);
-        assert_eq!(s.objects(), 2);
+        assert_eq!(s.range_count(), 2);
     }
 
     #[test]
@@ -695,7 +522,10 @@ mod tests {
         b.insert(id(3), 0, 1);
         a.union_with(&b);
         assert_eq!(a.words(), 4);
-        assert_eq!(a.objects(), 2);
+        assert_eq!(
+            a.iter_sorted().collect::<Vec<_>>(),
+            [(id(1), 0, 3), (id(3), 0, 1)]
+        );
         a.clear();
         assert!(a.is_empty());
         assert_eq!(a.words(), 0);
@@ -726,21 +556,24 @@ mod tests {
             .count()
     }
 
-    fn assert_matches_naive(set: &AccessSet, naive: &Naive, ctx: &str) {
-        let listed: Naive = set
-            .iter_sorted()
+    /// The words of a run of ranges.
+    fn words_of(ranges: impl IntoIterator<Item = (ObjId, u32, u32)>) -> Naive {
+        ranges
             .into_iter()
-            .flat_map(|(obj, r)| {
-                r.iter()
-                    .flat_map(move |(lo, hi)| (lo..hi).map(move |w| (obj, w)))
-            })
-            .collect();
-        assert_eq!(&listed, naive, "{ctx}: words");
-        let summed: u64 = set
-            .iter_sorted()
-            .iter()
-            .map(|(_, r)| r.iter().map(|(lo, hi)| u64::from(hi - lo)).sum::<u64>())
-            .sum();
+            .flat_map(|(obj, lo, hi)| (lo..hi).map(move |w| (obj, w)))
+            .collect()
+    }
+
+    fn assert_matches_naive(set: &AccessSet, naive: &Naive, ctx: &str) {
+        assert_eq!(&words_of(set.iter_sorted()), naive, "{ctx}: words");
+        let listed: Vec<_> = set.iter_sorted().collect();
+        assert!(
+            listed
+                .windows(2)
+                .all(|w| (w[0].0, w[0].2) < (w[1].0, w[1].1)),
+            "{ctx}: ascending, disjoint and non-adjacent: {listed:?}"
+        );
+        let summed: u64 = listed.iter().map(|&(_, lo, hi)| u64::from(hi - lo)).sum();
         assert_eq!(
             set.words(),
             summed,
@@ -751,10 +584,6 @@ mod tests {
             naive.len() as u64,
             "{ctx}: words() against the model"
         );
-        for (_, r) in set.iter_sorted() {
-            let own: u64 = r.iter().map(|(lo, hi)| u64::from(hi - lo)).sum();
-            assert_eq!(r.words(), own, "{ctx}: RangeSet::words()");
-        }
         assert_eq!(
             set.range_count(),
             naive_range_count(naive),
@@ -762,9 +591,52 @@ mod tests {
         );
     }
 
+    /// Every query of `a` against `b` — and `ranges` and `contains_range`
+    /// of `a` alone — against the two sets' models. Returns whether they
+    /// overlap.
+    fn assert_queries_match_naive(
+        (a, na): (&AccessSet, &Naive),
+        (b, nb): (&AccessSet, &Naive),
+        rng: &mut Rng,
+        ctx: &str,
+    ) -> bool {
+        let first = na.intersection(nb).next().copied();
+        assert_eq!(a.first_overlap(b), first, "{ctx}: first_overlap");
+        assert_eq!(b.first_overlap(a), first, "{ctx}: first_overlap, swapped");
+        assert_eq!(a.overlaps(b), first.is_some(), "{ctx}: overlaps");
+        assert_eq!(b.overlaps(a), first.is_some(), "{ctx}: overlaps, swapped");
+        for (x, y) in [(a, b), (b, a)] {
+            let (hit, words) = x.block_scan(y);
+            assert_eq!(hit, first.is_some(), "{ctx}: block_scan verdict");
+            assert!(
+                words <= x.words().min(y.words()),
+                "{ctx}: block accounting never exceeds the smaller side"
+            );
+        }
+        for obj in (0..4).map(id) {
+            let run = a.ranges(obj);
+            assert!(run.iter().all(|r| r.0 == obj), "{ctx}: ranges({obj})");
+            let model: Naive = na.iter().filter(|w| w.0 == obj).copied().collect();
+            assert_eq!(words_of(run.iter().copied()), model, "{ctx}: ranges({obj})");
+        }
+        for _ in 0..16 {
+            let (obj, lo) = (id(rng.below(4)), rng.below(300));
+            let hi = lo + rng.below(8); // sometimes empty
+            let model = (lo..hi).any(|w| na.contains(&(obj, w)));
+            assert_eq!(
+                a.contains_range(obj, lo, hi),
+                model,
+                "{ctx}: contains_range({obj}, {lo}, {hi})"
+            );
+        }
+        first.is_some()
+    }
+
     #[test]
     fn word_counts_and_ranges_match_a_naive_model() {
         let mut rng = Rng(0x5e75);
+        let mut previous = (AccessSet::new(), Naive::new());
+        let mut verdicts = [0u32; 2];
         for case in 0..300 {
             let objects = 1 + rng.below(3);
             // Small universes make duplicates, adjacency and bridges common;
@@ -809,6 +681,7 @@ mod tests {
             let (mut eager, mut logged, mut log) =
                 (AccessSet::new(), AccessSet::new(), AccessLog::default());
             let (mut halves, mut union) = ([AccessSet::new(), AccessSet::new()], AccessSet::new());
+            let mut half_models = [Naive::new(), Naive::new()];
             let mut bound = 0;
             for (i, &(obj, lo, hi)) in ops.iter().enumerate() {
                 naive.extend((lo..hi).map(|w| (obj, w)));
@@ -825,6 +698,7 @@ mod tests {
                     logged.absorb(&mut log);
                 }
                 halves[i % 2].insert(obj, lo, hi);
+                half_models[i % 2].extend((lo..hi).map(|w| (obj, w)));
             }
             logged.absorb(&mut log);
             assert!(log.is_empty(), "case {case}: absorb drains the log");
@@ -838,45 +712,62 @@ mod tests {
             assert_matches_naive(&eager, &naive, &format!("case {case} eager"));
             assert_matches_naive(&logged, &naive, &format!("case {case} logged"));
             assert_matches_naive(&union, &naive, &format!("case {case} union"));
+            assert_eq!(logged, eager, "case {case}: one canonical list");
+
+            // The queries, on two pairs: the halves (each built by inserts
+            // in the ops' order), and the folded set against the previous
+            // case's.
+            let pairs = [
+                ((&halves[0], &half_models[0]), (&halves[1], &half_models[1])),
+                ((&logged, &naive), (&previous.0, &previous.1)),
+            ];
+            for (k, (a, b)) in pairs.into_iter().enumerate() {
+                let ctx = format!("case {case} pair {k}");
+                verdicts[usize::from(assert_queries_match_naive(a, b, &mut rng, &ctx))] += 1;
+            }
+            previous = (logged, naive);
         }
+        // Both verdicts must be common for the comparison to mean anything.
+        assert!(verdicts.iter().all(|&n| n > 100), "verdicts {verdicts:?}");
     }
 
     #[test]
     fn insert_reports_the_words_each_branch_adds() {
-        let mut r = RangeSet::new();
-        assert_eq!(r.insert(10, 20), 10, "first range");
-        assert_eq!(
-            r.insert(15, 25),
-            5,
-            "tail extension counts only the new part"
-        );
-        assert_eq!(r.insert(12, 18), 0, "inside the tail: nothing new");
-        assert_eq!(r.insert(25, 26), 1, "adjacent to the tail");
-        assert_eq!(r.insert(40, 50), 10, "push");
-        assert_eq!(r.insert(60, 70), 10);
-        assert_eq!(r.insert(0, 5), 5, "splice in front, absorbing nothing");
-        assert_eq!(r.insert(5, 10), 5, "splice bridging two ranges exactly");
-        assert_eq!(r.insert(20, 65), 24, "splice absorbing three ranges");
-        assert_eq!(r.insert(3, 3), 0, "empty");
-        assert_eq!(r.iter().collect::<Vec<_>>(), vec![(0, 70)]);
+        let mut r = AccessSet::new();
+        let mut added = |lo, hi| {
+            let before = r.words();
+            r.insert(id(1), lo, hi);
+            r.words() - before
+        };
+        assert_eq!(added(10, 20), 10, "first range");
+        assert_eq!(added(15, 25), 5, "tail extension counts only the new part");
+        assert_eq!(added(12, 18), 0, "inside the tail: nothing new");
+        assert_eq!(added(25, 26), 1, "adjacent to the tail");
+        assert_eq!(added(40, 50), 10, "push");
+        assert_eq!(added(60, 70), 10);
+        assert_eq!(added(0, 5), 5, "splice in front, absorbing nothing");
+        assert_eq!(added(5, 10), 5, "splice bridging two ranges exactly");
+        assert_eq!(added(20, 65), 24, "splice absorbing three ranges");
+        assert_eq!(added(3, 3), 0, "empty");
+        assert_eq!(r.iter_sorted().collect::<Vec<_>>(), [(id(1), 0, 70)]);
         assert_eq!(r.words(), 70);
     }
 
     #[test]
     fn rangeset_first_overlap_finds_lowest_shared_word() {
-        let mut a = RangeSet::new();
-        a.insert(0, 10);
-        a.insert(20, 30);
-        let mut b = RangeSet::new();
-        b.insert(10, 20);
+        let mut a = AccessSet::new();
+        a.insert(id(1), 0, 10);
+        a.insert(id(1), 20, 30);
+        let mut b = AccessSet::new();
+        b.insert(id(1), 10, 20);
         assert_eq!(a.first_overlap(&b), None);
-        b.insert(25, 35);
-        assert_eq!(a.first_overlap(&b), Some(25));
-        let mut c = RangeSet::new();
-        c.insert(5, 6);
-        c.insert(22, 23);
-        assert_eq!(a.first_overlap(&c), Some(5));
-        assert_eq!(c.first_overlap(&a), Some(5));
+        b.insert(id(1), 25, 35);
+        assert_eq!(a.first_overlap(&b), Some((id(1), 25)));
+        let mut c = AccessSet::new();
+        c.insert(id(1), 5, 6);
+        c.insert(id(1), 22, 23);
+        assert_eq!(a.first_overlap(&c), Some((id(1), 5)));
+        assert_eq!(c.first_overlap(&a), Some((id(1), 5)));
     }
 
     #[test]
@@ -888,7 +779,7 @@ mod tests {
         b.insert(id(7), 2, 3);
         b.insert(id(2), 10, 11);
         // Both objects overlap; the lowest ObjId (and its lowest shared
-        // word) must win regardless of hash-map iteration order.
+        // word) must win whatever the order of insertion.
         assert_eq!(a.first_overlap(&b), Some((id(2), 10)));
         assert_eq!(b.first_overlap(&a), Some((id(2), 10)));
         let empty = AccessSet::new();
@@ -897,30 +788,16 @@ mod tests {
 
     #[test]
     fn rangeset_clear_retains_capacity() {
-        let mut r = RangeSet::new();
-        r.insert(0, 2);
-        r.insert(10, 12);
-        let cap = r.ranges.capacity();
+        let mut r = AccessSet::new();
+        r.insert(id(1), 0, 2);
+        r.insert(id(1), 10, 12);
+        let cap = r.entries.capacity();
         assert!(cap >= 2);
         r.clear();
         assert!(r.is_empty());
-        assert_eq!(r.ranges.capacity(), cap, "clear must not shrink");
-        r.insert(5, 7);
+        assert_eq!(r.entries.capacity(), cap, "clear must not shrink");
+        r.insert(id(1), 5, 7);
         assert_eq!(r.words(), 2);
-    }
-
-    #[test]
-    fn accessset_clear_recycles_rangesets() {
-        let mut s = AccessSet::new();
-        s.insert(id(1), 0, 4);
-        s.insert(id(2), 8, 16);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.words(), 0);
-        assert_eq!(s.spare.len(), 2, "cleared range sets are kept for reuse");
-        s.insert(id(3), 0, 1);
-        assert_eq!(s.spare.len(), 1, "a reused range set left the spare list");
-        assert_eq!(s.words(), 1);
     }
 
     #[test]
@@ -1024,32 +901,34 @@ mod tests {
         for n in [5u32, 1, 9, 3] {
             a.insert_word(id(n), 0);
         }
-        let order: Vec<u32> = a.iter_sorted().iter().map(|(i, _)| i.index()).collect();
+        let order: Vec<u32> = a.iter_sorted().map(|(i, ..)| i.index()).collect();
         assert_eq!(order, vec![1, 3, 5, 9]);
     }
 
     #[test]
     fn block_scan_verdicts_match_exact_overlap() {
-        type Ranges = &'static [(u32, u32)];
+        type Ranges = &'static [(u32, u32, u32)];
         let cases: &[(Ranges, Ranges)] = &[
-            (&[(0, 10)], &[(10, 20)]),            // touching, disjoint
-            (&[(0, 10)], &[(9, 12)]),             // overlap in block 0
-            (&[(0, 64)], &[(64, 128)]),           // block-aligned, disjoint
-            (&[(0, 200)], &[(120, 130)]),         // long range spans blocks
-            (&[(5, 6), (700, 710)], &[(6, 700)]), // interleaved, disjoint
-            (&[(5, 6), (700, 710)], &[(6, 701)]), // grazes the second range
-            (&[], &[(0, 4)]),                     // empty side
-            (&[(63, 65)], &[(64, 66)]),           // straddles a block seam
-            (&[(63, 64)], &[(64, 66)]),           // disjoint across the seam
+            (&[(1, 0, 10)], &[(1, 10, 20)]),               // touching, disjoint
+            (&[(1, 0, 10)], &[(1, 9, 12)]),                // overlap in block 0
+            (&[(1, 0, 64)], &[(1, 64, 128)]),              // block-aligned, disjoint
+            (&[(1, 0, 200)], &[(1, 120, 130)]),            // long range spans blocks
+            (&[(1, 5, 6), (1, 700, 710)], &[(1, 6, 700)]), // interleaved, disjoint
+            (&[(1, 5, 6), (1, 700, 710)], &[(1, 6, 701)]), // grazes the second range
+            (&[], &[(1, 0, 4)]),                           // empty side
+            (&[(1, 63, 65)], &[(1, 64, 66)]),              // straddles a block seam
+            (&[(1, 63, 64)], &[(1, 64, 66)]),              // disjoint across the seam
+            (&[(1, 0, 8), (2, 0, 8)], &[(2, 8, 9), (3, 0, 8)]), // shared words, other objects
+            (&[(1, 0, 8), (2, 0, 8)], &[(0, 0, 8), (2, 7, 9)]), // hit in the second object
         ];
         for (i, (aw, bw)) in cases.iter().enumerate() {
-            let mut a = RangeSet::new();
-            let mut b = RangeSet::new();
-            for &(l, h) in *aw {
-                a.insert(l, h);
+            let mut a = AccessSet::new();
+            let mut b = AccessSet::new();
+            for &(o, l, h) in *aw {
+                a.insert(id(o), l, h);
             }
-            for &(l, h) in *bw {
-                b.insert(l, h);
+            for &(o, l, h) in *bw {
+                b.insert(id(o), l, h);
             }
             let (hit, words) = a.block_scan(&b);
             assert_eq!(hit, a.overlaps(&b), "case {i}: verdicts must agree");

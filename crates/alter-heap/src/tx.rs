@@ -1225,6 +1225,9 @@ mod tests {
     struct EagerTx<'s> {
         snap: &'s Snapshot,
         overlay: FxHashMap<ObjId, ObjData>,
+        /// Objects allocated and not freed; their accesses are not tracked.
+        fresh: FxHashMap<ObjId, ObjData>,
+        ids: IdReservation,
         reads: AccessSet,
         writes: AccessSet,
         mode: TrackMode,
@@ -1251,6 +1254,8 @@ mod tests {
             EagerTx {
                 snap,
                 overlay: FxHashMap::default(),
+                fresh: FxHashMap::default(),
+                ids: ids(),
                 reads: AccessSet::new(),
                 writes: AccessSet::new(),
                 mode,
@@ -1262,40 +1267,60 @@ mod tests {
         fn read(&mut self, id: ObjId, lo: usize, hi: usize) -> Vec<i64> {
             self.stats.read_ops += 1;
             self.stats.read_words += (hi - lo) as u64;
-            if self.mode.tracks_reads() {
-                self.reads.insert(id, lo as u32, hi as u32);
-            }
-            let obj = match self.overlay.get(&id) {
-                Some(obj) => obj.view(),
-                None => self.snap.get(id).unwrap(),
+            let obj = match (self.fresh.get(&id), self.overlay.get(&id)) {
+                (Some(obj), _) => obj.view(),
+                (None, copy) => {
+                    if self.mode.tracks_reads() {
+                        self.reads.insert(id, lo as u32, hi as u32);
+                    }
+                    copy.map_or_else(|| self.snap.get(id).unwrap(), ObjData::view)
+                }
             };
             (lo..hi).map(|i| word(obj, i)).collect()
         }
 
-        /// The private copy of `id`, cloned whole on first call.
+        /// The private copy of `id`, cloned whole on first call, or the
+        /// fresh object itself.
         fn own(&mut self, id: ObjId) -> &mut ObjData {
             let snap = self.snap;
-            self.overlay
-                .entry(id)
-                .or_insert_with(|| snap.get(id).unwrap().to_owned())
+            match self.fresh.get_mut(&id) {
+                Some(obj) => obj,
+                None => self
+                    .overlay
+                    .entry(id)
+                    .or_insert_with(|| snap.get(id).unwrap().to_owned()),
+            }
         }
 
         fn write(&mut self, id: ObjId, lo: usize, vals: &[i64]) {
             self.stats.write_ops += 1;
             self.stats.write_words += vals.len() as u64;
-            self.writes.insert(id, lo as u32, (lo + vals.len()) as u32);
+            if !self.fresh.contains_key(&id) {
+                self.writes.insert(id, lo as u32, (lo + vals.len()) as u32);
+            }
             let obj = self.own(id);
             for (i, v) in vals.iter().enumerate() {
                 set_word(obj, lo + i, *v);
             }
         }
 
+        fn alloc(&mut self, data: ObjData) -> ObjId {
+            let id = self.ids.next_id();
+            self.stats.allocs += 1;
+            self.fresh.insert(id, data);
+            id
+        }
+
+        /// Frees `id`; an object this transaction allocated just goes.
         fn free(&mut self, id: ObjId) {
+            self.stats.frees += 1;
+            if self.fresh.remove(&id).is_some() {
+                return;
+            }
             let len = self.snap.get(id).unwrap().len() as u32;
             self.writes.insert(id, 0, len);
             self.stats.write_ops += 1;
             self.stats.write_words += u64::from(len);
-            self.stats.frees += 1;
             self.overlay.remove(&id);
             self.freed.push(id);
         }
@@ -1305,13 +1330,17 @@ mod tests {
                 let lazy = None;
                 (id, Local::Copy { data, lazy })
             });
+            let fresh = self
+                .fresh
+                .into_iter()
+                .map(|(id, data)| (id, Local::Fresh(data)));
             let frees = self.freed.into_iter().map(|id| (id, Local::Freed));
             TxEffects {
-                overlay: copies.chain(frees).collect(),
+                overlay: copies.chain(fresh).chain(frees).collect(),
                 reads: self.reads,
                 writes: self.writes,
                 stats: self.stats,
-                alloc_high_water: ids().high_water(),
+                alloc_high_water: self.ids.high_water(),
                 ..TxEffects::default()
             }
         }
@@ -1496,22 +1525,18 @@ mod tests {
         (h, ids)
     }
 
-    fn sorted_sets(set: &AccessSet) -> Vec<(ObjId, Vec<(u32, u32)>)> {
-        set.iter_sorted()
-            .into_iter()
-            .map(|(id, r)| (id, r.iter().collect()))
-            .collect()
-    }
-
     /// The reference commit, sharing no code with [`Heap::commit`]: each
     /// word of the write set copied one at a time from the private copy (a
-    /// freed object has none), then the frees.
+    /// freed object has none), then the frees, then the fresh objects in
+    /// ascending id order, each placed by the sequential allocator past the
+    /// high water (ids skipped by an alloc the transaction freed again are
+    /// filled and freed).
     fn commit_word_by_word(heap: &mut Heap, fx: &TxEffects) {
-        for (id, ranges) in fx.writes.iter_sorted() {
+        for (id, lo, hi) in fx.writes.iter_sorted() {
             let Some(Local::Copy { data: src, .. }) = fx.overlay.get(&id) else {
                 continue;
             };
-            for w in ranges.iter().flat_map(|(lo, hi)| lo as usize..hi as usize) {
+            for w in lo as usize..hi as usize {
                 match (heap.get_mut(id), src) {
                     (ObjMut::F64(dst), ObjData::F64(src)) => dst[w] = src[w],
                     (ObjMut::I64(dst), ObjData::I64(src)) => dst[w] = src[w],
@@ -1519,10 +1544,20 @@ mod tests {
                 }
             }
         }
+        let mut fresh = Vec::new();
         for (&id, local) in &fx.overlay {
-            if let Local::Freed = local {
-                heap.free(id);
+            match local {
+                Local::Freed => heap.free(id),
+                Local::Fresh(data) => fresh.push((id, data)),
+                Local::Copy { .. } => {}
             }
+        }
+        fresh.sort_unstable_by_key(|(id, _)| *id);
+        for (id, data) in fresh {
+            let gap = id.index() - heap.high_water();
+            let skipped: Vec<ObjId> = heap.alloc_copies(ObjRef::I64(&[0]), gap as usize).collect();
+            skipped.into_iter().for_each(|id| heap.free(id));
+            assert_eq!(heap.alloc_copies(data.view(), 1).next(), Some(id));
         }
     }
 
@@ -1533,13 +1568,23 @@ mod tests {
         // build their private copies in spent buffers full of earlier cases'
         // words.
         let (mut spent, mut with_spares) = (TxEffects::default(), 0);
+        // Fresh objects written and read back at once, freed at once, and
+        // committed.
+        let (mut fresh_written, mut fresh_freed, mut fresh_committed) = (0, 0, 0);
         for case in 0..120 {
             let mode = [TrackMode::ReadsAndWrites, TrackMode::WritesOnly][case % 2];
-            let (mut heap, objs) = sized_heap(&mut rng);
+            let (mut heap, ids_in_heap) = sized_heap(&mut rng);
             let mut ref_heap = Heap::new();
-            for id in &objs {
+            for id in &ids_in_heap {
                 ref_heap.alloc(heap.get(*id).to_owned());
             }
+            // `(id, float, len)` of the snapshot's objects and of those the
+            // transaction allocates.
+            let mut objs: Vec<(ObjId, bool, usize)> = ids_in_heap
+                .into_iter()
+                .enumerate()
+                .map(|(o, id)| (id, o % 2 == 1, SIZES[o]))
+                .collect();
             let snap = heap.snapshot();
             with_spares += usize::from(!spent.cow.spare.is_empty());
             let mut tx = Tx::with_buffers(&snap, mode, ids(), u64::MAX, spent);
@@ -1548,9 +1593,9 @@ mod tests {
             for step in 0..8 + rng.below(40) {
                 let at = rng.below(live.len());
                 let o = live[at];
-                let (id, float, len) = (objs[o], o % 2 == 1, SIZES[o]);
+                let (id, float, len) = objs[o];
                 let ctx = format!("case {case} step {step} {mode:?} obj {o}");
-                match rng.below(19) {
+                match rng.below(21) {
                     // A guarded row: reads of the shared row and of the
                     // private one, word by word and whole; writers with
                     // in-order and out-of-order writes and reads of written
@@ -1612,6 +1657,39 @@ mod tests {
                         tx_write_range(&mut tx, float, id, lo, &vals);
                         eager.write(id, lo, &vals);
                     }
+                    // An alloc, its object sometimes written and read back,
+                    // or freed, at once; later steps pick it like any
+                    // other live object.
+                    19..=20 => {
+                        let (float, len) = (rng.below(2) == 1, SIZES[rng.below(SIZES.len())]);
+                        let words = (0..len).map(|_| rng.small());
+                        let data = if float {
+                            ObjData::F64(words.map(|w| w as f64).collect())
+                        } else {
+                            ObjData::I64(words.collect())
+                        };
+                        let fresh = tx.alloc(data.clone());
+                        assert_eq!(eager.alloc(data), fresh, "{ctx}");
+                        match rng.below(3) {
+                            0 => {
+                                let (i, v) = (rng.below(len), rng.small());
+                                tx_write(&mut tx, float, fresh, i, v);
+                                eager.write(fresh, i, &[v]);
+                                assert_eq!(tx_read(&mut tx, float, fresh, i), v, "{ctx}");
+                                assert_eq!(eager.read(fresh, i, i + 1), [v], "{ctx}");
+                                fresh_written += 1;
+                            }
+                            1 => {
+                                tx.free(fresh);
+                                eager.free(fresh);
+                                fresh_freed += 1;
+                                continue;
+                            }
+                            _ => {}
+                        }
+                        objs.push((fresh, float, len));
+                        live.push(objs.len() - 1);
+                    }
                     _ if live.len() > 1 && rng.below(3) == 0 => {
                         tx.free(id);
                         eager.free(id);
@@ -1624,8 +1702,8 @@ mod tests {
             // transaction, names it, and leaves the transaction as it was.
             if !eager.freed.is_empty() {
                 let id = eager.freed[rng.below(eager.freed.len())];
-                let o = objs.iter().position(|x| *x == id).expect("one of ours");
-                let (float, len) = (o % 2 == 1, SIZES[o]);
+                let o = objs.iter().position(|x| x.0 == id).expect("one of ours");
+                let (_, float, len) = objs[o];
                 let (access, i, (lo, hi)) = (rng.below(8), rng.below(len), rng.range(len));
                 let ctx = format!("case {case} {mode:?} freed obj {o}, access {access}");
                 let touched =
@@ -1650,24 +1728,24 @@ mod tests {
             let ctx = format!("case {case} {mode:?}");
             // The sets are built from the logs in `finish`, the reference's
             // by one ordered insert per access.
-            for (got, want) in [(&fx.reads, &want.reads), (&fx.writes, &want.writes)] {
-                assert_eq!(sorted_sets(got), sorted_sets(want), "{ctx}");
-                assert_eq!(got.words(), want.words(), "{ctx}");
-                assert_eq!(got.range_count(), want.range_count(), "{ctx}");
-            }
+            assert_eq!(fx.reads, want.reads, "{ctx}");
+            assert_eq!(fx.writes, want.writes, "{ctx}");
             assert_eq!(fx.stats, want.stats, "{ctx}");
-            let keys = |fx: &TxEffects, freed: bool| {
-                let entries = fx.overlay.iter();
-                let mut keys: Vec<ObjId> = entries
-                    .filter(|(_, local)| matches!(local, Local::Freed) == freed)
-                    .map(|(id, _)| *id)
-                    .collect();
-                keys.sort_unstable();
-                keys
+            // Which objects are copies (0), fresh (1) and freed (2).
+            let entries = |fx: &TxEffects| {
+                let tag = |local: &Local| match local {
+                    Local::Copy { .. } => 0,
+                    Local::Fresh(_) => 1,
+                    Local::Freed => 2,
+                };
+                let mut entries: Vec<(ObjId, u8)> =
+                    fx.overlay.iter().map(|(id, l)| (*id, tag(l))).collect();
+                entries.sort_unstable();
+                entries
             };
-            assert_eq!(keys(&fx, false), keys(&want, false), "{ctx}: copies");
-            assert_eq!(keys(&fx, true), keys(&want, true), "{ctx}: frees");
+            assert_eq!(entries(&fx), entries(&want), "{ctx}");
             assert_eq!(fx.footprint(), want.footprint(), "{ctx}");
+            fresh_committed += usize::from(fx.footprint().allocs > 0);
             drop(snap);
             heap.commit(&fx);
             commit_word_by_word(&mut ref_heap, &want);
@@ -1676,6 +1754,11 @@ mod tests {
             spent = fx;
         }
         assert!(with_spares > 0, "no case was built on a spare");
+        let fresh = [fresh_written, fresh_freed, fresh_committed];
+        assert!(
+            fresh.iter().all(|&n| n > 10),
+            "fresh-object cases: {fresh:?}"
+        );
     }
 
     /// One tracked access of the budget test's script.

@@ -49,24 +49,6 @@ impl<'s> TxCtx<'s> {
         self.red_apply(var, RedOp::Add, v);
     }
 
-    /// Source update `var *= v`.
-    #[inline]
-    pub fn red_mul(&mut self, var: RedVarId, v: impl Into<RedVal>) {
-        self.red_apply(var, RedOp::Mul, v);
-    }
-
-    /// Source update `var = max(var, v)`.
-    #[inline]
-    pub fn red_max(&mut self, var: RedVarId, v: impl Into<RedVal>) {
-        self.red_apply(var, RedOp::Max, v);
-    }
-
-    /// Source update `var = min(var, v)`.
-    #[inline]
-    pub fn red_min(&mut self, var: RedVarId, v: impl Into<RedVal>) {
-        self.red_apply(var, RedOp::Min, v);
-    }
-
     /// Whether `var` is covered by the active reduction policy (used by
     /// workloads that fall back to heap read-modify-write when a variable
     /// is not annotated).

@@ -371,20 +371,12 @@ where
 
         let mut access = IterAccess {
             index: iters[0],
+            reads: effects.reads.iter_sorted().collect(),
+            writes: effects.writes.iter_sorted().collect(),
             read_words: effects.reads.words(),
             write_words: effects.writes.words(),
             ..IterAccess::default()
         };
-        for (obj, rs) in effects.reads.iter_sorted() {
-            for (lo, hi) in rs.iter() {
-                access.reads.push((obj, lo, hi));
-            }
-        }
-        for (obj, rs) in effects.writes.iter_sorted() {
-            for (lo, hi) in rs.iter() {
-                access.writes.push((obj, lo, hi));
-            }
-        }
         let mut ops: Vec<(ObjId, RedOp)> = op_log;
         ops.sort();
         ops.dedup();

@@ -17,13 +17,11 @@ use std::fmt::Write as _;
 /// set renders as the empty string. [`parse_set`] inverts this.
 pub fn render_set(set: &AccessSet) -> String {
     let mut s = String::new();
-    for (obj, ranges) in set.iter_sorted() {
-        for (lo, hi) in ranges.iter() {
-            if !s.is_empty() {
-                s.push(',');
-            }
-            let _ = write!(s, "{}:{lo}-{hi}", obj.index());
+    for (obj, lo, hi) in set.iter_sorted() {
+        if !s.is_empty() {
+            s.push(',');
         }
+        let _ = write!(s, "{}:{lo}-{hi}", obj.index());
     }
     s
 }

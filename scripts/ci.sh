@@ -103,16 +103,21 @@ echo "== record/replay identity (determinism gate) =="
 # byte-identical. On mismatch `replay` finds the first divergent
 # round/event and prints the structured diff, which is exactly what we
 # want in a CI log. The same journal, model-checked offline, must print the
-# summary a fresh `check <w> best` prints. Floyd adds the biggest partial
-# commit (thousands of ranges merged into one 16 384-word object) and
-# BarnesHut objects linked into lists.
-for w in genome k-means floyd barneshut; do
-  cli record "$w" --sets --profile --out "target/$w.journal" > /dev/null
-  cli replay "target/$w.journal"
-  cli check --journal "target/$w.journal" > "target/$w.check-journal"
-  cli check "$w" best > "target/$w.check-fresh"
-  if ! cmp "target/$w.check-journal" "target/$w.check-fresh"; then
-    echo "error: check --journal on the recorded $w journal differs from check $w best"
+# summary a fresh `check <w> <annotation>` prints. Floyd adds the biggest
+# partial commit (thousands of ranges merged into one 16 384-word object)
+# and BarnesHut objects linked into lists. The best runs all record under
+# StaleReads, whose journals carry empty read sets; Genome under
+# OutOfOrder carries read sets through the journal, the sanitizer and the
+# checker.
+for leg in "genome best" "k-means best" "floyd best" "barneshut best" "genome outoforder"; do
+  read -r w ann <<< "$leg"
+  journal="target/$w-$ann.journal"
+  cli record "$w" "$ann" --sets --profile --out "$journal" > /dev/null
+  cli replay "$journal"
+  cli check --journal "$journal" > "target/$w-$ann.check-journal"
+  cli check "$w" "$ann" > "target/$w-$ann.check-fresh"
+  if ! cmp "target/$w-$ann.check-journal" "target/$w-$ann.check-fresh"; then
+    echo "error: check --journal on the recorded $w journal differs from check $w $ann"
     exit 1
   fi
 done

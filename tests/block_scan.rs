@@ -1,4 +1,4 @@
-//! Seeded property test of `RangeSet::block_scan`, the word-block overlap
+//! Seeded property test of `AccessSet::block_scan`, the word-block overlap
 //! scan the dependence checker's graph and scan-word accounting are built
 //! on: over fifty fixed-seed cases (SplitMix64; the workspace builds
 //! offline, without `proptest`) its verdict equals the exact merge scan's
@@ -6,7 +6,7 @@
 //!
 //! A failure names the case index for replay.
 
-use alter::heap::RangeSet;
+use alter::heap::{AccessSet, ObjId};
 
 /// Minimal SplitMix64 for deterministic case generation.
 struct Rng(u64);
@@ -30,13 +30,14 @@ impl Rng {
 fn block_scans_agree_with_exact_overlap() {
     let mut rng = Rng(0xb10c_5ca9);
     for case in 0..50 {
-        let mut a = RangeSet::new();
-        let mut b = RangeSet::new();
+        let obj = ObjId::from_index(1);
+        let mut a = AccessSet::new();
+        let mut b = AccessSet::new();
         for _ in 0..(1 + rng.below(12)) {
             let lo = rng.below(192);
-            a.insert(lo, lo + 1 + rng.below(48));
+            a.insert(obj, lo, lo + 1 + rng.below(48));
             let lo = rng.below(192);
-            b.insert(lo, lo + 1 + rng.below(48));
+            b.insert(obj, lo, lo + 1 + rng.below(48));
         }
         let (hit, words) = a.block_scan(&b);
         assert_eq!(

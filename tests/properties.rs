@@ -256,7 +256,7 @@ fn reductions_match_serial_fold() {
             Driver::sequential(),
             move |ctx, i| {
                 ctx.red_add(sum, updates2[i as usize]);
-                ctx.red_max(maxv, updates2[i as usize]);
+                ctx.red_apply(maxv, RedOp::Max, updates2[i as usize]);
             },
         )
         .unwrap();
