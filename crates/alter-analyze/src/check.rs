@@ -18,9 +18,8 @@
 //! overlapping write sets never commute (the final heap words depend on
 //! commit order), and under read-checking policies (FULL/OutOfOrder) a
 //! read overlapping the other task's writes breaks commutativity too.
-//! Overlap tests run the word-block scanner
-//! ([`alter_heap::AccessSet::block_scan`]) over each shared allocation, so
-//! building the relation costs a deterministic `scan_words` currency.
+//! Overlap is decided by [`AccessSet::overlaps`], the test the validator
+//! runs, so the relation is the isolation level's own conflict relation.
 //!
 //! **DPOR.** Schedules are equivalent (one Mazurkiewicz trace) iff they
 //! agree on the relative order of every non-commuting pair, so a
@@ -124,7 +123,10 @@ pub struct UnsoundRound {
     pub actual: Vec<Event>,
 }
 
-/// Aggregate result of model-checking a journal's schedule space.
+/// Aggregate result of model-checking a journal's schedule space. Every
+/// count is a function of the recorded sets alone: the representatives
+/// behind `explored` and `flagged` are those of the relation that
+/// [`AccessSet::overlaps`] decides, and building it is not counted.
 #[derive(Clone, Debug, Default)]
 pub struct CheckReport {
     /// Rounds audited.
@@ -142,9 +144,6 @@ pub struct CheckReport {
     pub flagged: u64,
     /// Rounds whose representative count was truncated by the budget.
     pub budget_hits: u64,
-    /// Words compared by the block scans that built the commutativity
-    /// relation (deterministic work currency).
-    pub scan_words: u64,
     /// Total rounds proved unsound (counterexamples beyond
     /// the retention cap are counted here but not stored).
     pub unsound_rounds: u64,
@@ -222,8 +221,6 @@ struct DepGraph {
     /// Dependence edges `(i, j)` with `i < j`, in ascending order — the
     /// signature bit layout.
     edges: Vec<(usize, usize)>,
-    /// Words the block scans compared building the relation.
-    scan_words: u64,
 }
 
 /// Builds the dependence relation from the recorded sets: write-write
@@ -237,22 +234,14 @@ fn dep_graph(tasks: &[TaskRecord], policy: ConflictPolicy) -> DepGraph {
         dep: vec![false; n * n],
         ww: vec![false; n * n],
         edges: Vec::new(),
-        scan_words: 0,
     };
     for j in 0..n {
         for i in 0..j {
-            let (w_hit, w) = tasks[i].writes.block_scan(&tasks[j].writes);
-            g.scan_words += w;
-            g.ww[i * n + j] = w_hit;
-            g.ww[j * n + i] = w_hit;
-            let mut d = w_hit;
-            if !d && reads_checked {
-                let (rw, w1) = tasks[i].reads.block_scan(&tasks[j].writes);
-                let (wr, w2) = tasks[j].reads.block_scan(&tasks[i].writes);
-                g.scan_words += w1 + w2;
-                d = rw || wr;
-            }
-            if d {
+            let ww = tasks[i].writes.overlaps(&tasks[j].writes);
+            g.ww[i * n + j] = ww;
+            g.ww[j * n + i] = ww;
+            let rw = |a: usize, b: usize| tasks[a].reads.overlaps(&tasks[b].writes);
+            if ww || (reads_checked && (rw(i, j) || rw(j, i))) {
                 g.dep[i * n + j] = true;
                 g.dep[j * n + i] = true;
                 g.edges.push((i, j));
@@ -686,7 +675,6 @@ struct RoundOutcome {
     explored: u64,
     flagged: u64,
     budget_hit: bool,
-    scan_words: u64,
     unsound: Option<Counterexample>,
 }
 
@@ -703,7 +691,6 @@ fn check_round(round: &Round, cfg: &CheckConfig) -> RoundOutcome {
         return out;
     }
     let g = dep_graph(tasks, cfg.conflict);
-    out.scan_words = g.scan_words;
     let (schedules, budget_hit) = match cfg.order {
         // Predefined commit order: the recorded schedule is the only
         // legal one (Saad et al.'s framing) — audit exactly it.
@@ -782,7 +769,6 @@ pub fn check_events(events: &[Event], cfg: &CheckConfig) -> Result<CheckReport, 
         report.explored += out.explored;
         report.flagged += out.flagged;
         report.budget_hits += u64::from(out.budget_hit);
-        report.scan_words += out.scan_words;
         if let Some((divergence, expected, actual)) = out.unsound {
             report.unsound_rounds += 1;
             if report.unsound.len() < MAX_COUNTEREXAMPLES {
@@ -996,6 +982,103 @@ mod tests {
         assert!(report.sound(), "{:?}", report.unsound);
         assert_eq!(report.naive_schedules, 1);
         assert_eq!(report.explored, 1);
+    }
+
+    /// [`dep_graph`] against a naive relation: random rounds of 2–6 tasks,
+    /// each with up to three read and three write ranges over three
+    /// allocations of 256 words, under every policy. A pair is write-write
+    /// dependent iff the two write sets, as plain `BTreeSet<(ObjId, u32)>`
+    /// word sets, intersect, and dependent iff that holds or, under
+    /// FULL/RAW, either side's reads meet the other's writes.
+    #[test]
+    fn dep_graph_agrees_with_a_naive_pairwise_intersection() {
+        use std::collections::BTreeSet;
+        type Words = BTreeSet<(ObjId, u32)>;
+        /// SplitMix64.
+        struct Rng(u64);
+        impl Rng {
+            fn below(&mut self, bound: u32) -> u32 {
+                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % u64::from(bound)) as u32
+            }
+
+            /// Up to three ranges, half of them short, as a set and its words.
+            fn set(&mut self) -> (AccessSet, Words) {
+                let (mut set, mut words) = (AccessSet::new(), Words::new());
+                for _ in 0..self.below(4) {
+                    let obj = ObjId::from_index(self.below(3));
+                    let lo = self.below(256);
+                    let len = 1 + if self.below(2) == 0 {
+                        self.below(64)
+                    } else {
+                        self.below(4)
+                    };
+                    let hi = (lo + len).min(256);
+                    set.insert(obj, lo, hi);
+                    words.extend((lo..hi).map(|w| (obj, w)));
+                }
+                (set, words)
+            }
+        }
+        let mut rng = Rng(0xde9_6a7f);
+        let (mut edges_seen, mut read_edges, mut free_pairs) = (0, 0, 0);
+        for case in 0..300 {
+            let n = 2 + rng.below(5) as usize;
+            let drawn: Vec<_> = (0..n).map(|_| (rng.set(), rng.set())).collect();
+            let tasks: Vec<TaskRecord> = drawn
+                .iter()
+                .enumerate()
+                .map(|(seq, ((reads, _), (writes, _)))| TaskRecord {
+                    seq: seq as u64,
+                    events: [0, 0],
+                    has_sets: true,
+                    reads: reads.clone(),
+                    writes: writes.clone(),
+                    claim: Claim::Squash { by: 0 },
+                })
+                .collect();
+            let meets = |a: &Words, b: &Words| a.intersection(b).next().is_some();
+            for policy in [
+                ConflictPolicy::Full,
+                ConflictPolicy::Raw,
+                ConflictPolicy::Waw,
+                ConflictPolicy::None,
+            ] {
+                let reads_checked = matches!(policy, ConflictPolicy::Full | ConflictPolicy::Raw);
+                let (mut dep, mut ww, mut edges) = (vec![false; n * n], vec![false; n * n], vec![]);
+                for j in 0..n {
+                    for i in 0..j {
+                        let ((_, ri), (_, wi)) = &drawn[i];
+                        let ((_, rj), (_, wj)) = &drawn[j];
+                        let w = meets(wi, wj);
+                        let d = w || (reads_checked && (meets(ri, wj) || meets(rj, wi)));
+                        (ww[i * n + j], ww[j * n + i]) = (w, w);
+                        (dep[i * n + j], dep[j * n + i]) = (d, d);
+                        if d {
+                            edges.push((i, j));
+                            read_edges += usize::from(!w);
+                        } else {
+                            free_pairs += 1;
+                        }
+                    }
+                }
+                let g = dep_graph(&tasks, policy);
+                let ctx = format!("case {case} {policy:?}");
+                assert_eq!(g.n, n, "{ctx}");
+                assert_eq!(g.ww, ww, "{ctx}: ww");
+                assert_eq!(g.dep, dep, "{ctx}: dep");
+                assert_eq!(g.edges, edges, "{ctx}: edges");
+                edges_seen += edges.len();
+            }
+        }
+        // Each kind of pair must be common for the comparison to mean
+        // anything, edges that only a read makes among them.
+        assert!(edges_seen > 500, "only {edges_seen} edges");
+        assert!(read_edges > 200, "only {read_edges} read-write edges");
+        assert!(free_pairs > 500, "only {free_pairs} commuting pairs");
     }
 
     #[test]

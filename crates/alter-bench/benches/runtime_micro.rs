@@ -236,7 +236,7 @@ fn bench_guarded_row_scan() {
     bench("guarded_row_scan_get_16k", 200, || {
         guarded_row_pass::<false>(&snap, &heap, m)
     });
-    bench("guarded_row_scan_words_16k", 200, || {
+    bench("guarded_row_scan_by_words_16k", 200, || {
         guarded_row_pass::<true>(&snap, &heap, m)
     });
 }

@@ -156,7 +156,6 @@ impl Verdict {
                 "explored": dpor.explored,
                 "flagged": dpor.flagged,
                 "budget_hits": dpor.budget_hits,
-                "scan_words": dpor.scan_words,
             }),
             "probes": json!({
                 "run": combined.probes_run,

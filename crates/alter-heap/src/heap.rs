@@ -212,8 +212,6 @@ pub struct Heap {
     len: usize,
     live: usize,
     live_words: u64,
-    /// Commit counter; bumped once per committed transaction.
-    version: u64,
     /// Slots freed by sequential code, reusable by sequential allocation.
     free: Vec<u32>,
     /// [`SnapshotStats::slots_copied`] accumulating for the next round
@@ -358,7 +356,6 @@ impl Heap {
         Snapshot {
             table: Arc::clone(&self.table),
             len: self.len,
-            version: self.version,
         }
     }
 
@@ -369,11 +366,6 @@ impl Heap {
             slots_copied: std::mem::take(&mut self.slots_copied),
         };
         (self.snapshot(), stats)
-    }
-
-    /// Current global commit version.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Number of live allocations.
@@ -407,8 +399,8 @@ impl Heap {
         u32::try_from(self.len).expect("heap exhausted")
     }
 
-    /// Commits a validated transaction's effects and bumps the commit
-    /// version: the engine's one way of writing a parallel loop's results.
+    /// Commits a validated transaction's effects: the engine's one way of
+    /// writing a parallel loop's results.
     ///
     /// One pass over the transaction's overlay: a private copy merges the
     /// ranges the write set holds for it (snapshot isolation lets two
@@ -427,7 +419,6 @@ impl Heap {
     /// from its object's, or an alloc id collides with a live slot (an
     /// allocator bug).
     pub fn commit(&mut self, fx: &TxEffects) {
-        self.version += 1;
         for (&id, local) in &fx.overlay {
             match local {
                 // A private copy with no range in the write set wrote nothing.
@@ -447,7 +438,6 @@ impl Heap {
     /// write: the form the wall-clock benchmark's probes build and time.
     /// Panics as [`Heap::commit`] does.
     pub fn apply_commit(&mut self, ops: CommitOps) {
-        self.version += 1;
         for (id, lo, hi, src) in ops.writes {
             self.merge(id, src.view(), std::iter::once((lo, hi)));
         }
@@ -518,7 +508,7 @@ impl Heap {
     }
 }
 
-/// A consistent, immutable view of the committed state at some version.
+/// A consistent, immutable view of the committed state at one moment.
 ///
 /// Taking and cloning a snapshot are O(1): it shares the heap's page table
 /// root, and the heap path-copies whatever it writes while a snapshot is
@@ -527,7 +517,6 @@ impl Heap {
 pub struct Snapshot {
     table: Table,
     len: usize,
-    version: u64,
 }
 
 impl Snapshot {
@@ -536,11 +525,6 @@ impl Snapshot {
     #[inline]
     pub fn get(&self, id: ObjId) -> Option<ObjRef<'_>> {
         lookup(&self.table, id.0 as usize)
-    }
-
-    /// The commit version this snapshot was taken at.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Number of slots (live or dead) visible to the snapshot.
@@ -632,7 +616,6 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(h.get(a).f64s(), &[1.0, 1.0, 2.0, 2.0]);
-        assert_eq!(h.version(), 2);
     }
 
     #[test]

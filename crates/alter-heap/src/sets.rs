@@ -339,94 +339,6 @@ impl AccessSet {
     pub fn iter_sorted(&self) -> impl Iterator<Item = (ObjId, u32, u32)> + '_ {
         self.entries.iter().copied()
     }
-
-    /// Word-block disjointness scan against `other`: walks the allocations
-    /// both sets hold in ascending order, each as two streams of `(64-word
-    /// block, u64 occupancy mask)` pairs — one lane comparison per common
-    /// block instead of one per word — and returns `(overlap,
-    /// words_compared)`. The verdict is exact (masks are exact occupancy, so
-    /// it always equals [`AccessSet::overlaps`]); `words_compared` charges
-    /// each common block the smaller side's popcount, the work a
-    /// word-granular probe of that block would not have been able to skip.
-    /// Stops at the first colliding block.
-    pub fn block_scan(&self, other: &AccessSet) -> (bool, u64) {
-        let mut words = 0u64;
-        for mine in self.entries.chunk_by(|a, b| a.0 == b.0) {
-            let theirs = other.ranges(mine[0].0);
-            let (mut a, mut b) = (BlockMasks::new(mine), BlockMasks::new(theirs));
-            let (mut x, mut y) = (a.next(), b.next());
-            while let (Some((ab, am)), Some((bb, bm))) = (x, y) {
-                match ab.cmp(&bb) {
-                    std::cmp::Ordering::Less => x = a.next(),
-                    std::cmp::Ordering::Greater => y = b.next(),
-                    std::cmp::Ordering::Equal => {
-                        words += u64::from(am.count_ones().min(bm.count_ones()));
-                        if am & bm != 0 {
-                            return (true, words);
-                        }
-                        x = a.next();
-                        y = b.next();
-                    }
-                }
-            }
-        }
-        (false, words)
-    }
-}
-
-/// Streams one allocation's ranges as `(block, occupancy mask)` pairs in
-/// ascending block order, skipping blocks the set does not touch.
-struct BlockMasks<'a> {
-    ranges: &'a [(ObjId, u32, u32)],
-    /// First range not yet fully consumed.
-    idx: usize,
-    /// Next block to emit (valid while `idx < ranges.len()`).
-    block: u32,
-}
-
-impl<'a> BlockMasks<'a> {
-    fn new(ranges: &'a [(ObjId, u32, u32)]) -> Self {
-        let block = ranges.first().map_or(0, |r| r.1 >> FINGERPRINT_BLOCK_SHIFT);
-        BlockMasks {
-            ranges,
-            idx: 0,
-            block,
-        }
-    }
-}
-
-impl Iterator for BlockMasks<'_> {
-    type Item = (u32, u64);
-
-    fn next(&mut self) -> Option<(u32, u64)> {
-        if self.idx >= self.ranges.len() {
-            return None;
-        }
-        let block = self.block;
-        let base = u64::from(block) << FINGERPRINT_BLOCK_SHIFT;
-        let mut mask = 0u64;
-        let mut j = self.idx;
-        while j < self.ranges.len() && u64::from(self.ranges[j].1) < base + 64 {
-            let (lo, hi) = (u64::from(self.ranges[j].1), u64::from(self.ranges[j].2));
-            let s = lo.max(base) - base;
-            let e = hi.min(base + 64) - base;
-            debug_assert!(s < e, "ranges are non-empty and sorted");
-            mask |= if e - s == 64 {
-                u64::MAX
-            } else {
-                ((1u64 << (e - s)) - 1) << s
-            };
-            if hi > base + 64 {
-                break; // range continues into the next block
-            }
-            j += 1;
-        }
-        self.idx = j;
-        if j < self.ranges.len() {
-            self.block = (block + 1).max(self.ranges[j].1 >> FINGERPRINT_BLOCK_SHIFT);
-        }
-        Some((block, mask))
-    }
 }
 
 #[cfg(test)]
@@ -605,14 +517,6 @@ mod tests {
         assert_eq!(b.first_overlap(a), first, "{ctx}: first_overlap, swapped");
         assert_eq!(a.overlaps(b), first.is_some(), "{ctx}: overlaps");
         assert_eq!(b.overlaps(a), first.is_some(), "{ctx}: overlaps, swapped");
-        for (x, y) in [(a, b), (b, a)] {
-            let (hit, words) = x.block_scan(y);
-            assert_eq!(hit, first.is_some(), "{ctx}: block_scan verdict");
-            assert!(
-                words <= x.words().min(y.words()),
-                "{ctx}: block accounting never exceeds the smaller side"
-            );
-        }
         for obj in (0..4).map(id) {
             let run = a.ranges(obj);
             assert!(run.iter().all(|r| r.0 == obj), "{ctx}: ranges({obj})");
@@ -726,6 +630,40 @@ mod tests {
                 verdicts[usize::from(assert_queries_match_naive(a, b, &mut rng, &ctx))] += 1;
             }
             previous = (logged, naive);
+        }
+        // Hand-picked pairs at the edges the merge walk and the binary
+        // search branch on: ranges that touch, 64-word seams, an empty side
+        // and several allocations.
+        type Ranges = &'static [(u32, u32, u32)];
+        let edges: &[(Ranges, Ranges)] = &[
+            (&[(1, 0, 10)], &[(1, 10, 20)]),               // touching, disjoint
+            (&[(1, 0, 10)], &[(1, 9, 12)]),                // one shared word
+            (&[(1, 0, 64)], &[(1, 64, 128)]),              // block-aligned, disjoint
+            (&[(1, 0, 200)], &[(1, 120, 130)]),            // inside a long range
+            (&[(1, 5, 6), (1, 700, 710)], &[(1, 6, 700)]), // interleaved, disjoint
+            (&[(1, 5, 6), (1, 700, 710)], &[(1, 6, 701)]), // grazes the second range
+            (&[], &[(1, 0, 4)]),                           // empty side
+            (&[(1, 63, 65)], &[(1, 64, 66)]),              // straddles a block seam
+            (&[(1, 63, 64)], &[(1, 64, 66)]),              // disjoint across the seam
+            (&[(1, 0, 8), (2, 0, 8)], &[(2, 8, 9), (3, 0, 8)]), // shared words, other objects
+            (&[(1, 0, 8), (2, 0, 8)], &[(0, 0, 8), (2, 7, 9)]), // hit in the second object
+        ];
+        for (k, &(a, b)) in edges.iter().enumerate() {
+            let [(a, na), (b, nb)] = [a, b].map(|ranges| {
+                let ranges = ranges.iter().map(|&(o, lo, hi)| (id(o), lo, hi));
+                let mut set = AccessSet::new();
+                ranges
+                    .clone()
+                    .for_each(|(obj, lo, hi)| set.insert(obj, lo, hi));
+                (set, words_of(ranges))
+            });
+            let ctx = format!("edge case {k}");
+            verdicts[usize::from(assert_queries_match_naive(
+                (&a, &na),
+                (&b, &nb),
+                &mut rng,
+                &ctx,
+            ))] += 1;
         }
         // Both verdicts must be common for the comparison to mean anything.
         assert!(verdicts.iter().all(|&n| n > 100), "verdicts {verdicts:?}");
@@ -903,40 +841,5 @@ mod tests {
         }
         let order: Vec<u32> = a.iter_sorted().map(|(i, ..)| i.index()).collect();
         assert_eq!(order, vec![1, 3, 5, 9]);
-    }
-
-    #[test]
-    fn block_scan_verdicts_match_exact_overlap() {
-        type Ranges = &'static [(u32, u32, u32)];
-        let cases: &[(Ranges, Ranges)] = &[
-            (&[(1, 0, 10)], &[(1, 10, 20)]),               // touching, disjoint
-            (&[(1, 0, 10)], &[(1, 9, 12)]),                // overlap in block 0
-            (&[(1, 0, 64)], &[(1, 64, 128)]),              // block-aligned, disjoint
-            (&[(1, 0, 200)], &[(1, 120, 130)]),            // long range spans blocks
-            (&[(1, 5, 6), (1, 700, 710)], &[(1, 6, 700)]), // interleaved, disjoint
-            (&[(1, 5, 6), (1, 700, 710)], &[(1, 6, 701)]), // grazes the second range
-            (&[], &[(1, 0, 4)]),                           // empty side
-            (&[(1, 63, 65)], &[(1, 64, 66)]),              // straddles a block seam
-            (&[(1, 63, 64)], &[(1, 64, 66)]),              // disjoint across the seam
-            (&[(1, 0, 8), (2, 0, 8)], &[(2, 8, 9), (3, 0, 8)]), // shared words, other objects
-            (&[(1, 0, 8), (2, 0, 8)], &[(0, 0, 8), (2, 7, 9)]), // hit in the second object
-        ];
-        for (i, (aw, bw)) in cases.iter().enumerate() {
-            let mut a = AccessSet::new();
-            let mut b = AccessSet::new();
-            for &(o, l, h) in *aw {
-                a.insert(id(o), l, h);
-            }
-            for &(o, l, h) in *bw {
-                b.insert(id(o), l, h);
-            }
-            let (hit, words) = a.block_scan(&b);
-            assert_eq!(hit, a.overlaps(&b), "case {i}: verdicts must agree");
-            assert_eq!(hit, b.block_scan(&a).0, "case {i}: symmetric verdict");
-            assert!(
-                words <= a.words().min(b.words()),
-                "case {i}: block accounting never exceeds the smaller side"
-            );
-        }
     }
 }

@@ -563,17 +563,6 @@ impl<'s> Tx<'s> {
         f(&mut self.write_view(id, lo, hi, true).f64s_mut()[lo..hi])
     }
 
-    /// Like [`Tx::update_f64s`] for integer objects.
-    pub fn update_i64s<R>(
-        &mut self,
-        id: ObjId,
-        lo: usize,
-        hi: usize,
-        f: impl FnOnce(&mut [i64]) -> R,
-    ) -> R {
-        f(&mut self.write_view(id, lo, hi, true).i64s_mut()[lo..hi])
-    }
-
     // ----- guarded rows (one instrumentation call for the reads, one overlay
     // lookup for the row, exact single-word write records) -----
 
@@ -702,16 +691,6 @@ impl<'s> Tx<'s> {
     #[inline]
     pub fn traffic(&mut self, n: u64) {
         self.track.stats.traffic_words += n;
-    }
-
-    /// The tracking mode this transaction runs under.
-    pub fn mode(&self) -> TrackMode {
-        self.track.mode
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> &TxStats {
-        &self.track.stats
     }
 
     /// Finishes the transaction, yielding everything the commit engine
@@ -1093,14 +1072,13 @@ mod tests {
                 tx.len(id);
             },
         ];
-        let integer: [Access; 6] = [
+        let integer: [Access; 5] = [
             |tx, id| {
                 tx.read_i64(id, 1);
             },
             |tx, id| tx.write_i64(id, 1, 1),
             |tx, id| tx.with_i64s(id, 0, 2, |_| ()),
             |tx, id| tx.write_i64s(id, 0, &[1, 2]),
-            |tx, id| tx.update_i64s(id, 0, 2, |_| ()),
             |tx, id| {
                 tx.len(id);
             },
@@ -1205,8 +1183,7 @@ mod tests {
         let mut tx = Tx::new(&snap, TrackMode::WritesOnly, ids(), u64::MAX);
         assert_eq!(tx.len(a), 3);
         tx.work(42);
-        assert_eq!(tx.stats().work, 42);
-        assert_eq!(tx.mode(), TrackMode::WritesOnly);
+        assert_eq!(tx.finish().stats.work, 42);
     }
 
     #[test]
@@ -1387,11 +1364,10 @@ mod tests {
                 old
             })
         } else {
-            tx.update_i64s(id, lo, hi, |s| {
-                let old = s.to_vec();
-                s.iter_mut().for_each(|x| *x += k);
-                old
-            })
+            let old = tx.with_i64s(id, lo, hi, |s| s.to_vec());
+            let new: Vec<i64> = old.iter().map(|x| x + k).collect();
+            tx.write_i64s(id, lo, &new);
+            old
         }
     }
 

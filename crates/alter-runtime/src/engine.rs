@@ -174,9 +174,9 @@ pub struct RunStats {
     /// tickets of the first round.
     pub pool_reuses: u64,
     /// Words booked to the validator's exact scans. The validator scans
-    /// each earlier writer directly and is charged per writer, so this
-    /// equals [`RunStats::validate_words`]; it stays a field of its own
-    /// because the wall-clock benchmark reports it.
+    /// each earlier writer directly and is charged per writer, so this is
+    /// [`RunStats::validate_words`], copied when the run ends; it stays a
+    /// field of its own because the wall-clock benchmark reports it.
     pub exact_scan_words: u64,
     /// Heap slots path-copied because a write landed while some snapshot
     /// still shared its page ([`alter_heap::SnapshotStats::slots_copied`],
@@ -519,33 +519,19 @@ fn run_job<B: LoopBody + ?Sized>(
     (job.ticket, outcome)
 }
 
-/// The sets of `effects` that `policy` validates against earlier write
-/// sets, each with the dependence an overlap breaks. Reads come before
-/// writes — validation order under `FULL`.
-fn validated_sets(
-    policy: ConflictPolicy,
-    effects: &TxEffects,
-) -> impl Iterator<Item = (ConflictKind, &AccessSet)> {
-    use ConflictPolicy::{Full, Raw, Waw};
-    let reads = matches!(policy, Full | Raw).then_some((ConflictKind::Raw, &effects.reads));
-    let writes = matches!(policy, Full | Waw).then_some((ConflictKind::Waw, &effects.writes));
-    reads.into_iter().chain(writes)
-}
-
-fn conflicts_with(policy: ConflictPolicy, effects: &TxEffects, earlier_writes: &AccessSet) -> bool {
-    validated_sets(policy, effects).any(|(_, set)| set.overlaps(earlier_writes))
-}
-
-/// Pinpoints the first conflicting word once [`conflicts_with`] has already
-/// said "yes": within a set the search is deterministic (ascending
-/// allocation, then lowest word). Only runs on the conflict path, so the
-/// extra scan never taxes a conflict-free round.
-fn locate_conflict(
+/// The first word of `effects` that `policy` validates and `earlier_writes`
+/// holds, with the dependence the overlap breaks: reads come before writes
+/// (validation order under `FULL`), and within a set the lowest allocation,
+/// then the lowest word, wins.
+fn first_conflict(
     policy: ConflictPolicy,
     effects: &TxEffects,
     earlier_writes: &AccessSet,
 ) -> Option<(ConflictKind, ObjId, u32)> {
-    validated_sets(policy, effects).find_map(|(kind, set)| {
+    use ConflictPolicy::{Full, Raw, Waw};
+    let reads = matches!(policy, Full | Raw).then_some((ConflictKind::Raw, &effects.reads));
+    let writes = matches!(policy, Full | Waw).then_some((ConflictKind::Waw, &effects.writes));
+    reads.into_iter().chain(writes).find_map(|(kind, set)| {
         let (obj, word) = set.first_overlap(earlier_writes)?;
         Some((kind, obj, word))
     })
@@ -571,29 +557,24 @@ impl Validator {
     /// walking them in commit order and stopping at the first it overlaps:
     /// returns its `validate_words` charge — `min(writer's words, tracked
     /// words)` for each writer walked, the one it lost to included — and,
-    /// if it lost, that writer and the first word. Changes nothing of the
-    /// validator; the charge is also booked to `stats.exact_scan_words`.
-    fn check(&self, effects: &TxEffects, stats: &mut RunStats) -> (u64, Option<ConflictDetail>) {
+    /// if it lost, that writer and the first word. Each writer's set is
+    /// walked once. Changes nothing of the validator.
+    fn check(&self, effects: &TxEffects) -> (u64, Option<ConflictDetail>) {
         let tracked = effects.reads.words() + effects.writes.words();
         let mut validate_words = 0;
-        let mut conflict = None;
-        for (winner_seq, earlier) in &self.writers {
-            let earlier = &earlier.writes;
-            validate_words += earlier.words().min(tracked);
-            if conflicts_with(self.policy, effects, earlier) {
-                let (kind, obj, word) = locate_conflict(self.policy, effects, earlier)
-                    .expect("overlap test and locate must agree");
-                conflict = Some(ConflictDetail {
+        for &(winner_seq, ref earlier) in &self.writers {
+            validate_words += earlier.writes.words().min(tracked);
+            if let Some((kind, obj, word)) = first_conflict(self.policy, effects, &earlier.writes) {
+                let lost = ConflictDetail {
                     kind,
                     obj,
                     word,
-                    winner_seq: *winner_seq,
-                });
-                break;
+                    winner_seq,
+                };
+                return (validate_words, Some(lost));
             }
         }
-        stats.exact_scan_words += validate_words;
-        (validate_words, conflict)
+        (validate_words, None)
     }
 
     /// Remembers a committed transaction's effects — its write set is what
@@ -829,9 +810,7 @@ impl<'a> Coordinator<'a> {
             (0, None)
         } else {
             let validator = &self.validator;
-            timed(self.wall, Phase::Validate, || {
-                validator.check(&effects, stats)
-            })
+            timed(self.wall, Phase::Validate, || validator.check(&effects))
         };
         stats.validate_words += validate_words;
         self.costs.validate += validate_words;
@@ -1006,7 +985,10 @@ impl<'a> Coordinator<'a> {
                 },
             });
         }
-        result.map(|()| self.stats)
+        result.map(|()| RunStats {
+            exact_scan_words: self.stats.validate_words,
+            ..self.stats
+        })
     }
 }
 
@@ -1139,6 +1121,106 @@ mod tests {
         assert_eq!(heap.get(counter).i64s()[0], 8);
         assert!(stats.retries() > 0, "conflicts must have occurred");
         assert_eq!(stats.committed, 8);
+    }
+
+    /// Every round's task reports, in retirement order.
+    #[derive(Default)]
+    struct Rounds(Vec<Vec<TaskReport>>);
+
+    impl RoundObserver for Rounds {
+        fn on_round(&mut self, report: &RoundReport<'_>) {
+            self.0.push(report.tasks.to_vec());
+        }
+    }
+
+    /// Runs `body` over `0..n` on 2 workers, one iteration a ticket, under
+    /// `Waw` and OutOfOrder, under both drivers; returns the round reports
+    /// of the sequential run after checking the threaded run's are alike.
+    /// A small work budget turns a ticket re-queued forever into a failed
+    /// run instead of a hang.
+    fn two_worker_rounds(
+        n: u64,
+        body: &(dyn Fn(&mut TxCtx<'_>, u64, ObjId) + Sync),
+    ) -> Vec<Vec<TaskReport>> {
+        let mut p = params(2, 1, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
+        p.work_budget = Some(1_000);
+        let run = |threaded: bool| {
+            let mut heap = Heap::new();
+            let xs = heap.alloc(ObjData::zeros_i64(32));
+            let mut rounds = Rounds::default();
+            let step = |ctx: &mut TxCtx<'_>, i| body(ctx, i, xs);
+            run_loop_engine(
+                &mut heap,
+                &mut RedVars::new(),
+                &mut RangeSpace::new(0, n),
+                &p,
+                threaded,
+                &step,
+                &mut rounds,
+            )
+            .unwrap();
+            rounds.0
+        };
+        let rounds = run(false);
+        let digest = |rounds: &[Vec<TaskReport>]| -> Vec<Vec<_>> {
+            let task = |t: &TaskReport| (t.seq, t.committed, t.validate_words, t.conflict);
+            rounds
+                .iter()
+                .map(|r| r.iter().map(task).collect())
+                .collect()
+        };
+        assert_eq!(digest(&run(true)), digest(&rounds), "threaded driver");
+        rounds
+    }
+
+    /// A round that holds a re-queued ticket and fresh chunks issues the
+    /// re-queued ticket first: every ticket writes one shared word, so
+    /// ticket 1 loses round 0 to ticket 0, and round 1 runs it ahead of the
+    /// fresh ticket 2, which loses to it there.
+    #[test]
+    fn a_requeued_ticket_opens_the_next_round_ahead_of_fresh_chunks() {
+        let rounds = two_worker_rounds(3, &|ctx, i, xs| ctx.tx.write_i64(xs, 0, i as i64));
+        let order: Vec<Vec<(u64, bool)>> = rounds
+            .iter()
+            .map(|r| r.iter().map(|t| (t.seq, t.committed)).collect())
+            .collect();
+        assert_eq!(
+            order,
+            [
+                vec![(0, true), (1, false)],
+                vec![(1, true), (2, false)],
+                vec![(2, true)]
+            ]
+        );
+        assert_eq!(rounds[1][1].conflict.map(|c| c.winner_seq), Some(1));
+        assert_eq!(rounds[1][0].worker, 0, "the re-queued ticket is ticket 0");
+    }
+
+    /// A ticket is compared only with its own round's committers: ticket 3
+    /// writes the 16 words ticket 0 committed in round 0, yet commits in
+    /// round 1, charged for round 1's one earlier writer (ticket 2, one
+    /// word) and for none of round 0's.
+    #[test]
+    fn a_ticket_is_validated_only_against_its_own_rounds_committers() {
+        let rounds = two_worker_rounds(4, &|ctx, i, xs| match i {
+            0 | 3 => ctx.tx.write_i64s(xs, 0, &[1; 16]),
+            _ => ctx.tx.write_i64(xs, 16 + i as usize, 1),
+        });
+        let verdicts: Vec<Vec<(u64, bool, u64)>> = rounds
+            .iter()
+            .map(|r| {
+                r.iter()
+                    .map(|t| (t.seq, t.committed, t.validate_words))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            verdicts,
+            [
+                vec![(0, true, 0), (1, true, 1)],
+                vec![(2, true, 0), (3, true, 1)]
+            ]
+        );
     }
 
     /// Under TLS (RAW + InOrder) the result must match sequential semantics
@@ -1717,9 +1799,8 @@ mod tests {
 
     /// [`Validator::check`] on its own: three earlier committers of 2, 16
     /// and 4 words in the 64-word blocks 0, 1 and 2 of one object. Pins the
-    /// verdict, the per-writer `validate_words` formula and the exact-scan
-    /// words the check is booked at, on the conflict path, the clean path
-    /// and under `NONE`.
+    /// verdict and the per-writer `validate_words` formula on the conflict
+    /// path, the clean path and under `NONE`.
     #[test]
     fn validator_check_names_the_writer_lost_to_and_charges_per_writer() {
         let mut heap = Heap::new();
@@ -1737,9 +1818,7 @@ mod tests {
             for &w in words {
                 tx.write_i64(xs, w, 1);
             }
-            let mut stats = RunStats::default();
-            let (validate_words, conflict) = validator.check(&tx.finish(), &mut stats);
-            (validate_words, conflict, stats.exact_scan_words)
+            validator.check(&tx.finish())
         };
 
         // Five tracked words overlapping only the second writer, first at
@@ -1754,18 +1833,15 @@ mod tests {
         };
         assert_eq!(
             check(ConflictPolicy::Waw, &overlapping),
-            (2 + 5, Some(lost), 2 + 5)
+            (2 + 5, Some(lost))
         );
         // Words 512.. are no writer's: every writer is scanned and charged.
         assert_eq!(
             check(ConflictPolicy::Waw, &[512, 513, 514]),
-            (2 + 3 + 3, None, 2 + 3 + 3)
+            (2 + 3 + 3, None)
         );
         // NONE never conflicts, but is charged for every writer all the same.
-        assert_eq!(
-            check(ConflictPolicy::None, &overlapping),
-            (2 + 5 + 4, None, 2 + 5 + 4)
-        );
+        assert_eq!(check(ConflictPolicy::None, &overlapping), (2 + 5 + 4, None));
     }
 
     /// [`Validator::check`] against an oracle that shares nothing with the
@@ -1848,8 +1924,7 @@ mod tests {
                 for &(o, lo, hi) in &writes {
                     tx.write_i64s(o, lo, &vec![1; hi - lo]);
                 }
-                let mut stats = RunStats::default();
-                let (got_words, got) = validator.check(&tx.finish(), &mut stats);
+                let (got_words, got) = validator.check(&tx.finish());
 
                 // The oracle. Reads are tracked, and checked, exactly under
                 // FULL and RAW.
@@ -1886,7 +1961,6 @@ mod tests {
                 let ctx = format!("case {case} {policy:?}");
                 assert_eq!(got, want, "{ctx}");
                 assert_eq!(got_words, want_words, "{ctx}");
-                assert_eq!(stats.exact_scan_words, want_words, "{ctx}");
                 if want.is_some() {
                     conflicts += 1;
                 } else if !writers.is_empty() && policy != ConflictPolicy::None {

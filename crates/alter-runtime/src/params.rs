@@ -42,17 +42,6 @@ impl ConflictPolicy {
             ConflictPolicy::Waw | ConflictPolicy::None => TrackMode::WritesOnly,
         }
     }
-
-    /// Whether `self` permits a superset of the commits `other` permits
-    /// (the partial order of §4.2; returns `false` for incomparable
-    /// `WAW`/`RAW`).
-    pub fn at_most_as_strict_as(self, other: ConflictPolicy) -> bool {
-        use ConflictPolicy::*;
-        matches!(
-            (self, other),
-            (None, _) | (_, Full) | (Waw, Waw) | (Raw, Raw)
-        )
-    }
 }
 
 impl std::fmt::Display for ConflictPolicy {
@@ -254,19 +243,6 @@ mod tests {
         assert_eq!(ConflictPolicy::Raw.track_mode(), TrackMode::ReadsAndWrites);
         assert_eq!(ConflictPolicy::Waw.track_mode(), TrackMode::WritesOnly);
         assert_eq!(ConflictPolicy::None.track_mode(), TrackMode::WritesOnly);
-    }
-
-    #[test]
-    fn partial_order_of_conflict_policies() {
-        use ConflictPolicy::*;
-        assert!(None.at_most_as_strict_as(Full));
-        assert!(None.at_most_as_strict_as(Waw));
-        assert!(Waw.at_most_as_strict_as(Full));
-        assert!(Raw.at_most_as_strict_as(Full));
-        assert!(!Full.at_most_as_strict_as(Waw));
-        // WAW and RAW are incomparable.
-        assert!(!Waw.at_most_as_strict_as(Raw));
-        assert!(!Raw.at_most_as_strict_as(Waw));
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub trait IterSpace {
 
     /// Whether all iterations have been handed out.
     fn is_exhausted(&self) -> bool;
-
-    /// Total iterations if known up front (for progress reporting).
-    fn size_hint(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// The iteration space `lo..hi` of a counted loop.
@@ -60,10 +55,6 @@ impl IterSpace for RangeSpace {
     fn is_exhausted(&self) -> bool {
         self.cur >= self.end
     }
-
-    fn size_hint(&self) -> Option<u64> {
-        Some(self.end - self.cur)
-    }
 }
 
 /// An explicit sequence of iteration identifiers (e.g. the node ids of an
@@ -92,10 +83,6 @@ impl IterSpace for SeqSpace {
     fn is_exhausted(&self) -> bool {
         self.cur >= self.items.len()
     }
-
-    fn size_hint(&self) -> Option<u64> {
-        Some((self.items.len() - self.cur) as u64)
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +92,6 @@ mod tests {
     #[test]
     fn range_space_chunks_exactly_cover_the_range() {
         let mut s = RangeSpace::new(3, 11);
-        assert_eq!(s.size_hint(), Some(8));
         let mut all = Vec::new();
         while !s.is_exhausted() {
             let c = s.next_chunk(3);
@@ -123,7 +109,6 @@ mod tests {
         assert!(s.next_chunk(4).is_empty());
         let s = RangeSpace::new(9, 2);
         assert!(s.is_exhausted());
-        assert_eq!(RangeSpace::from(0..4).size_hint(), Some(4));
     }
 
     #[test]

@@ -124,8 +124,12 @@ done
 
 echo "== DPOR schedule-space model checker =="
 # Full check of the two flagship workloads at a raised schedule budget.
+# Their best runs record under StaleReads, whose read sets are empty, so
+# Genome under OutOfOrder is the leg whose commutativity relation takes
+# the read-vs-write branch at this budget.
 cli check genome best --max-schedules 1024
 cli check k-means best --max-schedules 1024
+cli check genome outoforder --max-schedules 1024
 # The checker must also fail when it should: k-means under DOALL is
 # deliberately unsound, and the dumped counterexample pair must diverge
 # under `alter-cli diff` (both commands exit 1), while a journal diffed
