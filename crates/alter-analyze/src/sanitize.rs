@@ -296,11 +296,9 @@ pub(crate) fn read_rounds(events: &[Event]) -> (Vec<Round>, Vec<Violation>) {
                 continue;
             }
             // Task starts and reduction merges carry no isolation
-            // evidence, phase-profile entries land after a round's
-            // verdicts, and probe brackets are outside rounds.
+            // evidence, and probe brackets are outside rounds.
             Event::TaskStart { .. }
             | Event::ReductionMerge { .. }
-            | Event::PhaseProfile { .. }
             | Event::ProbeStart { .. }
             | Event::ProbeOutcome { .. } => continue,
         };

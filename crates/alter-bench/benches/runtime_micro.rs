@@ -80,7 +80,7 @@ fn bench_snapshot() {
         bench(name, 200, || {
             let held = heap.snapshot();
             at = (at + 1) % commits.len();
-            heap.commit(&commits[at]);
+            heap.commit(&commits[at]).unwrap();
             held
         });
     }
@@ -102,9 +102,11 @@ fn bench_scattered_commit() {
         }
     });
     assert_eq!(fx.writes.range_count(), 2_341);
-    heap.commit(&fx);
+    heap.commit(&fx).unwrap();
     assert_eq!(heap.digest(), COMMITTED_DIGEST, "the committed words moved");
-    bench("commit_scattered_2341w_16k", 2000, || heap.commit(&fx));
+    bench("commit_scattered_2341w_16k", 2000, || {
+        heap.commit(&fx).unwrap()
+    });
 }
 
 /// Allocating 131 072 ten-word objects into an empty heap (Genome's bucket

@@ -4,7 +4,7 @@
 //!
 //! A workload's verdict comes from one `probe_summary`, one `interpret`,
 //! the inference suite with and without the static tier, and one
-//! recording of its best run with task sets and the phase profile on.
+//! recording of its best run with task sets on.
 //! A field is written only if it is measured — nothing a gate pins to a
 //! constant, nothing that is arithmetic on other fields — and every number
 //! is a deterministic counter, so a diff means the runtime's behaviour
@@ -19,7 +19,7 @@ use alter_analyze::{
 };
 use alter_infer::{infer, InferConfig, InferReport, Model, Probe};
 use alter_runtime::{DepKind, ExecParams, LoopSummary, RunStats};
-use alter_trace::{format_hash, trace_hash, Event, Phase, Profile};
+use alter_trace::{format_hash, trace_hash, Event};
 use alter_workloads::{all_benchmarks, Benchmark, Scale};
 use std::collections::BTreeMap;
 
@@ -74,7 +74,6 @@ struct Verdict {
     /// Sanitizer violations of the recorded stream.
     violations: Vec<String>,
     stats: RunStats,
-    profile: Profile,
     dpor: CheckReport,
     /// Inference with both pruning tiers, and with the dynamic tier only.
     combined: InferReport,
@@ -107,9 +106,7 @@ impl Verdict {
 
         let mut probe = bench.best_probe(icfg.workers);
         probe.record_sets = true;
-        probe.profile_phases = true;
         let (events, stats) = completed_run(bench, &probe)?;
-        let profile = Profile::from_events(&events);
         let dpor = check_events(&events, &check_config(&probe, DEFAULT_SCHEDULE_BUDGET))?;
         let combined = infer(bench, icfg);
         let mut dynamic_only = icfg.clone();
@@ -117,7 +114,7 @@ impl Verdict {
 
         let dep = summary.report();
         let edges = |kind| s.edges.iter().filter(|e| e.kind == kind).count() as u64;
-        let cost = |phase| profile.cost(phase);
+        let costs = &stats.phase_costs;
         let skips = (combined.static_pruned.iter())
             .map(|pc| format!("{}: {}", pc.annotation, pc.reason).into());
         let record = json!({
@@ -146,10 +143,10 @@ impl Verdict {
                 "trace_hash": format_hash(trace_hash(&events)),
                 "rounds": stats.rounds,
                 "tasks": dpor.tasks,
-                "snapshot": cost(Phase::Snapshot),
-                "execute": cost(Phase::Execute),
-                "validate": cost(Phase::Validate),
-                "commit": cost(Phase::Commit),
+                "snapshot": costs.snapshot,
+                "execute": costs.execute,
+                "validate": costs.validate,
+                "commit": costs.commit,
             }),
             "dpor": json!({
                 "naive_schedules": dpor.naive_schedules,
@@ -169,7 +166,6 @@ impl Verdict {
             name,
             record,
             stats,
-            profile,
             dpor,
             combined,
         })
@@ -177,10 +173,10 @@ impl Verdict {
 
     /// The record-level gates, in order; the first that fails is the
     /// error: the best run is sanitizer-clean, its LoopSpec covers its
-    /// replay (static ⊇ dynamic), it is schedule-sound, its profile equals
-    /// its ledger, the checker counts the same rounds, DPOR prunes a
-    /// flagship ≥ 5× with no budget hit, and the static tier changes no
-    /// inferred annotation and saves one probe per skip.
+    /// replay (static ⊇ dynamic), it is schedule-sound, the checker counts
+    /// the rounds `RunStats` does, DPOR prunes a flagship ≥ 5× with no
+    /// budget hit, and the static tier changes no inferred annotation and
+    /// saves one probe per skip.
     fn gate(&self) -> Result<(), String> {
         let name = &self.name;
         if let Some(v) = self.violations.first() {
@@ -195,10 +191,9 @@ impl Verdict {
         ensure(r.sound(), || {
             format!("check: {name} [best] is schedule-unsound")
         })?;
-        ledger_gate(name, &self.profile, &self.stats)?;
         ensure(r.rounds == self.stats.rounds, || {
             format!(
-                "{name}: the checker counts {} round(s), RunStats and the profile {}",
+                "{name}: the checker counts {} round(s), RunStats {}",
                 r.rounds, self.stats.rounds
             )
         })?;
@@ -237,24 +232,6 @@ fn gate(verdicts: &[Verdict]) -> Result<(), String> {
     })
 }
 
-/// The trace-folded profile and the engine's in-stats ledger are two
-/// paths to the same numbers, per phase (the ledger charges nothing to
-/// inference) and in rounds.
-fn ledger_gate(what: &str, profile: &Profile, stats: &RunStats) -> Result<(), String> {
-    for phase in Phase::ALL {
-        ensure(profile.cost(phase) == stats.phase_costs.cost(phase), || {
-            format!("{what}: trace profile and RunStats ledger disagree on {phase}")
-        })?;
-    }
-    ensure(profile.rounds() == stats.rounds, || {
-        format!(
-            "{what}: the profile counts {} round(s), RunStats {}",
-            profile.rounds(),
-            stats.rounds
-        )
-    })
-}
-
 /// Lint diagnostic counts per `severity:code` under the probe's
 /// annotation: a byte-stable fingerprint of the linter that stays small
 /// even for SSCA2's thousands of edges.
@@ -283,42 +260,27 @@ fn lint_counts(summary: &LoopSummary, probe: &Probe) -> Json {
 }
 
 /// One flagship's best run at each of [`WORKER_SWEEP`]: rounds and phase
-/// costs, each run gated against the ledger, the threaded driver and an
-/// unprofiled run.
+/// costs, each run gated against the threaded driver.
 fn phase_sweep(name: &str) -> Result<Json, String> {
     let bench = find(name)?;
-    let run = |workers, threaded, profile_phases| {
+    let run = |workers, threaded| {
         let mut probe = bench.best_probe(workers);
         probe.threaded = threaded;
-        probe.profile_phases = profile_phases;
         completed_run(bench.as_ref(), &probe)
     };
     let runs = WORKER_SWEEP
         .iter()
         .map(|&workers| {
             let what = format!("{name} N={workers}");
-            let (events, stats) = run(workers, false, true)?;
-            ledger_gate(&what, &Profile::from_events(&events), &stats)?;
+            let (events, stats) = run(workers, false)?;
 
             // Phase costs are trace-stable: the threaded driver must charge
             // the exact same units as the sequential simulation.
-            let (threaded_events, threaded) = run(workers, true, true)?;
+            let (threaded_events, threaded) = run(workers, true)?;
             ensure(
                 stats.phase_costs == threaded.phase_costs
                     && trace_hash(&events) == trace_hash(&threaded_events),
                 || format!("{what}: drive mode changed phase costs"),
-            )?;
-
-            // Profiling must be observationally pure: stripping the
-            // phase_profile events recovers the unprofiled trace byte for
-            // byte, and the ledger is folded either way.
-            let (plain_events, plain) = run(workers, false, false)?;
-            let mut stripped = events.clone();
-            stripped.retain(|ev| !matches!(ev, Event::PhaseProfile { .. }));
-            ensure(
-                trace_hash(&stripped) == trace_hash(&plain_events)
-                    && stats.phase_costs == plain.phase_costs,
-                || format!("{what}: profiler perturbed the underlying trace"),
             )?;
 
             let c = &stats.phase_costs;
@@ -357,12 +319,10 @@ mod tests {
             suite,
             "absint: the static tier skipped only 0 probes suite-wide (need >= 10)"
         );
-        let doctors: [fn(&mut Verdict); 11] = [
+        let doctors: [fn(&mut Verdict); 9] = [
             |v| v.violations.push("overlap".into()),
             |v| v.uncovered.push("RAW edge".into()),
             |v| v.dpor.unsound_rounds = 1,
-            |v| v.profile.record(0, Phase::Commit, 1),
-            |v| v.profile.record(0, Phase::InferProbe, 1),
             |v| v.stats.rounds += 1,
             |v| v.dpor.rounds += 1,
             |v| v.dpor.budget_hits = 1,
@@ -381,10 +341,8 @@ mod tests {
                 "sanitizer: Genome: overlap",
                 "absint: Genome: LoopSpec does not cover its replay (static ⊉ dynamic): RAW edge",
                 "check: Genome [best] is schedule-unsound",
-                "Genome: trace profile and RunStats ledger disagree on commit",
-                "Genome: trace profile and RunStats ledger disagree on infer_probe",
-                "Genome: the profile counts 38 round(s), RunStats 39",
-                "Genome: the checker counts 39 round(s), RunStats and the profile 38",
+                "Genome: the checker counts 38 round(s), RunStats 39",
+                "Genome: the checker counts 39 round(s), RunStats 38",
                 "Genome: schedule budget must not bite",
                 "Genome: DPOR pruning below 5x: 889 explored vs 889 naive",
                 "Genome: static pruning changed the inferred annotations",

@@ -39,8 +39,6 @@ commands:
         --chunk N    chunk factor                       (default: tuned cf)
         --jsonl      dump the raw JSONL event stream instead of the timeline
         --twice      run the probe twice and verify byte-identical traces
-        --profile    enable the deterministic phase profiler (per-round
-                     phase_profile events) and print the hotspot table
         --threaded   drive rounds on the worker pool's threads instead of
                      the sequential simulation (identical traces)
   deps [workload]
@@ -70,7 +68,6 @@ commands:
         --out FILE   journal file (default <workload>.journal)
         --workers N  worker count (default 4)
         --sets       record per-task access sets (task_sets events)
-        --profile    record per-round phase_profile cost-unit events
   replay <journal>
       re-execute the journal under its recorded configuration and verify
       the fresh stream is byte-identical; on mismatch, print the first
@@ -78,7 +75,8 @@ commands:
   diff <journal-a> <journal-b>
       compare two journals event by event (exit 1 when they fork)
   profile <workload|all> [annotation]
-      run with the phase profiler and print the sorted hotspot table
+      run and print the phase ledger (cost units per round phase) as a
+      hotspot table
         --workers N  worker count (default 4)
         --folded     print folded-stack lines (flamegraph input) instead
   tables
@@ -104,7 +102,7 @@ const RING_CAPACITY: usize = 1 << 20;
 
 /// Every flag any subcommand takes, with what its value must be (`None`
 /// for a switch).
-const FLAGS: [(&str, Option<&str>); 13] = [
+const FLAGS: [(&str, Option<&str>); 12] = [
     ("--workers", Some(INTEGER)),
     ("--chunk", Some(INTEGER)),
     ("--max-schedules", Some(INTEGER)),
@@ -113,7 +111,6 @@ const FLAGS: [(&str, Option<&str>); 13] = [
     ("--cex", Some("a path prefix")),
     ("--jsonl", None),
     ("--twice", None),
-    ("--profile", None),
     ("--threaded", None),
     ("--sets", None),
     ("--folded", None),
@@ -149,14 +146,7 @@ const COMMANDS: [Command; 13] = [
     Command {
         synopsis: "trace <workload> [annotation]",
         args: (1, 2),
-        flags: &[
-            "--workers",
-            "--chunk",
-            "--jsonl",
-            "--twice",
-            "--profile",
-            "--threaded",
-        ],
+        flags: &["--workers", "--chunk", "--jsonl", "--twice", "--threaded"],
     },
     Command {
         synopsis: "deps [workload]",
@@ -181,7 +171,7 @@ const COMMANDS: [Command; 13] = [
     Command {
         synopsis: "record <workload> [annotation]",
         args: (1, 2),
-        flags: &["--out", "--workers", "--sets", "--profile"],
+        flags: &["--out", "--workers", "--sets"],
     },
     Command {
         synopsis: "replay <journal>",
@@ -432,14 +422,14 @@ mod tests {
             ("list", Ok(())),
             ("trace k-means best --jsonl", Ok(())),
             (
-                "trace sg3d --workers 1 --chunk 1 --twice --profile --threaded",
+                "trace sg3d --workers 1 --chunk 1 --twice --threaded",
                 Ok(()),
             ),
             ("deps", Ok(())),
             ("lint genome --workers 2", Ok(())),
             ("check all best --max-schedules 1024 --cex target/x", Ok(())),
             ("check --journal g.journal --max-schedules 9", Ok(())),
-            ("record genome --sets --profile --out g.journal", Ok(())),
+            ("record genome --sets --out g.journal", Ok(())),
             ("diff a.journal b.journal", Ok(())),
             ("profile all --folded --workers 2", Ok(())),
             ("figures --quick", Ok(())),

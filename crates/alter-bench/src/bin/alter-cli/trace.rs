@@ -13,7 +13,7 @@ use crate::{find, probe_for, record_run, select, Args};
 use alter_analyze::absint::{interpret, ALLOC_REGION};
 use alter_infer::Probe;
 use alter_runtime::RunStats;
-use alter_trace::{format_hash, to_jsonl, trace_hash, Event, Metrics, Profile};
+use alter_trace::{format_hash, to_jsonl, trace_hash, Event, Metrics};
 use alter_workloads::{all_benchmarks, Benchmark, Scale};
 
 pub fn list() {
@@ -166,7 +166,6 @@ pub fn trace(a: &Args) -> Result<bool, String> {
         probe.chunk = chunk;
     }
     probe.threaded = a.has("--threaded");
-    probe.profile_phases = a.has("--profile");
 
     println!(
         "{} under [{}], {} worker(s), chunk {}{}",
@@ -203,11 +202,6 @@ pub fn trace(a: &Args) -> Result<bool, String> {
         Metrics::from_events(&events).render(&runtime_counters)
     );
     println!();
-    if probe.profile_phases {
-        // Same aggregation the `profile` subcommand uses.
-        print!("{}", Profile::from_events(&events).render(bench.name()));
-        println!();
-    }
     let hash = trace_hash(&events);
     println!("trace hash: {}", format_hash(hash));
 

@@ -246,7 +246,6 @@ fn write_counterexample(r: &CheckedRun, prefix: &str) -> Result<(), String> {
             annotation: r.annotation.clone(),
             workers: r.workers as u32,
             record_sets: true,
-            profile_phases: false,
             trace_hash: 0, // recomputed by Journal::new
         };
         let journal = Journal::new(header, events.clone())?;

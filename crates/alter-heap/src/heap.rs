@@ -412,13 +412,30 @@ impl Heap {
     /// it ("Writing in place" above). The private copies stay in `fx`, for
     /// [`TxEffects::reset`] to recycle.
     ///
+    /// # Errors
+    ///
+    /// Returns the lowest id the commit would write into or free that is
+    /// dead, and changes nothing. A transaction sees the round's snapshot,
+    /// so such an object was freed by an earlier committer of the round:
+    /// validation compares no write sets under DOALL or `Raw`, and a plain
+    /// write records no read, so it does not stop this commit.
+    ///
     /// # Panics
     ///
-    /// Panics if an effect refers to a dead object (the engine validates
-    /// before committing, so this is a runtime bug), a write's kind differs
-    /// from its object's, or an alloc id collides with a live slot (an
-    /// allocator bug).
-    pub fn commit(&mut self, fx: &TxEffects) {
+    /// Panics if a write's kind differs from its object's, or an alloc id
+    /// collides with a live slot (an allocator bug).
+    pub fn commit(&mut self, fx: &TxEffects) -> Result<(), ObjId> {
+        let dead = fx.overlay.iter().filter_map(|(&id, local)| {
+            let touched = match local {
+                Local::Copy { .. } => !fx.writes.ranges(id).is_empty(),
+                Local::Fresh(_) => false,
+                Local::Freed => true,
+            };
+            (touched && !self.is_live(id)).then_some(id)
+        });
+        if let Some(id) = dead.min() {
+            return Err(id);
+        }
         for (&id, local) in &fx.overlay {
             match local {
                 // A private copy with no range in the write set wrote nothing.
@@ -432,11 +449,13 @@ impl Heap {
                 Local::Freed => self.commit_free(id),
             }
         }
+        Ok(())
     }
 
     /// [`Heap::commit`] of effects given as [`CommitOps`], one range per
     /// write: the form the wall-clock benchmark's probes build and time.
-    /// Panics as [`Heap::commit`] does.
+    /// Panics as [`Heap::commit`] does, and on a write into or a free of a
+    /// dead object.
     pub fn apply_commit(&mut self, ops: CommitOps) {
         for (id, lo, hi, src) in ops.writes {
             self.merge(id, src.view(), std::iter::once((lo, hi)));

@@ -1007,7 +1007,7 @@ mod tests {
         };
         assert_eq!(fx.footprint(), footprint);
         drop(snap);
-        h.commit(&fx);
+        h.commit(&fx).unwrap();
         assert_eq!(h.get(x).i64s(), &[11]);
         assert_eq!(h.get(y).f64s(), &[0.0, 0.0, 5.0]);
     }
@@ -1723,7 +1723,7 @@ mod tests {
             assert_eq!(fx.footprint(), want.footprint(), "{ctx}");
             fresh_committed += usize::from(fx.footprint().allocs > 0);
             drop(snap);
-            heap.commit(&fx);
+            heap.commit(&fx).unwrap();
             commit_word_by_word(&mut ref_heap, &want);
             assert_eq!(heap.digest(), ref_heap.digest(), "{ctx}");
             fx.reset();
@@ -1921,7 +1921,7 @@ mod tests {
                 }
                 let mut fx = tx.finish();
                 drop(snap);
-                h.commit(&fx);
+                h.commit(&fx).unwrap();
                 let want: Vec<i64> = (0..len)
                     .map(|i| if whole || i == 1 { 7 } else { 0 })
                     .collect();

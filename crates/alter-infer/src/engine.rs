@@ -10,8 +10,7 @@ use crate::outcome::Outcome;
 use crate::target::{InferTarget, Model, Probe, ProgramOutput};
 use alter_analyze::{interpret, predict, static_verdict, AnalyzeConfig, StaticVerdict, Verdict};
 use alter_runtime::{quiet::quiet_panics, DepReport, RedOp, RunError, WorkerPool};
-use alter_trace::{Event, Phase, Recorder};
-use std::sync::atomic::{AtomicU64, Ordering};
+use alter_trace::{Event, Recorder};
 use std::sync::Arc;
 
 /// Tunables of the inference engine, with the paper's defaults.
@@ -53,12 +52,6 @@ pub struct InferConfig {
     /// execution — and are counted in [`InferReport::static_pruned`].
     /// Off isolates PR 5's dynamic-only pruning, for A/B comparison.
     pub static_prune: bool,
-    /// Emit phase-profile events (off by default). Each probe's engine run
-    /// emits per-round phase costs, and the inference driver adds one
-    /// `infer_probe` entry per executed probe (its total cost units, keyed
-    /// by probe index), so a profiled inference trace attributes cost to
-    /// the search itself as well as to the engine phases within it.
-    pub profile_phases: bool,
 }
 
 impl std::fmt::Debug for InferConfig {
@@ -72,7 +65,6 @@ impl std::fmt::Debug for InferConfig {
             .field("recorder", &self.recorder.as_ref().map(|r| r.is_enabled()))
             .field("prune", &self.prune)
             .field("static_prune", &self.static_prune)
-            .field("profile_phases", &self.profile_phases)
             .finish()
     }
 }
@@ -88,7 +80,6 @@ impl Default for InferConfig {
             recorder: None,
             prune: true,
             static_prune: true,
-            profile_phases: false,
         }
     }
 }
@@ -215,12 +206,7 @@ fn probe_outcome(
     reference: &ProgramOutput,
     probe: &Probe,
     cfg: &InferConfig,
-    probe_index: &AtomicU64,
 ) -> Outcome {
-    // Every executed probe consumes one index, recording or not, so the
-    // numbering matches "probes run" whenever emission happens (recording
-    // forces the serial schedule, so the order is deterministic too).
-    let index = probe_index.fetch_add(1, Ordering::Relaxed);
     let rec = cfg.recorder.as_deref().filter(|r| r.is_enabled());
     if let Some(rec) = rec {
         rec.record(Event::ProbeStart {
@@ -228,16 +214,8 @@ fn probe_outcome(
         });
     }
     let result = quiet_panics(|| target.run_probe(probe));
-    let probe_cost = result.as_ref().map_or(0, |run| run.stats.cost_units());
     let outcome = classify(target, reference, result, cfg);
     if let Some(rec) = rec {
-        if cfg.profile_phases {
-            rec.record(Event::PhaseProfile {
-                round: index,
-                phase: Phase::InferProbe,
-                cost: probe_cost,
-            });
-        }
         rec.record(Event::ProbeOutcome {
             annotation: probe.describe(),
             outcome: outcome.short().to_owned(),
@@ -271,18 +249,15 @@ fn run_probes(
     reference: &ProgramOutput,
     probes: &[Probe],
     cfg: &InferConfig,
-    probe_index: &AtomicU64,
 ) -> Vec<Outcome> {
     let serial = probes.len() <= 1 || cfg.recorder.as_deref().is_some_and(|r| r.is_enabled());
     if serial {
         return probes
             .iter()
-            .map(|p| probe_outcome(target, reference, p, cfg, probe_index))
+            .map(|p| probe_outcome(target, reference, p, cfg))
             .collect();
     }
-    let run_one = |_worker: usize, idx: usize| {
-        probe_outcome(target, reference, &probes[idx], cfg, probe_index)
-    };
+    let run_one = |_worker: usize, idx: usize| probe_outcome(target, reference, &probes[idx], cfg);
     std::thread::scope(|scope| {
         let mut pool = WorkerPool::new(scope, cfg.workers, &run_one);
         let indices: Vec<usize> = (0..probes.len()).collect();
@@ -337,7 +312,6 @@ fn resolve_batch(
     planned: &[(Probe, Plan)],
     cfg: &InferConfig,
     ledger: &mut PruneLedger,
-    probe_index: &AtomicU64,
 ) -> Vec<Outcome> {
     let live: Vec<Probe> = planned
         .iter()
@@ -345,7 +319,7 @@ fn resolve_batch(
         .map(|(p, _)| p.clone())
         .collect();
     ledger.probes_run += live.len() as u64;
-    let mut live_outcomes = run_probes(target, reference, &live, cfg, probe_index).into_iter();
+    let mut live_outcomes = run_probes(target, reference, &live, cfg).into_iter();
     planned
         .iter()
         .map(|(probe, plan)| match plan {
@@ -463,14 +437,12 @@ pub fn infer(target: &(dyn InferTarget + Sync), cfg: &InferConfig) -> InferRepor
         Plan::from_dynamic(verdict_for(model, reduction))
     };
     let mut ledger = PruneLedger::default();
-    let probe_index = AtomicU64::new(0);
     let make_probe = |model: Model, reduction: Option<(String, RedOp)>| {
         let mut probe = Probe::new(model, cfg.workers, cfg.chunk);
         probe.reduction = reduction;
         probe.budget_words = budget_words;
         probe.work_budget = Some(work_budget);
         probe.recorder = cfg.recorder.clone();
-        probe.profile_phases = cfg.profile_phases;
         probe
     };
 
@@ -478,15 +450,8 @@ pub fn infer(target: &(dyn InferTarget + Sync), cfg: &InferConfig) -> InferRepor
         .into_iter()
         .map(|m| (make_probe(m, None), plan_for(m, None)))
         .collect();
-    let mut model_outcomes = resolve_batch(
-        target,
-        &reference,
-        &model_probes,
-        cfg,
-        &mut ledger,
-        &probe_index,
-    )
-    .into_iter();
+    let mut model_outcomes =
+        resolve_batch(target, &reference, &model_probes, cfg, &mut ledger).into_iter();
     let tls = model_outcomes.next().expect("three model probes");
     let out_of_order = model_outcomes.next().expect("three model probes");
     let stale_reads = model_outcomes.next().expect("three model probes");
@@ -518,14 +483,7 @@ pub fn infer(target: &(dyn InferTarget + Sync), cfg: &InferConfig) -> InferRepor
                 }
             }
         }
-        let outcomes = resolve_batch(
-            target,
-            &reference,
-            &red_probes,
-            cfg,
-            &mut ledger,
-            &probe_index,
-        );
+        let outcomes = resolve_batch(target, &reference, &red_probes, cfg, &mut ledger);
         for (((model, var, op), (probe, _)), outcome) in
             red_meta.into_iter().zip(&red_probes).zip(outcomes)
         {

@@ -105,13 +105,8 @@ pub struct Probe {
     /// Off by default: the payloads are large and recorded traces stay
     /// byte-identical to previous releases unless asked for.
     pub record_sets: bool,
-    /// Whether the engine emits per-round `phase_profile` cost-unit events
-    /// (the deterministic phase profiler). Off by default, for the same
-    /// reason as `record_sets`: recorded traces stay byte-identical unless
-    /// a profiling consumer opts in.
-    pub profile_phases: bool,
     /// Wall-clock phase accumulator forwarded to the engine (informational
-    /// mirror of the cost-unit profiler; never recorded in traces).
+    /// mirror of the phase ledger; never recorded in traces).
     pub wall_profile: Option<Arc<alter_trace::WallProfile>>,
 }
 
@@ -127,7 +122,6 @@ impl std::fmt::Debug for Probe {
             .field("recorder", &self.recorder.as_ref().map(|r| r.is_enabled()))
             .field("threaded", &self.threaded)
             .field("record_sets", &self.record_sets)
-            .field("profile_phases", &self.profile_phases)
             .field("wall_profile", &self.wall_profile.is_some())
             .finish()
     }
@@ -147,7 +141,6 @@ impl Probe {
             recorder: None,
             threaded: false,
             record_sets: false,
-            profile_phases: false,
             wall_profile: None,
         }
     }
@@ -196,7 +189,6 @@ impl Probe {
         p.work_budget = self.work_budget;
         p.recorder = self.recorder.clone();
         p.record_sets = self.record_sets;
-        p.profile_phases = self.profile_phases;
         p.wall_profile = self.wall_profile.clone();
         if let Some((name, op)) = &self.reduction {
             let var = reds

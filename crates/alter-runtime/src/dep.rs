@@ -492,7 +492,11 @@ where
 
         iters_out.push(access);
         ordinal += 1;
-        heap.commit(&effects);
+        // Each iteration reads the heap every earlier one committed to, so a
+        // body that touches an object an earlier iteration freed panics in
+        // the body, before this commit.
+        heap.commit(&effects)
+            .unwrap_or_else(|id| panic!("sequential commit into dead {id}"));
     }
 
     let locations = locs

@@ -94,11 +94,11 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Deterministic cost units charged to each engine phase of a run — the
-/// phase profiler's ledger. Every quantity is trace-stable (snapshot slot
-/// counts, transaction cost units, the per-writer validate-words
-/// accounting, committed write/alloc words), so phase costs are identical
-/// under both drivers, and a run's `PhaseProfile` events are a pure
-/// function of program + annotation.
+/// phase ledger, the one account of where a run's cost went. Every
+/// quantity is trace-stable (snapshot slot counts, transaction cost units,
+/// the per-writer validate-words accounting, committed write/alloc words),
+/// so phase costs are identical under both drivers and a pure function of
+/// program + annotation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseCosts {
     /// Snapshot establishment: one slot-table entry per round per slot
@@ -131,15 +131,13 @@ impl PhaseCosts {
         self.commit += other.commit;
     }
 
-    /// The cost charged to one engine phase (`InferProbe` is the
-    /// inference driver's phase, never charged by the engine itself).
+    /// The cost charged to one engine phase.
     pub fn cost(&self, phase: Phase) -> u64 {
         match phase {
             Phase::Snapshot => self.snapshot,
             Phase::Execute => self.execute,
             Phase::Validate => self.validate,
             Phase::Commit => self.commit,
-            Phase::InferProbe => 0,
         }
     }
 }
@@ -207,7 +205,8 @@ pub struct RunStats {
     /// drivers serve, so identical under either.
     pub tickets_requeued: u64,
     /// Deterministic cost units charged to each engine phase (the phase
-    /// profiler's ledger; identical under both drivers).
+    /// ledger, which `alter-cli profile` prints; identical under both
+    /// drivers).
     pub phase_costs: PhaseCosts,
 }
 
@@ -788,7 +787,8 @@ impl<'a> Coordinator<'a> {
     /// Retires one executed ticket — in ticket order, the caller's duty:
     /// books its execution, validates it unless an earlier in-order failure
     /// already squashed it, and commits or re-queues it. An `Err` (the
-    /// body's, or a failed reduction merge) aborts the run.
+    /// body's, a failed reduction merge, or a commit into a freed object)
+    /// aborts the run.
     fn retire(
         &mut self,
         worker: usize,
@@ -888,7 +888,9 @@ impl<'a> Coordinator<'a> {
 
     /// Commits a validated ticket: announces it, merges its reduction
     /// deltas, applies its writes to the heap in place and admits its write
-    /// set to the validator. `footprint` is that of `effects`.
+    /// set to the validator. `footprint` is that of `effects`. A write into
+    /// or a free of an object an earlier committer of the round freed is a
+    /// crash, and leaves the heap as it was.
     fn commit(
         &mut self,
         task: &Ticket,
@@ -932,31 +934,20 @@ impl<'a> Coordinator<'a> {
                 });
             }
         }
-        self.heap.commit(&effects);
+        self.heap.commit(&effects).map_err(|id| {
+            RunError::Crash(format!(
+                "commit into {id}, which an earlier committer of the round freed"
+            ))
+        })?;
         self.validator.admit(task.seq, effects);
         Ok(())
     }
 
-    /// Closes the round: folds its phase ledger into the run statistics
-    /// and, when opted in, emits one `PhaseProfile` event per phase after
-    /// the round's task events; resets the validator, reports to the
-    /// observer and enforces the work budget.
+    /// Closes the round: folds its phase ledger into the run statistics,
+    /// resets the validator, reports to the observer and enforces the work
+    /// budget.
     fn end_round(&mut self, observer: &mut dyn RoundObserver) -> Result<(), RunError> {
         self.stats.phase_costs.add(&self.costs);
-        if let (true, Some(rec)) = (self.params.profile_phases, self.rec) {
-            for phase in [
-                Phase::Snapshot,
-                Phase::Execute,
-                Phase::Validate,
-                Phase::Commit,
-            ] {
-                rec.record(Event::PhaseProfile {
-                    round: self.stats.rounds,
-                    phase,
-                    cost: self.costs.cost(phase),
-                });
-            }
-        }
         self.validator.end_round(&mut self.spent);
         observer.on_round(&RoundReport {
             round: self.stats.rounds,
@@ -1443,6 +1434,53 @@ mod tests {
                 assert_eq!(xs, prefix(at as i64));
             }
         });
+    }
+
+    /// A commit into an object an earlier committer of the round freed is
+    /// a crash of the run, not a panic of the coordinator: DOALL compares
+    /// no write sets, so ticket 1's write into the object ticket 0 freed
+    /// passes validation, and the heap keeps the prefix in which ticket 0
+    /// committed (SEMANTICS.md §2, clause 6).
+    #[test]
+    fn a_commit_into_an_object_freed_earlier_in_the_round_is_a_crash() {
+        let p = params(2, 1, ConflictPolicy::None, CommitOrder::OutOfOrder);
+        let setup = || {
+            let mut heap = Heap::new();
+            let ys = heap.alloc(ObjData::zeros_i64(2));
+            let x = heap.alloc(ObjData::zeros_i64(4));
+            (heap, ys, x)
+        };
+        let prefix = {
+            let (mut heap, ys, x) = setup();
+            heap.get_mut(ys).i64s_mut()[0] = 1;
+            heap.free(x);
+            heap.digest()
+        };
+        for threaded in [false, true] {
+            let (mut heap, ys, x) = setup();
+            let err = run_loop_engine(
+                &mut heap,
+                &mut RedVars::new(),
+                &mut RangeSpace::new(0, 2),
+                &p,
+                threaded,
+                &|ctx: &mut TxCtx<'_>, i: u64| {
+                    ctx.tx.write_i64(ys, i as usize, i as i64 + 1);
+                    if i == 0 {
+                        ctx.tx.free(x);
+                    } else {
+                        ctx.tx.write_i64(x, 3, 7);
+                    }
+                },
+                &mut NullObserver,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, RunError::Crash(ref m) if m.contains(&x.to_string())),
+                "threaded={threaded}: {err:?}"
+            );
+            assert_eq!(heap.digest(), prefix, "threaded={threaded}");
+        }
     }
 
     /// Tracked-memory budget violations become OutOfMemory.
@@ -2021,12 +2059,7 @@ mod tests {
             let (profiled, elapsed) = run(threaded, Some(Arc::clone(&wall)));
             let secs = wall.seconds();
             for phase in Phase::ALL {
-                let engine_phase = phase != Phase::InferProbe;
-                assert_eq!(
-                    secs[phase.index()] > 0.0,
-                    engine_phase,
-                    "{phase}, threaded={threaded}"
-                );
+                assert!(secs[phase.index()] > 0.0, "{phase}, threaded={threaded}");
             }
             assert!(wall.total() <= elapsed, "spans nest inside the run");
             assert_eq!(profiled, run(threaded, None).0, "threaded={threaded}");

@@ -106,13 +106,8 @@ pub struct ExecParams {
     /// sanitizer, which re-checks validation verdicts against the recorded
     /// sets. No effect without a recorder.
     pub record_sets: bool,
-    /// Emit per-round `Event::PhaseProfile` entries (deterministic cost
-    /// units per engine phase: snapshot, execute, validate, commit). Off by
-    /// default — profiling consumers opt in explicitly so existing canonical
-    /// traces and their hashes are unchanged. No effect without a recorder.
-    pub profile_phases: bool,
-    /// Wall-clock mirror for the phase profiler: when attached, the engine
-    /// adds elapsed seconds per phase. Lives outside the event stream (wall
+    /// Wall-clock mirror of the phase ledger (`RunStats::phase_costs`):
+    /// when attached, the engine adds elapsed seconds per phase. Lives outside the event stream (wall
     /// time is nondeterministic), so it never affects traces or hashes.
     pub wall_profile: Option<Arc<alter_trace::WallProfile>>,
 }
@@ -129,7 +124,6 @@ impl std::fmt::Debug for ExecParams {
             .field("work_budget", &self.work_budget)
             .field("recorder", &self.recorder.as_ref().map(|r| r.is_enabled()))
             .field("record_sets", &self.record_sets)
-            .field("profile_phases", &self.profile_phases)
             .field("wall_profile", &self.wall_profile.is_some())
             .finish()
     }
@@ -149,7 +143,6 @@ impl ExecParams {
             work_budget: None,
             recorder: None,
             record_sets: false,
-            profile_phases: false,
             wall_profile: None,
         }
     }

@@ -41,17 +41,15 @@ impl std::fmt::Display for ConflictKind {
     }
 }
 
-/// One engine phase, as accounted by the deterministic phase profiler.
+/// One engine phase of a lock-step round, as the phase ledger
+/// (`RunStats::phase_costs`) and the wall-clock mirror ([`crate::WallProfile`])
+/// account it.
 ///
-/// The first four phases partition a lock-step round: establish the
-/// snapshot, execute the round's transactions, validate them against
-/// earlier committers, and apply the committed effects. `InferProbe`
-/// covers the annotation-inference search, one accounting entry per probe.
-/// Phase costs are *cost units* (slots, words, declared work — the same
-/// currency as the virtual-time cost model), never wall-clock, so
-/// [`Event::PhaseProfile`] payloads inherit the trace determinism
-/// contract; an env-gated wall-clock mirror lives outside the event stream
-/// (see [`crate::WallProfile`]).
+/// The four phases partition a round: establish the snapshot, execute the
+/// round's transactions, validate them against earlier committers, and
+/// apply the committed effects. The ledger charges *cost units* (slots,
+/// words, declared work — the same currency as the virtual-time cost
+/// model), never wall-clock time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Establishing the round's memory snapshot (charged per visible slot).
@@ -66,19 +64,15 @@ pub enum Phase {
     /// Applying committed effects to the heap (charged per committed write
     /// and allocation word).
     Commit,
-    /// One annotation-inference probe (charged the probe run's total cost
-    /// units).
-    InferProbe,
 }
 
 impl Phase {
     /// Every phase, in canonical (pipeline) order.
-    pub const ALL: [Phase; 5] = [
+    pub const ALL: [Phase; 4] = [
         Phase::Snapshot,
         Phase::Execute,
         Phase::Validate,
         Phase::Commit,
-        Phase::InferProbe,
     ];
 
     /// Short stable name used in JSONL, folded stacks and tables.
@@ -88,7 +82,6 @@ impl Phase {
             Phase::Execute => "execute",
             Phase::Validate => "validate",
             Phase::Commit => "commit",
-            Phase::InferProbe => "infer_probe",
         }
     }
 
@@ -99,13 +92,7 @@ impl Phase {
             Phase::Execute => 1,
             Phase::Validate => 2,
             Phase::Commit => 3,
-            Phase::InferProbe => 4,
         }
-    }
-
-    /// Inverse of [`Phase::as_str`].
-    pub fn parse(s: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.as_str() == s)
     }
 }
 
@@ -239,19 +226,6 @@ pub enum Event {
         /// The configured budget.
         budget: u64,
     },
-    /// Deterministic cost-unit accounting for one engine phase of one
-    /// round (or, for [`Phase::InferProbe`], one inference probe — `round`
-    /// is then the probe index). Emitted only when
-    /// `ExecParams::profile_phases` is on; the four round phases arrive in
-    /// [`Phase::ALL`] order after the round's task events.
-    PhaseProfile {
-        /// Round index (probe index for `InferProbe` entries).
-        round: u64,
-        /// The phase being accounted.
-        phase: Phase,
-        /// Deterministic cost units charged to the phase.
-        cost: u64,
-    },
     /// The inference engine started probing one candidate annotation.
     ProbeStart {
         /// Annotation-style description, e.g.
@@ -292,7 +266,6 @@ impl Event {
             Event::Oom { .. } => "oom",
             Event::Crash { .. } => "crash",
             Event::WorkBudgetExceeded { .. } => "work_budget_exceeded",
-            Event::PhaseProfile { .. } => "phase_profile",
             Event::ProbeStart { .. } => "probe_start",
             Event::ProbeOutcome { .. } => "probe_outcome",
             Event::RunEnd { .. } => "run_end",
@@ -357,11 +330,6 @@ mod tests {
                 spent: 2,
                 budget: 1,
             },
-            Event::PhaseProfile {
-                round: 0,
-                phase: Phase::Snapshot,
-                cost: 1,
-            },
             Event::ProbeStart {
                 annotation: "TLS".into(),
             },
@@ -391,9 +359,7 @@ mod tests {
     fn phase_names_round_trip_and_index_all() {
         for (i, p) in Phase::ALL.into_iter().enumerate() {
             assert_eq!(p.index(), i);
-            assert_eq!(Phase::parse(p.as_str()), Some(p));
             assert_eq!(p.to_string(), p.as_str());
         }
-        assert_eq!(Phase::parse("wall_clock"), None);
     }
 }

@@ -39,8 +39,6 @@ pub struct JournalHeader {
     pub workers: u32,
     /// Whether `TaskSets` events were recorded.
     pub record_sets: bool,
-    /// Whether `PhaseProfile` events were recorded.
-    pub profile_phases: bool,
     /// Trace hash of the recorded event stream (FNV-1a over the canonical
     /// JSONL bytes, header excluded).
     pub trace_hash: u64,
@@ -60,8 +58,8 @@ impl JournalHeader {
         escape_into(&mut s, &self.annotation);
         let _ = write!(
             s,
-            "\",\"workers\":{},\"record_sets\":{},\"profile\":{},\"hash\":{}}}",
-            self.workers, self.record_sets as u8, self.profile_phases as u8, self.trace_hash
+            "\",\"workers\":{},\"record_sets\":{},\"hash\":{}}}",
+            self.workers, self.record_sets as u8, self.trace_hash
         );
         s
     }
@@ -94,11 +92,12 @@ impl JournalHeader {
             annotation: f.string("annotation")?,
             workers: f.int32("workers")?,
             record_sets: flag("record_sets")?,
-            profile_phases: flag("profile")?,
             // Journals recorded while there was a driver or a heap layout
-            // to choose carry a `"pipeline":` depth and a `"shards":` count;
-            // both are accepted and ignored — the event stream never
-            // depended on either.
+            // to choose carry a `"pipeline":` depth and a `"shards":` count,
+            // and those recorded while phase costs could be traced carry a
+            // `"profile":` flag; all three are accepted and ignored — the
+            // event stream never depended on the first two, and a journal
+            // that holds the retired events fails to load on them.
             trace_hash: f.int("hash")?,
         })
     }
@@ -283,7 +282,6 @@ fn count_rounds(events: &[Event]) -> Result<usize, (Option<usize>, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Phase;
 
     fn header() -> JournalHeader {
         JournalHeader {
@@ -291,7 +289,6 @@ mod tests {
             annotation: "[StaleReads]".into(),
             workers: 4,
             record_sets: true,
-            profile_phases: true,
             trace_hash: 0,
         }
     }
@@ -314,11 +311,6 @@ mod tests {
                 write_words: 1,
                 allocs: 0,
                 frees: 0,
-            },
-            Event::PhaseProfile {
-                round: 0,
-                phase: Phase::Execute,
-                cost: 9,
             },
             Event::RoundStart {
                 round: 1,
@@ -422,33 +414,51 @@ mod tests {
     fn header_flags_round_trip() {
         let mut h = header();
         h.record_sets = false;
-        h.profile_phases = false;
         let j = Journal::new(h, run_events()).unwrap();
         let back = Journal::from_jsonl(&j.to_jsonl()).unwrap();
         assert!(!back.header().record_sets);
-        assert!(!back.header().profile_phases);
         assert_eq!(back.header().workload, "genome");
         assert_eq!(back.header().workers, 4);
     }
 
     #[test]
     fn retired_header_fields_are_accepted_and_ignored() {
-        // Journals written while the header carried a pipeline depth and a
-        // heap-layout count (in that order, before the hash) must still
-        // load — whatever the fields say — to the journal written today.
+        // Journals written while the header carried a phase-profile flag,
+        // a pipeline depth and a heap-layout count (in that order, before
+        // the hash) must still load — whatever the fields say — to the
+        // journal written today.
         let j = Journal::new(header(), run_events()).unwrap();
         let today = j.to_jsonl();
-        assert!(!today.contains("\"pipeline\":") && !today.contains("\"shards\":"));
+        for key in ["\"profile\":", "\"pipeline\":", "\"shards\":"] {
+            assert!(!today.contains(key), "{key}");
+        }
         for retired in [
             "",
+            "\"profile\":0,",
+            "\"profile\":1,",
             "\"shards\":1,",
             "\"shards\":16,",
             "\"pipeline\":4,\"shards\":16,",
+            "\"profile\":0,\"pipeline\":0,\"shards\":1,",
         ] {
             let old = today.replace("\"hash\":", &format!("{retired}\"hash\":"));
             let back = Journal::from_jsonl(&old).expect("old header parses");
             assert_eq!(back, j, "`{retired}`");
             assert_eq!(back.to_jsonl(), today, "`{retired}`");
         }
+    }
+
+    #[test]
+    fn rejects_retired_phase_cost_lines() {
+        // Phase costs live in `RunStats`, not in the event stream: a
+        // journal recorded while they could be traced, per-round cost
+        // lines and all, no longer loads, and the error names the line.
+        let text = Journal::new(header(), run_events()).unwrap().to_jsonl();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let retired = "{\"ev\":\"phase_profile\",\"round\":0,\"phase\":\"execute\",\"cost\":9}";
+        lines.insert(4, retired);
+        let err = Journal::from_jsonl(&lines.join("\n")).unwrap_err();
+        assert_eq!(err.line, 5, "{err}");
+        assert!(err.msg.contains("unknown event kind"), "{err}");
     }
 }

@@ -8,7 +8,7 @@
 //! [`from_jsonl`] inverts [`to_jsonl`], which is what lets the
 //! `alter-cli lint` sanitizer replay a recorded trace offline.
 
-use crate::event::{ConflictKind, Event, Phase};
+use crate::event::{ConflictKind, Event};
 use alter_heap::{AccessSet, ObjId};
 use std::fmt::Write as _;
 
@@ -144,13 +144,6 @@ pub fn event_json(ev: &Event) -> String {
         }
         Event::WorkBudgetExceeded { spent, budget } => {
             let _ = write!(s, ",\"spent\":{spent},\"budget\":{budget}");
-        }
-        Event::PhaseProfile { round, phase, cost } => {
-            let _ = write!(
-                s,
-                ",\"round\":{round},\"phase\":\"{}\",\"cost\":{cost}",
-                phase.as_str()
-            );
         }
         Event::ProbeStart { annotation } => {
             s.push_str(",\"annotation\":\"");
@@ -416,14 +409,6 @@ pub(crate) fn parse_event_fields(f: &Fields) -> Result<Event, String> {
             spent: f.int("spent")?,
             budget: f.int("budget")?,
         },
-        "phase_profile" => Event::PhaseProfile {
-            round: f.int("round")?,
-            phase: {
-                let s = f.string("phase")?;
-                Phase::parse(&s).ok_or_else(|| format!("unknown phase `{s}`"))?
-            },
-            cost: f.int("cost")?,
-        },
         "probe_start" => Event::ProbeStart {
             annotation: f.string("annotation")?,
         },
@@ -526,11 +511,6 @@ mod tests {
                 spent: 11,
                 budget: 10,
             },
-            Event::PhaseProfile {
-                round: 3,
-                phase: Phase::Validate,
-                cost: 128,
-            },
             Event::ProbeStart {
                 annotation: "[StaleReads]".into(),
             },
@@ -549,26 +529,9 @@ mod tests {
     }
 
     #[test]
-    fn phase_profile_event_is_canonical() {
-        let ev = Event::PhaseProfile {
-            round: 7,
-            phase: Phase::InferProbe,
-            cost: 42,
-        };
-        assert_eq!(
-            event_json(&ev),
-            "{\"ev\":\"phase_profile\",\"round\":7,\"phase\":\"infer_probe\",\"cost\":42}"
-        );
-    }
-
-    #[test]
     fn from_jsonl_rejects_garbage() {
         assert!(from_jsonl("not json\n").is_err());
         assert!(from_jsonl("{\"ev\":\"no_such_event\"}\n").is_err());
-        assert!(from_jsonl(
-            "{\"ev\":\"phase_profile\",\"round\":0,\"phase\":\"warp\",\"cost\":1}\n"
-        )
-        .is_err());
         let err = from_jsonl("{\"ev\":\"run_end\",\"rounds\":1}\n").unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.msg.contains("attempts"), "{err}");

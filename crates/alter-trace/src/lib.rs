@@ -47,6 +47,6 @@ pub use hash::{format_hash, trace_hash, TraceHasher};
 pub use journal::{Journal, JournalHeader, JOURNAL_MAGIC, JOURNAL_VERSION};
 pub use jsonl::{event_json, from_jsonl, parse_set, render_set, to_jsonl, ParseTraceError};
 pub use metrics::{Histogram, Metrics, HISTOGRAM_BUCKETS};
-pub use profile::{Profile, WallProfile, PHASE_COUNT};
+pub use profile::{WallProfile, PHASE_COUNT};
 pub use recorder::{NopRecorder, Recorder, RingRecorder, DEFAULT_RING_CAPACITY};
 pub use render::render_timeline;

@@ -194,10 +194,7 @@ impl Metrics {
             Event::Crash { .. } => self.crashes += 1,
             Event::WorkBudgetExceeded { .. } => self.work_budget_exceeded += 1,
             Event::ProbeStart { .. } => self.probes += 1,
-            Event::TaskSets { .. }
-            | Event::PhaseProfile { .. }
-            | Event::ProbeOutcome { .. }
-            | Event::RunEnd { .. } => {}
+            Event::TaskSets { .. } | Event::ProbeOutcome { .. } | Event::RunEnd { .. } => {}
         }
     }
 

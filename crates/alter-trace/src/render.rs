@@ -111,13 +111,6 @@ pub fn render_timeline(events: &[Event]) -> String {
                     pad(in_round)
                 );
             }
-            Event::PhaseProfile { round, phase, cost } => {
-                let _ = writeln!(
-                    out,
-                    "{}phase {phase}: {cost} cost unit(s) (round {round})",
-                    pad(in_round)
-                );
-            }
             Event::ProbeStart { annotation } => {
                 in_round = false;
                 let _ = writeln!(out, "probe: {annotation}");

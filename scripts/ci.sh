@@ -59,12 +59,15 @@ fi
 # Every verification surface is a subcommand of one bin.
 cli() { cargo run --release -q -p alter-bench --bin alter-cli -- "$@"; }
 
-echo "== smoke: tables, figures --quick, gauss_seidel example, trace, lint, absint, deps =="
+echo "== smoke: tables, figures --quick, gauss_seidel example, trace, lint, absint, deps, profile =="
 # Outside the tests these are the only readers of a probe run's sweep and
 # pass counts and of its simulated clock; clippy only compiles them. Each
 # must exit 0 (about a second each in release mode). `trace --twice` is the
 # determinism oracle and prints the runtime's counter line; `lint`,
 # `absint` and `deps` with no workload cover all twelve (≈ 1 s together).
+# `profile all doall` prints every workload's phase ledger under DOALL,
+# where AggloClust commits into an object an earlier committer of the round
+# freed: the run must abort with a crash note, not panic (0.04 s).
 cli tables > /dev/null
 cli figures --quick > /dev/null
 cargo run --release -q --example gauss_seidel > /dev/null
@@ -72,22 +75,23 @@ cli trace genome --threaded --twice > /dev/null
 cli lint > /dev/null
 cli absint > /dev/null
 cli deps > /dev/null
+cli profile all doall > /dev/null
 
 echo "== alter-cli baselines (verdict gates + VERDICTS.json drift check) =="
-# One process records every workload's best run once (task sets and phase
-# profile on) and writes one verdict record per workload to VERDICTS.json,
-# exiting non-zero with the gate's message when any gate fails: every best
-# run is isolation-sanitizer clean, every declared LoopSpec covers its
-# dynamic replay (static ⊇ dynamic), every best run is schedule-sound, the
-# trace-folded phase profile equals the RunStats ledger and RunStats,
-# profile and checker count the same rounds, DPOR prunes Genome and
-# K-means >= 5x below naive enumeration with no budget hit, and the static
-# tier skips >= 10 probes without changing an inferred annotation. The
-# flagships' N = 1/2/8 phase sweep also gates that the threaded driver
-# charges what the sequential one does and that profiling is pure. Every
-# number written is a deterministic counter (no wall-clock), so any diff is
-# drift. `git status --porcelain` (not `git diff --quiet`) so a deleted or
-# never-committed VERDICTS.json counts as drift too.
+# One process records every workload's best run once (task sets on) and
+# writes one verdict record per workload, phase ledger included, to
+# VERDICTS.json, exiting non-zero with the gate's message when any gate
+# fails: every best run is isolation-sanitizer clean, every declared
+# LoopSpec covers its dynamic replay (static ⊇ dynamic), every best run is
+# schedule-sound, the checker counts the rounds RunStats does, DPOR prunes
+# Genome and K-means >= 5x below naive enumeration with no budget hit, and
+# the static tier skips >= 10 probes without changing an inferred
+# annotation. The flagships' N = 1/2/8 phase sweep also gates that the
+# threaded driver charges what the sequential one does and records the
+# same trace. Every number written is a deterministic counter (no
+# wall-clock), so any diff is drift. `git status --porcelain` (not `git
+# diff --quiet`) so a deleted or never-committed VERDICTS.json counts as
+# drift too.
 cli baselines
 if [[ -n "$(git status --porcelain -- VERDICTS.json)" ]]; then
   echo "error: VERDICTS.json drifted — an analyzer verdict, static summary,"
@@ -98,7 +102,7 @@ if [[ -n "$(git status --porcelain -- VERDICTS.json)" ]]; then
 fi
 
 echo "== record/replay identity (determinism gate) =="
-# Records a journal with full task_sets + profile payloads and re-executes
+# Records a journal with full task_sets payloads and re-executes
 # it under its recorded configuration: the fresh event stream must be
 # byte-identical. On mismatch `replay` finds the first divergent
 # round/event and prints the structured diff, which is exactly what we
@@ -112,7 +116,7 @@ echo "== record/replay identity (determinism gate) =="
 for leg in "genome best" "k-means best" "floyd best" "barneshut best" "genome outoforder"; do
   read -r w ann <<< "$leg"
   journal="target/$w-$ann.journal"
-  cli record "$w" "$ann" --sets --profile --out "$journal" > /dev/null
+  cli record "$w" "$ann" --sets --out "$journal" > /dev/null
   cli replay "$journal"
   cli check --journal "$journal" > "target/$w-$ann.check-journal"
   cli check "$w" "$ann" > "target/$w-$ann.check-fresh"

@@ -61,7 +61,7 @@ fn a_commit_with_no_view_held_allocates_nothing() {
     drop(snap);
 
     let before = ALLOCS.load(Ordering::Relaxed);
-    heap.commit(&fx);
+    heap.commit(&fx).unwrap();
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
 
     assert_eq!(allocs, 0, "the commit made {allocs} allocations");

@@ -2,17 +2,19 @@
 //! round-trip properties over randomized event sequences, journal
 //! validation (truncation / reordering / field corruption), record→replay
 //! identity across all twelve workloads, the divergence bisector's
-//! precision on a deliberately mutated journal, and a byte-wise mutation
-//! sweep the journal reader must survive without panicking.
+//! precision on a deliberately mutated journal, replay's division of labour
+//! with the sanitizer and the checker, and a byte-wise mutation sweep the
+//! journal reader must survive without panicking.
 
+use alter::analyze::{check_journal, sanitize, CheckConfig, SanitizeConfig};
 use alter::heap::{Heap, ObjData};
 use alter::runtime::replay::{diverge_bisect, ReplayOutcome};
 use alter::runtime::{
     run_loop, CommitOrder, ConflictPolicy, Driver, ExecParams, RangeSpace, RedVars,
 };
 use alter::trace::{
-    from_jsonl, to_jsonl, trace_hash, ConflictKind, Event, Journal, JournalHeader, Phase, Profile,
-    Recorder, RingRecorder,
+    from_jsonl, to_jsonl, trace_hash, ConflictKind, Event, Journal, JournalHeader, Recorder,
+    RingRecorder,
 };
 use alter::workloads::{all_benchmarks, common::SplitMix64, find_benchmark, Benchmark, Scale};
 use std::sync::Arc;
@@ -92,13 +94,8 @@ fn random_event(pick: usize, rng: &mut SplitMix64) -> Event {
             spent: rng.next_u64(),
             budget: rng.next_u64(),
         },
-        11 => Event::PhaseProfile {
-            round: rng.next_u64() % 1000,
-            phase: Phase::ALL[rng.next_u64() as usize % Phase::ALL.len()],
-            cost: rng.next_u64() % 1_000_000_000,
-        },
-        12 => Event::ProbeStart { annotation: s(rng) },
-        13 => Event::ProbeOutcome {
+        11 => Event::ProbeStart { annotation: s(rng) },
+        12 => Event::ProbeOutcome {
             annotation: s(rng),
             outcome: s(rng),
         },
@@ -110,7 +107,7 @@ fn random_event(pick: usize, rng: &mut SplitMix64) -> Event {
     }
 }
 
-const VARIANTS: usize = 15;
+const VARIANTS: usize = 14;
 
 #[test]
 fn jsonl_round_trips_random_event_sequences() {
@@ -118,7 +115,7 @@ fn jsonl_round_trips_random_event_sequences() {
         let mut rng = SplitMix64::seed_from_u64(0xA17E_5000 + seed);
         let len = 64 + (rng.next_u64() as usize % 64);
         let events: Vec<Event> = (0..len)
-            // `i % VARIANTS` guarantees every variant (incl. PhaseProfile)
+            // `i % VARIANTS` guarantees every variant (incl. RunEnd)
             // appears in every sequence; the rng varies the payloads.
             .map(|i| random_event(i % VARIANTS, &mut rng))
             .collect();
@@ -134,12 +131,11 @@ fn jsonl_round_trips_random_event_sequences() {
 // Recording helpers
 // ---------------------------------------------------------------------------
 
-/// Records `bench` under its best annotation with the given knobs; panics
-/// if the ring drops events (journals must be complete).
-fn record(bench: &dyn Benchmark, workers: usize, sets: bool, profile: bool) -> Vec<Event> {
+/// Records `bench` under its best annotation, with task sets when `sets`;
+/// panics if the ring drops events (journals must be complete).
+fn record(bench: &dyn Benchmark, workers: usize, sets: bool) -> Vec<Event> {
     let mut probe = bench.best_probe(workers);
     probe.record_sets = sets;
-    probe.profile_phases = profile;
     let rec = Arc::new(RingRecorder::default());
     probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
     bench.run_probe(&probe).expect("probe must complete");
@@ -153,21 +149,22 @@ fn journal_for(bench: &dyn Benchmark, events: Vec<Event>) -> Journal {
         annotation: "best".to_owned(),
         workers: 2,
         record_sets: false,
-        profile_phases: false,
         trace_hash: 0, // recomputed by Journal::new
     };
     Journal::new(header, events).expect("recorded stream is a valid journal")
 }
 
 // ---------------------------------------------------------------------------
-// Journal header back-compat: the retired pipeline and heap-layout fields
+// Journal header back-compat: the retired profile, pipeline and heap-layout
+// fields
 // ---------------------------------------------------------------------------
 
-/// Journals written between PR 7 and PR 14 carry a `pipeline` depth, and
-/// those written between PR 8 and PR 15 a `"shards":` count; neither
-/// selects anything any more. Both must keep parsing — whatever they say —
-/// to the journal written today, and must re-serialize *canonically*, with
-/// both gone, so one normalization pass brings any legacy journal onto the
+/// Journals written while there was a pipelined driver carry a `pipeline`
+/// depth, those written while the heap had a layout to choose a
+/// `"shards":` count, and those written while phase costs could be traced
+/// a `"profile":` flag; none selects anything any more. All must keep parsing — whatever they say — to the
+/// journal written today, and must re-serialize *canonically*, with all
+/// gone, so one normalization pass brings any legacy journal onto the
 /// current fixed-point form.
 #[test]
 fn legacy_headers_parse_with_defaults_and_reserialize_canonically() {
@@ -180,9 +177,9 @@ fn legacy_headers_parse_with_defaults_and_reserialize_canonically() {
             annotation: "best".to_owned(),
             workers: 1 + (rng.next_u64() % 8) as u32,
             record_sets: rng.next_u64().is_multiple_of(2),
-            profile_phases: rng.next_u64().is_multiple_of(2),
             trace_hash: 0, // recomputed by Journal::new
         };
+        let profile = rng.next_u64() % 2;
         let events = vec![
             Event::RoundStart {
                 round: 0,
@@ -209,19 +206,22 @@ fn legacy_headers_parse_with_defaults_and_reserialize_canonically() {
         let journal = Journal::new(header, events).expect("valid journal");
         let text = journal.to_jsonl();
         let head = text.lines().next().expect("header line");
-        // The canonical header names neither retired field...
+        // The canonical header names no retired field...
+        assert!(!head.contains("\"profile\":"), "{head}");
         assert!(!head.contains("pipeline"), "{head}");
         assert!(!head.contains("\"shards\":"), "{head}");
         // ...and non-default values survive a round trip.
         let back = Journal::from_jsonl(&text).expect("canonical journal reloads");
         assert_eq!(back.header(), journal.header(), "seed {seed}");
 
-        // A header still carrying either retired field, or both, loads to
-        // the very same journal...
+        // A header still carrying any retired field, or all three, loads
+        // to the very same journal...
         for retired in [
             format!(",\"shards\":{layout}"),
             format!(",\"pipeline\":{pipeline}"),
+            format!(",\"profile\":{profile}"),
             format!(",\"pipeline\":{pipeline},\"shards\":{layout}"),
+            format!(",\"profile\":{profile},\"pipeline\":{pipeline},\"shards\":{layout}"),
         ] {
             let legacy = text.replacen(",\"hash\":", &format!("{retired},\"hash\":"), 1);
             assert_ne!(legacy, text, "seed {seed}: field must have been added");
@@ -241,7 +241,7 @@ fn legacy_headers_parse_with_defaults_and_reserialize_canonically() {
 #[test]
 fn journal_rejects_truncated_reordered_and_corrupted_files() {
     let bench = find_benchmark("genome").expect("genome is registered");
-    let journal = journal_for(bench.as_ref(), record(bench.as_ref(), 2, false, false));
+    let journal = journal_for(bench.as_ref(), record(bench.as_ref(), 2, false));
     let text = journal.to_jsonl();
     assert!(Journal::from_jsonl(&text).is_ok());
 
@@ -288,7 +288,7 @@ fn journal_rejects_truncated_reordered_and_corrupted_files() {
 #[test]
 fn record_replay_identity_all_workloads() {
     for bench in all_benchmarks(Scale::Inference) {
-        let journal = journal_for(bench.as_ref(), record(bench.as_ref(), 2, false, false));
+        let journal = journal_for(bench.as_ref(), record(bench.as_ref(), 2, false));
         // Serialize and reload — replay consumes journals from disk. The
         // file is given the header of a PR 8–13 recording made under the
         // pipelined driver with `"shards":16`: the one driver over the one
@@ -299,7 +299,7 @@ fn record_replay_identity_all_workloads() {
                 .replacen(",\"hash\":", ",\"pipeline\":4,\"shards\":16,\"hash\":", 1);
         let reloaded = Journal::from_jsonl(&on_disk).expect("journal reloads");
         assert_eq!(reloaded, journal, "{}", bench.name());
-        let fresh = record(bench.as_ref(), 2, false, false);
+        let fresh = record(bench.as_ref(), 2, false);
         match diverge_bisect(reloaded.events(), &fresh) {
             ReplayOutcome::Identical { events, hash } => {
                 assert_eq!(events, reloaded.events().len());
@@ -313,13 +313,41 @@ fn record_replay_identity_all_workloads() {
 }
 
 // ---------------------------------------------------------------------------
+// Replay compares streams; verdicts are the sanitizer's and the checker's
+// ---------------------------------------------------------------------------
+
+/// The committed `overlap-commit` fixture commits two StaleReads tickets
+/// whose write sets overlap. It is a structurally sound journal, and replay
+/// certifies any stream the fresh run reproduces — here, the journal's own
+/// — without re-deriving a verdict; the sanitizer and the checker are what
+/// reject it.
+#[test]
+fn replay_certifies_a_stream_whose_verdicts_only_the_sanitizer_and_checker_reject() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/overlap-commit.journal"
+    );
+    let text = std::fs::read_to_string(path).expect("fixture committed");
+    let journal = Journal::from_jsonl(&text).expect("the fixture is a sound journal");
+    let events = journal.events();
+    assert!(matches!(
+        diverge_bisect(events, events),
+        ReplayOutcome::Identical { .. }
+    ));
+    let (conflict, order) = (ConflictPolicy::Waw, CommitOrder::OutOfOrder);
+    assert!(!sanitize(events, &SanitizeConfig { conflict, order }).is_empty());
+    let report = check_journal(&journal, &CheckConfig::new(conflict, order)).expect("extracts");
+    assert!(!report.sound());
+}
+
+// ---------------------------------------------------------------------------
 // Divergence fixture: the bisector pinpoints a deliberate mutation
 // ---------------------------------------------------------------------------
 
 #[test]
 fn deliberate_divergence_is_bisected_to_the_exact_event() {
     let bench = find_benchmark("genome").expect("genome is registered");
-    let fresh = record(bench.as_ref(), 2, true, true);
+    let fresh = record(bench.as_ref(), 2, true);
     let mut mutated = fresh.clone();
 
     // Mutate one mid-run commit event. Journals self-hash on construction
@@ -371,42 +399,6 @@ fn deliberate_divergence_is_bisected_to_the_exact_event() {
 }
 
 // ---------------------------------------------------------------------------
-// Phase profiler determinism and purity
-// ---------------------------------------------------------------------------
-
-#[test]
-fn phase_profile_is_deterministic_and_observationally_pure() {
-    let bench = find_benchmark("k-means").expect("k-means is registered");
-    let profiled = record(bench.as_ref(), 2, false, true);
-    let again = record(bench.as_ref(), 2, false, true);
-    assert_eq!(trace_hash(&profiled), trace_hash(&again));
-
-    // Stripping phase_profile events recovers the unprofiled trace.
-    let plain = record(bench.as_ref(), 2, false, false);
-    let stripped: Vec<Event> = profiled
-        .iter()
-        .filter(|ev| !matches!(ev, Event::PhaseProfile { .. }))
-        .cloned()
-        .collect();
-    assert_eq!(trace_hash(&stripped), trace_hash(&plain));
-
-    // The folded profile covers all four round phases with nonzero cost.
-    let profile = Profile::from_events(&profiled);
-    for phase in [
-        Phase::Snapshot,
-        Phase::Execute,
-        Phase::Validate,
-        Phase::Commit,
-    ] {
-        assert!(
-            profile.cost(phase) > 0,
-            "k-means charges nothing to {phase}?"
-        );
-    }
-    assert_eq!(profile.cost(Phase::InferProbe), 0);
-}
-
-// ---------------------------------------------------------------------------
 // Byte-wise journal mutation: the reader errs, it never panics
 // ---------------------------------------------------------------------------
 
@@ -443,7 +435,6 @@ fn toy_journal_with_sets() -> Journal {
         annotation: "[FULL + OutOfOrder]".to_owned(),
         workers: 2,
         record_sets: true,
-        profile_phases: false,
         trace_hash: 0, // recomputed by Journal::new
     };
     Journal::new(header, rec.events()).expect("recorded stream is a valid journal")
