@@ -32,9 +32,9 @@
 //! stabilise. Seeded property tests in `tests/absint.rs` check soundness
 //! and monotonicity of all four against concrete u64 sets.
 
-use crate::classify::{AnalyzeConfig, Verdict};
+use crate::classify::Verdict;
 use alter_heap::ObjId;
-use alter_runtime::{ConflictPolicy, DepEdge, DepKind, LoopSummary, RedOp};
+use alter_runtime::{ConflictPolicy, DepEdge, DepKind, ExecParams, LoopSummary, RedOp};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -804,7 +804,8 @@ impl fmt::Display for StaticVerdict {
     }
 }
 
-/// Derives the static verdict for one probe configuration.
+/// Derives the static verdict for a probe run under `params`: its conflict
+/// policy, chunk factor and tracked-words budget.
 ///
 /// Both proofs are sound without margins, unlike the dynamic predictor's:
 ///
@@ -814,17 +815,14 @@ impl fmt::Display for StaticVerdict {
 ///   budget, so `must > budget` implies the real probe aborts
 ///   out-of-memory. This closes the dynamic predictor's abstention band:
 ///   `predict` must return `Unknown` when the replayed chunk footprint
-///   lands between `budget` and `oom_factor × budget`.
+///   lands between `budget` and twice the budget.
 /// * the safe proof requires the absence of *any* loop-carried edge (so
 ///   every schedule commits first-try and reproduces the sequential
 ///   output exactly) plus a per-transaction *upper* bound
 ///   (`chunk × per-iteration may-footprint`) within the budget, so the
 ///   probe cannot abort, conflict, or time out.
-pub fn static_verdict(
-    summary: &StaticSummary,
-    policy: ConflictPolicy,
-    cfg: &AnalyzeConfig,
-) -> StaticVerdict {
+pub fn static_verdict(summary: &StaticSummary, params: &ExecParams) -> StaticVerdict {
+    let (policy, budget) = (params.conflict, params.budget_words);
     if policy == ConflictPolicy::None {
         // DOALL tracks nothing and is judged on output alone — not
         // provable from footprints.
@@ -836,18 +834,18 @@ pub fn static_verdict(
     } else {
         summary.must_first_words_w
     };
-    if must > cfg.budget_words {
+    if must > budget {
         return StaticVerdict::ProvedUnsound(Verdict::OutOfMemory {
             words: must,
-            budget: cfg.budget_words,
+            budget,
         });
     }
-    let may_chunk = (cfg.chunk as u64).saturating_mul(if tracks_reads {
+    let may_chunk = (params.chunk as u64).saturating_mul(if tracks_reads {
         summary.may_iter_words_rw
     } else {
         summary.may_iter_words_w
     });
-    if summary.edges.is_empty() && !summary.allocates && may_chunk <= cfg.budget_words {
+    if summary.edges.is_empty() && !summary.allocates && may_chunk <= budget {
         return StaticVerdict::ProvedSafe;
     }
     StaticVerdict::Unknown
@@ -1108,9 +1106,12 @@ mod tests {
 
     #[test]
     fn verdicts_cover_all_three_classes() {
-        let cfg = AnalyzeConfig {
-            budget_words: 64,
-            ..AnalyzeConfig::default()
+        // A probe at chunk 16 with a 64-word budget under `policy`.
+        let at = |policy| {
+            let mut p = ExecParams::new(4, 16);
+            p.conflict = policy;
+            p.budget_words = 64;
+            p
         };
         // Safe: Each-only rows, tiny footprint.
         let mut safe = LoopSpec::new(8, 10);
@@ -1123,15 +1124,15 @@ mod tests {
         );
         let s = interpret(&safe);
         assert_eq!(
-            static_verdict(&s, ConflictPolicy::Raw, &cfg),
+            static_verdict(&s, &at(ConflictPolicy::Raw)),
             StaticVerdict::ProvedSafe
         );
         assert_eq!(
-            static_verdict(&s, ConflictPolicy::Waw, &cfg),
+            static_verdict(&s, &at(ConflictPolicy::Waw)),
             StaticVerdict::ProvedSafe
         );
         assert_eq!(
-            static_verdict(&s, ConflictPolicy::None, &cfg),
+            static_verdict(&s, &at(ConflictPolicy::None)),
             StaticVerdict::Unknown
         );
 
@@ -1151,7 +1152,7 @@ mod tests {
             AccessKind::Write,
         );
         let h = interpret(&heavy);
-        match static_verdict(&h, ConflictPolicy::Raw, &cfg) {
+        match static_verdict(&h, &at(ConflictPolicy::Raw)) {
             StaticVerdict::ProvedUnsound(Verdict::OutOfMemory { words, budget }) => {
                 assert_eq!(words, 100);
                 assert_eq!(budget, 64);
@@ -1161,7 +1162,7 @@ mod tests {
         // Write-only tracking stays within budget but the RAW/WAR edges
         // block a safe proof: unknown.
         assert_eq!(
-            static_verdict(&h, ConflictPolicy::Waw, &cfg),
+            static_verdict(&h, &at(ConflictPolicy::Waw)),
             StaticVerdict::Unknown
         );
     }

@@ -47,12 +47,10 @@
 //! `alter-cli diff` finds and renders, so every verdict here is replayable
 //! evidence.
 
-use crate::sanitize::{
-    audit_round, read_rounds, sanitize, Claim, CommitWords, Round, SanitizeConfig, TaskRecord,
-};
+use crate::sanitize::{audit_round, read_rounds, sanitize, Claim, CommitWords, Round, TaskRecord};
 use alter_heap::{AccessSet, ObjId};
 use alter_runtime::replay::{diverge_bisect, Divergence, ReplayOutcome};
-use alter_runtime::{CommitOrder, ConflictPolicy};
+use alter_runtime::{CommitOrder, ConflictPolicy, ExecParams};
 use alter_trace::{render_set, ConflictKind, Event, Journal};
 use std::collections::{HashMap, HashSet};
 
@@ -71,39 +69,6 @@ const MAX_EXPLORE_TASKS: usize = 16;
 /// At most this many per-round counterexamples are kept with their full
 /// event streams; further unsound rounds are only counted.
 const MAX_COUNTEREXAMPLES: usize = 8;
-
-/// The recording conditions and exploration budget of a check run.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckConfig {
-    /// Conflict policy the journal's run was validated under.
-    pub conflict: ConflictPolicy,
-    /// Commit order discipline of the run. Under
-    /// [`CommitOrder::InOrder`] the commit order is predefined, so the
-    /// recorded schedule is the *only* legal one and the checker audits
-    /// just it.
-    pub order: CommitOrder,
-    /// Per-round budget of DPOR representatives (minimum 1: the
-    /// identity schedule is always checked).
-    pub max_schedules_per_round: u64,
-}
-
-impl CheckConfig {
-    /// A config with the default exploration budget.
-    pub fn new(conflict: ConflictPolicy, order: CommitOrder) -> CheckConfig {
-        CheckConfig {
-            conflict,
-            order,
-            max_schedules_per_round: DEFAULT_SCHEDULE_BUDGET,
-        }
-    }
-
-    fn sanitize_config(&self) -> SanitizeConfig {
-        SanitizeConfig {
-            conflict: self.conflict,
-            order: self.order,
-        }
-    }
-}
 
 /// One round the checker proved unsound, with its counterexample:
 /// `expected` is the stream the recorded access sets imply, `actual`
@@ -531,13 +496,13 @@ fn audit_schedule(
     tasks: &[TaskRecord],
     sched: &[usize],
     identity: bool,
-    cfg: &SanitizeConfig,
+    params: &ExecParams,
 ) -> (Vec<Claim>, Vec<Claim>, bool) {
-    let derived = derive_order(tasks, sched, cfg.conflict, cfg.order);
+    let derived = derive_order(tasks, sched, params.conflict, params.order);
     let claims = resequence(tasks, sched, &derived, identity);
     let mut clean = true;
     audit_round(
-        cfg,
+        params,
         sched
             .iter()
             .zip(&claims)
@@ -654,14 +619,14 @@ fn counterexample(
     sched: &[usize],
     reference: &[Claim],
     claims: &[Claim],
-    cfg: &SanitizeConfig,
+    params: &ExecParams,
 ) -> Counterexample {
     let expected = synth_events(round, sched, &place(&round.tasks, sched, reference));
     let actual = synth_events(round, sched, claims);
     let divergence = match diverge_bisect(&expected, &actual) {
         ReplayOutcome::Diverged(d) => d,
         ReplayOutcome::Identical { .. } => {
-            let index = sanitize(&actual, cfg).first().map_or(0, |v| v.event);
+            let index = sanitize(&actual, params).first().map_or(0, |v| v.event);
             Box::new(Divergence::at(&expected, &actual, index))
         }
     };
@@ -678,10 +643,12 @@ struct RoundOutcome {
     unsound: Option<Counterexample>,
 }
 
-/// Model-checks one round: enumerate representatives and audit the
-/// recorded claims re-sequenced under each; render a counterexample when
-/// the identity schedule fails or committed writers overlap.
-fn check_round(round: &Round, cfg: &CheckConfig) -> RoundOutcome {
+/// Model-checks one round: enumerate at most `max_schedules`
+/// representatives (minimum 1: the identity schedule is always checked)
+/// and audit the recorded claims re-sequenced under each; render a
+/// counterexample when the identity schedule fails or committed writers
+/// overlap.
+fn check_round(round: &Round, params: &ExecParams, max_schedules: u64) -> RoundOutcome {
     let tasks = &round.tasks;
     let n = tasks.len();
     let mut out = RoundOutcome::default();
@@ -690,24 +657,23 @@ fn check_round(round: &Round, cfg: &CheckConfig) -> RoundOutcome {
         out.explored = 1;
         return out;
     }
-    let g = dep_graph(tasks, cfg.conflict);
-    let (schedules, budget_hit) = match cfg.order {
+    let g = dep_graph(tasks, params.conflict);
+    let (schedules, budget_hit) = match params.order {
         // Predefined commit order: the recorded schedule is the only
         // legal one (Saad et al.'s framing) — audit exactly it.
         CommitOrder::InOrder => (vec![(0..n).collect::<Vec<usize>>()], false),
-        CommitOrder::OutOfOrder => representatives(&g, cfg.max_schedules_per_round.max(1)),
+        CommitOrder::OutOfOrder => representatives(&g, max_schedules.max(1)),
     };
     out.budget_hit = budget_hit;
-    out.naive = match cfg.order {
+    out.naive = match params.order {
         CommitOrder::InOrder => 1,
         CommitOrder::OutOfOrder => factorial_sat(n),
     };
     out.explored = schedules.len() as u64;
-    let scfg = cfg.sanitize_config();
-    let write_checked = matches!(cfg.conflict, ConflictPolicy::Full | ConflictPolicy::Waw);
+    let write_checked = matches!(params.conflict, ConflictPolicy::Full | ConflictPolicy::Waw);
     for (si, sched) in schedules.iter().enumerate() {
         let identity = si == 0;
-        let (derived, claims, clean) = audit_schedule(tasks, sched, identity, &scfg);
+        let (derived, claims, clean) = audit_schedule(tasks, sched, identity, params);
         let reference = if identity && !clean {
             // The journal's own claims fail re-derivation: the reference
             // is what the sets imply.
@@ -719,14 +685,14 @@ fn check_round(round: &Round, cfg: &CheckConfig) -> RoundOutcome {
             Some(derive_order(
                 tasks,
                 sched,
-                escalate(cfg.conflict),
-                cfg.order,
+                escalate(params.conflict),
+                params.order,
             ))
         } else {
             None
         };
         if let Some(reference) = reference {
-            out.unsound = Some(counterexample(round, sched, &reference, &claims, &scfg));
+            out.unsound = Some(counterexample(round, sched, &reference, &claims, params));
             break;
         }
         if !identity && !clean {
@@ -757,12 +723,21 @@ fn read_model(events: &[Event]) -> Result<Vec<Round>, String> {
 }
 
 /// Model-checks a recorded event stream (with `task_sets` payloads)
-/// against every DPOR-representative commit order per round.
-pub fn check_events(events: &[Event], cfg: &CheckConfig) -> Result<CheckReport, String> {
+/// against every DPOR-representative commit order per round, under the
+/// conflict policy and commit order of the `params` it was recorded with.
+/// Under [`CommitOrder::InOrder`] the commit order is predefined, so the
+/// recorded schedule is the *only* legal one and the checker audits just
+/// it; otherwise at most `max_schedules` representatives per round are
+/// audited (minimum 1: the identity schedule is always checked).
+pub fn check_events(
+    events: &[Event],
+    params: &ExecParams,
+    max_schedules: u64,
+) -> Result<CheckReport, String> {
     let rounds = read_model(events)?;
     let mut report = CheckReport::default();
     for (ordinal, round) in rounds.iter().enumerate() {
-        let out = check_round(round, cfg);
+        let out = check_round(round, params, max_schedules);
         report.rounds += 1;
         report.tasks += round.tasks.len() as u64;
         report.naive_schedules = report.naive_schedules.saturating_add(out.naive);
@@ -787,10 +762,11 @@ pub fn check_events(events: &[Event], cfg: &CheckConfig) -> Result<CheckReport, 
 /// The oracle [`check_events`] runs on each representative, for any one
 /// schedule of a single-round stream: whether the recorded claims,
 /// re-sequenced with the tasks committed in `order` (indices into the
-/// recorded order), survive re-derivation from their sets.
+/// recorded order), survive re-derivation from their sets under the
+/// conflict policy and commit order of `params`.
 pub fn schedule_is_clean(
     events: &[Event],
-    cfg: &CheckConfig,
+    params: &ExecParams,
     order: &[usize],
 ) -> Result<bool, String> {
     let rounds = read_model(events)?;
@@ -806,28 +782,33 @@ pub fn schedule_is_clean(
         ));
     }
     let identity = order.iter().copied().eq(0..order.len());
-    let (_, _, clean) = audit_schedule(&round.tasks, order, identity, &cfg.sanitize_config());
+    let (_, _, clean) = audit_schedule(&round.tasks, order, identity, params);
     Ok(clean)
 }
 
 /// Model-checks a loaded journal. The journal must have been recorded
 /// with `--sets` (the header's `record_sets` flag) — the access sets
-/// *are* the model.
-pub fn check_journal(journal: &Journal, cfg: &CheckConfig) -> Result<CheckReport, String> {
+/// *are* the model. `params` and `max_schedules` as in [`check_events`].
+pub fn check_journal(
+    journal: &Journal,
+    params: &ExecParams,
+    max_schedules: u64,
+) -> Result<CheckReport, String> {
     if !journal.header().record_sets {
         return Err(
             "journal was recorded without task_sets payloads: re-record with --sets".into(),
         );
     }
-    check_events(journal.events(), cfg)
+    check_events(journal.events(), params, max_schedules)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg_waw() -> CheckConfig {
-        CheckConfig::new(ConflictPolicy::Waw, CommitOrder::OutOfOrder)
+    /// StaleReads: `Waw` validation, out-of-order commit.
+    fn stale() -> ExecParams {
+        ExecParams::new(4, 16)
     }
 
     fn sets_event(seq: u64, reads: &str, writes: &str) -> Event {
@@ -875,7 +856,7 @@ mod tests {
 
     #[test]
     fn disjoint_round_collapses_to_one_representative() {
-        let report = check_events(&disjoint_round(), &cfg_waw()).unwrap();
+        let report = check_events(&disjoint_round(), &stale(), DEFAULT_SCHEDULE_BUDGET).unwrap();
         assert!(report.sound(), "{:?}", report.unsound);
         assert_eq!(report.naive_schedules, 6);
         assert_eq!(report.explored, 1);
@@ -911,7 +892,7 @@ mod tests {
 
     #[test]
     fn conflicting_pair_yields_two_representatives_and_a_flag() {
-        let report = check_events(&conflicting_round(), &cfg_waw()).unwrap();
+        let report = check_events(&conflicting_round(), &stale(), DEFAULT_SCHEDULE_BUDGET).unwrap();
         assert!(report.sound(), "{:?}", report.unsound);
         assert_eq!(report.explored, 2);
         assert_eq!(report.flagged, 1);
@@ -922,7 +903,7 @@ mod tests {
         let mut evs = disjoint_round();
         // Task 2 now writes over task 0's words but still claims ok.
         evs[7] = sets_event(2, "", "1:2-6");
-        let report = check_events(&evs, &cfg_waw()).unwrap();
+        let report = check_events(&evs, &stale(), DEFAULT_SCHEDULE_BUDGET).unwrap();
         assert_eq!(report.unsound_rounds, 1);
         let cex = &report.unsound[0];
         assert_eq!(cex.round, 0);
@@ -943,8 +924,8 @@ mod tests {
         // sanitizer alone is blind — the write-write witness must fire.
         let mut evs = disjoint_round();
         evs[7] = sets_event(2, "", "1:2-6");
-        let cfg = CheckConfig::new(ConflictPolicy::None, CommitOrder::OutOfOrder);
-        let report = check_events(&evs, &cfg).unwrap();
+        let doall = ExecParams::doall(4, 16);
+        let report = check_events(&evs, &doall, DEFAULT_SCHEDULE_BUDGET).unwrap();
         assert_eq!(report.unsound_rounds, 1);
         let cex = &report.unsound[0];
         // The reference (write-checking) stream conflicts the later
@@ -957,7 +938,7 @@ mod tests {
 
     #[test]
     fn in_order_rounds_audit_only_the_recorded_schedule() {
-        let cfg = CheckConfig::new(ConflictPolicy::Raw, CommitOrder::InOrder);
+        let tls = ExecParams::tls(4, 16);
         let mut evs = vec![Event::RoundStart {
             round: 0,
             tasks: 2,
@@ -978,7 +959,7 @@ mod tests {
             attempts: 2,
             committed: 1,
         });
-        let report = check_events(&evs, &cfg).unwrap();
+        let report = check_events(&evs, &tls, DEFAULT_SCHEDULE_BUDGET).unwrap();
         assert!(report.sound(), "{:?}", report.unsound);
         assert_eq!(report.naive_schedules, 1);
         assert_eq!(report.explored, 1);
@@ -1099,7 +1080,7 @@ mod tests {
                 committed: 0,
             },
         ];
-        let err = check_events(&evs, &cfg_waw()).unwrap_err();
+        let err = check_events(&evs, &stale(), DEFAULT_SCHEDULE_BUDGET).unwrap_err();
         assert!(err.contains("--sets"), "{err}");
     }
 
@@ -1110,16 +1091,16 @@ mod tests {
         evs.swap(1, 4);
         evs.swap(2, 5);
         evs.swap(3, 6);
-        let err = check_events(&evs, &cfg_waw()).unwrap_err();
+        let err = check_events(&evs, &stale(), DEFAULT_SCHEDULE_BUDGET).unwrap_err();
         assert!(err.contains("validation order must ascend"), "{err}");
-        let err = schedule_is_clean(&disjoint_round(), &cfg_waw(), &[0, 0, 1]).unwrap_err();
+        let err = schedule_is_clean(&disjoint_round(), &stale(), &[0, 0, 1]).unwrap_err();
         assert!(err.contains("does not order"), "{err}");
         assert_eq!(
-            schedule_is_clean(&disjoint_round(), &cfg_waw(), &[2, 0, 1]),
+            schedule_is_clean(&disjoint_round(), &stale(), &[2, 0, 1]),
             Ok(true)
         );
         assert_eq!(
-            schedule_is_clean(&conflicting_round(), &cfg_waw(), &[1, 0]),
+            schedule_is_clean(&conflicting_round(), &stale(), &[1, 0]),
             Ok(false)
         );
     }

@@ -20,44 +20,21 @@
 
 use alter_heap::{AccessSet, ObjId};
 use alter_runtime::{
-    CommitOrder, ConflictPolicy, DepEdge, DepKind, LocationStats, LoopSummary, RedOp,
+    CommitOrder, ConflictPolicy, DepEdge, DepKind, ExecParams, LocationStats, LoopSummary, RedOp,
 };
 use std::collections::{BTreeSet, VecDeque};
 
-/// Analyzer knobs. The defaults mirror `InferConfig`: the probe geometry
-/// (4 workers, chunk 16) and the 0.5 high-conflict threshold, plus the
-/// analyzer's own safety margins.
-#[derive(Clone, Debug)]
-pub struct AnalyzeConfig {
-    /// Concurrent workers the probe will use.
-    pub workers: usize,
-    /// Iterations per transaction the probe will use.
-    pub chunk: usize,
-    /// The inference engine's high-conflict threshold (retry rate above
-    /// which a probe is classified `h.c.`).
-    pub high_conflict_threshold: f64,
-    /// Extra margin on top of the threshold before the analyzer dares a
-    /// must-fail verdict (the simulation is an approximation).
-    pub prune_margin: f64,
-    /// Per-transaction tracked-words budget of the probe.
-    pub budget_words: u64,
-    /// A chunk must track more than `oom_factor × budget_words` in the
-    /// replay before the analyzer predicts an out-of-memory abort.
-    pub oom_factor: f64,
-}
+/// The paper's high-conflict threshold: a probe is `h.c.` when "more than
+/// 50% of the attempted commits fail" (§5).
+pub const HIGH_CONFLICT_THRESHOLD: f64 = 0.5;
 
-impl Default for AnalyzeConfig {
-    fn default() -> Self {
-        AnalyzeConfig {
-            workers: 4,
-            chunk: 16,
-            high_conflict_threshold: 0.5,
-            prune_margin: 0.1,
-            budget_words: 1 << 22,
-            oom_factor: 2.0,
-        }
-    }
-}
+/// Extra margin on top of [`HIGH_CONFLICT_THRESHOLD`] before the analyzer
+/// dares a must-fail verdict (the simulation is an approximation).
+const PRUNE_MARGIN: f64 = 0.1;
+
+/// A chunk must track more than `OOM_FACTOR × budget_words` in the replay
+/// before the analyzer predicts an out-of-memory abort.
+const OOM_FACTOR: f64 = 2.0;
 
 /// How (whether) a dependence edge can be broken.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -234,8 +211,9 @@ fn conflicts(policy: ConflictPolicy, task: &ChunkSets, earlier_writes: &AccessSe
     }
 }
 
-/// Predicts whether a probe under `(policy, order)` at the configured
-/// geometry must fail, by simulating the lock-step round schedule over the
+/// Predicts whether a probe run under `params` — its conflict policy,
+/// commit order, worker count, chunk factor and tracked-words budget —
+/// must fail, by simulating the lock-step round schedule over the
 /// replay-derived chunk sets.
 ///
 /// `elide` lists heap objects privatised by the candidate's reduction
@@ -246,17 +224,12 @@ fn conflicts(policy: ConflictPolicy, task: &ChunkSets, earlier_writes: &AccessSe
 ///
 /// An empty summary (no replay evidence) always yields
 /// [`Verdict::Unknown`].
-pub fn predict(
-    summary: &LoopSummary,
-    policy: ConflictPolicy,
-    order: CommitOrder,
-    elide: &[ObjId],
-    cfg: &AnalyzeConfig,
-) -> Verdict {
+pub fn predict(summary: &LoopSummary, params: &ExecParams, elide: &[ObjId]) -> Verdict {
     if summary.is_empty() {
         return Verdict::Unknown;
     }
-    let chunks = chunk_sets(summary, cfg.chunk, elide);
+    let (policy, budget) = (params.conflict, params.budget_words);
+    let chunks = chunk_sets(summary, params.chunk, elide);
 
     // Out-of-memory first: a single over-budget transaction aborts the
     // probe before conflicts matter. Tracked words follow the policy's
@@ -270,13 +243,13 @@ pub fn predict(
         };
         worst = worst.max(tracked);
     }
-    if (worst as f64) > cfg.oom_factor * cfg.budget_words as f64 {
+    if (worst as f64) > OOM_FACTOR * budget as f64 {
         return Verdict::OutOfMemory {
             words: worst,
-            budget: cfg.budget_words,
+            budget,
         };
     }
-    if worst > cfg.budget_words {
+    if worst > budget {
         // Too close to call: the real run probably aborts out-of-memory
         // before any conflict verdict, so a high-conflict prediction here
         // could misreport the failure *kind*. Run the probe.
@@ -323,7 +296,7 @@ pub fn predict(
     // with fresh chunks up to the worker count, validate in ascending task
     // order against this round's committed write sets, and under in-order
     // commit squash everything after the first failure.
-    let workers = cfg.workers.max(1);
+    let workers = params.workers.max(1);
     let mut pending: VecDeque<usize> = VecDeque::new();
     let mut next_fresh = 0usize;
     let mut attempts: u64 = 0;
@@ -345,7 +318,7 @@ pub fn predict(
         for &seq in &round {
             attempts += 1;
             if squash || conflicts(policy, &chunks[seq], &round_writes) {
-                if order == CommitOrder::InOrder {
+                if params.order == CommitOrder::InOrder {
                     squash = true;
                 }
                 pending.push_back(seq);
@@ -361,7 +334,7 @@ pub fn predict(
     } else {
         (attempts - commits) as f64 / attempts as f64
     };
-    if rate >= cfg.high_conflict_threshold + cfg.prune_margin {
+    if rate >= HIGH_CONFLICT_THRESHOLD + PRUNE_MARGIN {
         Verdict::HighConflicts {
             rate_permille: (rate * 1000.0).round() as u32,
         }
@@ -375,6 +348,14 @@ mod tests {
     use super::*;
     use alter_heap::{Heap, ObjData};
     use alter_runtime::{summarize_dependences, RangeSpace, RedVal};
+
+    /// A probe's params at the inference geometry (4 workers, chunk 16).
+    fn params(conflict: ConflictPolicy, order: CommitOrder) -> ExecParams {
+        let mut p = ExecParams::new(4, 16);
+        p.conflict = conflict;
+        p.order = order;
+        p
+    }
 
     fn shared_counter_summary(n: u64) -> (LoopSummary, ObjId) {
         let mut heap = Heap::new();
@@ -393,21 +374,19 @@ mod tests {
         let s = summarize_dependences(&mut heap, &mut RangeSpace::new(0, 64), |ctx, i| {
             ctx.tx.write_f64(xs, i as usize, 1.0);
         });
-        let cfg = AnalyzeConfig::default();
         for (policy, order) in [
             (ConflictPolicy::Raw, CommitOrder::InOrder),
             (ConflictPolicy::Raw, CommitOrder::OutOfOrder),
             (ConflictPolicy::Waw, CommitOrder::OutOfOrder),
             (ConflictPolicy::None, CommitOrder::OutOfOrder),
         ] {
-            assert_eq!(predict(&s, policy, order, &[], &cfg), Verdict::Unknown);
+            assert_eq!(predict(&s, &params(policy, order), &[]), Verdict::Unknown);
         }
     }
 
     #[test]
     fn shared_counter_is_predicted_high_conflict() {
         let (s, _) = shared_counter_summary(512);
-        let cfg = AnalyzeConfig::default();
         // Every chunk reads and writes word 0: only one task of each round
         // commits under any conflicting policy.
         for (policy, order) in [
@@ -415,7 +394,7 @@ mod tests {
             (ConflictPolicy::Raw, CommitOrder::OutOfOrder),
             (ConflictPolicy::Waw, CommitOrder::OutOfOrder),
         ] {
-            let v = predict(&s, policy, order, &[], &cfg);
+            let v = predict(&s, &params(policy, order), &[]);
             assert!(v.must_fail(), "{policy:?}/{order:?} gave {v:?}");
             match v {
                 Verdict::HighConflicts { rate_permille } => {
@@ -427,7 +406,11 @@ mod tests {
         // DOALL never conflicts (it will mismatch instead — not provable
         // statically, so it stays unknown).
         assert_eq!(
-            predict(&s, ConflictPolicy::None, CommitOrder::OutOfOrder, &[], &cfg),
+            predict(
+                &s,
+                &params(ConflictPolicy::None, CommitOrder::OutOfOrder),
+                &[]
+            ),
             Verdict::Unknown
         );
     }
@@ -435,14 +418,11 @@ mod tests {
     #[test]
     fn eliding_the_accumulator_clears_the_prediction() {
         let (s, acc) = shared_counter_summary(512);
-        let cfg = AnalyzeConfig::default();
         assert_eq!(
             predict(
                 &s,
-                ConflictPolicy::Waw,
-                CommitOrder::OutOfOrder,
-                &[acc],
-                &cfg
+                &params(ConflictPolicy::Waw, CommitOrder::OutOfOrder),
+                &[acc]
             ),
             Verdict::Unknown
         );
@@ -459,12 +439,16 @@ mod tests {
                 .with_f64s(table, 0, 4096, |xs| xs.iter().sum::<f64>());
             ctx.tx.write_f64(out, i as usize, v);
         });
-        let cfg = AnalyzeConfig {
-            budget_words: 128,
-            ..AnalyzeConfig::default()
+        let budget = |mut p: ExecParams| {
+            p.budget_words = 128;
+            p
         };
         // Read-tracking policies trip the budget...
-        match predict(&s, ConflictPolicy::Raw, CommitOrder::InOrder, &[], &cfg) {
+        match predict(
+            &s,
+            &budget(params(ConflictPolicy::Raw, CommitOrder::InOrder)),
+            &[],
+        ) {
             Verdict::OutOfMemory { words, budget } => {
                 assert!(words > 2 * budget);
             }
@@ -472,7 +456,11 @@ mod tests {
         }
         // ...while write-only tracking stays within it.
         assert_eq!(
-            predict(&s, ConflictPolicy::Waw, CommitOrder::OutOfOrder, &[], &cfg),
+            predict(
+                &s,
+                &budget(params(ConflictPolicy::Waw, CommitOrder::OutOfOrder)),
+                &[]
+            ),
             Verdict::Unknown
         );
     }
@@ -487,29 +475,34 @@ mod tests {
             let prev = ctx.tx.read_f64(xs, i as usize - 1);
             ctx.tx.write_f64(xs, i as usize, prev + 1.0);
         });
-        let cfg = AnalyzeConfig {
-            chunk: 1,
-            ..AnalyzeConfig::default()
+        let chunk1 = |mut p: ExecParams| {
+            p.chunk = 1;
+            p
         };
-        let tls = predict(&s, ConflictPolicy::Raw, CommitOrder::InOrder, &[], &cfg);
+        let tls = predict(
+            &s,
+            &chunk1(params(ConflictPolicy::Raw, CommitOrder::InOrder)),
+            &[],
+        );
         assert!(tls.must_fail(), "chained reads serialize TLS: {tls:?}");
         // StaleReads ignores the RAW edge entirely: writes are disjoint.
         assert_eq!(
-            predict(&s, ConflictPolicy::Waw, CommitOrder::OutOfOrder, &[], &cfg),
+            predict(
+                &s,
+                &chunk1(params(ConflictPolicy::Waw, CommitOrder::OutOfOrder)),
+                &[]
+            ),
             Verdict::Unknown
         );
     }
 
     #[test]
     fn empty_summary_is_never_pruned() {
-        let cfg = AnalyzeConfig::default();
         assert_eq!(
             predict(
                 &LoopSummary::default(),
-                ConflictPolicy::Raw,
-                CommitOrder::InOrder,
-                &[],
-                &cfg
+                &params(ConflictPolicy::Raw, CommitOrder::InOrder),
+                &[]
             ),
             Verdict::Unknown
         );

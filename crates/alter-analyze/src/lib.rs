@@ -37,6 +37,12 @@
 //!   verdict oracle, reporting unsound rounds as
 //!   [`Divergence`](alter_runtime::replay::Divergence) counterexamples.
 //!
+//! Every entry point reads the run it judges from the
+//! [`ExecParams`](alter_runtime::ExecParams) the probe runs (or ran)
+//! under: the conflict policy and commit order, and for the two predictors
+//! also the worker count, chunk factor and tracked-words budget. The §5
+//! high-conflict threshold is [`HIGH_CONFLICT_THRESHOLD`].
+//!
 //! The prediction contract is deliberately one-sided: [`predict`] may
 //! return [`Verdict::Unknown`] for a probe that will fail, but must never
 //! return a must-fail verdict for a probe that would succeed — pruning
@@ -57,9 +63,9 @@ pub use absint::{
     RegionFootprint, StaticEdge, StaticSummary, StaticVerdict, StrideInterval, Words,
 };
 pub use check::{
-    check_events, check_journal, schedule_is_clean, CheckConfig, CheckReport, UnsoundRound,
+    check_events, check_journal, schedule_is_clean, CheckReport, UnsoundRound,
     DEFAULT_SCHEDULE_BUDGET,
 };
-pub use classify::{classify_edge, predict, AnalyzeConfig, Breakability, Verdict};
+pub use classify::{classify_edge, predict, Breakability, Verdict, HIGH_CONFLICT_THRESHOLD};
 pub use lint::{lint, Diagnostic, LintTarget, Severity};
-pub use sanitize::{sanitize, SanitizeConfig, Violation};
+pub use sanitize::{sanitize, Violation};

@@ -38,17 +38,8 @@
 
 use crate::check::derive;
 use alter_heap::AccessSet;
-use alter_runtime::{CommitOrder, ConflictPolicy};
+use alter_runtime::{CommitOrder, ConflictPolicy, ExecParams};
 use alter_trace::{parse_set, ConflictKind, Event};
-
-/// The recording conditions of the trace under audit.
-#[derive(Clone, Copy, Debug)]
-pub struct SanitizeConfig {
-    /// Conflict policy the run was validated under.
-    pub conflict: ConflictPolicy,
-    /// Commit order discipline of the run.
-    pub order: CommitOrder,
-}
 
 /// One isolation-invariant violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -355,21 +346,22 @@ pub(crate) fn read_rounds(events: &[Event]) -> (Vec<Round>, Vec<Violation>) {
 /// Audits one round's claims in commit order — `(seq, record, claim)`,
 /// the claim as recorded or as the checker re-sequenced it — against what
 /// [`derive`] gives each record's sets, reporting every violation at the
-/// record's event index.
+/// record's event index, under the conflict policy and commit order of
+/// the run's `params`.
 pub(crate) fn audit_round<'a>(
-    cfg: &SanitizeConfig,
+    params: &ExecParams,
     claims: impl IntoIterator<Item = (u64, &'a TaskRecord, &'a Claim)>,
     fail: &mut dyn FnMut(usize, String),
 ) {
-    let in_order = cfg.order == CommitOrder::InOrder;
-    let write_checked = matches!(cfg.conflict, ConflictPolicy::Full | ConflictPolicy::Waw);
+    let in_order = params.order == CommitOrder::InOrder;
+    let write_checked = matches!(params.conflict, ConflictPolicy::Full | ConflictPolicy::Waw);
     let mut committed: Vec<(u64, &AccessSet)> = Vec::new();
     let mut first_failure: Option<u64> = None;
     for (seq, t, claim) in claims {
         let [verdict, commit_event] = t.events;
         let derived = t
             .has_sets
-            .then(|| derive(cfg.conflict, &t.reads, &t.writes, &committed));
+            .then(|| derive(params.conflict, &t.reads, &t.writes, &committed));
         match *claim {
             Claim::Ok {
                 validate_words,
@@ -486,15 +478,16 @@ pub(crate) fn audit_round<'a>(
     }
 }
 
-/// Audits a trace against the isolation invariants. Returns every
-/// violation found (empty = clean) in stream order. See the module docs
-/// for the checks.
-pub fn sanitize(events: &[Event], cfg: &SanitizeConfig) -> Vec<Violation> {
+/// Audits a trace against the isolation invariants, under the conflict
+/// policy and commit order of the `params` it was recorded with. Returns
+/// every violation found (empty = clean) in stream order. See the module
+/// docs for the checks.
+pub fn sanitize(events: &[Event], params: &ExecParams) -> Vec<Violation> {
     let (rounds, mut violations) = read_rounds(events);
     let mut fail = |event: usize, message: String| violations.push(Violation { event, message });
     for round in &rounds {
         audit_round(
-            cfg,
+            params,
             round.tasks.iter().map(|t| (t.seq, t, &t.claim)),
             &mut fail,
         );
@@ -510,11 +503,9 @@ mod tests {
     use super::*;
     use alter_heap::ObjId;
 
-    fn cfg_stale() -> SanitizeConfig {
-        SanitizeConfig {
-            conflict: ConflictPolicy::Waw,
-            order: CommitOrder::OutOfOrder,
-        }
+    /// StaleReads: `Waw` validation, out-of-order commit.
+    fn stale() -> ExecParams {
+        ExecParams::new(4, 16)
     }
 
     fn ok_trace() -> Vec<Event> {
@@ -566,7 +557,7 @@ mod tests {
 
     #[test]
     fn clean_trace_passes() {
-        assert_eq!(sanitize(&ok_trace(), &cfg_stale()), vec![]);
+        assert_eq!(sanitize(&ok_trace(), &stale()), vec![]);
     }
 
     #[test]
@@ -578,7 +569,7 @@ mod tests {
             reads: String::new(),
             writes: "1:2-6".into(),
         };
-        let violations = sanitize(&evs, &cfg_stale());
+        let violations = sanitize(&evs, &stale());
         assert!(
             violations
                 .iter()
@@ -601,7 +592,7 @@ mod tests {
         evs.swap(1, 4);
         evs.swap(2, 5);
         evs.swap(3, 6);
-        let violations = sanitize(&evs, &cfg_stale());
+        let violations = sanitize(&evs, &stale());
         assert!(
             violations
                 .iter()
@@ -622,7 +613,7 @@ mod tests {
             winner_seq: 0,
         };
         evs.remove(6); // its commit
-        let violations = sanitize(&evs, &cfg_stale());
+        let violations = sanitize(&evs, &stale());
         assert!(
             violations.iter().any(|v| v
                 .message
@@ -648,7 +639,7 @@ mod tests {
             allocs: 0,
             frees: 0,
         };
-        let violations = sanitize(&evs, &cfg_stale());
+        let violations = sanitize(&evs, &stale());
         assert!(
             violations
                 .iter()
@@ -664,7 +655,7 @@ mod tests {
             seq: 1,
             validate_words: 3,
         };
-        let violations = sanitize(&evs, &cfg_stale());
+        let violations = sanitize(&evs, &stale());
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0]
             .message
@@ -681,7 +672,7 @@ mod tests {
             },
             Event::Squash { seq: 0, by_seq: 0 },
         ];
-        let violations = sanitize(&evs, &cfg_stale());
+        let violations = sanitize(&evs, &stale());
         assert!(
             violations
                 .iter()
@@ -710,7 +701,7 @@ mod tests {
                 snapshot_slots: 0,
             },
         ];
-        let violations = sanitize(&evs, &cfg_stale());
+        let violations = sanitize(&evs, &stale());
         assert!(
             violations
                 .iter()
@@ -726,7 +717,7 @@ mod tests {
         evs.push(Event::Crash {
             message: "boom".into(),
         });
-        assert_eq!(sanitize(&evs, &cfg_stale()), vec![]);
+        assert_eq!(sanitize(&evs, &stale()), vec![]);
     }
 
     // The reader, one structural defect per stream, each reported once at

@@ -11,11 +11,10 @@
 //! changed.
 
 use crate::json::{json, Json};
-use crate::verify::{audit, check_config};
 use crate::{find, record_run};
 use alter_analyze::absint::{cross_validate, interpret, static_verdict};
 use alter_analyze::{
-    check_events, lint, predict, AnalyzeConfig, CheckReport, LintTarget, DEFAULT_SCHEDULE_BUDGET,
+    check_events, lint, predict, sanitize, CheckReport, LintTarget, DEFAULT_SCHEDULE_BUDGET,
 };
 use alter_infer::{infer, InferConfig, InferReport, Model, Probe};
 use alter_runtime::{DepKind, ExecParams, LoopSummary, RunStats};
@@ -88,15 +87,7 @@ impl Verdict {
             .loop_spec()
             .ok_or_else(|| format!("absint: {name} declares no LoopSpec"))?;
         let s = interpret(&spec);
-        let acfg = AnalyzeConfig {
-            workers: icfg.workers,
-            chunk: icfg.chunk,
-            high_conflict_threshold: icfg.high_conflict_threshold,
-            budget_words: bench.tracked_budget_words().unwrap_or(icfg.budget_words),
-            ..AnalyzeConfig::default()
-        };
-        let models =
-            Model::TABLE3.map(|m| (m.to_string(), m.exec_params(icfg.workers, icfg.chunk)));
+        let models = Model::TABLE3.map(|m| (m.to_string(), icfg.params(bench, m)));
         let per_model = |class: &dyn Fn(&ExecParams) -> &'static str| {
             let classes = models
                 .iter()
@@ -107,7 +98,8 @@ impl Verdict {
         let mut probe = bench.best_probe(icfg.workers);
         probe.record_sets = true;
         let (events, stats) = completed_run(bench, &probe)?;
-        let dpor = check_events(&events, &check_config(&probe, DEFAULT_SCHEDULE_BUDGET))?;
+        let params = probe.model.exec_params(probe.workers, probe.chunk);
+        let dpor = check_events(&events, &params, DEFAULT_SCHEDULE_BUDGET)?;
         let combined = infer(bench, icfg);
         let mut dynamic_only = icfg.clone();
         dynamic_only.static_prune = false;
@@ -123,8 +115,8 @@ impl Verdict {
             "chunk": probe.chunk as u64,
             "dep": json!({"raw": dep.raw, "waw": dep.waw, "war": dep.war}),
             "verdicts": json!({
-                "dynamic": per_model(&|p| predict(&summary, p.conflict, p.order, &[], &acfg).class()),
-                "static": per_model(&|p| static_verdict(&s, p.conflict, &acfg).class()),
+                "dynamic": per_model(&|p| predict(&summary, p, &[]).class()),
+                "static": per_model(&|p| static_verdict(&s, p).class()),
             }),
             "lint": lint_counts(&summary, &probe),
             "static_summary": json!({
@@ -161,7 +153,10 @@ impl Verdict {
         });
         Ok(Verdict {
             uncovered: cross_validate(&spec, &s, &summary),
-            violations: audit(&events, &probe),
+            violations: sanitize(&events, &params)
+                .iter()
+                .map(ToString::to_string)
+                .collect(),
             dynamic_only: infer(bench, &dynamic_only),
             name,
             record,

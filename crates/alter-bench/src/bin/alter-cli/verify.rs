@@ -20,11 +20,8 @@
 use crate::replay::{journal_probe, load_journal};
 use crate::{probe_for, record_run, select, Args};
 use alter_analyze::absint::{cross_validate, interpret};
-use alter_analyze::{
-    check_events, sanitize, CheckConfig, CheckReport, SanitizeConfig, DEFAULT_SCHEDULE_BUDGET,
-};
-use alter_infer::Probe;
-use alter_trace::{Event, Journal, JournalHeader};
+use alter_analyze::{check_events, sanitize, CheckReport, DEFAULT_SCHEDULE_BUDGET};
+use alter_trace::{Journal, JournalHeader};
 use alter_workloads::Benchmark;
 
 pub fn lint(a: &Args) -> Result<bool, String> {
@@ -33,7 +30,11 @@ pub fn lint(a: &Args) -> Result<bool, String> {
         let mut probe = b.best_probe(a.workers());
         probe.record_sets = true;
         let (events, run) = record_run(b.as_ref(), &probe)?;
-        let mut messages = audit(&events, &probe);
+        let params = probe.model.exec_params(probe.workers, probe.chunk);
+        let mut messages: Vec<String> = sanitize(&events, &params)
+            .iter()
+            .map(ToString::to_string)
+            .collect();
         clean &= messages.is_empty();
         if let Err(e) = run {
             messages.insert(0, format!("probe aborted ({e}); auditing the trace prefix"));
@@ -54,18 +55,6 @@ pub fn lint(a: &Args) -> Result<bool, String> {
         eprintln!("lint: isolation violations found");
     }
     Ok(clean)
-}
-
-/// The sanitizer's violations of a recorded stream, re-derived under the
-/// probe's conflict policy and commit order.
-pub fn audit(events: &[Event], probe: &Probe) -> Vec<String> {
-    let p = probe.model.exec_params(probe.workers, probe.chunk);
-    let cfg = SanitizeConfig {
-        conflict: p.conflict,
-        order: p.order,
-    };
-    let violations = sanitize(events, &cfg);
-    violations.iter().map(ToString::to_string).collect()
 }
 
 /// Interprets and cross-validates each workload's spec, printing one line
@@ -115,16 +104,6 @@ struct CheckedRun {
     report: CheckReport,
 }
 
-/// The schedule space a probe's model validates under: its conflict
-/// policy and commit order.
-pub fn check_config(probe: &Probe, max_schedules: u64) -> CheckConfig {
-    let p = probe.model.exec_params(probe.workers, probe.chunk);
-    CheckConfig {
-        max_schedules_per_round: max_schedules,
-        ..CheckConfig::new(p.conflict, p.order)
-    }
-}
-
 /// Records `bench` under `annotation` with task-set recording and
 /// model-checks the stream. Aborted runs still leave a checkable
 /// (truncated) stream.
@@ -143,11 +122,12 @@ fn check_workload(
             bench.name()
         );
     }
+    let params = probe.model.exec_params(probe.workers, probe.chunk);
     Ok(CheckedRun {
         name: bench.name().to_owned(),
         annotation: annotation.to_owned(),
         workers,
-        report: check_events(&events, &check_config(&probe, max_schedules))?,
+        report: check_events(&events, &params, max_schedules)?,
     })
 }
 
@@ -162,11 +142,12 @@ fn check_journal(path: &str, max_schedules: u64) -> Result<CheckedRun, String> {
         ));
     }
     let (_, probe) = journal_probe(h)?;
+    let params = probe.model.exec_params(probe.workers, probe.chunk);
     Ok(CheckedRun {
         name: h.workload.clone(),
         annotation: h.annotation.clone(),
         workers: h.workers as usize,
-        report: check_events(journal.events(), &check_config(&probe, max_schedules))?,
+        report: check_events(journal.events(), &params, max_schedules)?,
     })
 }
 

@@ -8,10 +8,21 @@
 
 use crate::outcome::Outcome;
 use crate::target::{InferTarget, Model, Probe, ProgramOutput};
-use alter_analyze::{interpret, predict, static_verdict, AnalyzeConfig, StaticVerdict, Verdict};
-use alter_runtime::{quiet::quiet_panics, DepReport, RedOp, RunError, WorkerPool};
+use alter_analyze::{
+    interpret, predict, static_verdict, StaticVerdict, Verdict, HIGH_CONFLICT_THRESHOLD,
+};
+use alter_runtime::{quiet::quiet_panics, DepReport, ExecParams, RedOp, RunError, WorkerPool};
 use alter_trace::{Event, Recorder};
 use std::sync::Arc;
+
+/// Timeout threshold: a probe times out at "more than 10 times the
+/// sequential execution time" (§5).
+const TIMEOUT_FACTOR: f64 = 10.0;
+
+/// Per-transaction tracked-memory budget of a probe whose target sets no
+/// override ([`InferTarget::tracked_budget_words`]): 4M words = 32 MiB of
+/// tracked state, emulating physical memory.
+const DEFAULT_BUDGET_WORDS: u64 = 1 << 22;
 
 /// Tunables of the inference engine, with the paper's defaults.
 #[derive(Clone)]
@@ -20,14 +31,6 @@ pub struct InferConfig {
     pub workers: usize,
     /// Chunk factor during probing — "fixing the chunk factor at 16" (§5).
     pub chunk: usize,
-    /// Timeout threshold: "more than 10 times the sequential execution
-    /// time" (§5).
-    pub timeout_factor: f64,
-    /// High-conflict threshold: "more than 50% of the attempted commits
-    /// fail" (§5).
-    pub high_conflict_threshold: f64,
-    /// Per-transaction tracked-memory budget (emulates physical memory).
-    pub budget_words: u64,
     /// Structured-event sink. Each probe is bracketed by
     /// `ProbeStart`/`ProbeOutcome` events and its engine run emits into the
     /// same recorder, so a trace shows each candidate annotation followed
@@ -59,9 +62,6 @@ impl std::fmt::Debug for InferConfig {
         f.debug_struct("InferConfig")
             .field("workers", &self.workers)
             .field("chunk", &self.chunk)
-            .field("timeout_factor", &self.timeout_factor)
-            .field("high_conflict_threshold", &self.high_conflict_threshold)
-            .field("budget_words", &self.budget_words)
             .field("recorder", &self.recorder.as_ref().map(|r| r.is_enabled()))
             .field("prune", &self.prune)
             .field("static_prune", &self.static_prune)
@@ -74,13 +74,25 @@ impl Default for InferConfig {
         InferConfig {
             workers: 4,
             chunk: 16,
-            timeout_factor: 10.0,
-            high_conflict_threshold: 0.5,
-            budget_words: 1 << 22, // 4M words = 32 MiB of tracked state
             recorder: None,
             prune: true,
             static_prune: true,
         }
+    }
+}
+
+impl InferConfig {
+    /// The engine parameters a probe of `model` on `target` runs under:
+    /// this config's worker count and chunk factor, the model's conflict
+    /// policy and commit order, and the target's tracked-words budget
+    /// ([`InferTarget::tracked_budget_words`], else 4M words). The
+    /// analyzer judges each candidate by exactly these parameters.
+    pub fn params(&self, target: &dyn InferTarget, model: Model) -> ExecParams {
+        let mut p = model.exec_params(self.workers, self.chunk);
+        p.budget_words = target
+            .tracked_budget_words()
+            .unwrap_or(DEFAULT_BUDGET_WORDS);
+        p
     }
 }
 
@@ -176,21 +188,20 @@ impl InferReport {
 /// simulated parallel time against the run's own sequential-work clock
 /// ("more than 10 times the sequential execution time"); the high-conflict
 /// check uses the retry rate ("more than 50% of the attempted commits
-/// fail").
+/// fail", [`HIGH_CONFLICT_THRESHOLD`]).
 pub fn classify(
     target: &dyn InferTarget,
     reference: &ProgramOutput,
     result: Result<crate::target::ProbeRun, RunError>,
-    cfg: &InferConfig,
 ) -> Outcome {
     match result {
         Err(RunError::Crash(msg)) => Outcome::Crash(msg),
         Err(RunError::OutOfMemory { .. }) => Outcome::OutOfMemory,
         Err(RunError::WorkBudgetExceeded { .. }) => Outcome::Timeout,
         Ok(run) => {
-            if run.clock.par_units > cfg.timeout_factor * run.clock.seq_units.max(1.0) {
+            if run.clock.par_units > TIMEOUT_FACTOR * run.clock.seq_units.max(1.0) {
                 Outcome::Timeout
-            } else if run.stats.retry_rate() > cfg.high_conflict_threshold {
+            } else if run.stats.retry_rate() > HIGH_CONFLICT_THRESHOLD {
                 Outcome::HighConflicts
             } else if target.validate(reference, &run.output) {
                 Outcome::Success
@@ -214,7 +225,7 @@ fn probe_outcome(
         });
     }
     let result = quiet_panics(|| target.run_probe(probe));
-    let outcome = classify(target, reference, result, cfg);
+    let outcome = classify(target, reference, result);
     if let Some(rec) = rec {
         rec.record(Event::ProbeOutcome {
             annotation: probe.describe(),
@@ -365,19 +376,11 @@ pub fn infer(target: &(dyn InferTarget + Sync), cfg: &InferConfig) -> InferRepor
     // Hard safety net: a parallel run re-executes at most `workers`× the
     // sequential work under the lock-step protocol, so anything beyond
     // workers × factor × sequential is a runaway.
-    let work_budget = (seq_cost as f64 * cfg.timeout_factor * cfg.workers as f64) as u64;
+    let work_budget = (seq_cost as f64 * TIMEOUT_FACTOR * cfg.workers as f64) as u64;
 
     let summary = target.probe_summary();
     let dep = summary.report();
 
-    let budget_words = target.tracked_budget_words().unwrap_or(cfg.budget_words);
-    let acfg = AnalyzeConfig {
-        workers: cfg.workers,
-        chunk: cfg.chunk,
-        high_conflict_threshold: cfg.high_conflict_threshold,
-        budget_words,
-        ..AnalyzeConfig::default()
-    };
     // The static tier: the abstract interpreter's summary of the target's
     // declared loop spec, evaluated once and consulted per model probe.
     let static_summary = if cfg.prune && cfg.static_prune {
@@ -402,8 +405,7 @@ pub fn infer(target: &(dyn InferTarget + Sync), cfg: &InferConfig) -> InferRepor
                 None => return Verdict::Unknown,
             },
         };
-        let params = model.exec_params(cfg.workers, cfg.chunk);
-        predict(&summary, params.conflict, params.order, &elide, &acfg)
+        predict(&summary, &cfg.params(target, model), &elide)
     };
     // Resolution plan for one candidate: the static tier rules first (its
     // proofs are two-sided and need no replay), the dynamic predictor
@@ -413,8 +415,7 @@ pub fn infer(target: &(dyn InferTarget + Sync), cfg: &InferConfig) -> InferRepor
     let plan_for = |model: Model, reduction: Option<&(String, RedOp)>| -> Plan {
         if reduction.is_none() {
             if let Some(st) = &static_summary {
-                let params = model.exec_params(cfg.workers, cfg.chunk);
-                match static_verdict(st, params.conflict, &acfg) {
+                match static_verdict(st, &cfg.params(target, model)) {
                     StaticVerdict::ProvedSafe => {
                         return Plan::Static(
                             Outcome::Success,
@@ -440,7 +441,7 @@ pub fn infer(target: &(dyn InferTarget + Sync), cfg: &InferConfig) -> InferRepor
     let make_probe = |model: Model, reduction: Option<(String, RedOp)>| {
         let mut probe = Probe::new(model, cfg.workers, cfg.chunk);
         probe.reduction = reduction;
-        probe.budget_words = budget_words;
+        probe.budget_words = cfg.params(target, model).budget_words;
         probe.work_budget = Some(work_budget);
         probe.recorder = cfg.recorder.clone();
         probe
@@ -510,5 +511,89 @@ pub fn infer(target: &(dyn InferTarget + Sync), cfg: &InferConfig) -> InferRepor
         pruned_candidates: ledger.pruned,
         static_pruned: ledger.static_pruned,
         probes_run: ledger.probes_run,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::target::ProbeRun;
+    use alter_runtime::RunStats;
+    use alter_sim::SimClock;
+
+    /// A target whose only use here is its default output validator.
+    struct Validator;
+
+    impl InferTarget for Validator {
+        fn name(&self) -> &str {
+            "validator"
+        }
+        fn run_sequential(&self) -> ProgramOutput {
+            ProgramOutput::from_ints(vec![1, 2, 3])
+        }
+        fn run_probe(&self, _: &Probe) -> Result<ProbeRun, RunError> {
+            unreachable!("classify runs nothing")
+        }
+    }
+
+    /// A completed run that took `par_units` for 100 units of sequential
+    /// work and committed `committed` of `attempts`, producing `ints`.
+    fn run(
+        par_units: f64,
+        attempts: u64,
+        committed: u64,
+        ints: &[i64],
+    ) -> Result<ProbeRun, RunError> {
+        Ok(ProbeRun {
+            output: ProgramOutput::from_ints(ints.to_vec()),
+            stats: RunStats {
+                attempts,
+                committed,
+                ..RunStats::default()
+            },
+            clock: SimClock {
+                par_units,
+                seq_units: 100.0,
+                ..SimClock::default()
+            },
+        })
+    }
+
+    /// §5's rules at their boundaries: a timeout is *more than* 10× the
+    /// sequential time and a high-conflict run *more than* 50 % failed
+    /// commits; aborts map to their classes; an output the validator
+    /// rejects is a mismatch.
+    #[test]
+    fn classification_follows_the_section5_rules_at_their_boundaries() {
+        let target = Validator;
+        let reference = target.run_sequential();
+        let class = |result| classify(&target, &reference, result);
+        let good = [1, 2, 3];
+        assert_eq!(class(run(1000.0, 4, 4, &good)), Outcome::Success);
+        assert_eq!(
+            class(run(1000.0_f64.next_up(), 4, 4, &good)),
+            Outcome::Timeout
+        );
+        assert_eq!(class(run(10.0, 4, 2, &good)), Outcome::Success);
+        assert_eq!(class(run(10.0, 2001, 1000, &good)), Outcome::HighConflicts);
+        assert_eq!(
+            class(Err(RunError::WorkBudgetExceeded {
+                spent: 11,
+                budget: 10
+            })),
+            Outcome::Timeout
+        );
+        assert_eq!(
+            class(Err(RunError::Crash("boom".into()))),
+            Outcome::Crash("boom".into())
+        );
+        assert_eq!(
+            class(Err(RunError::OutOfMemory {
+                words: 11,
+                budget: 10
+            })),
+            Outcome::OutOfMemory
+        );
+        assert_eq!(class(run(10.0, 4, 4, &[1, 2, 4])), Outcome::OutputMismatch);
     }
 }

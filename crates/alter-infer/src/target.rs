@@ -8,8 +8,8 @@
 use alter_analyze::absint::LoopSpec;
 use alter_heap::Heap;
 use alter_runtime::{
-    run_loop_observed, Driver, ExecParams, IterSpace, LoopSummary, RedOp, RedVars, RunError,
-    RunStats, TxCtx,
+    run_loop_observed, CommitOrder, ConflictPolicy, Driver, ExecParams, IterSpace, LoopSummary,
+    RedOp, RedVars, RunError, RunStats, TxCtx,
 };
 use alter_sim::{CostModel, SimClock, SimObserver};
 use alter_trace::Recorder;
@@ -49,20 +49,14 @@ impl Model {
 
     /// Base parameters for this model (Theorems 4.1–4.4).
     pub fn exec_params(self, workers: usize, chunk: usize) -> ExecParams {
-        match self {
-            Model::Tls => ExecParams::tls(workers, chunk),
-            Model::OutOfOrder => ExecParams::from_annotation(
-                &"[OutOfOrder]".parse().expect("static"),
-                workers,
-                chunk,
-            ),
-            Model::StaleReads => ExecParams::from_annotation(
-                &"[StaleReads]".parse().expect("static"),
-                workers,
-                chunk,
-            ),
-            Model::Doall => ExecParams::doall(workers, chunk),
-        }
+        let mut p = ExecParams::new(workers, chunk);
+        (p.conflict, p.order) = match self {
+            Model::Tls => (ConflictPolicy::Raw, CommitOrder::InOrder),
+            Model::OutOfOrder => (ConflictPolicy::Raw, CommitOrder::OutOfOrder),
+            Model::StaleReads => (ConflictPolicy::Waw, CommitOrder::OutOfOrder),
+            Model::Doall => (ConflictPolicy::None, CommitOrder::OutOfOrder),
+        };
+        p
     }
 }
 
@@ -395,7 +389,7 @@ pub trait InferTarget {
 mod tests {
     use super::*;
     use alter_heap::{ObjData, ObjId};
-    use alter_runtime::{CommitOrder, ConflictPolicy, RangeSpace, RedVal};
+    use alter_runtime::{RangeSpace, RedVal};
 
     #[test]
     fn model_params_match_theorems() {

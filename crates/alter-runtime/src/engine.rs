@@ -666,6 +666,11 @@ fn run_rounds(
     mut exec: impl FnMut(RoundInput) -> Vec<(Ticket, TaskOutcome)>,
     observer: &mut dyn RoundObserver,
 ) -> Result<RunStats, RunError> {
+    // A reduction policy some merge would fail is an invalid annotation:
+    // the run crashes before its first round, so every commit merges.
+    let typed = reds
+        .check_policy(&params.reductions)
+        .map_err(RunError::Crash);
     let mut co = Coordinator::new(heap, reds, params);
     let mut run = || -> Result<(), RunError> {
         while let Some(round) = co.begin_round(space) {
@@ -677,7 +682,7 @@ fn run_rounds(
         }
         Ok(())
     };
-    let result = run();
+    let result = typed.and_then(|()| run());
     co.finish(result)
 }
 
@@ -787,8 +792,7 @@ impl<'a> Coordinator<'a> {
     /// Retires one executed ticket — in ticket order, the caller's duty:
     /// books its execution, validates it unless an earlier in-order failure
     /// already squashed it, and commits or re-queues it. An `Err` (the
-    /// body's, a failed reduction merge, or a commit into a freed object)
-    /// aborts the run.
+    /// body's, or a commit into a freed object) aborts the run.
     fn retire(
         &mut self,
         worker: usize,
@@ -886,11 +890,12 @@ impl<'a> Coordinator<'a> {
         self.spent.push(effects);
     }
 
-    /// Commits a validated ticket: announces it, merges its reduction
-    /// deltas, applies its writes to the heap in place and admits its write
-    /// set to the validator. `footprint` is that of `effects`. A write into
-    /// or a free of an object an earlier committer of the round freed is a
-    /// crash, and leaves the heap as it was.
+    /// Commits a validated ticket: applies its writes to the heap in place,
+    /// merges its reduction deltas, books and announces it, and admits its
+    /// write set to the validator. `footprint` is that of `effects`. A write
+    /// into or a free of an object an earlier committer of the round freed
+    /// is a crash, and leaves the heap, the reduction registry, the books
+    /// and the trace as they were.
     fn commit(
         &mut self,
         task: &Ticket,
@@ -899,6 +904,14 @@ impl<'a> Coordinator<'a> {
         deltas: &[RedDelta],
         report: &TaskReport,
     ) -> Result<(), RunError> {
+        self.heap.commit(&effects).map_err(|id| {
+            RunError::Crash(format!(
+                "commit into {id}, which an earlier committer of the round freed"
+            ))
+        })?;
+        for d in deltas {
+            self.reds.merge(d);
+        }
         self.stats.committed += 1;
         self.stats.iterations += task.iters.len() as u64;
         self.costs.commit += report.write_words + report.alloc_words;
@@ -914,18 +927,6 @@ impl<'a> Coordinator<'a> {
                 allocs: footprint.allocs,
                 frees: footprint.frees,
             });
-        }
-        // A type-mismatched reduction (e.g. a boolean operator on a float
-        // variable) is an invalid annotation; report it as a crash of the
-        // candidate program rather than unwinding.
-        let reds = &mut *self.reds;
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for d in deltas {
-                reds.merge(d);
-            }
-        }))
-        .map_err(|payload| RunError::from_panic(&*payload))?;
-        if let Some(rec) = self.rec {
             for d in deltas {
                 rec.record(Event::ReductionMerge {
                     seq: task.seq,
@@ -934,11 +935,6 @@ impl<'a> Coordinator<'a> {
                 });
             }
         }
-        self.heap.commit(&effects).map_err(|id| {
-            RunError::Crash(format!(
-                "commit into {id}, which an earlier committer of the round freed"
-            ))
-        })?;
         self.validator.admit(task.seq, effects);
         Ok(())
     }
@@ -1440,10 +1436,11 @@ mod tests {
     /// a crash of the run, not a panic of the coordinator: DOALL compares
     /// no write sets, so ticket 1's write into the object ticket 0 freed
     /// passes validation, and the heap keeps the prefix in which ticket 0
-    /// committed (SEMANTICS.md §2, clause 6).
+    /// committed. The refused ticket leaves no trace: no `validate_ok` or
+    /// `commit` of it is recorded, and the crash follows ticket 0's commit
+    /// (SEMANTICS.md §2, clause 6).
     #[test]
     fn a_commit_into_an_object_freed_earlier_in_the_round_is_a_crash() {
-        let p = params(2, 1, ConflictPolicy::None, CommitOrder::OutOfOrder);
         let setup = || {
             let mut heap = Heap::new();
             let ys = heap.alloc(ObjData::zeros_i64(2));
@@ -1457,6 +1454,9 @@ mod tests {
             heap.digest()
         };
         for threaded in [false, true] {
+            let rec = Arc::new(alter_trace::RingRecorder::new(1 << 10));
+            let p = params(2, 1, ConflictPolicy::None, CommitOrder::OutOfOrder)
+                .with_recorder(rec.clone());
             let (mut heap, ys, x) = setup();
             let err = run_loop_engine(
                 &mut heap,
@@ -1480,6 +1480,63 @@ mod tests {
                 "threaded={threaded}: {err:?}"
             );
             assert_eq!(heap.digest(), prefix, "threaded={threaded}");
+            let events = rec.events();
+            assert!(
+                !events.iter().any(|e| matches!(
+                    e,
+                    Event::ValidateOk { seq: 1, .. } | Event::Commit { seq: 1, .. }
+                )),
+                "threaded={threaded}: {events:?}"
+            );
+            assert!(
+                matches!(
+                    events[..],
+                    [.., Event::Commit { seq: 0, .. }, Event::Crash { .. }]
+                ),
+                "threaded={threaded}: {events:?}"
+            );
+        }
+    }
+
+    /// A boolean reduction operator on a float variable cannot merge: the
+    /// run crashes before its first round, with the heap, the variable and
+    /// the trace untouched but for the crash (SEMANTICS.md §4, clause 5).
+    #[test]
+    fn a_boolean_reduction_over_a_float_variable_crashes_before_any_round() {
+        for threaded in [false, true] {
+            let mut heap = Heap::new();
+            let xs = heap.alloc(ObjData::zeros_i64(8));
+            let before = heap.digest();
+            let mut reds = RedVars::new();
+            let v = reds.declare("v", RedVal::F64(1.5));
+            let rec = Arc::new(alter_trace::RingRecorder::new(1 << 10));
+            let mut p = params(2, 1, ConflictPolicy::Waw, CommitOrder::OutOfOrder)
+                .with_recorder(rec.clone());
+            p.reductions = vec![(v, RedOp::And)];
+            let err = run_loop_engine(
+                &mut heap,
+                &mut reds,
+                &mut RangeSpace::new(0, 8),
+                &p,
+                threaded,
+                &|ctx: &mut TxCtx<'_>, i: u64| {
+                    ctx.tx.write_i64(xs, i as usize, 1);
+                    ctx.red_add(v, 1.0);
+                },
+                &mut NullObserver,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, RunError::Crash(ref m) if m.contains("boolean reduction over f64")),
+                "threaded={threaded}: {err:?}"
+            );
+            assert_eq!(heap.digest(), before, "threaded={threaded}");
+            assert_eq!(reds.get(v), RedVal::F64(1.5), "threaded={threaded}");
+            assert!(
+                matches!(rec.events()[..], [Event::Crash { .. }]),
+                "threaded={threaded}: {:?}",
+                rec.events()
+            );
         }
     }
 

@@ -19,6 +19,9 @@
 use crate::annotation::RedOp;
 use std::fmt;
 
+/// What a boolean operator on a float variable is: an invalid annotation.
+const BOOL_ON_F64: &str = "type error: boolean reduction over f64 variable";
+
 /// A typed reduction value.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RedVal {
@@ -37,7 +40,7 @@ impl RedVal {
                 RedOp::Mul => RedVal::F64(1.0),
                 RedOp::Max => RedVal::F64(f64::NEG_INFINITY),
                 RedOp::Min => RedVal::F64(f64::INFINITY),
-                RedOp::And | RedOp::Or => panic!("type error: boolean reduction over f64 variable"),
+                RedOp::And | RedOp::Or => panic!("{BOOL_ON_F64}"),
             },
             RedVal::I64(_) => match op {
                 RedOp::Add => RedVal::I64(0),
@@ -63,9 +66,7 @@ impl RedVal {
                 RedOp::Mul => a * b,
                 RedOp::Max => a.max(b),
                 RedOp::Min => a.min(b),
-                RedOp::And | RedOp::Or => {
-                    panic!("type error: boolean reduction over f64 variable")
-                }
+                RedOp::And | RedOp::Or => panic!("{BOOL_ON_F64}"),
             }),
             (RedVal::I64(a), RedVal::I64(b)) => RedVal::I64(match op {
                 RedOp::Add => a.wrapping_add(b),
@@ -209,11 +210,34 @@ impl RedVars {
         self.vals.is_empty()
     }
 
+    /// Checks that every `(variable, operator)` pair of a reduction
+    /// policy can merge: a boolean operator on a float variable cannot. The
+    /// engine checks this once, when a run starts, so that no commit's
+    /// [`RedVars::merge`] fails; the error is the crash message.
+    pub(crate) fn check_policy(&self, policy: &[(RedVarId, RedOp)]) -> Result<(), String> {
+        let bool_on_f64 = |&(var, op): &(RedVarId, RedOp)| {
+            matches!(
+                (op, self.get(var)),
+                (RedOp::And | RedOp::Or, RedVal::F64(_))
+            )
+        };
+        if policy.iter().any(bool_on_f64) {
+            Err(BOOL_ON_F64.to_owned())
+        } else {
+            Ok(())
+        }
+    }
+
     /// Merges one transaction's contribution into the committed value
     /// using the paper's commit rules (§4.2): for idempotent operators
     /// `Sc := Sc op newSt`; for `+`, `Sc := Sc + newSt − oldSt`; `×`
     /// analogously (`Sc := Sc × newSt ∕ oldSt`, with the exact-zero case
     /// resolved to `Sc := newSt` when `Sc = oldSt`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a boolean operator over a float variable, and on values
+    /// of mixed types.
     pub fn merge(&mut self, d: &RedDelta) {
         let sc = self.vals[d.var.0];
         self.vals[d.var.0] = match d.op {
@@ -489,6 +513,32 @@ mod tests {
             }
         }
         assert_eq!(rv.get(p).as_f64(), 30.0, "2 × 3 × 5");
+    }
+
+    #[test]
+    fn mul_merge_poisons_a_ratio_it_cannot_take() {
+        // The body adds but the annotation says ×: the second committer's
+        // ratio newSt ∕ oldSt is not exact, and Sc has moved off oldSt.
+        let mut rv = RedVars::new();
+        let n = rv.declare("n", RedVal::I64(4));
+        let x = rv.declare("x", RedVal::F64(0.0));
+        let policy = vec![(n, RedOp::Mul), (x, RedOp::Mul)];
+        let mut t1 = RedLocals::for_policy(&policy, &rv);
+        t1.apply_source(n, RedOp::Add, RedVal::I64(3));
+        t1.apply_source(x, RedOp::Add, RedVal::F64(2.0));
+        let mut t2 = RedLocals::for_policy(&policy, &rv);
+        t2.apply_source(n, RedOp::Add, RedVal::I64(1));
+        t2.apply_source(x, RedOp::Add, RedVal::F64(3.0));
+        for d in t1.into_deltas() {
+            rv.merge(&d);
+        }
+        // Sc = oldSt: the first committer's newSt is taken as is.
+        assert_eq!((rv.get(n), rv.get(x)), (RedVal::I64(7), RedVal::F64(2.0)));
+        for d in t2.into_deltas() {
+            rv.merge(&d);
+        }
+        assert_eq!(rv.get(n), RedVal::I64(i64::MIN), "5 ∕ 4 is not an integer");
+        assert!(rv.get(x).as_f64().is_nan(), "oldSt = 0 with Sc = 2");
     }
 
     #[test]

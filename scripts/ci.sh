@@ -59,7 +59,7 @@ fi
 # Every verification surface is a subcommand of one bin.
 cli() { cargo run --release -q -p alter-bench --bin alter-cli -- "$@"; }
 
-echo "== smoke: tables, figures --quick, gauss_seidel example, trace, lint, absint, deps, profile =="
+echo "== smoke: tables, figures --quick, the four examples, trace, lint, absint, deps, profile =="
 # Outside the tests these are the only readers of a probe run's sweep and
 # pass counts and of its simulated clock; clippy only compiles them. Each
 # must exit 0 (about a second each in release mode). `trace --twice` is the
@@ -67,10 +67,15 @@ echo "== smoke: tables, figures --quick, gauss_seidel example, trace, lint, absi
 # `absint` and `deps` with no workload cover all twelve (≈ 1 s together).
 # `profile all doall` prints every workload's phase ledger under DOALL,
 # where AggloClust commits into an object an earlier committer of the round
-# freed: the run must abort with a crash note, not panic (0.04 s).
+# freed: the run must abort with a crash note, not panic (0.04 s). The
+# examples are the public API's own smoke: `inference` runs
+# `InferConfig::default()` through the analyzer's pruning tiers (the
+# release binaries take 2-60 ms each).
 cli tables > /dev/null
 cli figures --quick > /dev/null
-cargo run --release -q --example gauss_seidel > /dev/null
+for example in quickstart wordlist inference gauss_seidel; do
+  cargo run --release -q --example "$example" > /dev/null
+done
 cli trace genome --threaded --twice > /dev/null
 cli lint > /dev/null
 cli absint > /dev/null

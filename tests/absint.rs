@@ -14,16 +14,9 @@
 //!   `join`/`widen`/`add`/`mul` are sound and monotone against concrete
 //!   u64 sets.
 
-use alter::analyze::{
-    cross_validate, interpret, static_verdict, AnalyzeConfig, StaticVerdict, StrideInterval,
-};
+use alter::analyze::{cross_validate, interpret, static_verdict, StaticVerdict, StrideInterval};
 use alter::infer::{infer, InferConfig, Model};
 use alter::workloads::{all_benchmarks, Scale};
-
-/// The probe's conflict policy for a model, as the engine configures it.
-fn policy_of(model: Model) -> alter::runtime::ConflictPolicy {
-    model.exec_params(4, 16).conflict
-}
 
 #[test]
 fn every_workload_declares_a_spec_that_covers_its_replay() {
@@ -45,19 +38,14 @@ fn every_workload_declares_a_spec_that_covers_its_replay() {
 
 #[test]
 fn static_verdicts_match_the_table3_structure() {
+    let icfg = InferConfig::default();
     let proved_safe = ["BarnesHut", "FFT", "HMM"];
     for b in all_benchmarks(Scale::Inference) {
         let name = b.name().to_owned();
         let spec = b.loop_spec().unwrap();
         let summary = interpret(&spec);
-        let cfg = AnalyzeConfig {
-            budget_words: b
-                .tracked_budget_words()
-                .unwrap_or(AnalyzeConfig::default().budget_words),
-            ..AnalyzeConfig::default()
-        };
         for model in Model::TABLE3 {
-            let v = static_verdict(&summary, policy_of(model), &cfg);
+            let v = static_verdict(&summary, &icfg.params(b.as_ref(), model));
             if proved_safe.contains(&name.as_str()) {
                 assert_eq!(
                     v,

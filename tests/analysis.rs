@@ -11,11 +11,9 @@
 //!   passes the isolation sanitizer, and deliberately corrupted traces
 //!   (reordered verdicts, overlapping committed write-sets) are rejected.
 
-use alter::analyze::{
-    lint, predict, sanitize, AnalyzeConfig, LintTarget, SanitizeConfig, Severity,
-};
+use alter::analyze::{lint, predict, sanitize, LintTarget, Severity};
 use alter::infer::{infer, InferConfig, InferReport, Model, Outcome};
-use alter::runtime::Annotation;
+use alter::runtime::{Annotation, ExecParams};
 use alter::trace::{Event, Recorder, RingRecorder};
 use alter::workloads::{all_benchmarks, Benchmark, Scale};
 use std::collections::HashMap;
@@ -160,18 +158,11 @@ fn analyzer_diagnostics_are_deterministic_on_all_workloads() {
         let s2 = b.probe_summary();
         assert_eq!(s1, s2, "{name}: summary replay is not deterministic");
 
-        let acfg = AnalyzeConfig {
-            workers: icfg.workers,
-            chunk: icfg.chunk,
-            high_conflict_threshold: icfg.high_conflict_threshold,
-            budget_words: b.tracked_budget_words().unwrap_or(icfg.budget_words),
-            ..AnalyzeConfig::default()
-        };
         for model in Model::TABLE3 {
-            let p = model.exec_params(icfg.workers, icfg.chunk);
+            let p = icfg.params(b.as_ref(), model);
             assert_eq!(
-                predict(&s1, p.conflict, p.order, &[], &acfg),
-                predict(&s2, p.conflict, p.order, &[], &acfg),
+                predict(&s1, &p, &[]),
+                predict(&s2, &p, &[]),
                 "{name}/{model}: verdict is not deterministic"
             );
         }
@@ -200,7 +191,7 @@ fn analyzer_diagnostics_are_deterministic_on_all_workloads() {
 
 /// Records the workload's best-configuration run with full `task_sets`
 /// payloads — the canonical trace `alter-cli lint` audits.
-fn canonical_trace(bench: &dyn Benchmark) -> (Vec<Event>, SanitizeConfig) {
+fn canonical_trace(bench: &dyn Benchmark) -> (Vec<Event>, ExecParams) {
     let rec = Arc::new(RingRecorder::new(1 << 20));
     let mut probe = bench.best_probe(4);
     probe.record_sets = true;
@@ -209,13 +200,9 @@ fn canonical_trace(bench: &dyn Benchmark) -> (Vec<Event>, SanitizeConfig) {
         .run_probe(&probe)
         .unwrap_or_else(|e| panic!("{} best config aborted: {e}", bench.name()));
     assert_eq!(rec.dropped(), 0, "{}: ring too small", bench.name());
-    let params = probe.model.exec_params(probe.workers, probe.chunk);
     (
         rec.events(),
-        SanitizeConfig {
-            conflict: params.conflict,
-            order: params.order,
-        },
+        probe.model.exec_params(probe.workers, probe.chunk),
     )
 }
 

@@ -8,19 +8,23 @@
 //! journals replay through `alter-cli diff`.
 
 use alter::analyze::{
-    check_events, check_journal, sanitize, schedule_is_clean, CheckConfig, SanitizeConfig,
+    check_events, check_journal, sanitize, schedule_is_clean, DEFAULT_SCHEDULE_BUDGET,
 };
 use alter::heap::ObjId;
 use alter::infer::{Model, Probe};
 use alter::runtime::replay::{diverge_bisect, ReplayOutcome};
-use alter::runtime::{CommitOrder, ConflictPolicy};
+use alter::runtime::{CommitOrder, ConflictPolicy, ExecParams};
 use alter::trace::{ConflictKind, Event, Journal, JournalHeader, Recorder, RingRecorder};
 use alter::workloads::{common::SplitMix64, find_benchmark};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-fn cfg(conflict: ConflictPolicy, order: CommitOrder) -> CheckConfig {
-    CheckConfig::new(conflict, order)
+/// The parameters of a run validated under `conflict` and `order`.
+fn params(conflict: ConflictPolicy, order: CommitOrder) -> ExecParams {
+    let mut p = ExecParams::new(4, 16);
+    p.conflict = conflict;
+    p.order = order;
+    p
 }
 
 // ---------------------------------------------------------------------------
@@ -103,11 +107,7 @@ fn shuffle(n: usize, rng: &mut SplitMix64) -> Vec<usize> {
 
 #[test]
 fn oracle_is_two_sided_over_seeded_rounds() {
-    let scfg = SanitizeConfig {
-        conflict: ConflictPolicy::Waw,
-        order: CommitOrder::OutOfOrder,
-    };
-    let ccfg = cfg(ConflictPolicy::Waw, CommitOrder::OutOfOrder);
+    let stale = params(ConflictPolicy::Waw, CommitOrder::OutOfOrder);
     for seed in 0..50u64 {
         let mut rng = SplitMix64::seed_from_u64(0x0D10_C0DE + seed);
         let n = 3 + (rng.next_u64() % 4) as usize; // 3..=6 tasks
@@ -122,8 +122,12 @@ fn oracle_is_two_sided_over_seeded_rounds() {
             })
             .collect();
         let identity: Vec<usize> = (0..n).collect();
-        let report = check_events(&render_round(&disjoint, &identity), &ccfg)
-            .expect("synthetic round extracts");
+        let report = check_events(
+            &render_round(&disjoint, &identity),
+            &stale,
+            DEFAULT_SCHEDULE_BUDGET,
+        )
+        .expect("synthetic round extracts");
         assert!(report.sound(), "seed {seed}: {:?}", report.unsound);
         assert_eq!(
             report.explored, 1,
@@ -141,12 +145,12 @@ fn oracle_is_two_sided_over_seeded_rounds() {
             let perm = shuffle(n, &mut rng);
             let permuted = render_round(&disjoint, &perm);
             assert_eq!(
-                sanitize(&permuted, &scfg),
+                sanitize(&permuted, &stale),
                 vec![],
                 "seed {seed}: disjoint permutation {perm:?} must sanitize clean"
             );
             assert_eq!(
-                schedule_is_clean(&recorded, &ccfg, &perm),
+                schedule_is_clean(&recorded, &stale, &perm),
                 Ok(true),
                 "seed {seed}: {perm:?}"
             );
@@ -167,7 +171,12 @@ fn oracle_is_two_sided_over_seeded_rounds() {
         // The recorded (identity) journal is valid, and the checker finds
         // exactly one extra representative — the flipped conflict edge —
         // and flags it.
-        let report = check_events(&render_round(&tasks, &identity), &ccfg).expect("round extracts");
+        let report = check_events(
+            &render_round(&tasks, &identity),
+            &stale,
+            DEFAULT_SCHEDULE_BUDGET,
+        )
+        .expect("round extracts");
         assert!(report.sound(), "seed {seed}: {:?}", report.unsound);
         assert_eq!(
             report.explored, 2,
@@ -191,7 +200,7 @@ fn oracle_is_two_sided_over_seeded_rounds() {
         }
         let reordered = render_round(&tasks, &perm);
         assert!(
-            !sanitize(&reordered, &scfg).is_empty(),
+            !sanitize(&reordered, &stale).is_empty(),
             "seed {seed}: conflicting reorder {perm:?} must be flagged"
         );
         // Every rendered permutation of the conflicting round, the
@@ -200,8 +209,8 @@ fn oracle_is_two_sided_over_seeded_rounds() {
         let recorded = render_round(&tasks, &identity);
         for perm in [perm, shuffle(n, &mut rng), identity] {
             assert_eq!(
-                schedule_is_clean(&recorded, &ccfg, &perm),
-                Ok(sanitize(&render_round(&tasks, &perm), &scfg).is_empty()),
+                schedule_is_clean(&recorded, &stale, &perm),
+                Ok(sanitize(&render_round(&tasks, &perm), &stale).is_empty()),
                 "seed {seed}: {perm:?}"
             );
         }
@@ -289,7 +298,7 @@ fn ok_commit(seq: u64, write_words: u64) -> [Event; 2] {
 fn run_fixture(
     journal_file: &str,
     text: String,
-    config: CheckConfig,
+    config: ExecParams,
     expect: impl FnOnce(&alter::runtime::replay::Divergence),
 ) {
     if updating_fixtures() {
@@ -302,7 +311,8 @@ fn run_fixture(
         text,
         "fixture {journal_file} is out of date; regenerate with ALTER_UPDATE_FIXTURES=1"
     );
-    let report = check_journal(&journal, &config).expect("fixture extracts");
+    let report =
+        check_journal(&journal, &config, DEFAULT_SCHEDULE_BUDGET).expect("fixture extracts");
     assert_eq!(report.unsound_rounds, 1, "fixture must be rejected");
     let u = &report.unsound[0];
     expect(&u.divergence);
@@ -331,7 +341,7 @@ fn fixture_overlapping_commits_is_rejected() {
     run_fixture(
         "overlap-commit.journal",
         fixture_journal("Genome", "stalereads", evs),
-        cfg(ConflictPolicy::Waw, CommitOrder::OutOfOrder),
+        params(ConflictPolicy::Waw, CommitOrder::OutOfOrder),
         |d| {
             assert_eq!(d.seq, Some(1));
             assert!(
@@ -378,7 +388,7 @@ fn fixture_squash_violation_is_rejected() {
     run_fixture(
         "squash-violation.journal",
         fixture_journal("Genome", "tls", evs),
-        cfg(ConflictPolicy::Raw, CommitOrder::InOrder),
+        params(ConflictPolicy::Raw, CommitOrder::InOrder),
         |d| {
             assert_eq!(d.seq, Some(2));
             assert_eq!(
@@ -413,7 +423,7 @@ fn fixture_stale_read_is_rejected() {
     run_fixture(
         "stale-read.journal",
         fixture_journal("Genome", "outoforder", evs),
-        cfg(ConflictPolicy::Raw, CommitOrder::OutOfOrder),
+        params(ConflictPolicy::Raw, CommitOrder::OutOfOrder),
         |d| {
             assert_eq!(d.seq, Some(1));
             assert!(
@@ -452,7 +462,8 @@ fn outoforder_commutativity_orders_reads_against_writes() {
         assert_eq!(rec.dropped(), 0);
         let r = check_events(
             &rec.events(),
-            &cfg(ConflictPolicy::Raw, CommitOrder::OutOfOrder),
+            &params(ConflictPolicy::Raw, CommitOrder::OutOfOrder),
+            DEFAULT_SCHEDULE_BUDGET,
         )
         .expect("recorded stream extracts");
         assert_eq!((r.naive_schedules, r.explored, r.flagged), counts, "{name}");
@@ -478,7 +489,8 @@ fn doall_counterexample_replays_through_the_diff_bisector() {
 
     let report = check_events(
         &rec.events(),
-        &cfg(ConflictPolicy::None, CommitOrder::OutOfOrder),
+        &params(ConflictPolicy::None, CommitOrder::OutOfOrder),
+        DEFAULT_SCHEDULE_BUDGET,
     )
     .expect("recorded stream extracts");
     assert!(

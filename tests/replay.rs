@@ -6,7 +6,7 @@
 //! with the sanitizer and the checker, and a byte-wise mutation sweep the
 //! journal reader must survive without panicking.
 
-use alter::analyze::{check_journal, sanitize, CheckConfig, SanitizeConfig};
+use alter::analyze::{check_journal, sanitize, DEFAULT_SCHEDULE_BUDGET};
 use alter::heap::{Heap, ObjData};
 use alter::runtime::replay::{diverge_bisect, ReplayOutcome};
 use alter::runtime::{
@@ -334,9 +334,10 @@ fn replay_certifies_a_stream_whose_verdicts_only_the_sanitizer_and_checker_rejec
         diverge_bisect(events, events),
         ReplayOutcome::Identical { .. }
     ));
-    let (conflict, order) = (ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-    assert!(!sanitize(events, &SanitizeConfig { conflict, order }).is_empty());
-    let report = check_journal(&journal, &CheckConfig::new(conflict, order)).expect("extracts");
+    // The fixture's StaleReads run: `Waw` validation, out-of-order commit.
+    let stale = ExecParams::new(4, 16);
+    assert!(!sanitize(events, &stale).is_empty());
+    let report = check_journal(&journal, &stale, DEFAULT_SCHEDULE_BUDGET).expect("extracts");
     assert!(!report.sound());
 }
 
