@@ -12,7 +12,8 @@
 //! without timing noise.
 
 use alter_heap::{
-    AccessSet, Heap, IdReservation, ObjData, ObjId, Snapshot, TrackMode, Tx, TxEffects, TxStats,
+    AccessSet, Heap, IdReservation, ObjData, ObjId, ObjRef, Snapshot, TrackMode, Tx, TxEffects,
+    TxStats,
 };
 use alter_runtime::{run_loop, ConflictPolicy, Driver, ExecParams, RedVars};
 use alter_trace::NopRecorder;
@@ -109,6 +110,19 @@ fn bench_scattered_commit() {
     });
 }
 
+/// Reads objects `0..n` the way `AlterHashSet::seq_keys` walks its
+/// buckets: the count, the overflow link and the keys.
+fn walk_buckets(heap: &Heap, n: u32) {
+    let mut keys = Vec::new();
+    for i in 0..n {
+        let words = heap.get(ObjId::from_index(i)).i64s();
+        let count = words[0] as usize;
+        keys.extend_from_slice(&words[2..2 + count]);
+        black_box(words[1]);
+    }
+    black_box(keys);
+}
+
 /// Allocating 131 072 ten-word objects into an empty heap (Genome's bucket
 /// count), walking them the way `AlterHashSet::seq_keys` walks its buckets,
 /// then dropping the heap, each timed apart. A page keeps its objects'
@@ -126,14 +140,7 @@ fn bench_heap_build_drop() {
             heap.alloc(ObjData::zeros_i64(10));
         }
         let built = Instant::now();
-        let mut keys = Vec::new();
-        for i in 0..131_072 {
-            let words = heap.get(ObjId::from_index(i)).i64s();
-            let count = words[0] as usize;
-            keys.extend_from_slice(&words[2..2 + count]);
-            black_box(words[1]);
-        }
-        black_box(keys);
+        walk_buckets(&heap, 131_072);
         let walked = Instant::now();
         assert_eq!(
             heap.digest(),
@@ -149,6 +156,71 @@ fn bench_heap_build_drop() {
     report("heap_build_131k_10w", build);
     report("heap_walk_131k_10w", walk);
     report("heap_drop_131k_10w", teardown);
+}
+
+/// Genome's table build: 131 072 copies of one empty ten-word bucket
+/// (`[0, -1, 0 × 8]`) through `Heap::alloc_copies`, then the walk and the
+/// drop, each timed apart as in [`bench_heap_build_drop`]. The copies on a
+/// page share one copy of the bucket until first written, which must not
+/// show in what the heap holds: the built heap's digest is a per-object
+/// build's, and so is its digest after `get_mut` writes every seventh
+/// bucket (the drop is timed after those writes, as Genome's is after its
+/// loop).
+fn bench_heap_build_copies() {
+    /// `Heap::digest` of 131 072 per-object allocations of the bucket.
+    const BUILT_DIGEST: u64 = 0xa388_d949_046c_2325;
+    const BUCKETS: u32 = 131_072;
+    let bucket: [i64; 10] = [0, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    let write = |heap: &mut Heap| {
+        for i in (0..BUCKETS).step_by(7) {
+            let words = heap.get_mut(ObjId::from_index(i)).i64s_mut();
+            words[0] = 1;
+            words[2] = i64::from(i);
+        }
+    };
+    let mut per_object = Heap::new();
+    for _ in 0..BUCKETS {
+        per_object.alloc(ObjData::I64(bucket.to_vec()));
+    }
+    assert_eq!(
+        per_object.digest(),
+        BUILT_DIGEST,
+        "the per-object build moved"
+    );
+    write(&mut per_object);
+    let written_digest = per_object.digest();
+    drop(per_object);
+    let (mut build, mut walk, mut teardown) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let start = Instant::now();
+        let mut heap = Heap::new();
+        let last = heap
+            .alloc_copies(ObjRef::I64(&bucket), BUCKETS as usize)
+            .last();
+        let built = Instant::now();
+        assert_eq!(last, Some(ObjId::from_index(BUCKETS - 1)));
+        walk_buckets(&heap, BUCKETS);
+        let walked = Instant::now();
+        assert_eq!(
+            heap.digest(),
+            BUILT_DIGEST,
+            "shared copies changed the build"
+        );
+        write(&mut heap);
+        assert_eq!(
+            heap.digest(),
+            written_digest,
+            "a write to a shared copy landed elsewhere"
+        );
+        let dropping = Instant::now();
+        drop(black_box(heap));
+        build = build.min((built - start).as_secs_f64() * 1e9);
+        walk = walk.min((walked - built).as_secs_f64() * 1e9);
+        teardown = teardown.min(dropping.elapsed().as_secs_f64() * 1e9);
+    }
+    report("heap_build_copies_131k_10w", build);
+    report("heap_walk_copies_131k_10w", walk);
+    report("heap_drop_copies_131k_10w", teardown);
 }
 
 fn bench_instrumented_access() {
@@ -320,6 +392,7 @@ fn main() {
     }
     bench_snapshot();
     bench_heap_build_drop();
+    bench_heap_build_copies();
     bench_instrumented_access();
     bench_guarded_row_scan();
     bench_scattered_commit();

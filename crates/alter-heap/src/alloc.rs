@@ -20,6 +20,9 @@
 
 use crate::object::ObjId;
 
+/// The panic message of a reservation that would reach past `u32::MAX`.
+const EXHAUSTED: &str = "object id space exhausted";
+
 /// Default number of ids per reservation block.
 pub const DEFAULT_BLOCK_SIZE: u32 = 256;
 
@@ -75,19 +78,13 @@ impl IdReservation {
     ///
     /// # Panics
     ///
-    /// Panics on id-space exhaustion (more than `u32::MAX` ids).
+    /// Panics with "object id space exhausted" when the next block would
+    /// reach past `u32::MAX`, in every build.
     pub fn next_id(&mut self) -> ObjId {
         if self.cur == self.end {
             let block = self.next_block;
-            self.next_block += 1;
-            let offset = (block * self.workers + self.worker)
-                .checked_mul(self.block_size)
-                .expect("object id space exhausted");
-            self.cur = self
-                .base
-                .checked_add(offset)
-                .expect("object id space exhausted");
-            self.end = self.cur + self.block_size;
+            self.next_block = block.checked_add(1).expect(EXHAUSTED);
+            (self.cur, self.end) = self.block(block);
         }
         let id = ObjId::from_index(self.cur);
         self.cur += 1;
@@ -95,16 +92,23 @@ impl IdReservation {
         id
     }
 
-    /// One past the largest id this reservation may have handed out so far.
-    /// The engine raises the heap high-water mark to the max across workers
-    /// after each round.
+    /// The ids `start..end` of this worker's block `block`.
+    fn block(&self, block: u32) -> (u32, u32) {
+        let start = block
+            .checked_mul(self.workers)
+            .and_then(|b| b.checked_add(self.worker))
+            .and_then(|b| b.checked_mul(self.block_size))
+            .and_then(|offset| self.base.checked_add(offset));
+        let start = start.expect(EXHAUSTED);
+        (start, start.checked_add(self.block_size).expect(EXHAUSTED))
+    }
+
+    /// One past the largest id this reservation may have handed out so far:
+    /// the end of its last block.
     pub fn high_water(&self) -> u32 {
-        if self.next_block == 0 {
-            self.base
-        } else {
-            self.base
-                + ((self.next_block - 1) * self.workers + self.worker) * self.block_size
-                + self.block_size
+        match self.next_block {
+            0 => self.base,
+            taken => self.block(taken - 1).1,
         }
     }
 
@@ -161,6 +165,52 @@ mod tests {
         let mut r = IdReservation::new(5, 0, 1, 4);
         let ids: Vec<u32> = (0..6).map(|_| r.next_id().index()).collect();
         assert_eq!(ids, vec![5, 6, 7, 8, 9, 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "object id space exhausted")]
+    fn a_block_past_the_id_space_panics_instead_of_wrapping() {
+        // The block would cover `u32::MAX - 3 .. u32::MAX + 253`: unchecked,
+        // a release build hands out `u32::MAX - 3 ..= u32::MAX` and then
+        // wraps to ids 0, 1, …, which may be live.
+        let mut r = IdReservation::new(u32::MAX - 3, 0, 1, 256);
+        for _ in 0..6 {
+            r.next_id();
+        }
+    }
+
+    #[test]
+    fn reservations_over_one_base_never_overlap() {
+        let mut state = 0x5eed_a110c_u64;
+        let mut below = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for case in 0..300 {
+            let base = below(1 << 20) as u32;
+            let workers = 1 + below(8) as usize;
+            let block = 1 + below(40) as u32;
+            let mut owner = std::collections::HashMap::new();
+            for w in 0..workers {
+                let mut r = IdReservation::new(base, w, workers, block);
+                for _ in 0..below(3 * u64::from(block) + 2) {
+                    let id = r.next_id();
+                    assert!(id.index() >= base, "case {case}: {id} below the base");
+                    assert!(
+                        id.index() < r.high_water(),
+                        "case {case}: {id} past the high water"
+                    );
+                    let earlier = owner.insert(id, w);
+                    assert_eq!(
+                        earlier, None,
+                        "case {case}: {id} of workers {earlier:?} and {w}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,14 @@
 //! them to reuse). An alloc appends its words to the buffer of its kind; a
 //! free leaves a hole, and a page whose holes come to outweigh its live
 //! words compacts its buffers.
+//!
+//! The copies one [`Heap::alloc_copies`] places on a page are written
+//! once: they share one copy of their words, as the paper's processes share
+//! the pages a `fork` mapped until they write them. The first write to one
+//! of them, the only way its words can change, appends its own copy first
+//! (room for a few such copies is reserved when the page is built), so no
+//! other copy and no snapshot sees the write. Holes and compaction count a
+//! shared copy as live while any object sharing it is.
 
 use crate::object::{ObjData, ObjId, ObjKind, ObjMut, ObjRef};
 use crate::tx::{Local, TxEffects};
@@ -44,18 +52,37 @@ use std::sync::Arc;
 /// held snapshot copies, words and all.
 pub const SNAPSHOT_PAGE_SLOTS: usize = 64;
 
+/// Room reserved in a page's buffer, when [`Heap::alloc_copies`] builds it,
+/// for this many of its shared copies' first writes: enough that they append
+/// without moving the buffer, few enough that a build does not touch the
+/// words of copies nobody writes.
+const SHARED_HEADROOM: usize = 16;
+
 /// Where one live object's words are: `len` words at `at` in its page's
-/// buffer of `kind`.
+/// buffer of `kind`. A `shared` slot's words may be other shared slots'
+/// too (the copies one install placed on the page); the first write to it
+/// gives it its own.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     kind: ObjKind,
+    shared: bool,
     at: u32,
     len: u32,
 }
 
+// The shared bit fits in the slot's padding.
+const _: () = assert!(std::mem::size_of::<Option<Slot>>() == 12);
+
 impl Slot {
     fn range(self) -> std::ops::Range<usize> {
         self.at as usize..self.at as usize + self.len as usize
+    }
+
+    /// Whether `self` and `other` are copies reading one range of words.
+    fn shares_with(self, other: Slot) -> bool {
+        self.shared
+            && other.shared
+            && (self.kind, self.at, self.len) == (other.kind, other.at, other.len)
     }
 }
 
@@ -88,64 +115,109 @@ impl Page {
         })
     }
 
+    /// The words of slot `s` for writing: the one path by which a page's
+    /// words change. A shared slot first gets its own copy, appended to its
+    /// buffer, so that no other copy sees the write.
     #[inline]
     fn get_mut(&mut self, s: usize) -> Option<ObjMut<'_>> {
-        let slot = self.slots[s]?;
+        let mut slot = self.slots[s]?;
+        if slot.shared {
+            slot = self.unshare(s, slot);
+        }
         Some(match slot.kind {
             ObjKind::F64 => ObjMut::F64(&mut self.f64s[slot.range()]),
             ObjKind::I64 => ObjMut::I64(&mut self.i64s[slot.range()]),
         })
     }
 
-    /// Installs a copy of `data` in the empty slot `s`, appended to the
-    /// buffer of its kind.
-    fn put(&mut self, s: usize, data: ObjRef<'_>) {
-        let at = match data {
-            ObjRef::F64(words) => append(&mut self.f64s, words),
-            ObjRef::I64(words) => append(&mut self.i64s, words),
+    /// Gives the shared `slot` at `s` a copy of its words of its own,
+    /// appended to its buffer, and returns where it now is.
+    fn unshare(&mut self, s: usize, slot: Slot) -> Slot {
+        let at = match slot.kind {
+            ObjKind::F64 => append_within(&mut self.f64s, slot.range()),
+            ObjKind::I64 => append_within(&mut self.i64s, slot.range()),
         };
         self.slots[s] = Some(Slot {
-            kind: data.kind(),
+            shared: false,
             at,
-            len: u32::try_from(data.len()).expect("object length fits u32"),
+            ..slot
         });
+        self.retire(slot);
+        self.slots[s].expect("a compaction keeps live slots live")
     }
 
-    /// Makes room in the buffer of `data`'s kind for `n` more objects as
-    /// long as `data`.
-    fn reserve(&mut self, data: ObjRef<'_>, n: usize) {
-        match data {
-            ObjRef::F64(words) => self.f64s.reserve(n * words.len()),
-            ObjRef::I64(words) => self.i64s.reserve(n * words.len()),
-        }
+    /// Installs `data` in the empty slots `slots`, appended to the buffer
+    /// of its kind: once for all of them, shared, if they are two or more,
+    /// with room for [`SHARED_HEADROOM`] of their first writes.
+    fn put(&mut self, slots: std::ops::Range<usize>, data: ObjRef<'_>) {
+        let shared = slots.len() > 1;
+        let room = if shared {
+            1 + slots.len().min(SHARED_HEADROOM)
+        } else {
+            1
+        };
+        let at = match data {
+            ObjRef::F64(words) => append_reserving(&mut self.f64s, words, room),
+            ObjRef::I64(words) => append_reserving(&mut self.i64s, words, room),
+        };
+        let slot = Slot {
+            kind: data.kind(),
+            shared,
+            at,
+            len: u32::try_from(data.len()).expect("object length fits u32"),
+        };
+        self.slots[slots].fill(Some(slot));
     }
 
     /// Empties slot `s` and returns the length of the object it held, or
-    /// `None` if it held none. Compacts the buffers once the holes outweigh
-    /// the live words.
+    /// `None` if it held none.
     fn take(&mut self, s: usize) -> Option<usize> {
-        let len = self.slots[s].take()?.len as usize;
-        self.dead += len;
+        let slot = self.slots[s].take()?;
+        self.retire(slot);
+        Some(slot.len as usize)
+    }
+
+    /// Counts the words of `gone`, a slot just emptied or given a copy of
+    /// its own, as a hole unless a live slot still shares them, and compacts
+    /// the buffers once the holes outweigh the live words.
+    fn retire(&mut self, gone: Slot) {
+        if gone.shared && self.slots.iter().flatten().any(|s| s.shares_with(gone)) {
+            return;
+        }
+        self.dead += gone.len as usize;
         if 2 * self.dead > self.f64s.len() + self.i64s.len() {
             self.compact();
         }
-        Some(len)
     }
 
-    /// Rewrites the buffers to hold the live slots' words and nothing else.
+    /// The lowest slot below `s` that shares slot `s`'s words, if any.
+    fn first_sharer(slots: &[Option<Slot>], s: usize) -> Option<usize> {
+        let slot = slots[s]?;
+        (0..s).find(|&e| slots[e].is_some_and(|o| o.shares_with(slot)))
+    }
+
+    /// Rewrites the buffers to hold the live slots' words and nothing else,
+    /// words that slots share once.
     fn compact(&mut self) {
+        let old = self.slots;
         let live = |kind| -> usize {
-            let slots = self.slots.iter().flatten().filter(|s| s.kind == kind);
+            let owners =
+                (0..SNAPSHOT_PAGE_SLOTS).filter(|&s| Self::first_sharer(&old, s).is_none());
+            let slots = owners.filter_map(|s| old[s]).filter(|s| s.kind == kind);
             slots.map(|s| s.len as usize).sum()
         };
         let mut f64s = Vec::with_capacity(live(ObjKind::F64));
         let mut i64s = Vec::with_capacity(live(ObjKind::I64));
-        for slot in self.slots.iter_mut().flatten() {
-            let at = match slot.kind {
-                ObjKind::F64 => append(&mut f64s, &self.f64s[slot.range()]),
-                ObjKind::I64 => append(&mut i64s, &self.i64s[slot.range()]),
+        for s in 0..SNAPSHOT_PAGE_SLOTS {
+            let Some(slot) = old[s] else { continue };
+            let at = match Self::first_sharer(&old, s) {
+                Some(e) => self.slots[e].expect("live").at,
+                None => match slot.kind {
+                    ObjKind::F64 => append(&mut f64s, &self.f64s[slot.range()]),
+                    ObjKind::I64 => append(&mut i64s, &self.i64s[slot.range()]),
+                },
             };
-            slot.at = at;
+            self.slots[s] = Some(Slot { at, ..slot });
         }
         self.f64s = f64s;
         self.i64s = i64s;
@@ -155,8 +227,21 @@ impl Page {
 
 /// Appends `words` to `buf` and returns where they start.
 fn append<T: Copy>(buf: &mut Vec<T>, words: &[T]) -> u32 {
+    append_reserving(buf, words, 1)
+}
+
+/// [`append`], first making room for `room` times `words`.
+fn append_reserving<T: Copy>(buf: &mut Vec<T>, words: &[T], room: usize) -> u32 {
+    buf.reserve(room * words.len());
     let at = buf.len();
     buf.extend_from_slice(words);
+    u32::try_from(at).expect("page buffer fits u32 words")
+}
+
+/// Appends a copy of `buf[range]` to `buf` and returns where it starts.
+fn append_within<T: Copy>(buf: &mut Vec<T>, range: std::ops::Range<usize>) -> u32 {
+    let at = buf.len();
+    buf.extend_from_within(range);
     u32::try_from(at).expect("page buffer fits u32 words")
 }
 
@@ -247,7 +332,8 @@ impl Heap {
     }
 
     /// Installs `n` copies of `data` at ids `first..first + n`, reaching
-    /// each page for writing once and reserving its words once.
+    /// each page for writing once; the copies on one page share its words
+    /// until each is first written.
     ///
     /// # Panics
     ///
@@ -264,17 +350,15 @@ impl Heap {
         let mut idx = first;
         while idx < end {
             let page = self.page_mut(idx).expect("ensured above");
-            let page_end = end.min((idx / SNAPSHOT_PAGE_SLOTS + 1) * SNAPSHOT_PAGE_SLOTS);
-            page.reserve(data, page_end - idx);
-            for i in idx..page_end {
-                let s = i % SNAPSHOT_PAGE_SLOTS;
-                assert!(
-                    page.slots[s].is_none(),
+            let page_start = idx / SNAPSHOT_PAGE_SLOTS * SNAPSHOT_PAGE_SLOTS;
+            let page_end = end.min(page_start + SNAPSHOT_PAGE_SLOTS);
+            if let Some(i) = (idx..page_end).find(|&i| page.slots[i - page_start].is_some()) {
+                panic!(
                     "allocator invariant violated: {} already live",
                     ObjId(i as u32)
                 );
-                page.put(s, data);
             }
+            page.put(idx - page_start..page_end - page_start, data);
             idx = page_end;
         }
     }
@@ -296,7 +380,10 @@ impl Heap {
     /// ids past the high water (freed slots are not reused), and returns
     /// those ids. One [`Heap::alloc`] per copy would reach each page for
     /// writing once per object, and pay a heap allocation per object for
-    /// the [`ObjData`]; this reaches it once, and copies from `data`.
+    /// the [`ObjData`]; this reaches it once, and the copies on one page
+    /// share one copy of `data`'s words until each is first written. The
+    /// copies are independent objects all the same: a write to one, through
+    /// [`Heap::get_mut`] or a commit, changes no other.
     pub fn alloc_copies(&mut self, data: ObjRef<'_>, n: usize) -> impl Iterator<Item = ObjId> {
         let first = self.len;
         self.install(first, data, n);
@@ -337,7 +424,8 @@ impl Heap {
     }
 
     /// Mutably borrows the committed payload of `id` from sequential code,
-    /// copying its page first if a live snapshot still shares it.
+    /// copying its page first if a live snapshot still shares it, and its
+    /// words first if other copies of an [`Heap::alloc_copies`] share them.
     ///
     /// # Panics
     ///
@@ -776,6 +864,59 @@ mod tests {
     }
 
     #[test]
+    fn copies_of_one_alloc_copies_are_independent_objects() {
+        let mut h = Heap::new();
+        let ids: Vec<ObjId> = h
+            .alloc_copies(ObjRef::I64(&[1, 2, 3]), SNAPSHOT_PAGE_SLOTS + 8)
+            .collect();
+        // Each page holds one copy of the words, with room for first writes.
+        let words = |h: &Heap| [h.table[0].i64s.len(), h.table[1].i64s.len()];
+        assert_eq!(words(&h), [3, 3]);
+        assert!(h.table[0].i64s.capacity() >= 3 * (1 + SHARED_HEADROOM));
+        let before = h.snapshot();
+        h.get_mut(ids[5]).i64s_mut()[0] = 50;
+        h.apply_commit(CommitOps {
+            writes: vec![(ids[70], 1, 2, Arc::new(ObjData::I64(vec![0, 70, 0])))],
+            ..Default::default()
+        });
+        let after_two = h.snapshot();
+        h.get_mut(ids[6]).i64s_mut()[2] = 60;
+        h.get_mut(ids[6]).i64s_mut()[1] = 61;
+        assert_eq!(words(&h), [9, 6]);
+        for (i, &id) in ids.iter().enumerate() {
+            let want: &[i64] = match i {
+                5 => &[50, 2, 3],
+                6 => &[1, 61, 60],
+                70 => &[1, 70, 3],
+                _ => &[1, 2, 3],
+            };
+            assert_eq!(h.get(id).i64s(), want, "obj {i}");
+            assert_eq!(before.get(id).unwrap().i64s(), &[1, 2, 3], "obj {i}");
+            let seen = after_two.get(id).unwrap().i64s();
+            assert_eq!(seen, if i == 6 { &[1, 2, 3] } else { want }, "obj {i}");
+        }
+        // With no view held the words are written in place, and a write
+        // still reaches no other copy.
+        drop((before, after_two));
+        let shared = h.get(ids[7]).i64s().as_ptr();
+        h.get_mut(ids[8]).i64s_mut()[0] = 80;
+        assert_eq!(h.get(ids[7]).i64s().as_ptr(), shared);
+        assert_eq!(h.get(ids[7]).i64s(), &[1, 2, 3]);
+        assert_eq!(h.get(ids[8]).i64s(), &[80, 2, 3]);
+        // The shared words stay live until the last copy sharing them goes.
+        for &id in &ids[SNAPSHOT_PAGE_SLOTS..] {
+            if id != ids[70] && id != ids[71] {
+                h.free(id);
+            }
+        }
+        assert_eq!((h.table[1].i64s.len(), h.table[1].dead), (6, 0));
+        h.free(ids[71]);
+        assert_eq!((h.table[1].i64s.len(), h.table[1].dead), (6, 3));
+        assert_eq!(h.get(ids[70]).i64s(), &[1, 70, 3]);
+        assert_eq!(h.live_words(), 3 * (SNAPSHOT_PAGE_SLOTS as u64 + 1));
+    }
+
+    #[test]
     fn a_page_compacts_once_its_holes_outweigh_its_live_words() {
         let mut h = Heap::new();
         let ids: Vec<ObjId> = (0..10).map(|i| h.alloc(ObjData::I64(vec![i; 4]))).collect();
@@ -872,13 +1013,17 @@ mod tests {
     /// counts its version's ids; the counters, the high water and the
     /// digest agree with the model; a page was copied exactly when a held
     /// view shared it and the step wrote to it, and each round snapshot
-    /// reports those copies; no page's buffers hold more dead words than
-    /// live ones. The model knows nothing of pages; only the last two checks
-    /// look at them.
+    /// reports those copies; each page's dead count is its buffers' words
+    /// less its live words, a range that copies share counted once, and
+    /// no page holds more dead words than live ones. The model knows
+    /// nothing of pages; only the last two checks look at them.
     #[test]
     fn heap_matches_a_btreemap_model_across_held_versions() {
         let mut rng = Rng(0x28_9a6e);
         let (mut compactions, mut page_copies) = (0, 0);
+        // Steps that wrote into, freed from or compacted a page holding
+        // shared copies while a held view shared that page.
+        let mut shared_under_view = 0;
         for case in 0..200 {
             let mut h = Heap::new();
             let mut model = Model::default();
@@ -893,10 +1038,22 @@ mod tests {
                 held.retain(|(.., until)| *until > step);
                 let live: Vec<u32> = model.objs.keys().copied().collect();
                 let pick = |rng: &mut Rng| live[rng.below(live.len())];
-                let words_before: usize = h.table.iter().map(|p| p.f64s.len() + p.i64s.len()).sum();
-                // Each page before the step and whether a held view shares
-                // it; the ids the step writes.
+                let page_words = |h: &Heap| -> Vec<usize> {
+                    h.table
+                        .iter()
+                        .map(|p| p.f64s.len() + p.i64s.len())
+                        .collect()
+                };
+                let words_before = page_words(&h);
+                // Each page before the step, whether a held view shares it
+                // and whether it holds shared copies; the ids the step
+                // writes, and those it writes into or frees.
                 let pages: Vec<*const Page> = h.table.iter().map(Arc::as_ptr).collect();
+                let had_shared: Vec<bool> = h
+                    .table
+                    .iter()
+                    .map(|p| p.slots.iter().flatten().any(|s| s.shared))
+                    .collect();
                 let shared: Vec<bool> = (0..pages.len())
                     .map(|p| {
                         held.iter().any(|(s, ..)| {
@@ -905,6 +1062,7 @@ mod tests {
                     })
                     .collect();
                 let mut touched: Vec<u32> = Vec::new();
+                let mut rewritten: Vec<u32> = Vec::new();
                 match rng.below(8) {
                     0 | 1 => {
                         let data = rng.fresh();
@@ -919,8 +1077,9 @@ mod tests {
                         model.objs.remove(&i);
                         reusable.insert(i);
                         touched.push(i);
+                        rewritten.push(i);
                     }
-                    2 => {
+                    2 | 7 => {
                         let data = rng.fresh();
                         let n = rng.below(2 * SNAPSHOT_PAGE_SLOTS + 2) as u32;
                         let ids: Vec<u32> = h
@@ -945,6 +1104,7 @@ mod tests {
                             dst.copy_range_from(src.view(), w, w + 1);
                             obj.copy_range_from(src.view(), w, w + 1);
                             touched.push(i);
+                            rewritten.push(i);
                         }
                     }
                     4 | 5 => {
@@ -974,6 +1134,7 @@ mod tests {
                             }
                         }
                         touched.extend(&written);
+                        rewritten.extend(&written);
                         for _ in 0..rng.below(3) {
                             let i = model.high + rng.below(SNAPSHOT_PAGE_SLOTS + 2) as u32;
                             let data = rng.fresh();
@@ -987,6 +1148,7 @@ mod tests {
                                 ops.frees.push(ObjId::from_index(i));
                                 model.objs.remove(&i);
                                 touched.push(i);
+                                rewritten.push(i);
                             }
                         }
                         h.apply_commit(ops);
@@ -1027,16 +1189,38 @@ mod tests {
                     page_copies += usize::from(moved);
                 }
                 for (p, page) in h.table.iter().enumerate() {
-                    let live: usize = page.slots.iter().flatten().map(|s| s.len as usize).sum();
-                    let dead = page.f64s.len() + page.i64s.len() - live;
-                    assert_eq!(page.dead, dead, "{ctx} page {p}");
+                    let slots = page.slots.iter().flatten();
+                    let own: usize = slots
+                        .clone()
+                        .filter(|s| !s.shared)
+                        .map(|s| s.len as usize)
+                        .sum();
+                    let shared: BTreeSet<(bool, u32, u32)> = slots
+                        .filter(|s| s.shared)
+                        .map(|s| (s.kind == ObjKind::F64, s.at, s.len))
+                        .collect();
+                    let live = own + shared.iter().map(|&(.., len)| len as usize).sum::<usize>();
+                    let words = page.f64s.len() + page.i64s.len();
                     assert!(
-                        dead <= live,
-                        "{ctx} page {p}: {dead} dead words, {live} live"
+                        live <= words,
+                        "{ctx} page {p}: {live} live words of {words}"
+                    );
+                    assert_eq!(page.dead, words - live, "{ctx} page {p}");
+                    assert!(
+                        page.dead <= live,
+                        "{ctx} page {p}: {} dead words, {live} live",
+                        page.dead
                     );
                 }
-                let words_after: usize = h.table.iter().map(|p| p.f64s.len() + p.i64s.len()).sum();
-                compactions += usize::from(words_after < words_before);
+                let words_after = page_words(&h);
+                let shrank = |p: usize| words_after[p] < words_before[p];
+                compactions += usize::from((0..words_before.len()).any(shrank));
+                shared_under_view += usize::from((0..pages.len()).any(|p| {
+                    let hit = rewritten
+                        .iter()
+                        .any(|&i| i as usize / SNAPSHOT_PAGE_SLOTS == p);
+                    had_shared[p] && shared[p] && (hit || shrank(p))
+                }));
             }
         }
         assert!(
@@ -1044,5 +1228,9 @@ mod tests {
             "only {compactions} steps compacted a page"
         );
         assert!(page_copies > 100, "only {page_copies} pages copied");
+        assert!(
+            shared_under_view > 100,
+            "only {shared_under_view} steps changed shared copies under a view"
+        );
     }
 }

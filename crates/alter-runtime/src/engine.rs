@@ -1600,6 +1600,41 @@ mod tests {
         assert_eq!(heap.live_objects(), 9);
     }
 
+    /// Each round's transactions allocate from the heap's high water at the
+    /// round's snapshot, worker `w` from its `w`-th block, and the commit
+    /// raises the high water past every id it installs, so the next round
+    /// starts past them.
+    #[test]
+    fn each_round_allocates_from_the_high_water_of_its_snapshot() {
+        let mut heap = Heap::new();
+        let table = heap.alloc(ObjData::zeros_i64(8));
+        let mut base = heap.high_water();
+        let mut reds = RedVars::new();
+        let p = params(2, 1, ConflictPolicy::Waw, CommitOrder::InOrder);
+        let stats = run_loop_engine(
+            &mut heap,
+            &mut reds,
+            &mut RangeSpace::new(0, 8),
+            &p,
+            false,
+            &|ctx: &mut TxCtx<'_>, i| {
+                let node = ctx.tx.alloc(ObjData::scalar_i64(i as i64));
+                ctx.tx.write_i64(table, i as usize, node.to_i64());
+            },
+            &mut NullObserver,
+        )
+        .unwrap();
+        assert_eq!((stats.rounds, stats.retries()), (4, 0));
+        let ids: Vec<u32> = (0..8)
+            .map(|i| alter_heap::ObjId::from_i64(heap.get(table).i64s()[i]).index())
+            .collect();
+        for round in ids.chunks(2) {
+            assert_eq!(round, [base, base + alter_heap::DEFAULT_BLOCK_SIZE]);
+            base = round[1] + 1;
+        }
+        assert_eq!(heap.high_water(), base);
+    }
+
     /// Allocations made by transactions that later abort are abandoned;
     /// their retries allocate fresh ids and nothing ever collides.
     #[test]
