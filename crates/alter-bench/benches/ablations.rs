@@ -36,7 +36,7 @@ fn simulate(
     heap: &mut Heap,
     iters: u64,
     p: &ExecParams,
-    body: impl Fn(&mut TxCtx<'_>, u64) + Sync,
+    body: impl Fn(&mut TxCtx<'_>, u64) + Send + Sync,
 ) -> (RunStats, SimClock) {
     let model = CostModel::default();
     let mut obs = SimObserver::new(&model, p.workers);

@@ -702,7 +702,6 @@ impl<'s> Tx<'s> {
             reads: self.track.reads,
             writes: self.track.writes,
             stats: self.track.stats,
-            alloc_high_water: self.ids.high_water(),
             cow: self.cow,
             read_log: self.track.read_log,
             write_log: self.track.write_log,
@@ -858,8 +857,6 @@ pub struct TxEffects {
     pub writes: AccessSet,
     /// Operation counters.
     pub stats: TxStats,
-    /// High-water mark of the id reservation (for advancing the heap).
-    pub alloc_high_water: u32,
     /// Recyclable private-copy storage, for the next transaction.
     cow: CowScratch,
     /// The emptied access logs, likewise.
@@ -1317,7 +1314,6 @@ mod tests {
                 reads: self.reads,
                 writes: self.writes,
                 stats: self.stats,
-                alloc_high_water: self.ids.high_water(),
                 ..TxEffects::default()
             }
         }

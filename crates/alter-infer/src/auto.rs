@@ -133,18 +133,15 @@ mod tests {
             let mut reds = RedVars::new();
             let total = BoundScalar::declare(&mut heap, &mut reds, "total", RedVal::I64(0));
             let model = CostModel::default();
-            let mut session = probe.session(&reds, &model);
-            session.run_loop(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, 256),
-                |ctx, i| {
+            probe.session(&mut reds, &model, |mut session, reds| {
+                let space = &mut RangeSpace::new(0, 256);
+                session.run_loop(&mut heap, reds, space, |ctx, i| {
                     ctx.tx.work(10);
                     total.add(ctx, i as i64);
-                },
-            )?;
-            let v = total.seq_get_sync(&mut heap, &mut reds, session.params());
-            Ok(session.finish(ProgramOutput::from_ints(vec![v.as_i64()]), 0.0))
+                })?;
+                let v = total.seq_get_sync(&mut heap, reds, session.params());
+                Ok(session.finish(ProgramOutput::from_ints(vec![v.as_i64()]), 0.0))
+            })
         }
         fn probe_summary(&self) -> LoopSummary {
             let mut heap = Heap::new();
@@ -183,18 +180,15 @@ mod tests {
             let mut reds = RedVars::new();
             let cell = heap.alloc(ObjData::scalar_i64(1));
             let model = CostModel::default();
-            let mut session = probe.session(&reds, &model);
-            session.run_loop(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, 64),
-                |ctx, _| {
+            probe.session(&mut reds, &model, |mut session, reds| {
+                let space = &mut RangeSpace::new(0, 64);
+                session.run_loop(&mut heap, reds, space, |ctx, _| {
                     let v = ctx.tx.read_i64(cell, 0);
                     ctx.tx.write_i64(cell, 0, v.wrapping_mul(3).wrapping_add(1));
-                },
-            )?;
-            let output = ProgramOutput::from_ints(vec![heap.get(cell).i64s()[0]]);
-            Ok(session.finish(output, 0.0))
+                })?;
+                let output = ProgramOutput::from_ints(vec![heap.get(cell).i64s()[0]]);
+                Ok(session.finish(output, 0.0))
+            })
         }
         fn probe_summary(&self) -> LoopSummary {
             let mut heap = Heap::new();

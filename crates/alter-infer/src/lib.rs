@@ -45,17 +45,18 @@ mod tests {
         output: O,
     ) -> Result<ProbeRun, RunError>
     where
-        B: Fn(&mut TxCtx<'_>, u64) + Sync,
+        B: Fn(&mut TxCtx<'_>, u64) + Send + Sync,
         O: Fn(&Heap, &RedVars, &S) -> ProgramOutput,
     {
         let mut heap = Heap::new();
         let mut reds = RedVars::new();
         let state = setup(&mut heap, &mut reds);
         let model = CostModel::default();
-        let mut session = probe.session(&reds, &model);
-        let space = &mut RangeSpace::new(range.0, range.1);
-        session.run_loop(&mut heap, &mut reds, space, body(&state))?;
-        Ok(session.finish(output(&heap, &reds, &state), 0.0))
+        probe.session(&mut reds, &model, |mut session, reds| {
+            let space = &mut RangeSpace::new(range.0, range.1);
+            session.run_loop(&mut heap, reds, space, body(&state))?;
+            Ok(session.finish(output(&heap, reds, &state), 0.0))
+        })
     }
 
     /// A loop with no dependences: out[i] = 3i.
@@ -144,18 +145,15 @@ mod tests {
             let mut reds = RedVars::new();
             let sum = BoundScalar::declare(&mut heap, &mut reds, "sum", RedVal::I64(0));
             let model = CostModel::default();
-            let mut session = probe.session(&reds, &model);
-            session.run_loop(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, 512),
-                |ctx, i| {
+            probe.session(&mut reds, &model, |mut session, reds| {
+                let space = &mut RangeSpace::new(0, 512);
+                session.run_loop(&mut heap, reds, space, |ctx, i| {
                     ctx.tx.work(5);
                     sum.add(ctx, i as i64);
-                },
-            )?;
-            let v = sum.seq_get_sync(&mut heap, &mut reds, session.params());
-            Ok(session.finish(ProgramOutput::from_ints(vec![v.as_i64()]), 0.0))
+                })?;
+                let v = sum.seq_get_sync(&mut heap, reds, session.params());
+                Ok(session.finish(ProgramOutput::from_ints(vec![v.as_i64()]), 0.0))
+            })
         }
         fn probe_summary(&self) -> LoopSummary {
             let mut heap = Heap::new();

@@ -4,12 +4,17 @@
 //! inside it: it only asks for sequential reference output, probe runs under
 //! candidate configurations, a dependence check, and the list of scalar
 //! variables a reduction annotation could name.
+//!
+//! A probe run opens one [`ProbeSession`] ([`Probe::session`]) and runs
+//! every pass of its target loop through it: under the threaded driver the
+//! session's lanes are spawned once, serve every pass, and end when the
+//! run does.
 
 use alter_analyze::absint::LoopSpec;
 use alter_heap::Heap;
 use alter_runtime::{
-    run_loop_observed, CommitOrder, ConflictPolicy, Driver, ExecParams, IterSpace, LoopSummary,
-    RedOp, RedVars, RunError, RunStats, TxCtx,
+    CommitOrder, ConflictPolicy, Driver, ExecParams, IterSpace, LoopSummary, RedOp, RedVars,
+    RunError, RunStats, Session, TxCtx,
 };
 use alter_sim::{CostModel, SimClock, SimObserver};
 use alter_trace::Recorder;
@@ -151,22 +156,36 @@ impl Probe {
         }
     }
 
-    /// Opens one probe run of a target: resolves this probe against `reds`
-    /// ([`Probe::exec_params`]) and its [`Probe::driver`] once, and attaches
+    /// Runs one probe run of a target: resolves this probe against `reds`
+    /// ([`Probe::exec_params`]) and its [`Probe::driver`] once, attaches
     /// one [`SimObserver`] charging virtual time under `model` that every
-    /// pass of the target loop shares.
+    /// pass of the target loop shares, opens the run's
+    /// [`alter_runtime::Session`] — spawning its lanes, if the probe is
+    /// threaded — and hands the session and `reds` back to `run`. The lanes
+    /// are joined before this returns.
     ///
     /// # Panics
     ///
     /// As [`Probe::exec_params`].
-    pub fn session<'m>(&self, reds: &RedVars, model: &'m CostModel) -> ProbeSession<'m> {
+    pub fn session<'env, 'm, T>(
+        &self,
+        reds: &mut RedVars,
+        model: &'m CostModel,
+        run: impl FnOnce(ProbeSession<'env, 'm>, &mut RedVars) -> T,
+    ) -> T {
         let params = self.exec_params(reds);
-        ProbeSession {
-            observer: SimObserver::new(model, params.workers),
-            driver: self.driver(),
-            params,
-            stats: RunStats::default(),
-        }
+        let observer = SimObserver::new(model, params.workers);
+        Session::open(params, self.driver(), |session| {
+            let stats = RunStats::default();
+            run(
+                ProbeSession {
+                    session,
+                    observer,
+                    stats,
+                },
+                reds,
+            )
+        })
     }
 
     /// Resolves this probe into engine parameters, looking the reduction
@@ -258,29 +277,30 @@ pub struct ProbeRun {
     pub clock: SimClock,
 }
 
-/// One probe run in progress (see [`Probe::session`]): the run's engine
-/// parameters and driver, the [`SimObserver`] every pass shares, and the
-/// passes' statistics so far. A convergence program runs its target loop
-/// once per outer iteration through [`ProbeSession::run_loop`] and closes
-/// the run with [`ProbeSession::finish`].
+/// One probe run in progress (see [`Probe::session`]): the run's
+/// [`Session`] — its engine parameters, driver and lanes —, the
+/// [`SimObserver`] every pass shares, and the passes' statistics so far. A
+/// convergence program runs its target loop once per outer iteration
+/// through [`ProbeSession::run_loop`], every pass on the same lanes, and
+/// closes the run with [`ProbeSession::finish`].
 #[derive(Debug)]
-pub struct ProbeSession<'m> {
-    params: ExecParams,
-    driver: Driver,
+pub struct ProbeSession<'env, 'm> {
+    session: Session<'env>,
     observer: SimObserver<'m>,
     stats: RunStats,
 }
 
-impl ProbeSession<'_> {
+impl<'env> ProbeSession<'env, '_> {
     /// The engine parameters every pass runs under — what sequential code
     /// between passes asks which copy of a reduced scalar is authoritative
     /// ([`alter_runtime::BoundScalar::seq_get_sync`]).
     pub fn params(&self) -> &ExecParams {
-        &self.params
+        self.session.params()
     }
 
     /// Runs one pass of the target loop over `space`, adds its statistics
-    /// to the run's, and returns them.
+    /// to the run's, and returns them. The body may borrow only what
+    /// outlives the session; state that changes between passes it owns.
     ///
     /// # Errors
     ///
@@ -293,17 +313,10 @@ impl ProbeSession<'_> {
         body: F,
     ) -> Result<RunStats, RunError>
     where
-        F: Fn(&mut TxCtx<'_>, u64) + Sync,
+        F: Fn(&mut TxCtx<'_>, u64) + Send + Sync + 'env,
     {
-        let pass = run_loop_observed(
-            heap,
-            reds,
-            space,
-            &self.params,
-            self.driver,
-            body,
-            &mut self.observer,
-        )?;
+        let observer = &mut self.observer;
+        let pass = self.session.run_loop(heap, reds, space, body, observer)?;
         self.stats.absorb(&pass);
         Ok(pass)
     }
@@ -311,7 +324,7 @@ impl ProbeSession<'_> {
     /// Closes the run with the program's `output`, charging
     /// `sequential_units` of program text outside the loop (epilogues,
     /// convergence checks) to both clocks once
-    /// ([`SimClock::add_sequential`]).
+    /// ([`SimClock::add_sequential`]). The session's lanes end here.
     pub fn finish(self, output: ProgramOutput, sequential_units: f64) -> ProbeRun {
         let mut clock = self.observer.into_clock();
         clock.add_sequential(sequential_units);
@@ -389,7 +402,7 @@ pub trait InferTarget {
 mod tests {
     use super::*;
     use alter_heap::{ObjData, ObjId};
-    use alter_runtime::{RangeSpace, RedVal};
+    use alter_runtime::{run_loop_observed, RangeSpace, RedVal};
 
     #[test]
     fn model_params_match_theorems() {
@@ -426,22 +439,27 @@ mod tests {
         assert_eq!(Probe::new(Model::Tls, 2, 4).describe(), "TLS");
     }
 
-    /// Two passes of a shared-counter loop through one session.
-    fn two_pass_run(probe: &Probe, model: &CostModel) -> ProbeRun {
+    /// Two passes of a shared-counter loop through one session; returns
+    /// the run and each pass's statistics, masked to what both drivers
+    /// must agree on.
+    fn two_pass_run(probe: &Probe, model: &CostModel) -> (ProbeRun, Vec<RunStats>) {
         let mut heap = Heap::new();
         let c = heap.alloc(ObjData::scalar_i64(0));
         let mut reds = RedVars::new();
-        let mut session = probe.session(&reds, model);
-        for _ in 0..2 {
-            let space = &mut RangeSpace::new(0, 32);
-            session
-                .run_loop(&mut heap, &mut reds, space, counter_body(c))
-                .unwrap();
-        }
-        session.finish(ProgramOutput::from_ints(heap.get(c).i64s().to_vec()), 7.5)
+        probe.session(&mut reds, model, |mut session, reds| {
+            let passes = (0..2)
+                .map(|_| {
+                    let space = &mut RangeSpace::new(0, 32);
+                    let pass = session.run_loop(&mut heap, reds, space, counter_body(c));
+                    pass.unwrap().modulo_drive_mode()
+                })
+                .collect();
+            let output = ProgramOutput::from_ints(heap.get(c).i64s().to_vec());
+            (session.finish(output, 7.5), passes)
+        })
     }
 
-    fn counter_body(c: ObjId) -> impl Fn(&mut TxCtx<'_>, u64) + Sync {
+    fn counter_body(c: ObjId) -> impl Fn(&mut TxCtx<'_>, u64) + Send + Sync {
         move |ctx, _| {
             ctx.tx.work(10);
             let v = ctx.tx.read_i64(c, 0);
@@ -453,7 +471,7 @@ mod tests {
     fn a_session_absorbs_every_pass_and_adds_sequential_units_once() {
         let model = CostModel::default();
         let probe = Probe::new(Model::OutOfOrder, 4, 2);
-        let run = two_pass_run(&probe, &model);
+        let (run, passes) = two_pass_run(&probe, &model);
         assert_eq!(run.output.ints, vec![64]);
 
         // The same two passes by hand: one observer carried across both.
@@ -485,10 +503,171 @@ mod tests {
 
         let mut threaded = probe.clone();
         threaded.threaded = true;
-        let t = two_pass_run(&threaded, &model);
+        let (t, t_passes) = two_pass_run(&threaded, &model);
+        assert_eq!(t_passes, passes, "every pass agrees modulo the drive mode");
         assert_eq!(t.output, run.output);
         assert_eq!(t.stats.modulo_drive_mode(), run.stats.modulo_drive_mode());
         assert_eq!(format!("{:?}", t.clock), format!("{:?}", run.clock));
+    }
+
+    /// Runs `f` on its own thread and fails, instead of hanging the suite,
+    /// if it has not returned within a minute. Re-raises `f`'s panic.
+    fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(value) => value,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("the session hung"),
+            Err(_) => std::panic::resume_unwind(runner.join().expect_err("f panicked")),
+        }
+    }
+
+    /// A threaded session of `workers` lanes, one iteration a ticket.
+    fn threaded_probe(workers: usize) -> Probe {
+        let mut probe = Probe::new(Model::StaleReads, workers, 1);
+        probe.threaded = true;
+        probe
+    }
+
+    /// A threaded two-worker session runs three loops on the same lanes:
+    /// every round's ticket 0, the coordinator's, waits until ticket 1 has
+    /// started, which only a lane can have done, and every loop's lane is
+    /// the same thread. Each pass's `pool_round_handoffs` counts that pass's
+    /// rounds only.
+    #[test]
+    fn a_sessions_lanes_are_the_same_threads_in_every_loop() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (coordinator, seen, passes) = within_deadline(|| {
+            let mut heap = Heap::new();
+            let xs = heap.alloc(ObjData::zeros_i64(16));
+            let mut reds = RedVars::new();
+            let seen = std::sync::Mutex::new(Vec::new());
+            let started: Vec<AtomicBool> = (0..3 * 16).map(|_| AtomicBool::new(false)).collect();
+            let model = CostModel::default();
+            let passes = threaded_probe(2).session(&mut reds, &model, |mut session, reds| {
+                let passes: Vec<RunStats> = (0..3)
+                    .map(|pass| {
+                        let (seen, started) = (&seen, &started);
+                        let body = move |ctx: &mut TxCtx<'_>, i: u64| {
+                            let me = std::thread::current().id();
+                            seen.lock().unwrap().push((pass, me));
+                            let flag = |i: u64| &started[(pass * 16 + i as i64) as usize];
+                            if i % 2 == 1 {
+                                flag(i).store(true, Ordering::SeqCst);
+                            } else {
+                                let waiting = std::time::Instant::now();
+                                while !flag(i + 1).load(Ordering::SeqCst) {
+                                    assert!(waiting.elapsed().as_secs() < 30, "no lane took {i}");
+                                    std::thread::yield_now();
+                                }
+                            }
+                            ctx.tx.write_i64(xs, i as usize, pass * 100 + i as i64);
+                        };
+                        let space = &mut RangeSpace::new(0, 16);
+                        session.run_loop(&mut heap, reds, space, body).unwrap()
+                    })
+                    .collect();
+                session.finish(ProgramOutput::default(), 0.0);
+                passes
+            });
+            let expect: Vec<i64> = (0..16).map(|i| 200 + i).collect();
+            assert_eq!(heap.get(xs).i64s(), expect);
+            (
+                std::thread::current().id(),
+                seen.into_inner().unwrap(),
+                passes,
+            )
+        });
+        let lanes = |pass: Option<i64>| -> std::collections::HashSet<_> {
+            let on_a_lane = seen.iter().filter(|&&(_, id)| id != coordinator);
+            let in_pass = on_a_lane.filter(|&&(p, _)| pass.is_none_or(|pass| p == pass));
+            in_pass.map(|&(_, id)| id).collect()
+        };
+        for pass in 0..3 {
+            assert_eq!(lanes(Some(pass)).len(), 1, "pass {pass}: {seen:?}");
+        }
+        assert_eq!(lanes(None).len(), 1, "one lane thread across the passes");
+        for pass in passes {
+            assert_eq!((pass.rounds, pass.pool_round_handoffs), (8, 8));
+            assert_eq!(pass.tickets_helped, 8, "ticket 0 of every round");
+        }
+    }
+
+    /// The body of a loop that writes `obj[i] = i + 1` over `0..12` and
+    /// panics at iteration `at`.
+    fn writes(obj: ObjId, at: Option<u64>) -> impl Fn(&mut TxCtx<'_>, u64) + Send + Sync {
+        move |ctx, i| {
+            ctx.tx.write_i64(obj, i as usize, i as i64 + 1);
+            assert_ne!(Some(i), at, "iteration exploded");
+        }
+    }
+
+    /// Three loops on a fresh heap of three 12-word objects, at four
+    /// workers: the first writes the first object, the second writes the
+    /// second and panics at ticket `at`, the third writes the third. With
+    /// `split`, the third loop runs on a second, fresh session. Returns the
+    /// second loop's error, the digest it left, and the final digest.
+    fn fault_in_the_second_loop(probe: &Probe, at: u64, split: bool) -> (RunError, u64, u64) {
+        let mut heap = Heap::new();
+        let objs: Vec<ObjId> = (0..3).map(|_| heap.alloc(ObjData::zeros_i64(12))).collect();
+        let mut reds = RedVars::new();
+        let model = CostModel::default();
+        let space = || RangeSpace::new(0, 12);
+        let (err, faulted) = probe.session(&mut reds, &model, |mut session, reds| {
+            let first = session.run_loop(&mut heap, reds, &mut space(), writes(objs[0], None));
+            assert_eq!(first.unwrap().committed, 12);
+            let second = session.run_loop(&mut heap, reds, &mut space(), writes(objs[1], Some(at)));
+            let faulted = heap.digest();
+            if !split {
+                let third = session.run_loop(&mut heap, reds, &mut space(), writes(objs[2], None));
+                assert_eq!(third.expect("the lanes serve the next loop").committed, 12);
+                // Finish at one ticket, drop at the others.
+                if at == 1 {
+                    session.finish(ProgramOutput::default(), 0.0);
+                }
+            }
+            (second.unwrap_err(), faulted)
+        });
+        if split {
+            probe.session(&mut reds, &model, |mut session, reds| {
+                let third = session.run_loop(&mut heap, reds, &mut space(), writes(objs[2], None));
+                assert_eq!(third.unwrap().committed, 12);
+            });
+        }
+        (err, faulted, heap.digest())
+    }
+
+    /// A body panic at ticket 0, 1 or 3 of a threaded session's second
+    /// loop returns the crash with the sequential driver's committed prefix
+    /// and no hang, and leaves the session's lanes serving a third loop
+    /// exactly as a fresh session's do; finishing or dropping the session
+    /// then returns.
+    #[test]
+    fn a_fault_in_a_sessions_second_loop_leaves_its_lanes_reusable() {
+        let seq = Probe::new(Model::StaleReads, 4, 1);
+        alter_runtime::quiet::quiet_panics(|| {
+            for at in [0, 1, 3] {
+                let (err, faulted, last) = fault_in_the_second_loop(&seq, at, false);
+                assert!(
+                    matches!(err, RunError::Crash(ref m) if m.contains("exploded")),
+                    "{err:?}"
+                );
+                let thr = within_deadline(move || {
+                    let probe = threaded_probe(4);
+                    let same = fault_in_the_second_loop(&probe, at, false);
+                    let fresh = fault_in_the_second_loop(&probe, at, true);
+                    (same, fresh)
+                });
+                assert_eq!(
+                    thr.0,
+                    (err.clone(), faulted, last),
+                    "ticket {at}: same session"
+                );
+                assert_eq!(thr.1, (err, faulted, last), "ticket {at}: fresh session");
+            }
+        });
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!    outcome per ticket, in ticket order, each ticket executed in
 //!    isolation. The sequential driver runs the jobs inline on the caller's
 //!    thread (reference semantics, simulator, replay); the threaded driver
-//!    offers them to the lanes of a [`WorkerPool`] forked once per run and
-//!    runs, on the caller's thread too, whichever no lane has started
-//!    ([`WorkerPool::help_round`]) — the outcomes are identical by
-//!    construction.
+//!    offers them to the lanes of a [`WorkerPool`] forked once per
+//!    [`crate::Session`] and runs, on the caller's thread too, whichever no
+//!    lane has started ([`WorkerPool::help_round`]) — the outcomes are
+//!    identical by construction.
 //! 3. **validate**, then **commit** or **re-queue** (`retire`), in
 //!    ascending ticket order (the paper's "ascending order of child pids"):
 //!    a task commits iff its sets do not conflict, under the active
@@ -51,6 +51,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::Instant;
 
 /// Why a loop execution was aborted.
@@ -468,22 +469,22 @@ impl RoundInput {
     /// Splits the round into one self-contained job per ticket. The
     /// snapshot and reduction registry ride along as cheap shared handles;
     /// everything else is owned by exactly one job.
-    fn into_jobs(self) -> Vec<Job> {
+    fn into_jobs(self) -> impl Iterator<Item = Job> {
         debug_assert_eq!(self.tickets.len(), self.spent.len());
+        let (snap, base, reds) = (self.snap, self.base, self.reds);
         let jobs = self.tickets.into_iter().zip(self.spent);
-        jobs.map(|(ticket, spent)| Job {
-            snap: self.snap.clone(),
+        jobs.map(move |(ticket, spent)| Job {
+            snap: snap.clone(),
             ticket,
             spent,
-            base: self.base,
-            reds: Arc::clone(&self.reds),
+            base,
+            reds: Arc::clone(&reds),
         })
-        .collect()
     }
 }
 
 /// One ticket's share of a [`RoundInput`]: what a lane (or the caller's
-/// thread, under the sequential driver) needs to execute it.
+/// thread) needs to execute it.
 struct Job {
     snap: Snapshot,
     ticket: Ticket,
@@ -605,52 +606,71 @@ fn timed<T>(wall: Option<&WallProfile>, phase: Phase, f: impl FnOnce() -> T) -> 
     out
 }
 
-/// Runs an annotated loop to completion. This is the engine entry point;
-/// prefer the [`crate::run_loop`] / [`crate::LoopBuilder`] wrappers.
-///
+/// What a lane runs a job under: one loop's body and parameters, owned, so
+/// that the lanes can outlive the loop while its body borrows only what
+/// outlives them.
+type Pass<'env> = Arc<dyn Fn(usize, Job) -> (Ticket, TaskOutcome) + Send + Sync + 'env>;
+
+/// Runs job `worker` of a round under the loop it belongs to.
+fn run_pass(worker: usize, (pass, job): (Pass<'_>, Job)) -> (Ticket, TaskOutcome) {
+    pass(worker, job)
+}
+
+/// A session's lanes: one [`WorkerPool`], spawned when the session opens
+/// and fed the helped rounds of every threaded loop the session runs.
+pub(crate) struct Lanes<'env>(WorkerPool<(Pass<'env>, Job), (Ticket, TaskOutcome)>);
+
+impl<'env> Lanes<'env> {
+    /// Spawns `workers` lanes on `scope`.
+    pub(crate) fn new<'scope>(scope: &'scope Scope<'scope, 'env>, workers: usize) -> Self {
+        Lanes(WorkerPool::new(scope, workers, &run_pass))
+    }
+}
+
+/// Runs an annotated loop to completion ([`crate::Session::run_loop`]).
 /// This function only picks the driver — how a [`RoundInput`] becomes the
 /// round's outcomes; everything else about a run lives in [`run_rounds`]
 /// and the [`Coordinator`], so the same (deterministic) scheduling,
 /// validation and commit code runs whether a round's jobs execute inline
-/// or on the [`WorkerPool`] spanning the run.
-pub(crate) fn run_loop_engine<B: LoopBody>(
+/// or on the session's `lanes`.
+pub(crate) fn run_loop_engine<'env, B: LoopBody + Send + 'env>(
     heap: &mut Heap,
     reds: &mut RedVars,
     space: &mut dyn IterSpace,
-    params: &ExecParams,
-    threaded: bool,
-    body: &B,
+    params: &Arc<ExecParams>,
+    lanes: Option<&mut Lanes<'env>>,
+    body: B,
     observer: &mut dyn RoundObserver,
 ) -> Result<RunStats, RunError> {
     assert!(params.workers >= 1, "need at least one worker");
-    let run = |worker: usize, job: Job| run_job(worker, job, params, body);
-    if threaded && params.workers > 1 {
-        // Threaded driver: one thread::scope for the whole run; lanes
-        // outlive every round. Job *i* of a round is offered to lane *i*
-        // and run — as ticket *i* either way — by that lane or by this
-        // thread, whichever reaches it first; `help_round` returns once the
-        // last job has finished.
-        std::thread::scope(|scope| {
-            let mut pool = WorkerPool::new(scope, params.workers, &run);
-            let exec = |round: RoundInput| pool.help_round(round.into_jobs(), &run);
-            let mut result = run_rounds(heap, reds, space, params, exec, observer);
-            if let Ok(stats) = &mut result {
-                stats.pool_round_handoffs = pool.round_handoffs();
-                stats.tickets_helped = pool.helped();
-            }
-            result
-            // The pool drops here, closing the job channels, so the scope's
-            // implicit join finds every worker already draining out.
-        })
-    } else {
+    let Some(Lanes(pool)) = lanes else {
         // Sequential driver: every job runs inline, in ticket order, before
         // the first one retires.
         let exec = |round: RoundInput| {
-            let jobs = round.into_jobs().into_iter().enumerate();
-            jobs.map(|(worker, job)| run(worker, job)).collect()
+            let jobs = round.into_jobs().enumerate();
+            jobs.map(|(worker, job)| run_job(worker, job, params, &body))
+                .collect()
         };
-        run_rounds(heap, reds, space, params, exec, observer)
+        return run_rounds(heap, reds, space, params, exec, observer);
+    };
+    // Threaded driver: job *i* of a round is offered to lane *i* of the
+    // session and run — as ticket *i* either way — by that lane or by this
+    // thread, whichever reaches it first; `help_round` returns once the
+    // last job has finished. The pool's counters span the session, so this
+    // loop books their growth.
+    let owned = Arc::clone(params);
+    let pass: Pass<'env> = Arc::new(move |worker, job| run_job(worker, job, &owned, &body));
+    let (handoffs, helped) = (pool.round_handoffs(), pool.helped());
+    let exec = |round: RoundInput| {
+        let jobs = round.into_jobs().map(|job| (Arc::clone(&pass), job));
+        pool.help_round(jobs.collect(), run_pass)
+    };
+    let mut result = run_rounds(heap, reds, space, params, exec, observer);
+    if let Ok(stats) = &mut result {
+        stats.pool_round_handoffs = pool.round_handoffs() - handoffs;
+        stats.tickets_helped = pool.helped() - helped;
     }
+    result
 }
 
 /// The round loop, one line per stage of the [`Phase`] taxonomy: snapshot
@@ -987,6 +1007,26 @@ mod tests {
     use crate::space::RangeSpace;
     use alter_heap::ObjData;
 
+    /// One loop on a session of its own, under the threaded driver or the
+    /// sequential one.
+    fn one_loop(
+        heap: &mut Heap,
+        reds: &mut RedVars,
+        space: &mut dyn IterSpace,
+        p: &ExecParams,
+        threaded: bool,
+        body: impl Fn(&mut TxCtx<'_>, u64) + Send + Sync,
+        observer: &mut dyn RoundObserver,
+    ) -> Result<RunStats, RunError> {
+        let driver = crate::Driver::threaded();
+        let driver = if threaded {
+            driver
+        } else {
+            crate::Driver::sequential()
+        };
+        crate::run_loop_observed(heap, reds, space, p, driver, body, observer)
+    }
+
     fn params(
         workers: usize,
         chunk: usize,
@@ -1063,13 +1103,13 @@ mod tests {
             let xs = heap.alloc(ObjData::zeros_f64(16));
             let mut reds = RedVars::new();
             let p = params(4, 2, ConflictPolicy::None, CommitOrder::OutOfOrder);
-            let stats = run_loop_engine(
+            let stats = one_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 16),
                 &p,
                 threaded,
-                &|ctx: &mut TxCtx<'_>, i: u64| {
+                |ctx: &mut TxCtx<'_>, i: u64| {
                     ctx.tx.write_f64(xs, i as usize, i as f64 * 2.0);
                 },
                 &mut NullObserver,
@@ -1092,13 +1132,13 @@ mod tests {
         let counter = heap.alloc(ObjData::scalar_i64(0));
         let mut reds = RedVars::new();
         let p = params(4, 1, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-        let stats = run_loop_engine(
+        let stats = one_loop(
             &mut heap,
             &mut reds,
             &mut RangeSpace::new(0, 8),
             &p,
             false,
-            &|ctx: &mut TxCtx<'_>, _i| {
+            |ctx: &mut TxCtx<'_>, _i| {
                 let v = ctx.tx.read_i64(counter, 0);
                 ctx.tx.write_i64(counter, 0, v + 1);
             },
@@ -1136,13 +1176,13 @@ mod tests {
             let xs = heap.alloc(ObjData::zeros_i64(32));
             let mut rounds = Rounds::default();
             let step = |ctx: &mut TxCtx<'_>, i| body(ctx, i, xs);
-            run_loop_engine(
+            one_loop(
                 &mut heap,
                 &mut RedVars::new(),
                 &mut RangeSpace::new(0, n),
                 &p,
                 threaded,
-                &step,
+                step,
                 &mut rounds,
             )
             .unwrap();
@@ -1219,13 +1259,13 @@ mod tests {
             let mut heap = Heap::new();
             let xs = heap.alloc(ObjData::zeros_i64(12));
             let mut reds = RedVars::new();
-            let stats = run_loop_engine(
+            let stats = one_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(1, 12),
                 p,
                 false,
-                &|ctx: &mut TxCtx<'_>, i| {
+                |ctx: &mut TxCtx<'_>, i| {
                     let prev = ctx.tx.read_i64(xs, i as usize - 1);
                     ctx.tx.write_i64(xs, i as usize, prev + 1);
                 },
@@ -1252,13 +1292,13 @@ mod tests {
         let xs = heap.alloc(ObjData::zeros_i64(8));
         let mut reds = RedVars::new();
         let p = params(4, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-        let stats = run_loop_engine(
+        let stats = one_loop(
             &mut heap,
             &mut reds,
             &mut RangeSpace::new(1, 8),
             &p,
             false,
-            &|ctx: &mut TxCtx<'_>, i| {
+            |ctx: &mut TxCtx<'_>, i| {
                 let prev = ctx.tx.read_i64(xs, i as usize - 1);
                 ctx.tx.write_i64(xs, i as usize, prev + 1);
             },
@@ -1291,13 +1331,13 @@ mod tests {
             let delta = reds.declare("delta", RedVal::F64(0.0));
             let mut p = params(3, 4, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
             p.reductions = vec![(delta, RedOp::Add)];
-            let stats = run_loop_engine(
+            let stats = one_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 100),
                 &p,
                 threaded,
-                &|ctx: &mut TxCtx<'_>, i| {
+                |ctx: &mut TxCtx<'_>, i| {
                     ctx.red_add(delta, i as f64);
                 },
                 &mut NullObserver,
@@ -1325,13 +1365,13 @@ mod tests {
             let xs = heap.alloc(ObjData::zeros_i64(12));
             let big = heap.alloc(ObjData::zeros_f64(1000));
             let mut reds = RedVars::new();
-            let err = run_loop_engine(
+            let err = one_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 12),
                 p,
                 threaded,
-                &|ctx: &mut TxCtx<'_>, i: u64| {
+                |ctx: &mut TxCtx<'_>, i: u64| {
                     ctx.tx.write_i64(xs, i as usize, i as i64 + 1);
                     if i == at {
                         fault(ctx, big);
@@ -1341,13 +1381,13 @@ mod tests {
             )
             .unwrap_err();
             let left = (heap.digest(), heap.get(xs).i64s().to_vec());
-            let again = run_loop_engine(
+            let again = one_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 12),
                 p,
                 threaded,
-                &|ctx: &mut TxCtx<'_>, i: u64| ctx.tx.write_i64(xs, i as usize, i as i64 + 1),
+                |ctx: &mut TxCtx<'_>, i: u64| ctx.tx.write_i64(xs, i as usize, i as i64 + 1),
                 &mut NullObserver,
             )
             .expect("the heap and a fresh pool serve the next run");
@@ -1458,13 +1498,13 @@ mod tests {
             let p = params(2, 1, ConflictPolicy::None, CommitOrder::OutOfOrder)
                 .with_recorder(rec.clone());
             let (mut heap, ys, x) = setup();
-            let err = run_loop_engine(
+            let err = one_loop(
                 &mut heap,
                 &mut RedVars::new(),
                 &mut RangeSpace::new(0, 2),
                 &p,
                 threaded,
-                &|ctx: &mut TxCtx<'_>, i: u64| {
+                |ctx: &mut TxCtx<'_>, i: u64| {
                     ctx.tx.write_i64(ys, i as usize, i as i64 + 1);
                     if i == 0 {
                         ctx.tx.free(x);
@@ -1513,13 +1553,13 @@ mod tests {
             let mut p = params(2, 1, ConflictPolicy::Waw, CommitOrder::OutOfOrder)
                 .with_recorder(rec.clone());
             p.reductions = vec![(v, RedOp::And)];
-            let err = run_loop_engine(
+            let err = one_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 8),
                 &p,
                 threaded,
-                &|ctx: &mut TxCtx<'_>, i: u64| {
+                |ctx: &mut TxCtx<'_>, i: u64| {
                     ctx.tx.write_i64(xs, i as usize, 1);
                     ctx.red_add(v, 1.0);
                 },
@@ -1580,13 +1620,13 @@ mod tests {
         let table = heap.alloc(ObjData::zeros_i64(8));
         let mut reds = RedVars::new();
         let p = params(4, 1, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-        run_loop_engine(
+        one_loop(
             &mut heap,
             &mut reds,
             &mut RangeSpace::new(0, 8),
             &p,
             false,
-            &|ctx: &mut TxCtx<'_>, i| {
+            |ctx: &mut TxCtx<'_>, i| {
                 let node = ctx.tx.alloc(ObjData::scalar_i64(i as i64 * 10));
                 ctx.tx.write_i64(table, i as usize, node.to_i64());
             },
@@ -1611,13 +1651,13 @@ mod tests {
         let mut base = heap.high_water();
         let mut reds = RedVars::new();
         let p = params(2, 1, ConflictPolicy::Waw, CommitOrder::InOrder);
-        let stats = run_loop_engine(
+        let stats = one_loop(
             &mut heap,
             &mut reds,
             &mut RangeSpace::new(0, 8),
             &p,
             false,
-            &|ctx: &mut TxCtx<'_>, i| {
+            |ctx: &mut TxCtx<'_>, i| {
                 let node = ctx.tx.alloc(ObjData::scalar_i64(i as i64));
                 ctx.tx.write_i64(table, i as usize, node.to_i64());
             },
@@ -1644,13 +1684,13 @@ mod tests {
         let hot = heap.alloc(ObjData::scalar_i64(0));
         let mut reds = RedVars::new();
         let p = params(4, 1, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-        let stats = run_loop_engine(
+        let stats = one_loop(
             &mut heap,
             &mut reds,
             &mut RangeSpace::new(0, 12),
             &p,
             false,
-            &|ctx: &mut TxCtx<'_>, i| {
+            |ctx: &mut TxCtx<'_>, i| {
                 // Everyone contends on `hot`, so most attempts abort after
                 // allocating; the committed attempt's node must be unique.
                 let node = ctx.tx.alloc(ObjData::scalar_i64(i as i64));
@@ -1697,13 +1737,13 @@ mod tests {
             committed: 0,
             attempts: 0,
         };
-        let stats = run_loop_engine(
+        let stats = one_loop(
             &mut heap,
             &mut reds,
             &mut RangeSpace::new(0, 10),
             &p,
             false,
-            &|ctx: &mut TxCtx<'_>, i| ctx.tx.write_f64(xs, i as usize, 1.0),
+            |ctx: &mut TxCtx<'_>, i| ctx.tx.write_f64(xs, i as usize, 1.0),
             &mut obs,
         )
         .unwrap();
@@ -1722,13 +1762,13 @@ mod tests {
         let mut reds = RedVars::new();
         let p = params(8, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
         for threaded in [false, true] {
-            let stats = run_loop_engine(
+            let stats = one_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 64),
                 &p,
                 threaded,
-                &|ctx: &mut TxCtx<'_>, i| {
+                |ctx: &mut TxCtx<'_>, i| {
                     let s = ctx.tx.read_i64(shared, 0);
                     ctx.tx.write_i64(xs, i as usize, s + i as i64);
                     if i % 7 == 0 {
@@ -1766,56 +1806,13 @@ mod tests {
         assert_eq!(some.avg_rw_words(), 2.5);
     }
 
-    /// Both drivers produce byte-identical heaps, retry schedules and
-    /// statistics (modulo the pool-handoff counter, which *names* the
-    /// driver): the determinism guarantee.
-    #[test]
-    fn threaded_and_sequential_drivers_are_identical() {
-        let run = |threaded: bool| {
-            let mut heap = Heap::new();
-            let xs = heap.alloc(ObjData::zeros_i64(32));
-            let shared = heap.alloc(ObjData::scalar_i64(0));
-            let mut reds = RedVars::new();
-            let p = params(4, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
-            let stats = run_loop_engine(
-                &mut heap,
-                &mut reds,
-                &mut RangeSpace::new(0, 32),
-                &p,
-                threaded,
-                &|ctx: &mut TxCtx<'_>, i| {
-                    let s = ctx.tx.read_i64(shared, 0);
-                    ctx.tx.write_i64(xs, i as usize, s + i as i64);
-                    if i % 5 == 0 {
-                        ctx.tx.write_i64(shared, 0, s + 1);
-                    }
-                },
-                &mut NullObserver,
-            )
-            .unwrap();
-            (heap.digest(), stats)
-        };
-        let (d_seq, s_seq) = run(false);
-        let (d_thr, s_thr) = run(true);
-        assert_eq!(d_seq, d_thr, "committed state must be identical");
-        assert_eq!(
-            s_seq.modulo_drive_mode(),
-            s_thr.modulo_drive_mode(),
-            "statistics must be identical modulo handoffs"
-        );
-        assert_eq!(s_seq.pool_round_handoffs, 0);
-        assert_eq!(
-            s_thr.pool_round_handoffs, s_thr.rounds,
-            "the pool drives every round of a threaded run"
-        );
-    }
-
     /// A helped round from the engine's side: at two workers the caller's
     /// thread and lane 1 both execute tickets — ticket 0 of the first round
     /// does not finish before ticket 1 has started, which only the lane can
     /// have done — and nothing the run produces shows who executed what:
     /// heap, semantic statistics and event stream equal the sequential
-    /// driver's.
+    /// driver's (the determinism guarantee); only the two counters that
+    /// name the driver differ.
     #[test]
     fn coordinator_and_lane_both_execute_tickets_and_leave_no_trace_of_it() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -1830,13 +1827,13 @@ mod tests {
             let caller = std::thread::current().id();
             let ticket_1_started = AtomicBool::new(false);
             let ran_on = std::sync::Mutex::new(std::collections::BTreeSet::new());
-            let stats = run_loop_engine(
+            let stats = one_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 32),
                 &p,
                 threaded,
-                &|ctx: &mut TxCtx<'_>, i| {
+                |ctx: &mut TxCtx<'_>, i| {
                     let me = std::thread::current();
                     let who = match me.name() {
                         _ if me.id() == caller => "caller",
@@ -1879,7 +1876,11 @@ mod tests {
         assert_eq!(ran_on_seq, ["caller"]);
         assert_eq!(ran_on_thr, ["alter-worker-1", "caller"]);
         assert_eq!(thr, seq, "who executed a ticket cannot be observed");
-        assert_eq!(s_seq.tickets_helped, 0);
+        assert_eq!((s_seq.tickets_helped, s_seq.pool_round_handoffs), (0, 0));
+        assert_eq!(
+            s_thr.pool_round_handoffs, s_thr.rounds,
+            "the pool drives every round"
+        );
         // Ticket 0 of every round is the coordinator's; ticket 1 of the
         // first round, at least, was not.
         assert!((s_thr.rounds..s_thr.attempts).contains(&s_thr.tickets_helped));
@@ -1899,13 +1900,13 @@ mod tests {
         let xs = heap.alloc(ObjData::zeros_i64(64));
         let p = params(4, 2, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
         let run = |heap: &mut Heap| {
-            run_loop_engine(
+            one_loop(
                 heap,
                 &mut RedVars::new(),
                 &mut RangeSpace::new(0, 64),
                 &p,
                 false,
-                &|ctx: &mut TxCtx<'_>, i| {
+                |ctx: &mut TxCtx<'_>, i| {
                     ctx.tx.write_i64(xs, i as usize, i as i64);
                 },
                 &mut NullObserver,
@@ -2119,13 +2120,13 @@ mod tests {
                 .with_recorder(rec.clone());
             p.wall_profile = wall;
             let started = Instant::now();
-            let stats = run_loop_engine(
+            let stats = one_loop(
                 &mut heap,
                 &mut reds,
                 &mut RangeSpace::new(0, 32),
                 &p,
                 threaded,
-                &|ctx: &mut TxCtx<'_>, i| {
+                |ctx: &mut TxCtx<'_>, i| {
                     let s = ctx.tx.read_i64(shared, 0);
                     ctx.tx.write_i64(xs, i as usize, s + i as i64);
                     if i % 5 == 0 {

@@ -1,10 +1,11 @@
 //! Public entry points for running annotated loops.
 
-use crate::engine::{run_loop_engine, NullObserver, RoundObserver, RunError, RunStats};
+use crate::engine::{run_loop_engine, Lanes, NullObserver, RoundObserver, RunError, RunStats};
 use crate::params::ExecParams;
 use crate::reduction::RedVars;
 use crate::space::{IterSpace, RangeSpace, SeqSpace};
 use alter_heap::Heap;
+use std::sync::Arc;
 
 /// How transactions of a round are executed.
 ///
@@ -42,17 +43,115 @@ impl Default for Driver {
     }
 }
 
-/// Runs a loop over `space` under `params`.
+/// One run of a program's annotated loops under one set of parameters and
+/// one driver — the paper's N workers, forked once per program and fed
+/// every loop (§4.1). Under the threaded driver at two or more workers the
+/// session spawns its `workers` lanes when it opens ([`Session::open`]) and
+/// every [`Session::run_loop`] hands its rounds to those lanes; closing the
+/// session ends them. The sequential driver and a one-worker session spawn
+/// nothing.
+///
+/// A loop body is handed to the lanes, which outlive the loop, so it may
+/// borrow only what outlives the session (`'env`) and owns whatever it
+/// needs of the state that changes between loops.
+///
+/// ```
+/// use alter_runtime::{Driver, ExecParams, NullObserver, RangeSpace, RedVars, Session, TxCtx};
+/// use alter_heap::{Heap, ObjData};
+///
+/// let mut heap = Heap::new();
+/// let mut reds = RedVars::new();
+/// let xs = heap.alloc(ObjData::zeros_f64(8));
+/// Session::open(ExecParams::new(2, 2), Driver::threaded(), |mut session| {
+///     for pass in 1..=3 {
+///         let step = pass as f64; // owned by the body: `pass` changes
+///         let body = move |ctx: &mut TxCtx<'_>, i: u64| {
+///             let x = ctx.tx.read_f64(xs, i as usize);
+///             ctx.tx.write_f64(xs, i as usize, x + step);
+///         };
+///         let space = &mut RangeSpace::new(0, 8);
+///         session.run_loop(&mut heap, &mut reds, space, body, &mut NullObserver)?;
+///     }
+///     Ok::<(), alter_runtime::RunError>(())
+/// })?;
+/// assert_eq!(heap.get(xs).f64s(), &[6.0; 8]);
+/// # Ok::<(), alter_runtime::RunError>(())
+/// ```
+pub struct Session<'env> {
+    params: Arc<ExecParams>,
+    lanes: Option<Lanes<'env>>,
+}
+
+impl<'env> Session<'env> {
+    /// Opens a session of `params` under `driver` and runs `run` with it.
+    /// The lanes, if any, are spawned here and joined before this returns:
+    /// `run` ending — finishing with the session or dropping it, unwinding
+    /// included — closes their job channels, so the join finds every lane
+    /// draining out.
+    pub fn open<T>(params: ExecParams, driver: Driver, run: impl FnOnce(Session<'env>) -> T) -> T {
+        let params = Arc::new(params);
+        if !driver.is_threaded() || params.workers <= 1 {
+            return run(Session {
+                params,
+                lanes: None,
+            });
+        }
+        std::thread::scope(|scope| {
+            let lanes = Some(Lanes::new(scope, params.workers));
+            run(Session { params, lanes })
+        })
+    }
+
+    /// The parameters every loop of the session runs under.
+    pub fn params(&self) -> &ExecParams {
+        &self.params
+    }
+
+    /// Runs one loop over `space`, reporting every round to `observer`
+    /// (the hook the virtual-time simulator uses).
+    ///
+    /// `reds` holds the program's reduction-capable scalar variables; pass
+    /// a fresh empty registry if the loop has none.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError`] if a body panics ([`RunError::Crash`]), a
+    /// transaction exceeds the tracked-memory budget
+    /// ([`RunError::OutOfMemory`]), or the total work budget is exceeded
+    /// ([`RunError::WorkBudgetExceeded`]). The session stays usable.
+    pub fn run_loop<F>(
+        &mut self,
+        heap: &mut Heap,
+        reds: &mut RedVars,
+        space: &mut dyn IterSpace,
+        body: F,
+        observer: &mut dyn RoundObserver,
+    ) -> Result<RunStats, RunError>
+    where
+        F: Fn(&mut crate::TxCtx<'_>, u64) + Send + Sync + 'env,
+    {
+        let lanes = self.lanes.as_mut();
+        run_loop_engine(heap, reds, space, &self.params, lanes, body, observer)
+    }
+}
+
+impl std::fmt::Debug for Session<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Session")
+            .field("params", &self.params.describe())
+            .field("lanes", &self.lanes.is_some())
+            .finish()
+    }
+}
+
+/// Runs a loop over `space` under `params`: a one-loop [`Session`].
 ///
 /// `reds` holds the program's reduction-capable scalar variables; pass a
 /// fresh empty registry if the loop has none.
 ///
 /// # Errors
 ///
-/// Returns [`RunError`] if a body panics ([`RunError::Crash`]), a
-/// transaction exceeds the tracked-memory budget
-/// ([`RunError::OutOfMemory`]), or the total work budget is exceeded
-/// ([`RunError::WorkBudgetExceeded`]).
+/// As [`Session::run_loop`].
 pub fn run_loop<F>(
     heap: &mut Heap,
     reds: &mut RedVars,
@@ -62,17 +161,9 @@ pub fn run_loop<F>(
     body: F,
 ) -> Result<RunStats, RunError>
 where
-    F: Fn(&mut crate::TxCtx<'_>, u64) + Sync,
+    F: Fn(&mut crate::TxCtx<'_>, u64) + Send + Sync,
 {
-    run_loop_engine(
-        heap,
-        reds,
-        space,
-        params,
-        driver.is_threaded(),
-        &body,
-        &mut NullObserver,
-    )
+    run_loop_observed(heap, reds, space, params, driver, body, &mut NullObserver)
 }
 
 /// Like [`run_loop`], additionally reporting every round to `observer`
@@ -91,17 +182,11 @@ pub fn run_loop_observed<F>(
     observer: &mut dyn RoundObserver,
 ) -> Result<RunStats, RunError>
 where
-    F: Fn(&mut crate::TxCtx<'_>, u64) + Sync,
+    F: Fn(&mut crate::TxCtx<'_>, u64) + Send + Sync,
 {
-    run_loop_engine(
-        heap,
-        reds,
-        space,
-        params,
-        driver.is_threaded(),
-        &body,
-        observer,
-    )
+    Session::open(params.clone(), driver, |mut session| {
+        session.run_loop(heap, reds, space, body, observer)
+    })
 }
 
 enum BuilderSpace {
@@ -177,7 +262,7 @@ impl<'a> LoopBuilder<'a> {
     /// Same as [`run_loop`].
     pub fn run<F>(self, heap: &mut Heap, driver: Driver, body: F) -> Result<RunStats, RunError>
     where
-        F: Fn(&mut crate::TxCtx<'_>, u64) + Sync,
+        F: Fn(&mut crate::TxCtx<'_>, u64) + Send + Sync,
     {
         let mut default_reds = RedVars::new();
         let reds = self.reds.unwrap_or(&mut default_reds);

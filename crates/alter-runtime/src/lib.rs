@@ -14,7 +14,8 @@
 //!   ([`ExecParams::from_annotation`], [`ExecParams::tls`],
 //!   [`ExecParams::doall`]).
 //! * [`run_loop`] / [`LoopBuilder`] — deterministic lock-step fork-join
-//!   execution of an annotated loop (§4.1, Figure 4).
+//!   execution of an annotated loop (§4.1, Figure 4); a [`Session`] runs
+//!   several loops on one set of worker lanes.
 //! * [`RedVars`] / [`RedVal`] — reduction variables and the merge algebra
 //!   of the `ReductionPolicy`.
 //!
@@ -66,7 +67,7 @@ pub use engine::{
     ConflictDetail, NullObserver, PhaseCosts, RoundObserver, RoundReport, RunError, RunStats,
     TaskReport,
 };
-pub use executor::{run_loop, run_loop_observed, Driver, LoopBuilder};
+pub use executor::{run_loop, run_loop_observed, Driver, LoopBuilder, Session};
 pub use params::{CommitOrder, ConflictPolicy, ExecParams};
 pub use pool::{TicketStream, WorkerPool};
 pub use reduction::{RedDelta, RedLocals, RedVal, RedVarId, RedVars};

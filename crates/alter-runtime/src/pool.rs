@@ -30,9 +30,9 @@
 //!   threads runnable, not N + 1, and a run whose threads are stacked on
 //!   one CPU degrades to the sequential driver's speed instead of below it.
 //!
-//! The pool is deliberately generic over the job and result payloads: the
-//! engine ships `(Snapshot, task, buffers)` jobs, while the inference
-//! engine reuses the same pool to run independent probes concurrently.
+//! Jobs and results are the caller's types: the engine ships each ticket
+//! with the loop it belongs to, so one pool serves every loop of a session,
+//! and the inference engine runs independent probes on the same pool.
 //!
 //! Every wait — a lane for its next message, the coordinator for a lane's
 //! result — **polls first and parks last** (`recv_polling`): between
@@ -42,11 +42,9 @@
 //! two). Only *how long* a receive blocks changed, never which value it
 //! returns, so the ordering argument above is untouched.
 //!
-//! Shutdown is by drop: dropping the pool closes the job channels, each
-//! worker's receive loop ends, and the owning `thread::scope` joins them.
-//! Keep the pool inside the scope closure so the drop happens before the
-//! scope's implicit join (otherwise the join would wait on workers still
-//! blocked in `recv`).
+//! Shutdown is by drop: it closes the job channels, each lane's receive
+//! loop ends, and the owning `thread::scope` joins the lanes — so drop the
+//! pool inside the scope closure, before the scope's implicit join.
 
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};

@@ -155,7 +155,7 @@ mod tests {
         iters: u64,
         params: &ExecParams,
         model: &CostModel,
-        body: impl Fn(&mut TxCtx<'_>, u64) + Sync,
+        body: impl Fn(&mut TxCtx<'_>, u64) + Send + Sync,
     ) -> (RunStats, SimClock) {
         let mut obs = SimObserver::new(model, params.workers);
         let stats = LoopBuilder::new(params)

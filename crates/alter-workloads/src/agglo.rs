@@ -171,94 +171,95 @@ impl InferTarget for AggloClust {
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
         let (mut heap, mut reds, list, _) = self.start();
         let model = self.cost_model();
-        let mut session = probe.session(&reds, &model);
-        let mut passes = 0;
-        while list.len(&heap) > self.target && passes < self.max_passes {
-            let nodes = list.node_ids(&heap);
-            let body = |ctx: &mut TxCtx<'_>, raw: u64| {
-                let node = ObjId::from_index(raw as u32);
-                if !ctx.tx.is_live(node) {
-                    return; // concurrently merged away
-                }
-                let me_obj = list.value(ctx, node);
-                let me = Self::read_cluster(ctx, me_obj);
-                // Scan the captured node sequence for my nearest live
-                // neighbour.
-                let mut best: Option<(ObjId, ObjId, (f64, f64, f64))> = None;
-                let mut best_d = f64::INFINITY;
-                for &other_raw in &nodes {
-                    let other = ObjId::from_index(other_raw as u32);
-                    if other == node || !ctx.tx.is_live(other) {
-                        continue;
+        probe.session(&mut reds, &model, |mut session, reds| {
+            let mut passes = 0;
+            while list.len(&heap) > self.target && passes < self.max_passes {
+                let nodes = list.node_ids(&heap);
+                let space = &mut SeqSpace::new(nodes.clone());
+                let body = move |ctx: &mut TxCtx<'_>, raw: u64| {
+                    let node = ObjId::from_index(raw as u32);
+                    if !ctx.tx.is_live(node) {
+                        return; // concurrently merged away
                     }
-                    let obj = list.value(ctx, other);
-                    let c = Self::read_cluster(ctx, obj);
-                    let d = Self::dist2(me, c);
-                    ctx.tx.work(6);
-                    if d < best_d {
-                        best_d = d;
-                        best = Some((other, obj, c));
+                    let me_obj = list.value(ctx, node);
+                    let me = Self::read_cluster(ctx, me_obj);
+                    // Scan the captured node sequence for my nearest live
+                    // neighbour.
+                    let mut best: Option<(ObjId, ObjId, (f64, f64, f64))> = None;
+                    let mut best_d = f64::INFINITY;
+                    for &other_raw in &nodes {
+                        let other = ObjId::from_index(other_raw as u32);
+                        if other == node || !ctx.tx.is_live(other) {
+                            continue;
+                        }
+                        let obj = list.value(ctx, other);
+                        let c = Self::read_cluster(ctx, obj);
+                        let d = Self::dist2(me, c);
+                        ctx.tx.work(6);
+                        if d < best_d {
+                            best_d = d;
+                            best = Some((other, obj, c));
+                        }
                     }
-                }
-                let Some((other_node, other_obj, other)) = best else {
-                    return;
+                    let Some((other_node, other_obj, other)) = best else {
+                        return;
+                    };
+                    // Mutual-nearest check: is my cluster the nearest of my
+                    // nearest? (Scan again from its perspective.)
+                    let mut their_best = f64::INFINITY;
+                    let mut their_best_node = node;
+                    for &cand_raw in &nodes {
+                        let cand = ObjId::from_index(cand_raw as u32);
+                        if cand == other_node || !ctx.tx.is_live(cand) {
+                            continue;
+                        }
+                        let obj = list.value(ctx, cand);
+                        let c = Self::read_cluster(ctx, obj);
+                        ctx.tx.work(6);
+                        let d = Self::dist2(other, c);
+                        if d < their_best {
+                            their_best = d;
+                            their_best_node = cand;
+                        }
+                    }
+                    // Lower node index performs the merge to avoid double work.
+                    if their_best_node == node && node.index() < other_node.index() {
+                        let cost = Self::dist2(me, other).sqrt();
+                        // Fold the absorbed cluster's subtree cost into the
+                        // survivor — a private write, so merges of disjoint
+                        // pairs never contend on a shared accumulator.
+                        let other_cost = ctx.tx.read_f64(other_obj, SCOST);
+                        ctx.tx.update_f64s(me_obj, 0, 4, |c| {
+                            c[SX] += other.0;
+                            c[SY] += other.1;
+                            c[SZ] += other.2;
+                            c[SCOST] += other_cost + cost;
+                        });
+                        list.remove(ctx, other_node);
+                        ctx.tx.free(other_obj);
+                    }
                 };
-                // Mutual-nearest check: is my cluster the nearest of my
-                // nearest? (Scan again from its perspective.)
-                let mut their_best = f64::INFINITY;
-                let mut their_best_node = node;
-                for &cand_raw in &nodes {
-                    let cand = ObjId::from_index(cand_raw as u32);
-                    if cand == other_node || !ctx.tx.is_live(cand) {
-                        continue;
-                    }
-                    let obj = list.value(ctx, cand);
-                    let c = Self::read_cluster(ctx, obj);
-                    ctx.tx.work(6);
-                    let d = Self::dist2(other, c);
-                    if d < their_best {
-                        their_best = d;
-                        their_best_node = cand;
-                    }
+                let pass = session.run_loop(&mut heap, reds, space, body)?;
+                passes += 1;
+                if pass.iterations == 0 {
+                    break;
                 }
-                // Lower node index performs the merge to avoid double work.
-                if their_best_node == node && node.index() < other_node.index() {
-                    let cost = Self::dist2(me, other).sqrt();
-                    // Fold the absorbed cluster's subtree cost into the
-                    // survivor — a private write, so merges of disjoint
-                    // pairs never contend on a shared accumulator.
-                    let other_cost = ctx.tx.read_f64(other_obj, SCOST);
-                    ctx.tx.update_f64s(me_obj, 0, 4, |c| {
-                        c[SX] += other.0;
-                        c[SY] += other.1;
-                        c[SZ] += other.2;
-                        c[SCOST] += other_cost + cost;
-                    });
-                    list.remove(ctx, other_node);
-                    ctx.tx.free(other_obj);
-                }
-            };
-            let space = &mut SeqSpace::new(nodes.clone());
-            let pass = session.run_loop(&mut heap, &mut reds, space, body)?;
-            passes += 1;
-            if pass.iterations == 0 {
-                break;
             }
-        }
-        let merge_cost: f64 = list
-            .node_ids(&heap)
-            .iter()
-            .map(|&raw| {
-                let node = ObjId::from_index(raw as u32);
-                let obj = ObjId::from_i64(heap.get(node).i64s()[0]);
-                heap.get(obj).f64s()[SCOST]
-            })
-            .sum();
-        let output = ProgramOutput {
-            floats: vec![merge_cost],
-            ints: vec![list.len(&heap) as i64],
-        };
-        Ok(session.finish(output, 0.0))
+            let merge_cost: f64 = list
+                .node_ids(&heap)
+                .iter()
+                .map(|&raw| {
+                    let node = ObjId::from_index(raw as u32);
+                    let obj = ObjId::from_i64(heap.get(node).i64s()[0]);
+                    heap.get(obj).f64s()[SCOST]
+                })
+                .sum();
+            let output = ProgramOutput {
+                floats: vec![merge_cost],
+                ints: vec![list.len(&heap) as i64],
+            };
+            Ok(session.finish(output, 0.0))
+        })
     }
 
     fn probe_summary(&self) -> LoopSummary {

@@ -164,12 +164,9 @@ impl BarnesHut {
         QuadNode::build(&snapshot, -2.0, -2.0, 5.0, 0)
     }
 
-    /// The force loop's body for one timestep over `tree`.
-    fn body<'a>(
-        &self,
-        list: AlterList<ObjId>,
-        tree: &'a QuadNode,
-    ) -> impl Fn(&mut TxCtx<'_>, u64) + Sync + 'a {
+    /// The force loop's body for one timestep over `tree`, which it owns:
+    /// every step builds its own.
+    fn body(&self, list: AlterList<ObjId>, tree: QuadNode) -> impl Fn(&mut TxCtx<'_>, u64) + Sync {
         let dt = self.dt;
         move |ctx, raw| {
             let node = ObjId::from_index(raw as u32);
@@ -217,32 +214,33 @@ impl InferTarget for BarnesHut {
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
         let (mut heap, mut reds, list, _) = self.start(self.bodies);
         let model = self.cost_model();
-        let mut session = probe.session(&reds, &model);
-        for _ in 0..self.steps {
-            // Sequential tree build from the committed state (the paper
-            // parallelizes only the force loop).
-            let tree = Self::tree(&heap, list);
-            let space = &mut SeqSpace::new(list.node_ids(&heap));
-            session.run_loop(&mut heap, &mut reds, space, self.body(list, &tree))?;
-        }
-        let positions: Vec<f64> = list
-            .seq_values(&heap)
-            .iter()
-            .flat_map(|o| {
-                let b = heap.get(*o).f64s();
-                [b[BX], b[BY]]
-            })
-            .collect();
-        // Tree builds are the sequential 0.4% of runtime (loop weight 99.6%).
-        let tree_builds = self.steps as f64 * self.bodies as f64 * 4.0;
-        Ok(session.finish(ProgramOutput::from_floats(positions), tree_builds))
+        probe.session(&mut reds, &model, |mut session, reds| {
+            for _ in 0..self.steps {
+                // Sequential tree build from the committed state (the paper
+                // parallelizes only the force loop).
+                let tree = Self::tree(&heap, list);
+                let space = &mut SeqSpace::new(list.node_ids(&heap));
+                session.run_loop(&mut heap, reds, space, self.body(list, tree))?;
+            }
+            let positions: Vec<f64> = list
+                .seq_values(&heap)
+                .iter()
+                .flat_map(|o| {
+                    let b = heap.get(*o).f64s();
+                    [b[BX], b[BY]]
+                })
+                .collect();
+            // Tree builds are the sequential 0.4% of runtime (loop weight 99.6%).
+            let tree_builds = self.steps as f64 * self.bodies as f64 * 4.0;
+            Ok(session.finish(ProgramOutput::from_floats(positions), tree_builds))
+        })
     }
 
     fn probe_summary(&self) -> LoopSummary {
         let (mut heap, _, list, _) = self.start(REPLAY_BODIES);
         let tree = Self::tree(&heap, list);
         let nodes = list.node_ids(&heap);
-        summarize_dependences(&mut heap, &mut SeqSpace::new(nodes), self.body(list, &tree))
+        summarize_dependences(&mut heap, &mut SeqSpace::new(nodes), self.body(list, tree))
     }
 
     fn loop_spec(&self) -> Option<LoopSpec> {

@@ -186,14 +186,15 @@ impl InferTarget for Fft {
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
         let (mut heap, mut reds, row_objs) = self.start();
         let model = self.cost_model();
-        let mut session = probe.session(&reds, &model);
-        let space = &mut RangeSpace::new(0, self.rows as u64);
-        session.run_loop(&mut heap, &mut reds, space, self.body(&row_objs))?;
-        let out: Vec<f64> = row_objs
-            .iter()
-            .flat_map(|o| heap.get(*o).f64s().to_vec())
-            .collect();
-        Ok(session.finish(ProgramOutput::from_floats(out), 0.0))
+        probe.session(&mut reds, &model, |mut session, reds| {
+            let space = &mut RangeSpace::new(0, self.rows as u64);
+            session.run_loop(&mut heap, reds, space, self.body(&row_objs))?;
+            let out: Vec<f64> = row_objs
+                .iter()
+                .flat_map(|o| heap.get(*o).f64s().to_vec())
+                .collect();
+            Ok(session.finish(ProgramOutput::from_floats(out), 0.0))
+        })
     }
 
     fn probe_summary(&self) -> LoopSummary {

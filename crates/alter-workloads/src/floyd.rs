@@ -153,29 +153,30 @@ impl Floyd {
     /// with `body(path)`.
     fn relax<B>(&self, probe: &Probe, body: impl Fn(ObjId) -> B) -> Result<ProbeRun, RunError>
     where
-        B: Fn(&mut TxCtx<'_>, u64) + Sync,
+        B: Fn(&mut TxCtx<'_>, u64) + Send + Sync,
     {
         let n = self.n;
         let (mut heap, mut reds, path) = self.start();
         let model = self.cost_model();
-        let mut session = probe.session(&reds, &model);
-        let mut passes = 0;
-        loop {
-            let before: Vec<f64> = heap.get(path).f64s().to_vec();
-            let space = &mut RangeSpace::new(0, n as u64);
-            session.run_loop(&mut heap, &mut reds, space, body(path))?;
-            passes += 1;
-            let changed = heap.get(path).f64s() != &before[..];
-            if !changed || passes >= self.max_passes {
-                break;
+        probe.session(&mut reds, &model, |mut session, reds| {
+            let mut passes = 0;
+            loop {
+                let before: Vec<f64> = heap.get(path).f64s().to_vec();
+                let space = &mut RangeSpace::new(0, n as u64);
+                session.run_loop(&mut heap, reds, space, body(path))?;
+                passes += 1;
+                let changed = heap.get(path).f64s() != &before[..];
+                if !changed || passes >= self.max_passes {
+                    break;
+                }
             }
-        }
-        let m = heap.get(path).f64s().to_vec();
-        // The fixpoint check is sequential program text.
-        Ok(session.finish(
-            ProgramOutput::from_floats(m),
-            passes as f64 * (n * n) as f64,
-        ))
+            let m = heap.get(path).f64s().to_vec();
+            // The fixpoint check is sequential program text.
+            Ok(session.finish(
+                ProgramOutput::from_floats(m),
+                passes as f64 * (n * n) as f64,
+            ))
+        })
     }
 }
 

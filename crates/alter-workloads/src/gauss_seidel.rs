@@ -216,30 +216,31 @@ impl GaussSeidel {
     /// Propagates runtime aborts from any sweep.
     pub fn run_with_model(&self, probe: &Probe, model: &CostModel) -> Result<ProbeRun, RunError> {
         let (sys, mut heap, mut reds, xvec) = self.start();
-        let mut session = probe.session(&reds, model);
-        let mut sweeps = 0;
-        loop {
-            let before: Vec<f64> = heap.get(xvec).f64s().to_vec();
-            let space = &mut RangeSpace::new(0, sys.n() as u64);
-            session.run_loop(&mut heap, &mut reds, space, self.body(&sys, xvec))?;
-            sweeps += 1;
-            let change = heap
-                .get(xvec)
-                .f64s()
-                .iter()
-                .zip(&before)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            if change <= self.eps || sweeps >= self.max_sweeps {
-                break;
+        probe.session(&mut reds, model, |mut session, reds| {
+            let mut sweeps = 0;
+            loop {
+                let before: Vec<f64> = heap.get(xvec).f64s().to_vec();
+                let space = &mut RangeSpace::new(0, sys.n() as u64);
+                session.run_loop(&mut heap, reds, space, self.body(&sys, xvec))?;
+                sweeps += 1;
+                let change = heap
+                    .get(xvec)
+                    .f64s()
+                    .iter()
+                    .zip(&before)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0f64, f64::max);
+                if change <= self.eps || sweeps >= self.max_sweeps {
+                    break;
+                }
             }
-        }
-        let output = ProgramOutput {
-            floats: heap.get(xvec).f64s().to_vec(),
-            ints: vec![sweeps as i64],
-        };
-        // The per-sweep O(n) convergence check is sequential program text.
-        Ok(session.finish(output, sweeps as f64 * sys.n() as f64 * 3.0))
+            let output = ProgramOutput {
+                floats: heap.get(xvec).f64s().to_vec(),
+                ints: vec![sweeps as i64],
+            };
+            // The per-sweep O(n) convergence check is sequential program text.
+            Ok(session.finish(output, sweeps as f64 * sys.n() as f64 * 3.0))
+        })
     }
 }
 

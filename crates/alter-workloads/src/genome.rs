@@ -99,12 +99,13 @@ impl InferTarget for Genome {
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
         let (stream, mut heap, mut reds, set) = self.start();
         let model = self.cost_model();
-        let mut session = probe.session(&reds, &model);
-        let space = &mut RangeSpace::new(0, stream.len() as u64);
-        session.run_loop(&mut heap, &mut reds, space, self.body(&stream, set))?;
-        let mut keys = set.seq_keys(&heap);
-        keys.sort_unstable();
-        Ok(session.finish(ProgramOutput::from_ints(keys), 0.0))
+        probe.session(&mut reds, &model, |mut session, reds| {
+            let space = &mut RangeSpace::new(0, stream.len() as u64);
+            session.run_loop(&mut heap, reds, space, self.body(&stream, set))?;
+            let mut keys = set.seq_keys(&heap);
+            keys.sort_unstable();
+            Ok(session.finish(ProgramOutput::from_ints(keys), 0.0))
+        })
     }
 
     fn probe_summary(&self) -> LoopSummary {

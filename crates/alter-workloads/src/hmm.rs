@@ -150,20 +150,21 @@ impl InferTarget for Hmm {
         let n = self.states;
         let (a, b, obs, mut heap, mut reds, mut cur, mut next) = self.start();
         let model = self.cost_model();
-        let mut session = probe.session(&reds, &model);
-        for &o in &obs {
-            let space = &mut RangeSpace::new(0, n as u64);
-            session.run_loop(&mut heap, &mut reds, space, self.body(&a, &b, o, cur, next))?;
-            // Sequential rescale between steps.
-            let norm: f64 = heap.get(next).f64s().iter().sum();
-            for x in heap.get_mut(next).f64s_mut() {
-                *x /= norm;
+        probe.session(&mut reds, &model, |mut session, reds| {
+            for &o in &obs {
+                let space = &mut RangeSpace::new(0, n as u64);
+                session.run_loop(&mut heap, reds, space, self.body(&a, &b, o, cur, next))?;
+                // Sequential rescale between steps.
+                let norm: f64 = heap.get(next).f64s().iter().sum();
+                for x in heap.get_mut(next).f64s_mut() {
+                    *x /= norm;
+                }
+                std::mem::swap(&mut cur, &mut next);
             }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        let alpha = heap.get(cur).f64s().to_vec();
-        let rescales = obs.len() as f64 * n as f64 * 2.0;
-        Ok(session.finish(ProgramOutput::from_floats(alpha), rescales))
+            let alpha = heap.get(cur).f64s().to_vec();
+            let rescales = obs.len() as f64 * n as f64 * 2.0;
+            Ok(session.finish(ProgramOutput::from_floats(alpha), rescales))
+        })
     }
 
     fn probe_summary(&self) -> LoopSummary {

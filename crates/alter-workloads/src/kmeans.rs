@@ -180,7 +180,7 @@ impl KMeans {
     fn body<'a>(
         &self,
         feats: &'a [ObjId],
-        centers: &'a [Vec<f64>],
+        centers: Vec<Vec<f64>>,
         membership: ObjId,
         accs: &'a [ObjId],
         delta: BoundScalar,
@@ -190,7 +190,7 @@ impl KMeans {
             let i = iter as usize;
             // feature[i]: one range read of the point's heap object.
             let fv: Vec<f64> = ctx.tx.with_f64s(feats[i], 0, nf, |s| s.to_vec());
-            let c = Self::nearest(&fv, centers);
+            let c = Self::nearest(&fv, &centers);
             ctx.tx.work((centers.len() * nf) as u64);
             if ctx.tx.read_i64(membership, i) != c as i64 {
                 delta.add(ctx, 1.0);
@@ -238,40 +238,41 @@ impl KMeans {
     /// Propagates runtime aborts from any round.
     pub fn run_with_model(&self, probe: &Probe, model: &CostModel) -> Result<ProbeRun, RunError> {
         let (features, mut heap, mut reds, feats, membership, accs, delta) = self.start();
-        let mut session = probe.session(&reds, model);
-        let mut centers: Vec<Vec<f64>> = features[..self.nclusters].to_vec();
-        let mut rounds = 0;
-        loop {
-            delta.seq_set(&mut heap, &mut reds, RedVal::F64(0.0));
-            for acc in &accs {
-                heap.get_mut(*acc).f64s_mut().fill(0.0);
-            }
-            let body = self.body(&feats, &centers, membership, &accs, delta);
-            let space = &mut RangeSpace::new(0, self.npoints as u64);
-            session.run_loop(&mut heap, &mut reds, space, body)?;
-            rounds += 1;
+        probe.session(&mut reds, model, |mut session, reds| {
+            let mut centers: Vec<Vec<f64>> = features[..self.nclusters].to_vec();
+            let mut rounds = 0;
+            loop {
+                delta.seq_set(&mut heap, reds, RedVal::F64(0.0));
+                for acc in &accs {
+                    heap.get_mut(*acc).f64s_mut().fill(0.0);
+                }
+                let body = self.body(&feats, centers.clone(), membership, &accs, delta);
+                let space = &mut RangeSpace::new(0, self.npoints as u64);
+                session.run_loop(&mut heap, reds, space, body)?;
+                rounds += 1;
 
-            // Sequential epilogue: recompute centers from accumulators.
-            for (c, acc) in accs.iter().enumerate() {
-                let data = heap.get(*acc).f64s();
-                let count = data[self.nfeatures];
-                if count > 0.0 {
-                    for f in 0..self.nfeatures {
-                        centers[c][f] = data[f] / count;
+                // Sequential epilogue: recompute centers from accumulators.
+                for (c, acc) in accs.iter().enumerate() {
+                    let data = heap.get(*acc).f64s();
+                    let count = data[self.nfeatures];
+                    if count > 0.0 {
+                        for f in 0..self.nfeatures {
+                            centers[c][f] = data[f] / count;
+                        }
                     }
                 }
+                let d = delta
+                    .seq_get_sync(&mut heap, reds, session.params())
+                    .as_f64();
+                if d / self.npoints as f64 <= self.threshold || rounds >= self.max_rounds {
+                    break;
+                }
             }
-            let d = delta
-                .seq_get_sync(&mut heap, &mut reds, session.params())
-                .as_f64();
-            if d / self.npoints as f64 <= self.threshold || rounds >= self.max_rounds {
-                break;
-            }
-        }
-        let mut ints = vec![rounds as i64];
-        ints.extend(self.cluster_sizes(heap.get(membership).i64s()));
-        let epilogue = rounds as f64 * (self.nclusters * self.nfeatures) as f64 * 3.0;
-        Ok(session.finish(ProgramOutput::from_ints(ints), epilogue))
+            let mut ints = vec![rounds as i64];
+            ints.extend(self.cluster_sizes(heap.get(membership).i64s()));
+            let epilogue = rounds as f64 * (self.nclusters * self.nfeatures) as f64 * 3.0;
+            Ok(session.finish(ProgramOutput::from_ints(ints), epilogue))
+        })
     }
 
     fn cluster_sizes(&self, membership: &[i64]) -> Vec<i64> {
@@ -305,7 +306,7 @@ impl InferTarget for KMeans {
     fn probe_summary(&self) -> LoopSummary {
         let (features, mut heap, _, feats, membership, accs, delta) = self.start();
         let centers: Vec<Vec<f64>> = features[..self.nclusters].to_vec();
-        let body = self.body(&feats, &centers, membership, &accs, delta);
+        let body = self.body(&feats, centers, membership, &accs, delta);
         let mut s = summarize_dependences(
             &mut heap,
             &mut RangeSpace::new(0, self.npoints as u64),

@@ -183,16 +183,17 @@ impl InferTarget for Labyrinth {
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
         let (requests, mut heap, mut reds, grid) = self.start();
         let model = self.cost_model();
-        let mut session = probe.session(&reds, &model);
-        let space = &mut RangeSpace::new(0, requests.len() as u64);
-        session.run_loop(&mut heap, &mut reds, space, self.body(&requests, grid))?;
-        let cells = grid.seq_to_vec(&heap);
-        let mut ids: Vec<i64> = cells.iter().copied().filter(|&v| v != FREE).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let mut ints = vec![ids.len() as i64];
-        ints.extend(cells);
-        Ok(session.finish(ProgramOutput::from_ints(ints), 0.0))
+        probe.session(&mut reds, &model, |mut session, reds| {
+            let space = &mut RangeSpace::new(0, requests.len() as u64);
+            session.run_loop(&mut heap, reds, space, self.body(&requests, grid))?;
+            let cells = grid.seq_to_vec(&heap);
+            let mut ids: Vec<i64> = cells.iter().copied().filter(|&v| v != FREE).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let mut ints = vec![ids.len() as i64];
+            ints.extend(cells);
+            Ok(session.finish(ProgramOutput::from_ints(ints), 0.0))
+        })
     }
 
     fn probe_summary(&self) -> LoopSummary {

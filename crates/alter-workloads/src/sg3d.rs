@@ -199,26 +199,25 @@ impl InferTarget for Sg3d {
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
         let (f, cells, mut heap, mut reds, grid, err) = self.start();
         let model = self.cost_model();
-        let mut session = probe.session(&reds, &model);
-        let mut sweeps = 0;
-        loop {
-            err.seq_set(&mut heap, &mut reds, RedVal::F64(0.0));
-            let body = self.body(&f, &cells, grid, err);
-            let space = &mut RangeSpace::new(0, cells.len() as u64);
-            session.run_loop(&mut heap, &mut reds, space, body)?;
-            sweeps += 1;
-            let e = err
-                .seq_get_sync(&mut heap, &mut reds, session.params())
-                .as_f64();
-            if e < self.threshold || sweeps >= self.max_sweeps {
-                break;
+        probe.session(&mut reds, &model, |mut session, reds| {
+            let mut sweeps = 0;
+            loop {
+                err.seq_set(&mut heap, reds, RedVal::F64(0.0));
+                let body = self.body(&f, &cells, grid, err);
+                let space = &mut RangeSpace::new(0, cells.len() as u64);
+                session.run_loop(&mut heap, reds, space, body)?;
+                sweeps += 1;
+                let e = err.seq_get_sync(&mut heap, reds, session.params()).as_f64();
+                if e < self.threshold || sweeps >= self.max_sweeps {
+                    break;
+                }
             }
-        }
-        let output = ProgramOutput {
-            floats: heap.get(grid).f64s().to_vec(),
-            ints: vec![sweeps as i64],
-        };
-        Ok(session.finish(output, sweeps as f64 * 10.0))
+            let output = ProgramOutput {
+                floats: heap.get(grid).f64s().to_vec(),
+                ints: vec![sweeps as i64],
+            };
+            Ok(session.finish(output, sweeps as f64 * 10.0))
+        })
     }
 
     fn probe_summary(&self) -> LoopSummary {

@@ -127,24 +127,25 @@ impl InferTarget for Ssca2 {
     fn run_probe(&self, probe: &Probe) -> Result<ProbeRun, RunError> {
         let (edges, mut heap, mut reds, adj) = self.start();
         let model = self.cost_model();
-        let mut session = probe.session(&reds, &model);
-        let space = &mut RangeSpace::new(0, edges.len() as u64);
-        session.run_loop(&mut heap, &mut reds, space, self.body(&edges, &adj))?;
-        // Read back adjacency (sorted per vertex — commit order may differ).
-        let result: Vec<Vec<usize>> = adj
-            .iter()
-            .map(|id| {
-                let words = heap.get(*id).i64s();
-                let deg = words[DEG] as usize;
-                let mut l: Vec<usize> = words[SLOTS..SLOTS + deg]
-                    .iter()
-                    .map(|&v| v as usize)
-                    .collect();
-                l.sort_unstable();
-                l
-            })
-            .collect();
-        Ok(session.finish(ProgramOutput::from_ints(Self::digest(&result)), 0.0))
+        probe.session(&mut reds, &model, |mut session, reds| {
+            let space = &mut RangeSpace::new(0, edges.len() as u64);
+            session.run_loop(&mut heap, reds, space, self.body(&edges, &adj))?;
+            // Read back adjacency (sorted per vertex — commit order may differ).
+            let result: Vec<Vec<usize>> = adj
+                .iter()
+                .map(|id| {
+                    let words = heap.get(*id).i64s();
+                    let deg = words[DEG] as usize;
+                    let mut l: Vec<usize> = words[SLOTS..SLOTS + deg]
+                        .iter()
+                        .map(|&v| v as usize)
+                        .collect();
+                    l.sort_unstable();
+                    l
+                })
+                .collect();
+            Ok(session.finish(ProgramOutput::from_ints(Self::digest(&result)), 0.0))
+        })
     }
 
     fn probe_summary(&self) -> LoopSummary {

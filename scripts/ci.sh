@@ -42,17 +42,20 @@ bash bench/check.sh
 if command -v taskset > /dev/null && command -v timeout > /dev/null; then
   echo "== one-CPU starvation gate (pool waiters must yield, not spin) =="
   # Coordinator and every lane contend for one CPU — what the wall
-  # benchmark's placement does to lane 0 in a program's first loop and to
-  # every lane in its later ones, and what `taskset -c 0` does to any run.
+  # benchmark's placement does to lane 0, and what `taskset -c 0` does to
+  # any run.
   # A waiter that yields hands the CPU to whoever it waits for; one that
   # spins burns its whole time slice per handoff and times out here
   # (measured on one CPU: pool tests 0.2 s yielding vs 22 s spinning,
   # round_modes 36 s vs 351 s). On one CPU the coordinator also takes back
   # nearly every ticket it offered (`WorkerPool::help_round`) — the path a
   # multi-CPU run rarely takes — so the engine's own tests run here too.
+  # A session's lanes outlive its loops and poll while the coordinator runs
+  # the sequential code between them, so the session tests run here as well.
   cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//') # first allowed CPU
   taskset -c "$cpu" timeout 15 cargo test --quiet -p alter-runtime pool::
   taskset -c "$cpu" timeout 60 cargo test --quiet -p alter-runtime engine::
+  taskset -c "$cpu" timeout 60 cargo test --quiet -p alter-infer session
   taskset -c "$cpu" timeout 180 cargo test --quiet --test round_modes
 fi
 

@@ -10,8 +10,8 @@
 //! counters included, is part of the observable semantics and is compared
 //! exactly. Direct final-heap equality across drivers is asserted at the
 //! engine level (`alter-runtime`'s
-//! `threaded_and_sequential_drivers_are_identical`); here each workload's
-//! output is the heap projection being compared.
+//! `coordinator_and_lane_both_execute_tickets_and_leave_no_trace_of_it`);
+//! here each workload's output is the heap projection being compared.
 
 use alter::heap::{Heap, ObjData};
 use alter::infer::ProgramOutput;
