@@ -190,6 +190,31 @@ impl ObjData {
         }
     }
 
+    /// Makes `self` a copy of `src` in place: its words are dropped and
+    /// `src`'s copied in, so the buffer is reallocated only if it is shorter
+    /// than `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kinds differ.
+    pub(crate) fn refill_from(&mut self, src: ObjRef<'_>) {
+        match (self, src) {
+            (ObjData::F64(dst), ObjRef::F64(s)) => {
+                dst.clear();
+                dst.extend_from_slice(s);
+            }
+            (ObjData::I64(dst), ObjRef::I64(s)) => {
+                dst.clear();
+                dst.extend_from_slice(s);
+            }
+            (dst, src) => panic!(
+                "type error: cannot refill {} object from {}",
+                dst.kind(),
+                src.kind()
+            ),
+        }
+    }
+
     /// Copies the words in `lo..hi` from `src` into `self` (see
     /// [`ObjMut::copy_range_from`]).
     ///

@@ -33,9 +33,11 @@
 //! copied from the snapshot or written by this transaction, and a
 //! transaction that changes 4 words of an 8 192-word array copies one block
 //! of it, not 64 KiB. An object whose blocks are all valid drops its mask
-//! position, and shorter objects are cloned whole on first write: the copy
-//! is cheaper than the mask. Conflict detection is untouched by any of
-//! this — access sets stay word ranges keyed by allocation.
+//! position. Shorter objects are copied whole on first write, into a
+//! recycled buffer of the same kind that is emptied and refilled from the
+//! snapshot: the copy is cheaper than the mask. Conflict detection is
+//! untouched by any of this — access sets stay word ranges keyed by
+//! allocation.
 //!
 //! The unfilled copy is a recycled buffer of the same kind and length when
 //! the spent [`TxEffects`] the transaction was built in carry one (a private
@@ -43,7 +45,10 @@
 //! allocation otherwise; either way it is initialised memory, and which one
 //! it was cannot be observed: blocks that were never made valid are never
 //! read, by the transaction or by [`crate::Heap::commit`], which copies the
-//! write set's ranges and nothing else out of the private copy.
+//! write set's ranges and nothing else out of the private copy. A short
+//! copy's buffer may be of any length — it is refilled to its object's —
+//! and a new one is allocated only when the spent effects carry none of its
+//! kind, so a warm transaction allocates no private copy at all.
 //!
 //! # Access sets are built from a log
 //!
@@ -95,11 +100,16 @@ use std::collections::hash_map::{Entry, VacantEntry};
 /// Words per block of a lazily filled private copy.
 const BLOCK_WORDS: usize = 64;
 
-/// Objects up to this many words are cloned whole on their first write.
+/// Objects up to this many words are copied whole on their first write.
 const EAGER_MAX_WORDS: usize = 2 * BLOCK_WORDS;
 
-/// Spent private copies one [`TxEffects`] keeps for reuse.
+/// Spent long private copies one [`TxEffects`] keeps for reuse.
 const SPARE_MAX: usize = 8;
+
+/// Spent short private copies one [`TxEffects`] keeps for reuse: as many as
+/// the workloads' tickets write (a Genome ticket of 16 inserts writes up to
+/// 16 buckets).
+const SHORT_SPARE_MAX: usize = 16;
 
 /// Where one partly filled private copy stands.
 #[derive(Debug)]
@@ -205,28 +215,43 @@ pub(crate) struct CowScratch {
     /// Validity masks of this transaction's lazy copies, one bit per block,
     /// appended on first write and dropped together at the end.
     bits: Vec<u64>,
-    /// Spent private copies: initialised buffers whose contents mean nothing.
+    /// Spent long private copies: initialised buffers whose contents mean
+    /// nothing.
     spare: Vec<ObjData>,
+    /// Spent short private copies, likewise; any length, refilled whole.
+    short: Vec<ObjData>,
 }
 
 impl CowScratch {
-    /// Keeps `data`'s buffer for a later private copy if it is one that
-    /// would be made lazily and there is room.
+    /// Keeps `data`'s buffer for a later private copy of its size class if
+    /// there is room.
     fn recycle(&mut self, data: ObjData) {
-        if data.len() > EAGER_MAX_WORDS && self.spare.len() < SPARE_MAX {
-            self.spare.push(data);
+        let (spares, max) = if data.len() > EAGER_MAX_WORDS {
+            (&mut self.spare, SPARE_MAX)
+        } else {
+            (&mut self.short, SHORT_SPARE_MAX)
+        };
+        if spares.len() < max {
+            spares.push(data);
         }
     }
 
-    /// A private copy of `src`, the snapshot's version of an object: a
-    /// whole clone if `src` is short, otherwise an initialised buffer of its
-    /// kind and length with no block valid yet ([`Local::words`] fills what
-    /// an access needs) — a spare if one fits, zeroes if none does.
+    /// A private copy of `src`, the snapshot's version of an object. If
+    /// `src` is short, a buffer of its kind refilled with all of its words:
+    /// a short spare if there is one, a new buffer if not. Otherwise an
+    /// initialised buffer of its kind and length with no block valid yet
+    /// ([`Local::words`] fills what an access needs): a spare if one fits,
+    /// zeroes if none does.
     fn private_copy(&mut self, src: ObjRef<'_>) -> Local {
         let (kind, len) = (src.kind(), src.len());
         if len <= EAGER_MAX_WORDS {
-            let (data, lazy) = (src.to_owned(), None);
-            return Local::Copy { data, lazy };
+            let mut data = match self.short.iter().rposition(|s| s.kind() == kind) {
+                Some(i) => self.short.swap_remove(i),
+                None if kind == ObjKind::F64 => ObjData::F64(Vec::new()),
+                None => ObjData::I64(Vec::new()),
+            };
+            data.refill_from(src);
+            return Local::Copy { data, lazy: None };
         }
         let fits = |s: &ObjData| s.kind() == kind && s.len() == len;
         let data = match self.spare.iter().position(fits) {
@@ -884,10 +909,10 @@ impl TxEffects {
 
     /// Empties the effects for the next transaction to be built in
     /// ([`Tx::with_buffers`]), keeping the containers' capacity and, as
-    /// spares, the long private copies — a committed transaction's as well
-    /// as a rejected one's, since [`crate::Heap::commit`] copies out of them
-    /// and leaves them here. Call it once the verdict is in and any commit
-    /// has been applied.
+    /// spares, the private copies — a committed transaction's as well as a
+    /// rejected one's, since [`crate::Heap::commit`] copies out of them and
+    /// leaves them here. Call it once the verdict is in and any commit has
+    /// been applied.
     pub fn reset(&mut self) {
         for (_, local) in self.overlay.drain() {
             if let Local::Copy { data, .. } = local {
@@ -920,7 +945,7 @@ mod tests {
     }
 
     /// Valid blocks of `id`'s private copy (all of them once it is complete
-    /// or was cloned whole).
+    /// or was copied whole).
     fn valid_blocks(tx: &Tx<'_>, id: ObjId) -> usize {
         let Local::Copy { data, lazy } = &tx.overlay[&id] else {
             panic!("{id} has no private copy");
@@ -1049,7 +1074,7 @@ mod tests {
 
     /// Every accessor on an id the transaction freed panics in the
     /// transaction and names the id, whether the object was untouched,
-    /// cloned whole or partly filled before the free.
+    /// copied whole or partly filled before the free.
     #[test]
     fn every_access_to_a_freed_object_panics_and_names_it() {
         type Access = fn(&mut Tx<'_>, ObjId);
@@ -1096,7 +1121,7 @@ mod tests {
         for ((short, long), accesses) in objs.into_iter().zip([&float[..], &integer[..]]) {
             let states = [
                 ("untouched", long),
-                ("cloned whole", short),
+                ("copied whole", short),
                 ("partly filled", long),
             ];
             for (n, (state, id)) in states.into_iter().enumerate() {
@@ -1540,6 +1565,10 @@ mod tests {
         // build their private copies in spent buffers full of earlier cases'
         // words.
         let (mut spent, mut with_spares) = (TxEffects::default(), 0);
+        // Short private copies made while the short spares held none of
+        // their kind but some of the other, and in a spare longer, shorter
+        // and as long as the object.
+        let (mut other_kind, mut longer, mut shorter, mut as_long) = (0, 0, 0, 0);
         // Fresh objects written and read back at once, freed at once, and
         // committed.
         let (mut fresh_written, mut fresh_freed, mut fresh_committed) = (0, 0, 0);
@@ -1559,6 +1588,12 @@ mod tests {
                 .collect();
             let snap = heap.snapshot();
             with_spares += usize::from(!spent.cow.spare.is_empty());
+            if case % 3 == 2 {
+                // Short spares of one kind only, so that copies of the
+                // other kind find none of theirs.
+                let keep = [ObjKind::F64, ObjKind::I64][case / 3 % 2];
+                spent.cow.short.retain(|s| s.kind() == keep);
+            }
             let mut tx = Tx::with_buffers(&snap, mode, ids(), u64::MAX, spent);
             let mut eager = EagerTx::new(&snap, mode);
             let mut live: Vec<usize> = (0..objs.len()).collect();
@@ -1567,6 +1602,9 @@ mod tests {
                 let o = live[at];
                 let (id, float, len) = objs[o];
                 let ctx = format!("case {case} step {step} {mode:?} obj {o}");
+                let short_spares: Vec<(ObjKind, usize)> =
+                    tx.cow.short.iter().map(|s| (s.kind(), s.len())).collect();
+                let had_entry = tx.overlay.contains_key(&id);
                 match rng.below(21) {
                     // A guarded row: reads of the shared row and of the
                     // private one, word by word and whole; writers with
@@ -1669,6 +1707,17 @@ mod tests {
                     }
                     _ => assert_eq!(tx.len(id), len, "{ctx}"),
                 }
+                let copied = matches!(tx.overlay.get(&id), Some(Local::Copy { .. }));
+                if !had_entry && copied && len <= EAGER_MAX_WORDS {
+                    // The spare `CowScratch::private_copy` took, if any.
+                    let kind = if float { ObjKind::F64 } else { ObjKind::I64 };
+                    match short_spares.iter().rev().find(|s| s.0 == kind) {
+                        None => other_kind += usize::from(!short_spares.is_empty()),
+                        Some(&(_, n)) if n > len => longer += 1,
+                        Some(&(_, n)) if n < len => shorter += 1,
+                        Some(_) => as_long += 1,
+                    }
+                }
             }
             // A freed object is gone: any access to it panics in the
             // transaction, names it, and leaves the transaction as it was.
@@ -1726,6 +1775,11 @@ mod tests {
             spent = fx;
         }
         assert!(with_spares > 0, "no case was built on a spare");
+        let short = [other_kind, longer, shorter, as_long];
+        assert!(
+            short.iter().all(|&n| n > 10),
+            "short copies by the spare they were made in: {short:?}"
+        );
         let fresh = [fresh_written, fresh_freed, fresh_committed];
         assert!(
             fresh.iter().all(|&n| n > 10),
@@ -1887,7 +1941,7 @@ mod tests {
         assert_eq!(valid_blocks(&tx, big), 2, "of {}", 8192 / BLOCK_WORDS);
         assert_eq!(tx.read_i64(big, 8191), 8191, "a read fills its own block");
         assert_eq!(valid_blocks(&tx, big), 3);
-        // Two blocks or fewer: cloned whole, as before.
+        // Two blocks or fewer: copied whole, as before.
         tx.write_i64(small, 0, -1);
         assert_eq!(valid_blocks(&tx, small), 2);
         // An object with no invalid block left drops out of the bookkeeping.
@@ -1900,7 +1954,7 @@ mod tests {
 
     #[test]
     fn a_commit_copies_into_the_page_and_keeps_long_copies_for_reuse() {
-        // One object short enough to be cloned whole, one long enough to be
+        // One object short enough to be copied whole, one long enough to be
         // copied lazily; a whole write of each, then a partial one.
         for len in [EAGER_MAX_WORDS / 2, 3 * EAGER_MAX_WORDS] {
             for whole in [true, false] {
@@ -1924,11 +1978,12 @@ mod tests {
                 assert_eq!(h.get(a).i64s(), want, "{ctx}");
                 assert_eq!(h.get(a).i64s().as_ptr(), committed, "{ctx}: in place");
                 // The private copy the commit read is still in the effects,
-                // and resetting them keeps it as a spare if it is long.
+                // and resetting them keeps it as a spare of its size class.
                 assert_eq!(copy_of(&fx, a).i64s(), want, "{ctx}");
                 fx.reset();
                 let long = len > EAGER_MAX_WORDS;
                 assert_eq!(fx.cow.spare.len(), usize::from(long), "{ctx}: a spare");
+                assert_eq!(fx.cow.short.len(), usize::from(!long), "{ctx}: a spare");
             }
         }
     }

@@ -349,8 +349,10 @@ where
     let mut iters_out: Vec<IterAccess> = Vec::new();
     let mut ordinal: u64 = 0;
 
+    let mut iters = Vec::new();
     loop {
-        let iters = space.next_chunk(1);
+        iters.clear();
+        space.next_chunk(1, &mut iters);
         if iters.is_empty() {
             break;
         }

@@ -53,6 +53,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::thread::Scope;
 use std::time::Instant;
+use std::vec::Drain;
 
 /// Why a loop execution was aborted.
 #[derive(Clone, Debug, PartialEq)]
@@ -383,18 +384,27 @@ struct Ticket {
 struct Sequencer {
     next_seq: u64,
     retry: VecDeque<Ticket>,
+    /// Iteration lists of retired tickets, emptied, for fresh ones.
+    spare_iters: Vec<Vec<u64>>,
 }
 
 impl Sequencer {
-    /// Assembles the next round: re-queued tickets first (already in
-    /// ascending `seq` order), then fresh chunks up to the worker count.
-    /// Returns the round's tickets plus how many were freshly issued.
-    fn next_round(&mut self, space: &mut dyn IterSpace, params: &ExecParams) -> (Vec<Ticket>, u64) {
-        let mut tickets: Vec<Ticket> = self.retry.drain(..).collect();
+    /// Assembles the next round into `tickets`: re-queued tickets first
+    /// (already in ascending `seq` order), then fresh chunks up to the worker
+    /// count. Returns how many were freshly issued.
+    fn next_round(
+        &mut self,
+        space: &mut dyn IterSpace,
+        params: &ExecParams,
+        tickets: &mut Vec<Ticket>,
+    ) -> u64 {
+        tickets.extend(self.retry.drain(..));
         let mut fresh = 0;
         while tickets.len() < params.workers && !space.is_exhausted() {
-            let iters = space.next_chunk(params.chunk);
+            let mut iters = self.spare_iters.pop().unwrap_or_default();
+            space.next_chunk(params.chunk, &mut iters);
             if iters.is_empty() {
+                self.spare_iters.push(iters);
                 break;
             }
             tickets.push(Ticket {
@@ -404,13 +414,25 @@ impl Sequencer {
             self.next_seq += 1;
             fresh += 1;
         }
-        (tickets, fresh)
+        fresh
+    }
+
+    /// Keeps a committed ticket's iteration list for a later fresh one.
+    fn recycle(&mut self, mut ticket: Ticket) {
+        ticket.iters.clear();
+        self.spare_iters.push(ticket.iters);
     }
 }
 
-/// What one executed ticket hands the coordinator: its effects and
-/// reduction deltas, or the error its body raised.
-type TaskOutcome = Result<(TxEffects, Vec<RedDelta>), RunError>;
+/// A transaction's containers: its effects and its reduction deltas. An
+/// executed ticket hands them to the coordinator full; once retired, they
+/// come back emptied ([`TxEffects::reset`]) for a later ticket to build its
+/// transaction and reduction locals in.
+type Buffers = (TxEffects, Vec<RedDelta>);
+
+/// What one executed ticket hands the coordinator: its filled buffers, or
+/// the error its body raised.
+type TaskOutcome = Result<Buffers, RunError>;
 
 /// The message a caught panic carries.
 pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -451,12 +473,15 @@ impl RunError {
 /// One round as the coordinator hands it to a driver. A driver consumes it
 /// — snapshot included, so no view of the round outlives its execution and
 /// the commits that follow write in place (`Heap::commit`) — and
-/// returns one `(ticket, outcome)` per ticket, in ticket order.
-struct RoundInput {
+/// appends one `(ticket, outcome)` per ticket, in ticket order, to the
+/// outcome buffer it is given. The tickets and their buffers are drained
+/// out of the coordinator's vectors, which keep their capacity for the next
+/// round.
+struct RoundInput<'c> {
     snap: Snapshot,
-    tickets: Vec<Ticket>,
-    /// One reset [`TxEffects`] per ticket, to build its transaction in.
-    spent: Vec<TxEffects>,
+    tickets: Drain<'c, Ticket>,
+    /// One reset set of [`Buffers`] per ticket, to build its transaction in.
+    spent: Drain<'c, Buffers>,
     /// The heap's high water at snapshot time (base of the id reservations).
     base: u32,
     /// The reduction variables' values as of the round's start. Workers
@@ -465,14 +490,14 @@ struct RoundInput {
     reds: Arc<[RedVal]>,
 }
 
-impl RoundInput {
+impl<'c> RoundInput<'c> {
     /// Splits the round into one self-contained job per ticket. The
     /// snapshot and reduction registry ride along as cheap shared handles;
     /// everything else is owned by exactly one job.
-    fn into_jobs(self) -> impl Iterator<Item = Job> {
+    fn into_jobs(self) -> impl ExactSizeIterator<Item = Job> + 'c {
         debug_assert_eq!(self.tickets.len(), self.spent.len());
         let (snap, base, reds) = (self.snap, self.base, self.reds);
-        let jobs = self.tickets.into_iter().zip(self.spent);
+        let jobs = self.tickets.zip(self.spent);
         jobs.map(move |(ticket, spent)| Job {
             snap: snap.clone(),
             ticket,
@@ -488,7 +513,7 @@ impl RoundInput {
 struct Job {
     snap: Snapshot,
     ticket: Ticket,
-    spent: TxEffects,
+    spent: Buffers,
     base: u32,
     reds: Arc<[RedVal]>,
 }
@@ -505,9 +530,10 @@ fn run_job<B: LoopBody + ?Sized>(
 ) -> (Ticket, TaskOutcome) {
     let ids = IdReservation::new(job.base, worker, params.workers, DEFAULT_BLOCK_SIZE);
     let mode = params.conflict.track_mode();
+    let (effects, deltas) = job.spent;
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let tx = Tx::with_buffers(&job.snap, mode, ids, params.budget_words, job.spent);
-        let locals = RedLocals::for_values(&params.reductions, &job.reds);
+        let tx = Tx::with_buffers(&job.snap, mode, ids, params.budget_words, effects);
+        let locals = RedLocals::for_values(&params.reductions, &job.reds, deltas);
         let mut ctx = TxCtx::new(tx, locals);
         for &i in &job.ticket.iters {
             body.run_iter(&mut ctx, i);
@@ -542,7 +568,7 @@ fn first_conflict(
 /// the transaction it lost to.
 struct Validator {
     policy: ConflictPolicy,
-    writers: Vec<(u64, TxEffects)>,
+    writers: Vec<(u64, Buffers)>,
 }
 
 impl Validator {
@@ -562,7 +588,7 @@ impl Validator {
     fn check(&self, effects: &TxEffects) -> (u64, Option<ConflictDetail>) {
         let tracked = effects.reads.words() + effects.writes.words();
         let mut validate_words = 0;
-        for &(winner_seq, ref earlier) in &self.writers {
+        for &(winner_seq, (ref earlier, _)) in &self.writers {
             validate_words += earlier.writes.words().min(tracked);
             if let Some((kind, obj, word)) = first_conflict(self.policy, effects, &earlier.writes) {
                 let lost = ConflictDetail {
@@ -577,20 +603,20 @@ impl Validator {
         (validate_words, None)
     }
 
-    /// Remembers a committed transaction's effects — its write set is what
+    /// Remembers a committed transaction's buffers — its write set is what
     /// later tickets are checked against — with its sequence number, so a
     /// later conflict can name the transaction it lost to.
-    fn admit(&mut self, seq: u64, effects: TxEffects) {
-        self.writers.push((seq, effects));
+    fn admit(&mut self, seq: u64, committed: Buffers) {
+        self.writers.push((seq, committed));
     }
 
     /// The log is only meaningful within a round (earlier rounds are
     /// already visible in the next snapshot): hands each committer's
-    /// effects, reset, to `spent`.
-    fn end_round(&mut self, spent: &mut Vec<TxEffects>) {
-        for (_, mut effects) in self.writers.drain(..) {
-            effects.reset();
-            spent.push(effects);
+    /// buffers, reset, to `spent`.
+    fn end_round(&mut self, spent: &mut Vec<Buffers>) {
+        for (_, mut committed) in self.writers.drain(..) {
+            committed.0.reset();
+            spent.push(committed);
         }
     }
 }
@@ -646,10 +672,9 @@ pub(crate) fn run_loop_engine<'env, B: LoopBody + Send + 'env>(
     let Some(Lanes(pool)) = lanes else {
         // Sequential driver: every job runs inline, in ticket order, before
         // the first one retires.
-        let exec = |round: RoundInput| {
+        let exec = |round: RoundInput<'_>, out: &mut Vec<(Ticket, TaskOutcome)>| {
             let jobs = round.into_jobs().enumerate();
-            jobs.map(|(worker, job)| run_job(worker, job, params, &body))
-                .collect()
+            out.extend(jobs.map(|(worker, job)| run_job(worker, job, params, &body)));
         };
         return run_rounds(heap, reds, space, params, exec, observer);
     };
@@ -661,9 +686,9 @@ pub(crate) fn run_loop_engine<'env, B: LoopBody + Send + 'env>(
     let owned = Arc::clone(params);
     let pass: Pass<'env> = Arc::new(move |worker, job| run_job(worker, job, &owned, &body));
     let (handoffs, helped) = (pool.round_handoffs(), pool.helped());
-    let exec = |round: RoundInput| {
+    let exec = |round: RoundInput<'_>, out: &mut Vec<(Ticket, TaskOutcome)>| {
         let jobs = round.into_jobs().map(|job| (Arc::clone(&pass), job));
-        pool.help_round(jobs.collect(), run_pass)
+        pool.help_round(jobs, run_pass, out);
     };
     let mut result = run_rounds(heap, reds, space, params, exec, observer);
     if let Ok(stats) = &mut result {
@@ -683,7 +708,7 @@ fn run_rounds(
     reds: &mut RedVars,
     space: &mut dyn IterSpace,
     params: &ExecParams,
-    mut exec: impl FnMut(RoundInput) -> Vec<(Ticket, TaskOutcome)>,
+    mut exec: impl FnMut(RoundInput<'_>, &mut Vec<(Ticket, TaskOutcome)>),
     observer: &mut dyn RoundObserver,
 ) -> Result<RunStats, RunError> {
     // A reduction policy some merge would fail is an invalid annotation:
@@ -692,25 +717,33 @@ fn run_rounds(
         .check_policy(&params.reductions)
         .map_err(RunError::Crash);
     let mut co = Coordinator::new(heap, reds, params);
+    let wall = co.wall;
+    // The round's outcomes, drained as they retire; kept across rounds.
+    let mut outcomes = Vec::new();
     let mut run = || -> Result<(), RunError> {
-        while let Some(round) = co.begin_round(space) {
-            let outcomes = timed(co.wall, Phase::Execute, || exec(round));
-            for (worker, (ticket, outcome)) in outcomes.into_iter().enumerate() {
+        loop {
+            let Some(round) = co.begin_round(space) else {
+                return Ok(());
+            };
+            timed(wall, Phase::Execute, || exec(round, &mut outcomes));
+            for (worker, (ticket, outcome)) in outcomes.drain(..).enumerate() {
                 co.retire(worker, ticket, outcome)?;
             }
             co.end_round(observer)?;
         }
-        Ok(())
     };
     let result = typed.and_then(|()| run());
     co.finish(result)
 }
 
 /// Everything about a run that does not depend on how a round's jobs are
-/// driven, on the calling thread: the ticket source, the spent effects, the
+/// driven, on the calling thread: the ticket source, the spent buffers, the
 /// validator, the heap and reduction registry that commits go to, and the
 /// books — statistics, the round's phase ledger and task reports, recorder
 /// and wall profile. Its methods are the stages [`run_rounds`] sequences.
+/// The containers a round fills are its fields (the outcomes are
+/// [`run_rounds`]' own), emptied and refilled round after round, so a warm
+/// round allocates none.
 struct Coordinator<'a> {
     heap: &'a mut Heap,
     reds: &'a mut RedVars,
@@ -721,11 +754,16 @@ struct Coordinator<'a> {
     wall: Option<&'a WallProfile>,
     stats: RunStats,
     validator: Validator,
-    /// Cross-round recycling: the effects of finished transactions, reset
+    /// Cross-round recycling: the buffers of finished transactions, reset
     /// (emptied, capacity intact), each the containers of a later ticket's
     /// transaction. Only touched on this thread, and only capacity is
     /// reused, never contents, so recycling cannot perturb determinism.
-    spent: Vec<TxEffects>,
+    spent: Vec<Buffers>,
+    /// The tickets of the round being issued.
+    tickets: Vec<Ticket>,
+    /// The reduction values the round's jobs read; rewritten in place once
+    /// the last job of the round before has dropped its handle.
+    red_vals: Arc<[RedVal]>,
     /// Phase ledger of the round in flight.
     costs: PhaseCosts,
     /// Set by the round's first in-order validation failure: every later
@@ -740,6 +778,7 @@ struct Coordinator<'a> {
 
 impl<'a> Coordinator<'a> {
     fn new(heap: &'a mut Heap, reds: &'a mut RedVars, params: &'a ExecParams) -> Self {
+        let red_vals = reds.values().into();
         Coordinator {
             heap,
             reds,
@@ -749,6 +788,8 @@ impl<'a> Coordinator<'a> {
             stats: RunStats::default(),
             validator: Validator::new(params.conflict),
             spent: Vec::new(),
+            tickets: Vec::new(),
+            red_vals,
             costs: PhaseCosts::default(),
             squashed_by: None,
             reports: Vec::new(),
@@ -760,8 +801,9 @@ impl<'a> Coordinator<'a> {
     /// (re-queued tickets first, then fresh chunks), establishes its
     /// snapshot and announces it. `None` once the space is exhausted and
     /// nothing is left to retry.
-    fn begin_round(&mut self, space: &mut dyn IterSpace) -> Option<RoundInput> {
-        let (tickets, fresh) = self.sequencer.next_round(space, self.params);
+    fn begin_round(&mut self, space: &mut dyn IterSpace) -> Option<RoundInput<'_>> {
+        let tickets = &mut self.tickets;
+        let fresh = self.sequencer.next_round(space, self.params, tickets);
         if tickets.is_empty() {
             return None;
         }
@@ -796,16 +838,23 @@ impl<'a> Coordinator<'a> {
                 });
             }
         }
+        // The last `reused` spent buffers, then fresh ones, in that order.
         let reused = tickets.len().min(self.spent.len());
         self.stats.pool_reuses += reused as u64;
-        let mut spent = self.spent.split_off(self.spent.len() - reused);
-        spent.resize_with(tickets.len(), TxEffects::default);
+        let first = self.spent.len() - reused;
+        self.spent
+            .resize_with(first + tickets.len(), Buffers::default);
+        let vals = self.reds.values();
+        match Arc::get_mut(&mut self.red_vals) {
+            Some(mine) if mine.len() == vals.len() => mine.copy_from_slice(vals),
+            _ => self.red_vals = vals.into(),
+        }
         Some(RoundInput {
-            spent,
-            base: self.heap.high_water(),
-            reds: self.reds.values().into(),
             snap,
-            tickets,
+            tickets: tickets.drain(..),
+            spent: self.spent.drain(first..),
+            base: self.heap.high_water(),
+            reds: Arc::clone(&self.red_vals),
         })
     }
 
@@ -870,12 +919,13 @@ impl<'a> Coordinator<'a> {
             });
         }
         if squashed || conflict.is_some() {
-            self.requeue(task, effects, conflict);
+            self.requeue(task, (effects, deltas), conflict);
         } else {
             report.committed = true;
             timed(self.wall, Phase::Commit, || {
-                self.commit(&task, effects, footprint, &deltas, &report)
+                self.commit(&task, (effects, deltas), footprint, &report)
             })?;
+            self.sequencer.recycle(task);
         }
         self.reports.push(report);
         Ok(())
@@ -885,7 +935,7 @@ impl<'a> Coordinator<'a> {
     /// back to the sequencer for the next round; under
     /// [`CommitOrder::InOrder`] a loser also squashes every later ticket of
     /// this one.
-    fn requeue(&mut self, task: Ticket, mut effects: TxEffects, conflict: Option<ConflictDetail>) {
+    fn requeue(&mut self, task: Ticket, mut spent: Buffers, conflict: Option<ConflictDetail>) {
         if let Some(rec) = self.rec {
             rec.record(match (conflict, self.squashed_by) {
                 (Some(c), _) => Event::ValidateConflict {
@@ -906,25 +956,25 @@ impl<'a> Coordinator<'a> {
         }
         self.stats.tickets_requeued += 1;
         self.sequencer.retry.push_back(task);
-        effects.reset();
-        self.spent.push(effects);
+        spent.0.reset();
+        self.spent.push(spent);
     }
 
     /// Commits a validated ticket: applies its writes to the heap in place,
     /// merges its reduction deltas, books and announces it, and admits its
-    /// write set to the validator. `footprint` is that of `effects`. A write
+    /// write set to the validator. `footprint` is that of the effects. A write
     /// into or a free of an object an earlier committer of the round freed
     /// is a crash, and leaves the heap, the reduction registry, the books
     /// and the trace as they were.
     fn commit(
         &mut self,
         task: &Ticket,
-        effects: TxEffects,
+        committed: Buffers,
         footprint: Footprint,
-        deltas: &[RedDelta],
         report: &TaskReport,
     ) -> Result<(), RunError> {
-        self.heap.commit(&effects).map_err(|id| {
+        let (effects, deltas) = &committed;
+        self.heap.commit(effects).map_err(|id| {
             RunError::Crash(format!(
                 "commit into {id}, which an earlier committer of the round freed"
             ))
@@ -955,7 +1005,7 @@ impl<'a> Coordinator<'a> {
                 });
             }
         }
-        self.validator.admit(task.seq, effects);
+        self.validator.admit(task.seq, committed);
         Ok(())
     }
 
@@ -1792,6 +1842,49 @@ mod tests {
         }
     }
 
+    /// The exact counts of a two-worker conflicting loop with a reduction,
+    /// pinned under both drivers: how many transactions were built in spent
+    /// effects (`pool_reuses`), retried and re-queued. Recycling more of a
+    /// round's containers changes none of them.
+    #[test]
+    fn a_two_worker_conflicting_loop_reuses_exactly_the_effects_it_hands_back() {
+        for threaded in [false, true] {
+            let mut heap = Heap::new();
+            let xs = heap.alloc(ObjData::zeros_i64(48));
+            let shared = heap.alloc(ObjData::scalar_i64(0));
+            let mut reds = RedVars::new();
+            let sum = reds.declare("sum", RedVal::I64(0));
+            let mut p = params(2, 1, ConflictPolicy::Waw, CommitOrder::OutOfOrder);
+            p.reductions = vec![(sum, RedOp::Add)];
+            let stats = one_loop(
+                &mut heap,
+                &mut reds,
+                &mut RangeSpace::new(0, 48),
+                &p,
+                threaded,
+                |ctx: &mut TxCtx<'_>, i| {
+                    ctx.red_add(sum, RedVal::I64(i as i64));
+                    ctx.tx.write_i64(xs, i as usize, 1);
+                    if i % 3 != 1 {
+                        let s = ctx.tx.read_i64(shared, 0);
+                        ctx.tx.write_i64(shared, 0, s + 1);
+                    }
+                },
+                &mut NullObserver,
+            )
+            .unwrap();
+            let counts = (
+                stats.rounds,
+                stats.attempts,
+                stats.tickets_requeued,
+                stats.pool_reuses,
+            );
+            assert_eq!(counts, (32, 63, 15, 61), "threaded {threaded}");
+            assert_eq!(reds.get(sum), RedVal::I64((0..48).sum()));
+            assert_eq!(heap.get(shared).i64s(), &[32]);
+        }
+    }
+
     /// `avg_rw_words` is well-defined (0.0, not NaN) when nothing ran.
     #[test]
     fn avg_rw_words_of_empty_run_is_zero() {
@@ -1942,7 +2035,7 @@ mod tests {
             for (seq, lo, hi) in [(10, 0, 2), (11, 64, 80), (12, 128, 132)] {
                 let mut earlier = TxEffects::default();
                 earlier.writes.insert(xs, lo, hi);
-                validator.admit(seq, earlier);
+                validator.admit(seq, (earlier, Vec::new()));
             }
             let ids = IdReservation::new(heap.high_water(), 0, 1, 8);
             let mut tx = Tx::new(&snap, policy.track_mode(), ids, u64::MAX);
@@ -2045,7 +2138,7 @@ mod tests {
                     for &(o, lo, hi) in w {
                         earlier.writes.insert(o, lo as u32, hi as u32);
                     }
-                    validator.admit(seq as u64, earlier);
+                    validator.admit(seq as u64, (earlier, Vec::new()));
                 }
                 let ids = IdReservation::new(heap.high_water(), 0, 1, 8);
                 let mut tx = Tx::new(&snap, policy.track_mode(), ids, u64::MAX);

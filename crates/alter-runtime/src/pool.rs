@@ -115,7 +115,9 @@ struct Worker<J, R> {
 /// std::thread::scope(|scope| {
 ///     let mut pool = alter_runtime::WorkerPool::new(scope, 4, &square);
 ///     assert_eq!(pool.run_round(vec![1, 2, 3]), vec![1, 4, 9]);
-///     assert_eq!(pool.help_round(vec![5, 6], &square), vec![25, 36]);
+///     let mut out = Vec::new();
+///     pool.help_round(vec![5, 6], &square, &mut out);
+///     assert_eq!(out, vec![25, 36]);
 ///     assert!(pool.run_round(Vec::new()).is_empty());
 ///     assert_eq!(pool.round_handoffs(), 2); // one per non-empty round
 ///     assert!((1..=2).contains(&pool.helped())); // job 5 ran right here
@@ -256,8 +258,11 @@ impl<J, R> WorkerPool<J, R> {
     /// to lane *i*, and the caller — instead of only waiting — walks the
     /// tickets in order and runs `f(i, job)` itself for every job no lane
     /// has started yet. `f` must be the function the pool was built with.
-    /// Returns the results in job order once every job has finished; which
-    /// thread ran a job cannot be told from them.
+    /// Appends the results to `out` in job order and returns once every job
+    /// has finished; which thread ran a job cannot be told from them. The
+    /// jobs are offered as `jobs` yields them and the results land in the
+    /// caller's buffer, so a caller that keeps its buffers allocates nothing
+    /// for a round.
     ///
     /// Ticket 0 is the first the caller reaches, so lane 0 is not woken for
     /// it: an offer there would only keep one more thread runnable, on what
@@ -269,7 +274,12 @@ impl<J, R> WorkerPool<J, R> {
     /// As [`WorkerPool::run_round`]; a panic of `f` on the caller's thread
     /// passes through, with the rest of the round taken back or awaited so
     /// the lanes stay aligned.
-    pub fn help_round(&mut self, jobs: Vec<J>, f: impl Fn(usize, J) -> R) -> Vec<R> {
+    pub fn help_round<I>(&mut self, jobs: I, f: impl Fn(usize, J) -> R, out: &mut Vec<R>)
+    where
+        I: IntoIterator<Item = J>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let jobs = jobs.into_iter();
         let n = jobs.len();
         self.begin_round(n);
         for (i, (lane, job)) in self.workers.iter().zip(jobs).enumerate() {
@@ -285,7 +295,6 @@ impl<J, R> WorkerPool<J, R> {
             next: 0,
             n,
         };
-        let mut out = Vec::with_capacity(n);
         while stream.next < n {
             let i = stream.next;
             out.push(match exchange(&stream.pool.workers[i].cell, None) {
@@ -298,7 +307,6 @@ impl<J, R> WorkerPool<J, R> {
                 None => stream.next_ticket().expect("ticket i < n"),
             });
         }
-        out
     }
 }
 
@@ -546,6 +554,17 @@ mod tests {
         });
     }
 
+    /// One helped round's results, in a buffer of their own.
+    fn help<R>(
+        pool: &mut WorkerPool<u64, R>,
+        jobs: Vec<u64>,
+        f: &impl Fn(usize, u64) -> R,
+    ) -> Vec<R> {
+        let mut out = Vec::new();
+        pool.help_round(jobs, f, &mut out);
+        out
+    }
+
     /// Whether the calling thread is one of a pool's lanes.
     fn on_a_lane() -> bool {
         let me = std::thread::current();
@@ -576,7 +595,7 @@ mod tests {
                 std::thread::scope(|scope| {
                     let mut pool = WorkerPool::new(scope, lanes, &f);
                     for round in 0..10_000u64 {
-                        let out = pool.help_round(vec![round; lanes], &f);
+                        let out = help(&mut pool, vec![round; lanes], &f);
                         let expected: Vec<_> = (0..lanes).map(|w| (w, round)).collect();
                         assert_eq!(out, expected);
                         for job in &ran {
@@ -607,7 +626,7 @@ mod tests {
             };
             std::thread::scope(|scope| {
                 let mut pool = WorkerPool::new(scope, 2, &f);
-                let out = pool.help_round(vec![0, 0], &f);
+                let out = help(&mut pool, vec![0, 0], &f);
                 (pool.helped(), out)
             })
         });
@@ -626,7 +645,7 @@ mod tests {
                 // before a woken lane is.
                 std::thread::sleep(IDLE);
                 for round in 0..1000u64 {
-                    let out = pool.help_round(vec![round; 3], &f);
+                    let out = help(&mut pool, vec![round; 3], &f);
                     assert_eq!(out, vec![(0, round), (1, round), (2, round)]);
                 }
                 assert!(pool.helped() > 1000, "more than every round's job 0");
@@ -654,7 +673,7 @@ mod tests {
                     let mut pool = WorkerPool::new(scope, 3, &f);
                     // The unwind drops the round (settling job 2) and then
                     // the pool.
-                    pool.help_round(vec![1, 13, 3], &f);
+                    help(&mut pool, vec![1, 13, 3], &f);
                 });
             }))
         })
@@ -675,7 +694,7 @@ mod tests {
                     let mut pool = WorkerPool::new(scope, 3, &f);
                     for round in 0..100u64 {
                         let jobs = vec![u64::MAX, round, round];
-                        let unwound = catch_unwind(AssertUnwindSafe(|| pool.help_round(jobs, &f)));
+                        let unwound = catch_unwind(AssertUnwindSafe(|| help(&mut pool, jobs, &f)));
                         let message = crate::engine::panic_message(&*unwound.expect_err("job 0"));
                         assert!(message.contains("body blew up"), "{message}");
                         // Jobs 1 and 2 were taken back or awaited: a clean next
@@ -698,9 +717,9 @@ mod tests {
                 for round in (0..4000u64).step_by(4) {
                     // Most helped rounds leave a stale token behind (the
                     // caller was first); it must not be taken for a job.
-                    assert_eq!(pool.help_round(vec![round; 3], &f), all(round));
+                    assert_eq!(help(&mut pool, vec![round; 3], &f), all(round));
                     assert_eq!(pool.run_round(vec![round + 1; 3]), all(round + 1));
-                    assert_eq!(pool.help_round(vec![round + 2; 3], &f), all(round + 2));
+                    assert_eq!(help(&mut pool, vec![round + 2; 3], &f), all(round + 2));
                     let mut stream = pool.stream_round(vec![round + 3; 3]);
                     assert_eq!(stream.next_ticket(), Some((0, round + 3)));
                     drop(stream);

@@ -303,26 +303,29 @@ impl RedLocals {
     /// Builds the private copies for the active reductions, initialized
     /// from the committed values (the transaction's `oldSt`).
     pub fn for_policy(policy: &[(RedVarId, RedOp)], committed: &RedVars) -> Self {
-        Self::for_values(policy, committed.values())
+        Self::for_values(policy, committed.values(), Vec::new())
     }
 
     /// [`RedLocals::for_policy`] from the committed values alone
-    /// ([`RedVars::values`]), which is what a round ships to its lanes.
-    pub(crate) fn for_values(policy: &[(RedVarId, RedOp)], committed: &[RedVal]) -> Self {
-        RedLocals {
-            accs: policy
-                .iter()
-                .map(|&(var, op)| {
-                    let v = committed[var.0];
-                    RedDelta {
-                        var,
-                        op,
-                        old: v,
-                        new: v,
-                    }
-                })
-                .collect(),
-        }
+    /// ([`RedVars::values`]), which is what a round ships to its lanes,
+    /// built in `spent`: an earlier transaction's deltas, whose contents are
+    /// dropped and whose storage is reused.
+    pub(crate) fn for_values(
+        policy: &[(RedVarId, RedOp)],
+        committed: &[RedVal],
+        mut spent: Vec<RedDelta>,
+    ) -> Self {
+        spent.clear();
+        spent.extend(policy.iter().map(|&(var, op)| {
+            let v = committed[var.0];
+            RedDelta {
+                var,
+                op,
+                old: v,
+                new: v,
+            }
+        }));
+        RedLocals { accs: spent }
     }
 
     /// Applies the source-program update `var source_op= v` to the private

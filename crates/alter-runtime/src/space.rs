@@ -13,9 +13,10 @@ use std::ops::Range;
 /// Implementations must be deterministic: the same sequence of calls must
 /// yield the same chunks.
 pub trait IterSpace {
-    /// Returns the next chunk of at most `chunk` iteration identifiers, or
-    /// an empty vector when exhausted.
-    fn next_chunk(&mut self, chunk: usize) -> Vec<u64>;
+    /// Appends the next chunk of at most `chunk` iteration identifiers to
+    /// `out`, nothing when exhausted. The caller owns the buffer, so the
+    /// engine refills the same few for every chunk of a loop.
+    fn next_chunk(&mut self, chunk: usize, out: &mut Vec<u64>);
 
     /// Whether all iterations have been handed out.
     fn is_exhausted(&self) -> bool;
@@ -45,11 +46,10 @@ impl From<Range<u64>> for RangeSpace {
 }
 
 impl IterSpace for RangeSpace {
-    fn next_chunk(&mut self, chunk: usize) -> Vec<u64> {
+    fn next_chunk(&mut self, chunk: usize, out: &mut Vec<u64>) {
         let take = (self.end - self.cur).min(chunk.max(1) as u64);
-        let v: Vec<u64> = (self.cur..self.cur + take).collect();
+        out.extend(self.cur..self.cur + take);
         self.cur += take;
-        v
     }
 
     fn is_exhausted(&self) -> bool {
@@ -73,11 +73,10 @@ impl SeqSpace {
 }
 
 impl IterSpace for SeqSpace {
-    fn next_chunk(&mut self, chunk: usize) -> Vec<u64> {
+    fn next_chunk(&mut self, chunk: usize, out: &mut Vec<u64>) {
         let take = (self.items.len() - self.cur).min(chunk.max(1));
-        let v = self.items[self.cur..self.cur + take].to_vec();
+        out.extend_from_slice(&self.items[self.cur..self.cur + take]);
         self.cur += take;
-        v
     }
 
     fn is_exhausted(&self) -> bool {
@@ -89,24 +88,31 @@ impl IterSpace for SeqSpace {
 mod tests {
     use super::*;
 
+    /// The next chunk, in a buffer of its own.
+    fn chunk(s: &mut dyn IterSpace, n: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        s.next_chunk(n, &mut out);
+        out
+    }
+
     #[test]
     fn range_space_chunks_exactly_cover_the_range() {
         let mut s = RangeSpace::new(3, 11);
         let mut all = Vec::new();
         while !s.is_exhausted() {
-            let c = s.next_chunk(3);
+            let c = chunk(&mut s, 3);
             assert!(!c.is_empty() && c.len() <= 3);
             all.extend(c);
         }
         assert_eq!(all, (3..11).collect::<Vec<_>>());
-        assert!(s.next_chunk(3).is_empty());
+        assert!(chunk(&mut s, 3).is_empty());
     }
 
     #[test]
     fn empty_and_inverted_ranges() {
         let mut s = RangeSpace::new(5, 5);
         assert!(s.is_exhausted());
-        assert!(s.next_chunk(4).is_empty());
+        assert!(chunk(&mut s, 4).is_empty());
         let s = RangeSpace::new(9, 2);
         assert!(s.is_exhausted());
     }
@@ -114,15 +120,19 @@ mod tests {
     #[test]
     fn seq_space_yields_in_order() {
         let mut s = SeqSpace::new(vec![9, 7, 5]);
-        assert_eq!(s.next_chunk(2), vec![9, 7]);
+        assert_eq!(chunk(&mut s, 2), vec![9, 7]);
         assert!(!s.is_exhausted());
-        assert_eq!(s.next_chunk(2), vec![5]);
+        assert_eq!(chunk(&mut s, 2), vec![5]);
         assert!(s.is_exhausted());
     }
 
     #[test]
     fn chunk_of_zero_is_treated_as_one() {
         let mut s = RangeSpace::new(0, 2);
-        assert_eq!(s.next_chunk(0), vec![0]);
+        assert_eq!(chunk(&mut s, 0), vec![0]);
+        // The chunk is appended to what the buffer holds.
+        let mut out = vec![7];
+        s.next_chunk(1, &mut out);
+        assert_eq!(out, [7, 1]);
     }
 }

@@ -71,7 +71,9 @@ fn seq_cost(m: &CostModel, t: &TaskReport) -> f64 {
 pub struct SimObserver<'m> {
     model: &'m CostModel,
     clock: SimClock,
-    workers: usize,
+    /// One execution time per simulated core, zeroed every round and kept
+    /// between rounds.
+    worker_time: Vec<f64>,
 }
 
 impl<'m> SimObserver<'m> {
@@ -80,7 +82,7 @@ impl<'m> SimObserver<'m> {
         SimObserver {
             model,
             clock: SimClock::default(),
-            workers: workers.max(1),
+            worker_time: vec![0.0; workers.max(1)],
         }
     }
 
@@ -95,10 +97,12 @@ impl RoundObserver for SimObserver<'_> {
         let m = self.model;
         // Workers execute their transactions concurrently: the round's
         // execution phase lasts as long as its slowest worker.
-        let mut worker_time = vec![0.0f64; self.workers];
+        let worker_time = &mut self.worker_time;
+        worker_time.fill(0.0);
+        let workers = worker_time.len();
         let mut round_words = 0u64;
         for t in r.tasks {
-            worker_time[t.worker % self.workers] += exec_cost(m, t);
+            worker_time[t.worker % workers] += exec_cost(m, t);
             round_words += t.stats.read_words + t.stats.write_words + t.stats.traffic_words;
             // Only committed work advances the sequential baseline:
             // retried and squashed executions are parallel-only overhead.

@@ -39,8 +39,12 @@ use alter_runtime::{
 };
 use alter_sim::CostModel;
 
-/// What `KMeans::start` returns: the points, the heap, the registry, the
-/// feature objects, the membership array, the accumulators and `delta`.
+/// Features per point.
+const NFEATURES: usize = 8;
+
+/// What `KMeans::start` returns: the initial centres (the first
+/// `nclusters` points), the heap, the registry, the feature objects, the
+/// membership array, the accumulators and `delta`.
 type Start = (
     Vec<Vec<f64>>,
     Heap,
@@ -80,7 +84,7 @@ impl KMeans {
                 Scale::Paper => nclusters * 64,
             },
             nclusters,
-            nfeatures: 8,
+            nfeatures: NFEATURES,
             jitter: 3.0,
             threshold: 0.02,
             max_rounds: 30,
@@ -188,9 +192,12 @@ impl KMeans {
         let nf = self.nfeatures;
         move |ctx, iter| {
             let i = iter as usize;
-            // feature[i]: one range read of the point's heap object.
-            let fv: Vec<f64> = ctx.tx.with_f64s(feats[i], 0, nf, |s| s.to_vec());
-            let c = Self::nearest(&fv, &centers);
+            // feature[i]: one range read of the point's heap object, copied
+            // to the stack to outlive the read.
+            let mut fv = [0.0; NFEATURES];
+            let fv = &mut fv[..nf];
+            ctx.tx.with_f64s(feats[i], 0, nf, |s| fv.copy_from_slice(s));
+            let c = Self::nearest(fv, &centers);
             ctx.tx.work((centers.len() * nf) as u64);
             if ctx.tx.read_i64(membership, i) != c as i64 {
                 delta.add(ctx, 1.0);
@@ -211,20 +218,21 @@ impl KMeans {
     /// and one accumulator object per cluster.
     fn start(&self) -> Start {
         let features = self.features();
+        let centers = features[..self.nclusters].to_vec();
         let mut heap = Heap::new();
         let mut reds = RedVars::new();
         // Feature objects first: the cold read-only bulk of the heap stays
         // on its own snapshot pages, away from the hot state below.
         let feats = features
-            .iter()
-            .map(|f| heap.alloc(ObjData::F64(f.clone())))
+            .into_iter()
+            .map(|f| heap.alloc(ObjData::F64(f)))
             .collect();
         let membership = heap.alloc(ObjData::I64(vec![-1; self.npoints]));
         let accs = (0..self.nclusters)
             .map(|_| heap.alloc(ObjData::zeros_f64(self.nfeatures + 1)))
             .collect();
         let delta = BoundScalar::declare(&mut heap, &mut reds, "delta", RedVal::F64(0.0));
-        (features, heap, reds, feats, membership, accs, delta)
+        (centers, heap, reds, feats, membership, accs, delta)
     }
 
     /// Runs the full program under `probe`, charging virtual time under
@@ -237,9 +245,8 @@ impl KMeans {
     ///
     /// Propagates runtime aborts from any round.
     pub fn run_with_model(&self, probe: &Probe, model: &CostModel) -> Result<ProbeRun, RunError> {
-        let (features, mut heap, mut reds, feats, membership, accs, delta) = self.start();
+        let (mut centers, mut heap, mut reds, feats, membership, accs, delta) = self.start();
         probe.session(&mut reds, model, |mut session, reds| {
-            let mut centers: Vec<Vec<f64>> = features[..self.nclusters].to_vec();
             let mut rounds = 0;
             loop {
                 delta.seq_set(&mut heap, reds, RedVal::F64(0.0));
@@ -304,8 +311,7 @@ impl InferTarget for KMeans {
     }
 
     fn probe_summary(&self) -> LoopSummary {
-        let (features, mut heap, _, feats, membership, accs, delta) = self.start();
-        let centers: Vec<Vec<f64>> = features[..self.nclusters].to_vec();
+        let (centers, mut heap, _, feats, membership, accs, delta) = self.start();
         let body = self.body(&feats, centers, membership, &accs, delta);
         let mut s = summarize_dependences(
             &mut heap,

@@ -23,6 +23,12 @@ RUSTFLAGS="-D warnings" cargo build --release
 echo "== test (workspace) =="
 cargo test --workspace --quiet
 
+echo "== warm-transaction allocation gate, release profile =="
+# The wall benchmark runs the release profile, where the optimiser may
+# elide or keep allocation pairs differently than in the debug build the
+# workspace tests ran the gate in just above.
+cargo test --release --quiet --test loop_allocs
+
 echo "== bench targets (runtime_micro, ablations) =="
 # `cargo test --workspace` builds no `[[bench]]` target, so the assertions
 # inside them run only here: runtime_micro's NopRecorder contract (cost
