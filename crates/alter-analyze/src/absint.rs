@@ -11,7 +11,7 @@
 //!
 //! Two consumers sit on top:
 //!
-//! * [`static_verdict`] mirrors the classifier's taxonomy with a
+//! * [`static_verdict`] mirrors the dynamic predictor's [`Verdict`] with a
 //!   *two-sided* answer: [`StaticVerdict::ProvedSafe`] (the probe must
 //!   succeed — no loop-carried edges and the per-transaction footprint fits
 //!   the budget), [`StaticVerdict::ProvedUnsound`] (the probe must fail —
@@ -27,20 +27,17 @@
 //!
 //! The domain is deliberately small. A [`StrideInterval`] `⟨lo, hi, s⟩`
 //! concretises to `{lo, lo+s, …, hi}` (`s = 0` means the singleton `{lo}`);
-//! `join` falls back to the gcd congruence, `add`/`mul` are the standard
-//! sound transfer functions, and `widen` caps unstable bounds so chains
-//! stabilise. Seeded property tests in `tests/absint.rs` check soundness
-//! and monotonicity of all four against concrete u64 sets.
+//! `join` falls back to the gcd congruence and `add` is the standard sound
+//! transfer function. [`interpret`] evaluates each access once over the
+//! whole iteration interval, so no chain of joins needs widening. Seeded
+//! property tests in `tests/absint.rs` check both sound and monotone
+//! against concrete u64 sets.
 
 use crate::classify::Verdict;
 use alter_heap::ObjId;
 use alter_runtime::{ConflictPolicy, DepEdge, DepKind, ExecParams, LoopSummary, RedOp};
 use std::collections::BTreeSet;
 use std::fmt;
-
-/// Widening cap for upper bounds: any unstable `hi` jumps straight here,
-/// so a widening chain changes `hi` at most once.
-pub const WIDEN_TOP: u64 = u64::MAX >> 1;
 
 /// Greatest common divisor with the lattice convention `gcd(0, x) = x`.
 fn gcd(a: u64, b: u64) -> u64 {
@@ -160,42 +157,11 @@ impl StrideInterval {
         Self::norm(lo, hi, if lo == hi { 0 } else { stride.max(1) })
     }
 
-    /// Widening: like [`StrideInterval::join`], but any bound that moved
-    /// against `self` jumps to its extreme (`0` below, [`WIDEN_TOP`]
-    /// above), so iterated widening stabilises after at most two steps per
-    /// bound (strides only ever shrink through the gcd).
-    pub fn widen(&self, next: &StrideInterval) -> Self {
-        let j = self.join(next);
-        let lo = if next.lo < self.lo { 0 } else { j.lo };
-        let hi = if next.hi > self.hi { WIDEN_TOP } else { j.hi };
-        // Dropping `lo` re-anchors the congruence class: the join's
-        // elements (≡ j.lo mod j.stride) stay on the lattice only if the
-        // stride also divides the offset to the new anchor.
-        let stride = gcd(j.stride, j.lo - lo);
-        Self::norm(lo, hi, if lo == hi { 0 } else { stride.max(1) })
-    }
-
     /// Sound addition: `γ(a) + γ(b) ⊆ γ(a.add(b))` (element-wise sums).
     pub fn add(&self, other: &StrideInterval) -> Self {
         let lo = self.lo.saturating_add(other.lo);
         let hi = self.hi.saturating_add(other.hi);
         let stride = gcd(self.stride, other.stride);
-        Self::norm(lo, hi, if lo == hi { 0 } else { stride.max(1) })
-    }
-
-    /// Sound multiplication: `γ(a) · γ(b) ⊆ γ(a.mul(b))`. The congruence
-    /// follows from `(lo_a + i·s_a)(lo_b + j·s_b) ≡ lo_a·lo_b` modulo
-    /// `gcd(s_a·lo_b, s_b·lo_a, s_a·s_b)`.
-    pub fn mul(&self, other: &StrideInterval) -> Self {
-        let lo = self.lo.saturating_mul(other.lo);
-        let hi = self.hi.saturating_mul(other.hi);
-        let stride = gcd(
-            gcd(
-                self.stride.saturating_mul(other.lo),
-                other.stride.saturating_mul(self.lo),
-            ),
-            self.stride.saturating_mul(other.stride),
-        );
         Self::norm(lo, hi, if lo == hi { 0 } else { stride.max(1) })
     }
 }
@@ -767,7 +733,7 @@ pub fn interpret(spec: &LoopSpec) -> StaticSummary {
 }
 
 /// A two-sided static verdict for one probe, mirroring the dynamic
-/// classifier's taxonomy.
+/// predictor's [`Verdict`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StaticVerdict {
     /// The probe must succeed: no loop-carried edges exist (any commit
@@ -971,17 +937,6 @@ mod tests {
     }
 
     #[test]
-    fn widen_stabilises() {
-        let a = StrideInterval::range(4, 10);
-        let b = StrideInterval::range(2, 12);
-        let w = a.widen(&b);
-        assert_eq!((w.lo, w.hi), (0, WIDEN_TOP));
-        // A second widening against anything inside is a fixpoint.
-        assert_eq!(w.widen(&b), w);
-        assert_eq!(w.widen(&w), w);
-    }
-
-    #[test]
     fn add_and_mul_are_sound_on_examples() {
         let a = StrideInterval::affine(2, 1, 3); // {1, 3, 5}
         let b = StrideInterval::affine(4, 0, 2); // {0, 4}
@@ -989,12 +944,6 @@ mod tests {
         for x in [1u64, 3, 5] {
             for y in [0u64, 4] {
                 assert!(s.contains(x + y), "{} ∉ {s}", x + y);
-            }
-        }
-        let p = a.mul(&b);
-        for x in [1u64, 3, 5] {
-            for y in [0u64, 4] {
-                assert!(p.contains(x * y), "{} ∉ {p}", x * y);
             }
         }
     }

@@ -137,6 +137,21 @@ pub(crate) struct Derived {
     pub charge: u64,
 }
 
+/// Which sets `policy` validates, `(reads, writes)` (SEMANTICS.md §2.1):
+/// `Full` both, `Raw` the reads, `Waw` the writes, `None` neither. The
+/// engine's `first_conflict` answers the same question, and this copy is
+/// kept apart from it on purpose: a checker must not share a failure mode
+/// with the code it checks (ROADMAP aim 3), so a wrong row in the engine's
+/// policy match shows here as a verdict the sets do not imply.
+pub(crate) fn checked_sets(policy: ConflictPolicy) -> (bool, bool) {
+    match policy {
+        ConflictPolicy::Full => (true, true),
+        ConflictPolicy::Raw => (true, false),
+        ConflictPolicy::Waw => (false, true),
+        ConflictPolicy::None => (false, false),
+    }
+}
+
 /// The one verdict oracle: what a task's recorded sets earn against the
 /// round's writers committed ahead of it, `(seq, write set)` in commit
 /// order. The first writer with an overlap wins, reads are checked before
@@ -144,16 +159,16 @@ pub(crate) struct Derived {
 /// (object, word) order. The charge is what a scan of every earlier
 /// writer would compare — each costs the smaller of its write words and
 /// the task's tracked words — whatever scans the engine ran. The
-/// sanitizer audits the recorded verdicts with it; the checker re-derives
-/// every candidate order with it.
+/// sanitizer audits the recorded verdicts with it, the checker re-derives
+/// every candidate order with it, and `predict` validates each simulated
+/// chunk with it.
 pub(crate) fn derive(
     policy: ConflictPolicy,
     reads: &AccessSet,
     writes: &AccessSet,
     committed: &[(u64, &AccessSet)],
 ) -> Derived {
-    let reads_checked = matches!(policy, ConflictPolicy::Full | ConflictPolicy::Raw);
-    let writes_checked = matches!(policy, ConflictPolicy::Full | ConflictPolicy::Waw);
+    let (reads_checked, writes_checked) = checked_sets(policy);
     let conflict = committed.iter().find_map(|&(seq, cw)| {
         let raw = reads_checked.then(|| reads.first_overlap(cw)).flatten();
         let (kind, (obj, word)) = match raw {
@@ -193,7 +208,7 @@ struct DepGraph {
 /// under read-checking policies.
 fn dep_graph(tasks: &[TaskRecord], policy: ConflictPolicy) -> DepGraph {
     let n = tasks.len();
-    let reads_checked = matches!(policy, ConflictPolicy::Full | ConflictPolicy::Raw);
+    let (reads_checked, _) = checked_sets(policy);
     let mut g = DepGraph {
         n,
         dep: vec![false; n * n],
@@ -670,7 +685,7 @@ fn check_round(round: &Round, params: &ExecParams, max_schedules: u64) -> RoundO
         CommitOrder::OutOfOrder => factorial_sat(n),
     };
     out.explored = schedules.len() as u64;
-    let write_checked = matches!(params.conflict, ConflictPolicy::Full | ConflictPolicy::Waw);
+    let (_, write_checked) = checked_sets(params.conflict);
     for (si, sched) in schedules.iter().enumerate() {
         let identity = si == 0;
         let (derived, claims, clean) = audit_schedule(tasks, sched, identity, params);

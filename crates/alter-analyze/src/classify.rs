@@ -1,16 +1,15 @@
-//! Breakability classification and schedule-prediction verdicts.
+//! Schedule-prediction verdicts.
 //!
-//! Two exports. [`classify_edge`] answers the static question: can this
-//! dependence edge be *broken* — by snapshot isolation, by the StaleReads
-//! policy, or by routing the location through a reduction — or is it
-//! unbreakable? [`predict`] answers the dynamic question: under a given
-//! (conflict policy, commit order) and probe geometry, is the loop
-//! *provably* going to fail its probe? It simulates the runtime's exact
-//! lock-step round algorithm (retries drain first, validation in ascending
-//! task order against the round's committed write sets, in-order squash
-//! cascade) over the replay-derived per-chunk access sets, and converts
-//! the predicted retry rate and tracked-words footprint into conservative
-//! must-fail verdicts.
+//! [`predict`] answers one question: under a given (conflict policy,
+//! commit order) and probe geometry, is the loop *provably* going to fail
+//! its probe? It simulates the runtime's exact lock-step round algorithm
+//! (retries drain first, validation in ascending task order against the
+//! round's committed writers, in-order squash cascade) over the
+//! replay-derived per-chunk access sets, validating each chunk with
+//! `check::derive`, the crate's one verdict oracle, and converts the
+//! predicted retry rate and tracked-words footprint into conservative
+//! must-fail verdicts. Which dependences each annotation may break is
+//! [`lint`](mod@crate::lint)'s table (SEMANTICS.md §6).
 //!
 //! The contract is one-sided (see the crate docs): a [`Verdict::Unknown`]
 //! probe must still be run; a must-fail verdict skips it. Thresholds carry
@@ -18,10 +17,9 @@
 //! a retried task re-executes against a newer snapshot and may touch
 //! different words than the sequential replay saw.
 
+use crate::check::derive;
 use alter_heap::{AccessSet, ObjId};
-use alter_runtime::{
-    CommitOrder, ConflictPolicy, DepEdge, DepKind, ExecParams, LocationStats, LoopSummary, RedOp,
-};
+use alter_runtime::{CommitOrder, ConflictPolicy, ExecParams, LoopSummary};
 use std::collections::{BTreeSet, VecDeque};
 
 /// The paper's high-conflict threshold: a probe is `h.c.` when "more than
@@ -35,55 +33,6 @@ const PRUNE_MARGIN: f64 = 0.1;
 /// A chunk must track more than `OOM_FACTOR × budget_words` in the replay
 /// before the analyzer predicts an out-of-memory abort.
 const OOM_FACTOR: f64 = 2.0;
-
-/// How (whether) a dependence edge can be broken.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Breakability {
-    /// A WAR edge: broken by snapshot isolation alone, under every model —
-    /// writes land in private copies, earlier readers saw the snapshot.
-    Snapshot,
-    /// A RAW edge: the StaleReads policy commits through it (later
-    /// iterations read stale snapshot values); `OutOfOrder`/TLS validation
-    /// rejects it.
-    StaleReads,
-    /// Every access to the location flows through this one commutative
-    /// operator, so a `Reduction(var, op)` annotation breaks the edge by
-    /// merging private copies at commit.
-    Reduction(RedOp),
-    /// A WAW edge on a location that is not reduction-shaped: no
-    /// annotation commits through it soundly (StaleReads validation
-    /// rejects it; RAW validation would silently lose an update).
-    Unbreakable,
-}
-
-/// Whether the location's accesses all flow through exactly one reduction
-/// operator (scalar word 0 only, no plain reads or writes).
-///
-/// One caveat, inherited from the replay's operator log: an iteration that
-/// both applies the operator *and* separately reads the cell raw is
-/// indistinguishable from a purely reductive one. Such a probe still gets
-/// run (never pruned), and the paper's testing-as-correctness contract
-/// (§6) is the final arbiter either way.
-pub fn reduction_shaped(loc: &LocationStats) -> Option<RedOp> {
-    match loc.ops.as_slice() {
-        [op] if loc.plain_iters == 0 && loc.max_word == 0 => Some(*op),
-        _ => None,
-    }
-}
-
-/// Classifies one dependence edge of a summary (see [`Breakability`]).
-pub fn classify_edge(summary: &LoopSummary, edge: &DepEdge) -> Breakability {
-    if let Some(loc) = summary.location(edge.obj) {
-        if let Some(op) = reduction_shaped(loc) {
-            return Breakability::Reduction(op);
-        }
-    }
-    match edge.kind {
-        DepKind::War => Breakability::Snapshot,
-        DepKind::Raw => Breakability::StaleReads,
-        DepKind::Waw => Breakability::Unbreakable,
-    }
-}
 
 /// A conservative prediction for one probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,18 +148,6 @@ fn universal_write_words(summary: &LoopSummary, elide: &[ObjId]) -> BTreeSet<(Ob
     universal.unwrap_or_default()
 }
 
-/// The engine's conflict test, over summarised sets.
-fn conflicts(policy: ConflictPolicy, task: &ChunkSets, earlier_writes: &AccessSet) -> bool {
-    match policy {
-        ConflictPolicy::Full => {
-            task.reads.overlaps(earlier_writes) || task.writes.overlaps(earlier_writes)
-        }
-        ConflictPolicy::Waw => task.writes.overlaps(earlier_writes),
-        ConflictPolicy::Raw => task.reads.overlaps(earlier_writes),
-        ConflictPolicy::None => false,
-    }
-}
-
 /// Predicts whether a probe run under `params` — its conflict policy,
 /// commit order, worker count, chunk factor and tracked-words budget —
 /// must fail, by simulating the lock-step round schedule over the
@@ -294,8 +231,9 @@ pub fn predict(summary: &LoopSummary, params: &ExecParams, elide: &[ObjId]) -> V
     // Schedule simulation: the engine's round algorithm verbatim — drain
     // pending retries first (they hold the lowest sequence numbers), fill
     // with fresh chunks up to the worker count, validate in ascending task
-    // order against this round's committed write sets, and under in-order
-    // commit squash everything after the first failure.
+    // order against this round's committed writers with `derive`, the
+    // verdict oracle the sanitizer and the checker audit with, and under
+    // in-order commit squash everything after the first failure.
     let workers = params.workers.max(1);
     let mut pending: VecDeque<usize> = VecDeque::new();
     let mut next_fresh = 0usize;
@@ -313,18 +251,19 @@ pub fn predict(summary: &LoopSummary, params: &ExecParams, elide: &[ObjId]) -> V
             round.push(next_fresh);
             next_fresh += 1;
         }
-        let mut round_writes = AccessSet::new();
+        let mut committed: Vec<(u64, &AccessSet)> = Vec::with_capacity(workers);
         let mut squash = false;
         for &seq in &round {
             attempts += 1;
-            if squash || conflicts(policy, &chunks[seq], &round_writes) {
+            let ChunkSets { reads, writes } = &chunks[seq];
+            if squash || derive(policy, reads, writes, &committed).conflict.is_some() {
                 if params.order == CommitOrder::InOrder {
                     squash = true;
                 }
                 pending.push_back(seq);
             } else {
                 commits += 1;
-                round_writes.union_with(&chunks[seq].writes);
+                committed.push((seq as u64, writes));
             }
         }
     }
@@ -347,7 +286,7 @@ pub fn predict(summary: &LoopSummary, params: &ExecParams, elide: &[ObjId]) -> V
 mod tests {
     use super::*;
     use alter_heap::{Heap, ObjData};
-    use alter_runtime::{summarize_dependences, RangeSpace, RedVal};
+    use alter_runtime::{summarize_dependences, RangeSpace};
 
     /// A probe's params at the inference geometry (4 workers, chunk 16).
     fn params(conflict: ConflictPolicy, order: CommitOrder) -> ExecParams {
@@ -506,30 +445,5 @@ mod tests {
             ),
             Verdict::Unknown
         );
-    }
-
-    #[test]
-    fn edge_classification_follows_location_shape() {
-        let mut heap = Heap::new();
-        let mut reds = alter_runtime::RedVars::new();
-        let sum = alter_runtime::BoundScalar::declare(&mut heap, &mut reds, "sum", RedVal::I64(0));
-        let xs = heap.alloc(ObjData::zeros_f64(256));
-        let mut s = summarize_dependences(&mut heap, &mut RangeSpace::new(1, 256), {
-            move |ctx, i| {
-                let prev = ctx.tx.read_f64(xs, i as usize - 1);
-                ctx.tx.write_f64(xs, i as usize, prev);
-                sum.add(ctx, 1i64);
-            }
-        });
-        s.label("sum", sum.object());
-        for e in &s.edges {
-            let b = classify_edge(&s, e);
-            if e.obj == sum.object() {
-                assert_eq!(b, Breakability::Reduction(RedOp::Add), "{e:?}");
-            } else {
-                assert_eq!(e.kind, DepKind::Raw);
-                assert_eq!(b, Breakability::StaleReads);
-            }
-        }
     }
 }

@@ -7,16 +7,16 @@
 //! [`LoopSummary`](alter_runtime::LoopSummary) IR produced by the shared
 //! sequential replay:
 //!
-//! * [`classify`] — per-edge breakability classification
-//!   ([`Breakability`]) and a schedule-prediction simulator ([`predict`])
-//!   that replays the engine's exact lock-step round algorithm over the
-//!   summarised access sets, yielding conservative must-fail verdicts
-//!   ([`Verdict`]) the inference engine uses to prune provably-failing
-//!   probes.
+//! * [`classify`] — a schedule-prediction simulator ([`predict`]) that
+//!   replays the engine's exact lock-step round algorithm over the
+//!   summarised access sets, validating through the checker's verdict
+//!   oracle, and yields conservative must-fail verdicts ([`Verdict`]) the
+//!   inference engine uses to prune provably-failing probes.
 //! * [`lint`](mod@lint) — an annotation linter: given a parsed
 //!   [`Annotation`](alter_runtime::Annotation) (or the DOALL/TLS targets),
 //!   emit structured [`Diagnostic`]s — severity, stable rule code,
-//!   location, human message.
+//!   location, human message — from one table of which dependences each
+//!   target may break (SEMANTICS.md §6).
 //! * [`sanitize`](mod@sanitize) — a trace isolation sanitizer, and the crate's one
 //!   reader of a trace's rounds: read a recorded JSONL trace (with
 //!   `ExecParams::record_sets` payloads) into task records once and
@@ -66,6 +66,6 @@ pub use check::{
     check_events, check_journal, schedule_is_clean, CheckReport, UnsoundRound,
     DEFAULT_SCHEDULE_BUDGET,
 };
-pub use classify::{classify_edge, predict, Breakability, Verdict, HIGH_CONFLICT_THRESHOLD};
+pub use classify::{predict, Verdict, HIGH_CONFLICT_THRESHOLD};
 pub use lint::{lint, Diagnostic, LintTarget, Severity};
 pub use sanitize::{sanitize, Violation};

@@ -2,36 +2,26 @@
 //! annotation (or the DOALL/TLS targets) against a loop's dependence
 //! summary.
 //!
-//! Rules (DESIGN.md §11):
+//! Which dependences each target may break is one private table, `rule`,
+//! with one row per target × dependence kind; SEMANTICS.md §6 is the same
+//! table in prose, each row linked to the test that pins it. A row's
+//! severity is fixed, or *retries*: an error when the edge links every
+//! iteration pair ("cannot commit"), a warning otherwise ("will retry").
 //!
-//! * **DOALL** — any RAW or WAW edge is an error (no conflict checking,
-//!   so a broken flow dependence or lost update commits silently). WAR
-//!   edges are informational: snapshotting breaks them for free.
-//! * **TLS** — always sound (sequential semantics); RAW/WAW edges are
-//!   warnings because validation will serialize the loop.
-//! * **OutOfOrder** — RAW edges are errors when they connect (nearly)
-//!   every iteration pair ("cannot commit") and warnings otherwise; a WAW
-//!   edge with no covering RAW on the same words is an error, because RAW
-//!   validation never looks at write sets and the lost update commits
-//!   silently.
-//! * **StaleReads** — RAW edges are informational (that is the point of
-//!   the annotation); WAW edges are errors when pervasive, warnings
-//!   otherwise.
-//! * **Reductions** — `Reduction(var, op)` is checked against the
-//!   location's access shape: plain (non-reductive) accesses, multiple
-//!   observed operators, or a non-scalar location are errors; an
-//!   annotation operator that differs from the observed source operator is
-//!   only a warning (the paper's SG3D writes `err max=` under a
-//!   `Reduction(err, +)` annotation — testing is the final arbiter).
-//!   Locations that check out reduction-shaped suppress the policy
-//!   diagnostics above, exactly as the runtime privatises them.
+//! **Reductions.** `Reduction(var, op)` is checked against the location's
+//! access shape: plain (non-reductive) accesses, multiple observed
+//! operators, or a non-scalar location are errors; an annotation operator
+//! that differs from the observed source operator is only a warning (the
+//! paper's SG3D writes `err max=` under a `Reduction(err, +)` annotation —
+//! testing is the final arbiter). Locations that check out
+//! reduction-shaped are exempt from the table, exactly as the runtime
+//! privatises them.
 //!
 //! Diagnostics are deterministic: generation follows the summary's sorted
 //! edge order and the annotation's declaration order, so two lints of the
 //! same summary compare equal.
 
-use crate::classify::reduction_shaped;
-use alter_runtime::{Annotation, DepKind, LoopSummary, Policy};
+use alter_runtime::{Annotation, DepEdge, DepKind, LocationStats, LoopSummary, Policy, RedOp};
 
 /// What the linter checks an annotation-shaped target against.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,12 +105,62 @@ fn loc_name(summary: &LoopSummary, obj: alter_heap::ObjId) -> String {
 
 /// Whether an edge connects (nearly) every iteration pair it could: each
 /// later iteration touching the location depends on an earlier one.
-fn pervasive(summary: &LoopSummary, edge: &alter_runtime::DepEdge) -> bool {
+fn pervasive(summary: &LoopSummary, edge: &DepEdge) -> bool {
     summary.iterations > 1 && edge.dsts >= summary.iterations - 1
 }
 
-/// Lints one target against a loop summary. See the module docs for the
-/// rule set. An empty summary yields a single informational diagnostic.
+/// Whether the location's accesses all flow through exactly one reduction
+/// operator (scalar word 0 only, no plain reads or writes).
+///
+/// One caveat, inherited from the replay's operator log: an iteration that
+/// both applies the operator *and* separately reads the cell raw is
+/// indistinguishable from a purely reductive one. Testing (paper §6)
+/// remains the final arbiter of such an annotation.
+fn reduction_shaped(loc: &LocationStats) -> Option<RedOp> {
+    match loc.ops.as_slice() {
+        [op] if loc.plain_iters == 0 && loc.max_word == 0 => Some(*op),
+        _ => None,
+    }
+}
+
+/// How severe a [`rule`]'s diagnostic is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Level {
+    /// The same severity for every edge of the kind.
+    Fixed(Severity),
+    /// The target validates the kind and retries the later iteration: an
+    /// error when the edge links every iteration pair ("cannot commit"), a
+    /// warning otherwise ("will retry").
+    Retries,
+}
+
+/// Which dependences each target may break: SEMANTICS.md §6, one row per
+/// target × dependence kind, as `(level, code, message)`. In the message,
+/// `{edge}` stands for `{shape} on {name}` and `{verdict}` for a
+/// `Retries` row's "cannot commit" or "will retry".
+#[rustfmt::skip]
+fn rule(target: &LintTarget, kind: DepKind) -> (Level, &'static str, &'static str) {
+    use DepKind::{Raw, War, Waw};
+    use Level::{Fixed, Retries};
+    use LintTarget::{Annotated, Doall, Tls};
+    use Policy::{OutOfOrder, StaleReads};
+    use Severity::{Error, Info, Warning};
+    match (target, kind) {
+        (_, War) => (Fixed(Info), "war-snapshot", "{edge}: broken by snapshot isolation"),
+        (Doall, Raw) => (Fixed(Error), "doall-raw", "DOALL invalid: {edge} commits stale reads unchecked"),
+        (Doall, Waw) => (Fixed(Error), "doall-waw", "DOALL invalid: {edge} loses updates"),
+        (Tls, Raw | Waw) => (Fixed(Warning), "tls-serializes", "TLS stays sound but will serialize: {edge}"),
+        (Annotated(Annotation { policy: OutOfOrder, .. }), Raw) => (Retries, "outoforder-raw", "OutOfOrder {verdict}: {edge}"),
+        (Annotated(Annotation { policy: OutOfOrder, .. }), Waw) => (Fixed(Error), "outoforder-waw-unchecked", "OutOfOrder unsound: {edge} is invisible to RAW validation (lost update)"),
+        (Annotated(Annotation { policy: StaleReads, .. }), Raw) => (Fixed(Info), "stalereads-raw-broken", "{edge}: StaleReads commits through it (reads may be stale)"),
+        (Annotated(Annotation { policy: StaleReads, .. }), Waw) => (Retries, "stalereads-waw", "StaleReads {verdict}: {edge}"),
+    }
+}
+
+/// Lints one target against a loop summary: one diagnostic per dependence
+/// edge, by the table of SEMANTICS.md §6, then the reduction checks (see
+/// the module docs). An empty summary yields a single informational
+/// diagnostic.
 pub fn lint(summary: &LoopSummary, target: &LintTarget) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if summary.is_empty() {
@@ -161,7 +201,8 @@ pub fn lint(summary: &LoopSummary, target: &LintTarget) -> Vec<Diagnostic> {
             continue;
         }
         let name = loc_name(summary, edge.obj);
-        let shape = if pervasive(summary, edge) {
+        let pervasive = pervasive(summary, edge);
+        let shape = if pervasive {
             format!(
                 "{} edge on every iteration pair (word {}, distance {}..{})",
                 edge.kind, edge.word, edge.min_dist, edge.max_dist
@@ -172,92 +213,16 @@ pub fn lint(summary: &LoopSummary, target: &LintTarget) -> Vec<Diagnostic> {
                 edge.kind, edge.dsts, summary.iterations, edge.word, edge.min_dist, edge.max_dist
             )
         };
-        match (target, edge.kind) {
-            (LintTarget::Doall, DepKind::Raw) => diag(
-                Severity::Error,
-                "doall-raw",
-                Some(edge.obj),
-                format!("DOALL invalid: {shape} on {name} commits stale reads unchecked"),
-            ),
-            (LintTarget::Doall, DepKind::Waw) => diag(
-                Severity::Error,
-                "doall-waw",
-                Some(edge.obj),
-                format!("DOALL invalid: {shape} on {name} loses updates"),
-            ),
-            (LintTarget::Doall, DepKind::War) | (LintTarget::Tls, DepKind::War) => diag(
-                Severity::Info,
-                "war-snapshot",
-                Some(edge.obj),
-                format!("{shape} on {name}: broken by snapshot isolation"),
-            ),
-            (LintTarget::Tls, _) => diag(
-                Severity::Warning,
-                "tls-serializes",
-                Some(edge.obj),
-                format!("TLS stays sound but will serialize: {shape} on {name}"),
-            ),
-            (LintTarget::Annotated(a), DepKind::Raw) => match a.policy {
-                Policy::OutOfOrder => {
-                    let sev = if pervasive(summary, edge) {
-                        Severity::Error
-                    } else {
-                        Severity::Warning
-                    };
-                    let verb = if sev == Severity::Error {
-                        "cannot commit"
-                    } else {
-                        "will retry"
-                    };
-                    diag(
-                        sev,
-                        "outoforder-raw",
-                        Some(edge.obj),
-                        format!("OutOfOrder {verb}: {shape} on {name}"),
-                    );
-                }
-                Policy::StaleReads => diag(
-                    Severity::Info,
-                    "stalereads-raw-broken",
-                    Some(edge.obj),
-                    format!("{shape} on {name}: StaleReads commits through it (reads may be stale)"),
-                ),
-            },
-            (LintTarget::Annotated(a), DepKind::Waw) => match a.policy {
-                Policy::OutOfOrder => diag(
-                    Severity::Error,
-                    "outoforder-waw-unchecked",
-                    Some(edge.obj),
-                    format!(
-                        "OutOfOrder unsound: {shape} on {name} is invisible to RAW validation (lost update)"
-                    ),
-                ),
-                Policy::StaleReads => {
-                    let sev = if pervasive(summary, edge) {
-                        Severity::Error
-                    } else {
-                        Severity::Warning
-                    };
-                    let verb = if sev == Severity::Error {
-                        "cannot commit"
-                    } else {
-                        "will retry"
-                    };
-                    diag(
-                        sev,
-                        "stalereads-waw",
-                        Some(edge.obj),
-                        format!("StaleReads {verb}: {shape} on {name}"),
-                    );
-                }
-            },
-            (LintTarget::Annotated(_), DepKind::War) => diag(
-                Severity::Info,
-                "war-snapshot",
-                Some(edge.obj),
-                format!("{shape} on {name}: broken by snapshot isolation"),
-            ),
-        }
+        let (level, code, message) = rule(target, edge.kind);
+        let (severity, verdict) = match level {
+            Level::Fixed(severity) => (severity, ""),
+            Level::Retries if pervasive => (Severity::Error, "cannot commit"),
+            Level::Retries => (Severity::Warning, "will retry"),
+        };
+        let message = message
+            .replace("{verdict}", verdict)
+            .replace("{edge}", &format!("{shape} on {name}"));
+        diag(severity, code, Some(edge.obj), message);
     }
 
     // Reduction shape checks, in annotation declaration order.
@@ -323,32 +288,28 @@ pub fn lint(summary: &LoopSummary, target: &LintTarget) -> Vec<Diagnostic> {
                 ),
             );
         }
-        if let [op] = loc.ops.as_slice() {
-            if loc.plain_iters == 0 && loc.max_word == 0 {
-                if *op != r.op {
-                    diag(
-                        Severity::Warning,
-                        "reduction-op-mismatch",
-                        Some(obj),
-                        format!(
-                            "Reduction({}, {}): observed source operator is {} — sound only if testing accepts the {} merge (paper §4.2)",
-                            r.var, r.op, op, r.op
-                        ),
-                    );
-                } else {
-                    diag(
-                        Severity::Info,
-                        "reduction-verified",
-                        Some(obj),
-                        format!(
-                            "Reduction({}, {}) verified: every access flows through {}",
-                            r.var, r.op, op
-                        ),
-                    );
-                }
+        if let Some(op) = reduction_shaped(loc) {
+            if op != r.op {
+                diag(
+                    Severity::Warning,
+                    "reduction-op-mismatch",
+                    Some(obj),
+                    format!(
+                        "Reduction({}, {}): observed source operator is {} — sound only if testing accepts the {} merge (paper §4.2)",
+                        r.var, r.op, op, r.op
+                    ),
+                );
+            } else {
+                diag(
+                    Severity::Info,
+                    "reduction-verified",
+                    Some(obj),
+                    format!(
+                        "Reduction({}, {}) verified: every access flows through {}",
+                        r.var, r.op, op
+                    ),
+                );
             }
-        } else if loc.ops.is_empty() && loc.plain_iters > 0 {
-            // Already reported as plain access; nothing reductive at all.
         }
     }
 
@@ -387,6 +348,63 @@ mod tests {
         assert!(errors.iter().any(|d| d.code == "doall-raw"));
         assert!(errors.iter().any(|d| d.code == "doall-waw"));
         assert!(diags.iter().any(|d| d.message.contains("DOALL invalid")));
+    }
+
+    /// A plain read-modify-write of one cell in every `every`-th of 16
+    /// iterations: a RAW, a WAW and a WAR edge, pervasive when `every` is 1.
+    fn rmw_summary(every: u64) -> LoopSummary {
+        let mut heap = Heap::new();
+        let cell = heap.alloc(alter_heap::ObjData::scalar_i64(0));
+        summarize_dependences(&mut heap, &mut RangeSpace::new(0, 16), move |ctx, i| {
+            if i % every == 0 {
+                let v = ctx.tx.read_i64(cell, 0);
+                ctx.tx.write_i64(cell, 0, v + 1);
+            }
+        })
+    }
+
+    /// SEMANTICS.md §6 row by row: each target × dependence kind gets its
+    /// `(severity, code)`, for an edge that links every iteration pair and
+    /// for one that does not.
+    #[test]
+    fn every_target_and_dependence_kind_gets_its_row() {
+        use DepKind::{Raw, War, Waw};
+        use Severity::{Error, Info, Warning};
+        let ann = |s: &str| LintTarget::Annotated(s.parse().unwrap());
+        let (doall, tls) = (LintTarget::Doall, LintTarget::Tls);
+        let (ooo, stale) = (ann("[OutOfOrder]"), ann("[StaleReads]"));
+        // (target, kind, (severity when not pervasive, when pervasive), code)
+        let table = [
+            (&doall, Raw, (Error, Error), "doall-raw"),
+            (&doall, Waw, (Error, Error), "doall-waw"),
+            (&doall, War, (Info, Info), "war-snapshot"),
+            (&tls, Raw, (Warning, Warning), "tls-serializes"),
+            (&tls, Waw, (Warning, Warning), "tls-serializes"),
+            (&tls, War, (Info, Info), "war-snapshot"),
+            (&ooo, Raw, (Warning, Error), "outoforder-raw"),
+            (&ooo, Waw, (Error, Error), "outoforder-waw-unchecked"),
+            (&ooo, War, (Info, Info), "war-snapshot"),
+            (&stale, Raw, (Info, Info), "stalereads-raw-broken"),
+            (&stale, Waw, (Warning, Error), "stalereads-waw"),
+            (&stale, War, (Info, Info), "war-snapshot"),
+        ];
+        for (every, pervasive) in [(4, false), (1, true)] {
+            let s = rmw_summary(every);
+            let kinds: Vec<DepKind> = s.edges.iter().map(|e| e.kind).collect();
+            assert_eq!(kinds.len(), 3, "{kinds:?}");
+            assert!(s.edges.iter().all(|e| super::pervasive(&s, e) == pervasive));
+            for (target, kind, (partial, full), code) in table {
+                let at = kinds.iter().position(|&k| k == kind).unwrap();
+                let d = &lint(&s, target)[at];
+                let severity = if pervasive { full } else { partial };
+                assert_eq!(
+                    (d.severity, d.code),
+                    (severity, code),
+                    "{target} {kind} pervasive={pervasive}: {d}"
+                );
+                assert!(d.message.contains(&format!("{kind} edge")), "{d}");
+            }
+        }
     }
 
     #[test]

@@ -36,9 +36,9 @@
 //! truncated ring buffer) is tolerated: the sanitizer checks what is
 //! there and does not require a trailing `run_end`.
 
-use crate::check::derive;
+use crate::check::{checked_sets, derive};
 use alter_heap::AccessSet;
-use alter_runtime::{CommitOrder, ConflictPolicy, ExecParams};
+use alter_runtime::{CommitOrder, ExecParams};
 use alter_trace::{parse_set, ConflictKind, Event};
 
 /// One isolation-invariant violation.
@@ -354,7 +354,7 @@ pub(crate) fn audit_round<'a>(
     fail: &mut dyn FnMut(usize, String),
 ) {
     let in_order = params.order == CommitOrder::InOrder;
-    let write_checked = matches!(params.conflict, ConflictPolicy::Full | ConflictPolicy::Waw);
+    let (_, write_checked) = checked_sets(params.conflict);
     let mut committed: Vec<(u64, &AccessSet)> = Vec::new();
     let mut first_failure: Option<u64> = None;
     for (seq, t, claim) in claims {

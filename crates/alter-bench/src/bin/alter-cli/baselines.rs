@@ -13,9 +13,7 @@
 use crate::json::{json, Json};
 use crate::{find, record_run};
 use alter_analyze::absint::{cross_validate, interpret, static_verdict};
-use alter_analyze::{
-    check_events, lint, predict, sanitize, CheckReport, LintTarget, DEFAULT_SCHEDULE_BUDGET,
-};
+use alter_analyze::{check_events, lint, predict, sanitize, CheckReport, DEFAULT_SCHEDULE_BUDGET};
 use alter_infer::{infer, InferConfig, InferReport, Model, Probe};
 use alter_runtime::{DepKind, ExecParams, LoopSummary, RunStats};
 use alter_trace::{format_hash, trace_hash, Event};
@@ -231,15 +229,7 @@ fn gate(verdicts: &[Verdict]) -> Result<(), String> {
 /// annotation: a byte-stable fingerprint of the linter that stays small
 /// even for SSCA2's thousands of edges.
 fn lint_counts(summary: &LoopSummary, probe: &Probe) -> Json {
-    let target = match probe.model {
-        Model::Doall => LintTarget::Doall,
-        Model::Tls => LintTarget::Tls,
-        Model::OutOfOrder | Model::StaleReads => LintTarget::Annotated(
-            format!("[{}]", probe.describe())
-                .parse()
-                .expect("a best configuration is a valid annotation"),
-        ),
-    };
+    let target = probe.model.lint_target(probe.reduction.as_ref());
     let mut counts = BTreeMap::new();
     for d in lint(summary, &target) {
         *counts

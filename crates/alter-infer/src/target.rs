@@ -11,10 +11,11 @@
 //! run does.
 
 use alter_analyze::absint::LoopSpec;
+use alter_analyze::LintTarget;
 use alter_heap::Heap;
 use alter_runtime::{
-    CommitOrder, ConflictPolicy, Driver, ExecParams, IterSpace, LoopSummary, RedOp, RedVars,
-    RunError, RunStats, Session, TxCtx,
+    Annotation, Driver, ExecParams, IterSpace, LoopSummary, Policy, RedOp, RedVars, RunError,
+    RunStats, Session, TxCtx,
 };
 use alter_sim::{CostModel, SimClock, SimObserver};
 use alter_trace::Recorder;
@@ -52,16 +53,32 @@ impl Model {
         }
     }
 
-    /// Base parameters for this model (Theorems 4.1–4.4).
+    /// Base parameters for this model (Theorems 4.1–4.4): those of its
+    /// [`Model::lint_target`], as [`ExecParams::doall`], [`ExecParams::tls`]
+    /// and [`ExecParams::from_annotation`] write them.
     pub fn exec_params(self, workers: usize, chunk: usize) -> ExecParams {
-        let mut p = ExecParams::new(workers, chunk);
-        (p.conflict, p.order) = match self {
-            Model::Tls => (ConflictPolicy::Raw, CommitOrder::InOrder),
-            Model::OutOfOrder => (ConflictPolicy::Raw, CommitOrder::OutOfOrder),
-            Model::StaleReads => (ConflictPolicy::Waw, CommitOrder::OutOfOrder),
-            Model::Doall => (ConflictPolicy::None, CommitOrder::OutOfOrder),
+        match self.lint_target(None) {
+            LintTarget::Doall => ExecParams::doall(workers, chunk),
+            LintTarget::Tls => ExecParams::tls(workers, chunk),
+            LintTarget::Annotated(ann) => ExecParams::from_annotation(&ann, workers, chunk),
+        }
+    }
+
+    /// What the linter checks this model against: DOALL, TLS, or the
+    /// model's annotation with its optional reduction `(variable,
+    /// operator)`; DOALL and TLS take none.
+    pub fn lint_target(self, reduction: Option<&(String, RedOp)>) -> LintTarget {
+        let policy = match self {
+            Model::Doall => return LintTarget::Doall,
+            Model::Tls => return LintTarget::Tls,
+            Model::OutOfOrder => Policy::OutOfOrder,
+            Model::StaleReads => Policy::StaleReads,
         };
-        p
+        let ann = Annotation::new(policy);
+        LintTarget::Annotated(match reduction {
+            Some((var, op)) => ann.with_reduction(var, *op),
+            None => ann,
+        })
     }
 }
 
@@ -402,7 +419,7 @@ pub trait InferTarget {
 mod tests {
     use super::*;
     use alter_heap::{ObjData, ObjId};
-    use alter_runtime::{run_loop_observed, RangeSpace, RedVal};
+    use alter_runtime::{run_loop_observed, CommitOrder, ConflictPolicy, RangeSpace, RedVal};
 
     #[test]
     fn model_params_match_theorems() {
@@ -423,6 +440,18 @@ mod tests {
         );
         let p = Model::Doall.exec_params(4, 16);
         assert_eq!(p.conflict, ConflictPolicy::None);
+    }
+
+    #[test]
+    fn model_lint_targets_are_the_annotations_they_parse_from() {
+        let parsed = |s: &str| LintTarget::Annotated(s.parse().unwrap());
+        assert_eq!(Model::OutOfOrder.lint_target(None), parsed("[OutOfOrder]"));
+        assert_eq!(
+            Model::StaleReads.lint_target(Some(&("delta".into(), RedOp::Add))),
+            parsed("[StaleReads + Reduction(delta, +)]")
+        );
+        assert_eq!(Model::Tls.lint_target(None), LintTarget::Tls);
+        assert_eq!(Model::Doall.lint_target(None), LintTarget::Doall);
     }
 
     #[test]

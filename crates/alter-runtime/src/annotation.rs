@@ -68,11 +68,6 @@ impl RedOp {
         RedOp::Or,
     ];
 
-    /// Whether the operator is idempotent (`x op x = x`).
-    pub fn is_idempotent(self) -> bool {
-        matches!(self, RedOp::Max | RedOp::Min | RedOp::And | RedOp::Or)
-    }
-
     /// The operator's annotation-language spelling (`+`, `*`, `max`, ...).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -335,16 +330,6 @@ mod tests {
                 .unwrap();
             assert_eq!(a.reductions[0].op, op, "operator {src}");
         }
-    }
-
-    #[test]
-    fn idempotence_classification_matches_paper() {
-        assert!(!RedOp::Add.is_idempotent());
-        assert!(!RedOp::Mul.is_idempotent());
-        for op in [RedOp::Max, RedOp::Min, RedOp::And, RedOp::Or] {
-            assert!(op.is_idempotent());
-        }
-        assert_eq!(RedOp::ALL.len(), 6);
     }
 
     #[test]

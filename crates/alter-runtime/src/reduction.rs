@@ -32,27 +32,6 @@ pub enum RedVal {
 }
 
 impl RedVal {
-    /// The identity element of `op` for this value's type.
-    pub fn identity_of(self, op: RedOp) -> RedVal {
-        match self {
-            RedVal::F64(_) => match op {
-                RedOp::Add => RedVal::F64(0.0),
-                RedOp::Mul => RedVal::F64(1.0),
-                RedOp::Max => RedVal::F64(f64::NEG_INFINITY),
-                RedOp::Min => RedVal::F64(f64::INFINITY),
-                RedOp::And | RedOp::Or => panic!("{BOOL_ON_F64}"),
-            },
-            RedVal::I64(_) => match op {
-                RedOp::Add => RedVal::I64(0),
-                RedOp::Mul => RedVal::I64(1),
-                RedOp::Max => RedVal::I64(i64::MIN),
-                RedOp::Min => RedVal::I64(i64::MAX),
-                RedOp::And => RedVal::I64(1),
-                RedOp::Or => RedVal::I64(0),
-            },
-        }
-    }
-
     /// Applies `op` pointwise: `self op other`.
     ///
     /// # Panics
@@ -362,27 +341,6 @@ impl RedLocals {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identities_are_correct() {
-        for (op, id) in [
-            (RedOp::Add, 0.0),
-            (RedOp::Mul, 1.0),
-            (RedOp::Max, f64::NEG_INFINITY),
-            (RedOp::Min, f64::INFINITY),
-        ] {
-            let got = RedVal::F64(7.0).identity_of(op).as_f64();
-            assert_eq!(got, id, "{op}");
-            // identity op x == x
-            assert_eq!(
-                RedVal::F64(id).apply(op, RedVal::F64(3.5)).as_f64(),
-                3.5,
-                "{op} identity law"
-            );
-        }
-        assert_eq!(RedVal::I64(0).identity_of(RedOp::And).as_i64(), 1);
-        assert_eq!(RedVal::I64(0).identity_of(RedOp::Or).as_i64(), 0);
-    }
 
     #[test]
     fn boolean_ops_on_i64() {

@@ -6,6 +6,45 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+echo "== docs: test links and repo paths resolve =="
+# SEMANTICS.md ties each clause to a test as [`module::tests::name`](file)
+# or [`tests/file.rs::name`](file): the file must exist and define
+# `fn name(`. In DESIGN.md, SEMANTICS.md and README.md every link target
+# must exist, and so must every backticked path into a top-level directory
+# of the repo or `file.rs:N` (a `::item` or `:N` suffix is dropped first;
+# a bare `file.rs` may be any file of that name under crates/, src/,
+# tests/, examples/ or bench/). Renamed tests and moved files leave stale
+# names behind otherwise.
+docs=(DESIGN.md SEMANTICS.md README.md)
+docs_ok=1
+links=$(grep -oE '\[`([a-z0-9_]+::tests|tests/[a-z0-9_]+\.rs)::[a-z0-9_]+`\]\([^)]+\)' SEMANTICS.md |
+  sed -E 's/^\[`.*::([a-z0-9_]+)`\]\(([^)]+)\)$/\1 \2/')
+while read -r name file; do
+  if [[ ! -f "$file" ]] || ! grep -qF "fn $name(" "$file"; then
+    echo "error: SEMANTICS.md links test $name to $file, which does not define it"
+    docs_ok=0
+  fi
+done <<< "$links"
+paths=$(
+  {
+    grep -ohE '\]\([^)#:]+' "${docs[@]}" | cut -c3-
+    grep -ohE '`[^` ]+`' "${docs[@]}" | tr -d '`' | sed -E 's/::.*$//; s/:[0-9]+(-[0-9]+)?$//' |
+      grep -E '^((crates|src|tests|examples|bench|scripts)/[A-Za-z0-9_./-]*|[A-Za-z0-9_-]+\.rs)$'
+  } | sort -u
+)
+for path in $paths; do
+  if [[ -e "$path" ]] ||
+    [[ "$path" != */* && -n "$(find crates src tests examples bench -name "$path" -print -quit)" ]]; then
+    continue
+  fi
+  echo "error: DESIGN.md, SEMANTICS.md or README.md names a path that does not exist: $path"
+  docs_ok=0
+done
+if [[ "$docs_ok" == 0 ]]; then
+  exit 1
+fi
+echo "$(wc -l <<< "$links") test links and $(wc -w <<< "$paths") paths resolve"
+
 echo "== fmt --check =="
 cargo fmt --all --check
 

@@ -12,8 +12,8 @@
 //!   classes whose iterators act as induction variables.
 //! * [`sim`] — deterministic virtual-time multicore simulator (substitute
 //!   for the paper's 8-core Xeon; see DESIGN.md).
-//! * [`analyze`] — dependence/annotation soundness analyzer: breakability
-//!   classification, annotation linting, inference pruning verdicts, and
+//! * [`analyze`] — dependence/annotation soundness analyzer: annotation
+//!   linting, inference pruning verdicts, and
 //!   the trace isolation sanitizer behind `alter-cli lint`.
 //! * [`infer`] — test-driven annotation inference.
 //! * [`workloads`] — the 12 evaluation loops from the paper.

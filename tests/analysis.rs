@@ -5,36 +5,19 @@
 //!   identical annotations as the paper's exhaustive search, in strictly
 //!   fewer probes wherever anything was pruned, and a must-fail verdict
 //!   never contradicts an observed probe pass;
-//! * determinism — summaries, classifier verdicts, and the linter's
+//! * determinism — summaries, predictor verdicts, and the linter's
 //!   diagnostics are identical across runs;
 //! * sanitizer — every workload's canonical best-configuration trace
 //!   passes the isolation sanitizer, and deliberately corrupted traces
 //!   (reordered verdicts, overlapping committed write-sets) are rejected.
 
-use alter::analyze::{lint, predict, sanitize, LintTarget, Severity};
+use alter::analyze::{lint, predict, sanitize, Severity};
 use alter::infer::{infer, InferConfig, InferReport, Model, Outcome};
-use alter::runtime::{Annotation, ExecParams};
+use alter::runtime::ExecParams;
 use alter::trace::{Event, Recorder, RingRecorder};
 use alter::workloads::{all_benchmarks, Benchmark, Scale};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// The lint target for a workload's paper-chosen best configuration.
-fn best_target(bench: &dyn Benchmark) -> LintTarget {
-    let (model, reduction) = bench.best_config();
-    match model {
-        Model::Doall => LintTarget::Doall,
-        Model::Tls => LintTarget::Tls,
-        Model::OutOfOrder | Model::StaleReads => {
-            let ann = match reduction {
-                None => format!("[{model}]"),
-                Some((var, op)) => format!("[{model} + Reduction({var}, {op})]"),
-            };
-            let ann: Annotation = ann.parse().expect("best config parses");
-            LintTarget::Annotated(ann)
-        }
-    }
-}
 
 /// Observed outcomes of the exhaustive (no-pruning) report, keyed by the
 /// probe-description strings `PrunedCandidate.annotation` uses.
@@ -167,7 +150,8 @@ fn analyzer_diagnostics_are_deterministic_on_all_workloads() {
             );
         }
 
-        let target = best_target(b.as_ref());
+        let (model, reduction) = b.best_config();
+        let target = model.lint_target(reduction.as_ref());
         let diags = lint(&s1, &target);
         assert_eq!(
             diags,
